@@ -86,15 +86,17 @@ def _cfac(lat: Lattice, omega: float) -> complex:
     return complex(theta_grid(i, omega, lat, 1) / theta_grid(i, omega, lat))
 
 
-def _check_w(w: float, lat: Lattice, mirrored: bool = False):
+def _check_w(w, lat: Lattice, mirrored: bool = False):
+    """Raise DomainW unless w (a number or an array) lies in the band."""
     top = 2 * np.pi * lat.lam
-    if mirrored:
-        ok = 0 < abs(w) < top
+    if np.isscalar(w):
+        bad = [] if 0 < (abs(w) if mirrored else w) < top else [w]
     else:
-        ok = 0 < w < top
-    if not ok:
+        a = np.abs(w) if mirrored else np.asarray(w, dtype=float)
+        bad = np.asarray(w, dtype=float)[~((0 < a) & (a < top))]
+    if len(bad):
         band = f"(-{top:.6g}, 0) u (0, {top:.6g})" if mirrored else f"(0, {top:.6g})"
-        raise DomainW(f"w = {w} outside the admissible band {band}")
+        raise DomainW(f"w = {bad[0]} outside the admissible band {band}")
 
 
 def _th1_den(z, omega, lat):
@@ -159,18 +161,24 @@ def exp_isigma(u, w: float, fam):
     return complex(val) if np.isscalar(u) else val
 
 
-def w1(w: float, fam) -> complex:
-    """Infinitesimal rotation coefficient W1(w); W(w) = conj(W1(w))."""
+def w1(w, fam):
+    """Infinitesimal rotation coefficient W1(w); W(w) = conj(W1(w)).
+
+    w may be an array; a scalar w gives a complex.
+    """
     lat, om = fam.lattice, fam.omega
     _check_w(w, lat)
+    warr = np.asarray(w, dtype=float)
     i = _den_index(lat)
-    den = theta_grid(1, 1j * w, lat)
+    den = theta_grid(1, 1j * warr, lat)
     # theta1(i w) vanishes mid-band at w = pi*lam on rectangular lattices
-    if abs(den) < _POLE_TOL:
-        raise PoleProximity(f"W1 pole: theta1(i w) ~ 0 at w = {w}")
-    val = (1j * theta_grid(1, 0.0, lat, 1) * theta_grid(i, om - 1j * w, lat)
+    near = np.abs(den) < _POLE_TOL
+    if np.any(near):
+        raise PoleProximity(f"W1 pole: theta1(i w) ~ 0 at w = {warr[near].flat[0]}")
+    val = (1j * theta_grid(1, 0.0, lat, 1) * theta_grid(i, om - 1j * warr, lat)
            / (2 * theta_grid(i, om, lat) * den))
-    return complex(val * np.exp(1j * w * _cfac(lat, om)))
+    val = val * np.exp(1j * warr * _cfac(lat, om))
+    return complex(val) if val.ndim == 0 else val
 
 
 def dlog_gamma_u(u, w: float, fam):

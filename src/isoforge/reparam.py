@@ -126,12 +126,12 @@ def validate(spec: ReparamSpec, lat, n: int = 4001) -> ValidationReport:
     if not (0.0 < w_min and w_max < top):
         flags.append(f"range [{w_min:.6g}, {w_max:.6g}] escapes the band (0, {top:.6g})")
     max_wp = float(np.max(np.abs(wp)))
-    if max_wp > 1.0 + 1e-12:
+    if not max_wp <= 1.0 + 1e-12:  # NaN is flagged too
         flags.append(f"|w'| reaches {max_wp:.6g} > 1")
     inside = np.abs(wp) <= 1.0
     root_residual = float(np.max(np.abs(1.0 - wp[inside] ** 2 - root[inside] ** 2))) \
         if np.any(inside) else np.inf
-    if root_residual > 1e-8:
+    if not root_residual <= 1e-8:
         flags.append("signed root inconsistent with 1 - w'^2")
     # smoothness proxy for the signed branch: bounded second divided differences
     root_dd2 = float(np.max(np.abs(np.diff(root, 2)))) / dv ** 2 if n >= 3 else 0.0

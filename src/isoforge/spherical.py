@@ -111,8 +111,7 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
     if np.any(np.abs(us - om) <= 1e-14):
         out[om] = y0.copy()
     if len(above):
-        ys, _ = _adaptive_rk(rhs, np.concatenate([[om], above]), y0,
-                             step_tol, renormalize=False)
+        ys = _adaptive_rk(rhs, np.concatenate([[om], above]), y0, step_tol)
         for u, y in zip(above, ys[1:]):
             out[float(u)] = y
     if len(below):
@@ -120,8 +119,8 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
         def rhs_down(t, y):
             return -rhs(om - t, y)
 
-        ys, _ = _adaptive_rk(rhs_down, np.concatenate([[0.0], om - below]), y0,
-                             step_tol, renormalize=False)
+        ys = _adaptive_rk(rhs_down, np.concatenate([[0.0], om - below]), y0,
+                          step_tol)
         for u, y in zip(below, ys[1:]):
             out[float(u)] = y
     triples = []

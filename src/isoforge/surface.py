@@ -160,7 +160,7 @@ def _limit_frame_arrays(lat, spec: ReparamSpec, v, step_tol=1e-12):
         rr = root * rfun(w)
         return np.array([root * what(w), rr * np.cos(two_a), -rr * np.sin(two_a)])
 
-    y, _ = frame._adaptive_rk(rhs, v, np.zeros(3), step_tol, renormalize=False)
+    y = frame._adaptive_rk(rhs, v, np.zeros(3), step_tol)
     return y[:, 0], y[:, 1:]  # a(v), T(v) in the (i, j) plane
 
 

@@ -240,6 +240,20 @@ def test_verify_limit_surface(tmp_path):
     assert defect["value"] == 0.0  # rank-2 plane-normal family
 
 
+def test_verify_inadmissible_spec_exits_2(tmp_path, monkeypatch, capsys):
+    """|w'| = 0.8 * 2 pi / 3 > 1: the frame integration refuses the spec
+    (instead of clipping 1 - w'^2 at 0) and the command exits 2."""
+    cfg = _base_cfg()
+    cfg["reparam"] = {"kind": "analytic", "mean": 1.0053096491487339,
+                      "amplitude": 0.8, "period": 3.0}
+    monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
+                                      _write(tmp_path, cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    assert "|w'| reaches" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spherical command and the wrong-branch negative control
 

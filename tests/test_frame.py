@@ -1,10 +1,14 @@
 """Frame integration on unit quaternions, monodromy, rotational extension."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from isoforge import curvefamily, frame, quat, reparam
-from isoforge.errors import DegenerateRotation, NoBracket, SpecInvalid
+from isoforge.errors import (DegenerateRotation, DomainW, NoBracket,
+                             SpecInvalid, StepFailure)
 
 
 def test_constant_coefficient_closed_form(crit032):
@@ -37,15 +41,121 @@ def test_unit_norm_preserved(crit032, torus_spec):
     assert np.allclose(traj.phi[0], [1, 0, 0, 0])
 
 
-def test_w1_interpolant_accuracy(crit032, torus_spec):
-    """The Chebyshev W1 surrogate used inside the generator is machine
-    precision on the spec's w-range."""
+def test_generator_accepts_arrays(crit032, torus_spec):
+    a_of_v = frame.generator(torus_spec, crit032)
+    vs = np.linspace(0, torus_spec.period, 12).reshape(3, 4)
+    batch = a_of_v(vs)
+    assert batch.shape == (3, 4, 4)
+    for v, a in zip(vs.ravel(), batch.reshape(-1, 4)):
+        assert np.allclose(a, a_of_v(float(v)), rtol=1e-13, atol=0)
+
+
+def test_w1_array_matches_scalar(crit032, torus_spec):
+    """w1 on an array of w is the scalar w1 at each point, to 1e-13."""
     vs = np.linspace(0.0, torus_spec.period, 257)
     ws = np.asarray(torus_spec.w(vs))
-    interp = frame._w1_interpolant(crit032, float(ws.min()), float(ws.max()))
-    for w in np.linspace(ws.min(), ws.max(), 25):
+    batch = curvefamily.w1(ws, crit032)
+    assert batch.shape == ws.shape
+    for w, val in zip(ws, batch):
         direct = curvefamily.w1(float(w), crit032)
-        assert abs(interp(float(w)) - direct) < 1e-12 * max(1.0, abs(direct))
+        assert isinstance(direct, complex)
+        assert abs(val - direct) <= 1e-13 * abs(direct)
+
+
+def test_w1_array_checks_every_point(crit032):
+    band = 2 * np.pi * crit032.lattice.lam
+    with pytest.raises(DomainW):
+        curvefamily.w1(np.array([0.5, band + 0.1, 1.0]), crit032)
+    with pytest.raises(DomainW):
+        curvefamily.w1(np.array([0.5, np.nan]), crit032)
+
+
+def test_integrate_stats_keys(crit032, torus_spec):
+    """The stats that reports and the benchmark tracer read."""
+    stats = frame.integrate(torus_spec, crit032).stats
+    assert set(stats) == {"n_steps", "n_rejected", "err_est", "prenorm_drift"}
+    assert isinstance(stats["n_steps"], int) and stats["n_steps"] >= 128
+    assert isinstance(stats["n_rejected"], int) and stats["n_rejected"] >= 0
+    assert 0.0 < stats["err_est"] <= 1e-12
+    assert 0.0 <= stats["prenorm_drift"] < 1e-13
+
+
+def test_err_est_within_step_tol(crit032, torus_spec, sph_spec):
+    for spec in (torus_spec, sph_spec):
+        for tol in (1e-6, 1e-10, 1e-13):
+            stats = frame.integrate(spec, crit032, step_tol=tol).stats
+            assert stats["err_est"] <= tol
+
+
+def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
+    """One-step error estimate |E_h - E_{h/2} E_{h/2}| shrinks by 2^7 when
+    h halves (sixth-order method); 2^6.5 leaves room for the next term."""
+    a_of_v = frame.generator(torus_spec, crit032)
+    V = torus_spec.period
+    starts = np.linspace(0.0, V, 7)[:-1]
+    errs = []
+    for h in (V / 16, V / 32):
+        _, err = frame._propagators(a_of_v, starts, starts + h)
+        errs.append(err)
+    assert np.all(errs[1] > 1e-12)  # above roundoff
+    assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
+
+
+def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):
+    """The Magnus frame agrees with the embedded Runge-Kutta pair run on
+    Phi' = A Phi at the same step_tol."""
+    for spec, tol in ((torus_spec, 1e-12), (sph_spec, 5e-11)):
+        a_of_v = frame.generator(spec, crit032)
+        nodes = np.linspace(0.0, spec.period, 9)
+        ref = frame._adaptive_rk(lambda v, y: quat.qmul(a_of_v(v), y), nodes,
+                                 np.array([1.0, 0.0, 0.0, 0.0]), 1e-12)
+        traj = frame.integrate(spec, crit032, v_nodes=nodes)
+        assert np.max(np.abs(traj.phi - ref)) < tol
+
+
+def test_refinement_is_local(crit032):
+    """A rejected step is split without touching the others: the kinks of
+    |signed root| on a real-pair spherical spec are resolved by a few
+    dozen extra steps, not by refining the whole period."""
+    spec = reparam.build_spherical(
+        reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
+    kinked = dataclasses.replace(
+        spec, signed_root=lambda v: np.abs(np.asarray(spec.signed_root(v))))
+    smooth = frame.integrate(spec, crit032).stats
+    stats = frame.integrate(kinked, crit032).stats
+    assert stats["n_rejected"] > smooth["n_rejected"]
+    assert stats["n_steps"] - smooth["n_steps"] < 200
+
+
+def test_nan_signed_root_raises_step_failure(crit032, torus_spec):
+    """A root that turns NaN beyond the first period (which validation
+    samples) stops the integration at once without large allocations."""
+    V = torus_spec.period
+    nan_late = dataclasses.replace(
+        torus_spec, signed_root=lambda v: np.where(
+            np.asarray(v) > 1.5 * V, np.nan, torus_spec.signed_root(v)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepFailure):
+            frame.integrate(nan_late, crit032, periods=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_unreachable_step_tol_raises(crit032, torus_spec):
+    with pytest.raises(StepFailure):
+        frame.integrate(torus_spec, crit032, step_tol=1e-20)
+
+
+def test_integrate_rejects_inadmissible_spec(crit032, lat032):
+    """|w'| > 1: the signed root would be clipped; integrate refuses."""
+    band = 2 * np.pi * lat032.lam
+    with pytest.raises(SpecInvalid, match=r"\|w'\| reaches"):
+        frame.integrate(reparam.analytic(band / 2, 0.8, 3.0), crit032)
+    with pytest.raises(SpecInvalid, match="escapes the band"):
+        frame.integrate(reparam.analytic(0.1, 0.2, 6.0), crit032)
 
 
 def test_monodromy_round_trip():
@@ -141,3 +251,19 @@ def test_close_torus_no_bracket(crit032, lat032):
 
     with pytest.raises(NoBracket):
         frame.close_torus(template, crit032, target_angle=6.0)
+
+
+def test_close_torus_bracket_respects_admissibility():
+    """At lambda = 0.34, V = 5 the band bound 0.9 pi lambda exceeds V/2pi,
+    where |w'| passes 1; the default bracket stops at V/2pi."""
+    from isoforge import elliptic, theta
+    crit = elliptic.solve_critical_omega(theta.rhombic(0.34))
+    band = 2 * np.pi * 0.34
+
+    def template(amp):
+        return reparam.analytic(band / 2, amp, 5.0)
+
+    spec, achieved = frame.close_torus(template, crit, 2 * np.pi / 3)
+    assert abs(achieved - 2 * np.pi / 3) < 1e-9
+    assert spec.meta["amplitude"] <= 5.0 / (2 * np.pi)
+    assert reparam.validate(spec, crit.lattice).ok
