@@ -551,8 +551,8 @@ def spherical_cmd(config, out):
     ax = spherical.axis(spec, crit, surf)
     mono = frame.monodromy(frame.integrate(spec, crit))
     axdir = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(np.arccos(np.clip(
-        abs(float(axdir @ mono.axis.array())), -1.0, 1.0)))
+    angle = float(spherical.angle(axdir, mono.axis.array()))
+    angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
     rel_norm = abs(ax.norm_sq_assembled - ax.norm_sq) / ax.norm_sq
 
     checks = [

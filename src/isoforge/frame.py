@@ -189,10 +189,7 @@ def integrate(spec: ReparamSpec, fam, periods: int = 1,
     """
     if not (spec.period > 0):
         raise SpecInvalid("spec period must be positive")
-    report = reparam.validate(spec, fam.lattice)
-    if not report.ok:
-        raise SpecInvalid("inadmissible reparametrization: "
-                          + "; ".join(report.flags))
+    reparam.require_admissible(spec, fam.lattice)
     if v_nodes is not None:
         nodes = np.asarray(v_nodes, dtype=float)
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):

@@ -147,6 +147,14 @@ def validate(spec: ReparamSpec, lat, n: int = 4001) -> ValidationReport:
     )
 
 
+def require_admissible(spec: ReparamSpec, lat) -> None:
+    """Raise SpecInvalid with the flags of validate(spec, lat) unless ok."""
+    report = validate(spec, lat)
+    if not report.ok:
+        raise SpecInvalid("inadmissible reparametrization: "
+                          + "; ".join(report.flags))
+
+
 # ---------------------------------------------------------------------------
 # the elliptic-curve coordinate s(w) = e^{-h(omega, w)}
 
@@ -258,6 +266,11 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
     if np.max(np.abs(rem)) > 1e-7 * scale:
         raise SingularRoot("oscillation endpoints are not roots of Q to tolerance")
 
+    def q_of(s):
+        """Q(s) in factored form: exactly 0 at the turning points s_a, s_b."""
+        return (np.clip(s - s_a, 0.0, None) * np.clip(s_b - s, 0.0, None)
+                * np.polyval(quot, s))
+
     span = s_b - s_a
     edges = np.linspace(0.0, np.pi / 2, n_panels + 1)
     nodes, weights = leggauss(5)
@@ -292,7 +305,7 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
     # w'(v) = sqrt(Q)/(|delta| sqrt(Q3)) -- Hermite data keeps the
     # interpolants consistent with the closed-form derivatives
     s_edges = s_of_theta(edges)
-    ds_edges = np.sqrt(np.clip(np.polyval(qcoef, s_edges), 0.0, None)) / abs(delta)
+    ds_edges = np.sqrt(q_of(s_edges)) / abs(delta)
     s_spline = CubicHermiteSpline(v_edges, s_edges, ds_edges)
     w_spline = CubicHermiteSpline(v_edges, w_edges, ds_edges / np.sqrt(cub(s_edges)))
 
@@ -313,8 +326,7 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
     def wprime(v):
         _, mirrored = _fold(v)
         s = _s(v)
-        mag = (np.sqrt(np.clip(np.polyval(qcoef, s), 0.0, None))
-               / (abs(delta) * np.sqrt(cub(s))))
+        mag = np.sqrt(q_of(s)) / (abs(delta) * np.sqrt(cub(s)))
         out = np.where(mirrored, -mag, mag)
         return float(out) if np.isscalar(v) else out
 

@@ -74,6 +74,17 @@ def _spec_of(spec):
     return filled
 
 
+def angle(a, b):
+    """Angle between the vectors a and b (last axis) as atan2(|a x b|, a . b).
+
+    Exact to roundoff at every angle; arccos of the dot product of unit
+    vectors cannot resolve angles below about 2e-8.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1),
+                      np.sum(a * b, axis=-1))
+
+
 def _elementary(sph: SphericalSpec):
     s1, s2 = complex(sph.s1), complex(sph.s2)
     return float(sph.delta), float((s1 + s2).real), float((s1 * s2).real)
@@ -303,10 +314,7 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
                  + zeta2[:, None] * f["fv"][0] / eh_row
                  - zeta3[:, None] * f["n"][0])
     norms = np.linalg.norm(assembled, axis=-1)
-    units = assembled / norms[:, None]
-    mean_unit = units[0]
-    cosang = np.clip(units @ mean_unit, -1.0, 1.0)
-    spread = float(np.max(np.arccos(cosang)))
+    spread = float(np.max(angle(assembled, assembled[0])))
     scale = np.sqrt(norm_sq)
     return AxisData(
         Zprime_omega=np.mean(assembled, axis=0),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvefamily, frame
+from . import curvefamily, frame, reparam
 from .elliptic import coeffs
 from .quat import cj, qsandwich
 from .reparam import ReparamSpec
@@ -169,9 +169,11 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
 
     f = Im(gamma_hat) k + Re(gamma_hat) j e^{2 a k} + T(v), with T' along
     i e^{2 a k}; the planes of the u-curves stay tangent to a cylinder.
+    An inadmissible spec raises SpecInvalid.
     """
     lat = getattr(recipe.fam, "lattice", recipe.fam)
     spec = recipe.spec
+    reparam.require_admissible(spec, lat)
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)

@@ -10,15 +10,25 @@ Conventions follow Whittaker & Watson: with nome q = e^{i pi tau},
 All four are entire, pi-(anti)periodic and pi*tau-quasiperiodic.  Two lattice
 families appear: rectangular tau = i*lambda (q real in (0,1)) and rhombic
 tau = 1/2 + i*lambda (q purely imaginary).  Derivatives are obtained by
-term-wise differentiation; the truncation order is certified on the strip
+term-wise differentiation; the truncation order N is certified on the strip
 |Im z| <= H = 2*pi*lambda by the tail bound 2|q|^{N^2} e^{2NH} (including the
 polynomial factors introduced by differentiating twice).
+
+The truncated series is evaluated as a Laurent polynomial in w = e^{2iz}:
+each term is a sin or cos of (m0 + 2n) z, so theta_i^(k)(z) =
+e^{i m0 z} P(w) +- e^{-i m0 z} P(1/w) with m0 = 1 for theta1, theta2 and 0
+for theta3, theta4, and P is summed by Horner's rule.  A point costs one
+complex exponential and O(N) multiply-adds, with O(size of z) temporaries.
+The coefficients of P (the series coefficients times the factors of the
+differentiation) are computed once per lattice, index and order and cached
+on the lattice.  The terms are those of the sin/cos series above, so the
+tail bound certifies this evaluation too.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,6 +87,11 @@ class Lattice:
             f"cannot certify tol={self.tol} on strip {h} with {_MAX_TERMS} terms"
         )
 
+    @cached_property
+    def laurent(self) -> dict:
+        """(i, order) -> theta_i^(order) as a Laurent series, filled on use."""
+        return {}
+
 
 def rhombic(lam: float, tol: float = 1e-12) -> Lattice:
     return Lattice("rhombic", lam, tol)
@@ -86,15 +101,49 @@ def rectangular(lam: float, tol: float = 1e-12) -> Lattice:
     return Lattice("rectangular", lam, tol)
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: complex
-    d1: complex
-    d2: complex
+def _laurent(i: int, order: int, lat: Lattice):
+    """Coefficients a_n, offset m0 and parity s of theta_i^(order).
+
+    Every term of the truncated series is c_n sin(m_n z) or c_n cos(m_n z)
+    with m_n = m0 + 2n, and a k-th derivative multiplies e^{+-i m z} by
+    (+-i m)^k, so
+
+        theta_i^(k)(z) = e^{i m0 z} P(w) + s e^{-i m0 z} P(1/w),
+        P(w) = sum_{n<N} a_n w^n,  w = e^{2iz},
+
+    with a_n = c_n m_n^k i^k / 2 (cos terms) or c_n m_n^k i^(k-1) / 2
+    (sin terms) and s = (-1)^k, negated for sin terms.
+    """
+    n = np.arange(lat.truncation)
+    iptau = 1j * np.pi * lat.tau
+    if i in (1, 2):
+        m0 = 1
+        c = 2 * np.exp(iptau * (n + 0.5) ** 2)
+    else:
+        m0 = 0
+        c = 2 * np.exp(iptau * n ** 2)
+        c[0] = 1.0
+    if i in (1, 4):
+        c = c * (-1.0) ** n
+    odd = i == 1  # the sin series
+    a = c * (m0 + 2 * n) ** order * (0.5 * 1j ** ((order - odd) % 4))
+    coef = tuple(complex(x) for x in a)
+    if len(coef) == 1:  # only a tol above ~18 certifies one term
+        coef += (0j,)   # _horner needs two; a zero one changes nothing
+    return coef, m0, (-1) ** (order + odd)
 
 
-def _check_strip(z, lat: Lattice):
-    im = np.max(np.abs(np.imag(np.asarray(z, dtype=complex))))
+def _horner(coef, x):
+    """sum_n coef[n] x^n by Horner's rule; in place when x is an array."""
+    acc = x * coef[-1]
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= x
+    acc += coef[0]
+    return acc
+
+
+def _check_strip(im: float, lat: Lattice):
     if im > lat.strip_height + 1e-12:
         raise StripExceeded(
             f"|Im z| = {im:.6g} exceeds certified strip {lat.strip_height:.6g}"
@@ -102,49 +151,39 @@ def _check_strip(z, lat: Lattice):
 
 
 def theta_grid(i: int, z, lat: Lattice, order: int = 0):
-    """Vectorized theta_i (or its z-derivative of given order) on array z."""
+    """theta_i (or its z-derivative of given order) at a number or an array z.
+
+    An array gives an array of the same shape, a number a numpy complex.
+    """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"theta index must be 1..4, got {i}")
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0..2, got {order}")
-    z = np.asarray(z, dtype=complex)
-    _check_strip(z, lat)
-    shape = z.shape
-    zf = z.ravel()
-    n = np.arange(lat.truncation)
-    iptau = 1j * np.pi * lat.tau
-    if i in (1, 2):
-        m = 2 * n + 1
-        coef = 2 * np.exp(iptau * (n + 0.5) ** 2)
-        if i == 1:
-            coef = coef * (-1.0) ** n
-        mz = np.multiply.outer(m, zf)
-        s, c = np.sin(mz), np.cos(mz)
-        if i == 1:
-            basis = {0: s, 1: c, 2: -s}[order]
-        else:
-            basis = {0: c, 1: -s, 2: -c}[order]
-        out = (coef * m ** order) @ basis
+    key = (i, order)
+    series = lat.laurent.get(key)
+    if series is None:
+        series = lat.laurent[key] = _laurent(i, order, lat)
+    coef, m0, sign = series
+    scalar = isinstance(z, (int, float, complex)) or getattr(z, "ndim", None) == 0
+    if scalar:
+        z = complex(z)
+        _check_strip(abs(z.imag), lat)
+        u = cmath.exp(1j * z)
+        w = u * u
+        p, pinv = _horner(coef, w), _horner(coef, 1 / w)
     else:
-        m = 2 * n
-        coef = 2 * np.exp(iptau * n ** 2)
-        coef[0] = 1.0
-        if i == 4:
-            coef = coef * (-1.0) ** n
-        mz = np.multiply.outer(m, zf)
-        s, c = np.sin(mz), np.cos(mz)
-        basis = {0: c, 1: -s, 2: -c}[order]
-        out = (coef * m ** order) @ basis
-    return out.reshape(shape)
-
-
-def theta(i: int, z: complex, lat: Lattice) -> ThetaValue:
-    """theta_i(z) with first and second z-derivatives."""
-    return ThetaValue(
-        value=complex(theta_grid(i, z, lat, 0)),
-        d1=complex(theta_grid(i, z, lat, 1)),
-        d2=complex(theta_grid(i, z, lat, 2)),
-    )
+        z = np.asarray(z, dtype=complex)
+        _check_strip(np.max(np.abs(z.imag), initial=0.0), lat)
+        u = np.exp(1j * z)
+        w = np.empty((2,) + z.shape, dtype=complex)
+        np.multiply(u, u, out=w[0])
+        np.divide(1.0, w[0], out=w[1])
+        p, pinv = _horner(coef, w)
+    if m0:
+        p *= u
+        pinv /= u
+    out = p + pinv if sign > 0 else p - pinv
+    return np.complex128(out) if scalar else out
 
 
 # quasi-period multipliers for z -> z + pi*tau: theta_i(z + pi*tau) = m_i(z) theta_i(z)

@@ -254,6 +254,23 @@ def test_verify_inadmissible_spec_exits_2(tmp_path, monkeypatch, capsys):
     assert "|w'| reaches" in capsys.readouterr().err
 
 
+def test_verify_inadmissible_limit_spec_exits_2(tmp_path, monkeypatch, capsys):
+    """The limit surface validates its spec too: |w'| > 1 exits 2."""
+    cfg = {
+        "lattice": {"kind": "rhombic", "lambda": 0.354729892522},
+        "omega": {"mode": "limit"},
+        "reparam": {"kind": "analytic", "mean": 1.114548653,
+                    "amplitude": 0.8, "period": 3.0},
+        "grid": {"nu": 8, "nv": 8},
+    }
+    monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
+                                      _write(tmp_path, cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    assert "|w'| reaches" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spherical command and the wrong-branch negative control
 

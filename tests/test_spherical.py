@@ -140,3 +140,16 @@ def test_axis_parallel_to_monodromy(sph_spec, sph_surf, crit032):
     unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
     c = float(np.clip(abs(np.dot(unit, mono.axis.array())), -1.0, 1.0))
     assert np.arccos(c) < 1e-6
+
+
+def test_angle_resolves_tiny_angles():
+    """atan2(|a x b|, a . b) resolves 1e-10 rad, where arccos of the dot
+    product of two unit vectors reads 0 or about 2e-8."""
+    a = np.array([0.48, -0.6, 0.64])
+    perp = np.cross(a, [0.0, 0.0, 1.0])
+    perp /= np.linalg.norm(perp)
+    b = np.cos(1e-10) * a + np.sin(1e-10) * perp
+    assert abs(spherical.angle(a, b) - 1e-10) < 1e-14
+    assert abs(spherical.angle(a, -b) - (np.pi - 1e-10)) < 1e-14
+    both = spherical.angle(np.stack([a, a]), np.stack([b, perp]))
+    assert np.allclose(both, [1e-10, np.pi / 2], rtol=1e-6, atol=0)

@@ -1,8 +1,10 @@
 """Immersion assembly, isothermic diagnostics and the residual battery."""
 
 import numpy as np
+import pytest
 
-from isoforge import curvefamily, frame, surface, theta
+from isoforge import curvefamily, frame, reparam, surface, theta
+from isoforge.errors import SpecInvalid
 
 
 def test_isothermic_diagnostics(torus_surf):
@@ -142,3 +144,14 @@ def test_limit_fv_vs_fd(limit_surf):
     err = np.max(np.linalg.norm(fd - limit_surf.fv[:, j], axis=-1))
     # grid-level central differencing: O(dv^2) truncation only
     assert err < 10.0 * dvgrid ** 2
+
+
+def test_limit_build_refuses_inadmissible_spec(lam0):
+    """|w'| up to 1.68 > 1: build_limit refuses the spec instead of
+    integrating a clipped root."""
+    lat = theta.rhombic(lam0)
+    band = 2 * np.pi * lam0
+    recipe = surface.SurfaceRecipe(fam=lat, spec=reparam.analytic(band / 2, 0.8, 3.0),
+                                   nu=8, nv=8, limit=True)
+    with pytest.raises(SpecInvalid, match=r"\|w'\| reaches"):
+        surface.build(recipe)

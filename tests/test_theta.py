@@ -1,8 +1,11 @@
 """Theta evaluation against an independent high-precision series oracle."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoforge import theta
 from isoforge.errors import InvalidLattice, StripExceeded
@@ -125,3 +128,108 @@ def test_truncation_certified():
     got = complex(theta.theta_grid(3, z, lat))
     want = _mp_theta(3, z, lat)
     assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lat", [theta.rhombic(0.32), theta.rectangular(0.9)],
+                         ids=["rhombic032", "rect090"])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_array_matches_scalar_and_oracle(lat, i, order):
+    """Arrays of any shape give the scalar value at each point (and the
+    oracle's), including |Re z| up to 50; the shape is kept."""
+    h = lat.strip_height
+    re = np.concatenate([RNG.uniform(-np.pi, np.pi, 6), [-50.0, 50.0],
+                         RNG.uniform(-50, 50, 4)])
+    zs = (re + 1j * RNG.uniform(-h, h, 12)).reshape(3, 4)
+    for z in (zs, zs[0], zs[:1, :1]):
+        grid = theta.theta_grid(i, z, lat, order)
+        assert grid.shape == z.shape
+        for zk, g in zip(z.ravel(), grid.ravel()):
+            one = theta.theta_grid(i, zk, lat, order)
+            assert abs(g - one) < 1e-13 * max(1.0, abs(one))
+            want = _mp_theta(i, zk, lat, order)
+            assert abs(g - want) < 1e-9 * max(1.0, abs(want))
+    z0 = np.asarray(zs[1, 2])
+    got = theta.theta_grid(i, z0, lat, order)
+    assert np.shape(got) == ()
+    assert got == theta.theta_grid(i, complex(z0), lat, order)
+    got = theta.theta_grid(i, 0.7, lat, order)
+    want = _mp_theta(i, 0.7, lat, order)
+    assert np.shape(got) == () and abs(got - want) < 1e-9 * max(1.0, abs(want))
+
+
+def test_strip_edge_is_certified():
+    """Points on |Im z| = H evaluate (and match the oracle); points just
+    beyond raise, as numbers and inside arrays."""
+    lat = theta.rhombic(0.32)
+    h = lat.strip_height
+    edge = np.array([0.4 + 1j * h, -1.3 - 1j * h])
+    vals = theta.theta_grid(2, edge, lat)
+    for z, got in zip(edge, vals):
+        want = _mp_theta(2, z, lat)
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
+        assert theta.theta_grid(2, z, lat) == pytest.approx(got, rel=1e-13)
+    for im in (h + 1e-9, -h - 1e-9):
+        with pytest.raises(StripExceeded, match="exceeds certified strip"):
+            theta.theta_grid(2, 0.4 + 1j * im, lat)
+        with pytest.raises(StripExceeded, match="exceeds certified strip"):
+            theta.theta_grid(2, np.append(edge, 0.4 + 1j * im), lat)
+
+
+def test_index_and_order_validation():
+    lat = theta.rhombic(0.32)
+    with pytest.raises(ValueError, match="theta index must be 1..4"):
+        theta.theta_grid(5, 0.1, lat)
+    with pytest.raises(ValueError, match="derivative order must be 0..2"):
+        theta.theta_grid(1, 0.1, lat, 3)
+
+
+def test_large_array_memory_peak():
+    """Temporaries scale with the number of points, not points x terms."""
+    lat = theta.rhombic(0.32)
+    z = np.linspace(-3, 3, 4096) + 0.5j
+    theta.theta_grid(1, z[:2], lat, 1)  # fill the coefficient cache
+    tracemalloc.start()
+    try:
+        theta.theta_grid(1, z, lat, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# property tests: random points of the certified strip |Im z| <= H
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_LATTICES = [theta.rhombic(0.25), theta.rhombic(0.3), theta.rhombic(0.345),
+             theta.rectangular(0.5)]
+_unit = st.floats(-1.0, 1.0)
+_re = st.floats(-np.pi, np.pi)
+
+
+@_PROPERTY
+@given(lat=st.sampled_from(_LATTICES), re=_re, t=_unit,
+       i=st.sampled_from([1, 2, 3, 4]))
+def test_quasiperiodicity_property(lat, re, t, i):
+    """z and z + pi*tau both in the strip: Im z in [-H, H - pi*lam]."""
+    h, shift = lat.strip_height, np.pi * lat.lam
+    z = complex(re, -h + (t + 1) / 2 * (2 * h - shift))
+    assert theta.quasiperiodicity_residual(i, z, lat) < 1e-9
+
+
+@_PROPERTY
+@given(lat=st.sampled_from(_LATTICES), xr=_re, xt=_unit, yr=_re, yt=_unit)
+def test_addition_formulas_property(lat, xr, xt, yr, yt):
+    """x, y with |Im| <= H/2, so x + y and x - y stay in the strip."""
+    h = lat.strip_height / 2
+    x, y = complex(xr, xt * h), complex(yr, yt * h)
+    assert theta.addition_formula_residual(x, y, lat) < 1e-10
+
+
+@_PROPERTY
+@given(lat=st.sampled_from(_LATTICES[:3]), re=_re, t=_unit,
+       i=st.sampled_from([1, 2]))
+def test_rhombic_conjugation_property(lat, re, t, i):
+    z = complex(re, t * lat.strip_height)
+    assert theta.rhombic_conjugation_residual(i, z, lat) < 1e-10
