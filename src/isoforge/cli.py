@@ -200,17 +200,16 @@ def write_obj(path, surf):
 
 
 def write_curve_csv(path, us, gam, eh, tangent, kappa):
-    import csv
-
+    """One row per u, every cell in %.12g, with CSV's \\r\\n line ends."""
+    cols = np.column_stack([us, gam.real, gam.imag, eh, tangent.real,
+                            tangent.imag, kappa])
+    row = ",".join(["%.12g"] * cols.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["u", "re_gamma", "im_gamma", "exp_h",
-                     "tangent_re", "tangent_im", "kappa_hyp"])
-        for k in range(len(us)):
-            wr.writerow([f"{us[k]:.12g}", f"{gam[k].real:.12g}",
-                         f"{gam[k].imag:.12g}", f"{eh[k]:.12g}",
-                         f"{tangent[k].real:.12g}", f"{tangent[k].imag:.12g}",
-                         f"{kappa[k]:.12g}"])
+        fh.write("u,re_gamma,im_gamma,exp_h,tangent_re,tangent_im,kappa_hyp\r\n")
+        # 256 rows at a time: Python floats for every row at once would
+        # take about 280 bytes per row
+        for lo in range(0, len(cols), 256):
+            fh.writelines(row % tuple(r) for r in cols[lo:lo + 256].tolist())
 
 
 def write_svg(path, curves, size=640):

@@ -46,17 +46,6 @@ class FamilyParams:
 
 
 @dataclass(frozen=True)
-class CurveSample:
-    u: float
-    w: float
-    gamma: complex
-    gamma_u: complex
-    expH: float
-    expIsigma: complex
-    W1: complex
-
-
-@dataclass(frozen=True)
 class ElasticaConstants:
     a: float
     Lambda: complex
@@ -106,8 +95,8 @@ def _th1_den(z, omega, lat):
     return den
 
 
-def gamma(u, w: float, fam) -> complex:
-    """The planar curve gamma(u, w); u may be an array."""
+def gamma(u, w, fam):
+    """The planar curve gamma(u, w); u and w may be arrays that broadcast."""
     lat, om = fam.lattice, fam.omega
     _check_w(w, lat, mirrored=True)
     z = np.asarray(u, dtype=complex) + 1j * w
@@ -130,8 +119,12 @@ def gamma_u(u, w: float, fam) -> complex:
     return complex(val) if np.isscalar(u) else val
 
 
-def exp_h(u, w: float, fam):
-    """Metric factor e^{h(u,w)} (positive real)."""
+def exp_h(u, w, fam):
+    """Metric factor e^{h(u,w)} (positive real); u and w broadcast.
+
+    The realness check compares each w column (axis 1 of a 2-D grid) with
+    its own scale, over u along axis 0.
+    """
     lat, om = fam.lattice, fam.omega
     _check_w(w, lat)
     u_arr = np.asarray(u, dtype=float)
@@ -142,13 +135,14 @@ def exp_h(u, w: float, fam):
            / (_th1_den(z, om, lat) * _th1_den(zb, om, lat)))
     val = val * np.exp(u_arr * _cfac(lat, om).real)
     out = np.real(val)
-    if np.max(np.abs(np.imag(val))) > 1e-9 * np.max(np.abs(out)):
+    im = np.max(np.abs(np.imag(np.atleast_1d(val))), axis=0)
+    if np.any(im > 1e-9 * np.max(np.abs(np.atleast_1d(out)), axis=0)):
         raise ArithmeticError("e^h should be real")
     return float(out) if np.isscalar(u) else out
 
 
-def exp_isigma(u, w: float, fam):
-    """Unitary factor e^{i sigma(u,w)} of gamma_u."""
+def exp_isigma(u, w, fam):
+    """Unitary factor e^{i sigma(u,w)} of gamma_u; u and w broadcast."""
     lat, om = fam.lattice, fam.omega
     _check_w(w, lat)
     u_arr = np.asarray(u, dtype=float)
@@ -181,8 +175,8 @@ def w1(w, fam):
     return complex(val) if val.ndim == 0 else val
 
 
-def dlog_gamma_u(u, w: float, fam):
-    """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives."""
+def dlog_gamma_u(u, w, fam):
+    """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives; u and w broadcast."""
     lat, om = fam.lattice, fam.omega
     z = np.asarray(u, dtype=complex) + 1j * w
     i = _den_index(lat)
@@ -201,17 +195,6 @@ def dlog_w1(w: float, fam) -> complex:
            - 1j * theta_grid(1, 1j * w, lat, 1) / theta_grid(1, 1j * w, lat)
            + 1j * _cfac(lat, om))
     return complex(val)
-
-
-def frame_data(u: float, w: float, fam) -> CurveSample:
-    return CurveSample(
-        u=float(u), w=float(w),
-        gamma=gamma(u, w, fam),
-        gamma_u=gamma_u(u, w, fam),
-        expH=exp_h(u, w, fam),
-        expIsigma=exp_isigma(u, w, fam),
-        W1=w1(w, fam),
-    )
 
 
 def radius(fam) -> float:
@@ -293,9 +276,10 @@ def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> 
 # the omega -> 0 limit family (cylinder-tangent case)
 
 
-def gamma_hat(u, w: float, lat: Lattice):
+def gamma_hat(u, w, lat: Lattice):
     """Limit curve: linear term + 2i td(0)^2 th1'(z/2) / (th1'(0)^2 th1(z/2)).
 
+    u and w may be arrays that broadcast.
     The linear term vanishes exactly when td''(0) = 0, i.e. on the rhombic
     lattice at lambda0, making the curves 2*pi-periodic.
     """
@@ -313,9 +297,9 @@ def gamma_hat(u, w: float, lat: Lattice):
     return complex(val) if np.isscalar(u) else val
 
 
-def gamma_hat_u(u, w: float, lat: Lattice):
+def gamma_hat_u(u, w, lat: Lattice):
     """d(gamma_hat)/du by theta log-derivatives (the linear slope plus the
-    derivative of th1'(z/2)/th1(z/2))."""
+    derivative of th1'(z/2)/th1(z/2)); u and w broadcast."""
     _check_w(w, lat, mirrored=True)
     i = _den_index(lat)
     z = np.asarray(u, dtype=complex) + 1j * w

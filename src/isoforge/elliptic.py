@@ -177,6 +177,15 @@ def lame_c1(lat: Lattice, omega: float, u_probe: float = 0.31) -> float:
     return _real(upp / U + 8 * U * U1, "Lame constant C1")
 
 
+def lame_constant(crit) -> float:
+    """The Lame constant C1 of critical rhombic parameters (closed form) or
+    of a general lattice + omega (recovered from the Lame equation at a
+    probe point)."""
+    if hasattr(crit, "residual"):
+        return c1_at_critical(crit)
+    return lame_c1(crit.lattice, crit.omega)
+
+
 def coeffs(u: float, crit) -> CoeffSample:
     """(U, U1, U2, U', U1') at real u.
 
@@ -184,11 +193,15 @@ def coeffs(u: float, crit) -> CoeffSample:
     general lattice + omega (constant recovered from the Lame equation at
     a probe point).
     """
+    return coeffs_with_c1(u, crit, lame_constant(crit))
+
+
+def coeffs_with_c1(u: float, crit, c1: float) -> CoeffSample:
+    """coeffs(u, crit) given its Lame constant c1 = lame_constant(crit).
+
+    Callers that need many u compute C1 once and pass it here.
+    """
     U, Up, U1, U1p = _uu1_complex(u, crit.lattice, crit.omega)
-    if hasattr(crit, "residual"):
-        c1 = c1_at_critical(crit)
-    else:
-        c1 = lame_c1(crit.lattice, crit.omega)
     U2 = c1 - 6 * U * U1
     return CoeffSample(
         u=u,

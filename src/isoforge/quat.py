@@ -67,6 +67,24 @@ def qsandwich(q, v):
     return out[..., 1:]
 
 
+def qrotation(q):
+    """3x3 matrices (..., 3, 3) of X -> q^{-1} X q for quaternion arrays (..., 4).
+
+    qrotation(q) @ X equals qsandwich(q, X); column c is the image of the
+    c-th unit vector (i, j, k).  Any nonzero multiple of q gives the same matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    n2 = qnorm2(q)
+    if np.any(n2 == 0):
+        raise ZeroQuaternion("cannot invert the zero quaternion")
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    rows = ((w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+            (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+            (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z))
+    m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return m / n2[..., None, None]
+
+
 def qexp_k(angle):
     """exp(angle * k) as a quaternion array."""
     angle = np.asarray(angle, dtype=float)

@@ -106,9 +106,10 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
         raise SpecInvalid("delta must be nonzero")
     om = crit.omega
     y0 = np.array([1.0, -e1, e2]) / delta
+    c1 = elliptic.lame_constant(crit)
 
     def rhs(u, y):
-        c = elliptic.coeffs(float(u), crit)
+        c = elliptic.coeffs_with_c1(float(u), crit, c1)
         return np.array([
             -c.U1 * y[1],
             2 * c.U * y[0] - 2 * c.U1 * y[2],

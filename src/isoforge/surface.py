@@ -7,15 +7,20 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
     f_v = e^h Phi^{-1} ( sqrt(1-w'^2) i + w' e^{i sigma} k ) Phi,
     n   =     Phi^{-1} ( w' i - sqrt(1-w'^2) e^{i sigma} k ) Phi,
 
-where sqrt(1-w'^2) is the spec's signed root.  The omega -> 0 limit surface
+where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates them on
+a (u, v) grid in blocks of whole v columns of at most _BLOCK_POINTS points:
+one broadcast call per closed form on u[:, None] x w[None, block], so the
+theta temporaries stay bounded, and the frame acts through one 3x3 rotation
+matrix per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
+Phi^{-1} j Phi and Phi^{-1} k Phi).  The omega -> 0 limit surface
 (planes tangent to a cylinder) is assembled from the limit data gamma_hat,
 W_hat, r with the rotation angle a(v) and the translation term integrated as
 an auxiliary ODE.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
-evaluates the closed-form fields on small finite-difference crosses whose
-step is independent of the display grid, so truncation error is controlled
-by the probe step alone.
+evaluates the closed-form fields on one small finite-difference stencil grid
+around all probes at once, whose step is independent of the display grid, so
+truncation error is controlled by the probe step alone.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvefamily, frame, reparam
-from .elliptic import coeffs
-from .quat import cj, qsandwich
+from .elliptic import coeffs_with_c1, lame_constant
+from .elliptic import coeffs  # noqa: F401  (perfbench's tracer test patches surface.coeffs)
+from .quat import qrotation
 from .reparam import ReparamSpec
 
 
@@ -55,17 +61,14 @@ class SampledSurface:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _zk(z):
-    """z k = a k - b j as a vector array for complex z."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([np.zeros(z.shape), -z.imag, z.real], axis=-1)
-
-
-_IVEC = np.array([1.0, 0.0, 0.0])
+# grid points per block of whole v columns in fields_at (one column when
+# nu is larger): bounds the theta and field temporaries, like the frame
+# integrator's 64-step batches
+_BLOCK_POINTS = 4096
 
 
 def _plane_vectors(spec: ReparamSpec, v):
-    """(root i + w' e^{i sigma} k)-style building blocks along a v-array."""
+    """w, w' and the signed root sqrt(1 - w'^2) along a v-array."""
     v = np.asarray(v, dtype=float)
     return (np.asarray(spec.w(v), dtype=float),
             np.asarray(spec.wprime(v), dtype=float),
@@ -76,33 +79,33 @@ def fields_at(fam, spec: ReparamSpec, u, v, phi):
     """Closed-form immersion fields on the tensor grid u x v.
 
     phi must hold the frame at the nodes of v, shape (len(v), 4).
-    Returns a dict with points/fu/fv/n/expH plus the scalar grids.
+    Returns a dict with the (nu, nv, 3) grids points/fu/fv/n and the
+    (nu, nv) metric factor expH.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = len(u), len(v)
     w_arr, wp, root = _plane_vectors(spec, v)
-
-    gam = np.empty((nu, nv), dtype=complex)
-    eis = np.empty((nu, nv), dtype=complex)
-    eh = np.empty((nu, nv), dtype=float)
-    for j in range(nv):
-        wj = float(w_arr[j])
-        gam[:, j] = curvefamily.gamma(u, wj, fam)
-        eis[:, j] = curvefamily.exp_isigma(u, wj, fam)
-        eh[:, j] = curvefamily.exp_h(u, wj, fam)
-
-    points = qsandwich(phi, cj(gam))
-    fu = eh[..., None] * qsandwich(phi, cj(eis))
-    zk = _zk(eis)
-    fv_vec = root[None, :, None] * _IVEC + wp[None, :, None] * zk
-    n_vec = wp[None, :, None] * _IVEC - root[None, :, None] * zk
-    fv = eh[..., None] * qsandwich(phi, fv_vec)
-    nrm = qsandwich(phi, n_vec)
-    return {
-        "points": points, "fu": fu, "fv": fv, "n": nrm, "expH": eh,
-        "gamma": gam, "expIsigma": eis, "w": w_arr, "wprime": wp, "root": root,
-    }
+    rot = qrotation(phi)
+    out = {name: np.empty((nu, nv, 3)) for name in ("points", "fu", "fv", "n")}
+    eh = np.empty((nu, nv))
+    step = max(1, _BLOCK_POINTS // max(nu, 1))
+    for lo in range(0, nv, step):
+        cols = slice(lo, lo + step)
+        gam = curvefamily.gamma(u[:, None], w_arr[None, cols], fam)
+        eis = curvefamily.exp_isigma(u[:, None], w_arr[None, cols], fam)
+        eh[:, cols] = curvefamily.exp_h(u[:, None], w_arr[None, cols], fam)
+        ri, rj, rk = rot[cols, :, 0], rot[cols, :, 1], rot[cols, :, 2]
+        # z j = a j + b k and z k = a k - b j for z = a + ib
+        eis_j = eis.real[..., None] * rj + eis.imag[..., None] * rk
+        eis_k = eis.real[..., None] * rk - eis.imag[..., None] * rj
+        out["points"][:, cols] = gam.real[..., None] * rj + gam.imag[..., None] * rk
+        out["fu"][:, cols] = eh[:, cols, None] * eis_j
+        out["fv"][:, cols] = eh[:, cols, None] * (root[cols, None] * ri
+                                                   + wp[cols, None] * eis_k)
+        out["n"][:, cols] = wp[cols, None] * ri - root[cols, None] * eis_k
+    out["expH"] = eh
+    return out
 
 
 def build(recipe: SurfaceRecipe) -> SampledSurface:
@@ -180,18 +183,14 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
     a, T = _limit_frame_arrays(lat, spec, v, recipe.step_tol)
     w_arr, wp, root = _plane_vectors(spec, v)
 
-    nu, nv = len(u), len(v)
+    nv = len(v)
     cos2a, sin2a = np.cos(2 * a), np.sin(2 * a)
     bj = np.stack([sin2a, cos2a, np.zeros(nv)], axis=-1)   # j e^{2 a k}
     bi = np.stack([cos2a, -sin2a, np.zeros(nv)], axis=-1)  # i e^{2 a k}
     kvec = np.array([0.0, 0.0, 1.0])
 
-    gh = np.empty((nu, nv), dtype=complex)
-    ghu = np.empty((nu, nv), dtype=complex)
-    for j in range(nv):
-        wj = float(w_arr[j])
-        gh[:, j] = curvefamily.gamma_hat(u, wj, lat)
-        ghu[:, j] = curvefamily.gamma_hat_u(u, wj, lat)
+    gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], lat)
+    ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], lat)
 
     what = np.array([curvefamily.w_hat(float(w), lat) for w in w_arr])
     rv = np.array([curvefamily.limit_r(float(w), lat) for w in w_arr])
@@ -232,15 +231,19 @@ def pde_battery(fam, spec, u_probes, v_probes, du=4e-4, dv=4e-4,
     h_w = -sigma_u,  and the Riccati equation  h_u = U e^h + U1 e^{-h}.
     All derivatives are centered differences with steps (du, dv) of the
     closed-form fields, so the battery converges at second order in the
-    probe step independently of any display grid.
+    probe step independently of any display grid.  Every grid below has
+    the u-probes along axis 0 and the v-probes along the last axis; the
+    stencil axes hold the shifts -1, 0, +1 steps.
     """
     u_probes = np.asarray(u_probes, dtype=float)
     v_probes = np.asarray(v_probes, dtype=float)
+    nu, nv = len(u_probes), len(v_probes)
+    m = np.array([[-1], [0], [1]])
+    us = u_probes + m * du                             # (3, nu)
+    vs = v_probes + m * dv                             # (3, nv)
 
-    # frame at all shifted v-nodes in one integration (the Codazzi stencil
-    # differentiates k2(v0 +- dv), which itself uses v0 +- 2 dv)
-    v_all = np.sort(np.unique(np.concatenate(
-        [v_probes + m * dv for m in (-2, -1, 0, 1, 2)])))
+    # frame at all shifted v-nodes in one integration
+    v_all = np.unique(vs)
     nodes = v_all if v_all[0] == 0.0 else np.concatenate([[0.0], v_all])
     traj = frame.integrate(spec, fam, v_nodes=nodes, step_tol=step_tol)
 
@@ -250,95 +253,70 @@ def pde_battery(fam, spec, u_probes, v_probes, du=4e-4, dv=4e-4,
             raise KeyError(f"no frame sample near v = {vv}")
         return traj.phi[i]
 
-    res = {k: 0.0 for k in ("gauss", "codazzi_u", "codazzi_v", "harmonic",
-                            "cauchy_riemann", "riccati", "hw_quartic")}
+    uu = u_probes[:, None]
+    w0 = np.asarray(spec.w(v_probes), dtype=float)[None, :]
 
-    def pack(vv):
-        return np.array([phi_of(float(vv))])
+    def h_of(u, w):
+        return np.log(curvefamily.exp_h(u, w, fam))
 
-    for v0 in v_probes:
-        w0 = float(spec.w(v0))
-        uu = u_probes
+    def dlog(u, w):
+        return np.asarray(curvefamily.dlog_gamma_u(u, w, fam))
 
-        def h_of(us, w):
-            return np.log(curvefamily.exp_h(us, w, fam))
+    h_c = h_of(uu, w0)
+    h_u = (h_of(uu + du, w0) - h_of(uu - du, w0)) / (2 * du)
+    h_w = (h_of(uu, w0 + du) - h_of(uu, w0 - du)) / (2 * du)
+    # second derivatives as single differences of the analytic first
+    # derivatives (h + i sigma)_u = dlog gamma_u, so double-difference
+    # roundoff never enters
+    h_uu = np.real(dlog(uu + du, w0) - dlog(uu - du, w0)) / (2 * du)
+    h_ww = -np.imag(dlog(uu, w0 + du) - dlog(uu, w0 - du)) / (2 * du)
+    # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
+    wv, wpv, _ = _plane_vectors(spec, vs.ravel())
+    h_v3 = (-np.imag(dlog(uu, wv[None, :])) * wpv).reshape(nu, 3, nv)
+    h_v = h_v3[:, 1]
+    h_vv = (h_v3[:, 2] - h_v3[:, 0]) / (2 * dv)
 
-        def sig_of(us, w):
-            return curvefamily.exp_isigma(us, w, fam)
+    # Cauchy-Riemann via branch-free log-derivatives of e^{i sigma}
+    def sig_of(u, w):
+        return curvefamily.exp_isigma(u, w, fam)
 
-        h_c = h_of(uu, w0)
-        h_up, h_um = h_of(uu + du, w0), h_of(uu - du, w0)
-        h_wp, h_wm = h_of(uu, w0 + du), h_of(uu, w0 - du)
-        h_u = (h_up - h_um) / (2 * du)
-        h_w = (h_wp - h_wm) / (2 * du)
-        # second derivatives as single differences of the analytic first
-        # derivatives (h + i sigma)_u = dlog gamma_u, so double-difference
-        # roundoff never enters
-        def dlog(us, w):
-            return np.asarray(curvefamily.dlog_gamma_u(us, w, fam))
+    s_c = sig_of(uu, w0)
+    sig_u = np.imag((sig_of(uu + du, w0) - sig_of(uu - du, w0)) / (2 * du) / s_c)
+    sig_w = np.imag((sig_of(uu, w0 + du) - sig_of(uu, w0 - du)) / (2 * du) / s_c)
 
-        h_uu = np.real(dlog(uu + du, w0) - dlog(uu - du, w0)) / (2 * du)
-        h_ww = -np.imag(dlog(uu, w0 + du) - dlog(uu, w0 - du)) / (2 * du)
-        res["harmonic"] = max(res["harmonic"], float(np.max(np.abs(h_uu + h_ww))))
+    c1 = lame_constant(fam)
+    cs = [coeffs_with_c1(float(u), fam, c1) for u in u_probes]
+    U, U1, U2, Up, U1p = (np.array([getattr(x, k) for x in cs])[:, None]
+                          for k in ("U", "U1", "U2", "Uprime", "U1prime"))
+    ehc = np.exp(h_c)
 
-        # Cauchy-Riemann via branch-free log-derivatives of e^{i sigma}
-        s_c = sig_of(uu, w0)
-        sig_u = np.imag((sig_of(uu + du, w0) - sig_of(uu - du, w0)) / (2 * du) / s_c)
-        sig_w = np.imag((sig_of(uu, w0 + du) - sig_of(uu, w0 - du)) / (2 * du) / s_c)
-        res["cauchy_riemann"] = max(res["cauchy_riemann"], float(np.max(np.abs(
-            np.concatenate([h_u - sig_w, h_w + sig_u])))))
+    # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
+    # on the stencil grid us x vs, reshaped to (u-shift, u-probe, v-shift, v-probe)
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(),
+                  np.array([phi_of(x) for x in vs.ravel()]))
+    fu, fv, nrm = (f[k].reshape(3, nu, 3, nv, 3) for k in ("fu", "fv", "n"))
+    e2h = f["expH"].reshape(3, nu, 3, nv) ** 2
+    fuu = (fu[2] - fu[0]) / (2 * du)                   # (nu, v-shift, nv, 3)
+    k1 = np.sum(fuu * nrm[1], axis=-1) / e2h[1]
+    fvv = (fv[:, :, 2] - fv[:, :, 0]) / (2 * dv)       # (u-shift, nu, nv, 3)
+    k2 = np.sum(fvv * nrm[:, :, 1], axis=-1) / e2h[:, :, 1]
+    k1c, k2c = k1[:, 1], k2[1]
+    k1_v = (k1[:, 2] - k1[:, 0]) / (2 * dv)
+    k2_u = (k2[2] - k2[0]) / (2 * du)
 
-        cs = [coeffs(float(us), fam) for us in uu]
-        Uv = np.array([c.U for c in cs])
-        U1v = np.array([c.U1 for c in cs])
-        U2v = np.array([c.U2 for c in cs])
-        Upv = np.array([c.Uprime for c in cs])
-        U1pv = np.array([c.U1prime for c in cs])
-        ehc = np.exp(h_c)
-        res["riccati"] = max(res["riccati"], float(np.max(np.abs(
-            h_u - Uv * ehc - U1v / ehc))))
-        res["hw_quartic"] = max(res["hw_quartic"], float(np.max(np.abs(
-            h_w ** 2 + U1v ** 2 / ehc ** 2 - 2 * U1pv / ehc + U2v
-            + 2 * Upv * ehc + Uv ** 2 * ehc ** 2))))
+    def worst(x):
+        return float(np.max(np.abs(x)))
 
-        # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h}
-        def k12(us, vv):
-            ph = pack(vv)
-            fc = fields_at(fam, spec, us, [vv], ph)
-            fup = fields_at(fam, spec, us + du, [vv], ph)
-            fum = fields_at(fam, spec, us - du, [vv], ph)
-            ph_p, ph_m = pack(vv + dv), pack(vv - dv)
-            fvp = fields_at(fam, spec, us, [vv + dv], ph_p)
-            fvm = fields_at(fam, spec, us, [vv - dv], ph_m)
-            fuu = (fup["fu"] - fum["fu"]) / (2 * du)
-            fvv = (fvp["fv"] - fvm["fv"]) / (2 * dv)
-            e2h = fc["expH"] ** 2
-            k1 = np.sum(fuu * fc["n"], axis=-1) / e2h
-            k2 = np.sum(fvv * fc["n"], axis=-1) / e2h
-            return k1[:, 0], k2[:, 0], np.log(fc["expH"][:, 0])
-
-        k1c, k2c, hcc = k12(uu, v0)
-        k1up, k2up, _ = k12(uu + du, v0)
-        k1um, k2um, _ = k12(uu - du, v0)
-        k1vp, k2vp, _ = k12(uu, v0 + dv)
-        k1vm, k2vm, _ = k12(uu, v0 - dv)
-
-        # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
-        def h_v_of(vv):
-            return (-np.imag(dlog(uu, float(spec.w(vv))))
-                    * float(spec.wprime(vv)))
-
-        h_v = h_v_of(v0)
-        h_vv = (h_v_of(v0 + dv) - h_v_of(v0 - dv)) / (2 * dv)
-        res["gauss"] = max(res["gauss"], float(np.max(np.abs(
-            h_uu + h_vv + k1c * k2c * np.exp(2 * hcc)))))
-        k2_u = (k2up - k2um) / (2 * du)
-        k1_v = (k1vp - k1vm) / (2 * dv)
-        res["codazzi_u"] = max(res["codazzi_u"], float(np.max(np.abs(
-            k2_u - h_u * (k1c - k2c)))))
-        res["codazzi_v"] = max(res["codazzi_v"], float(np.max(np.abs(
-            k1_v - h_v * (k2c - k1c)))))
-    return res
+    return {
+        "gauss": worst(h_uu + h_vv + k1c * k2c * np.exp(2 * h_c)),
+        "codazzi_u": worst(k2_u - h_u * (k1c - k2c)),
+        "codazzi_v": worst(k1_v - h_v * (k2c - k1c)),
+        "harmonic": worst(h_uu + h_ww),
+        "cauchy_riemann": max(worst(h_u - sig_w), worst(h_w + sig_u)),
+        "riccati": worst(h_u - U * ehc - U1 / ehc),
+        "hw_quartic": worst(h_w ** 2 + U1 ** 2 / ehc ** 2 - 2 * U1p / ehc + U2
+                            + 2 * Up * ehc + U ** 2 * ehc ** 2),
+    }
 
 
 @dataclass(frozen=True)
@@ -352,21 +330,16 @@ class PlanarityReport:
 
 def planarity_certificate(s: SampledSurface, tol: float = 1e-8) -> PlanarityReport:
     """Best-fit planes of the u-curves, Joachimsthal angle, normals rank."""
-    normals = []
-    dev = 0.0
-    ang = 0.0
-    for j in range(len(s.v)):
-        pts = s.points[:, j, :]
-        center = np.mean(pts, axis=0)
-        q = pts - center
-        _, sv, vt = np.linalg.svd(q, full_matrices=False)
-        m = vt[-1]
-        diam = 2 * np.max(np.linalg.norm(q, axis=1))
-        dev = max(dev, float(np.max(np.abs(q @ m))) / diam)
-        cosang = s.n[:, j, :] @ m
-        ang = max(ang, float(np.std(cosang)))
-        normals.append(m if m[2] >= 0 else -m)
-    normals = np.array(normals)
+    pts = np.moveaxis(s.points, 1, 0)                  # (nv, nu, 3)
+    q = pts - np.mean(pts, axis=1, keepdims=True)
+    _, _, vt = np.linalg.svd(q, full_matrices=False)   # one SVD per column
+    m = vt[:, -1]                                      # (nv, 3) plane normals
+    diam = 2 * np.max(np.linalg.norm(q, axis=2), axis=1)
+    dev = float(np.max(np.max(np.abs(np.sum(q * m[:, None], axis=-1)), axis=1)
+                       / diam))
+    cosang = np.sum(s.n * m[None], axis=-1)            # (nu, nv)
+    ang = float(np.max(np.std(cosang, axis=0)))
+    normals = np.where(m[:, 2:] >= 0, m, -m)
     sv = np.linalg.svd(normals, compute_uv=False)
     rank = int(np.sum(sv > 1e-6 * sv[0]))
     return PlanarityReport(
@@ -435,32 +408,19 @@ def dual_symmetry(s: SampledSurface) -> SymmetryReport:
     # closedness of the dual one-form around one grid cell (quadrature loop)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     ua, ub = s.u[1], s.u[2]
-    ja, jb = 1, 2
-    va, vb = s.v[ja], s.v[jb]
-
-    def om_u(us, vv, ph):
-        fl = fields_at(fam, spec, us, [vv], ph)
-        return fl["fu"][:, 0, :] / fl["expH"][:, 0, None] ** 2
-
-    loop = np.zeros(3)
+    va, vb = s.v[1], s.v[2]
     um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes
-    loop += 0.5 * (ub - ua) * weights @ om_u(um, va, s.phi[ja:ja + 1])
-    loop -= 0.5 * (ub - ua) * weights @ om_u(um, vb, s.phi[jb:jb + 1])
-    # v-edges need the frame at interior quadrature nodes
     vm = 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
-    order = np.argsort(vm)
-    vnodes = np.concatenate([[0.0], vm[order]])
-    traj = frame.integrate(spec, fam, v_nodes=vnodes, step_tol=1e-12)
-    phis = traj.phi[1:][np.argsort(order)]
-
-    def om_v(u0, vv, ph):
-        fl = fields_at(fam, spec, np.array([u0]), [vv], ph)
-        return fl["fv"][0, 0, :] / fl["expH"][0, 0] ** 2
-
-    for i in range(16):
-        wgt = 0.5 * (vb - va) * weights[i]
-        loop -= wgt * om_v(ub, vm[i], phis[i:i + 1])
-        loop += wgt * om_v(ua, vm[i], phis[i:i + 1])
+    # u-edges at v = va, vb (grid columns 1, 2); the v-edges need the frame
+    # at interior quadrature nodes
+    fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3])
+    om_u = fl["fu"] / fl["expH"][..., None] ** 2              # (16, 2, 3)
+    traj = frame.integrate(spec, fam, v_nodes=np.concatenate([[0.0], vm]),
+                           step_tol=1e-12)
+    fl = fields_at(fam, spec, [ua, ub], vm, traj.phi[1:])
+    om_v = fl["fv"] / fl["expH"][..., None] ** 2              # (2, 16, 3)
+    loop = (0.5 * (ub - ua) * weights @ (om_u[:, 0] - om_u[:, 1])
+            + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))
     res_loop = float(np.linalg.norm(loop))
 
     residuals = {"dual_u": res_u, "dual_v": res_v,

@@ -220,8 +220,8 @@ def test_criterion_10_spherical(sph_spec, sph_surf, crit032):
     norm_rel = abs(ax.norm_sq_assembled - ax.norm_sq) / abs(ax.norm_sq)
     mono = frame.monodromy(frame.integrate(sph_spec, crit032))
     unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(np.arccos(np.clip(
-        abs(float(unit @ mono.axis.array())), -1.0, 1.0)))
+    angle = float(spherical.angle(unit, mono.axis.array()))
+    angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
     ok = (fit < 1e-6 and ratio < 1e-6 and norm_rel < 1e-8 and angle < 1e-6)
     _report(10, "spherical second family", ok,
             f"fit={fit:.2e}, collin={ratio:.2e}, |Z'|^2 rel={norm_rel:.2e}, "

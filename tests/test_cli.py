@@ -172,6 +172,29 @@ def test_curves_writes_csv(tmp_path):
     assert (tmp_path / "curves.svg").exists()
 
 
+def test_curve_csv_matches_csv_writer(tmp_path):
+    """Byte for byte what csv.writer writes from per-cell f-strings,
+    \\r\\n line ends included, also for signed zeros, tiny, huge and
+    non-finite values."""
+    us = np.linspace(0.0, 2 * np.pi, 7)
+    gam = np.array([1 + 2j, -0.0 - 0.0j, 1e-300j, 3.3e7 - 1e-5j,
+                    complex(np.nan, np.inf), -np.inf + 0.1j, 2 / 3])
+    eh = np.abs(gam) * 0.5
+    tangent = np.exp(1j * us)
+    kappa = np.array([0.1, -7.25e-17, np.nan, 1e20, -1.0, 0.0, 5.5])
+    cli_mod.write_curve_csv(tmp_path / "got.csv", us, gam, eh, tangent, kappa)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["u", "re_gamma", "im_gamma", "exp_h",
+                     "tangent_re", "tangent_im", "kappa_hyp"])
+        for k in range(len(us)):
+            wr.writerow([f"{x:.12g}" for x in (
+                us[k], gam[k].real, gam[k].imag, eh[k],
+                tangent[k].real, tangent[k].imag, kappa[k])])
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # surface + verify
 
@@ -202,6 +225,33 @@ def test_surface_writes_obj_and_report(tmp_path):
     assert all(set(c) == {"name", "value", "tolerance", "pass"}
                for c in report["checks"])
     assert report["theta"] > 0
+
+
+def test_verify_check_names_in_order(tmp_path):
+    """The README example's report lists its checks in this order; the
+    pde_* names follow the order of the dict pde_battery returns."""
+    cfg = {
+        "lattice": {"kind": "rhombic", "lambda": 0.32},
+        "omega": {"mode": "critical"},
+        "reparam": {"kind": "analytic", "mean": 1.0053, "amplitude": 0.35,
+                    "period": 6.0},
+        "grid": {"nu": 128, "nv": 128},
+    }
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == [
+        "orthogonality", "conformality_u", "conformality_v", "normal_unit",
+        "normal_tangency", "u_closure", "metric_identity", "pde_gauss",
+        "pde_codazzi_u", "pde_codazzi_v", "pde_harmonic",
+        "pde_cauchy_riemann", "pde_riccati", "pde_hw_quartic",
+        "pde_order_deficit", "fv_vs_fd", "reparam_admissible",
+        "root_consistency", "root_branch_smoothness", "inversion_involution",
+        "inversion_involution_rel", "inversion_omega_sphere",
+        "inversion_omega_parallel", "dual_dual_u", "dual_dual_v",
+        "dual_double_dual", "dual_loop_integral", "planarity",
+        "joachimsthal", "normals_rank_defect"]
 
 
 def test_verify_rectangular_fails_closure(tmp_path):

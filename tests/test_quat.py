@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoforge import quat
 from isoforge.errors import ZeroQuaternion
@@ -115,6 +116,8 @@ def test_zero_quaternion_guards():
         zero.inverse()
     with pytest.raises(ZeroQuaternion):
         zero.normalized()
+    with pytest.raises(ZeroQuaternion):
+        quat.qrotation(np.zeros((2, 4)))
 
 
 def test_renormalization_stability():
@@ -122,3 +125,26 @@ def test_renormalization_stability():
     for _ in range(100):
         q = q.normalized()
     assert abs(q.norm() - 1.0) < 1e-14
+
+
+_coord = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(q=st.tuples(_coord, _coord, _coord, _coord).filter(
+           lambda q: float(np.dot(q, q)) > 1e-6),
+       x=st.tuples(_coord, _coord, _coord), unit=st.booleans())
+def test_qrotation_matches_sandwich(q, x, unit):
+    """The matrix of X -> q^{-1} X q, for unit and non-unit q."""
+    q = quat.qnormalize(q) if unit else np.array(q)
+    got = quat.qrotation(q) @ np.array(x)
+    want = quat.qsandwich(q, x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.linalg.norm(x))
+
+
+def test_qrotation_broadcasts():
+    qs = RNG.normal(size=(5, 2, 4))
+    xs = RNG.normal(size=(5, 2, 3))
+    got = np.einsum("...ab,...b->...a", quat.qrotation(qs), xs)
+    assert quat.qrotation(qs).shape == (5, 2, 3, 3)
+    assert np.max(np.abs(got - quat.qsandwich(qs, xs))) < 1e-13

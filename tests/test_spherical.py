@@ -138,8 +138,17 @@ def test_axis_parallel_to_monodromy(sph_spec, sph_surf, crit032):
     ax = spherical.axis(sph_spec, crit032, sph_surf)
     mono = frame.monodromy(frame.integrate(sph_spec, crit032))
     unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    c = float(np.clip(abs(np.dot(unit, mono.axis.array())), -1.0, 1.0))
-    assert np.arccos(c) < 1e-6
+    angle = float(spherical.angle(unit, mono.axis.array()))
+    assert min(angle, np.pi - angle) < 1e-6  # the axis sign is free
+
+
+def test_phis_compute_lame_constant_once(sph_spec, crit032, monkeypatch):
+    calls = []
+    c1 = elliptic.c1_at_critical
+    monkeypatch.setattr(elliptic, "c1_at_critical",
+                        lambda crit: calls.append(crit) or c1(crit))
+    spherical.integrate_phis(sph_spec, crit032, [0.2, crit032.omega + 0.3])
+    assert len(calls) == 1
 
 
 def test_angle_resolves_tiny_angles():

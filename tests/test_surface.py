@@ -1,9 +1,11 @@
 """Immersion assembly, isothermic diagnostics and the residual battery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, frame, reparam, surface, theta
+from isoforge import curvefamily, elliptic, frame, quat, reparam, surface, theta
 from isoforge.errors import SpecInvalid
 
 
@@ -57,6 +59,63 @@ def test_fv_matches_fd_in_v(torus_surf, crit032):
     f = surface.fields_at(crit032, spec, us, nodes[1:], traj.phi[1:])
     fd = (f["points"][:, 2] - f["points"][:, 0]) / (2 * dv)
     assert np.max(np.abs(fd - f["fv"][:, 1])) < 1e-6
+
+
+def _fields_by_column(fam, spec, u, v, phi):
+    """Reference: one v column at a time, scalar w, quaternion sandwiches."""
+    out = {k: [] for k in ("points", "fu", "fv", "n", "expH")}
+    ivec = np.array([1.0, 0.0, 0.0])
+    for j, vj in enumerate(v):
+        w, wp, root = (float(g(vj)) for g in (spec.w, spec.wprime, spec.signed_root))
+        gam = curvefamily.gamma(u, w, fam)
+        eis = curvefamily.exp_isigma(u, w, fam)
+        eh = curvefamily.exp_h(u, w, fam)
+        zk = np.stack([np.zeros(len(u)), -eis.imag, eis.real], axis=-1)
+        out["points"].append(quat.qsandwich(phi[j], quat.cj(gam)))
+        out["fu"].append(eh[:, None] * quat.qsandwich(phi[j], quat.cj(eis)))
+        out["fv"].append(eh[:, None] * quat.qsandwich(phi[j], root * ivec + wp * zk))
+        out["n"].append(quat.qsandwich(phi[j], wp * ivec - root * zk))
+        out["expH"].append(eh)
+    return {k: np.stack(val, axis=1) for k, val in out.items()}
+
+
+def test_grid_fields_match_column_loop(torus_surf, crit032):
+    """128 x 49 points span two blocks of columns."""
+    spec = torus_surf.recipe.spec
+    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    assert len(u) * len(torus_surf.v) > surface._BLOCK_POINTS
+    got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
+    want = _fields_by_column(crit032, spec, u, torus_surf.v, torus_surf.phi)
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].shape == want[name].shape
+        scale = max(1.0, float(np.max(np.abs(want[name]))))
+        assert np.max(np.abs(got[name] - want[name])) < 1e-14 * scale, name
+
+
+def test_fields_at_memory_peak(crit032, torus_spec):
+    """Blocks of columns bound the temporaries: a 128 x 129 grid stays
+    under 5 MB (its five output grids take 1.7 MB)."""
+    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    v = np.linspace(0.0, torus_spec.period, 129)
+    phi = frame.integrate(torus_spec, crit032, v_nodes=v).phi
+    surface.fields_at(crit032, torus_spec, u[:2], v[:2], phi[:2])
+    tracemalloc.start()
+    try:
+        surface.fields_at(crit032, torus_spec, u, v, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_pde_battery_computes_lame_constant_once(torus_surf, monkeypatch):
+    calls = []
+    c1 = elliptic.c1_at_critical
+    monkeypatch.setattr(elliptic, "c1_at_critical",
+                        lambda crit: calls.append(crit) or c1(crit))
+    surface.gauss_codazzi_residuals(torus_surf)
+    assert len(calls) == 1
 
 
 def test_planarity_certificate(torus_surf):
