@@ -178,24 +178,31 @@ def _recipe(cfg, fam_or_lat, spec, limit):
 # writers
 
 
+# Python floats for every row at once would take about 280 bytes per row
+_ROWS_PER_CHUNK = 256
+
+
+def _formatted(fmt, rows, sep=""):
+    """The rows of a 2-D array, each through the %-format fmt and joined by
+    sep, as strings of at most _ROWS_PER_CHUNK rows each."""
+    for lo in range(0, len(rows), _ROWS_PER_CHUNK):
+        part = rows[lo:lo + _ROWS_PER_CHUNK]
+        yield sep.join([fmt] * len(part)) % tuple(part.ravel().tolist())
+
+
 def write_obj(path, surf):
     """Quad mesh over the (u, v) grid; u is cyclic, v is an open strip."""
     pts = np.asarray(surf.points)
     nu, nv = pts.shape[:2]
+    i = np.arange(nu)[:, None]
+    j = np.arange(nv - 1)[None, :]
+    a = i * nv + j + 1                   # vertex (i, j), 1-based
+    b = ((i + 1) % nu) * nv + j + 1      # vertex (i + 1, j)
+    faces = np.stack([a, b, b + 1, a + 1], axis=-1).reshape(-1, 4)
     with open(path, "w") as fh:
         fh.write(f"# isoforge {__version__} surface mesh {nu}x{nv}\n")
-        for i in range(nu):
-            for j in range(nv):
-                x, y, z = pts[i, j]
-                fh.write(f"v {x:.12g} {y:.12g} {z:.12g}\n")
-
-        def vid(i, j):
-            return (i % nu) * nv + j + 1
-
-        for i in range(nu):
-            for j in range(nv - 1):
-                fh.write(f"f {vid(i, j)} {vid(i + 1, j)} "
-                         f"{vid(i + 1, j + 1)} {vid(i, j + 1)}\n")
+        fh.writelines(_formatted("v %.12g %.12g %.12g\n", pts.reshape(-1, 3)))
+        fh.writelines(_formatted("f %d %d %d %d\n", faces))
     return nu * nv, nu * (nv - 1)
 
 
@@ -206,10 +213,7 @@ def write_curve_csv(path, us, gam, eh, tangent, kappa):
     row = ",".join(["%.12g"] * cols.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("u,re_gamma,im_gamma,exp_h,tangent_re,tangent_im,kappa_hyp\r\n")
-        # 256 rows at a time: Python floats for every row at once would
-        # take about 280 bytes per row
-        for lo in range(0, len(cols), 256):
-            fh.writelines(row % tuple(r) for r in cols[lo:lo + 256].tolist())
+        fh.writelines(_formatted(row, cols))
 
 
 def write_svg(path, curves, size=640):
@@ -220,17 +224,14 @@ def write_svg(path, curves, size=640):
     span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-12)
     pad = 0.05 * span
 
-    def sx(z):
-        return (z.real - lo.real + pad) / (span + 2 * pad) * size
-
-    def sy(z):
-        return size - (z.imag - lo.imag + pad) / (span + 2 * pad) * size
-
     with open(path, "w") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{size}" height="{size}">\n')
         for curve in curves:
-            pts = " ".join(f"{sx(z):.2f},{sy(z):.2f}" for z in curve)
+            sx = (curve.real - lo.real + pad) / (span + 2 * pad) * size
+            sy = size - (curve.imag - lo.imag + pad) / (span + 2 * pad) * size
+            pts = " ".join(_formatted("%.2f,%.2f", np.column_stack([sx, sy]),
+                                      " "))
             fh.write(f'<polyline points="{pts}" fill="none" '
                      f'stroke="black" stroke-width="1"/>\n')
         fh.write("</svg>\n")

@@ -14,6 +14,10 @@ Although the thetas are complex on a rhombic lattice, the conjugation symmetry
 conj(theta_{1,2}(z)) = e^{-i pi/4} theta_{1,2}(conj z) makes U, U1 and all the
 derived constants below real for real u; we verify the imaginary parts and
 return reals.
+
+The one-dimensional root finds of the package -- lambda0, the critical
+omega, the inverse of the spherical map s(w) and the torus-closing
+amplitude -- all go through `brentq` below, Brent's bracketed method.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoBracket, NoCriticalOmega, PoleProximity, InvalidLattice
 from .theta import Lattice, rhombic, theta_grid
 
 _REAL_TOL = 1e-9
+_BRENT_MAXITER = 100
 
 
 def _real(z, what: str) -> float:
@@ -75,6 +79,76 @@ class CubicQ3:
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
 
 
+def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
+    """A zero of f between a and b, where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4) in the form of SciPy's `brentq`, step for step:
+    x_cur is the best point, x_blk the other end of the bracket, x_pre the
+    previous iterate.  A step interpolates (secant while x_pre is x_blk,
+    otherwise inverse quadratic) and is taken if 2|s| < min(|s_pre|,
+    3|s_bis| - delta), delta = (xtol + rtol |x_cur|)/2; else the bracket is
+    bisected.  A step is at least delta long.  Stops when half the bracket
+    is below delta or f(x_cur) = 0.
+
+    Raises NoBracket when f(a), f(b) have the same sign, when f returns NaN
+    and after 100 iterations without convergence.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise NoBracket(f"the function is NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoBracket(f"no sign change on [{xpre!r}, {xcur!r}]: "
+                        f"f = {fpre:.6g}, {fcur:.6g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NoBracket(f"Brent's method did not converge in {_BRENT_MAXITER} "
+                    f"iterations; last iterate {xcur!r}")
+
+
 def theta2_logdd0(lam: float) -> float:
     """theta2''(0)/theta2(0) on the rhombic lattice 1/2 + i*lam (a real number)."""
     lat = rhombic(lam)
@@ -84,9 +158,6 @@ def theta2_logdd0(lam: float) -> float:
 
 def solve_lambda0(lo: float = 0.1, hi: float = 0.6) -> float:
     """The unique lambda with theta2''(0 | 1/2 + i*lambda) = 0."""
-    flo, fhi = theta2_logdd0(lo), theta2_logdd0(hi)
-    if flo * fhi > 0:
-        raise NoBracket(f"theta2''(0) does not change sign on ({lo}, {hi})")
     return brentq(theta2_logdd0, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 

@@ -22,7 +22,12 @@ class DomainW(IsoforgeError):
 
 
 class NoBracket(IsoforgeError):
-    """A root-finding scan found no sign change on the search interval."""
+    """A bracketed root find failed.
+
+    A scan found no sign change on the search interval, the two ends of a
+    bracket have the same sign, the function is NaN inside it, or Brent's
+    method did not converge within its iteration limit.
+    """
 
 
 class NoCriticalOmega(NoBracket):

@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import brentq
 
 from . import curvefamily, reparam
+from .elliptic import brentq
 from .errors import DegenerateRotation, NoBracket, SpecInvalid, StepFailure
 from .quat import Quaternion, Vec3, qmul, qsandwich
 from .reparam import ReparamSpec

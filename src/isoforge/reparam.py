@@ -19,7 +19,10 @@ Two families are provided:
   s oscillates between two adjacent simple roots of Q; the square-root
   endpoint singularities are removed by the substitution
   s = s_a + (s_b - s_a) sin^2(theta) and the integrals are evaluated by
-  per-panel Gauss-Legendre quadrature.
+  per-panel Gauss-Legendre quadrature.  w(v) and s(v) between the panel
+  edges are cubic Hermite interpolants (`cubic_hermite`) of the exact edge
+  values and slopes, and the edge values of w come from inverting s(w) with
+  the package's Brent root finder, `elliptic.brentq`.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
-from .elliptic import CriticalParams, q3
+from .elliptic import CriticalParams, brentq, q3
 from .errors import DegenerateFit, DomainW, NoOscillation, SingularRoot, SpecInvalid
 from .theta import theta_grid
 
@@ -199,6 +200,33 @@ def _w_of_s(starget: float, crit: CriticalParams) -> float:
 # spherical construction
 
 
+def cubic_hermite(x, y, dydx):
+    """The piecewise cubic through (x, y) with slopes dydx, as a callable.
+
+    x must increase strictly.  The coefficients and the evaluation are those
+    of SciPy's CubicHermiteSpline (power basis about each left knot, summed
+    in increasing powers), so the values agree bit for bit; points outside
+    [x[0], x[-1]] extrapolate the end pieces.
+    """
+    x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    coeffs = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
+
+    def evaluate(xq):
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+        s = xq - x[i]
+        out, z = np.zeros_like(s), np.ones_like(s)
+        for c in coeffs:
+            out += c[i] * z
+            z *= s
+        return out
+
+    return evaluate
+
+
 def _real_scalar(z, what: str) -> float:
     z = complex(z)
     if abs(z.imag) > _REAL_TOL * max(1.0, abs(z)):
@@ -306,8 +334,8 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
     # interpolants consistent with the closed-form derivatives
     s_edges = s_of_theta(edges)
     ds_edges = np.sqrt(q_of(s_edges)) / abs(delta)
-    s_spline = CubicHermiteSpline(v_edges, s_edges, ds_edges)
-    w_spline = CubicHermiteSpline(v_edges, w_edges, ds_edges / np.sqrt(cub(s_edges)))
+    s_spline = cubic_hermite(v_edges, s_edges, ds_edges)
+    w_spline = cubic_hermite(v_edges, w_edges, ds_edges / np.sqrt(cub(s_edges)))
 
     def _fold(v):
         vv = np.mod(np.asarray(v, dtype=float), period)

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import isoforge
 from isoforge import cli as cli_mod
+from isoforge import elliptic, frame
 from isoforge.cli import ConfigError, cli, load_config, validate_config
 
 
@@ -107,13 +108,18 @@ def test_solve_critical_omega():
     assert "omega = 0.391729121567" in result.output
 
 
+def _child_env():
+    """Environment for a child Python that imports the package under test:
+    its source root goes first on PYTHONPATH."""
+    src_root = str(Path(isoforge.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")]))}
+
+
 def _assert_solve_exit_codes(launcher):
     """Run ``solve`` through ``launcher`` in a child process and check the
-    exit codes that ``isoforge.cli:main`` maps errors to.  The child imports
-    the package under test: its source root goes first on PYTHONPATH."""
-    src_root = str(Path(isoforge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src_root, os.environ.get("PYTHONPATH")]))}
+    exit codes that ``isoforge.cli:main`` maps errors to."""
+    env = _child_env()
 
     def run(*args):
         return subprocess.run([*launcher, "solve", *args], env=env,
@@ -139,6 +145,33 @@ def test_solve_exit_codes_via_entry_point():
                            "(package not installed)")
 def test_solve_exit_codes_via_console_script():
     _assert_solve_exit_codes(["isoforge"])
+
+
+def test_solve_nonconvergence_exits_2(monkeypatch, capsys):
+    """A root find that does not converge is a typed error: exit 2, no
+    traceback.  (theta2''(0) replaced by a triple root Brent's method does
+    not resolve in 100 steps on the lambda0 bracket.)"""
+    monkeypatch.setattr(elliptic, "theta2_logdd0", lambda lam: (lam - 0.3) ** 3)
+    monkeypatch.setattr(sys, "argv", ["isoforge", "solve", "--lambda0"])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    """Importing the CLI and solving for the critical omega loads no SciPy
+    module (SciPy is a test-only oracle)."""
+    code = ("import sys\n"
+            "import isoforge.cli\n"
+            "from isoforge import elliptic, theta\n"
+            "elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():
@@ -193,6 +226,78 @@ def test_curve_csv_matches_csv_writer(tmp_path):
                 tangent[k].real, tangent[k].imag, kappa[k])])
     assert ((tmp_path / "got.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+def _svg_point_loop(path, curves, size=640):
+    """Reference SVG writer: one f-string per point, through scalar closures."""
+    allpts = np.concatenate(curves)
+    lo = complex(np.min(allpts.real), np.min(allpts.imag))
+    hi = complex(np.max(allpts.real), np.max(allpts.imag))
+    span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-12)
+    pad = 0.05 * span
+
+    def sx(z):
+        return (z.real - lo.real + pad) / (span + 2 * pad) * size
+
+    def sy(z):
+        return size - (z.imag - lo.imag + pad) / (span + 2 * pad) * size
+
+    with open(path, "w") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{size}" height="{size}">\n')
+        for curve in curves:
+            pts = " ".join(f"{sx(z):.2f},{sy(z):.2f}" for z in curve)
+            fh.write(f'<polyline points="{pts}" fill="none" '
+                     f'stroke="black" stroke-width="1"/>\n')
+        fh.write("</svg>\n")
+
+
+def test_write_svg_matches_point_loop(tmp_path):
+    """Byte for byte the per-point writer, across the 256-point chunks and
+    on an empty curve and a single point."""
+    us = np.linspace(0.0, 2 * np.pi, 4097)
+    curves = [np.exp(1j * us) * (1 + 0.3 * np.cos(3 * us)),
+              0.5 * np.exp(-1j * us[:257]) + 0.25j,
+              np.array([], dtype=complex),
+              np.array([-1.1 - 1.1j])]
+    for size in (640, 97):
+        cli_mod.write_svg(tmp_path / "got.svg", curves, size)
+        _svg_point_loop(tmp_path / "want.svg", curves, size)
+        assert ((tmp_path / "got.svg").read_bytes()
+                == (tmp_path / "want.svg").read_bytes())
+
+
+def _obj_loop(path, surf):
+    """Reference OBJ writer: one f-string per vertex and per face."""
+    pts = np.asarray(surf.points)
+    nu, nv = pts.shape[:2]
+    with open(path, "w") as fh:
+        fh.write(f"# isoforge {isoforge.__version__} surface mesh {nu}x{nv}\n")
+        for i in range(nu):
+            for j in range(nv):
+                x, y, z = pts[i, j]
+                fh.write(f"v {x:.12g} {y:.12g} {z:.12g}\n")
+
+        def vid(i, j):
+            return (i % nu) * nv + j + 1
+
+        for i in range(nu):
+            for j in range(nv - 1):
+                fh.write(f"f {vid(i, j)} {vid(i + 1, j)} "
+                         f"{vid(i + 1, j + 1)} {vid(i, j + 1)}\n")
+    return nu * nv, nu * (nv - 1)
+
+
+def test_write_obj_matches_loop(tmp_path, torus_surf, crit032, torus_spec):
+    """Byte for byte the loop writer on a surface mesh and on the k = 3
+    rotational extension close-torus writes."""
+    mono = frame.monodromy(frame.integrate(torus_spec, crit032))
+    torus = frame.extend_by_rotation(torus_surf, mono, 3)
+    for surf in (torus_surf, torus):
+        got = cli_mod.write_obj(tmp_path / "got.obj", surf)
+        assert got == _obj_loop(tmp_path / "want.obj", surf)
+        assert ((tmp_path / "got.obj").read_bytes()
+                == (tmp_path / "want.obj").read_bytes())
 
 
 # ---------------------------------------------------------------------------

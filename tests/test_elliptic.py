@@ -1,10 +1,13 @@
 """Special lattice parameters and the Lame/Riccati coefficient functions."""
 
+import math
+
 import numpy as np
 import pytest
 
 from isoforge import elliptic, theta
-from isoforge.errors import InvalidLattice, NoCriticalOmega, PoleProximity
+from isoforge.errors import (InvalidLattice, IsoforgeError, NoBracket,
+                             NoCriticalOmega, PoleProximity)
 
 LAMBDA0_REF = 0.354729892522
 
@@ -158,3 +161,103 @@ def test_general_omega_coefficients_satisfy_lame(rect_fam):
         upp = (elliptic._uu1_complex(u + h, lat, om)[1]
                - elliptic._uu1_complex(u - h, lat, om)[1]) / (2 * h)
         assert abs(upp / U + 8 * U * U1 - c1) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Brent root finder
+
+# the (xtol, rtol) of the callers: solve_lambda0 and reparam._w_of_s,
+# solve_critical_omega, frame.close_torus; and a loose xtol, under which
+# the -delta of the step acceptance test decides a step of "steep_tanh_offset"
+CALLER_TOLS = [(1e-14, 8.9e-16), (1e-15, 8.9e-16), (1e-13, 8.9e-16),
+               (1e-2, 8.9e-16)]
+
+BRACKETS = {
+    "smooth": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "smooth_cubic": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    "kinked": (lambda x: math.copysign(abs(x - 0.3) ** 0.5, x - 0.3),
+               0.0, 1.0),
+    "kinked_wide": (lambda x: math.copysign(abs(x - 0.123456789) ** 0.5,
+                                            x - 0.123456789), -2.0, 0.5),
+    "steep_tanh": (lambda x: math.tanh(80 * (x - 0.4)), 0.0, 1.0),
+    "steep_tanh_offset": (lambda x: math.tanh(154.2 * (x - 0.785)) + 2.5e-4,
+                          0.0, 1.0),
+    "flat": (lambda x: (x - 0.61) ** 3 + 1e-12, 0.0, 1.0),
+    # a fifth-order root: neither implementation converges in 100 steps
+    "flat_quintic": (lambda x: (x - 0.25) ** 5, 0.0, 1.0),
+    "flat_exp": (lambda x: math.copysign(
+        math.exp(-1 / (x - 0.5) ** 2) if x != 0.5 else 0.0, x - 0.5),
+        0.0, 1.3),
+}
+
+
+def _recording(f):
+    """f together with the list of points it was called at."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+@pytest.mark.parametrize("tols", CALLER_TOLS, ids=["1e-14", "1e-15", "1e-13", "loose"])
+@pytest.mark.parametrize("name", sorted(BRACKETS))
+def test_brentq_matches_scipy_step_for_step(name, tols):
+    """Same iterates and same root (or the same failure to converge) as
+    scipy.optimize.brentq, bit for bit."""
+    optimize = pytest.importorskip("scipy.optimize")
+    f, a, b = BRACKETS[name]
+    xtol, rtol = tols
+    ours, ours_xs = _recording(f)
+    theirs, theirs_xs = _recording(f)
+    try:
+        expected = optimize.brentq(theirs, a, b, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        with pytest.raises(NoBracket, match="did not converge"):
+            elliptic.brentq(ours, a, b, xtol=xtol, rtol=rtol)
+    else:
+        assert elliptic.brentq(ours, a, b, xtol=xtol, rtol=rtol) == expected
+    assert ours_xs == theirs_xs
+
+
+def test_brentq_nonconvergence_matches_scipy():
+    """A triple root that neither implementation resolves in 100 steps."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def f(x):
+        return (x - 1e-3) ** 3
+
+    with pytest.raises(RuntimeError, match="converge"):
+        optimize.brentq(f, -1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(NoBracket, match="did not converge"):
+        elliptic.brentq(f, -1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_lambda0_matches_scipy_brentq():
+    optimize = pytest.importorskip("scipy.optimize")
+    assert elliptic.solve_lambda0() == optimize.brentq(
+        elliptic.theta2_logdd0, 0.1, 0.6, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_brentq_typed_failures():
+    with pytest.raises(NoBracket, match="no sign change"):
+        elliptic.brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-14,
+                        rtol=8.9e-16)
+    with pytest.raises(NoBracket, match="NaN"):
+        elliptic.brentq(lambda x: math.nan if 0 < x < 1 else x - 0.5,
+                        0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(IsoforgeError):
+        elliptic.brentq(lambda x: (x - 1e-3) ** 3, -1.0, 2.0, xtol=1e-14,
+                        rtol=8.9e-16)
+
+
+def test_brentq_endpoint_roots_and_tolerance():
+    assert elliptic.brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-14,
+                           rtol=8.9e-16) == 1.0
+    assert elliptic.brentq(lambda x: x, 0.0, 1.0, xtol=1e-14,
+                           rtol=8.9e-16) == 0.0
+    root = elliptic.brentq(lambda x: x * x - 2, 0.0, 2.0, xtol=1e-14,
+                           rtol=8.9e-16)
+    assert abs(root - math.sqrt(2)) < 1e-14

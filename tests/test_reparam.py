@@ -196,3 +196,56 @@ def test_sphericality_certificate_negative_control(torus_surf):
     cert = reparam.sphericality_certificate(torus_surf)
     assert not cert.ok
     assert cert.sphere_residual_rel > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# cubic Hermite evaluator against SciPy
+
+
+def _random_knots(rng, n):
+    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    return x, rng.normal(size=n), rng.normal(size=n) * 5
+
+
+def test_cubic_hermite_matches_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 50, 1601):
+        x, y, d = _random_knots(rng, n)
+        ours = reparam.cubic_hermite(x, y, d)
+        theirs = interpolate.CubicHermiteSpline(x, y, d)
+        inside = rng.uniform(x[0], x[-1], 4000)
+        outside = np.concatenate([x[0] - rng.uniform(0, 1, 50),
+                                  x[-1] + rng.uniform(0, 1, 50)])
+        for q in (inside, outside, x, inside.reshape(40, 100)):
+            assert np.array_equal(ours(q), theirs(q))
+        for q in (x[0], x[-1], float(inside[0])):
+            assert np.ndim(ours(q)) == 0
+            assert ours(q) == theirs(q)
+
+
+def test_spherical_splines_match_scipy(crit032, monkeypatch):
+    """build_spherical's two interpolants equal CubicHermiteSpline on the
+    same knot data, at the fold points 0 and V/2 and in between."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    data = []
+    cubic_hermite = reparam.cubic_hermite
+
+    def recording(x, y, dydx):
+        data.append((x, y, dydx))
+        return cubic_hermite(x, y, dydx)
+
+    monkeypatch.setattr(reparam, "cubic_hermite", recording)
+    spec = reparam.build_spherical(
+        reparam.SphericalSpec(delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j),
+        crit032)
+    (sx, sy, sd), (wx, wy, wd) = data
+    s_ref = interpolate.CubicHermiteSpline(sx, sy, sd)
+    w_ref = interpolate.CubicHermiteSpline(wx, wy, wd)
+    half = spec.period / 2
+    assert sx[0] == 0.0 and sx[-1] == half
+    v = np.concatenate([[0.0, half], RNG.uniform(0.0, half, 500)])
+    assert np.array_equal(spec.w(v), w_ref(v))
+    assert spec.w(half) == w_ref(half) and spec.w(0.0) == w_ref(0.0)
+    s_a, s_b = spec.meta["s_range"]
+    assert np.array_equal(spec.meta["s_of_v"](v), np.clip(s_ref(v), s_a, s_b))
