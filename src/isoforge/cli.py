@@ -14,7 +14,6 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -57,9 +56,9 @@ def validate_config(cfg: dict) -> dict:
         if key not in cfg:
             raise ConfigError(f"missing config section {key!r}")
     for section, fields in _SCHEMA.items():
-        sub = cfg.get(section)
-        if sub is None:
+        if section not in cfg:
             continue
+        sub = cfg[section]
         if not isinstance(sub, dict):
             raise ConfigError(f"section {section!r} must be an object")
         for k, val in sub.items():
@@ -452,6 +451,8 @@ def curves(config, w_values, n_samples, out_dir, svg):
         kappa = curvefamily.kappa_hyp(us, w, fam)
         return gam, eh, tangent, kappa
 
+    # imported here: it loads logging, which the other commands never need
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
         results = list(pool.map(one, w_values))
 

@@ -56,16 +56,6 @@ class ElasticaConstants:
     mu_std: float
 
 
-@dataclass(frozen=True)
-class LimitCurveSample:
-    u: float
-    w: float
-    gamma_hat: complex
-    W_hat: float
-    r: float
-    d: complex
-
-
 def _den_index(lat: Lattice) -> int:
     return 2 if lat.kind == "rhombic" else 4
 
@@ -78,11 +68,9 @@ def _cfac(lat: Lattice, omega: float) -> complex:
 def _check_w(w, lat: Lattice, mirrored: bool = False):
     """Raise DomainW unless w (a number or an array) lies in the band."""
     top = 2 * np.pi * lat.lam
-    if np.isscalar(w):
-        bad = [] if 0 < (abs(w) if mirrored else w) < top else [w]
-    else:
-        a = np.abs(w) if mirrored else np.asarray(w, dtype=float)
-        bad = np.asarray(w, dtype=float)[~((0 < a) & (a < top))]
+    w = np.asarray(w, dtype=float)
+    a = np.abs(w) if mirrored else w
+    bad = w[~((0 < a) & (a < top))]
     if len(bad):
         band = f"(-{top:.6g}, 0) u (0, {top:.6g})" if mirrored else f"(0, {top:.6g})"
         raise DomainW(f"w = {bad[0]} outside the admissible band {band}")
@@ -313,8 +301,8 @@ def gamma_hat_u(u, w, lat: Lattice):
     return complex(val) if np.isscalar(u) else val
 
 
-def w_hat(w: float, lat: Lattice) -> float:
-    """W^(w) = i th1'(0) td(iw) / (2 td(0) th1(iw)); real valued."""
+def w_hat(w, lat: Lattice):
+    """W^(w) = i th1'(0) td(iw) / (2 td(0) th1(iw)), real; w a number or array."""
     _check_w(w, lat)
     i = _den_index(lat)
     val = (1j * theta_grid(1, 0.0, lat, 1) * theta_grid(i, 1j * w, lat)
@@ -322,29 +310,20 @@ def w_hat(w: float, lat: Lattice) -> float:
     return _real(val, "W^(w)")
 
 
-def limit_d(w: float, lat: Lattice) -> complex:
+def limit_d(w, lat: Lattice):
     """d(w) = td'(iw)/td(iw) - i w td''(0)/td(0); purely imaginary on rhombic."""
     _check_w(w, lat)
     i = _den_index(lat)
-    return complex(theta_grid(i, 1j * w, lat, 1) / theta_grid(i, 1j * w, lat)
-                   - 1j * w * theta_grid(i, 0.0, lat, 2) / theta_grid(i, 0.0, lat))
+    val = (theta_grid(i, 1j * w, lat, 1) / theta_grid(i, 1j * w, lat)
+           - 1j * w * theta_grid(i, 0.0, lat, 2) / theta_grid(i, 0.0, lat))
+    return complex(val) if np.ndim(val) == 0 else val
 
 
-def limit_r(w: float, lat: Lattice) -> float:
-    """r(w) = td(0) td(iw) / (th1'(0) th1(iw)) * d(w); real valued."""
+def limit_r(w, lat: Lattice):
+    """r(w) = td(0) td(iw) / (th1'(0) th1(iw)) * d(w), real; w a number or array."""
     _check_w(w, lat)
     i = _den_index(lat)
     val = (theta_grid(i, 0.0, lat) * theta_grid(i, 1j * w, lat)
            / (theta_grid(1, 0.0, lat, 1) * theta_grid(1, 1j * w, lat))
            * limit_d(w, lat))
     return _real(val, "r(w)")
-
-
-def limit_data(u: float, w: float, lat: Lattice) -> LimitCurveSample:
-    return LimitCurveSample(
-        u=float(u), w=float(w),
-        gamma_hat=gamma_hat(u, w, lat),
-        W_hat=w_hat(w, lat),
-        r=limit_r(w, lat),
-        d=limit_d(w, lat),
-    )

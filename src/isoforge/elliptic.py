@@ -33,12 +33,13 @@ _REAL_TOL = 1e-9
 _BRENT_MAXITER = 100
 
 
-def _real(z, what: str) -> float:
-    z = complex(z)
-    scale = max(1.0, abs(z))
-    if abs(z.imag) > _REAL_TOL * scale:
-        raise ArithmeticError(f"{what} should be real, got {z}")
-    return z.real
+def _real(z, what: str):
+    """Re z, a float for a number; refuses Im z above _REAL_TOL max(1, |z|)."""
+    z = np.asarray(z, dtype=complex)
+    bad = np.abs(z.imag) > _REAL_TOL * np.maximum(1.0, np.abs(z))
+    if np.any(bad):
+        raise ArithmeticError(f"{what} should be real, got {z[bad].flat[0]}")
+    return float(z.real) if z.ndim == 0 else z.real
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,14 @@ class CubicQ3:
 
     def __call__(self, s):
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
+
+
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix and 2 v[0]^2 of its eigenvectors."""
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    return x, 2 * v[0] ** 2
 
 
 def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
@@ -197,19 +206,23 @@ def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> CriticalParam
 # coefficient functions U, U1, U2
 
 
-def _uu1_complex(u: float, lat: Lattice, omega: float):
+def _uu1_complex(u, lat: Lattice, omega: float):
     """Complex-valued (U, U', U1, U1') at u, general omega (exponential factors kept).
 
-    The denominator theta is theta2 on rhombic lattices and theta4 on
-    rectangular ones (the real reductions of the same complex formula).
+    u may be an array.  The denominator theta is theta2 on rhombic lattices
+    and theta4 on rectangular ones (the real reductions of the same complex
+    formula).
     """
     i = 2 if lat.kind == "rhombic" else 4
     t2u = theta_grid(i, u, lat)
-    if abs(t2u) < 1e-8:
-        raise PoleProximity(f"theta{i}({u}) = {t2u} too close to zero")
+    if np.any(np.abs(t2u) < 1e-8):
+        k = np.argmin(np.abs(t2u))
+        raise PoleProximity(f"theta{i}({np.ravel(u)[k]}) = {np.ravel(t2u)[k]} "
+                            "too close to zero")
     t2pu = theta_grid(i, u, lat, 1)
-    k = -theta_grid(1, 0.0, lat, 1) / (2 * theta_grid(i, omega, lat))
-    c = theta_grid(i, omega, lat, 1) / theta_grid(i, omega, lat)
+    t2w = theta_grid(i, omega, lat)
+    k = -theta_grid(1, 0.0, lat, 1) / (2 * t2w)
+    c = theta_grid(i, omega, lat, 1) / t2w
 
     t1p, t1pd = theta_grid(1, u + omega, lat), theta_grid(1, u + omega, lat, 1)
     t1m, t1md = theta_grid(1, u - omega, lat), theta_grid(1, u - omega, lat, 1)
@@ -257,8 +270,8 @@ def lame_constant(crit) -> float:
     return lame_c1(crit.lattice, crit.omega)
 
 
-def coeffs(u: float, crit) -> CoeffSample:
-    """(U, U1, U2, U', U1') at real u.
+def coeffs(u, crit) -> CoeffSample:
+    """(U, U1, U2, U', U1') at real u, a number or an array.
 
     Accepts critical rhombic parameters (closed-form Lame constant) or a
     general lattice + omega (constant recovered from the Lame equation at
@@ -267,10 +280,11 @@ def coeffs(u: float, crit) -> CoeffSample:
     return coeffs_with_c1(u, crit, lame_constant(crit))
 
 
-def coeffs_with_c1(u: float, crit, c1: float) -> CoeffSample:
+def coeffs_with_c1(u, crit, c1: float) -> CoeffSample:
     """coeffs(u, crit) given its Lame constant c1 = lame_constant(crit).
 
-    Callers that need many u compute C1 once and pass it here.
+    Callers that need many u compute C1 once and pass it here, or pass an
+    array u: the fields then are arrays of its shape.
     """
     U, Up, U1, U1p = _uu1_complex(u, crit.lattice, crit.omega)
     U2 = c1 - 6 * U * U1

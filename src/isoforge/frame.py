@@ -1,4 +1,5 @@
-"""Rotation frame Phi(v) on unit quaternions, monodromy, and torus closing.
+"""Rotation frame Phi(v) on unit quaternions, monodromy, torus closing, and
+the Magnus solver of every linear ODE of the package.
 
 The frame solves
 
@@ -8,18 +9,23 @@ where the coefficient is a quaternion in span{j, k}: with W1 = w_r + i w_i
 the generator is sqrt(1 - w'^2) (w_r k - w_i j), and the signed root comes
 from the reparametrization spec's recorded branch, never from |.|.
 
-This is a linear ODE on the unit quaternions, integrated by the sixth-order
-Magnus method on three Gauss-Legendre nodes (Iserles & Norsett 1999; Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Each step's propagator
-exp(Omega) is a unit quaternion, so Phi stays on the sphere without
-projection.  The propagators do not depend on Phi, so the steps are not
-taken one after another: all steps of a round are formed from batched
-evaluations of W1, each is checked against the product of its two half
-steps, the rejected ones are halved for the next round, and an ordered
-product of the accepted propagators gives Phi at the output nodes.
+Every linear ODE Y' = A(v) Y of the package -- this frame, the spherical
+phi-system and the limit-surface frame -- is integrated by `_magnus_solve`,
+the sixth-order Magnus method on three Gauss-Legendre nodes (Iserles &
+Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step
+propagators exp(Omega) do not depend on Y, so the steps are not taken one
+after another: all steps of a round are formed from batched evaluations of
+A, each is checked against the product of its two half steps, the rejected
+ones are halved for the next round, and an ordered product of the accepted
+propagators gives Y at the output nodes.
 
-The embedded Dormand-Prince pair `_adaptive_rk` and `cheb_interpolant`
-serve the limit-surface system and the spherical phi-system.
+Two algebras carry the method.  `Quaternions`: A is an imaginary
+quaternion, [x, y] = 2 x cross y, and exp(Omega) = cos|Omega| +
+sin|Omega| Omega/|Omega| is a unit quaternion, so Phi stays on the sphere
+without projection.  `Matrices2` (the phi-system through its symmetric
+square, and the limit frame): A is a real or complex 2x2 matrix, and
+exp(Omega) = e^t (cosh mu I + sinh(mu)/mu (Omega - t I)) with
+t = tr(Omega)/2 and mu^2 = -det(Omega - t I).
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
 from . import curvefamily, reparam
 from .elliptic import brentq
 from .errors import DegenerateRotation, NoBracket, SpecInvalid, StepFailure
-from .quat import Quaternion, Vec3, qmul, qsandwich
+from .quat import Quaternion, Vec3, cross, qmul, qsandwich
 from .reparam import ReparamSpec
 
 
@@ -48,61 +53,6 @@ class Monodromy:
     M: Quaternion
     axis: Vec3
     theta: float
-
-
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-
-
-def _adaptive_rk(f, nodes, y0, step_tol):
-    """Embedded-pair integration of y' = f(v, y) with output at the nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    span = nodes[-1] - nodes[0]
-    y = np.array(y0, dtype=float)
-    out = [y.copy()]
-    h = span / 128
-    for va, vb in zip(nodes[:-1], nodes[1:]):
-        v = va
-        while vb - v > 1e-14 * span:
-            ht = min(h, vb - v)
-            k = np.empty((7,) + y.shape)
-            k[0] = f(v, y)
-            for i in range(1, 7):
-                yi = y + ht * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = f(v + _C[i] * ht, yi)
-            y5 = y + ht * (_B5 @ k)
-            y4 = y + ht * (_B4 @ k)
-            err = np.max(np.abs(y5 - y4))
-            if not np.isfinite(err):
-                raise StepFailure(f"non-finite right-hand side near v = {v}")
-            tol = step_tol * max(1.0, np.max(np.abs(y)))
-            if err <= tol:
-                v += ht
-                y = y5
-            h = ht * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-            if h < 1e-13 * span:
-                raise StepFailure(f"step size underflow at v = {v}")
-        out.append(y.copy())
-    return np.array(out)
-
-
-def cheb_interpolant(func, lo: float, hi: float, deg: int = 96):
-    """Chebyshev interpolant of a scalar real function on [lo, hi]."""
-    return Chebyshev.interpolate(
-        lambda xs: np.array([func(float(x)) for x in np.atleast_1d(xs)]),
-        deg, domain=[lo, hi])
 
 
 def generator(spec: ReparamSpec, fam):
@@ -122,6 +72,51 @@ def generator(spec: ReparamSpec, fam):
     return a_of_v
 
 
+class Quaternions:
+    """Imaginary quaternions (..., 3) and the unit quaternions (..., 4)."""
+
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+
+    @staticmethod
+    def comm(x, y):
+        return 2.0 * cross(x, y)
+
+    @staticmethod
+    def exp(om):
+        ang = np.linalg.norm(om, axis=-1)
+        return np.concatenate([np.cos(ang)[:, None],
+                               np.sinc(ang / np.pi)[:, None] * om], axis=-1)
+
+    @staticmethod
+    def mul(a, b):
+        return qmul(a, b)
+
+
+class Matrices2:
+    """Real or complex 2x2 matrices (..., 2, 2)."""
+
+    one = np.eye(2)
+
+    @staticmethod
+    def comm(x, y):
+        return x @ y - y @ x
+
+    @staticmethod
+    def exp(om):
+        t = 0.5 * (om[:, 0, 0] + om[:, 1, 1])
+        d = om - t[:, None, None] * np.eye(2)
+        mu = np.sqrt((d[:, 0, 1] * d[:, 1, 0] - d[:, 0, 0] * d[:, 1, 1]) + 0j)
+        # sinh(mu)/mu = sin(i mu)/(i mu), continuous through mu = 0
+        e = np.exp(t)[:, None, None] * (
+            np.cosh(mu)[:, None, None] * np.eye(2)
+            + np.sinc(1j * mu / np.pi)[:, None, None] * d)
+        return e if np.iscomplexobj(om) else e.real
+
+    @staticmethod
+    def mul(a, b):
+        return a @ b
+
+
 # Gauss-Legendre nodes on [0, 1] of the full step, then of its two halves
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10
 _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
@@ -129,77 +124,56 @@ _BATCH = 64            # steps per generator call: bounds the theta temporaries
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
 
-def _comm(x, y):
-    """[x, y] = xy - yx = 2 x cross y on imaginary quaternions (..., 3)."""
-    return 2.0 * np.cross(x, y)
-
-
-def _magnus6(a, h):
-    """exp(Omega^[6]) from A at the three Gauss nodes, a (n, 3, 3); h (n,)."""
+def _magnus6(alg, a, h):
+    """exp(Omega^[6]) from A at the three Gauss nodes, a (n, 3, ...); h (n,)."""
     a1, a2, a3 = a[:, 0], a[:, 1], a[:, 2]
-    h = h[:, None]
+    h = h.reshape((-1,) + (1,) * (a1.ndim - 1))
     b1 = h * a2
     b2 = np.sqrt(15.0) / 3 * h * (a3 - a1)
     b3 = 10.0 / 3 * h * (a3 - 2 * a2 + a1)
-    c1 = _comm(b1, b2)
-    c2 = -_comm(b1, 2 * b3 + c1) / 60
-    om = b1 + b3 / 12 + _comm(-20 * b1 - b3 + c1, b2 + c2) / 240
-    ang = np.linalg.norm(om, axis=-1)
-    return np.concatenate([np.cos(ang)[:, None],
-                           np.sinc(ang / np.pi)[:, None] * om], axis=-1)
+    c1 = alg.comm(b1, b2)
+    c2 = -alg.comm(b1, 2 * b3 + c1) / 60
+    return alg.exp(b1 + b3 / 12 + alg.comm(-20 * b1 - b3 + c1, b2 + c2) / 240)
 
 
-def _propagators(a_of_v, a, b):
+def _propagators(gen, alg, a, b):
     """Propagators of the steps [a, b] with their local error estimates.
 
-    Returns (E, err): E is the product of the two half-step propagators,
-    err = max |E_h - E_{h/2} E_{h/2}| over the components.
+    gen maps an array of v to A(v) in the algebra alg.  Returns (E, err): E
+    is the product of the two half-step propagators, err = max |E_h -
+    E_{h/2} E_{h/2}| over the components.
     """
     h = b - a
-    gen = a_of_v(a[:, None] + h[:, None] * _NODES)[..., 1:]
-    if not np.all(np.isfinite(gen)):
-        bad = np.nonzero(~np.all(np.isfinite(gen), axis=(1, 2)))[0][0]
+    g = gen(a[:, None] + h[:, None] * _NODES)
+    finite = np.all(np.isfinite(g).reshape(len(a), -1), axis=1)
+    if not np.all(finite):
+        bad = np.nonzero(~finite)[0][0]
         raise StepFailure(f"non-finite generator on [{a[bad]}, {b[bad]}]")
-    full = _magnus6(gen[:, 0:3], h)
-    two = qmul(_magnus6(gen[:, 6:9], h / 2), _magnus6(gen[:, 3:6], h / 2))
-    return two, np.max(np.abs(full - two), axis=-1)
+    full = _magnus6(alg, g[:, 0:3], h)
+    two = alg.mul(_magnus6(alg, g[:, 6:9], h / 2), _magnus6(alg, g[:, 3:6], h / 2))
+    return two, np.max(np.abs(full - two).reshape(len(a), -1), axis=1)
 
 
-def _ordered_product(e):
+def _ordered_product(alg, e):
     """Running left products e[k] ... e[1] e[0] by a doubling scan."""
-    p = np.array(e, dtype=float)
+    p = np.array(e)
     shift = 1
     while shift < len(p):
-        p[shift:] = qmul(p[shift:], p[:-shift])
+        p[shift:] = alg.mul(p[shift:], p[:-shift])
         shift *= 2
     return p
 
 
-def integrate(spec: ReparamSpec, fam, periods: int = 1,
-              n_per_period: int = 256, step_tol: float = 1e-12,
-              v_nodes=None) -> FrameTrajectory:
-    """Integrate Phi' = A(v) Phi from Phi(0) = 1 over the given periods.
+def _magnus_solve(gen, alg, nodes, h0, step_tol):
+    """Solve Y' = A(v) Y, Y(nodes[0]) = 1, at the increasing nodes.
 
-    If v_nodes is given (increasing, starting at 0) output is produced
-    there instead of on the uniform grid.  Each node gap starts as
-    ceil(gap / (V/128)) equal steps; a step is accepted when its local
-    error estimate is at most step_tol, otherwise it is halved.  stats
-    holds n_steps (accepted), n_rejected (split), err_est (largest accepted
-    local error estimate) and prenorm_drift (max | |Phi| - 1 |).
+    gen maps an array of v to A(v) in the algebra alg.  Each node gap
+    starts as ceil(gap / h0) equal steps; a step is accepted when its local
+    error estimate is at most step_tol, otherwise it is halved.  Returns Y
+    at the nodes and the stats n_steps (accepted), n_rejected (split) and
+    err_est (largest accepted local error estimate).
     """
-    if not (spec.period > 0):
-        raise SpecInvalid("spec period must be positive")
-    reparam.require_admissible(spec, fam.lattice)
-    if v_nodes is not None:
-        nodes = np.asarray(v_nodes, dtype=float)
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise SpecInvalid("v_nodes must be strictly increasing from 0")
-    else:
-        nodes = np.linspace(0.0, periods * spec.period, periods * n_per_period + 1)
-    a_of_v = generator(spec, fam)
-
-    counts = np.ceil(np.diff(nodes) / (spec.period / 128) - 1e-9).astype(int)
-    counts = np.maximum(counts, 1)
+    counts = np.maximum(np.ceil(np.diff(nodes) / h0 - 1e-9).astype(int), 1)
     gap = np.repeat(np.arange(len(counts)), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     t = (np.arange(len(gap)) - first) / counts[gap]
@@ -208,11 +182,11 @@ def integrate(spec: ReparamSpec, fam, periods: int = 1,
     n_initial = len(a)
     floor = 1e-13 * (nodes[-1] - nodes[0])
 
-    done_a, done_gap, done_e = [a[:0]], [gap[:0]], [np.empty((0, 4))]
+    done_a, done_gap, done_e = [a[:0]], [gap[:0]], []
     n_rejected, err_est = 0, 0.0
     while len(a):
         e, err = map(np.concatenate, zip(*(
-            _propagators(a_of_v, a[s:s + _BATCH], b[s:s + _BATCH])
+            _propagators(gen, alg, a[s:s + _BATCH], b[s:s + _BATCH])
             for s in range(0, len(a), _BATCH))))
         ok = err <= step_tol
         done_a.append(a[ok])
@@ -231,13 +205,41 @@ def integrate(spec: ReparamSpec, fam, periods: int = 1,
                      np.concatenate([gap, gap]))
 
     done_a = np.concatenate(done_a)
-    prod = _ordered_product(np.concatenate(done_e)[np.argsort(done_a)])
+    prod = _ordered_product(alg, np.concatenate(done_e)[np.argsort(done_a)])
     # the last step of gap g ends on node g + 1
     last = np.cumsum(np.bincount(np.concatenate(done_gap))) - 1
-    phi = np.concatenate([[[1.0, 0.0, 0.0, 0.0]], prod[last]])
-    drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
+    y = np.concatenate([np.broadcast_to(alg.one, (1,) + prod.shape[1:]),
+                        prod[last]])
     stats = {"n_steps": len(done_a), "n_rejected": n_rejected,
-             "err_est": err_est, "prenorm_drift": float(drift)}
+             "err_est": err_est}
+    return y, stats
+
+
+def integrate(spec: ReparamSpec, fam, periods: int = 1,
+              n_per_period: int = 256, step_tol: float = 1e-12,
+              v_nodes=None) -> FrameTrajectory:
+    """Integrate Phi' = A(v) Phi from Phi(0) = 1 over the given periods.
+
+    If v_nodes is given (increasing, starting at 0) output is produced
+    there instead of on the uniform grid.  Steps start at V/128 and are
+    halved until their local error estimate is at most step_tol.  stats
+    holds n_steps (accepted), n_rejected (split), err_est (largest accepted
+    local error estimate) and prenorm_drift (max | |Phi| - 1 |).
+    """
+    if not (spec.period > 0):
+        raise SpecInvalid("spec period must be positive")
+    reparam.require_admissible(spec, fam.lattice)
+    if v_nodes is not None:
+        nodes = np.asarray(v_nodes, dtype=float)
+        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
+            raise SpecInvalid("v_nodes must be strictly increasing from 0")
+    else:
+        nodes = np.linspace(0.0, periods * spec.period, periods * n_per_period + 1)
+    a_of_v = generator(spec, fam)
+    phi, stats = _magnus_solve(lambda v: a_of_v(v)[..., 1:], Quaternions,
+                               nodes, spec.period / 128, step_tol)
+    drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
+    stats["prenorm_drift"] = float(drift)
     return FrameTrajectory(v=nodes, phi=phi, stats=stats)
 
 

@@ -21,14 +21,27 @@ from .errors import ZeroQuaternion
 # array core
 
 
+def cross(a, b):
+    """a x b on vector arrays (..., 3), broadcasting.
+
+    The same operations as np.cross, written out: np.cross spends most of
+    its time on axis bookkeeping for the small arrays of the integrators.
+    """
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1],
+                    axis=-1)
+
+
 def qmul(a, b):
     """Hamilton product of quaternion arrays (..., 4), broadcasting."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     aw, av = a[..., 0], a[..., 1:]
     bw, bv = b[..., 0], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1)
-    v = (aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv))
+    w = aw * bw - (av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
+                   + av[..., 2] * bv[..., 2])
+    v = (aw[..., None] * bv + bw[..., None] * av + cross(av, bv))
     return np.concatenate([w[..., None], v], axis=-1)
 
 

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .elliptic import CriticalParams, brentq, q3
+from .elliptic import CriticalParams, brentq, gauss_legendre, q3
 from .errors import DegenerateFit, DomainW, NoOscillation, SingularRoot, SpecInvalid
 from .theta import theta_grid
 
@@ -301,7 +300,7 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
 
     span = s_b - s_a
     edges = np.linspace(0.0, np.pi / 2, n_panels + 1)
-    nodes, weights = leggauss(5)
+    nodes, weights = gauss_legendre(5)
 
     def cumulative(g):
         """Panel-wise Gauss-Legendre antiderivative of g at the panel edges."""

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvefamily, elliptic, surface as surface_mod
-from .errors import SpecInvalid
-from .frame import _adaptive_rk
+from . import curvefamily, elliptic, frame, surface as surface_mod
+from .errors import PoleProximity, SpecInvalid
 from .reparam import SphericalSpec, fit_sphere
 
 
@@ -90,65 +89,74 @@ def _elementary(sph: SphericalSpec):
     return float(sph.delta), float((s1 + s2).real), float((s1 * s2).real)
 
 
-def integrate_phis(spec, crit, us, step_tol=1e-12):
-    """Integrate the 3x3 linear system for (phi2, phi1, phi0) along u.
+def sym2(m):
+    """Symmetric square of 2x2 matrices (..., 2, 2) in the basis (x^2, 2xy, y^2).
 
-    The system is launched at u = omega with the initial data
-    delta^{-1} (1, -(s1 + s2), s1 s2) determined by the spherical spec, and
-    integrated outward in both directions to reach every requested u.  The
-    coefficient functions have poles where the u-denominator theta vanishes
-    (u = pi/2 mod pi on the rhombic lattice), so the requested range must
-    stay inside one pole-free interval around omega.
+    Sym2([[a, b], [c, d]]) = [[a^2, ab, b^2], [2ac, ad + bc, 2bd],
+    [c^2, cd, d^2]]; it is multiplicative, and its derivative at the
+    identity maps X = [[0, -U1], [U, 0]] to the phi-system's matrix.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    rows = ((a * a, a * b, b * b),
+            (2 * a * c, a * d + b * c, 2 * b * d),
+            (c * c, c * d, d * d))
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def integrate_phis(spec, crit, us, step_tol=1e-12):
+    """Solve the 3x3 linear system for (phi2, phi1, phi0) along u.
+
+    phi' = [[0, -U1, 0], [2U, 0, -2U1], [0, U, 0]] phi is the symmetric
+    square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
+    phi(omega) with M(omega) = 1, phi(omega) = delta^{-1} (1, -(s1 + s2),
+    s1 s2).  M is integrated by the frame module's Magnus solver outward
+    from omega in both directions.  The coefficients have poles where the
+    u-denominator theta2 vanishes (u = pi/2 mod pi), so a requested u
+    outside (-pi/2, pi/2) raises PoleProximity before any integration.
     """
     sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
     if delta == 0.0:
         raise SpecInvalid("delta must be nonzero")
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    outside = us[~(np.abs(us) < np.pi / 2)]
+    if len(outside):
+        raise PoleProximity(f"u = {outside[0]} is outside (-pi/2, pi/2), the "
+                            "pole-free interval of the phi-system around omega")
     om = crit.omega
     y0 = np.array([1.0, -e1, e2]) / delta
     c1 = elliptic.lame_constant(crit)
 
-    def rhs(u, y):
-        c = elliptic.coeffs_with_c1(float(u), crit, c1)
-        return np.array([
-            -c.U1 * y[1],
-            2 * c.U * y[0] - 2 * c.U1 * y[2],
-            c.U * y[1],
-        ])
+    def x_of_u(u):
+        c = elliptic.coeffs_with_c1(u, crit, c1)
+        x = np.zeros(np.shape(u) + (2, 2))
+        x[..., 0, 1], x[..., 1, 0] = -c.U1, c.U
+        return x
 
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    out = {}
-    above = np.sort(us[us > om + 1e-14])
-    below = np.sort(us[us < om - 1e-14])[::-1]  # descending toward 0
-    if np.any(np.abs(us - om) <= 1e-14):
-        out[om] = y0.copy()
-    if len(above):
-        ys = _adaptive_rk(rhs, np.concatenate([[om], above]), y0, step_tol)
-        for u, y in zip(above, ys[1:]):
-            out[float(u)] = y
-    if len(below):
+    m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
+    for sign in (1.0, -1.0):
+        # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M
+        side = sign * (us - om) > 1e-14
+        if np.any(side):
+            nodes = np.unique(np.concatenate([[0.0], sign * (us[side] - om)]))
+            y, _ = frame._magnus_solve(
+                lambda t, sign=sign: sign * x_of_u(om + sign * t),
+                frame.Matrices2, nodes, np.pi / 64, step_tol)
+            m[side] = y[np.searchsorted(nodes, sign * (us[side] - om))]
+    phis = sym2(m) @ y0
+    return [PhiTriple(u=float(u), phi2=float(p[0]), phi1=float(p[1]),
+                      phi0=float(p[2])) for u, p in zip(us, phis)]
 
-        def rhs_down(t, y):
-            return -rhs(om - t, y)
 
-        ys = _adaptive_rk(rhs_down, np.concatenate([[0.0], om - below]), y0,
-                          step_tol)
-        for u, y in zip(below, ys[1:]):
-            out[float(u)] = y
-    triples = []
-    for u in us:
-        key = om if abs(u - om) <= 1e-14 else float(u)
-        y = out[key]
-        triples.append(PhiTriple(u=float(u), phi2=float(y[0]),
-                                 phi1=float(y[1]), phi0=float(y[2])))
-    return triples
+def _sphere_data(phi2, phi0, U, U1):
+    den = U1 * phi0 + U * phi2
+    return U1 / den, -phi2 / den
 
 
 def alpha_beta(tr: PhiTriple, crit):
     """Sphere data alpha(u), beta(u) from a phi-triple."""
     c = elliptic.coeffs(tr.u, crit)
-    den = c.U1 * tr.phi0 + c.U * tr.phi2
-    return c.U1 / den, -tr.phi2 / den
+    return _sphere_data(tr.phi2, tr.phi0, c.U, c.U1)
 
 
 def intersection_angle(tr: PhiTriple, crit) -> float:
@@ -179,16 +187,15 @@ def characterization_residual(surf, crit, us, n_v: int = 33,
     spec = surf.recipe.spec
     fam = surf.recipe.fam
     triples = integrate_phis(spec, crit, us, step_tol=step_tol)
-    vs = np.linspace(0.0, spec.period, n_v)
-    ws = np.asarray(spec.w(vs), dtype=float)
+    ws = np.asarray(spec.w(np.linspace(0.0, spec.period, n_v)), dtype=float)
     worst = 0.0
     for tr in triples:
         a, b = alpha_beta(tr, crit)
-        for w in ws:
-            eh = float(curvefamily.exp_h(tr.u, float(w), fam))
-            hu = float(np.real(curvefamily.dlog_gamma_u(tr.u, float(w), fam)))
-            q = float(curvature_q(tr, eh))
-            worst = max(worst, abs(eh - a * q + b * hu))
+        u = np.full(n_v, tr.u)
+        eh = curvefamily.exp_h(u, ws, fam)
+        hu = np.real(curvefamily.dlog_gamma_u(u, ws, fam))
+        worst = max(worst, float(np.max(np.abs(
+            eh - a * curvature_q(tr, eh) + b * hu))))
     return worst
 
 
@@ -199,18 +206,19 @@ def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
     (v-independent up to integration error) and cross-checked against a
     least-squares sphere through the sampled v-curve.
     """
-    om = crit.omega
     if u_indices is None:
         # a pole-free window around omega, clear of u = pi/2
         sel = np.nonzero((surf.u > 0.03) & (surf.u < np.pi / 2 - 0.08))[0]
         u_indices = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
     u_indices = np.asarray(u_indices, dtype=int)
     us = surf.u[u_indices]
-    triples = integrate_phis(surf.recipe.spec, crit, us, step_tol=step_tol)
+    phis = np.array([tr.array() for tr in
+                     integrate_phis(surf.recipe.spec, crit, us, step_tol=step_tol)])
+    c = elliptic.coeffs(us, crit)
+    alphas, betas = _sphere_data(phis[:, 0], phis[:, 2], c.U, c.U1)
 
     samples = []
-    for i, tr in zip(u_indices, triples):
-        a, b = alpha_beta(tr, crit)
+    for i, a, b in zip(u_indices, alphas, betas):
         pts = surf.points[i]
         fu = surf.fu[i]
         unit_u = fu / np.linalg.norm(fu, axis=-1, keepdims=True)
@@ -292,13 +300,10 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     w_sel = np.asarray(rspec.w(v_sel), dtype=float)
     wp_sel = np.asarray(rspec.wprime(v_sel), dtype=float)
 
-    s = np.empty(len(v_sel))
-    sprime = np.empty(len(v_sel))
-    for k, (w, wp) in enumerate(zip(w_sel, wp_sel)):
-        eh = float(curvefamily.exp_h(om, float(w), fam))
-        h_w = -float(np.imag(curvefamily.dlog_gamma_u(om, float(w), fam)))
-        s[k] = 1.0 / eh
-        sprime[k] = -h_w * s[k] * wp  # carries the sign of sqrt(Q)/delta
+    u_om = np.full(len(v_sel), om)
+    s = 1.0 / curvefamily.exp_h(u_om, w_sel, fam)
+    h_w = -np.imag(curvefamily.dlog_gamma_u(u_om, w_sel, fam))
+    sprime = -h_w * s * wp_sel  # carries the sign of sqrt(Q)/delta
 
     zeta1 = (1.0 + s * beta_prime) / s
     zeta2 = R * sprime / s

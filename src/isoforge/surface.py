@@ -14,8 +14,8 @@ theta temporaries stay bounded, and the frame acts through one 3x3 rotation
 matrix per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
 Phi^{-1} j Phi and Phi^{-1} k Phi).  The omega -> 0 limit surface
 (planes tangent to a cylinder) is assembled from the limit data gamma_hat,
-W_hat, r with the rotation angle a(v) and the translation term integrated as
-an auxiliary ODE.
+W_hat, r; its rotation e^{-2ia(v)} and translation T(v) solve a linear 2x2
+system, integrated by the frame module's Magnus solver.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvefamily, frame, reparam
-from .elliptic import coeffs_with_c1, lame_constant
-from .elliptic import coeffs  # noqa: F401  (perfbench's tracer test patches surface.coeffs)
+from .elliptic import coeffs, gauss_legendre
 from .quat import qrotation
 from .reparam import ReparamSpec
 
@@ -142,29 +141,24 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
 
 
 def _limit_frame_arrays(lat, spec: ReparamSpec, v, step_tol=1e-12):
-    """a(v) (rotation angle) and T(v) (translation) for the limit immersion.
+    """E = e^{-2ia(v)} (the rotation) and T(v) = T_x + i T_y (the translation)
+    of the limit immersion at the nodes v.
 
-    a' = sqrt(1-w'^2) W_hat(w),  T' = sqrt(1-w'^2) r(w) * i e^{2 a k}.
+    a' = sqrt(1-w'^2) W_hat(w) and T' = sqrt(1-w'^2) r(w) e^{-2ia} make
+    (E, T) the first column of the solution of the linear system
+    Y' = [[-2i root W_hat, 0], [root r, 0]] Y, Y(0) = 1.
     """
-    vs = np.linspace(0.0, spec.period, 513)
-    ws = np.asarray(spec.w(vs), dtype=float)
-    w_lo, w_hi = float(np.min(ws)), float(np.max(ws))
-    if w_hi - w_lo < 1e-12:
-        what = lambda w: curvefamily.w_hat(w_lo, lat)
-        rfun = lambda w: curvefamily.limit_r(w_lo, lat)
-    else:
-        what = frame.cheb_interpolant(lambda w: curvefamily.w_hat(w, lat), w_lo, w_hi)
-        rfun = frame.cheb_interpolant(lambda w: curvefamily.limit_r(w, lat), w_lo, w_hi)
 
-    def rhs(vv, y):
-        w = spec.w(vv)
-        root = spec.signed_root(vv)
-        two_a = 2.0 * y[0]
-        rr = root * rfun(w)
-        return np.array([root * what(w), rr * np.cos(two_a), -rr * np.sin(two_a)])
+    def a_of_v(vv):
+        w, _, root = _plane_vectors(spec, vv)
+        y = np.zeros(np.shape(vv) + (2, 2), dtype=complex)
+        y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, lat)
+        y[..., 1, 0] = root * curvefamily.limit_r(w, lat)
+        return y
 
-    y = frame._adaptive_rk(rhs, v, np.zeros(3), step_tol)
-    return y[:, 0], y[:, 1:]  # a(v), T(v) in the (i, j) plane
+    y, _ = frame._magnus_solve(a_of_v, frame.Matrices2, v, spec.period / 128,
+                               step_tol)
+    return y[:, 0, 0], y[:, 1, 0]
 
 
 def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
@@ -180,30 +174,22 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
-    a, T = _limit_frame_arrays(lat, spec, v, recipe.step_tol)
+    E, T = _limit_frame_arrays(lat, spec, v, recipe.step_tol)
     w_arr, wp, root = _plane_vectors(spec, v)
-
-    nv = len(v)
-    cos2a, sin2a = np.cos(2 * a), np.sin(2 * a)
-    bj = np.stack([sin2a, cos2a, np.zeros(nv)], axis=-1)   # j e^{2 a k}
-    bi = np.stack([cos2a, -sin2a, np.zeros(nv)], axis=-1)  # i e^{2 a k}
-    kvec = np.array([0.0, 0.0, 1.0])
-
     gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], lat)
     ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], lat)
+    gv = 1j * wp * ghu
+    turn = root * (2 * curvefamily.w_hat(w_arr, lat) * gh.real
+                   + curvefamily.limit_r(w_arr, lat))
 
-    what = np.array([curvefamily.w_hat(float(w), lat) for w in w_arr])
-    rv = np.array([curvefamily.limit_r(float(w), lat) for w in w_arr])
-    aprime = root * what
+    def vec(g, plane):
+        """Im(g) k plus the (i, j)-plane vector x + i y = plane, in which
+        j e^{2 a k} is i E and i e^{2 a k} is E."""
+        return np.stack([plane.real, plane.imag, g.imag], axis=-1)
 
-    Tfull = np.concatenate([T, np.zeros((nv, 1))], axis=1)
-    points = (gh.imag[..., None] * kvec + gh.real[..., None] * bj[None]
-              + Tfull[None])
-    fu = ghu.imag[..., None] * kvec + ghu.real[..., None] * bj[None]
-    gv = 1j * wp[None, :] * ghu
-    fv = (gv.imag[..., None] * kvec + gv.real[..., None] * bj[None]
-          + (gh.real * (2 * aprime)[None, :] + (root * rv)[None, :])[..., None]
-          * bi[None])
+    points = vec(gh, 1j * E * gh.real + T)
+    fu = vec(ghu, 1j * E * ghu.real)
+    fv = vec(gv, 1j * E * gv.real + E * turn)
     cross = np.cross(fu, fv)
     nrm = cross / np.linalg.norm(cross, axis=-1, keepdims=True)
     eh = np.linalg.norm(fu, axis=-1)
@@ -284,9 +270,8 @@ def pde_battery(fam, spec, u_probes, v_probes, du=4e-4, dv=4e-4,
     sig_u = np.imag((sig_of(uu + du, w0) - sig_of(uu - du, w0)) / (2 * du) / s_c)
     sig_w = np.imag((sig_of(uu, w0 + du) - sig_of(uu, w0 - du)) / (2 * du) / s_c)
 
-    c1 = lame_constant(fam)
-    cs = [coeffs_with_c1(float(u), fam, c1) for u in u_probes]
-    U, U1, U2, Up, U1p = (np.array([getattr(x, k) for x in cs])[:, None]
+    cs = coeffs(u_probes, fam)
+    U, U1, U2, Up, U1p = (getattr(cs, k)[:, None]
                           for k in ("U", "U1", "U2", "Uprime", "U1prime"))
     ehc = np.exp(h_c)
 
@@ -406,7 +391,7 @@ def dual_symmetry(s: SampledSurface) -> SymmetryReport:
     ) / np.max(s.expH))
 
     # closedness of the dual one-form around one grid cell (quadrature loop)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = gauss_legendre(16)
     ua, ub = s.u[1], s.u[2]
     va, vb = s.v[1], s.v[2]
     um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import isoforge
 from isoforge import cli as cli_mod
@@ -73,6 +74,49 @@ def test_config_rejects_bad_types_and_enums():
     cfg["reparam"]["kind"] = "spline"
     with pytest.raises(ConfigError, match="reparam.kind"):
         validate_config(cfg)
+
+
+_WORDS = sorted({k for fields in cli_mod._SCHEMA.values() for k in fields}
+                | {"critical", "explicit", "limit", "rhombic", "rectangular",
+                   "analytic", "constant", "spherical"})
+_scalar = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from(_WORDS) | st.text(max_size=6))
+_value = st.recursive(_scalar, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=6),
+                                        inner, max_size=4),
+                      max_leaves=10)
+
+
+def _section(fields):
+    good = st.dictionaries(st.sampled_from(sorted(fields)),
+                           _scalar | st.lists(_scalar, max_size=2),
+                           max_size=len(fields))
+    return good | good | st.dictionaries(st.text(max_size=4), _value,
+                                         max_size=2) | _value
+
+
+_config = st.fixed_dictionaries(
+    {name: _section(cli_mod._SCHEMA[name]) for name in ("lattice", "omega", "reparam")},
+    optional={name: _section(cli_mod._SCHEMA[name] or {"atol": None})
+              for name in ("grid", "outputs", "tolerances")})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_config | _config | _value)
+def test_validate_config_raises_only_config_error(cfg):
+    """Arbitrary nested dict/list/scalar input is accepted or refused with
+    ConfigError, never another exception."""
+    try:
+        assert validate_config(cfg) is cfg
+    except ConfigError:
+        pass
+
+
+def test_config_rejects_null_section():
+    for section in ("omega", "grid"):
+        cfg = _base_cfg(**{section: None})
+        with pytest.raises(ConfigError, match=f"section '{section}' must be"):
+            validate_config(cfg)
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -168,6 +212,24 @@ def test_runtime_imports_no_scipy():
             "elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_imports_stay_lean():
+    """A spherical spec and its frame load neither numpy.polynomial nor
+    concurrent.futures (which loads logging); only the curves command
+    imports its thread pool."""
+    code = ("import sys\n"
+            "from isoforge import cli, elliptic, frame, reparam, theta\n"
+            "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
+            "spec = reparam.build_spherical(reparam.SphericalSpec(\n"
+            "    delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit)\n"
+            "frame.integrate(spec, crit)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('numpy.polynomial', 'concurrent'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -428,6 +490,22 @@ def test_verify_inadmissible_limit_spec_exits_2(tmp_path, monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # spherical command and the wrong-branch negative control
+
+
+def test_spherical_sample_past_the_pole_exits_2(tmp_path, monkeypatch, capsys,
+                                               sph_cfg_grid32):
+    """A sphere sample at u = pi lies past the theta2 pole at pi/2: the
+    phi-system refuses it with PoleProximity and the command exits 2."""
+    from isoforge import spherical
+    centers = spherical.sphere_centers
+    monkeypatch.setattr(spherical, "sphere_centers", lambda surf, crit: centers(
+        surf, crit, u_indices=[1, len(surf.u) // 2]))
+    monkeypatch.setattr(sys, "argv", ["isoforge", "spherical",
+                                      _write(tmp_path, sph_cfg_grid32)])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    assert "pole-free interval" in capsys.readouterr().err
 
 
 def test_spherical_command(tmp_path, sph_cfg_grid32):

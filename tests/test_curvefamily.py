@@ -223,10 +223,11 @@ def test_limit_period_defect_off_lambda0():
 def test_limit_data_real_valued(lam0):
     lat = theta.rhombic(lam0)
     for w in _random_w(lat, 5):
-        sample = curvefamily.limit_data(0.7, float(w), lat)
         # W_hat and r are validated real inside; d is purely imaginary
-        assert abs(sample.d.real) < 1e-9 * max(1.0, abs(sample.d))
-        assert np.isfinite(sample.W_hat) and np.isfinite(sample.r)
+        d = curvefamily.limit_d(float(w), lat)
+        assert abs(d.real) < 1e-9 * max(1.0, abs(d))
+        assert np.isfinite(curvefamily.w_hat(float(w), lat))
+        assert np.isfinite(curvefamily.limit_r(float(w), lat))
 
 
 def test_limit_gamma_hat_u_vs_fd(lam0):

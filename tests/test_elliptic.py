@@ -110,6 +110,17 @@ def test_coeffs_pole_guard(crit032):
         elliptic.coeffs(np.pi / 2, crit032)
 
 
+def test_gauss_legendre_matches_leggauss():
+    """Golub-Welsch nodes and weights equal numpy's leggauss to roundoff and
+    integrate x^k exactly up to k = 2n - 1."""
+    for n in (1, 2, 5, 16, 40):
+        x, w = elliptic.gauss_legendre(n)
+        xr, wr = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - xr)) < 1e-14 and np.max(np.abs(w - wr)) < 1e-14
+        for k in range(2 * n):
+            assert abs(w @ x ** k - (1 + (-1) ** k) / (k + 1)) < 1e-14
+
+
 def test_q3_forms_agree(crit032):
     cub = elliptic.q3(crit032)
     assert cub.c3 > 0

@@ -95,22 +95,42 @@ def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
     starts = np.linspace(0.0, V, 7)[:-1]
     errs = []
     for h in (V / 16, V / 32):
-        _, err = frame._propagators(a_of_v, starts, starts + h)
+        _, err = frame._propagators(lambda v: a_of_v(v)[..., 1:],
+                                    frame.Quaternions, starts, starts + h)
         errs.append(err)
     assert np.all(errs[1] > 1e-12)  # above roundoff
     assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
 
 
 def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):
-    """The Magnus frame agrees with the embedded Runge-Kutta pair run on
-    Phi' = A Phi at the same step_tol."""
+    """The Magnus frame agrees with SciPy's Dormand-Prince 8(5,3) pair run
+    on Phi' = A Phi at tight tolerances."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     for spec, tol in ((torus_spec, 1e-12), (sph_spec, 5e-11)):
         a_of_v = frame.generator(spec, crit032)
         nodes = np.linspace(0.0, spec.period, 9)
-        ref = frame._adaptive_rk(lambda v, y: quat.qmul(a_of_v(v), y), nodes,
-                                 np.array([1.0, 0.0, 0.0, 0.0]), 1e-12)
+        ref = solve_ivp(lambda v, y: quat.qmul(a_of_v(v), y),
+                        (0.0, spec.period), [1.0, 0.0, 0.0, 0.0],
+                        method="DOP853", t_eval=nodes, rtol=1e-13, atol=1e-14)
         traj = frame.integrate(spec, crit032, v_nodes=nodes)
-        assert np.max(np.abs(traj.phi - ref)) < tol
+        assert np.max(np.abs(traj.phi - ref.y.T)) < tol
+
+
+def test_matrix_exp_closed_form():
+    """exp(Omega) = e^t (cosh mu + sinh(mu)/mu (Omega - t)) equals the Pade
+    expm on real and complex 2x2 matrices, small ones and nilpotent ones
+    (mu = 0) included."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(7)
+    real = rng.normal(size=(40, 2, 2))
+    cplx = real + 1j * rng.normal(size=(40, 2, 2))
+    tiny = 1e-5 * rng.normal(size=(10, 2, 2))
+    nilpotent = np.array([[[0.0, 0.7], [0.0, 0.0]], [[1.0, -1.0], [1.0, -1.0]]])
+    for om in (real, cplx, tiny, nilpotent, 3j * nilpotent):
+        got = frame.Matrices2.exp(om)
+        assert np.iscomplexobj(got) == np.iscomplexobj(om)
+        want = np.array([expm(m) for m in om])
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_refinement_is_local(crit032):

@@ -148,3 +148,42 @@ def test_qrotation_broadcasts():
     got = np.einsum("...ab,...b->...a", quat.qrotation(qs), xs)
     assert quat.qrotation(qs).shape == (5, 2, 3, 3)
     assert np.max(np.abs(got - quat.qsandwich(qs, xs))) < 1e-13
+
+
+def test_products_match_np_cross_bitwise():
+    """quat.cross and qmul write out the operations np.cross and np.sum
+    perform, so the frame stays bit-identical to the np.cross formula."""
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 64, 1000):
+        a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        np.testing.assert_array_equal(quat.cross(a, b), np.cross(a, b))
+        p, q = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+        w = p[:, 0] * q[:, 0] - np.sum(p[:, 1:] * q[:, 1:], axis=-1)
+        v = (p[:, :1] * q[:, 1:] + q[:, :1] * p[:, 1:]
+             + np.cross(p[:, 1:], q[:, 1:]))
+        np.testing.assert_array_equal(quat.qmul(p, q),
+                                      np.concatenate([w[:, None], v], axis=1))
+    one = rng.normal(size=4)
+    np.testing.assert_array_equal(quat.qmul(one, p)[3], quat.qmul(one, p[3]))
+
+
+_quat = st.tuples(_coord, _coord, _coord, _coord).map(np.array)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=_quat, q=_quat, r=_quat)
+def test_qmul_associative_and_norm_multiplicative(p, q, r):
+    scale = max(1.0, np.linalg.norm(p) * np.linalg.norm(q) * np.linalg.norm(r))
+    left = quat.qmul(quat.qmul(p, q), r)
+    right = quat.qmul(p, quat.qmul(q, r))
+    assert np.max(np.abs(left - right)) <= 1e-14 * scale
+    assert abs(np.sqrt(quat.qnorm2(quat.qmul(p, q)))
+               - np.linalg.norm(p) * np.linalg.norm(q)) <= 1e-14 * max(
+                   1.0, np.linalg.norm(p) * np.linalg.norm(q))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(q=_quat.filter(lambda q: float(np.dot(q, q)) > 1e-6))
+def test_qmul_by_inverse_is_one(q):
+    for prod in (quat.qmul(q, quat.qinv(q)), quat.qmul(quat.qinv(q), q)):
+        assert np.max(np.abs(prod - [1.0, 0.0, 0.0, 0.0])) <= 1e-13

@@ -1,8 +1,11 @@
 """Sphere data of the second curvature-line family and the rotation axis."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from isoforge import curvefamily, elliptic, frame, spherical
+from isoforge import curvefamily, elliptic, frame, reparam, spherical
+from isoforge.errors import PoleProximity
 
 RNG = np.random.default_rng(31)
 
@@ -162,3 +165,80 @@ def test_angle_resolves_tiny_angles():
     assert abs(spherical.angle(a, -b) - (np.pi - 1e-10)) < 1e-14
     both = spherical.angle(np.stack([a, a]), np.stack([b, perp]))
     assert np.allclose(both, [1e-10, np.pi / 2], rtol=1e-6, atol=0)
+
+
+def _phi_oracle(spec, crit, us):
+    """The 3x3 phi-system solved by SciPy's DOP853 from omega to each u."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sph = spec.meta["spec"]
+    y0 = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
+    y0 /= sph.delta
+
+    def rhs(u, y):
+        c = elliptic.coeffs(u, crit)
+        return [-c.U1 * y[1], 2 * c.U * y[0] - 2 * c.U1 * y[2], c.U * y[1]]
+
+    return np.array([solve_ivp(rhs, (crit.omega, u), y0, method="DOP853",
+                               rtol=1e-13, atol=1e-14).y[:, -1] for u in us])
+
+
+def test_phis_match_oracle_both_directions(sph_spec, crit032):
+    """sym2(M) phi(omega) equals the 3x3 system solved directly, on both
+    sides of omega, for a conjugate-pair and a real-pair spec."""
+    real_pair = reparam.build_spherical(
+        reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
+    us = np.array([-0.4, 0.03, 0.2, crit032.omega + 0.3, 1.0, 1.45])
+    for spec in (sph_spec, real_pair):
+        got = np.array([tr.array() for tr in
+                        spherical.integrate_phis(spec, crit032, us)])
+        want = _phi_oracle(spec, crit032, us)
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert np.max(err) <= 1e-10
+
+
+_entry = st.floats(-3.0, 3.0)
+_mat = st.tuples(_entry, _entry, _entry, _entry).map(
+    lambda e: np.array(e).reshape(2, 2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=_mat, b=_mat, U=_entry, U1=_entry)
+def test_sym2_is_multiplicative_with_phi_derivative(a, b, U, U1):
+    """sym2(AB) = sym2(A) sym2(B), and the derivative of sym2 at the
+    identity maps X = [[0, -U1], [U, 0]] to the phi-system's matrix (sym2 is
+    quadratic, so the central difference with step 1 is exact)."""
+    scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b))) ** 2
+    prod = spherical.sym2(a) @ spherical.sym2(b)
+    assert np.max(np.abs(spherical.sym2(a @ b) - prod)) <= 1e-13 * scale
+    x = np.array([[0.0, -U1], [U, 0.0]])
+    deriv = (spherical.sym2(np.eye(2) + x) - spherical.sym2(np.eye(2) - x)) / 2
+    want = np.array([[0.0, -U1, 0.0], [2 * U, 0.0, -2 * U1], [0.0, U, 0.0]])
+    assert np.max(np.abs(deriv - want)) <= 1e-14 * max(1.0, abs(U), abs(U1)) ** 2
+
+
+def test_phis_refuse_u_past_the_pole(sph_spec, crit032, monkeypatch):
+    """theta2 vanishes at u = pi/2: a requested u at or past it raises
+    PoleProximity before the coefficients are evaluated anywhere."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated past the pole check")
+
+    monkeypatch.setattr(elliptic, "coeffs_with_c1", never)
+    for us in ([1.7], [0.5, np.pi / 2], [-1.6, 0.4], [np.nan]):
+        with pytest.raises(PoleProximity, match="pole-free interval"):
+            spherical.integrate_phis(sph_spec, crit032, us)
+
+
+def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
+    """sphere_centers evaluates U, U1 at all its samples in one call: one
+    Lame constant for the phi-system and one for the sphere data."""
+    c1_calls, coeff_calls = [], []
+    c1, coeffs = elliptic.c1_at_critical, elliptic.coeffs
+    monkeypatch.setattr(elliptic, "c1_at_critical",
+                        lambda crit: c1_calls.append(crit) or c1(crit))
+    monkeypatch.setattr(elliptic, "coeffs",
+                        lambda u, crit: coeff_calls.append(u) or coeffs(u, crit))
+    samples = spherical.sphere_centers(sph_surf, crit032)
+    assert len(coeff_calls) == 1
+    assert np.shape(coeff_calls[0]) == (len(samples),)
+    assert len(c1_calls) == 2

@@ -214,3 +214,36 @@ def test_limit_build_refuses_inadmissible_spec(lam0):
                                    nu=8, nv=8, limit=True)
     with pytest.raises(SpecInvalid, match=r"\|w'\| reaches"):
         surface.build(recipe)
+
+
+def test_limit_frame_matches_oracle(lam0, limit_spec):
+    """E = e^{-2ia} and T of the limit frame against SciPy's DOP853 on the
+    nonlinear form a' = root W_hat, T' = root r (cos 2a, -sin 2a), over two
+    periods."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    lat = theta.rhombic(lam0)
+    spec = limit_spec
+    v = np.linspace(0.0, 2 * spec.period, 97)
+
+    def rhs(vv, y):
+        w = float(spec.w(vv))
+        rr = float(spec.signed_root(vv)) * curvefamily.limit_r(w, lat)
+        return [float(spec.signed_root(vv)) * curvefamily.w_hat(w, lat),
+                rr * np.cos(2 * y[0]), -rr * np.sin(2 * y[0])]
+
+    ref = solve_ivp(rhs, (0.0, v[-1]), [0.0, 0.0, 0.0], method="DOP853",
+                    t_eval=v, rtol=1e-13, atol=1e-14).y
+    E, T = surface._limit_frame_arrays(lat, spec, v)
+    assert np.max(np.abs(E - np.exp(-2j * ref[0]))) <= 1e-10
+    assert np.max(np.abs(T - (ref[1] + 1j * ref[2]))) <= 1e-10
+
+
+def test_limit_coefficients_accept_arrays(lam0):
+    """w_hat and limit_r on an array equal the scalar values."""
+    lat = theta.rhombic(lam0)
+    ws = np.linspace(0.1, 2 * np.pi * lam0 - 0.1, 7).reshape(7, 1)
+    for fn in (curvefamily.w_hat, curvefamily.limit_r):
+        got = fn(ws, lat)
+        assert got.shape == ws.shape and got.dtype == float
+        want = np.array([fn(float(w), lat) for w in ws.ravel()])
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
