@@ -114,24 +114,16 @@ def max_threads() -> int:
 # pipeline pieces
 
 
-def _lattice(cfg):
+def _family(cfg) -> elliptic.Family:
+    """The family of the lattice and omega sections."""
     lam = float(cfg["lattice"]["lambda"])
-    if cfg["lattice"]["kind"] == "rhombic":
-        return theta.rhombic(lam)
-    return theta.rectangular(lam)
-
-
-def _family(cfg):
-    """(lattice, family-params or None, limit?) from the omega section."""
-    lat = _lattice(cfg)
+    lat = (theta.rhombic(lam) if cfg["lattice"]["kind"] == "rhombic"
+           else theta.rectangular(lam))
     mode = cfg["omega"]["mode"]
-    if mode == "limit":
-        return lat, None, True
     if mode == "critical":
-        return lat, elliptic.solve_critical_omega(lat), False
-    om = float(cfg["omega"]["value"])
-    fam = curvefamily.FamilyParams(lattice=lat, omega=om)
-    return lat, fam, False
+        return elliptic.solve_critical_omega(lat)
+    omega = 0.0 if mode == "limit" else float(cfg["omega"]["value"])
+    return elliptic.Family(lat, omega, mode)
 
 
 def _complex_param(val):
@@ -142,11 +134,11 @@ def _complex_param(val):
     return complex(float(val), 0.0)
 
 
-def _reparam_spec(cfg, lat, fam):
+def _reparam_spec(cfg, fam):
     sec = cfg["reparam"]
     kind = sec["kind"]
     if kind == "constant":
-        return reparam.constant(float(sec.get("level", np.pi * lat.lam)),
+        return reparam.constant(float(sec.get("level", np.pi * fam.lattice.lam)),
                                 float(sec.get("period", 2 * np.pi)))
     if kind == "analytic":
         for key in ("mean", "amplitude", "period"):
@@ -157,7 +149,7 @@ def _reparam_spec(cfg, lat, fam):
     for key in ("delta", "s1", "s2"):
         if key not in sec:
             raise ConfigError(f"reparam.{key} required for spherical")
-    if fam is None or not hasattr(fam, "residual"):
+    if fam.mode != "critical":
         raise ConfigError("spherical reparam requires omega.mode=critical")
     sph = reparam.SphericalSpec(delta=float(sec["delta"]),
                                 s1=_complex_param(sec["s1"]),
@@ -165,12 +157,12 @@ def _reparam_spec(cfg, lat, fam):
     return reparam.build_spherical(sph, fam)
 
 
-def _recipe(cfg, fam_or_lat, spec, limit):
+def _recipe(cfg, fam, spec):
     grid = cfg.get("grid", {})
     return surface_mod.SurfaceRecipe(
-        fam=fam_or_lat, spec=spec,
+        fam=fam, spec=spec,
         nu=int(grid.get("nu", 128)), nv=int(grid.get("nv", 128)),
-        periods=int(grid.get("periods", 1)), limit=limit)
+        periods=int(grid.get("periods", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +274,19 @@ def run_battery(surf, fam, cfg):
     checks = []
     d = surf.diagnostics
     spec = surf.recipe.spec
-    is_limit = surf.recipe.limit
+    is_limit = fam.mode == "limit"
     names = (("orthogonality", "conformality") if is_limit else
              ("orthogonality", "conformality_u", "conformality_v",
               "normal_unit", "normal_tangency"))
     for name in names:
         checks.append(check(name, d[name], tol(name, 1e-10)))
 
-    lat = fam if is_limit else fam.lattice
-
     # u-closure of gamma (closed only at critical omega on rhombic lattices)
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
     closure = 0.0
+    curve = curvefamily.gamma_hat if is_limit else curvefamily.gamma
     for w in ws:
-        if is_limit:
-            g0 = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]), float(w), lat)
-        else:
-            g0 = curvefamily.gamma(np.array([0.0, 2 * np.pi]), float(w), fam)
+        g0 = curve(np.array([0.0, 2 * np.pi]), float(w), fam)
         closure = max(closure, float(np.abs(g0[1] - g0[0])))
     checks.append(check("u_closure", closure, tol("u_closure", 1e-9)))
 
@@ -337,8 +325,8 @@ def run_battery(surf, fam, cfg):
         # admissibility + branch smoothness of the signed root: a wrong
         # branch (e.g. |.| of a sign-changing root) kinks, so its second
         # divided differences keep growing under mesh refinement
-        rep_c = reparam.validate(spec, lat, n=2001)
-        rep_f = reparam.validate(spec, lat, n=4001)
+        rep_c = reparam.validate(spec, fam.lattice, n=2001)
+        rep_f = reparam.validate(spec, fam.lattice, n=4001)
         checks.append(check("reparam_admissible", 0.0 if rep_f.ok else 1.0,
                             0.5))
         checks.append(check("root_consistency", rep_f.root_residual,
@@ -348,7 +336,7 @@ def run_battery(surf, fam, cfg):
         checks.append(check("root_branch_smoothness", growth,
                             tol("root_branch_smoothness", 1.5)))
 
-        if hasattr(fam, "residual"):  # critical omega: symmetry involutions
+        if fam.mode == "critical":  # symmetry involutions
             inv = surface_mod.inversion_symmetry(surf, fam)
             for name, val in inv.residuals.items():
                 checks.append(check(f"inversion_{name}", val,
@@ -435,11 +423,11 @@ def solve(want_lambda0, lam):
 def curves(config, w_values, n_samples, out_dir, svg):
     """Planar curvature-line curves with elastica data, one CSV per w."""
     cfg = load_config(config)
-    lat, fam, limit = _family(cfg)
-    if limit:
+    fam = _family(cfg)
+    if fam.mode == "limit":
         raise ConfigError("curves requires omega.mode critical or explicit")
     if not w_values:
-        top = 2 * np.pi * lat.lam
+        top = 2 * np.pi * fam.lattice.lam
         w_values = tuple(top * k / 6 for k in (1, 2, 3, 4, 5))
     os.makedirs(out_dir, exist_ok=True)
     us = np.linspace(0.0, 2 * np.pi, n_samples + 1)
@@ -479,9 +467,9 @@ def surface_cmd(config, out_dir, tol):
     cfg = load_config(config)
     if tol is not None:
         cfg = {**cfg, "tolerances": {}}  # a flat override wins
-    lat, fam, limit = _family(cfg)
-    spec = _reparam_spec(cfg, lat, fam)
-    surf = surface_mod.build(_recipe(cfg, lat if limit else fam, spec, limit))
+    fam = _family(cfg)
+    spec = _reparam_spec(cfg, fam)
+    surf = surface_mod.build(_recipe(cfg, fam, spec))
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = cfg.get("outputs", {})
@@ -489,13 +477,13 @@ def surface_cmd(config, out_dir, tol):
     nverts, nfaces = write_obj(mesh_path, surf)
     click.echo(f"mesh -> {mesh_path} ({nverts} vertices, {nfaces} quads)")
 
-    checks = run_battery(surf, lat if limit else fam, cfg)
+    checks = run_battery(surf, fam, cfg)
     if tol is not None:
         checks = [check(c["name"], c["value"], tol) for c in checks]
-    if not limit and spec.kind != "constant":
+    if fam.mode != "limit" and spec.kind != "constant":
         try:
-            mono = frame.monodromy(frame.integrate(spec, fam))
-            extra = {"axis": list(mono.axis.array()), "theta": mono.theta}
+            mono = frame.monodromy(surf.phi[surf.recipe.nv])
+            extra = {"axis": list(mono.axis), "theta": mono.theta}
         except IsoforgeError:
             extra = {"axis": None, "theta": 0.0}
     else:
@@ -518,10 +506,10 @@ def surface_cmd(config, out_dir, tol):
 def verify(config, out, tol):
     """Run the full invariant battery and emit a JSON report."""
     cfg = load_config(config)
-    lat, fam, limit = _family(cfg)
-    spec = _reparam_spec(cfg, lat, fam)
-    surf = surface_mod.build(_recipe(cfg, lat if limit else fam, spec, limit))
-    checks = run_battery(surf, lat if limit else fam, cfg)
+    fam = _family(cfg)
+    spec = _reparam_spec(cfg, fam)
+    surf = surface_mod.build(_recipe(cfg, fam, spec))
+    checks = run_battery(surf, fam, cfg)
     if tol is not None:
         checks = [check(c["name"], c["value"], tol) for c in checks]
     report = make_report(cfg, checks)
@@ -538,11 +526,9 @@ def spherical_cmd(config, out):
     cfg = load_config(config)
     if cfg["reparam"].get("kind") != "spherical":
         raise ConfigError("spherical command requires reparam.kind=spherical")
-    lat, crit, limit = _family(cfg)
-    if limit or not hasattr(crit, "residual"):
-        raise ConfigError("spherical command requires omega.mode=critical")
-    spec = _reparam_spec(cfg, lat, crit)
-    surf = surface_mod.build(_recipe(cfg, crit, spec, False))
+    crit = _family(cfg)
+    spec = _reparam_spec(cfg, crit)  # refuses a non-critical family
+    surf = surface_mod.build(_recipe(cfg, crit, spec))
 
     tols = cfg.get("tolerances", {})
     cert = reparam.sphericality_certificate(surf)
@@ -550,9 +536,9 @@ def spherical_cmd(config, out):
     ratio, _, _ = spherical.collinearity(samples)
     _, plane_dist = spherical.cone_point(surf, samples)
     ax = spherical.axis(spec, crit, surf)
-    mono = frame.monodromy(frame.integrate(spec, crit))
+    mono = frame.monodromy(surf.phi[surf.recipe.nv])
     axdir = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(axdir, mono.axis.array()))
+    angle = float(spherical.angle(axdir, mono.axis))
     angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
     rel_norm = abs(ax.norm_sq_assembled - ax.norm_sq) / ax.norm_sq
 
@@ -570,7 +556,7 @@ def spherical_cmd(config, out):
     ]
     report = make_report(cfg, checks, {
         "theta": mono.theta,
-        "axis": list(mono.axis.array()),
+        "axis": list(mono.axis),
         "period_V": spec.period,
     })
     emit_report(report, out)
@@ -593,8 +579,8 @@ def close_torus_cmd(config, target, k, out_dir):
     sec = cfg["reparam"]
     if sec.get("kind") != "analytic":
         raise ConfigError("close-torus requires reparam.kind=analytic")
-    lat, fam, limit = _family(cfg)
-    if limit:
+    fam = _family(cfg)
+    if fam.mode == "limit":
         raise ConfigError("close-torus requires a non-limit family")
     mean, period = float(sec["mean"]), float(sec["period"])
 
@@ -613,7 +599,7 @@ def close_torus_cmd(config, target, k, out_dir):
             fam=fam, spec=spec, nu=int(grid.get("nu", 96)),
             nv=int(grid.get("nv", 96)), periods=1)
         piece = surface_mod.build(recipe)
-        mono = frame.monodromy(frame.integrate(spec, fam))
+        mono = frame.monodromy(frame.integrate(spec, fam).phi[-1])
         torus = frame.extend_by_rotation(piece, mono, k)
         path = os.path.join(out_dir, "torus.obj")
         write_obj(path, torus)

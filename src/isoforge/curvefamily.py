@@ -1,7 +1,9 @@
 """The holomorphic family of planar curves gamma(u, w) and its diagnostics.
 
-With z = u + i*w, omega in (0, pi/2) and td the lattice's companion theta
-(theta2 on rhombic, theta4 on rectangular lattices), the family is
+Every function takes an `elliptic.Family`: its lattice, omega and the
+cached constants theta1'(0), td(omega) and c.  With z = u + i*w, omega in
+(0, pi/2) and td the lattice's companion theta (theta2 on rhombic, theta4
+on rectangular lattices), the family is
 
     gamma   = -i * 2 td(om)^2/(th1'(0) th1(2 om))
               * th1((z - 3 om)/2)/th1((z + om)/2) * e^{z c},
@@ -22,6 +24,9 @@ the unit tangent Q = e^{i sigma~} satisfies the quartic Euler-Lagrange integral
 with L = (d/dw log W1)/a and real mu, and the hyperbolic curvature is
 kappa = sigma~_u / a + cos sigma~ (verified against the osculating-circle
 construction).
+
+The omega -> 0 limit (a Family of mode "limit") has its own functions:
+gamma_hat, gamma_hat_u, w_hat, limit_d and limit_r.
 """
 
 from __future__ import annotations
@@ -30,19 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import CriticalParams, _real
+from .elliptic import Family, _real
 from .errors import DomainW, PoleProximity
 from .theta import Lattice, theta_grid
 
 _POLE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Lattice + omega for the general (non-critical) code path."""
-
-    lattice: Lattice
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -54,15 +51,6 @@ class ElasticaConstants:
     residual_max: float
     residual_mean: float
     mu_std: float
-
-
-def _den_index(lat: Lattice) -> int:
-    return 2 if lat.kind == "rhombic" else 4
-
-
-def _cfac(lat: Lattice, omega: float) -> complex:
-    i = _den_index(lat)
-    return complex(theta_grid(i, omega, lat, 1) / theta_grid(i, omega, lat))
 
 
 def _check_w(w, lat: Lattice, mirrored: bool = False):
@@ -83,45 +71,41 @@ def _th1_den(z, omega, lat):
     return den
 
 
-def gamma(u, w, fam):
+def gamma(u, w, fam: Family):
     """The planar curve gamma(u, w); u and w may be arrays that broadcast."""
     lat, om = fam.lattice, fam.omega
     _check_w(w, lat, mirrored=True)
     z = np.asarray(u, dtype=complex) + 1j * w
-    i = _den_index(lat)
-    pref = -2j * theta_grid(i, om, lat) ** 2 / (
-        theta_grid(1, 0.0, lat, 1) * theta_grid(1, 2 * om, lat))
+    pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * om, lat))
     val = pref * theta_grid(1, (z - 3 * om) / 2, lat) / _th1_den(z, om, lat)
-    val = val * np.exp(z * _cfac(lat, om))
+    val = val * np.exp(z * fam.c)
     return complex(val) if np.isscalar(u) else val
 
 
-def gamma_u(u, w: float, fam) -> complex:
+def gamma_u(u, w: float, fam: Family) -> complex:
     """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form."""
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat, mirrored=True)
     z = np.asarray(u, dtype=complex) + 1j * w
-    i = _den_index(lat)
     val = -1j * (theta_grid(i, (z - om) / 2, lat) / _th1_den(z, om, lat)) ** 2
-    val = val * np.exp(z * _cfac(lat, om))
+    val = val * np.exp(z * fam.c)
     return complex(val) if np.isscalar(u) else val
 
 
-def exp_h(u, w, fam):
+def exp_h(u, w, fam: Family):
     """Metric factor e^{h(u,w)} (positive real); u and w broadcast.
 
     The realness check compares each w column (axis 1 of a 2-D grid) with
     its own scale, over u along axis 0.
     """
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat)
     u_arr = np.asarray(u, dtype=float)
     z = u_arr + 1j * w
     zb = u_arr - 1j * w
-    i = _den_index(lat)
     val = (theta_grid(i, (z - om) / 2, lat) * theta_grid(i, (zb - om) / 2, lat)
            / (_th1_den(z, om, lat) * _th1_den(zb, om, lat)))
-    val = val * np.exp(u_arr * _cfac(lat, om).real)
+    val = val * np.exp(u_arr * fam.c.real)
     out = np.real(val)
     im = np.max(np.abs(np.imag(np.atleast_1d(val))), axis=0)
     if np.any(im > 1e-9 * np.max(np.abs(np.atleast_1d(out)), axis=0)):
@@ -129,69 +113,56 @@ def exp_h(u, w, fam):
     return float(out) if np.isscalar(u) else out
 
 
-def exp_isigma(u, w, fam):
+def exp_isigma(u, w, fam: Family):
     """Unitary factor e^{i sigma(u,w)} of gamma_u; u and w broadcast."""
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat)
     u_arr = np.asarray(u, dtype=float)
     z = u_arr + 1j * w
     zb = u_arr - 1j * w
-    i = _den_index(lat)
     val = (-1j * theta_grid(i, (z - om) / 2, lat) * theta_grid(1, (zb + om) / 2, lat)
            / (_th1_den(z, om, lat) * theta_grid(i, (zb - om) / 2, lat)))
-    val = val * np.exp(1j * w * _cfac(lat, om))
+    val = val * np.exp(1j * w * fam.c)
     return complex(val) if np.isscalar(u) else val
 
 
-def w1(w, fam):
+def w1(w, fam: Family):
     """Infinitesimal rotation coefficient W1(w); W(w) = conj(W1(w)).
 
     w may be an array; a scalar w gives a complex.
     """
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat)
     warr = np.asarray(w, dtype=float)
-    i = _den_index(lat)
     den = theta_grid(1, 1j * warr, lat)
     # theta1(i w) vanishes mid-band at w = pi*lam on rectangular lattices
     near = np.abs(den) < _POLE_TOL
     if np.any(near):
         raise PoleProximity(f"W1 pole: theta1(i w) ~ 0 at w = {warr[near].flat[0]}")
-    val = (1j * theta_grid(1, 0.0, lat, 1) * theta_grid(i, om - 1j * warr, lat)
-           / (2 * theta_grid(i, om, lat) * den))
-    val = val * np.exp(1j * warr * _cfac(lat, om))
+    val = (1j * fam.t1p0 * theta_grid(i, om - 1j * warr, lat)
+           / (2 * fam.td * den))
+    val = val * np.exp(1j * warr * fam.c)
     return complex(val) if val.ndim == 0 else val
 
 
-def dlog_gamma_u(u, w, fam):
+def dlog_gamma_u(u, w, fam: Family):
     """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives; u and w broadcast."""
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     z = np.asarray(u, dtype=complex) + 1j * w
-    i = _den_index(lat)
     val = (theta_grid(i, (z - om) / 2, lat, 1) / theta_grid(i, (z - om) / 2, lat)
            - theta_grid(1, (z + om) / 2, lat, 1) / _th1_den(z, om, lat)
-           + _cfac(lat, om))
+           + fam.c)
     return complex(val) if np.isscalar(u) else val
 
 
-def dlog_w1(w: float, fam) -> complex:
+def dlog_w1(w: float, fam: Family) -> complex:
     """d/dw log W1(w), by theta log-derivatives."""
-    lat, om = fam.lattice, fam.omega
+    lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat)
-    i = _den_index(lat)
     val = (-1j * theta_grid(i, om - 1j * w, lat, 1) / theta_grid(i, om - 1j * w, lat)
            - 1j * theta_grid(1, 1j * w, lat, 1) / theta_grid(1, 1j * w, lat)
-           + 1j * _cfac(lat, om))
+           + 1j * fam.c)
     return complex(val)
-
-
-def radius(fam) -> float:
-    """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega))."""
-    lat, om = fam.lattice, fam.omega
-    i = _den_index(lat)
-    r = 2 * theta_grid(i, om, lat) ** 2 / (
-        theta_grid(1, 0.0, lat, 1) * theta_grid(1, 2 * om, lat))
-    return _real(r, "R(omega)")
 
 
 # ---------------------------------------------------------------------------
@@ -264,66 +235,65 @@ def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> 
 # the omega -> 0 limit family (cylinder-tangent case)
 
 
-def gamma_hat(u, w, lat: Lattice):
+def _limit_parts(u, w, fam: Family):
+    """z = u + i w, the slope -i td''(0) td(0)/th1'(0)^2 of the linear term
+    of gamma_hat and th1(z/2), guarded against its zeros."""
+    lat = fam.lattice
+    _check_w(w, lat, mirrored=True)
+    z = np.asarray(u, dtype=complex) + 1j * w
+    slope = -1j * theta_grid(fam.den, 0.0, lat, 2) * fam.td / fam.t1p0 ** 2
+    th1h = theta_grid(1, z / 2, lat)
+    if np.min(np.abs(th1h)) < _POLE_TOL:
+        raise PoleProximity("theta1(z/2) too close to zero")
+    return z, slope, th1h
+
+
+def gamma_hat(u, w, fam: Family):
     """Limit curve: linear term + 2i td(0)^2 th1'(z/2) / (th1'(0)^2 th1(z/2)).
 
     u and w may be arrays that broadcast.
     The linear term vanishes exactly when td''(0) = 0, i.e. on the rhombic
     lattice at lambda0, making the curves 2*pi-periodic.
     """
-    _check_w(w, lat, mirrored=True)
-    i = _den_index(lat)
-    z = np.asarray(u, dtype=complex) + 1j * w
-    t1p0 = theta_grid(1, 0.0, lat, 1)
-    lin = -1j * theta_grid(i, 0.0, lat, 2) * theta_grid(i, 0.0, lat) / t1p0 ** 2 * z
-    th1h = theta_grid(1, z / 2, lat)
-    if np.min(np.abs(th1h)) < _POLE_TOL:
-        raise PoleProximity("theta1(z/2) too close to zero")
-    main = 2j * theta_grid(i, 0.0, lat) ** 2 * theta_grid(1, z / 2, lat, 1) / (
-        t1p0 ** 2 * th1h)
-    val = lin + main
+    z, slope, th1h = _limit_parts(u, w, fam)
+    val = slope * z + 2j * fam.td ** 2 * theta_grid(1, z / 2, fam.lattice, 1) / (
+        fam.t1p0 ** 2 * th1h)
     return complex(val) if np.isscalar(u) else val
 
 
-def gamma_hat_u(u, w, lat: Lattice):
+def gamma_hat_u(u, w, fam: Family):
     """d(gamma_hat)/du by theta log-derivatives (the linear slope plus the
     derivative of th1'(z/2)/th1(z/2)); u and w broadcast."""
-    _check_w(w, lat, mirrored=True)
-    i = _den_index(lat)
-    z = np.asarray(u, dtype=complex) + 1j * w
-    t1p0 = theta_grid(1, 0.0, lat, 1)
-    slope = -1j * theta_grid(i, 0.0, lat, 2) * theta_grid(i, 0.0, lat) / t1p0 ** 2
-    th1h = theta_grid(1, z / 2, lat)
-    if np.min(np.abs(th1h)) < _POLE_TOL:
-        raise PoleProximity("theta1(z/2) too close to zero")
+    z, slope, th1h = _limit_parts(u, w, fam)
+    lat = fam.lattice
     dd = (theta_grid(1, z / 2, lat, 2) * th1h - theta_grid(1, z / 2, lat, 1) ** 2) / th1h ** 2
-    val = slope + 1j * theta_grid(i, 0.0, lat) ** 2 / t1p0 ** 2 * dd
+    val = slope + 1j * fam.td ** 2 / fam.t1p0 ** 2 * dd
     return complex(val) if np.isscalar(u) else val
 
 
-def w_hat(w, lat: Lattice):
+def w_hat(w, fam: Family):
     """W^(w) = i th1'(0) td(iw) / (2 td(0) th1(iw)), real; w a number or array."""
+    lat, i = fam.lattice, fam.den
     _check_w(w, lat)
-    i = _den_index(lat)
-    val = (1j * theta_grid(1, 0.0, lat, 1) * theta_grid(i, 1j * w, lat)
-           / (2 * theta_grid(i, 0.0, lat) * theta_grid(1, 1j * w, lat)))
+    val = (1j * fam.t1p0 * theta_grid(i, 1j * w, lat)
+           / (2 * fam.td * theta_grid(1, 1j * w, lat)))
     return _real(val, "W^(w)")
 
 
-def limit_d(w, lat: Lattice):
+def limit_d(w, fam: Family):
     """d(w) = td'(iw)/td(iw) - i w td''(0)/td(0); purely imaginary on rhombic."""
+    lat, i = fam.lattice, fam.den
     _check_w(w, lat)
-    i = _den_index(lat)
     val = (theta_grid(i, 1j * w, lat, 1) / theta_grid(i, 1j * w, lat)
-           - 1j * w * theta_grid(i, 0.0, lat, 2) / theta_grid(i, 0.0, lat))
+           - 1j * w * theta_grid(i, 0.0, lat, 2) / fam.td)
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def limit_r(w, lat: Lattice):
+def limit_r(w, fam: Family):
     """r(w) = td(0) td(iw) / (th1'(0) th1(iw)) * d(w), real; w a number or array."""
+    lat, i = fam.lattice, fam.den
     _check_w(w, lat)
-    i = _den_index(lat)
-    val = (theta_grid(i, 0.0, lat) * theta_grid(i, 1j * w, lat)
-           / (theta_grid(1, 0.0, lat, 1) * theta_grid(1, 1j * w, lat))
-           * limit_d(w, lat))
+    val = (fam.td * theta_grid(i, 1j * w, lat)
+           / (fam.t1p0 * theta_grid(1, 1j * w, lat))
+           * limit_d(w, fam))
     return _real(val, "r(w)")

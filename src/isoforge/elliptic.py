@@ -1,4 +1,8 @@
-"""Special lattice parameters and the Lame/Riccati coefficient functions.
+"""The curve family's parameters and the Lame/Riccati coefficient functions.
+
+A `Family` -- a lattice, omega and the mode that chose omega -- is what
+every formula of the package takes.  Its constants (theta values, the Lame
+constant C1, R(omega), Q3) are computed on first use and cached on it.
 
 On a rhombic lattice tau = 1/2 + i*lambda the building blocks are
 
@@ -23,32 +27,102 @@ amplitude -- all go through `brentq` below, Brent's bracketed method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NoBracket, NoCriticalOmega, PoleProximity, InvalidLattice
+from .errors import (InvalidLattice, NoBracket, NoCriticalOmega, PoleProximity,
+                     SpecInvalid)
 from .theta import Lattice, rhombic, theta_grid
 
 _REAL_TOL = 1e-9
 _BRENT_MAXITER = 100
 
 
-def _real(z, what: str):
-    """Re z, a float for a number; refuses Im z above _REAL_TOL max(1, |z|)."""
+def _real(z, what: str, error=ArithmeticError):
+    """Re z, a float for a number; raises error for Im z above
+    _REAL_TOL max(1, |z|)."""
     z = np.asarray(z, dtype=complex)
     bad = np.abs(z.imag) > _REAL_TOL * np.maximum(1.0, np.abs(z))
     if np.any(bad):
-        raise ArithmeticError(f"{what} should be real, got {z[bad].flat[0]}")
+        raise error(f"{what} should be real, got {z[bad].flat[0]}")
     return float(z.real) if z.ndim == 0 else z.real
 
 
 @dataclass(frozen=True)
-class CriticalParams:
-    """Rhombic lattice together with the critical omega (zero of theta2')."""
+class Family:
+    """A lattice, omega and the mode that chose omega.
+
+    mode is "critical" (omega is the zero of theta2' on a rhombic lattice,
+    from `solve_critical_omega`; the curves close), "explicit" (omega given,
+    in (0, pi/2)) or "limit" (omega = 0: the cylinder-tangent limit
+    surface).  A mode or omega outside these raises SpecInvalid.  td is the
+    companion theta: theta2 on rhombic, theta4 on rectangular lattices.
+    """
 
     lattice: Lattice
     omega: float
-    residual: float
+    mode: str
+
+    def __post_init__(self):
+        if self.mode not in ("critical", "explicit", "limit"):
+            raise SpecInvalid(f"unknown family mode {self.mode!r}")
+        if self.mode == "explicit" and not 0 < self.omega < np.pi / 2:
+            raise SpecInvalid(f"explicit omega must lie in (0, pi/2), "
+                              f"got {self.omega}")
+        if self.mode == "limit" and self.omega != 0:
+            raise SpecInvalid(f"the limit family has omega = 0, got {self.omega}")
+
+    @cached_property
+    def den(self) -> int:
+        """Index of td: 2 on rhombic, 4 on rectangular lattices."""
+        return 2 if self.lattice.kind == "rhombic" else 4
+
+    @cached_property
+    def t1p0(self):
+        """theta1'(0)."""
+        return theta_grid(1, 0.0, self.lattice, 1)
+
+    @cached_property
+    def td(self):
+        """td(omega)."""
+        return theta_grid(self.den, self.omega, self.lattice)
+
+    @cached_property
+    def c(self) -> complex:
+        """c = td'(omega)/td(omega), zero (to roundoff) at the critical omega."""
+        return complex(theta_grid(self.den, self.omega, self.lattice, 1)
+                       / self.td)
+
+    @cached_property
+    def C1(self) -> float:
+        """The Lame constant: the closed form at the critical omega, else
+        recovered from the Lame equation at a probe point."""
+        if self.mode == "critical":
+            return c1_at_critical(self)
+        return lame_c1(self)
+
+    @cached_property
+    def R(self) -> float:
+        """R(omega), by `radius`."""
+        return radius(self)
+
+    @cached_property
+    def q3(self) -> "CubicQ3":
+        """Q3(s) = 2U1'(w)s^3 - U2(w)s^2 - 2U'(w)s - U(w)^2 with its roots."""
+        lat, w = self.lattice, self.omega
+        at = coeffs_at_omega(self)
+        r1 = complex(theta_grid(1, w, lat) ** 2 / theta_grid(2, 0.0, lat) ** 2)
+        r2 = complex(theta_grid(3, w, lat) ** 2 / theta_grid(4, 0.0, lat) ** 2)
+        r3 = complex(theta_grid(4, w, lat) ** 2 / theta_grid(3, 0.0, lat) ** 2)
+        roots = tuple(sorted((r1, r2, r3), key=lambda z: (z.real, z.imag)))
+        return CubicQ3(c3=2 * at.U1prime, c2=-at.U2, c1=-2 * at.Uprime,
+                       c0=-at.U ** 2, roots=roots)
+
+    @cached_property
+    def residual(self) -> float:
+        """|td'(omega)|: roundoff at the critical omega."""
+        return float(abs(theta_grid(self.den, self.omega, self.lattice, 1)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +244,7 @@ def solve_lambda0(lo: float = 0.1, hi: float = 0.6) -> float:
     return brentq(theta2_logdd0, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> CriticalParams:
+def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> Family:
     """The unique omega in (0, pi/4) with theta2'(omega | tau) = 0.
 
     Exists iff lambda < lambda0; otherwise NoCriticalOmega is raised.
@@ -198,31 +272,28 @@ def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> CriticalParam
         if abs(d1) < 1e-13:
             break
         omega -= (d1 / theta_grid(2, omega, lat, 2)).real
-    residual = float(abs(theta_grid(2, omega, lat, 1)))
-    return CriticalParams(lattice=lat, omega=float(omega), residual=residual)
+    return Family(lat, float(omega), "critical")
 
 
 # ---------------------------------------------------------------------------
 # coefficient functions U, U1, U2
 
 
-def _uu1_complex(u, lat: Lattice, omega: float):
+def _uu1_complex(u, fam: Family):
     """Complex-valued (U, U', U1, U1') at u, general omega (exponential factors kept).
 
-    u may be an array.  The denominator theta is theta2 on rhombic lattices
-    and theta4 on rectangular ones (the real reductions of the same complex
-    formula).
+    u may be an array.  The denominator theta is td (the real reductions of
+    the same complex formula).
     """
-    i = 2 if lat.kind == "rhombic" else 4
+    lat, omega, i = fam.lattice, fam.omega, fam.den
     t2u = theta_grid(i, u, lat)
     if np.any(np.abs(t2u) < 1e-8):
         k = np.argmin(np.abs(t2u))
         raise PoleProximity(f"theta{i}({np.ravel(u)[k]}) = {np.ravel(t2u)[k]} "
                             "too close to zero")
     t2pu = theta_grid(i, u, lat, 1)
-    t2w = theta_grid(i, omega, lat)
-    k = -theta_grid(1, 0.0, lat, 1) / (2 * t2w)
-    c = theta_grid(i, omega, lat, 1) / t2w
+    k = -fam.t1p0 / (2 * fam.td)
+    c = fam.c
 
     t1p, t1pd = theta_grid(1, u + omega, lat), theta_grid(1, u + omega, lat, 1)
     t1m, t1md = theta_grid(1, u - omega, lat), theta_grid(1, u - omega, lat, 1)
@@ -235,59 +306,36 @@ def _uu1_complex(u, lat: Lattice, omega: float):
     return U, Up, U1, U1p
 
 
-def c1_at_critical(crit: CriticalParams) -> float:
+def c1_at_critical(fam: Family) -> float:
     """The Lame constant C1 = U2(omega), via the closed form at critical omega."""
-    lat, w = crit.lattice, crit.omega
-    t1p0 = theta_grid(1, 0.0, lat, 1)
-    t2w = theta_grid(2, w, lat)
+    lat, w = fam.lattice, fam.omega
     s = (theta_grid(1, w, lat) ** 2 / theta_grid(2, 0.0, lat) ** 2
          + theta_grid(4, w, lat) ** 2 / theta_grid(3, 0.0, lat) ** 2
          + theta_grid(3, w, lat) ** 2 / theta_grid(4, 0.0, lat) ** 2)
-    return _real(t1p0 ** 2 / t2w ** 2 * s, "U2(omega)")
+    return _real(fam.t1p0 ** 2 / fam.td ** 2 * s, "U2(omega)")
 
 
-def lame_c1(lat: Lattice, omega: float, u_probe: float = 0.31) -> float:
+def lame_c1(fam: Family, u_probe: float = 0.31) -> float:
     """C1 recovered from the Lame equation U''/U = C1 - 8 U U1 at a probe point.
 
     Works for any omega; used to cross-check the closed form at critical omega.
     U'' is taken by central differences of the analytic U'.
     """
     h = 1e-5
-    u = omega + u_probe
-    U, Up, U1, _ = _uu1_complex(u, lat, omega)
-    _, up_p, _, _ = _uu1_complex(u + h, lat, omega)
-    _, up_m, _, _ = _uu1_complex(u - h, lat, omega)
+    u = fam.omega + u_probe
+    U, Up, U1, _ = _uu1_complex(u, fam)
+    _, up_p, _, _ = _uu1_complex(u + h, fam)
+    _, up_m, _, _ = _uu1_complex(u - h, fam)
     upp = (up_p - up_m) / (2 * h)
     return _real(upp / U + 8 * U * U1, "Lame constant C1")
 
 
-def lame_constant(crit) -> float:
-    """The Lame constant C1 of critical rhombic parameters (closed form) or
-    of a general lattice + omega (recovered from the Lame equation at a
-    probe point)."""
-    if hasattr(crit, "residual"):
-        return c1_at_critical(crit)
-    return lame_c1(crit.lattice, crit.omega)
-
-
-def coeffs(u, crit) -> CoeffSample:
-    """(U, U1, U2, U', U1') at real u, a number or an array.
-
-    Accepts critical rhombic parameters (closed-form Lame constant) or a
-    general lattice + omega (constant recovered from the Lame equation at
-    a probe point).
-    """
-    return coeffs_with_c1(u, crit, lame_constant(crit))
-
-
-def coeffs_with_c1(u, crit, c1: float) -> CoeffSample:
-    """coeffs(u, crit) given its Lame constant c1 = lame_constant(crit).
-
-    Callers that need many u compute C1 once and pass it here, or pass an
-    array u: the fields then are arrays of its shape.
-    """
-    U, Up, U1, U1p = _uu1_complex(u, crit.lattice, crit.omega)
-    U2 = c1 - 6 * U * U1
+def coeffs(u, fam: Family) -> CoeffSample:
+    """(U, U1, U2, U', U1') at real u, a number or an array (then the
+    fields are arrays of its shape); U2 = C1 - 6 U U1 with the family's
+    cached Lame constant."""
+    U, Up, U1, U1p = _uu1_complex(u, fam)
+    U2 = fam.C1 - 6 * U * U1
     return CoeffSample(
         u=u,
         U=_real(U, "U"),
@@ -298,44 +346,24 @@ def coeffs_with_c1(u, crit, c1: float) -> CoeffSample:
     )
 
 
-def radius(crit: CriticalParams) -> float:
-    """R(omega) = 2 theta2(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega)."""
-    lat, w = crit.lattice, crit.omega
-    r = 2 * theta_grid(2, w, lat) ** 2 / (theta_grid(1, 0.0, lat, 1)
-                                          * theta_grid(1, 2 * w, lat))
+def radius(fam: Family) -> float:
+    """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega)."""
+    r = 2 * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
     return _real(r, "R(omega)")
 
 
-def coeffs_at_omega(crit: CriticalParams) -> CoeffSample:
-    """Closed forms of the coefficient data at u = omega."""
-    lat, w = crit.lattice, crit.omega
-    t1p0 = theta_grid(1, 0.0, lat, 1)
-    t2w2 = theta_grid(2, w, lat) ** 2
+def coeffs_at_omega(fam: Family) -> CoeffSample:
+    """Closed forms of the coefficient data at u = omega (critical omega)."""
+    lat, w = fam.lattice, fam.omega
+    t1p0 = fam.t1p0
+    t2w2 = fam.td ** 2
     U = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat) / t2w2, "U(omega)")
     Up = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat, 1) / t2w2, "U'(omega)")
     U1p = _real(0.5 * t1p0 ** 2 / t2w2, "U1'(omega)")
-    return CoeffSample(u=w, U=U, U1=0.0, U2=c1_at_critical(crit),
-                       Uprime=Up, U1prime=U1p)
+    return CoeffSample(u=w, U=U, U1=0.0, U2=fam.C1, Uprime=Up, U1prime=U1p)
 
 
-def q3(crit: CriticalParams) -> CubicQ3:
-    """The cubic Q3(s) = 2U1'(w)s^3 - U2(w)s^2 - 2U'(w)s - U(w)^2 with its roots."""
-    lat, w = crit.lattice, crit.omega
-    at = coeffs_at_omega(crit)
-    r1 = complex(theta_grid(1, w, lat) ** 2 / theta_grid(2, 0.0, lat) ** 2)
-    r2 = complex(theta_grid(3, w, lat) ** 2 / theta_grid(4, 0.0, lat) ** 2)
-    r3 = complex(theta_grid(4, w, lat) ** 2 / theta_grid(3, 0.0, lat) ** 2)
-    roots = tuple(sorted((r1, r2, r3), key=lambda z: (z.real, z.imag)))
-    return CubicQ3(
-        c3=2 * at.U1prime,
-        c2=-at.U2,
-        c1=-2 * at.Uprime,
-        c0=-at.U ** 2,
-        roots=roots,
-    )
-
-
-def g2g3(u0: float, crit: CriticalParams):
+def g2g3(u0: float, fam: Family):
     """Weierstrass invariants of the quartic governing the planar u-curves.
 
     y^2 = -U1(u0)^2 x^4 + 2U1'(u0) x^3 - U2(u0) x^2 - 2U'(u0) x - U(u0)^2,
@@ -344,7 +372,7 @@ def g2g3(u0: float, crit: CriticalParams):
     g3 = c0 c2 c4 + 2 c1 c2 c3 - c2^3 - c0 c3^2 - c1^2 c4.
     Independent of u0.
     """
-    s = coeffs(u0, crit)
+    s = coeffs(u0, fam)
     c0, c1, c2, c3, c4 = (-s.U1 ** 2, s.U1prime / 2, -s.U2 / 6, -s.Uprime / 2, -s.U ** 2)
     g2 = c0 * c4 - 4 * c1 * c3 + 3 * c2 ** 2
     g3 = c0 * c2 * c4 + 2 * c1 * c2 * c3 - c2 ** 3 - c0 * c3 ** 2 - c1 ** 2 * c4

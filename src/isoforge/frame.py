@@ -19,7 +19,7 @@ A, each is checked against the product of its two half steps, the rejected
 ones are halved for the next round, and an ordered product of the accepted
 propagators gives Y at the output nodes.
 
-Two algebras carry the method.  `Quaternions`: A is an imaginary
+Two algebras carry the method.  `UnitQuaternions`: A is an imaginary
 quaternion, [x, y] = 2 x cross y, and exp(Omega) = cos|Omega| +
 sin|Omega| Omega/|Omega| is a unit quaternion, so Phi stays on the sphere
 without projection.  `Matrices2` (the phi-system through its symmetric
@@ -37,7 +37,7 @@ import numpy as np
 from . import curvefamily, reparam
 from .elliptic import brentq
 from .errors import DegenerateRotation, NoBracket, SpecInvalid, StepFailure
-from .quat import Quaternion, Vec3, cross, qmul, qsandwich
+from .quat import cross, qmul, qsandwich
 from .reparam import ReparamSpec
 
 
@@ -50,8 +50,8 @@ class FrameTrajectory:
 
 @dataclass(frozen=True)
 class Monodromy:
-    M: Quaternion
-    axis: Vec3
+    M: np.ndarray      # (4,) unit quaternion, scalar part >= 0
+    axis: np.ndarray   # (3,) unit vector
     theta: float
 
 
@@ -72,7 +72,7 @@ def generator(spec: ReparamSpec, fam):
     return a_of_v
 
 
-class Quaternions:
+class UnitQuaternions:
     """Imaginary quaternions (..., 3) and the unit quaternions (..., 4)."""
 
     one = np.array([1.0, 0.0, 0.0, 0.0])
@@ -236,16 +236,17 @@ def integrate(spec: ReparamSpec, fam, periods: int = 1,
     else:
         nodes = np.linspace(0.0, periods * spec.period, periods * n_per_period + 1)
     a_of_v = generator(spec, fam)
-    phi, stats = _magnus_solve(lambda v: a_of_v(v)[..., 1:], Quaternions,
+    phi, stats = _magnus_solve(lambda v: a_of_v(v)[..., 1:], UnitQuaternions,
                                nodes, spec.period / 128, step_tol)
     drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
     stats["prenorm_drift"] = float(drift)
     return FrameTrajectory(v=nodes, phi=phi, stats=stats)
 
 
-def monodromy(traj: FrameTrajectory) -> Monodromy:
-    """M = Phi(0)^{-1} Phi(V) with angle folded into [0, pi]."""
-    m = traj.phi[-1].copy()
+def monodromy(phi_end) -> Monodromy:
+    """M = Phi(0)^{-1} Phi(V) from phi_end = Phi(V) (Phi(0) = 1), with the
+    angle folded into [0, pi]."""
+    m = np.array(phi_end, dtype=float)
     if m[0] < 0:  # quaternion double cover: canonicalize scalar part >= 0
         m = -m
     theta = 2.0 * np.arccos(np.clip(m[0], -1.0, 1.0))
@@ -253,8 +254,7 @@ def monodromy(traj: FrameTrajectory) -> Monodromy:
         raise DegenerateRotation(
             "monodromy is the identity: the piece closes after one period")
     axis = m[1:] / np.linalg.norm(m[1:])
-    return Monodromy(M=Quaternion.from_array(m), axis=Vec3.from_array(axis),
-                     theta=float(theta))
+    return Monodromy(M=m, axis=axis, theta=float(theta))
 
 
 def extend_by_rotation(piece, mono: Monodromy, k: int):
@@ -265,7 +265,6 @@ def extend_by_rotation(piece, mono: Monodromy, k: int):
     """
     if k <= 1:
         return piece
-    m = mono.M.array()
     v0 = np.asarray(piece.v, dtype=float)
     period = v0[-1] - v0[0]
     vs = [v0]
@@ -274,7 +273,7 @@ def extend_by_rotation(piece, mono: Monodromy, k: int):
     eh = [np.asarray(piece.expH, dtype=float)]
     q = np.array([1.0, 0.0, 0.0, 0.0])
     for j in range(1, k):
-        q = qmul(q, m)
+        q = qmul(q, mono.M)
         vs.append(v0[1:] + j * period)
         for name in fields:
             fields[name].append(qsandwich(q, fields[name][0][:, 1:, :]))
@@ -309,7 +308,7 @@ def close_torus(template, fam, target_angle: float,
         spec = template(amp)
         traj = integrate(spec, fam, periods=1, n_per_period=8,
                          step_tol=step_tol)
-        return monodromy(traj).theta
+        return monodromy(traj.phi[-1]).theta
 
     amps = np.linspace(lo, hi, n_scan)
     vals = np.array([theta_of(a) - target_angle for a in amps])

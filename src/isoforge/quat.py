@@ -4,21 +4,17 @@ Hamilton convention: i*j = k, j*k = i, k*i = j, i^2 = j^2 = k^2 = -1.
 A complex number z = a + b*i acts on the j,k-plane via z*j = a*j + b*k,
 and z*j = j*conj(z).
 
-Array helpers operate on trailing axes: quaternions are (..., 4) in
-(w, x, y, z) order, vectors (..., 3) in (i, j, k) components.  They broadcast,
-which is what the surface assembly uses; the scalar dataclass API wraps them.
+Every function operates on trailing axes: quaternions are (..., 4) arrays
+in (w, x, y, z) order, vectors (..., 3) in (i, j, k) components.  They
+broadcast, which is what the surface assembly uses; a single quaternion is
+a (4,) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroQuaternion
-
-# ---------------------------------------------------------------------------
-# array core
 
 
 def cross(a, b):
@@ -109,73 +105,3 @@ def cj(z):
     """(a + b i) j = a j + b k as a vector array; z complex array -> (..., 3)."""
     z = np.asarray(z, dtype=complex)
     return np.stack([np.zeros(z.shape), z.real, z.imag], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# scalar API
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @staticmethod
-    def one() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        return Quaternion(*(float(c) for c in np.asarray(a, dtype=float)))
-
-    def array(self):
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return float(np.sqrt(qnorm2(self.array())))
-
-    def inverse(self) -> "Quaternion":
-        return Quaternion.from_array(qinv(self.array()))
-
-    def normalized(self) -> "Quaternion":
-        return Quaternion.from_array(qnormalize(self.array()))
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return mul(self, other)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
-
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        return Vec3(*(float(c) for c in np.asarray(a, dtype=float)))
-
-    def array(self):
-        return np.array([self.x, self.y, self.z])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array()))
-
-
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return Quaternion.from_array(qmul(a.array(), b.array()))
-
-
-def embed_cj(z: complex) -> Vec3:
-    return Vec3.from_array(cj(complex(z))[()])
-
-
-def sandwich(q: Quaternion, X: Vec3) -> Vec3:
-    return Vec3.from_array(qsandwich(q.array(), X.array()))

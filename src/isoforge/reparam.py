@@ -32,11 +32,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import CriticalParams, brentq, gauss_legendre, q3
+from .elliptic import _REAL_TOL, Family, _real, brentq, gauss_legendre
 from .errors import DegenerateFit, DomainW, NoOscillation, SingularRoot, SpecInvalid
 from .theta import theta_grid
-
-_REAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def require_admissible(spec: ReparamSpec, lat) -> None:
 # the elliptic-curve coordinate s(w) = e^{-h(omega, w)}
 
 
-def s_of_w(w, crit: CriticalParams):
+def s_of_w(w, crit: Family):
     """s(w) = th2(om)^2/th2(0)^2 * (th1(om)^2/th2(om)^2 - th1(iw/2)^2/th2(iw/2)^2).
 
     Monotone increasing on (0, 2 pi lam), from the real root of Q3 at w -> 0
@@ -170,17 +168,14 @@ def s_of_w(w, crit: CriticalParams):
     top = 2 * np.pi * lat.lam
     if np.any(warr <= 0) or np.any(warr >= top):
         raise DomainW(f"w must lie in the open band (0, {top:.6g})")
-    t2om = theta_grid(2, om, lat)
+    t2om = crit.td
     t20 = theta_grid(2, 0.0, lat)
     ratio = theta_grid(1, 0.5j * warr, lat) / theta_grid(2, 0.5j * warr, lat)
     val = t2om ** 2 / t20 ** 2 * (theta_grid(1, om, lat) ** 2 / t2om ** 2 - ratio ** 2)
-    out = np.real(val)
-    if np.max(np.abs(np.imag(val))) > _REAL_TOL * max(1.0, np.max(np.abs(out))):
-        raise ArithmeticError("s(w) should be real")
-    return float(out) if np.isscalar(w) else out
+    return _real(val, "s(w)")
 
 
-def _w_of_s(starget: float, crit: CriticalParams) -> float:
+def _w_of_s(starget: float, crit: Family) -> float:
     """Invert the monotone map s(w) by bracketed root finding."""
     top = 2 * np.pi * crit.lattice.lam
     # stay away from the band ends: theta2(i w / 2) vanishes at the top, and
@@ -226,14 +221,7 @@ def cubic_hermite(x, y, dydx):
     return evaluate
 
 
-def _real_scalar(z, what: str) -> float:
-    z = complex(z)
-    if abs(z.imag) > _REAL_TOL * max(1.0, abs(z)):
-        raise SpecInvalid(f"{what} must be real, got {z}")
-    return z.real
-
-
-def build_spherical(spec: SphericalSpec, crit: CriticalParams,
+def build_spherical(spec: SphericalSpec, crit: Family,
                     n_panels: int = 1600) -> ReparamSpec:
     """Construct the periodic w(v) with spherical v-curvature lines.
 
@@ -247,12 +235,12 @@ def build_spherical(spec: SphericalSpec, crit: CriticalParams,
     if delta == 0.0:
         raise SpecInvalid("delta must be nonzero")
     s1, s2 = complex(spec.s1), complex(spec.s2)
-    e1 = _real_scalar(s1 + s2, "s1 + s2")
-    e2 = _real_scalar(s1 * s2, "s1 * s2")
+    e1 = _real(s1 + s2, "s1 + s2", SpecInvalid)
+    e2 = _real(s1 * s2, "s1 * s2", SpecInvalid)
     if abs(s1.imag) > _REAL_TOL and abs(s2 - np.conj(s1)) > 1e-12 * max(1.0, abs(s1)):
         raise SpecInvalid("s1, s2 must be both real or a conjugate pair")
 
-    cub = q3(crit)
+    cub = crit.q3
     q3_coeffs = np.array([cub.c3, cub.c2, cub.c1, cub.c0])
     pair = np.array([1.0, -e1, e2])  # (s - s1)(s - s2)
     qcoef = delta ** 2 * np.concatenate([[0.0], q3_coeffs]) - np.polymul(pair, pair)

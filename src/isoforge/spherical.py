@@ -125,10 +125,9 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
                             "pole-free interval of the phi-system around omega")
     om = crit.omega
     y0 = np.array([1.0, -e1, e2]) / delta
-    c1 = elliptic.lame_constant(crit)
 
     def x_of_u(u):
-        c = elliptic.coeffs_with_c1(u, crit, c1)
+        c = elliptic.coeffs(u, crit)
         x = np.zeros(np.shape(u) + (2, 2))
         x[..., 0, 1], x[..., 1, 0] = -c.U1, c.U
         return x
@@ -284,8 +283,7 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     delta, e1, e2 = _elementary(sph)
     rspec = surf.recipe.spec
     fam = surf.recipe.fam
-    om = crit.omega
-    R = elliptic.radius(crit)
+    om, R = crit.omega, crit.R
     co = elliptic.coeffs_at_omega(crit)
     beta_prime = R ** 2 * (co.Uprime + e2 * co.U1prime)
     norm_sq = (R ** 2 * (2 * e1 * co.U1prime + delta ** 2 * co.U1prime ** 2

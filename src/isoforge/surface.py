@@ -12,10 +12,11 @@ a (u, v) grid in blocks of whole v columns of at most _BLOCK_POINTS points:
 one broadcast call per closed form on u[:, None] x w[None, block], so the
 theta temporaries stay bounded, and the frame acts through one 3x3 rotation
 matrix per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
-Phi^{-1} j Phi and Phi^{-1} k Phi).  The omega -> 0 limit surface
-(planes tangent to a cylinder) is assembled from the limit data gamma_hat,
-W_hat, r; its rotation e^{-2ia(v)} and translation T(v) solve a linear 2x2
-system, integrated by the frame module's Magnus solver.
+Phi^{-1} j Phi and Phi^{-1} k Phi).  A recipe whose family has mode
+"limit" builds the omega -> 0 limit surface (planes tangent to a cylinder)
+instead, assembled from the limit data gamma_hat, W_hat, r; its rotation
+e^{-2ia(v)} and translation T(v) solve a linear 2x2 system, integrated by
+the frame module's Magnus solver.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
@@ -30,19 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvefamily, frame, reparam
-from .elliptic import coeffs, gauss_legendre
+from .elliptic import Family, coeffs, gauss_legendre
 from .quat import qrotation
 from .reparam import ReparamSpec
 
 
 @dataclass(frozen=True)
 class SurfaceRecipe:
-    fam: object              # CriticalParams / FamilyParams, or a Lattice (limit)
+    fam: Family              # its mode "limit" selects the limit surface
     spec: ReparamSpec
     nu: int = 128
     nv: int = 128            # v samples per period
     periods: int = 1
-    limit: bool = False
     step_tol: float = 1e-12
 
 
@@ -74,7 +74,7 @@ def _plane_vectors(spec: ReparamSpec, v):
             np.asarray(spec.signed_root(v), dtype=float))
 
 
-def fields_at(fam, spec: ReparamSpec, u, v, phi):
+def fields_at(fam: Family, spec: ReparamSpec, u, v, phi):
     """Closed-form immersion fields on the tensor grid u x v.
 
     phi must hold the frame at the nodes of v, shape (len(v), 4).
@@ -109,7 +109,7 @@ def fields_at(fam, spec: ReparamSpec, u, v, phi):
 
 def build(recipe: SurfaceRecipe) -> SampledSurface:
     """Sample the immersion on a (u, v) grid with its frame fields."""
-    if recipe.limit:
+    if recipe.fam.mode == "limit":
         return build_limit(recipe)
     spec, fam = recipe.spec, recipe.fam
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
@@ -140,7 +140,7 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
 # the omega -> 0 limit surface (planes tangent to a cylinder)
 
 
-def _limit_frame_arrays(lat, spec: ReparamSpec, v, step_tol=1e-12):
+def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v, step_tol=1e-12):
     """E = e^{-2ia(v)} (the rotation) and T(v) = T_x + i T_y (the translation)
     of the limit immersion at the nodes v.
 
@@ -152,8 +152,8 @@ def _limit_frame_arrays(lat, spec: ReparamSpec, v, step_tol=1e-12):
     def a_of_v(vv):
         w, _, root = _plane_vectors(spec, vv)
         y = np.zeros(np.shape(vv) + (2, 2), dtype=complex)
-        y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, lat)
-        y[..., 1, 0] = root * curvefamily.limit_r(w, lat)
+        y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, fam)
+        y[..., 1, 0] = root * curvefamily.limit_r(w, fam)
         return y
 
     y, _ = frame._magnus_solve(a_of_v, frame.Matrices2, v, spec.period / 128,
@@ -168,19 +168,18 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
     i e^{2 a k}; the planes of the u-curves stay tangent to a cylinder.
     An inadmissible spec raises SpecInvalid.
     """
-    lat = getattr(recipe.fam, "lattice", recipe.fam)
-    spec = recipe.spec
-    reparam.require_admissible(spec, lat)
+    fam, spec = recipe.fam, recipe.spec
+    reparam.require_admissible(spec, fam.lattice)
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
-    E, T = _limit_frame_arrays(lat, spec, v, recipe.step_tol)
+    E, T = _limit_frame_arrays(fam, spec, v, recipe.step_tol)
     w_arr, wp, root = _plane_vectors(spec, v)
-    gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], lat)
-    ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], lat)
+    gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], fam)
+    ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], fam)
     gv = 1j * wp * ghu
-    turn = root * (2 * curvefamily.w_hat(w_arr, lat) * gh.real
-                   + curvefamily.limit_r(w_arr, lat))
+    turn = root * (2 * curvefamily.w_hat(w_arr, fam) * gh.real
+                   + curvefamily.limit_r(w_arr, fam))
 
     def vec(g, plane):
         """Im(g) k plus the (i, j)-plane vector x + i y = plane, in which
@@ -340,14 +339,14 @@ class SymmetryReport:
     ok: bool
 
 
-def inversion_symmetry(s: SampledSurface, crit) -> SymmetryReport:
+def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     """Thm-5.7 involution: -R(omega)^2 f^{-1}(u,v) = f(2 omega - u, v).
 
     For imaginary quaternions f^{-1} = -f/|f|^2, so the left side is
     R^2 f / |f|^2.  Also checks the u = omega sphere and tangency there.
     """
     spec, fam = s.recipe.spec, crit
-    R = curvefamily.radius(fam)
+    R = fam.R
     shifted = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi)
     f = s.points
     inv = R ** 2 * f / np.sum(f * f, axis=-1, keepdims=True)

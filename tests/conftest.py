@@ -7,7 +7,7 @@ integrations are shared across test modules.
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, elliptic, reparam, surface, theta
+from isoforge import elliptic, reparam, surface, theta
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def crit2578(lat2578):
 @pytest.fixture(scope="session")
 def rect_fam():
     """Rectangular lattice family (never closes in u): lambda=0.9, omega=0.3."""
-    return curvefamily.FamilyParams(lattice=theta.rectangular(0.9), omega=0.3)
+    return elliptic.Family(theta.rectangular(0.9), 0.3, "explicit")
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +75,6 @@ def limit_spec(lam0):
 
 @pytest.fixture(scope="session")
 def limit_surf(lam0, limit_spec):
-    lat = theta.rhombic(lam0)
-    recipe = surface.SurfaceRecipe(fam=lat, spec=limit_spec, nu=48, nv=48,
-                                   limit=True)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
+    recipe = surface.SurfaceRecipe(fam=fam, spec=limit_spec, nu=48, nv=48)
     return surface.build(recipe)

@@ -73,7 +73,7 @@ def test_criterion_03_closure_and_negative_control():
         g1 = curvefamily.gamma(us + 2 * np.pi, float(w), crit)
         closure = max(closure, float(np.max(np.abs(g1 - g0))))
 
-    rect = curvefamily.FamilyParams(lattice=theta.rectangular(0.9), omega=0.3)
+    rect = elliptic.Family(theta.rectangular(0.9), 0.3, "explicit")
     rtop = 2 * np.pi * 0.9
     defect = 0.0
     ratio = np.inf
@@ -111,7 +111,7 @@ def test_criterion_04_pde_battery(acc_surf):
 
 
 def test_criterion_05_symmetry_involutions(acc_surf, crit032):
-    R = abs(curvefamily.radius(crit032))
+    R = abs(crit032.R)
     inv = surface.inversion_symmetry(acc_surf, crit032)
     dual = surface.dual_symmetry(acc_surf)
     ok = (inv.residuals["involution"] < 1e-8 * R
@@ -162,9 +162,9 @@ def test_criterion_08_frame_monodromy(acc_surf, crit032):
     traj = frame.integrate(spec, crit032, v_nodes=nodes)
     lut = {float(v): phi for v, phi in zip(traj.v, traj.phi)}
     mono = frame.monodromy(
-        frame.integrate(spec, crit032, v_nodes=np.array([0.0, V])))
+        frame.integrate(spec, crit032, v_nodes=np.array([0.0, V])).phi[-1])
     from isoforge import quat
-    m = mono.M.array()
+    m = mono.M
     quasi = 0.0
     for v in vs:
         lhs = lut[float(v + V)]
@@ -197,7 +197,7 @@ def test_criterion_09_torus_closing(crit032):
     angle_err = abs(achieved - target)
     piece = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=spec, nu=48, nv=48))
-    mono = frame.monodromy(frame.integrate(spec, crit032))
+    mono = frame.monodromy(frame.integrate(spec, crit032).phi[-1])
     torus = frame.extend_by_rotation(piece, mono, 3)
     gap = float(np.max(np.linalg.norm(
         torus.points[:, -1, :] - torus.points[:, 0, :], axis=-1)))
@@ -218,9 +218,9 @@ def test_criterion_10_spherical(sph_spec, sph_surf, crit032):
     ratio, _, _ = spherical.collinearity(samples)
     ax = spherical.axis(sph_spec, crit032, sph_surf)
     norm_rel = abs(ax.norm_sq_assembled - ax.norm_sq) / abs(ax.norm_sq)
-    mono = frame.monodromy(frame.integrate(sph_spec, crit032))
+    mono = frame.monodromy(frame.integrate(sph_spec, crit032).phi[-1])
     unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(unit, mono.axis.array()))
+    angle = float(spherical.angle(unit, mono.axis))
     angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
     ok = (fit < 1e-6 and ratio < 1e-6 and norm_rel < 1e-8 and angle < 1e-6)
     _report(10, "spherical second family", ok,
@@ -236,12 +236,12 @@ def test_criterion_11_g2_g3_invariance(crit032):
 
 
 def test_criterion_12_limit_surface(limit_surf, lam0):
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     spec = limit_surf.recipe.spec
     closure = 0.0
     for v in np.linspace(0.0, spec.period, 7):
         g = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]),
-                                  float(spec.w(v)), lat)
+                                  float(spec.w(v)), fam)
         closure = max(closure, float(abs(g[1] - g[0])))
     conf = limit_surf.diagnostics["conformality"]
     plan = surface.planarity_certificate(limit_surf)

@@ -353,7 +353,7 @@ def _obj_loop(path, surf):
 def test_write_obj_matches_loop(tmp_path, torus_surf, crit032, torus_spec):
     """Byte for byte the loop writer on a surface mesh and on the k = 3
     rotational extension close-torus writes."""
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032))
+    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
     torus = frame.extend_by_rotation(torus_surf, mono, 3)
     for surf in (torus_surf, torus):
         got = cli_mod.write_obj(tmp_path / "got.obj", surf)
@@ -471,6 +471,20 @@ def test_verify_inadmissible_spec_exits_2(tmp_path, monkeypatch, capsys):
     assert "|w'| reaches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0.0, -0.3, 2.0, float("nan")])
+def test_verify_explicit_omega_outside_range_exits_2(tmp_path, monkeypatch,
+                                                    capsys, value):
+    """An explicit omega must lie in (0, pi/2): outside it (or NaN, which
+    JSON configs may spell) the command exits 2 before building anything."""
+    cfg = _base_cfg(omega={"mode": "explicit", "value": value})
+    monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
+                                      _write(tmp_path, cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    assert "explicit omega must lie in (0, pi/2)" in capsys.readouterr().err
+
+
 def test_verify_inadmissible_limit_spec_exits_2(tmp_path, monkeypatch, capsys):
     """The limit surface validates its spec too: |w'| > 1 exits 2."""
     cfg = {
@@ -519,6 +533,21 @@ def test_spherical_command(tmp_path, sph_cfg_grid32):
         "sphere_fit", "collinearity", "cone_point_planes",
         "axis_unit", "axis_norm_sq", "axis_vs_monodromy"}
     assert abs(report["period_V"]) > 0
+
+
+def test_spherical_command_integrates_the_frame_once(tmp_path, monkeypatch,
+                                                     sph_cfg_grid32):
+    """The monodromy comes from the surface's frame at v = V: one frame
+    integration per spherical command."""
+    calls = []
+    integrate = frame.integrate
+    monkeypatch.setattr(frame, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    result = CliRunner().invoke(cli, [
+        "spherical", _write(tmp_path, sph_cfg_grid32),
+        "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="session")

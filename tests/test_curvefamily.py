@@ -23,7 +23,7 @@ def test_closure_at_critical_omega(crit032):
 
 
 def test_gamma_modulus_at_omega(crit032):
-    R = curvefamily.radius(crit032)
+    R = crit032.R
     for w in _random_w(crit032.lattice, 5):
         g = curvefamily.gamma(crit032.omega, float(w), crit032)
         assert abs(abs(g) - abs(R)) < 1e-10
@@ -58,7 +58,7 @@ def test_gamma_u_is_minus_i_gamma_w(crit032):
 
 
 def test_tangent_at_omega(crit032):
-    R = curvefamily.radius(crit032)
+    R = crit032.R
     for w in _random_w(crit032.lattice, 4):
         eis = curvefamily.exp_isigma(crit032.omega, float(w), crit032)
         g = curvefamily.gamma(crit032.omega, float(w), crit032)
@@ -200,10 +200,11 @@ def test_elastica_constants(crit032):
 
 def test_limit_curves_close_at_lambda0(lam0):
     lat = theta.rhombic(lam0)
+    fam = elliptic.Family(lat, 0.0, "limit")
     for w in _random_w(lat, 4):
         u = RNG.uniform(0, 2 * np.pi)
-        a = curvefamily.gamma_hat(u, float(w), lat)
-        b = curvefamily.gamma_hat(u + 2 * np.pi, float(w), lat)
+        a = curvefamily.gamma_hat(u, float(w), fam)
+        b = curvefamily.gamma_hat(u + 2 * np.pi, float(w), fam)
         assert abs(a - b) < 1e-10
 
 
@@ -211,28 +212,30 @@ def test_limit_period_defect_off_lambda0():
     """At lambda != lambda0 only the linear term is aperiodic; its period
     defect is -2 pi i theta2''(0) theta2(0) / theta1'(0)^2."""
     lat = theta.rhombic(0.32)
+    fam = elliptic.Family(lat, 0.0, "limit")
     want = (-2j * np.pi * theta.theta_grid(2, 0.0, lat, 2)
             * theta.theta_grid(2, 0.0, lat)
             / theta.theta_grid(1, 0.0, lat, 1) ** 2)
     w = 0.8
-    got = (curvefamily.gamma_hat(2 * np.pi + 0.3, w, lat)
-           - curvefamily.gamma_hat(0.3, w, lat))
+    got = (curvefamily.gamma_hat(2 * np.pi + 0.3, w, fam)
+           - curvefamily.gamma_hat(0.3, w, fam))
     assert abs(got - complex(want)) < 1e-10
 
 
 def test_limit_data_real_valued(lam0):
     lat = theta.rhombic(lam0)
+    fam = elliptic.Family(lat, 0.0, "limit")
     for w in _random_w(lat, 5):
         # W_hat and r are validated real inside; d is purely imaginary
-        d = curvefamily.limit_d(float(w), lat)
+        d = curvefamily.limit_d(float(w), fam)
         assert abs(d.real) < 1e-9 * max(1.0, abs(d))
-        assert np.isfinite(curvefamily.w_hat(float(w), lat))
-        assert np.isfinite(curvefamily.limit_r(float(w), lat))
+        assert np.isfinite(curvefamily.w_hat(float(w), fam))
+        assert np.isfinite(curvefamily.limit_r(float(w), fam))
 
 
 def test_limit_gamma_hat_u_vs_fd(lam0):
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     u, w, h = 1.1, 0.9, 1e-5
-    fd = (curvefamily.gamma_hat(u + h, w, lat)
-          - curvefamily.gamma_hat(u - h, w, lat)) / (2 * h)
-    assert abs(fd - curvefamily.gamma_hat_u(u, w, lat)) < 1e-8
+    fd = (curvefamily.gamma_hat(u + h, w, fam)
+          - curvefamily.gamma_hat(u - h, w, fam)) / (2 * h)
+    assert abs(fd - curvefamily.gamma_hat_u(u, w, fam)) < 1e-8

@@ -7,7 +7,7 @@ import pytest
 
 from isoforge import elliptic, theta
 from isoforge.errors import (InvalidLattice, IsoforgeError, NoBracket,
-                             NoCriticalOmega, PoleProximity)
+                             NoCriticalOmega, PoleProximity, SpecInvalid)
 
 LAMBDA0_REF = 0.354729892522
 
@@ -98,10 +98,36 @@ def test_lame_equation_by_finite_differences(crit032):
         assert abs(upp / s.U + 8 * s.U * s.U1 - c1) < 1e-7
 
 
+def test_family_refuses_unknown_mode_and_omega(lat032):
+    """A Family's mode is one of three, an explicit omega lies in (0, pi/2)
+    and the limit family has omega = 0; anything else is SpecInvalid."""
+    for omega, mode in ((0.3, "auto"), (0.0, "explicit"), (np.pi / 2, "explicit"),
+                        (np.inf, "explicit"), (np.nan, "explicit"),
+                        (0.3, "limit")):
+        with pytest.raises(SpecInvalid):
+            elliptic.Family(lat032, omega, mode)
+    assert elliptic.Family(lat032, 0.3, "explicit").omega == 0.3
+
+
+def test_family_constants_match_the_direct_formulas(crit032, rect_fam):
+    """The cached constants are the theta values they name, and the critical
+    C1 is the closed form while an explicit family's is the Lame probe."""
+    for fam in (crit032, rect_fam):
+        lat, om, i = fam.lattice, fam.omega, fam.den
+        assert fam.td == theta.theta_grid(i, om, lat)
+        assert fam.t1p0 == theta.theta_grid(1, 0.0, lat, 1)
+        assert fam.c == theta.theta_grid(i, om, lat, 1) / fam.td
+        assert fam.R == elliptic.radius(fam)
+    assert (crit032.den, rect_fam.den) == (2, 4)
+    assert crit032.C1 == elliptic.c1_at_critical(crit032)
+    assert rect_fam.C1 == elliptic.lame_c1(rect_fam)
+    assert crit032.residual < 1e-13
+
+
 def test_c1_two_routes(crit032):
     """Closed form at critical omega vs the Lame-equation probe recovery."""
     closed = elliptic.c1_at_critical(crit032)
-    probed = elliptic.lame_c1(crit032.lattice, crit032.omega)
+    probed = elliptic.lame_c1(crit032)
     assert abs(closed - probed) < 1e-8 * max(1.0, abs(closed))
 
 
@@ -122,7 +148,7 @@ def test_gauss_legendre_matches_leggauss():
 
 
 def test_q3_forms_agree(crit032):
-    cub = elliptic.q3(crit032)
+    cub = crit032.q3
     assert cub.c3 > 0
     rng = np.random.default_rng(7)
     for s in rng.uniform(-1.0, 2.0, 10):
@@ -135,7 +161,7 @@ def test_q3_forms_agree(crit032):
 
 def test_q3_root_structure(crit032):
     """One real root; the other two are a conjugate pair."""
-    roots = elliptic.q3(crit032).roots
+    roots = crit032.q3.roots
     real = [r for r in roots if abs(r.imag) < 1e-9]
     pairs = [r for r in roots if abs(r.imag) >= 1e-9]
     assert len(real) == 1 and len(pairs) == 2
@@ -164,13 +190,13 @@ def test_rectangular_has_no_critical_point():
 def test_general_omega_coefficients_satisfy_lame(rect_fam):
     """The non-critical path (exponential factors kept) still solves the
     Lame equation, on rectangular lattices too."""
-    lat, om = rect_fam.lattice, rect_fam.omega
-    c1 = elliptic.lame_c1(lat, om)
+    om = rect_fam.omega
+    c1 = elliptic.lame_c1(rect_fam)
     h = 1e-5
     for u in (om + 0.4, om + 0.9):
-        U, Up, U1, _ = elliptic._uu1_complex(u, lat, om)
-        upp = (elliptic._uu1_complex(u + h, lat, om)[1]
-               - elliptic._uu1_complex(u - h, lat, om)[1]) / (2 * h)
+        U, Up, U1, _ = elliptic._uu1_complex(u, rect_fam)
+        upp = (elliptic._uu1_complex(u + h, rect_fam)[1]
+               - elliptic._uu1_complex(u - h, rect_fam)[1]) / (2 * h)
         assert abs(upp / U + 8 * U * U1 - c1) < 1e-6
 
 

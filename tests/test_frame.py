@@ -96,7 +96,7 @@ def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
     errs = []
     for h in (V / 16, V / 32):
         _, err = frame._propagators(lambda v: a_of_v(v)[..., 1:],
-                                    frame.Quaternions, starts, starts + h)
+                                    frame.UnitQuaternions, starts, starts + h)
         errs.append(err)
     assert np.all(errs[1] > 1e-12)  # above roundoff
     assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
@@ -185,10 +185,10 @@ def test_monodromy_round_trip():
         traj = frame.FrameTrajectory(v=np.array([0.0, 1.0]),
                                      phi=np.array([[1, 0, 0, 0], m]),
                                      stats={})
-        mono = frame.monodromy(traj)
+        mono = frame.monodromy(traj.phi[-1])
         rebuilt = np.concatenate([[np.cos(mono.theta / 2)],
-                                  np.sin(mono.theta / 2) * mono.axis.array()])
-        assert np.max(np.abs(rebuilt - mono.M.array())) < 1e-12
+                                  np.sin(mono.theta / 2) * mono.axis])
+        assert np.max(np.abs(rebuilt - mono.M)) < 1e-12
         assert 0 <= mono.theta <= np.pi
 
 
@@ -196,16 +196,16 @@ def test_monodromy_known_rotation():
     m = np.array([np.cos(np.pi / 3), 0, 0, np.sin(np.pi / 3)])
     traj = frame.FrameTrajectory(v=np.array([0.0, 1.0]),
                                  phi=np.array([[1.0, 0, 0, 0], m]), stats={})
-    mono = frame.monodromy(traj)
+    mono = frame.monodromy(traj.phi[-1])
     assert abs(mono.theta - 2 * np.pi / 3) < 1e-14
-    assert np.allclose(mono.axis.array(), [0, 0, 1])
+    assert np.allclose(mono.axis, [0, 0, 1])
 
 
 def test_monodromy_identity_degenerate():
     traj = frame.FrameTrajectory(v=np.array([0.0, 1.0]),
                                  phi=np.array([[1.0, 0, 0, 0]] * 2), stats={})
     with pytest.raises(DegenerateRotation):
-        frame.monodromy(traj)
+        frame.monodromy(traj.phi[-1])
 
 
 def test_phi_quasi_periodicity(crit032, torus_spec):
@@ -216,8 +216,8 @@ def test_phi_quasi_periodicity(crit032, torus_spec):
     traj = frame.integrate(torus_spec, crit032, v_nodes=nodes)
     lut = {float(v): phi for v, phi in zip(traj.v, traj.phi)}
     mono = frame.monodromy(
-        frame.integrate(torus_spec, crit032, v_nodes=np.array([0.0, V])))
-    m = mono.M.array()
+        frame.integrate(torus_spec, crit032, v_nodes=np.array([0.0, V])).phi[-1])
+    m = mono.M
     for v in vs:
         lhs = lut[float(v + V)]
         rhs = quat.qmul(lut[float(v)], m)
@@ -236,16 +236,16 @@ def test_integrate_node_validation(crit032, torus_spec):
 def test_step_tol_controls_accuracy(crit032, torus_spec):
     """Tightening step_tol moves the monodromy toward a reference value."""
     ref = frame.monodromy(frame.integrate(torus_spec, crit032,
-                                          step_tol=1e-13)).M.array()
+                                          step_tol=1e-13).phi[-1]).M
     for tol in (1e-6, 1e-9):
         m = frame.monodromy(frame.integrate(torus_spec, crit032,
-                                            step_tol=tol)).M.array()
+                                            step_tol=tol).phi[-1]).M
         # errors stay under the requested tolerance (roundoff floor ~1e-13)
         assert np.max(np.abs(m - ref)) < max(tol, 1e-12)
 
 
 def test_extend_by_rotation_identity(torus_surf, crit032, torus_spec):
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032))
+    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
     same = frame.extend_by_rotation(torus_surf, mono, 1)
     assert same is torus_surf
 
@@ -254,7 +254,7 @@ def test_extend_matches_direct_two_periods(crit032, torus_spec):
     from isoforge import surface
     recipe = surface.SurfaceRecipe(fam=crit032, spec=torus_spec, nu=24, nv=24)
     piece = surface.build(recipe)
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032))
+    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
     extended = frame.extend_by_rotation(piece, mono, 2)
     direct = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=torus_spec, nu=24, nv=24, periods=2))

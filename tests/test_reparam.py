@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, elliptic, reparam
+from isoforge import curvefamily, reparam
 from isoforge.errors import DomainW, NoOscillation, SpecInvalid
 
 RNG = np.random.default_rng(23)
@@ -48,7 +48,7 @@ def test_s_of_w_matches_exp_minus_h(crit032):
 
 def test_s_of_w_satisfies_cubic(crit032):
     """s'(w)^2 = Q3(s) with s' by central differences."""
-    cub = elliptic.q3(crit032)
+    cub = crit032.q3
     h = 1e-5
     top = 2 * np.pi * crit032.lattice.lam
     for w in (0.3 * top, 0.5 * top, 0.7 * top):
@@ -80,7 +80,7 @@ def test_s_of_w_monotone(crit032):
 def test_spherical_q_coefficient_identity(sph_spec, crit032):
     """Stored Q equals -(s-s1)^2(s-s2)^2 + delta^2 Q3 coefficientwise."""
     sph = sph_spec.meta["spec"]
-    cub = elliptic.q3(crit032)
+    cub = crit032.q3
     pair = np.array([1.0, -float((sph.s1 + sph.s2).real),
                      float((sph.s1 * sph.s2).real)])
     want = (sph.delta ** 2
@@ -117,7 +117,7 @@ def test_spherical_wprime_vs_fd(sph_spec):
 def test_spherical_composite_derivative(sph_spec, crit032):
     """w'(v) = w'(s) s'(v) = sqrt(Q)/ (|delta| sqrt(Q3)) on the s-track."""
     sph = sph_spec.meta["spec"]
-    cub = elliptic.q3(crit032)
+    cub = crit032.q3
     s_of_v = sph_spec.meta["s_of_v"]
     for v in RNG.uniform(0.02, 0.48, 6) * sph_spec.period:
         s = float(s_of_v(v))

@@ -1,10 +1,12 @@
 """Sphere data of the second curvature-line family and the rotation axis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoforge import curvefamily, elliptic, frame, reparam, spherical
+from isoforge import curvefamily, elliptic, frame, reparam, spherical, surface
 from isoforge.errors import PoleProximity
 
 RNG = np.random.default_rng(31)
@@ -139,19 +141,44 @@ def test_axis_z2_encodes_sqrt_q(sph_spec, sph_surf, crit032):
 
 def test_axis_parallel_to_monodromy(sph_spec, sph_surf, crit032):
     ax = spherical.axis(sph_spec, crit032, sph_surf)
-    mono = frame.monodromy(frame.integrate(sph_spec, crit032))
+    mono = frame.monodromy(frame.integrate(sph_spec, crit032).phi[-1])
     unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(unit, mono.axis.array()))
+    angle = float(spherical.angle(unit, mono.axis))
     assert min(angle, np.pi - angle) < 1e-6  # the axis sign is free
 
 
-def test_phis_compute_lame_constant_once(sph_spec, crit032, monkeypatch):
+def _count_c1(monkeypatch):
+    """The list of families elliptic.c1_at_critical is called with."""
     calls = []
     c1 = elliptic.c1_at_critical
     monkeypatch.setattr(elliptic, "c1_at_critical",
                         lambda crit: calls.append(crit) or c1(crit))
-    spherical.integrate_phis(sph_spec, crit032, [0.2, crit032.omega + 0.3])
-    assert len(calls) == 1
+    return calls
+
+
+def test_phis_compute_lame_constant_once(sph_spec, crit032, monkeypatch):
+    """A freshly solved family computes C1 in its first phi-system and
+    caches it for the second."""
+    calls = _count_c1(monkeypatch)
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
+    for _ in range(2):
+        spherical.integrate_phis(sph_spec, fresh, [0.2, fresh.omega + 0.3])
+        assert len(calls) == 1
+
+
+def test_family_computes_lame_constant_once(sph_surf, crit032, monkeypatch):
+    """The PDE battery, the phi-system and the sphere centers of one
+    freshly solved family compute C1 once together, and a second pass
+    not at all."""
+    calls = _count_c1(monkeypatch)
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
+    surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
+        sph_surf.recipe, fam=fresh))
+    for _ in range(2):
+        surface.gauss_codazzi_residuals(surf)
+        spherical.integrate_phis(surf.recipe.spec, fresh, [0.2, 0.9])
+        spherical.sphere_centers(surf, fresh)
+        assert len(calls) == 1
 
 
 def test_angle_resolves_tiny_angles():
@@ -223,22 +250,23 @@ def test_phis_refuse_u_past_the_pole(sph_spec, crit032, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("integrated past the pole check")
 
-    monkeypatch.setattr(elliptic, "coeffs_with_c1", never)
+    monkeypatch.setattr(elliptic, "coeffs", never)
     for us in ([1.7], [0.5, np.pi / 2], [-1.6, 0.4], [np.nan]):
         with pytest.raises(PoleProximity, match="pole-free interval"):
             spherical.integrate_phis(sph_spec, crit032, us)
 
 
 def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
-    """sphere_centers evaluates U, U1 at all its samples in one call: one
-    Lame constant for the phi-system and one for the sphere data."""
-    c1_calls, coeff_calls = [], []
-    c1, coeffs = elliptic.c1_at_critical, elliptic.coeffs
-    monkeypatch.setattr(elliptic, "c1_at_critical",
-                        lambda crit: c1_calls.append(crit) or c1(crit))
+    """sphere_centers evaluates U, U1 at all its samples in one call (the
+    phi-system's Magnus steps evaluate theirs on (steps, nodes) arrays),
+    and a freshly solved family computes one Lame constant for both."""
+    c1_calls, coeff_calls = _count_c1(monkeypatch), []
+    coeffs = elliptic.coeffs
     monkeypatch.setattr(elliptic, "coeffs",
                         lambda u, crit: coeff_calls.append(u) or coeffs(u, crit))
-    samples = spherical.sphere_centers(sph_surf, crit032)
-    assert len(coeff_calls) == 1
-    assert np.shape(coeff_calls[0]) == (len(samples),)
-    assert len(c1_calls) == 2
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
+    samples = spherical.sphere_centers(sph_surf, fresh)
+    at_samples = [u for u in coeff_calls if np.ndim(u) < 2]
+    assert len(at_samples) == 1
+    assert np.shape(at_samples[0]) == (len(samples),)
+    assert len(c1_calls) == 1

@@ -1,5 +1,6 @@
 """Immersion assembly, isothermic diagnostics and the residual battery."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -109,12 +110,20 @@ def test_fields_at_memory_peak(crit032, torus_spec):
     assert peak < 5_000_000
 
 
-def test_pde_battery_computes_lame_constant_once(torus_surf, monkeypatch):
+def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
+                                                 monkeypatch):
+    """On a freshly solved family the battery computes C1 once; a second
+    battery reads the family's cached value."""
     calls = []
     c1 = elliptic.c1_at_critical
     monkeypatch.setattr(elliptic, "c1_at_critical",
                         lambda crit: calls.append(crit) or c1(crit))
-    surface.gauss_codazzi_residuals(torus_surf)
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
+    surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
+        torus_surf.recipe, fam=fresh))
+    surface.gauss_codazzi_residuals(surf)
+    assert len(calls) == 1
+    surface.gauss_codazzi_residuals(surf)
     assert len(calls) == 1
 
 
@@ -173,11 +182,11 @@ def test_limit_diagnostics(limit_surf):
 
 
 def test_limit_u_closure(limit_surf, lam0):
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     spec = limit_surf.recipe.spec
     for v in np.linspace(0.0, spec.period, 5):
         w = float(spec.w(v))
-        g = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]), w, lat)
+        g = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]), w, fam)
         assert abs(g[1] - g[0]) < 1e-8
 
 
@@ -208,10 +217,10 @@ def test_limit_fv_vs_fd(limit_surf):
 def test_limit_build_refuses_inadmissible_spec(lam0):
     """|w'| up to 1.68 > 1: build_limit refuses the spec instead of
     integrating a clipped root."""
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     band = 2 * np.pi * lam0
-    recipe = surface.SurfaceRecipe(fam=lat, spec=reparam.analytic(band / 2, 0.8, 3.0),
-                                   nu=8, nv=8, limit=True)
+    recipe = surface.SurfaceRecipe(fam=fam, spec=reparam.analytic(band / 2, 0.8, 3.0),
+                                   nu=8, nv=8)
     with pytest.raises(SpecInvalid, match=r"\|w'\| reaches"):
         surface.build(recipe)
 
@@ -221,29 +230,29 @@ def test_limit_frame_matches_oracle(lam0, limit_spec):
     nonlinear form a' = root W_hat, T' = root r (cos 2a, -sin 2a), over two
     periods."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     spec = limit_spec
     v = np.linspace(0.0, 2 * spec.period, 97)
 
     def rhs(vv, y):
         w = float(spec.w(vv))
-        rr = float(spec.signed_root(vv)) * curvefamily.limit_r(w, lat)
-        return [float(spec.signed_root(vv)) * curvefamily.w_hat(w, lat),
+        rr = float(spec.signed_root(vv)) * curvefamily.limit_r(w, fam)
+        return [float(spec.signed_root(vv)) * curvefamily.w_hat(w, fam),
                 rr * np.cos(2 * y[0]), -rr * np.sin(2 * y[0])]
 
     ref = solve_ivp(rhs, (0.0, v[-1]), [0.0, 0.0, 0.0], method="DOP853",
                     t_eval=v, rtol=1e-13, atol=1e-14).y
-    E, T = surface._limit_frame_arrays(lat, spec, v)
+    E, T = surface._limit_frame_arrays(fam, spec, v)
     assert np.max(np.abs(E - np.exp(-2j * ref[0]))) <= 1e-10
     assert np.max(np.abs(T - (ref[1] + 1j * ref[2]))) <= 1e-10
 
 
 def test_limit_coefficients_accept_arrays(lam0):
     """w_hat and limit_r on an array equal the scalar values."""
-    lat = theta.rhombic(lam0)
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     ws = np.linspace(0.1, 2 * np.pi * lam0 - 0.1, 7).reshape(7, 1)
     for fn in (curvefamily.w_hat, curvefamily.limit_r):
-        got = fn(ws, lat)
+        got = fn(ws, fam)
         assert got.shape == ws.shape and got.dtype == float
-        want = np.array([fn(float(w), lat) for w in ws.ravel()])
+        want = np.array([fn(float(w), fam) for w in ws.ravel()])
         assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
