@@ -295,8 +295,8 @@ def run_battery(surf, fam, cfg):
         metric = 0.0
         for w in ws:
             us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-            eh = curvefamily.exp_h(us, float(w), fam)
-            gam = curvefamily.gamma(us, float(w), fam)
+            grid = curvefamily.CurveGrid(us, float(w), fam)
+            eh, gam = grid.exp_h, grid.gamma
             w1 = curvefamily.w1(float(w), fam)
             metric = max(metric, float(np.max(
                 np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh)))
@@ -433,11 +433,8 @@ def curves(config, w_values, n_samples, out_dir, svg):
     us = np.linspace(0.0, 2 * np.pi, n_samples + 1)
 
     def one(w):
-        gam = curvefamily.gamma(us, w, fam)
-        eh = curvefamily.exp_h(us, w, fam)
-        tangent = curvefamily.exp_isigma(us, w, fam)
-        kappa = curvefamily.kappa_hyp(us, w, fam)
-        return gam, eh, tangent, kappa
+        grid = curvefamily.CurveGrid(us, w, fam)
+        return grid.gamma, grid.exp_h, grid.exp_isigma, grid.kappa_hyp
 
     # imported here: it loads logging, which the other commands never need
     from concurrent.futures import ThreadPoolExecutor
@@ -599,7 +596,7 @@ def close_torus_cmd(config, target, k, out_dir):
             fam=fam, spec=spec, nu=int(grid.get("nu", 96)),
             nv=int(grid.get("nv", 96)), periods=1)
         piece = surface_mod.build(recipe)
-        mono = frame.monodromy(frame.integrate(spec, fam).phi[-1])
+        mono = frame.monodromy(piece.phi[-1])
         torus = frame.extend_by_rotation(piece, mono, k)
         path = os.path.join(out_dir, "torus.obj")
         write_obj(path, torus)

@@ -1,19 +1,33 @@
 """The holomorphic family of planar curves gamma(u, w) and its diagnostics.
 
 Every function takes an `elliptic.Family`: its lattice, omega and the
-cached constants theta1'(0), td(omega) and c.  With z = u + i*w, omega in
-(0, pi/2) and td the lattice's companion theta (theta2 on rhombic, theta4
-on rectangular lattices), the family is
+cached constants theta1'(0), td(omega) and c = td'(om)/td(om).  With
+z = u + i*w, zb = u - i*w, omega in (0, pi/2) and td the lattice's companion
+theta (theta2 on rhombic, theta4 on rectangular lattices), the family and
+its derived forms are quotients of five theta arrays
 
-    gamma   = -i * 2 td(om)^2/(th1'(0) th1(2 om))
-              * th1((z - 3 om)/2)/th1((z + om)/2) * e^{z c},
-    gamma_u = -i (td((z - om)/2)/th1((z + om)/2))^2 * e^{z c} = e^{h + i sigma},
-    W1(w)   = i th1'(0) td(om - i w) / (2 td(om) th1(i w)) * e^{i w c},
+    A = th1((z + om)/2),  Ab = th1((zb + om)/2),  G = th1((z - 3 om)/2),
+    D = td((z - om)/2),   Db = td((zb - om)/2),
 
-with c = td'(om)/td(om).  At the critical omega of a rhombic lattice c = 0 and
-gamma becomes 2*pi-periodic in u (closed curves).  The curves live in the band
-w in (0, 2*pi*lam); evaluation is also allowed at mirrored negative w so the
-conjugation symmetry conj(gamma(u, w)) = -gamma(u, -w) can be checked.
+and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2):
+
+    gamma           = -i 2 td(om)^2/(th1'(0) th1(2 om)) * G/A * e^{z c},
+    gamma_u         = -i (D/A)^2 * e^{z c} = e^{h + i sigma},
+    e^h             = D Db/(A Ab) * e^{u Re c},
+    e^{i sigma}     = -i D Ab/(A Db) * e^{i w c},
+    (h + i sigma)_u = D'/D - A'/A + c.
+
+A `CurveGrid` evaluates each array at most once for its points; the
+functions of the same names are one-call wrappers around it.  The rotation
+coefficient of the curve at w is
+
+    W1(w) = i th1'(0) td(om - i w) / (2 td(om) th1(i w)) * e^{i w c}.
+
+At the critical omega of a rhombic lattice c = 0 and gamma becomes
+2*pi-periodic in u (closed curves).  The curves live in the band w in
+(0, 2*pi*lam); gamma, gamma_u and (h + i sigma)_u are also allowed at
+mirrored negative w so the conjugation symmetry
+conj(gamma(u, w)) = -gamma(u, -w) can be checked.
 
 In hyperbolic standardization the curves are area-constrained quasiperiodic
 hyperbolic elastica: with hyperbolic speed a = 2|W1| (so arclength s = a*u),
@@ -32,6 +46,7 @@ gamma_hat, gamma_hat_u, w_hat, limit_d and limit_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,59 +86,117 @@ def _th1_den(z, omega, lat):
     return den
 
 
+class CurveGrid:
+    """The family's closed forms at the points z = u + i w (u, w broadcast).
+
+    Each theta array of the module docstring is evaluated at most once,
+    on first use, and the four that several forms read are kept.  The band
+    of w is checked on construction (the mirrored band if `mirrored`); a
+    number u gives numbers.
+    """
+
+    def __init__(self, u, w, fam: Family, mirrored: bool = False):
+        _check_w(w, fam.lattice, mirrored)
+        self.w, self.fam = w, fam
+        self._scalar = np.isscalar(u)
+        self.u = np.asarray(u, dtype=float)
+        self.z = self.u + 1j * w
+        self.zb = self.u - 1j * w
+
+    def _out(self, val, kind=complex):
+        return kind(val) if self._scalar else val
+
+    @cached_property
+    def _th1_p(self):
+        return _th1_den(self.z, self.fam.omega, self.fam.lattice)
+
+    @cached_property
+    def _th1_pb(self):
+        return _th1_den(self.zb, self.fam.omega, self.fam.lattice)
+
+    @cached_property
+    def _td_m(self):
+        fam = self.fam
+        return theta_grid(fam.den, (self.z - fam.omega) / 2, fam.lattice)
+
+    @cached_property
+    def _td_mb(self):
+        fam = self.fam
+        return theta_grid(fam.den, (self.zb - fam.omega) / 2, fam.lattice)
+
+    @cached_property
+    def gamma(self):
+        """The planar curve gamma(u, w)."""
+        fam = self.fam
+        pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
+        val = pref * theta_grid(1, (self.z - 3 * fam.omega) / 2, fam.lattice) / self._th1_p
+        return self._out(val * np.exp(self.z * fam.c))
+
+    @cached_property
+    def gamma_u(self):
+        """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}."""
+        val = -1j * (self._td_m / self._th1_p) ** 2
+        return self._out(val * np.exp(self.z * self.fam.c))
+
+    @cached_property
+    def exp_h(self):
+        """Metric factor e^{h(u,w)}, positive real.
+
+        The realness check compares each w column (axis 1 of a 2-D grid)
+        with its own scale, over u along axis 0.
+        """
+        val = self._td_m * self._td_mb / (self._th1_p * self._th1_pb)
+        val = val * np.exp(self.u * self.fam.c.real)
+        out = np.real(val)
+        im = np.max(np.abs(np.imag(np.atleast_1d(val))), axis=0)
+        if np.any(im > 1e-9 * np.max(np.abs(np.atleast_1d(out)), axis=0)):
+            raise ArithmeticError("e^h should be real")
+        return self._out(out, float)
+
+    @cached_property
+    def exp_isigma(self):
+        """Unitary factor e^{i sigma(u,w)} of gamma_u."""
+        val = -1j * self._td_m * self._th1_pb / (self._th1_p * self._td_mb)
+        return self._out(val * np.exp(1j * self.w * self.fam.c))
+
+    @cached_property
+    def dlog_gamma_u(self):
+        """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives."""
+        fam = self.fam
+        val = (theta_grid(fam.den, (self.z - fam.omega) / 2, fam.lattice, 1) / self._td_m
+               - theta_grid(1, (self.z + fam.omega) / 2, fam.lattice, 1) / self._th1_p
+               + fam.c)
+        return self._out(val)
+
+    @cached_property
+    def kappa_hyp(self):
+        """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized
+        curve."""
+        W1 = w1(self.w, self.fam)
+        sig_u = np.imag(self.dlog_gamma_u)
+        q = _standardizing_rotation(W1) * self.exp_isigma
+        return sig_u / (2 * abs(W1)) + np.real(q)
+
+
 def gamma(u, w, fam: Family):
     """The planar curve gamma(u, w); u and w may be arrays that broadcast."""
-    lat, om = fam.lattice, fam.omega
-    _check_w(w, lat, mirrored=True)
-    z = np.asarray(u, dtype=complex) + 1j * w
-    pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * om, lat))
-    val = pref * theta_grid(1, (z - 3 * om) / 2, lat) / _th1_den(z, om, lat)
-    val = val * np.exp(z * fam.c)
-    return complex(val) if np.isscalar(u) else val
+    return CurveGrid(u, w, fam, mirrored=True).gamma
 
 
-def gamma_u(u, w: float, fam: Family) -> complex:
-    """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form."""
-    lat, om, i = fam.lattice, fam.omega, fam.den
-    _check_w(w, lat, mirrored=True)
-    z = np.asarray(u, dtype=complex) + 1j * w
-    val = -1j * (theta_grid(i, (z - om) / 2, lat) / _th1_den(z, om, lat)) ** 2
-    val = val * np.exp(z * fam.c)
-    return complex(val) if np.isscalar(u) else val
+def gamma_u(u, w, fam: Family):
+    """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form;
+    u and w broadcast."""
+    return CurveGrid(u, w, fam, mirrored=True).gamma_u
 
 
 def exp_h(u, w, fam: Family):
-    """Metric factor e^{h(u,w)} (positive real); u and w broadcast.
-
-    The realness check compares each w column (axis 1 of a 2-D grid) with
-    its own scale, over u along axis 0.
-    """
-    lat, om, i = fam.lattice, fam.omega, fam.den
-    _check_w(w, lat)
-    u_arr = np.asarray(u, dtype=float)
-    z = u_arr + 1j * w
-    zb = u_arr - 1j * w
-    val = (theta_grid(i, (z - om) / 2, lat) * theta_grid(i, (zb - om) / 2, lat)
-           / (_th1_den(z, om, lat) * _th1_den(zb, om, lat)))
-    val = val * np.exp(u_arr * fam.c.real)
-    out = np.real(val)
-    im = np.max(np.abs(np.imag(np.atleast_1d(val))), axis=0)
-    if np.any(im > 1e-9 * np.max(np.abs(np.atleast_1d(out)), axis=0)):
-        raise ArithmeticError("e^h should be real")
-    return float(out) if np.isscalar(u) else out
+    """Metric factor e^{h(u,w)} (positive real); u and w broadcast."""
+    return CurveGrid(u, w, fam).exp_h
 
 
 def exp_isigma(u, w, fam: Family):
     """Unitary factor e^{i sigma(u,w)} of gamma_u; u and w broadcast."""
-    lat, om, i = fam.lattice, fam.omega, fam.den
-    _check_w(w, lat)
-    u_arr = np.asarray(u, dtype=float)
-    z = u_arr + 1j * w
-    zb = u_arr - 1j * w
-    val = (-1j * theta_grid(i, (z - om) / 2, lat) * theta_grid(1, (zb + om) / 2, lat)
-           / (_th1_den(z, om, lat) * theta_grid(i, (zb - om) / 2, lat)))
-    val = val * np.exp(1j * w * fam.c)
-    return complex(val) if np.isscalar(u) else val
+    return CurveGrid(u, w, fam).exp_isigma
 
 
 def w1(w, fam: Family):
@@ -147,54 +220,48 @@ def w1(w, fam: Family):
 
 def dlog_gamma_u(u, w, fam: Family):
     """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives; u and w broadcast."""
-    lat, om, i = fam.lattice, fam.omega, fam.den
-    z = np.asarray(u, dtype=complex) + 1j * w
-    val = (theta_grid(i, (z - om) / 2, lat, 1) / theta_grid(i, (z - om) / 2, lat)
-           - theta_grid(1, (z + om) / 2, lat, 1) / _th1_den(z, om, lat)
-           + fam.c)
-    return complex(val) if np.isscalar(u) else val
+    return CurveGrid(u, w, fam, mirrored=True).dlog_gamma_u
 
 
-def dlog_w1(w: float, fam: Family) -> complex:
-    """d/dw log W1(w), by theta log-derivatives."""
+def dlog_w1(w, fam: Family):
+    """d/dw log W1(w), by theta log-derivatives.
+
+    w may be an array; a scalar w gives a complex.
+    """
     lat, om, i = fam.lattice, fam.omega, fam.den
     _check_w(w, lat)
     val = (-1j * theta_grid(i, om - 1j * w, lat, 1) / theta_grid(i, om - 1j * w, lat)
            - 1j * theta_grid(1, 1j * w, lat, 1) / theta_grid(1, 1j * w, lat)
            + 1j * fam.c)
-    return complex(val)
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic elastica diagnostics
 
 
-def _standardizing_rotation(w: float, fam) -> complex:
-    W1 = w1(w, fam)
+def _standardizing_rotation(W1) -> complex:
+    """The rotation -|W1|/(i W1) that standardizes a curve with rotation
+    coefficient W1."""
     return -abs(W1) / (1j * W1)
 
 
 def hyperbolic_standardize(us, w: float, fam):
     """Rotate gamma(., w) so its rotation axis is the ideal boundary of H^2."""
-    rot = _standardizing_rotation(w, fam)
+    rot = _standardizing_rotation(w1(w, fam))
     return rot * np.asarray(gamma(np.asarray(us, dtype=float), w, fam))
 
 
 def hyperbolic_speed(us, w: float, fam):
     """|gamma~_u|/Im(gamma~) on a u-grid; constant equal to a = 2|W1(w)|."""
-    rot = _standardizing_rotation(w, fam)
-    g = rot * gamma(np.asarray(us, dtype=float), w, fam)
-    gu = rot * gamma_u(np.asarray(us, dtype=float), w, fam)
-    return np.abs(gu) / np.imag(g)
+    rot = _standardizing_rotation(w1(w, fam))
+    grid = CurveGrid(np.asarray(us, dtype=float), w, fam)
+    return np.abs(rot * grid.gamma_u) / np.imag(rot * grid.gamma)
 
 
 def kappa_hyp(u, w: float, fam):
     """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized curve."""
-    rot = _standardizing_rotation(w, fam)
-    a = 2 * abs(w1(w, fam))
-    sig_u = np.imag(dlog_gamma_u(u, w, fam))
-    q = rot * exp_isigma(np.asarray(u, dtype=float), w, fam)
-    return sig_u / a + np.real(q)
+    return CurveGrid(u, w, fam).kappa_hyp
 
 
 def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> ElasticaConstants:
@@ -203,9 +270,10 @@ def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> 
     Lambda comes from the closed form (d/dw log W1)/a; mu is fitted pointwise
     from the ODE with Q_s = (dQ/du)/a by central differences, then averaged.
     """
-    a = 2 * abs(w1(w, fam))
+    W1 = w1(w, fam)
+    a = 2 * abs(W1)
     lam = dlog_w1(w, fam) / a
-    rot = _standardizing_rotation(w, fam)
+    rot = _standardizing_rotation(W1)
     us = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
 
     def q_of(u):

@@ -279,11 +279,12 @@ def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> Family:
 # coefficient functions U, U1, U2
 
 
-def _uu1_complex(u, fam: Family):
-    """Complex-valued (U, U', U1, U1') at u, general omega (exponential factors kept).
+def _uu1_parts(u, fam: Family):
+    """Complex U and U1 at u (exponential factors kept), with the theta
+    values and factors their derivatives reuse.
 
-    u may be an array.  The denominator theta is td (the real reductions of
-    the same complex formula).
+    u may be an array.  The denominator theta is td, guarded against its
+    zeros.
     """
     lat, omega, i = fam.lattice, fam.omega, fam.den
     t2u = theta_grid(i, u, lat)
@@ -291,19 +292,35 @@ def _uu1_complex(u, fam: Family):
         k = np.argmin(np.abs(t2u))
         raise PoleProximity(f"theta{i}({np.ravel(u)[k]}) = {np.ravel(t2u)[k]} "
                             "too close to zero")
-    t2pu = theta_grid(i, u, lat, 1)
     k = -fam.t1p0 / (2 * fam.td)
-    c = fam.c
-
-    t1p, t1pd = theta_grid(1, u + omega, lat), theta_grid(1, u + omega, lat, 1)
-    t1m, t1md = theta_grid(1, u - omega, lat), theta_grid(1, u - omega, lat, 1)
-    ep, em = np.exp(-u * c), np.exp(u * c)
-
+    t1p, t1m = theta_grid(1, u + omega, lat), theta_grid(1, u - omega, lat)
+    ep, em = np.exp(-u * fam.c), np.exp(u * fam.c)
     U = k * t1p / t2u * ep
-    Up = k * ep * (t1pd * t2u - t1p * t2pu) / t2u ** 2 - c * U
     U1 = -k * t1m / t2u * em
+    return U, U1, (k, t2u, t1p, t1m, ep, em)
+
+
+def _uu1_complex(u, fam: Family):
+    """Complex-valued (U, U', U1, U1') at u, general omega (exponential factors kept).
+
+    u may be an array.  The denominator theta is td (the real reductions of
+    the same complex formula).
+    """
+    lat, omega, i, c = fam.lattice, fam.omega, fam.den, fam.c
+    U, U1, (k, t2u, t1p, t1m, ep, em) = _uu1_parts(u, fam)
+    t2pu = theta_grid(i, u, lat, 1)
+    t1pd = theta_grid(1, u + omega, lat, 1)
+    t1md = theta_grid(1, u - omega, lat, 1)
+    Up = k * ep * (t1pd * t2u - t1p * t2pu) / t2u ** 2 - c * U
     U1p = -k * em * (t1md * t2u - t1m * t2pu) / t2u ** 2 + c * U1
     return U, Up, U1, U1p
+
+
+def riccati_u_u1(u, fam: Family):
+    """The Riccati coefficients (U, U1) at real u, a number or an array,
+    without the derivatives and U2 that `coeffs` adds."""
+    U, U1, _ = _uu1_parts(u, fam)
+    return _real(U, "U"), _real(U1, "U1")
 
 
 def c1_at_critical(fam: Family) -> float:

@@ -127,9 +127,9 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
     y0 = np.array([1.0, -e1, e2]) / delta
 
     def x_of_u(u):
-        c = elliptic.coeffs(u, crit)
+        U, U1 = elliptic.riccati_u_u1(u, crit)
         x = np.zeros(np.shape(u) + (2, 2))
-        x[..., 0, 1], x[..., 1, 0] = -c.U1, c.U
+        x[..., 0, 1], x[..., 1, 0] = -U1, U
         return x
 
     m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
@@ -190,9 +190,8 @@ def characterization_residual(surf, crit, us, n_v: int = 33,
     worst = 0.0
     for tr in triples:
         a, b = alpha_beta(tr, crit)
-        u = np.full(n_v, tr.u)
-        eh = curvefamily.exp_h(u, ws, fam)
-        hu = np.real(curvefamily.dlog_gamma_u(u, ws, fam))
+        grid = curvefamily.CurveGrid(np.full(n_v, tr.u), ws, fam)
+        eh, hu = grid.exp_h, np.real(grid.dlog_gamma_u)
         worst = max(worst, float(np.max(np.abs(
             eh - a * curvature_q(tr, eh) + b * hu))))
     return worst
@@ -298,9 +297,9 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     w_sel = np.asarray(rspec.w(v_sel), dtype=float)
     wp_sel = np.asarray(rspec.wprime(v_sel), dtype=float)
 
-    u_om = np.full(len(v_sel), om)
-    s = 1.0 / curvefamily.exp_h(u_om, w_sel, fam)
-    h_w = -np.imag(curvefamily.dlog_gamma_u(u_om, w_sel, fam))
+    grid = curvefamily.CurveGrid(np.full(len(v_sel), om), w_sel, fam)
+    s = 1.0 / grid.exp_h
+    h_w = -np.imag(grid.dlog_gamma_u)
     sprime = -h_w * s * wp_sel  # carries the sign of sqrt(Q)/delta
 
     zeta1 = (1.0 + s * beta_prime) / s

@@ -9,10 +9,11 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
 
 where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates them on
 a (u, v) grid in blocks of whole v columns of at most _BLOCK_POINTS points:
-one broadcast call per closed form on u[:, None] x w[None, block], so the
-theta temporaries stay bounded, and the frame acts through one 3x3 rotation
-matrix per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
-Phi^{-1} j Phi and Phi^{-1} k Phi).  A recipe whose family has mode
+one `curvefamily.CurveGrid` on u[:, None] x w[None, block], whose five
+theta arrays serve every closed form, so the theta temporaries stay
+bounded, and the frame acts through one 3x3 rotation matrix per column
+(quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
+Phi^{-1} k Phi).  A recipe whose family has mode
 "limit" builds the omega -> 0 limit surface (planes tangent to a cylinder)
 instead, assembled from the limit data gamma_hat, W_hat, r; its rotation
 e^{-2ia(v)} and translation T(v) solve a linear 2x2 system, integrated by
@@ -91,9 +92,10 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi):
     step = max(1, _BLOCK_POINTS // max(nu, 1))
     for lo in range(0, nv, step):
         cols = slice(lo, lo + step)
-        gam = curvefamily.gamma(u[:, None], w_arr[None, cols], fam)
-        eis = curvefamily.exp_isigma(u[:, None], w_arr[None, cols], fam)
-        eh[:, cols] = curvefamily.exp_h(u[:, None], w_arr[None, cols], fam)
+        grid = curvefamily.CurveGrid(u[:, None], w_arr[None, cols], fam)
+        gam, eis = grid.gamma, grid.exp_isigma
+        eh[:, cols] = grid.exp_h
+        del grid  # its theta arrays are not needed for the assembly
         ri, rj, rk = rot[cols, :, 0], rot[cols, :, 1], rot[cols, :, 2]
         # z j = a j + b k and z k = a k - b j for z = a + ib
         eis_j = eis.real[..., None] * rj + eis.imag[..., None] * rk
@@ -240,34 +242,34 @@ def pde_battery(fam, spec, u_probes, v_probes, du=4e-4, dv=4e-4,
 
     uu = u_probes[:, None]
     w0 = np.asarray(spec.w(v_probes), dtype=float)[None, :]
+    # one grid per stencil shift: e^h, e^{i sigma} and the log-derivative
+    # at each shift share its theta arrays
+    at = curvefamily.CurveGrid(uu, w0, fam)
+    at_up, at_um = (curvefamily.CurveGrid(uu + s, w0, fam) for s in (du, -du))
+    at_wp, at_wm = (curvefamily.CurveGrid(uu, w0 + s, fam) for s in (du, -du))
 
-    def h_of(u, w):
-        return np.log(curvefamily.exp_h(u, w, fam))
+    def h_of(grid):
+        return np.log(grid.exp_h)
 
-    def dlog(u, w):
-        return np.asarray(curvefamily.dlog_gamma_u(u, w, fam))
-
-    h_c = h_of(uu, w0)
-    h_u = (h_of(uu + du, w0) - h_of(uu - du, w0)) / (2 * du)
-    h_w = (h_of(uu, w0 + du) - h_of(uu, w0 - du)) / (2 * du)
+    h_c = h_of(at)
+    h_u = (h_of(at_up) - h_of(at_um)) / (2 * du)
+    h_w = (h_of(at_wp) - h_of(at_wm)) / (2 * du)
     # second derivatives as single differences of the analytic first
     # derivatives (h + i sigma)_u = dlog gamma_u, so double-difference
     # roundoff never enters
-    h_uu = np.real(dlog(uu + du, w0) - dlog(uu - du, w0)) / (2 * du)
-    h_ww = -np.imag(dlog(uu, w0 + du) - dlog(uu, w0 - du)) / (2 * du)
+    h_uu = np.real(at_up.dlog_gamma_u - at_um.dlog_gamma_u) / (2 * du)
+    h_ww = -np.imag(at_wp.dlog_gamma_u - at_wm.dlog_gamma_u) / (2 * du)
     # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
     wv, wpv, _ = _plane_vectors(spec, vs.ravel())
-    h_v3 = (-np.imag(dlog(uu, wv[None, :])) * wpv).reshape(nu, 3, nv)
+    h_v3 = (-np.imag(curvefamily.dlog_gamma_u(uu, wv[None, :], fam))
+            * wpv).reshape(nu, 3, nv)
     h_v = h_v3[:, 1]
     h_vv = (h_v3[:, 2] - h_v3[:, 0]) / (2 * dv)
 
     # Cauchy-Riemann via branch-free log-derivatives of e^{i sigma}
-    def sig_of(u, w):
-        return curvefamily.exp_isigma(u, w, fam)
-
-    s_c = sig_of(uu, w0)
-    sig_u = np.imag((sig_of(uu + du, w0) - sig_of(uu - du, w0)) / (2 * du) / s_c)
-    sig_w = np.imag((sig_of(uu, w0 + du) - sig_of(uu, w0 - du)) / (2 * du) / s_c)
+    s_c = at.exp_isigma
+    sig_u = np.imag((at_up.exp_isigma - at_um.exp_isigma) / (2 * du) / s_c)
+    sig_w = np.imag((at_wp.exp_isigma - at_wm.exp_isigma) / (2 * du) / s_c)
 
     cs = coeffs(u_probes, fam)
     U, U1, U2, Up, U1p = (getattr(cs, k)[:, None]

@@ -267,6 +267,40 @@ def test_curves_writes_csv(tmp_path):
     assert (tmp_path / "curves.svg").exists()
 
 
+def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, monkeypatch):
+    """gamma, e^h, e^{i sigma} and the hyperbolic curvature of one curve
+    share five theta arrays and two derivative arrays."""
+    from isoforge import curvefamily
+    arrays = []
+    theta_grid = curvefamily.theta_grid
+    monkeypatch.setattr(curvefamily, "theta_grid", lambda n, z, *a: (
+        np.ndim(z) and arrays.append(np.shape(z))) or theta_grid(n, z, *a))
+    result = CliRunner().invoke(cli, [
+        "curves", _write(tmp_path, _base_cfg()), "--w", "0.7", "--w", "1.3",
+        "--n", "64", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert arrays == [(65,)] * 14
+
+
+def test_close_torus_integrates_the_frame_once_after_tuning(tmp_path,
+                                                            monkeypatch):
+    """The monodromy of the tuned piece comes from the piece's own frame
+    at v = V: one frame integration after the tuning, for the piece."""
+    calls, at_tuned = [], []
+    integrate, close_torus = frame.integrate, frame.close_torus
+    monkeypatch.setattr(frame, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    monkeypatch.setattr(frame, "close_torus", lambda *a, **k: (
+        close_torus(*a, **k), at_tuned.append(len(calls)))[0])
+    cfg = _base_cfg(grid={"nu": 16, "nv": 16})
+    result = CliRunner().invoke(cli, [
+        "close-torus", _write(tmp_path, cfg), "--k", "3",
+        "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "torus.obj").exists()
+    assert len(calls) - at_tuned[0] == 1
+
+
 def test_curve_csv_matches_csv_writer(tmp_path):
     """Byte for byte what csv.writer writes from per-cell f-strings,
     \\r\\n line ends included, also for signed zeros, tiny, huge and

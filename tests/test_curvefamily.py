@@ -129,6 +129,65 @@ def test_domain_guards(crit032):
         curvefamily.gamma(0.3, top + 0.1, crit032)
 
 
+def test_dlog_gamma_u_checks_the_band(crit032):
+    """The log-derivative refuses w outside the mirrored band, as gamma_u
+    does, and accepts the mirrored negative w."""
+    top = 2 * np.pi * crit032.lattice.lam
+    for w in (top + 0.1, 0.0, -top - 0.1):
+        with pytest.raises(DomainW):
+            curvefamily.dlog_gamma_u(0.3, w, crit032)
+    assert np.isfinite(curvefamily.dlog_gamma_u(0.3, -0.5, crit032))
+
+
+def test_wrappers_raise_on_the_same_inputs(crit032):
+    """Every public form refuses w outside its band with DomainW (gamma,
+    gamma_u and the log-derivative allow the mirrored band) and the points
+    next to the zero of theta1((z + omega)/2) with PoleProximity."""
+    fam, top = crit032, 2 * np.pi * crit032.lattice.lam
+    us = np.array([0.3, 1.1])
+    mirrored = (curvefamily.gamma, curvefamily.gamma_u,
+                curvefamily.dlog_gamma_u)
+    band = (curvefamily.exp_h, curvefamily.exp_isigma, curvefamily.kappa_hyp,
+            curvefamily.hyperbolic_speed)
+    for form in mirrored + band:
+        for w in (top + 0.1, 0.0, top, -top - 0.1):
+            with pytest.raises(DomainW):
+                form(us, w, fam)
+    for form in band:
+        with pytest.raises(DomainW):
+            form(us, -0.5, fam)
+    for form in mirrored:
+        assert np.all(np.isfinite(form(us, -0.5, fam)))
+    # theta1((z + omega)/2) ~ theta1'(0) (z + omega)/2 vanishes at z = -omega
+    near = np.array([0.3, -fam.omega])
+    for form in mirrored + band[:2]:
+        for w in (1e-12, -1e-12) if form in mirrored else (1e-12,):
+            with pytest.raises(PoleProximity):
+                form(near, w, fam)
+        with pytest.raises(PoleProximity):
+            form(-fam.omega, 1e-12, fam)
+
+
+def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
+    """Every form read from one grid equals, bit for bit, the module
+    function of the same name; a number u gives numbers."""
+    for fam in (crit032, rect_fam):
+        u = np.linspace(0.0, 2 * np.pi, 7)[:, None]
+        w = _random_w(fam.lattice, n=3)[None, :]
+        grid = curvefamily.CurveGrid(u, w, fam)
+        for name in ("gamma", "gamma_u", "exp_h", "exp_isigma",
+                     "dlog_gamma_u"):
+            assert np.array_equal(getattr(grid, name),
+                                  getattr(curvefamily, name)(u, w, fam))
+        one = curvefamily.CurveGrid(0.7, float(w[0, 1]), fam)
+        assert isinstance(one.gamma, complex)
+        assert isinstance(one.exp_h, float)
+    w = float(_random_w(crit032.lattice, n=1)[0])
+    us = np.linspace(0.0, 2 * np.pi, 9)
+    assert np.array_equal(curvefamily.CurveGrid(us, w, crit032).kappa_hyp,
+                          curvefamily.kappa_hyp(us, w, crit032))
+
+
 def test_w1_pole_guard_rectangular(rect_fam):
     """theta1(i w) vanishes mid-band at w = pi*lam on rectangular lattices."""
     w_pole = np.pi * rect_fam.lattice.lam

@@ -156,14 +156,26 @@ def _count_c1(monkeypatch):
     return calls
 
 
-def test_phis_compute_lame_constant_once(sph_spec, crit032, monkeypatch):
-    """A freshly solved family computes C1 in its first phi-system and
-    caches it for the second."""
-    calls = _count_c1(monkeypatch)
+def test_phis_evaluate_only_u_and_u1(sph_spec, crit032, monkeypatch):
+    """The phi-system needs U and U1 only: three theta arrays per batch
+    (td(u), theta1(u + omega), theta1(u - omega)), no `coeffs` (U', U1',
+    U2) and so no Lame constant, on a freshly solved family too."""
     fresh = elliptic.solve_critical_omega(crit032.lattice)
+    calls, batches, arrays = _count_c1(monkeypatch), [], []
+
+    def never(*args, **kwargs):
+        raise AssertionError("the phi-system evaluated U', U1' or U2")
+
+    monkeypatch.setattr(elliptic, "coeffs", never)
+    u_u1, theta_grid = elliptic.riccati_u_u1, elliptic.theta_grid
+    monkeypatch.setattr(elliptic, "riccati_u_u1",
+                        lambda u, fam: batches.append(u) or u_u1(u, fam))
+    monkeypatch.setattr(elliptic, "theta_grid", lambda n, z, *a: (
+        np.ndim(z) and arrays.append(n)) or theta_grid(n, z, *a))
     for _ in range(2):
         spherical.integrate_phis(sph_spec, fresh, [0.2, fresh.omega + 0.3])
-        assert len(calls) == 1
+    assert calls == []
+    assert batches and len(arrays) == 3 * len(batches)
 
 
 def test_family_computes_lame_constant_once(sph_surf, crit032, monkeypatch):
@@ -251,6 +263,7 @@ def test_phis_refuse_u_past_the_pole(sph_spec, crit032, monkeypatch):
         raise AssertionError("integrated past the pole check")
 
     monkeypatch.setattr(elliptic, "coeffs", never)
+    monkeypatch.setattr(elliptic, "riccati_u_u1", never)
     for us in ([1.7], [0.5, np.pi / 2], [-1.6, 0.4], [np.nan]):
         with pytest.raises(PoleProximity, match="pole-free interval"):
             spherical.integrate_phis(sph_spec, crit032, us)

@@ -110,6 +110,42 @@ def test_fields_at_memory_peak(crit032, torus_spec):
     assert peak < 5_000_000
 
 
+def _count_theta_arrays(monkeypatch):
+    """The shapes of the array arguments curvefamily passes to theta_grid."""
+    shapes = []
+    theta_grid = curvefamily.theta_grid
+    monkeypatch.setattr(curvefamily, "theta_grid", lambda n, z, *a: (
+        np.ndim(z) and shapes.append(np.shape(z))) or theta_grid(n, z, *a))
+    return shapes
+
+
+def test_fields_at_block_evaluates_five_theta_arrays(torus_surf, crit032,
+                                                     monkeypatch):
+    """One block of columns shares theta1((z + omega)/2),
+    theta1((zb + omega)/2), td((z - omega)/2), td((zb - omega)/2) and
+    theta1((z - 3 omega)/2) among gamma, e^{i sigma} and e^h."""
+    u = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    v = torus_surf.v[:40]
+    assert len(u) * len(v) <= surface._BLOCK_POINTS
+    shapes = _count_theta_arrays(monkeypatch)
+    surface.fields_at(crit032, torus_surf.recipe.spec, u, v,
+                      torus_surf.phi[:40])
+    assert shapes == [(64, 40)] * 5
+
+
+def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
+                                                   monkeypatch):
+    """Each of the four stencil shifts of the probe grid evaluates e^h,
+    e^{i sigma} and the log-derivative from six theta arrays, the center
+    e^h and e^{i sigma} from four."""
+    spec = torus_surf.recipe.spec
+    u_probes = np.array([0.3, 0.9, 2.0, 3.5])
+    v_probes = np.linspace(0.4, 0.8, 5) * spec.period
+    shapes = _count_theta_arrays(monkeypatch)
+    surface.pde_battery(crit032, spec, u_probes, v_probes)
+    assert shapes.count((4, 5)) == 4 + 4 * 6
+
+
 def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
                                                  monkeypatch):
     """On a freshly solved family the battery computes C1 once; a second
