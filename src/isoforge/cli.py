@@ -169,63 +169,67 @@ def _recipe(cfg, fam, spec):
 # writers
 
 
-# Python floats for every row at once would take about 280 bytes per row
-_ROWS_PER_CHUNK = 256
-
-
-def _formatted(fmt, rows, sep=""):
-    """The rows of a 2-D array, each through the %-format fmt and joined by
-    sep, as strings of at most _ROWS_PER_CHUNK rows each."""
-    for lo in range(0, len(rows), _ROWS_PER_CHUNK):
-        part = rows[lo:lo + _ROWS_PER_CHUNK]
-        yield sep.join([fmt] * len(part)) % tuple(part.ravel().tolist())
+# The writers import textfmt when they run: the commands that write no
+# file (verify, spherical, solve) then never load its tables.
 
 
 def write_obj(path, surf):
     """Quad mesh over the (u, v) grid; u is cyclic, v is an open strip."""
+    from . import textfmt
     pts = np.asarray(surf.points)
     nu, nv = pts.shape[:2]
     i = np.arange(nu)[:, None]
     j = np.arange(nv - 1)[None, :]
     a = i * nv + j + 1                   # vertex (i, j), 1-based
     b = ((i + 1) % nu) * nv + j + 1      # vertex (i + 1, j)
-    faces = np.stack([a, b, b + 1, a + 1], axis=-1).reshape(-1, 4)
-    with open(path, "w") as fh:
-        fh.write(f"# isoforge {__version__} surface mesh {nu}x{nv}\n")
-        fh.writelines(_formatted("v %.12g %.12g %.12g\n", pts.reshape(-1, 3)))
-        fh.writelines(_formatted("f %d %d %d %d\n", faces))
+    faces = np.stack([a, b, b + 1, a + 1]).reshape(4, -1)
+    verts = pts.reshape(-1, 3).T
+    with open(path, "wb") as fh:
+        fh.write(f"# isoforge {__version__} surface mesh {nu}x{nv}\n".encode())
+        fh.writelines(textfmt.table(verts.shape[1], lambda rows: [
+            b"v", textfmt.g12(verts[:, rows], b" "), b"\n"]))
+        fh.writelines(textfmt.table(faces.shape[1], lambda rows: [
+            b"f", textfmt.d(faces[:, rows], b" "), b"\n"]))
     return nu * nv, nu * (nv - 1)
 
 
-def write_curve_csv(path, us, gam, eh, tangent, kappa):
-    """One row per u, every cell in %.12g, with CSV's \\r\\n line ends."""
-    cols = np.column_stack([us, gam.real, gam.imag, eh, tangent.real,
-                            tangent.imag, kappa])
-    row = ",".join(["%.12g"] * cols.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("u,re_gamma,im_gamma,exp_h,tangent_re,tangent_im,kappa_hyp\r\n")
-        fh.writelines(_formatted(row, cols))
+def write_curve_csv(path, us, gam, eh, tangent, kappa, u_cells=None):
+    """One row per u, every cell in %.12g, with CSV's \\r\\n line ends.
+    u_cells is textfmt.g12(us), for callers that write several curves on
+    the same us."""
+    from . import textfmt
+    if u_cells is None:
+        u_cells = textfmt.g12(us)
+    cols = np.stack([gam.real, gam.imag, eh, tangent.real, tangent.imag,
+                     kappa])
+    with open(path, "wb") as fh:
+        fh.write(b"u,re_gamma,im_gamma,exp_h,tangent_re,tangent_im,kappa_hyp"
+                 b"\r\n")
+        fh.writelines(textfmt.table(len(us), lambda rows: [
+            u_cells[:, rows], textfmt.g12(cols[:, rows], b","), b"\r\n"]))
 
 
 def write_svg(path, curves, size=640):
     """Polyline quick-look of complex curves (list of arrays)."""
+    from . import textfmt
     allpts = np.concatenate(curves)
     lo = complex(np.min(allpts.real), np.min(allpts.imag))
     hi = complex(np.max(allpts.real), np.max(allpts.imag))
     span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-12)
     pad = 0.05 * span
 
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                 f'width="{size}" height="{size}">\n')
+                 f'width="{size}" height="{size}">\n'.encode())
         for curve in curves:
             sx = (curve.real - lo.real + pad) / (span + 2 * pad) * size
             sy = size - (curve.imag - lo.imag + pad) / (span + 2 * pad) * size
-            pts = " ".join(_formatted("%.2f,%.2f", np.column_stack([sx, sy]),
-                                      " "))
-            fh.write(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="black" stroke-width="1"/>\n')
-        fh.write("</svg>\n")
+            # every point after a space; the first one's is dropped
+            pts = b"".join(textfmt.table(len(curve), lambda rows: [
+                textfmt.f2(sx[rows], b" "), textfmt.f2(sy[rows], b",")]))
+            fh.write(b'<polyline points="' + pts[1:] + b'" fill="none" '
+                     b'stroke="black" stroke-width="1"/>\n')
+        fh.write(b"</svg>\n")
 
 
 def make_report(cfg, checks, extra=None):
@@ -417,7 +421,9 @@ def solve(want_lambda0, lam):
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--w", "w_values", type=float, multiple=True,
               help="band coordinates of the curves (repeatable)")
-@click.option("--n", "n_samples", type=int, default=512, show_default=True)
+@click.option("--n", "n_samples", type=click.IntRange(min=1), default=512,
+              show_default=True,
+              help="intervals in u over [0, 2 pi]: n + 1 rows per CSV")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
 @click.option("--svg", is_flag=True, help="also write an SVG quick-look")
 def curves(config, w_values, n_samples, out_dir, svg):
@@ -429,6 +435,11 @@ def curves(config, w_values, n_samples, out_dir, svg):
     if not w_values:
         top = 2 * np.pi * fam.lattice.lam
         w_values = tuple(top * k / 6 for k in (1, 2, 3, 4, 5))
+    names = [os.path.join(out_dir, f"curve_w{w:.4f}.csv") for w in w_values]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"--w {w_values[names.index(name)]!r} and "
+                              f"--w {w_values[k]!r} would both write {name}")
     os.makedirs(out_dir, exist_ok=True)
     us = np.linspace(0.0, 2 * np.pi, n_samples + 1)
 
@@ -441,10 +452,11 @@ def curves(config, w_values, n_samples, out_dir, svg):
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
         results = list(pool.map(one, w_values))
 
+    from . import textfmt
     polylines = []
-    for w, (gam, eh, tangent, kappa) in zip(w_values, results):
-        name = os.path.join(out_dir, f"curve_w{w:.4f}.csv")
-        write_curve_csv(name, us, gam, eh, tangent, kappa)
+    u_cells = textfmt.g12(us)
+    for w, name, (gam, eh, tangent, kappa) in zip(w_values, names, results):
+        write_curve_csv(name, us, gam, eh, tangent, kappa, u_cells)
         defect = abs(gam[-1] - gam[0])
         click.echo(f"w = {w:.6f}: closure defect {defect:.3e} -> {name}")
         polylines.append(gam)
@@ -564,9 +576,9 @@ def spherical_cmd(config, out):
 
 @cli.command("close-torus")
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--target", type=float, default=2 * np.pi / 3, show_default=True,
+@click.option("--target", type=float, default=None, show_default="2 pi / k",
               help="target monodromy angle")
-@click.option("--k", type=int, default=3, show_default=True,
+@click.option("--k", type=click.IntRange(min=1), default=3, show_default=True,
               help="periods of the closed torus")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None,
               help="also write the closed-torus OBJ here")
@@ -580,6 +592,8 @@ def close_torus_cmd(config, target, k, out_dir):
     if fam.mode == "limit":
         raise ConfigError("close-torus requires a non-limit family")
     mean, period = float(sec["mean"]), float(sec["period"])
+    if target is None:
+        target = 2 * np.pi / k
 
     def template(amp):
         return reparam.analytic(mean, amp, period)

@@ -220,8 +220,8 @@ def test_runtime_imports_no_scipy():
 
 def test_runtime_imports_stay_lean():
     """A spherical spec and its frame load neither numpy.polynomial nor
-    concurrent.futures (which loads logging); only the curves command
-    imports its thread pool."""
+    concurrent.futures (which loads logging) nor the writers' textfmt;
+    only the curves command imports its thread pool."""
     code = ("import sys\n"
             "from isoforge import cli, elliptic, frame, reparam, theta\n"
             "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
@@ -229,7 +229,7 @@ def test_runtime_imports_stay_lean():
             "    delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit)\n"
             "frame.integrate(spec, crit)\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('numpy.polynomial', 'concurrent'))))\n")
+            "    ('numpy.polynomial', 'concurrent', 'isoforge.textfmt'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -280,6 +280,68 @@ def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, monkeypatch):
         "--n", "64", "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert arrays == [(65,)] * 14
+
+
+def _exit_code(monkeypatch, *argv):
+    """The exit code of the isoforge entry point on argv."""
+    monkeypatch.setattr(sys, "argv", ["isoforge", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    return exc.value.code
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_curves_rejects_fewer_than_one_sample(tmp_path, monkeypatch, capsys,
+                                              n):
+    """--n 0 wrote a one-sample curve with a closure defect of 0 that
+    proves nothing; --n -1 raised a ValueError traceback."""
+    code = _exit_code(monkeypatch, "curves", _write(tmp_path, _base_cfg()),
+                      "--w", "1.0", "--n", n, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "--n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve_*.csv"))
+
+
+def test_curves_refuses_two_w_with_one_file_name(tmp_path, monkeypatch,
+                                                 capsys):
+    """1.00001 and 1.00002 both write curve_w1.0000.csv: the command exits
+    1 before it computes any curve, instead of overwriting the first."""
+    from isoforge import curvefamily
+    monkeypatch.setattr(curvefamily, "CurveGrid", None)  # never reached
+    code = _exit_code(monkeypatch, "curves", _write(tmp_path, _base_cfg()),
+                      "--w", "0.7", "--w", "1.00001", "--w", "1.00002",
+                      "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "curve_w1.0000.csv" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve_*.csv"))
+
+
+def test_close_torus_default_target_is_two_pi_over_k(tmp_path):
+    """With k = 4 the default target is pi/2, and the written torus closes:
+    its last column of vertices meets its first (a target of 2 pi/3 left
+    the seam open by about the mesh radius)."""
+    result = CliRunner().invoke(cli, [
+        "close-torus", _write(tmp_path, _base_cfg(grid={"nu": 16, "nv": 16})),
+        "--k", "4", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    theta = float(result.output.split("theta = ")[1].split()[0])
+    assert abs(theta - np.pi / 2) < 1e-9
+    pts = np.array([line.split()[1:] for line in
+                    (tmp_path / "torus.obj").read_text().splitlines()
+                    if line.startswith("v ")], dtype=float).reshape(16, -1, 3)
+    assert pts.shape[1] == 4 * 16 + 1
+    assert np.max(np.abs(pts[:, -1] - pts[:, 0])) < 1e-6
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_close_torus_rejects_k_below_one(tmp_path, monkeypatch, capsys, k):
+    """k <= 0 wrote the one-period piece and exited 0."""
+    code = _exit_code(monkeypatch, "close-torus",
+                      _write(tmp_path, _base_cfg(grid={"nu": 8, "nv": 8})),
+                      "--k", k, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "torus.obj").exists()
 
 
 def test_close_torus_integrates_the_frame_once_after_tuning(tmp_path,
