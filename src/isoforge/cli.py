@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, curvefamily, elliptic, frame, reparam, spherical
 from . import surface as surface_mod
 from . import theta
-from .errors import IsoforgeError, NoCriticalOmega
+from .errors import IsoforgeError, NoBracket, NoCriticalOmega
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("lattice.kind must be rhombic or rectangular")
     if cfg["reparam"].get("kind") not in ("analytic", "constant", "spherical"):
         raise ConfigError("reparam.kind must be analytic, constant or spherical")
+    for k, name in cfg.get("outputs", {}).items():
+        # a path would make os.path.join drop --out-dir
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(f"outputs.{k} must be a file name, got {name!r}")
     return cfg
 
 
@@ -264,6 +268,18 @@ def check(name, value, tol):
             "pass": bool(abs(value) < tol)}
 
 
+# 0/1 and rank checks, whose bound no --tol moves
+_STRUCTURAL = ("reparam_admissible", "normals_rank_defect")
+
+
+def override_tol(checks, tol):
+    """The checks with every residual tolerance replaced by tol."""
+    if tol is None:
+        return checks
+    return [c if c["name"] in _STRUCTURAL else check(c["name"], c["value"], tol)
+            for c in checks]
+
+
 # ---------------------------------------------------------------------------
 # verification battery
 
@@ -287,23 +303,19 @@ def run_battery(surf, fam, cfg):
 
     # u-closure of gamma (closed only at critical omega on rhombic lattices)
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
-    closure = 0.0
-    curve = curvefamily.gamma_hat if is_limit else curvefamily.gamma
-    for w in ws:
-        g0 = curve(np.array([0.0, 2 * np.pi]), float(w), fam)
-        closure = max(closure, float(np.abs(g0[1] - g0[0])))
+    ends = np.array([0.0, 2 * np.pi])
+    g0 = (curvefamily.gamma_hat(ends[:, None], ws, fam) if is_limit
+          else curvefamily.gamma(ends, ws, fam))
+    closure = float(np.max(np.abs(g0[1] - g0[0])))
     checks.append(check("u_closure", closure, tol("u_closure", 1e-9)))
 
     if not is_limit:
         # metric identity e^h = 2 Re(W1 conj gamma)
-        metric = 0.0
-        for w in ws:
-            us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-            grid = curvefamily.CurveGrid(us, float(w), fam)
-            eh, gam = grid.exp_h, grid.gamma
-            w1 = curvefamily.w1(float(w), fam)
-            metric = max(metric, float(np.max(
-                np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh)))
+        us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        grid = curvefamily.CurveGrid(us, ws, fam)
+        eh, gam = grid.exp_h, grid.gamma
+        w1 = curvefamily.w1(ws, fam)
+        metric = float(np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))
         checks.append(check("metric_identity", metric,
                             tol("metric_identity", 1e-9)))
 
@@ -311,8 +323,7 @@ def run_battery(surf, fam, cfg):
         # residuals plus a residual cap.  Quadrature-built spherical w(v)
         # has much larger v-derivatives than the analytic profiles, so its
         # truncation constant (and hence the cap) is larger.
-        res = surface_mod.gauss_codazzi_residuals(surf)
-        coarse = surface_mod.gauss_codazzi_residuals(surf, du=8e-4, dv=8e-4)
+        res, coarse = surface_mod.gauss_codazzi_residuals(surf, steps=(4e-4, 8e-4))
         pde_cap = 1e-2 if spec.kind == "spherical" else 1e-5
         for name, val in res.items():
             checks.append(check(f"pde_{name}", val, tol(f"pde_{name}", pde_cap)))
@@ -372,18 +383,18 @@ def run_battery(surf, fam, cfg):
 
 
 def _fv_fd_residual(surf, fam, dv=1e-4):
-    """Max |fv - d(points)/dv| at a few probes (catches sign errors)."""
+    """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
+    one frame integration and one field grid over the probes' stencils."""
     spec = surf.recipe.spec
-    worst = 0.0
-    for v0 in np.linspace(0.31, 0.77, 3) * spec.period:
-        nodes = np.array([0.0, v0 - dv, v0, v0 + dv])
-        traj = frame.integrate(spec, fam, v_nodes=nodes,
-                               step_tol=surf.recipe.step_tol)
-        us = surf.u[:: max(1, len(surf.u) // 8)]
-        f = surface_mod.fields_at(fam, spec, us, nodes[1:], traj.phi[1:])
-        fd = (f["points"][:, 2] - f["points"][:, 0]) / (2 * dv)
-        worst = max(worst, float(np.max(np.abs(fd - f["fv"][:, 1]))))
-    return worst
+    v0 = np.linspace(0.31, 0.77, 3) * spec.period
+    nodes = np.concatenate([[0.0], (v0[:, None] + [-dv, 0.0, dv]).ravel()])
+    traj = frame.integrate(spec, fam, v_nodes=nodes,
+                           step_tol=surf.recipe.step_tol)
+    us = surf.u[:: max(1, len(surf.u) // 8)]
+    f = surface_mod.fields_at(fam, spec, us, nodes[1:], traj.phi[1:])
+    pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
+    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
+    return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +481,7 @@ def curves(config, w_values, n_samples, out_dir, svg):
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
 @click.option("--tol", type=float, default=None,
-              help="override every check tolerance")
+              help="override every residual check tolerance")
 def surface_cmd(config, out_dir, tol):
     """Build the immersion mesh (OBJ) and its verification report."""
     cfg = load_config(config)
@@ -486,9 +497,7 @@ def surface_cmd(config, out_dir, tol):
     nverts, nfaces = write_obj(mesh_path, surf)
     click.echo(f"mesh -> {mesh_path} ({nverts} vertices, {nfaces} quads)")
 
-    checks = run_battery(surf, fam, cfg)
-    if tol is not None:
-        checks = [check(c["name"], c["value"], tol) for c in checks]
+    checks = override_tol(run_battery(surf, fam, cfg), tol)
     if fam.mode != "limit" and spec.kind != "constant":
         try:
             mono = frame.monodromy(surf.phi[surf.recipe.nv])
@@ -511,16 +520,14 @@ def surface_cmd(config, out_dir, tol):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write the JSON report here instead of stdout")
 @click.option("--tol", type=float, default=None,
-              help="override every check tolerance")
+              help="override every residual check tolerance")
 def verify(config, out, tol):
     """Run the full invariant battery and emit a JSON report."""
     cfg = load_config(config)
     fam = _family(cfg)
     spec = _reparam_spec(cfg, fam)
     surf = surface_mod.build(_recipe(cfg, fam, spec))
-    checks = run_battery(surf, fam, cfg)
-    if tol is not None:
-        checks = [check(c["name"], c["value"], tol) for c in checks]
+    checks = override_tol(run_battery(surf, fam, cfg), tol)
     report = make_report(cfg, checks)
     emit_report(report, out)
     if not report["passed"]:
@@ -598,7 +605,11 @@ def close_torus_cmd(config, target, k, out_dir):
     def template(amp):
         return reparam.analytic(mean, amp, period)
 
-    spec, achieved = frame.close_torus(template, fam, target)
+    try:
+        spec, achieved = frame.close_torus(template, fam, target)
+    except NoBracket as exc:
+        raise NoBracket(f"{exc}, so no amplitude closes the piece after "
+                        f"{k} period{'s' if k > 1 else ''}") from None
     amp = spec.meta["amplitude"]
     click.echo(f"amplitude = {amp:.15f}")
     click.echo(f"theta = {achieved:.15f} (|theta - target| "

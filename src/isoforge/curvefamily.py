@@ -17,9 +17,14 @@ and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2):
     e^{i sigma}     = -i D Ab/(A Db) * e^{i w c},
     (h + i sigma)_u = D'/D - A'/A + c.
 
-A `CurveGrid` evaluates each array at most once for its points; the
-functions of the same names are one-call wrappers around it.  The rotation
-coefficient of the curve at w is
+A `CurveGrid` evaluates them on a tensor grid u x w.  There each argument
+is u/2 + b with b = (+-i w + const)/2, and every theta series term
+e^{i m (u/2 + b)} splits as e^{i m u/2} e^{i m b}, so the arrays of one
+theta index are a single matrix product (`theta.theta_tensor`): two
+products give all seven.  The products sum the terms of `theta_grid`, so
+its truncation bound certifies them.  The functions of the same names are
+one-call wrappers around a grid.  The rotation coefficient of the curve at
+w is
 
     W1(w) = i th1'(0) td(om - i w) / (2 td(om) th1(i w)) * e^{i w c}.
 
@@ -52,7 +57,7 @@ import numpy as np
 
 from .elliptic import Family, _real
 from .errors import DomainW, PoleProximity
-from .theta import Lattice, theta_grid
+from .theta import Lattice, theta_grid, theta_tensor
 
 _POLE_TOL = 1e-10
 
@@ -79,123 +84,137 @@ def _check_w(w, lat: Lattice, mirrored: bool = False):
         raise DomainW(f"w = {bad[0]} outside the admissible band {band}")
 
 
-def _th1_den(z, omega, lat):
-    den = theta_grid(1, (z + omega) / 2, lat)
+def _pole_checked(den, what):
     if np.min(np.abs(den)) < _POLE_TOL:
-        raise PoleProximity("theta1((z + omega)/2) too close to zero")
+        raise PoleProximity(f"{what} too close to zero")
     return den
 
 
 class CurveGrid:
-    """The family's closed forms at the points z = u + i w (u, w broadcast).
+    """The family's closed forms on the grid z = u + i w.
 
-    Each theta array of the module docstring is evaluated at most once,
-    on first use, and the four that several forms read are kept.  The band
-    of w is checked on construction (the mirrored band if `mirrored`); a
-    number u gives numbers.
+    u and w are each a number or a 1-D array; a form has shape
+    (len(u), len(w)), and a number drops its axis (two numbers give a
+    number).  The band of w is checked on construction (the mirrored band
+    if `mirrored`).  On first use the grid fetches all its arrays of one
+    theta index with one `theta_tensor` call: A, Ab, G and A' of theta1,
+    then D, Db and D' of td, each on the u x w grid as the product of
+    a = u/2 and b = (+-i w + const)/2.  The arrays keep the truncation
+    certificate of `theta_grid`, since |Im b| = |w|/2 lies in the strip.
+    The zeros of A and Ab are guarded when a form reads them.
     """
 
     def __init__(self, u, w, fam: Family, mirrored: bool = False):
+        if np.ndim(u) > 1 or np.ndim(w) > 1:
+            raise ValueError("u and w must be numbers or 1-D arrays")
         _check_w(w, fam.lattice, mirrored)
-        self.w, self.fam = w, fam
-        self._scalar = np.isscalar(u)
-        self.u = np.asarray(u, dtype=float)
-        self.z = self.u + 1j * w
-        self.zb = self.u - 1j * w
+        self.fam = fam
+        self._shape = np.shape(u) + np.shape(w)
+        self.u = np.atleast_1d(np.asarray(u, dtype=float))
+        self.w = np.atleast_1d(np.asarray(w, dtype=float))
 
     def _out(self, val, kind=complex):
-        return kind(val) if self._scalar else val
+        return kind(val[0, 0]) if self._shape == () else val.reshape(self._shape)
+
+    @cached_property
+    def _th1(self):
+        """A, Ab, G and A' of the module docstring, stacked."""
+        om, iw = self.fam.omega, 1j * self.w
+        b = np.stack([iw + om, -iw + om, iw - 3 * om, iw + om]) / 2
+        return theta_tensor(1, self.u / 2, b, self.fam.lattice, (0, 0, 0, 1))
+
+    @cached_property
+    def _td(self):
+        """D, Db and D' of the module docstring, stacked."""
+        fam, iw = self.fam, 1j * self.w
+        b = np.stack([iw - fam.omega, -iw - fam.omega, iw - fam.omega]) / 2
+        return theta_tensor(fam.den, self.u / 2, b, fam.lattice, (0, 0, 1))
 
     @cached_property
     def _th1_p(self):
-        return _th1_den(self.z, self.fam.omega, self.fam.lattice)
+        return _pole_checked(self._th1[0], "theta1((z + omega)/2)")
 
     @cached_property
     def _th1_pb(self):
-        return _th1_den(self.zb, self.fam.omega, self.fam.lattice)
+        return _pole_checked(self._th1[1], "theta1((zb + omega)/2)")
 
     @cached_property
-    def _td_m(self):
-        fam = self.fam
-        return theta_grid(fam.den, (self.z - fam.omega) / 2, fam.lattice)
-
-    @cached_property
-    def _td_mb(self):
-        fam = self.fam
-        return theta_grid(fam.den, (self.zb - fam.omega) / 2, fam.lattice)
+    def _ezc(self):
+        """e^{z c} on the grid."""
+        return np.exp((self.u[:, None] + 1j * self.w) * self.fam.c)
 
     @cached_property
     def gamma(self):
         """The planar curve gamma(u, w)."""
         fam = self.fam
         pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
-        val = pref * theta_grid(1, (self.z - 3 * fam.omega) / 2, fam.lattice) / self._th1_p
-        return self._out(val * np.exp(self.z * fam.c))
+        return self._out(pref * self._th1[2] / self._th1_p * self._ezc)
 
     @cached_property
     def gamma_u(self):
         """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}."""
-        val = -1j * (self._td_m / self._th1_p) ** 2
-        return self._out(val * np.exp(self.z * self.fam.c))
+        return self._out(-1j * (self._td[0] / self._th1_p) ** 2 * self._ezc)
 
     @cached_property
     def exp_h(self):
         """Metric factor e^{h(u,w)}, positive real.
 
-        The realness check compares each w column (axis 1 of a 2-D grid)
-        with its own scale, over u along axis 0.
+        The realness check compares each w column with its own scale, over u.
         """
-        val = self._td_m * self._td_mb / (self._th1_p * self._th1_pb)
-        val = val * np.exp(self.u * self.fam.c.real)
+        val = self._td[0] * self._td[1] / (self._th1_p * self._th1_pb)
+        val = val * np.exp(self.u * self.fam.c.real)[:, None]
         out = np.real(val)
-        im = np.max(np.abs(np.imag(np.atleast_1d(val))), axis=0)
-        if np.any(im > 1e-9 * np.max(np.abs(np.atleast_1d(out)), axis=0)):
+        im = np.max(np.abs(np.imag(val)), axis=0)
+        if np.any(im > 1e-9 * np.max(np.abs(out), axis=0)):
             raise ArithmeticError("e^h should be real")
         return self._out(out, float)
 
     @cached_property
+    def _eis(self):
+        val = -1j * self._td[0] * self._th1_pb / (self._th1_p * self._td[1])
+        return val * np.exp(1j * self.w * self.fam.c)
+
+    @cached_property
+    def _dlog(self):
+        return self._td[2] / self._td[0] - self._th1[3] / self._th1_p + self.fam.c
+
+    @cached_property
     def exp_isigma(self):
         """Unitary factor e^{i sigma(u,w)} of gamma_u."""
-        val = -1j * self._td_m * self._th1_pb / (self._th1_p * self._td_mb)
-        return self._out(val * np.exp(1j * self.w * self.fam.c))
+        return self._out(self._eis)
 
     @cached_property
     def dlog_gamma_u(self):
         """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives."""
-        fam = self.fam
-        val = (theta_grid(fam.den, (self.z - fam.omega) / 2, fam.lattice, 1) / self._td_m
-               - theta_grid(1, (self.z + fam.omega) / 2, fam.lattice, 1) / self._th1_p
-               + fam.c)
-        return self._out(val)
+        return self._out(self._dlog)
 
     @cached_property
     def kappa_hyp(self):
         """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized
         curve."""
         W1 = w1(self.w, self.fam)
-        sig_u = np.imag(self.dlog_gamma_u)
-        q = _standardizing_rotation(W1) * self.exp_isigma
-        return sig_u / (2 * abs(W1)) + np.real(q)
+        q = _standardizing_rotation(W1) * self._eis
+        return self._out(np.imag(self._dlog) / (2 * abs(W1)) + np.real(q), float)
 
 
 def gamma(u, w, fam: Family):
-    """The planar curve gamma(u, w); u and w may be arrays that broadcast."""
+    """The planar curve gamma(u, w) on the grid u x w (see `CurveGrid`)."""
     return CurveGrid(u, w, fam, mirrored=True).gamma
 
 
 def gamma_u(u, w, fam: Family):
-    """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form;
-    u and w broadcast."""
+    """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form,
+    on the grid u x w."""
     return CurveGrid(u, w, fam, mirrored=True).gamma_u
 
 
 def exp_h(u, w, fam: Family):
-    """Metric factor e^{h(u,w)} (positive real); u and w broadcast."""
+    """Metric factor e^{h(u,w)} (positive real) on the grid u x w."""
     return CurveGrid(u, w, fam).exp_h
 
 
 def exp_isigma(u, w, fam: Family):
-    """Unitary factor e^{i sigma(u,w)} of gamma_u; u and w broadcast."""
+    """Unitary factor e^{i sigma(u,w)} of gamma_u on the grid u x w."""
     return CurveGrid(u, w, fam).exp_isigma
 
 
@@ -219,7 +238,8 @@ def w1(w, fam: Family):
 
 
 def dlog_gamma_u(u, w, fam: Family):
-    """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives; u and w broadcast."""
+    """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives, on the
+    grid u x w."""
     return CurveGrid(u, w, fam, mirrored=True).dlog_gamma_u
 
 

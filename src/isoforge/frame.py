@@ -316,8 +316,9 @@ def close_torus(template, fam, target_angle: float,
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) == 0:
         raise NoBracket(
-            f"theta(A) does not cross {target_angle:.6g} on [{lo}, {hi}]; "
-            f"observed range [{np.min(vals) + target_angle:.6g}, "
+            f"no amplitude in [{lo:.6g}, {hi:.6g}] turns the monodromy by "
+            f"{target_angle:.6g}: the scanned angles span "
+            f"[{np.min(vals) + target_angle:.6g}, "
             f"{np.max(vals) + target_angle:.6g}]"
         )
     i = idx[0]

@@ -190,7 +190,7 @@ def characterization_residual(surf, crit, us, n_v: int = 33,
     worst = 0.0
     for tr in triples:
         a, b = alpha_beta(tr, crit)
-        grid = curvefamily.CurveGrid(np.full(n_v, tr.u), ws, fam)
+        grid = curvefamily.CurveGrid(tr.u, ws, fam)
         eh, hu = grid.exp_h, np.real(grid.dlog_gamma_u)
         worst = max(worst, float(np.max(np.abs(
             eh - a * curvature_q(tr, eh) + b * hu))))
@@ -297,7 +297,7 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     w_sel = np.asarray(rspec.w(v_sel), dtype=float)
     wp_sel = np.asarray(rspec.wprime(v_sel), dtype=float)
 
-    grid = curvefamily.CurveGrid(np.full(len(v_sel), om), w_sel, fam)
+    grid = curvefamily.CurveGrid(om, w_sel, fam)
     s = 1.0 / grid.exp_h
     h_w = -np.imag(grid.dlog_gamma_u)
     sprime = -h_w * s * wp_sel  # carries the sign of sqrt(Q)/delta

@@ -9,9 +9,11 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
 
 where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates them on
 a (u, v) grid in blocks of whole v columns of at most _BLOCK_POINTS points:
-one `curvefamily.CurveGrid` on u[:, None] x w[None, block], whose five
-theta arrays serve every closed form, so the theta temporaries stay
-bounded, and the frame acts through one 3x3 rotation matrix per column
+one `curvefamily.CurveGrid` on u x w(block), whose theta arrays come from
+two matrix products (`theta.theta_tensor`, one per theta index) with the
+truncation bound of the theta series, and serve every closed form.  The
+blocks keep the theta temporaries bounded, and the frame acts through one
+3x3 rotation matrix per column
 (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
 Phi^{-1} k Phi).  A recipe whose family has mode
 "limit" builds the omega -> 0 limit surface (planes tangent to a cylinder)
@@ -21,8 +23,9 @@ the frame module's Magnus solver.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
-around all probes at once, whose step is independent of the display grid, so
-truncation error is controlled by the probe step alone.
+around all probes and all probe steps at once, whose steps are independent
+of the display grid, so truncation error is controlled by the probe step
+alone.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi):
     step = max(1, _BLOCK_POINTS // max(nu, 1))
     for lo in range(0, nv, step):
         cols = slice(lo, lo + step)
-        grid = curvefamily.CurveGrid(u[:, None], w_arr[None, cols], fam)
+        grid = curvefamily.CurveGrid(u, w_arr[cols], fam)
         gam, eis = grid.gamma, grid.exp_isigma
         eh[:, cols] = grid.exp_h
         del grid  # its theta arrays are not needed for the assembly
@@ -208,101 +211,112 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
 # residual battery
 
 
-def pde_battery(fam, spec, u_probes, v_probes, du=4e-4, dv=4e-4,
+def pde_battery(fam, spec, u_probes, v_probes, steps=(4e-4,),
                 step_tol=1e-13):
-    """Max residuals of the local structure equations at probe points.
+    """Max residuals of the local structure equations at probe points, one
+    dict per probe step h of `steps` (du = dv = h).
 
     Identities: Gauss  h_uu + h_vv + k1 k2 e^{2h} = 0,
     Codazzi  k1_v = h_v (k2 - k1)  and  k2_u = h_u (k1 - k2),
     harmonicity  h_uu + h_ww = 0,  Cauchy-Riemann  h_u = sigma_w,
     h_w = -sigma_u,  and the Riccati equation  h_u = U e^h + U1 e^{-h}.
-    All derivatives are centered differences with steps (du, dv) of the
+    All derivatives are centered differences with step h of the
     closed-form fields, so the battery converges at second order in the
-    probe step independently of any display grid.  Every grid below has
-    the u-probes along axis 0 and the v-probes along the last axis; the
-    stencil axes hold the shifts -1, 0, +1 steps.
+    probe step independently of any display grid.  The shifts 0, -h, +h of
+    every step form one stencil: one frame integration over its v-nodes,
+    one `CurveGrid` on its u-nodes x (its w(v) and its w-shifts), one
+    `coeffs` sample and one `fields_at` on its u-nodes x v-nodes serve
+    every step.  Grids below have the shifts along their leading axes.
     """
     u_probes = np.asarray(u_probes, dtype=float)
     v_probes = np.asarray(v_probes, dtype=float)
     nu, nv = len(u_probes), len(v_probes)
-    m = np.array([[-1], [0], [1]])
-    us = u_probes + m * du                             # (3, nu)
-    vs = v_probes + m * dv                             # (3, nv)
+    off = np.concatenate([[0.0], *([-h, h] for h in steps)])   # (S,)
+    ns = len(off)
+    us = u_probes + off[:, None]                               # (S, nu)
+    vs = v_probes + off[:, None]                               # (S, nv)
 
     # frame at all shifted v-nodes in one integration
     v_all = np.unique(vs)
     nodes = v_all if v_all[0] == 0.0 else np.concatenate([[0.0], v_all])
     traj = frame.integrate(spec, fam, v_nodes=nodes, step_tol=step_tol)
+    at = np.searchsorted(nodes, vs.ravel())
 
-    def phi_of(vv):
-        i = int(np.argmin(np.abs(nodes - vv)))
-        if abs(nodes[i] - vv) > 1e-9:
-            raise KeyError(f"no frame sample near v = {vv}")
-        return traj.phi[i]
-
-    uu = u_probes[:, None]
-    w0 = np.asarray(spec.w(v_probes), dtype=float)[None, :]
-    # one grid per stencil shift: e^h, e^{i sigma} and the log-derivative
-    # at each shift share its theta arrays
-    at = curvefamily.CurveGrid(uu, w0, fam)
-    at_up, at_um = (curvefamily.CurveGrid(uu + s, w0, fam) for s in (du, -du))
-    at_wp, at_wm = (curvefamily.CurveGrid(uu, w0 + s, fam) for s in (du, -du))
-
-    def h_of(grid):
-        return np.log(grid.exp_h)
-
-    h_c = h_of(at)
-    h_u = (h_of(at_up) - h_of(at_um)) / (2 * du)
-    h_w = (h_of(at_wp) - h_of(at_wm)) / (2 * du)
-    # second derivatives as single differences of the analytic first
-    # derivatives (h + i sigma)_u = dlog gamma_u, so double-difference
-    # roundoff never enters
-    h_uu = np.real(at_up.dlog_gamma_u - at_um.dlog_gamma_u) / (2 * du)
-    h_ww = -np.imag(at_wp.dlog_gamma_u - at_wm.dlog_gamma_u) / (2 * du)
-    # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
+    # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
+    # for s > 0 (the w-shifts)
     wv, wpv, _ = _plane_vectors(spec, vs.ravel())
-    h_v3 = (-np.imag(curvefamily.dlog_gamma_u(uu, wv[None, :], fam))
-            * wpv).reshape(nu, 3, nv)
-    h_v = h_v3[:, 1]
-    h_vv = (h_v3[:, 2] - h_v3[:, 0]) / (2 * dv)
+    grid = curvefamily.CurveGrid(
+        us.ravel(), np.concatenate([wv, (wv[:nv] + off[1:, None]).ravel()]),
+        fam)
+    wcol = np.concatenate([[0], np.arange(ns, 2 * ns - 1)])
 
-    # Cauchy-Riemann via branch-free log-derivatives of e^{i sigma}
-    s_c = at.exp_isigma
-    sig_u = np.imag((at_up.exp_isigma - at_um.exp_isigma) / (2 * du) / s_c)
-    sig_w = np.imag((at_wp.exp_isigma - at_wm.exp_isigma) / (2 * du) / s_c)
+    def on_stencil(x):
+        """x on (u-shift, u-probe, v-shift, v-probe), along w(v), and on
+        (w-shift, u-probe, v-probe) at the unshifted u."""
+        x = x.reshape(ns, nu, 2 * ns - 1, nv)
+        return x[:, :, :ns], x[0, :, wcol]
+
+    h_uv, h_wv = on_stencil(np.log(grid.exp_h))
+    dl_uv, dl_wv = on_stencil(grid.dlog_gamma_u)
+    eis_uv, eis_wv = on_stencil(grid.exp_isigma)
+    # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
+    h_v_all = (-np.imag(np.moveaxis(dl_uv[0], 1, 0))
+               * wpv.reshape(ns, 1, nv))                       # (S, nu, nv)
+    h_c, h_v, s_c = h_uv[0, :, 0], h_v_all[0], eis_uv[0, :, 0]
+    ehc = np.exp(h_c)
 
     cs = coeffs(u_probes, fam)
     U, U1, U2, Up, U1p = (getattr(cs, k)[:, None]
                           for k in ("U", "U1", "U2", "Uprime", "U1prime"))
-    ehc = np.exp(h_c)
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
-    # on the stencil grid us x vs, reshaped to (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(),
-                  np.array([phi_of(x) for x in vs.ravel()]))
-    fu, fv, nrm = (f[k].reshape(3, nu, 3, nv, 3) for k in ("fu", "fv", "n"))
-    e2h = f["expH"].reshape(3, nu, 3, nv) ** 2
-    fuu = (fu[2] - fu[0]) / (2 * du)                   # (nu, v-shift, nv, 3)
-    k1 = np.sum(fuu * nrm[1], axis=-1) / e2h[1]
-    fvv = (fv[:, :, 2] - fv[:, :, 0]) / (2 * dv)       # (u-shift, nu, nv, 3)
-    k2 = np.sum(fvv * nrm[:, :, 1], axis=-1) / e2h[:, :, 1]
-    k1c, k2c = k1[:, 1], k2[1]
-    k1_v = (k1[:, 2] - k1[:, 0]) / (2 * dv)
-    k2_u = (k2[2] - k2[0]) / (2 * du)
+    # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(), traj.phi[at])
+    fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
+    e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
 
     def worst(x):
         return float(np.max(np.abs(x)))
 
-    return {
-        "gauss": worst(h_uu + h_vv + k1c * k2c * np.exp(2 * h_c)),
-        "codazzi_u": worst(k2_u - h_u * (k1c - k2c)),
-        "codazzi_v": worst(k1_v - h_v * (k2c - k1c)),
-        "harmonic": worst(h_uu + h_ww),
-        "cauchy_riemann": max(worst(h_u - sig_w), worst(h_w + sig_u)),
-        "riccati": worst(h_u - U * ehc - U1 / ehc),
-        "hw_quartic": worst(h_w ** 2 + U1 ** 2 / ehc ** 2 - 2 * U1p / ehc + U2
-                            + 2 * Up * ehc + U ** 2 * ehc ** 2),
-    }
+    levels = []
+    for lvl, h in enumerate(steps):
+        m, p = 1 + 2 * lvl, 2 + 2 * lvl          # the shifts -h and +h
+        sh = [m, 0, p]
+
+        def d(x):
+            """Centered difference along the leading (shift) axis."""
+            return (x[p] - x[m]) / (2 * h)
+
+        h_u, h_w = d(h_uv[:, :, 0]), d(h_wv)
+        # second derivatives as single differences of the analytic first
+        # derivatives (h + i sigma)_u = dlog gamma_u, so double-difference
+        # roundoff never enters
+        h_uu, h_ww = np.real(d(dl_uv[:, :, 0])), -np.imag(d(dl_wv))
+        h_vv = d(h_v_all)
+        # Cauchy-Riemann via branch-free log-derivatives of e^{i sigma}
+        sig_u = np.imag(d(eis_uv[:, :, 0]) / s_c)
+        sig_w = np.imag(d(eis_wv) / s_c)
+
+        # k1 on (u-probe, v-shift [-h, 0, +h], v-probe), k2 on
+        # (u-shift [-h, 0, +h], u-probe, v-probe)
+        k1 = np.sum(d(fu[:, :, sh]) * nrm[0][:, sh], axis=-1) / e2h[0][:, sh]
+        k2 = (np.sum(d(np.moveaxis(fv[sh], 2, 0)) * nrm[sh][:, :, 0], axis=-1)
+              / e2h[sh][:, :, 0])
+        k1c, k2c = k1[:, 1], k2[1]
+        k1_v = (k1[:, 2] - k1[:, 0]) / (2 * h)
+        k2_u = (k2[2] - k2[0]) / (2 * h)
+
+        levels.append({
+            "gauss": worst(h_uu + h_vv + k1c * k2c * np.exp(2 * h_c)),
+            "codazzi_u": worst(k2_u - h_u * (k1c - k2c)),
+            "codazzi_v": worst(k1_v - h_v * (k2c - k1c)),
+            "harmonic": worst(h_uu + h_ww),
+            "cauchy_riemann": max(worst(h_u - sig_w), worst(h_w + sig_u)),
+            "riccati": worst(h_u - U * ehc - U1 / ehc),
+            "hw_quartic": worst(h_w ** 2 + U1 ** 2 / ehc ** 2 - 2 * U1p / ehc
+                                + U2 + 2 * Up * ehc + U ** 2 * ehc ** 2),
+        })
+    return levels
 
 
 @dataclass(frozen=True)
@@ -416,8 +430,9 @@ def dual_symmetry(s: SampledSurface) -> SymmetryReport:
 
 
 def gauss_codazzi_residuals(s: SampledSurface, n_probe: int = 6,
-                            du: float = 4e-4, dv: float = 4e-4) -> dict:
-    """Convenience wrapper: run the PDE battery at probes from the grid.
+                            steps=(4e-4, 8e-4)) -> list:
+    """Convenience wrapper: run the PDE battery at probes from the grid,
+    one dict of residuals per probe step.
 
     u-probes stay clear of u = pi/2 mod pi, where the Riccati coefficients
     U, U1 have poles (the identities hold only in the limit there).
@@ -426,5 +441,4 @@ def gauss_codazzi_residuals(s: SampledSurface, n_probe: int = 6,
     ok = np.nonzero(dist > 0.08)[0][1:-1]
     iu = ok[np.unique(np.linspace(0, len(ok) - 1, n_probe).astype(int))]
     jv = np.linspace(2, len(s.v) - 3, n_probe).astype(int)
-    return pde_battery(s.recipe.fam, s.recipe.spec,
-                       s.u[iu], s.v[jv], du=du, dv=dv)
+    return pde_battery(s.recipe.fam, s.recipe.spec, s.u[iu], s.v[jv], steps)

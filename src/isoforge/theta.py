@@ -23,6 +23,15 @@ The coefficients of P (the series coefficients times the factors of the
 differentiation) are computed once per lattice, index and order and cached
 on the lattice.  The terms are those of the sin/cos series above, so the
 tail bound certifies this evaluation too.
+
+On a tensor grid of points z = a_j + b_l with real a, the kind the curve
+family evaluates on u x w surface grids, each term splits as
+e^{i m a_j} e^{i m b_l}, so `theta_tensor` sums the series as one complex
+matrix product (len(a) x 2N) @ (2N x len(b)) per array; the arrays of
+one theta index share the left factor.  It sums the same terms with the
+same truncation, so the same bound certifies it on |Im b| <= H.
+`theta_grid` remains for points and lines and as the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ import numpy as np
 from .errors import InvalidLattice, StripExceeded
 
 _MAX_TERMS = 400
+# entries of the left factor of theta_tensor per row block (128 KB)
+_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -150,11 +161,8 @@ def _check_strip(im: float, lat: Lattice):
         )
 
 
-def theta_grid(i: int, z, lat: Lattice, order: int = 0):
-    """theta_i (or its z-derivative of given order) at a number or an array z.
-
-    An array gives an array of the same shape, a number a numpy complex.
-    """
+def _series(i: int, order: int, lat: Lattice):
+    """The cached `_laurent` series of theta_i^(order) on lat."""
     if i not in (1, 2, 3, 4):
         raise ValueError(f"theta index must be 1..4, got {i}")
     if order not in (0, 1, 2):
@@ -163,7 +171,15 @@ def theta_grid(i: int, z, lat: Lattice, order: int = 0):
     series = lat.laurent.get(key)
     if series is None:
         series = lat.laurent[key] = _laurent(i, order, lat)
-    coef, m0, sign = series
+    return series
+
+
+def theta_grid(i: int, z, lat: Lattice, order: int = 0):
+    """theta_i (or its z-derivative of given order) at a number or an array z.
+
+    An array gives an array of the same shape, a number a numpy complex.
+    """
+    coef, m0, sign = _series(i, order, lat)
     scalar = isinstance(z, (int, float, complex)) or getattr(z, "ndim", None) == 0
     if scalar:
         z = complex(z)
@@ -184,6 +200,56 @@ def theta_grid(i: int, z, lat: Lattice, order: int = 0):
         pinv /= u
     out = p + pinv if sign > 0 else p - pinv
     return np.complex128(out) if scalar else out
+
+
+def _powers(e, n, m0, axis, size=None):
+    """e^{m0} e^{2k} for k < n along a new axis of `size` (default n)
+    entries at `axis`; the entries past n are left unset."""
+    e2 = e * e
+    out = np.empty(e.shape[:axis] + (size or n,) + e.shape[axis:],
+                   dtype=complex)
+    view = np.moveaxis(out, axis, 0)
+    view[0] = e if m0 else 1.0
+    for k in range(1, n):
+        np.multiply(view[k - 1], e2, out=view[k])
+    return out
+
+
+def theta_tensor(i: int, a, b, lat: Lattice, orders):
+    """theta_i^(orders[k])(a_j + b[k, l]) as a (K, len(a), nb) array.
+
+    a is a real 1-D array, b a (K, nb) complex array (or K 1-D arrays of
+    one length) and orders holds K derivative orders; each array out[k]
+    of the result is contiguous.  With m_n = m0 + 2n the series of
+    `_laurent` is the matrix product
+
+        [e^{i m_n a_j}, e^{-i m_n a_j}] @ [[a_n e^{i m_n b_l}], [s a_n e^{-i m_n b_l}]]
+
+    (a_n, m0 and s of theta_i^(k)), whose left factor all K planes share.
+    Both factors are built from one complex exponential per value of a or
+    b and its powers; the left one in blocks of at most _BLOCK_ENTRIES
+    entries, so no temporary grows with len(a) x N.  The terms
+    are those of `theta_grid`, so its tail bound certifies the product on
+    |Im b| <= H, where every e^{+-i m_n b} is finite: the truncation loop
+    evaluated e^{(2N+1)H}.
+    """
+    series = [_series(i, k, lat) for k in orders]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=complex).reshape(len(series), -1)
+    # allocated before the temporaries it outlives
+    out = np.empty((len(series), len(a), b.shape[1]), dtype=complex)
+    _check_strip(np.max(np.abs(b.imag), initial=0.0), lat)
+    n, m0 = len(series[0][0]), series[0][1]
+    coef = np.array([c for c, _, _ in series])[:, :, None]     # (K, n, 1)
+    sign = np.array([s for _, _, s in series])[:, None, None]
+    eb = _powers(np.exp(1j * b), n, m0, axis=1)                # e^{i m_n b}
+    right = np.concatenate([coef * eb, sign * coef / eb], axis=1)
+    rows = max(1, _BLOCK_ENTRIES // (2 * n))
+    for lo in range(0, len(a), rows):
+        left = _powers(np.exp(1j * a[lo:lo + rows]), n, m0, 0, 2 * n)
+        np.conjugate(left[:n], out=left[n:])                   # e^{-i m_n a}
+        np.matmul(left.T, right, out=out[:, lo:lo + rows])
+    return out
 
 
 # quasi-period multipliers for z -> z + pi*tau: theta_i(z + pi*tau) = m_i(z) theta_i(z)

@@ -4,10 +4,12 @@ Everything expensive is session-scoped so the surface builds and frame
 integrations are shared across test modules.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from isoforge import elliptic, reparam, surface, theta
+from isoforge import curvefamily, elliptic, reparam, surface, theta
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +80,30 @@ def limit_surf(lam0, limit_spec):
     fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     recipe = surface.SurfaceRecipe(fam=fam, spec=limit_spec, nu=48, nv=48)
     return surface.build(recipe)
+
+
+@pytest.fixture
+def theta_arrays(monkeypatch):
+    """Records the theta arrays curvefamily evaluates.
+
+    `calls` holds (index, len(a), shape of b) for each theta_tensor call,
+    `arrays` one (index, order, a, b row) key for each array it returns,
+    and `grid` the shape of every array argument of theta_grid.
+    """
+    rec = SimpleNamespace(calls=[], arrays=[], grid=[])
+    tensor, grid = curvefamily.theta_tensor, curvefamily.theta_grid
+
+    def counted_tensor(i, a, b, lat, orders):
+        rec.calls.append((i, len(a), np.shape(b)))
+        rec.arrays.extend((i, k, np.asarray(a).tobytes(), np.asarray(row).tobytes())
+                          for k, row in zip(orders, b))
+        return tensor(i, a, b, lat, orders)
+
+    def counted_grid(i, z, *args):
+        if np.ndim(z):
+            rec.grid.append(np.shape(z))
+        return grid(i, z, *args)
+
+    monkeypatch.setattr(curvefamily, "theta_tensor", counted_tensor)
+    monkeypatch.setattr(curvefamily, "theta_grid", counted_grid)
+    return rec

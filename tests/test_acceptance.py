@@ -93,9 +93,8 @@ def test_criterion_04_pde_battery(acc_surf):
     t0 = time.perf_counter()
     # order from the 8e-4 -> 4e-4 halving (truncation-dominated); absolute
     # residuals at the finest 2e-4 step
-    finest = surface.gauss_codazzi_residuals(acc_surf, du=2e-4, dv=2e-4)
-    fine = surface.gauss_codazzi_residuals(acc_surf, du=4e-4, dv=4e-4)
-    coarse = surface.gauss_codazzi_residuals(acc_surf, du=8e-4, dv=8e-4)
+    finest, fine, coarse = surface.gauss_codazzi_residuals(
+        acc_surf, steps=(2e-4, 4e-4, 8e-4))
     dt = time.perf_counter() - t0
     ok = dt < 30.0
     worst_order = np.inf

@@ -267,19 +267,18 @@ def test_curves_writes_csv(tmp_path):
     assert (tmp_path / "curves.svg").exists()
 
 
-def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, monkeypatch):
+def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
     """gamma, e^h, e^{i sigma} and the hyperbolic curvature of one curve
-    share five theta arrays and two derivative arrays."""
-    from isoforge import curvefamily
-    arrays = []
-    theta_grid = curvefamily.theta_grid
-    monkeypatch.setattr(curvefamily, "theta_grid", lambda n, z, *a: (
-        np.ndim(z) and arrays.append(np.shape(z))) or theta_grid(n, z, *a))
+    share five theta arrays and two derivative arrays, fetched in one
+    theta_tensor call per theta index; only W1 evaluates theta at a point
+    array, its w."""
     result = CliRunner().invoke(cli, [
         "curves", _write(tmp_path, _base_cfg()), "--w", "0.7", "--w", "1.3",
         "--n", "64", "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert arrays == [(65,)] * 14
+    assert sorted(theta_arrays.calls) == [(1, 65, (4, 1))] * 2 + [(2, 65, (3, 1))] * 2
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 14
+    assert theta_arrays.grid == [(1,)] * 4
 
 
 def _exit_code(monkeypatch, *argv):
@@ -341,6 +340,22 @@ def test_close_torus_rejects_k_below_one(tmp_path, monkeypatch, capsys, k):
                       "--k", k, "--out-dir", str(tmp_path))
     assert code == 1
     assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "torus.obj").exists()
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_close_torus_says_no_amplitude_closes(tmp_path, monkeypatch, capsys,
+                                              k):
+    """The default target 2 pi / k of k = 1, 2 lies beyond the angles the
+    amplitude scan reaches: exit 2, saying no amplitude closes the piece
+    (the root finder's 'does not cross' before)."""
+    code = _exit_code(monkeypatch, "close-torus",
+                      _write(tmp_path, _base_cfg(grid={"nu": 8, "nv": 8})),
+                      "--k", k, "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: no amplitude in [0.02, " in err
+    assert f"no amplitude closes the piece after {k} period" in err
     assert not (tmp_path / "torus.obj").exists()
 
 
@@ -596,6 +611,64 @@ def test_verify_inadmissible_limit_spec_exits_2(tmp_path, monkeypatch, capsys):
         cli_mod.main()
     assert exc.value.code == 2
     assert "|w'| reaches" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "surface"])
+def test_tol_override_keeps_structural_bounds(tmp_path, monkeypatch, command):
+    """--tol replaces the residual tolerances only: a rank-2 set of plane
+    normals (rank 3 expected) still fails normals_rank_defect under
+    --tol 2, which let it pass by |-1| < 2."""
+    planarity = cli_mod.surface_mod.planarity_certificate
+    monkeypatch.setattr(cli_mod.surface_mod, "planarity_certificate",
+                        lambda s: dataclasses.replace(planarity(s),
+                                                      normal_rank=2))
+    out = tmp_path / "report.json"
+    argv = ([command, _write(tmp_path, _base_cfg()), "--tol", "2"]
+            + (["--out", str(out)] if command == "verify"
+               else ["--out-dir", str(tmp_path)]))
+    result = CliRunner().invoke(cli, argv)
+    assert result.exit_code == 3, result.output
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["normals_rank_defect"]["tolerance"] == 0.5
+    assert not checks["normals_rank_defect"]["pass"]
+    assert checks["reparam_admissible"]["tolerance"] == 0.5
+    assert checks["planarity"]["tolerance"] == 2.0
+    assert [c["name"] for c in checks.values() if not c["pass"]] == [
+        "normals_rank_defect"]
+
+
+@pytest.mark.parametrize("key", ["mesh", "report"])
+@pytest.mark.parametrize("name", ["ABS", "sub/out.txt", "..", ""])
+def test_outputs_must_be_file_names(tmp_path, key, name):
+    """An output name that is a path made os.path.join drop --out-dir, so
+    the file was written outside it; such names now exit 1."""
+    outside = tmp_path / "outside.txt"
+    if name == "ABS":
+        name = str(outside)
+    cfg = _base_cfg(outputs={key: name}, grid={"nu": 8, "nv": 8})
+    out_dir = tmp_path / "out"
+    (out_dir / "sub").mkdir(parents=True)
+    result = CliRunner().invoke(cli, [
+        "surface", _write(tmp_path, cfg), "--out-dir", str(out_dir)])
+    assert result.exit_code == 1, result.output
+    assert f"outputs.{key} must be a file name" in result.output
+    assert not outside.exists()
+    assert not list(out_dir.rglob("*.*"))
+
+
+def test_verify_integrates_the_frame_four_times(tmp_path, monkeypatch):
+    """A critical verify integrates the frame for the surface, once for
+    both steps of the PDE battery, once for the three fv_vs_fd probes and
+    once for the dual loop integral."""
+    calls = []
+    integrate = frame.integrate
+    monkeypatch.setattr(frame, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, _base_cfg()), "--out",
+        str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

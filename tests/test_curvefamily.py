@@ -1,5 +1,7 @@
 """The planar curve family, its metric data and elastica diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,22 +172,52 @@ def test_wrappers_raise_on_the_same_inputs(crit032):
 
 def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
     """Every form read from one grid equals, bit for bit, the module
-    function of the same name; a number u gives numbers."""
+    function of the same name; the forms are (len(u), len(w)) grids, a
+    number drops its axis, and two numbers give a number."""
     for fam in (crit032, rect_fam):
-        u = np.linspace(0.0, 2 * np.pi, 7)[:, None]
-        w = _random_w(fam.lattice, n=3)[None, :]
+        u = np.linspace(0.0, 2 * np.pi, 7)
+        w = _random_w(fam.lattice, n=3)
         grid = curvefamily.CurveGrid(u, w, fam)
         for name in ("gamma", "gamma_u", "exp_h", "exp_isigma",
                      "dlog_gamma_u"):
+            assert getattr(grid, name).shape == (7, 3)
             assert np.array_equal(getattr(grid, name),
                                   getattr(curvefamily, name)(u, w, fam))
-        one = curvefamily.CurveGrid(0.7, float(w[0, 1]), fam)
+            # a row or column alone, to round-off
+            full = getattr(grid, name)
+            for part, want in ((curvefamily.CurveGrid(u[2], w, fam), full[2]),
+                               (curvefamily.CurveGrid(u, w[1], fam), full[:, 1])):
+                got = getattr(part, name)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(full))
+        one = curvefamily.CurveGrid(0.7, float(w[1]), fam)
         assert isinstance(one.gamma, complex)
         assert isinstance(one.exp_h, float)
     w = float(_random_w(crit032.lattice, n=1)[0])
     us = np.linspace(0.0, 2 * np.pi, 9)
     assert np.array_equal(curvefamily.CurveGrid(us, w, crit032).kappa_hyp,
                           curvefamily.kappa_hyp(us, w, crit032))
+
+
+def test_curve_grid_memory_peak(crit032):
+    """A 4097-point curve (gamma, e^h, e^{i sigma}, kappa) holds its seven
+    theta arrays, yet its traced peak stays at or below the 1,117,124 bytes
+    of evaluating them point by point (the theta_tensor temporaries are
+    bounded by its row blocks)."""
+    us = np.linspace(0.0, 2 * np.pi, 4097)
+
+    def curve(u):
+        grid = curvefamily.CurveGrid(u, 0.7, crit032)
+        return grid.gamma, grid.exp_h, grid.exp_isigma, grid.kappa_hyp
+
+    curve(us[:3])  # fill the coefficient caches
+    tracemalloc.start()
+    try:
+        curve(us)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_117_124
 
 
 def test_w1_pole_guard_rectangular(rect_fam):

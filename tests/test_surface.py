@@ -110,40 +110,64 @@ def test_fields_at_memory_peak(crit032, torus_spec):
     assert peak < 5_000_000
 
 
-def _count_theta_arrays(monkeypatch):
-    """The shapes of the array arguments curvefamily passes to theta_grid."""
-    shapes = []
-    theta_grid = curvefamily.theta_grid
-    monkeypatch.setattr(curvefamily, "theta_grid", lambda n, z, *a: (
-        np.ndim(z) and shapes.append(np.shape(z))) or theta_grid(n, z, *a))
-    return shapes
-
-
 def test_fields_at_block_evaluates_five_theta_arrays(torus_surf, crit032,
-                                                     monkeypatch):
-    """One block of columns shares theta1((z + omega)/2),
-    theta1((zb + omega)/2), td((z - omega)/2), td((zb - omega)/2) and
-    theta1((z - 3 omega)/2) among gamma, e^{i sigma} and e^h."""
+                                                     theta_arrays):
+    """One block of columns fetches the five theta arrays that gamma,
+    e^{i sigma} and e^h share -- theta1((z + omega)/2), theta1((zb +
+    omega)/2), theta1((z - 3 omega)/2), td((z - omega)/2) and
+    td((zb - omega)/2) -- with the two derivative arrays in one
+    theta_tensor call per theta index, evaluates no array twice and none
+    point by point."""
     u = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     v = torus_surf.v[:40]
     assert len(u) * len(v) <= surface._BLOCK_POINTS
-    shapes = _count_theta_arrays(monkeypatch)
     surface.fields_at(crit032, torus_surf.recipe.spec, u, v,
                       torus_surf.phi[:40])
-    assert shapes == [(64, 40)] * 5
+    assert sorted(theta_arrays.calls) == [(1, 64, (4, 40)), (2, 64, (3, 40))]
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 7
+    assert theta_arrays.grid == []
 
 
 def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
-                                                   monkeypatch):
-    """Each of the four stencil shifts of the probe grid evaluates e^h,
-    e^{i sigma} and the log-derivative from six theta arrays, the center
-    e^h and e^{i sigma} from four."""
+                                                   theta_arrays, monkeypatch):
+    """Both probe steps share one stencil: one frame integration over its
+    v-nodes, one CurveGrid (two theta_tensor calls on the 5 u-shifts x
+    (5 w(v) shifts + 4 w-shifts) of the probes), one coeffs sample and one
+    fields_at call (two theta_tensor calls in one block); no array is
+    evaluated twice.  (theta_grid still serves W1 along the frame.)"""
+    counts = {"integrate": 0, "fields_at": 0, "coeffs": 0}
+    for mod, name in ((frame, "integrate"), (surface, "fields_at"),
+                      (surface, "coeffs")):
+        def counted(*a, _f=getattr(mod, name), _n=name, **k):
+            counts[_n] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(mod, name, counted)
     spec = torus_surf.recipe.spec
     u_probes = np.array([0.3, 0.9, 2.0, 3.5])
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
-    shapes = _count_theta_arrays(monkeypatch)
-    surface.pde_battery(crit032, spec, u_probes, v_probes)
-    assert shapes.count((4, 5)) == 4 + 4 * 6
+    levels = surface.pde_battery(crit032, spec, u_probes, v_probes,
+                                 steps=(4e-4, 8e-4))
+    assert len(levels) == 2
+    assert counts == {"integrate": 1, "fields_at": 1, "coeffs": 1}
+    assert sorted(theta_arrays.calls) == [(1, 20, (4, 25)), (1, 20, (4, 45)),
+                                          (2, 20, (3, 25)), (2, 20, (3, 45))]
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
+
+
+def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
+    """Each level of a two-step battery equals the battery run on its step
+    alone, up to the round-off its 1/h^2 differences amplify."""
+    spec = torus_surf.recipe.spec
+    u_probes = np.array([0.3, 0.9, 2.0, 3.5])
+    v_probes = np.linspace(0.4, 0.8, 5) * spec.period
+    both = surface.pde_battery(crit032, spec, u_probes, v_probes,
+                               steps=(4e-4, 8e-4))
+    for h, level in zip((4e-4, 8e-4), both):
+        alone, = surface.pde_battery(crit032, spec, u_probes, v_probes,
+                                     steps=(h,))
+        assert level.keys() == alone.keys()
+        for name in level:
+            assert abs(level[name] - alone[name]) <= 1e-2 * alone[name], name
 
 
 def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
@@ -182,8 +206,8 @@ def test_dual_symmetry(torus_surf):
 
 
 def test_pde_battery_converges(torus_surf):
-    fine = surface.gauss_codazzi_residuals(torus_surf, du=4e-4, dv=4e-4)
-    coarse = surface.gauss_codazzi_residuals(torus_surf, du=8e-4, dv=8e-4)
+    fine, coarse = surface.gauss_codazzi_residuals(torus_surf,
+                                                   steps=(4e-4, 8e-4))
     for name in fine:
         order = np.log2(coarse[name] / fine[name])
         assert order > 1.9, (name, order)

@@ -198,6 +198,64 @@ def test_large_array_memory_peak():
     assert peak < 1_000_000
 
 
+# the tensor kernel: theta at a_j + b[k, l]
+
+_TENSOR_LATTICES = [theta.rhombic(0.25), theta.rhombic(0.345),
+                    theta.rectangular(0.5), theta.rectangular(0.9)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lat=st.sampled_from(_TENSOR_LATTICES), i=st.sampled_from([1, 2, 3, 4]),
+       orders=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=4),
+       a=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=7),
+       nb=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_tensor_matches_theta_grid(lat, i, orders, a, nb, seed):
+    """Every plane equals theta_grid on the points a_j + b[k, l], to
+    1e-13 of max(1, max |theta|), with Im b up to the strip edge."""
+    rng = np.random.default_rng(seed)
+    h = lat.strip_height
+    b = rng.uniform(-np.pi, np.pi, (len(orders), nb)) \
+        + 1j * h * rng.choice([-1.0, 1.0, 0.0, rng.uniform(-1, 1)],
+                              (len(orders), nb))
+    a = np.array(a)
+    got = theta.theta_tensor(i, a, b, lat, orders)
+    assert got.shape == (len(orders), len(a), nb)
+    assert got.flags.c_contiguous
+    for k, order in enumerate(orders):
+        want = theta.theta_grid(i, a[:, None] + b[k], lat, order)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got[k] - want)) <= 1e-13 * scale
+
+
+def test_tensor_blocks_rows_and_matches_oracle():
+    """More rows than one block of the left factor, against mpmath at a
+    few points, and a b-array given as a list of vectors."""
+    lat = theta.rhombic(0.32)
+    h = lat.strip_height
+    a = np.linspace(-3.0, 3.0, 2000)
+    assert len(a) > theta._BLOCK_ENTRIES // (2 * lat.truncation)
+    b = [np.array([0.2 + 0.5j, -0.4 - 1j * h]), np.array([1.1j, 0.3 + 1j * h])]
+    got = theta.theta_tensor(2, a, b, lat, (0, 2))
+    for k, order in enumerate((0, 2)):
+        for j in (0, 777, 1999):
+            for l in (0, 1):
+                want = _mp_theta(2, a[j] + b[k][l], lat, order)
+                assert abs(got[k, j, l] - want) < 1e-11 * max(1.0, abs(want))
+
+
+def test_tensor_checks_strip_index_and_order():
+    lat = theta.rhombic(0.32)
+    h = lat.strip_height
+    a = np.array([0.1, 0.2])
+    theta.theta_tensor(1, a, [[1j * h]], lat, (0,))
+    with pytest.raises(StripExceeded, match="exceeds certified strip"):
+        theta.theta_tensor(1, a, [[0.3, 1j * (h + 1e-9)]], lat, (0,))
+    with pytest.raises(ValueError, match="theta index must be 1..4"):
+        theta.theta_tensor(0, a, [[0.3]], lat, (0,))
+    with pytest.raises(ValueError, match="derivative order must be 0..2"):
+        theta.theta_tensor(1, a, [[0.3]], lat, (3,))
+
+
 # property tests: random points of the certified strip |Im z| <= H
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
