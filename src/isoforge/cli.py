@@ -40,10 +40,14 @@ _SCHEMA = {
                 "level": _NUM, "delta": _NUM, "s1": (list, *_NUM),
                 "s2": (list, *_NUM)},
     "grid": {"nu": int, "nv": int, "periods": int},
-    "outputs": {"mesh": str, "curves": str, "report": str, "svg": str},
+    "outputs": {"mesh": str, "report": str},
     "tolerances": {},  # free-form name -> float
 }
 _REQUIRED = ("lattice", "omega", "reparam")
+# the smallest grid every check runs on: with fewer u samples no PDE
+# u-probe clears the Riccati poles, with fewer v samples a v-probe lies on
+# v = 0 and its stencil reaches below it
+_GRID_MIN = {"nu": 5, "nv": 3, "periods": 1}
 
 
 def validate_config(cfg: dict) -> dict:
@@ -70,6 +74,10 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"unknown key {section}.{k}")
             if not isinstance(val, fields[k]):
                 raise ConfigError(f"bad type for {section}.{k}")
+    for k, val in cfg.get("grid", {}).items():
+        if isinstance(val, bool) or val < _GRID_MIN[k]:
+            raise ConfigError(f"grid.{k} must be an integer >= {_GRID_MIN[k]},"
+                              f" got {json.dumps(val)}")
     mode = cfg["omega"].get("mode")
     if mode not in ("critical", "explicit", "limit"):
         raise ConfigError("omega.mode must be critical, explicit or limit")
@@ -187,7 +195,7 @@ def write_obj(path, surf):
     a = i * nv + j + 1                   # vertex (i, j), 1-based
     b = ((i + 1) % nu) * nv + j + 1      # vertex (i + 1, j)
     faces = np.stack([a, b, b + 1, a + 1]).reshape(4, -1)
-    verts = pts.reshape(-1, 3).T
+    verts = np.moveaxis(pts, -1, 0).reshape(3, -1)  # no copy of xyz planes
     with open(path, "wb") as fh:
         fh.write(f"# isoforge {__version__} surface mesh {nu}x{nv}\n".encode())
         fh.writelines(textfmt.table(verts.shape[1], lambda rows: [
@@ -319,11 +327,18 @@ def run_battery(surf, fam, cfg):
         checks.append(check("metric_identity", metric,
                             tol("metric_identity", 1e-9)))
 
+        # the frame at the v-nodes of the PDE stencil, the fv_vs_fd probes
+        # and the dual loop, from one integration
+        v_sets = [surface_mod.gauss_codazzi_nodes(surf), _fv_fd_nodes(spec)]
+        if fam.mode == "critical":
+            v_sets.append(surface_mod.dual_loop_nodes(surf))
+        traj = surface_mod.battery_frame(fam, spec, v_sets)
+
         # PDE identities: require second-order convergence of the FD
         # residuals plus a residual cap.  Quadrature-built spherical w(v)
         # has much larger v-derivatives than the analytic profiles, so its
         # truncation constant (and hence the cap) is larger.
-        res, coarse = surface_mod.gauss_codazzi_residuals(surf, steps=(4e-4, 8e-4))
+        res, coarse = surface_mod.gauss_codazzi_residuals(surf, traj)
         pde_cap = 1e-2 if spec.kind == "spherical" else 1e-5
         for name, val in res.items():
             checks.append(check(f"pde_{name}", val, tol(f"pde_{name}", pde_cap)))
@@ -334,7 +349,7 @@ def run_battery(surf, fam, cfg):
                             tol("pde_order_deficit", 0.05)))
 
         # closed-form fv against a finite difference of the immersion
-        checks.append(check("fv_vs_fd", _fv_fd_residual(surf, fam),
+        checks.append(check("fv_vs_fd", _fv_fd_residual(surf, fam, traj),
                             tol("fv_vs_fd", 1e-6)))
 
         # admissibility + branch smoothness of the signed root: a wrong
@@ -356,7 +371,7 @@ def run_battery(surf, fam, cfg):
             for name, val in inv.residuals.items():
                 checks.append(check(f"inversion_{name}", val,
                                     tol(f"inversion_{name}", 1e-8)))
-            dual = surface_mod.dual_symmetry(surf)
+            dual = surface_mod.dual_symmetry(surf, traj)
             for name, val in dual.residuals.items():
                 dtol = 1e-7 if name in ("double_dual", "loop_integral") else 1e-8
                 checks.append(check(f"dual_{name}", val,
@@ -382,16 +397,23 @@ def run_battery(surf, fam, cfg):
     return checks
 
 
-def _fv_fd_residual(surf, fam, dv=1e-4):
-    """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
-    one frame integration and one field grid over the probes' stencils."""
-    spec = surf.recipe.spec
+def _fv_fd_nodes(spec, dv=1e-4):
+    """The (probe, shift) v-nodes of _fv_fd_residual: three probes, each
+    at -dv, 0 and +dv."""
     v0 = np.linspace(0.31, 0.77, 3) * spec.period
-    nodes = np.concatenate([[0.0], (v0[:, None] + [-dv, 0.0, dv]).ravel()])
-    traj = frame.integrate(spec, fam, v_nodes=nodes,
-                           step_tol=surf.recipe.step_tol)
+    return v0[:, None] + [-dv, 0.0, dv]
+
+
+def _fv_fd_residual(surf, fam, traj, dv=1e-4):
+    """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
+    one field grid over the probes' stencils.  The frame there comes from
+    traj, an integration that holds `_fv_fd_nodes(spec, dv)` among its
+    nodes (run_battery's `surface.battery_frame`)."""
+    spec = surf.recipe.spec
+    nodes = _fv_fd_nodes(spec, dv).ravel()
     us = surf.u[:: max(1, len(surf.u) // 8)]
-    f = surface_mod.fields_at(fam, spec, us, nodes[1:], traj.phi[1:])
+    f = surface_mod.fields_at(fam, spec, us, nodes,
+                              surface_mod.phi_at(traj, nodes))
     pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
     fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
     return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))

@@ -140,8 +140,9 @@ class CurveGrid:
 
     @cached_property
     def _ezc(self):
-        """e^{z c} on the grid."""
-        return np.exp((self.u[:, None] + 1j * self.w) * self.fam.c)
+        """e^{z c} on the grid, as e^{u c} e^{i w c}."""
+        c = self.fam.c
+        return np.exp(self.u * c)[:, None] * np.exp(1j * self.w * c)
 
     @cached_property
     def gamma(self):

@@ -15,17 +15,24 @@ truncation bound of the theta series, and serve every closed form.  The
 blocks keep the theta temporaries bounded, and the frame acts through one
 3x3 rotation matrix per column
 (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
-Phi^{-1} k Phi).  A recipe whose family has mode
-"limit" builds the omega -> 0 limit surface (planes tangent to a cylinder)
-instead, assembled from the limit data gamma_hat, W_hat, r; its rotation
-e^{-2ia(v)} and translation T(v) solve a linear 2x2 system, integrated by
-the frame module's Magnus solver.
+Phi^{-1} k Phi).  Each vector field is stored as component planes: one
+C-contiguous (3, nu, nv) array of its x, y and z grids, assembled plane by
+plane and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1).
+Sums and norms over xyz then add three contiguous planes, and elementwise
+results keep the layout; reshape(-1, 3) of such a view copies.
+
+A recipe whose family has mode "limit" builds the omega -> 0 limit surface
+(planes tangent to a cylinder) instead, assembled from the limit data
+gamma_hat, W_hat, r; its rotation e^{-2ia(v)} and translation T(v) solve a
+linear 2x2 system, integrated by the frame module's Magnus solver.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
 around all probes and all probe steps at once, whose steps are independent
 of the display grid, so truncation error is controlled by the probe step
-alone.
+alone.  The frame at the battery's own v-nodes (that stencil, the dual
+loop's quadrature nodes) comes from one integration over all of them
+(`battery_frame`), looked up per node by `phi_at`.
 """
 
 from __future__ import annotations
@@ -83,31 +90,37 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi):
 
     phi must hold the frame at the nodes of v, shape (len(v), 4).
     Returns a dict with the (nu, nv, 3) grids points/fu/fv/n and the
-    (nu, nv) metric factor expH.
+    (nu, nv) metric factor expH.  Each (nu, nv, 3) grid is the
+    np.moveaxis(planes, 0, -1) view of one C-contiguous (3, nu, nv) array
+    of x, y and z planes, so a reduction over xyz and numpy's elementwise
+    results keep plane order; its reshape(-1, 3) copies.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = len(u), len(v)
     w_arr, wp, root = _plane_vectors(spec, v)
-    rot = qrotation(phi)
-    out = {name: np.empty((nu, nv, 3)) for name in ("points", "fu", "fv", "n")}
+    # rot[c, b, j]: component c of the image of basis vector b (i, j, k) at
+    # v_j, contiguous in j like the planes
+    rot = np.ascontiguousarray(np.moveaxis(qrotation(phi), 0, -1))
+    planes = {name: np.empty((3, nu, nv))
+              for name in ("points", "fu", "fv", "n")}
     eh = np.empty((nu, nv))
     step = max(1, _BLOCK_POINTS // max(nu, 1))
     for lo in range(0, nv, step):
         cols = slice(lo, lo + step)
         grid = curvefamily.CurveGrid(u, w_arr[cols], fam)
         gam, eis = grid.gamma, grid.exp_isigma
-        eh[:, cols] = grid.exp_h
+        eh[:, cols] = eh_c = grid.exp_h
         del grid  # its theta arrays are not needed for the assembly
-        ri, rj, rk = rot[cols, :, 0], rot[cols, :, 1], rot[cols, :, 2]
+        ri, rj, rk = (rot[:, b, None, cols] for b in range(3))  # (3, 1, cols)
         # z j = a j + b k and z k = a k - b j for z = a + ib
-        eis_j = eis.real[..., None] * rj + eis.imag[..., None] * rk
-        eis_k = eis.real[..., None] * rk - eis.imag[..., None] * rj
-        out["points"][:, cols] = gam.real[..., None] * rj + gam.imag[..., None] * rk
-        out["fu"][:, cols] = eh[:, cols, None] * eis_j
-        out["fv"][:, cols] = eh[:, cols, None] * (root[cols, None] * ri
-                                                   + wp[cols, None] * eis_k)
-        out["n"][:, cols] = wp[cols, None] * ri - root[cols, None] * eis_k
+        eis_j = eis.real * rj + eis.imag * rk
+        eis_k = eis.real * rk - eis.imag * rj
+        planes["points"][:, :, cols] = gam.real * rj + gam.imag * rk
+        planes["fu"][:, :, cols] = eh_c * eis_j
+        planes["fv"][:, :, cols] = eh_c * (root[cols] * ri + wp[cols] * eis_k)
+        planes["n"][:, :, cols] = wp[cols] * ri - root[cols] * eis_k
+    out = {name: np.moveaxis(p, 0, -1) for name, p in planes.items()}
     out["expH"] = eh
     return out
 
@@ -209,10 +222,46 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
 
 # ---------------------------------------------------------------------------
 # residual battery
+#
+# Besides the display grid, the battery reads the frame at v-nodes of its
+# own: the PDE stencil (`gauss_codazzi_nodes`), the fv_vs_fd probes of the
+# CLI and the dual loop's quadrature nodes (`dual_loop_nodes`).
+# `battery_frame` integrates the frame once over the union of such node
+# sets, at a step_tol ten times below the display grid's, since the
+# stencils take differences over steps of 1e-4 to 8e-4, and each consumer
+# looks its nodes up with `phi_at`.
+_BATTERY_STEP_TOL = 1e-13
 
 
-def pde_battery(fam, spec, u_probes, v_probes, steps=(4e-4,),
-                step_tol=1e-13):
+def battery_frame(fam, spec, v_sets) -> frame.FrameTrajectory:
+    """The frame from one integration over v = 0 and the union of the
+    v-arrays of v_sets (any shapes)."""
+    nodes = np.unique(np.concatenate([[0.0], *map(np.ravel, v_sets)]))
+    return frame.integrate(spec, fam, v_nodes=nodes,
+                           step_tol=_BATTERY_STEP_TOL)
+
+
+def phi_at(traj: frame.FrameTrajectory, v):
+    """The frame of traj at v, each entry of which must be one of its
+    nodes (ValueError otherwise); shape v.shape + (4,)."""
+    v = np.asarray(v, dtype=float)
+    at = np.minimum(np.searchsorted(traj.v, v), len(traj.v) - 1)
+    if not np.array_equal(traj.v[at], v):
+        raise ValueError("v holds values that are not nodes of the trajectory")
+    return traj.phi[at]
+
+
+def _shifts(steps):
+    """The stencil shifts 0, -h, +h of every probe step h, shape (S,)."""
+    return np.concatenate([[0.0], *([-h, h] for h in steps)])
+
+
+def pde_nodes(v_probes, steps=(4e-4,)):
+    """The v-nodes of the PDE stencil: v_probes + every shift, (S, nv)."""
+    return np.asarray(v_probes, dtype=float) + _shifts(steps)[:, None]
+
+
+def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     """Max residuals of the local structure equations at probe points, one
     dict per probe step h of `steps` (du = dv = h).
 
@@ -223,24 +272,21 @@ def pde_battery(fam, spec, u_probes, v_probes, steps=(4e-4,),
     All derivatives are centered differences with step h of the
     closed-form fields, so the battery converges at second order in the
     probe step independently of any display grid.  The shifts 0, -h, +h of
-    every step form one stencil: one frame integration over its v-nodes,
-    one `CurveGrid` on its u-nodes x (its w(v) and its w-shifts), one
-    `coeffs` sample and one `fields_at` on its u-nodes x v-nodes serve
-    every step.  Grids below have the shifts along their leading axes.
+    every step form one stencil: one `CurveGrid` on its u-nodes x (its w(v)
+    and its w-shifts), one `coeffs` sample and one `fields_at` on its
+    u-nodes x v-nodes serve every step.  Grids below have the shifts along
+    their leading axes.
+
+    The frame at the stencil's v-nodes (`pde_nodes(v_probes, steps)`) comes
+    from traj, one integration that holds them among its nodes
+    (`battery_frame`).
     """
     u_probes = np.asarray(u_probes, dtype=float)
-    v_probes = np.asarray(v_probes, dtype=float)
     nu, nv = len(u_probes), len(v_probes)
-    off = np.concatenate([[0.0], *([-h, h] for h in steps)])   # (S,)
+    off = _shifts(steps)                                       # (S,)
     ns = len(off)
     us = u_probes + off[:, None]                               # (S, nu)
-    vs = v_probes + off[:, None]                               # (S, nv)
-
-    # frame at all shifted v-nodes in one integration
-    v_all = np.unique(vs)
-    nodes = v_all if v_all[0] == 0.0 else np.concatenate([[0.0], v_all])
-    traj = frame.integrate(spec, fam, v_nodes=nodes, step_tol=step_tol)
-    at = np.searchsorted(nodes, vs.ravel())
+    vs = pde_nodes(v_probes, steps)                            # (S, nv)
 
     # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
     # for s > 0 (the w-shifts)
@@ -271,7 +317,7 @@ def pde_battery(fam, spec, u_probes, v_probes, steps=(4e-4,),
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
     # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(), traj.phi[at])
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi_at(traj, vs.ravel()))
     fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
     e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
 
@@ -363,15 +409,16 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     """
     spec, fam = s.recipe.spec, crit
     R = fam.R
-    shifted = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi)
+    # the 2 omega - u grid with the u = omega row appended
+    f2 = fields_at(fam, spec, np.append(2 * fam.omega - s.u, fam.omega), s.v,
+                   s.phi)
     f = s.points
     inv = R ** 2 * f / np.sum(f * f, axis=-1, keepdims=True)
-    res_inv = float(np.max(np.linalg.norm(inv - shifted["points"], axis=-1)))
+    res_inv = float(np.max(np.linalg.norm(inv - f2["points"][:-1], axis=-1)))
 
-    at_om = fields_at(fam, spec, np.array([fam.omega]), s.v, s.phi)
-    fom = at_om["points"][0]
+    fom = f2["points"][-1]
     sphere = float(np.max(np.abs(np.linalg.norm(fom, axis=-1) - abs(R))))
-    fuom = at_om["fu"][0]
+    fuom = f2["fu"][-1]
     par = float(np.max(np.linalg.norm(
         fom / R + fuom / np.linalg.norm(fuom, axis=-1, keepdims=True), axis=-1)))
     residuals = {"involution": res_inv, "involution_rel": res_inv / abs(R),
@@ -380,12 +427,22 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     return SymmetryReport(residuals=residuals, ok=ok)
 
 
-def dual_symmetry(s: SampledSurface) -> SymmetryReport:
+def dual_loop_nodes(s: SampledSurface):
+    """The 16 Gauss-Legendre nodes on [v_1, v_2] of dual_symmetry's loop."""
+    nodes, _ = gauss_legendre(16)
+    va, vb = s.v[1], s.v[2]
+    return 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
+
+
+def dual_symmetry(s: SampledSurface,
+                  traj: frame.FrameTrajectory) -> SymmetryReport:
     """Christoffel duality as the u-shift: f^*(u,v) = -f(pi - u, v).
 
     The dual one-form is df^* = e^{-2h}(f_u du - f_v dv); the residuals
     compare the shifted closed-form fields against it, check closedness of
-    the form around a grid cell, and apply the involution twice.
+    the form around a grid cell, and apply the involution twice.  The
+    frame comes from s on the grid and from traj, an integration that holds
+    `dual_loop_nodes(s)` among its nodes (`battery_frame`), inside the cell.
     """
     spec = s.recipe.spec
     fam = s.recipe.fam
@@ -410,14 +467,12 @@ def dual_symmetry(s: SampledSurface) -> SymmetryReport:
     ua, ub = s.u[1], s.u[2]
     va, vb = s.v[1], s.v[2]
     um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes
-    vm = 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
+    vm = dual_loop_nodes(s)
     # u-edges at v = va, vb (grid columns 1, 2); the v-edges need the frame
     # at interior quadrature nodes
     fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3])
     om_u = fl["fu"] / fl["expH"][..., None] ** 2              # (16, 2, 3)
-    traj = frame.integrate(spec, fam, v_nodes=np.concatenate([[0.0], vm]),
-                           step_tol=1e-12)
-    fl = fields_at(fam, spec, [ua, ub], vm, traj.phi[1:])
+    fl = fields_at(fam, spec, [ua, ub], vm, phi_at(traj, vm))
     om_v = fl["fv"] / fl["expH"][..., None] ** 2              # (2, 16, 3)
     loop = (0.5 * (ub - ua) * weights @ (om_u[:, 0] - om_u[:, 1])
             + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))
@@ -429,10 +484,8 @@ def dual_symmetry(s: SampledSurface) -> SymmetryReport:
     return SymmetryReport(residuals=residuals, ok=ok)
 
 
-def gauss_codazzi_residuals(s: SampledSurface, n_probe: int = 6,
-                            steps=(4e-4, 8e-4)) -> list:
-    """Convenience wrapper: run the PDE battery at probes from the grid,
-    one dict of residuals per probe step.
+def _gauss_codazzi_probes(s: SampledSurface, n_probe: int):
+    """u- and v-probes of the PDE battery, n_probe of each from the grid.
 
     u-probes stay clear of u = pi/2 mod pi, where the Riccati coefficients
     U, U1 have poles (the identities hold only in the limit there).
@@ -441,4 +494,20 @@ def gauss_codazzi_residuals(s: SampledSurface, n_probe: int = 6,
     ok = np.nonzero(dist > 0.08)[0][1:-1]
     iu = ok[np.unique(np.linspace(0, len(ok) - 1, n_probe).astype(int))]
     jv = np.linspace(2, len(s.v) - 3, n_probe).astype(int)
-    return pde_battery(s.recipe.fam, s.recipe.spec, s.u[iu], s.v[jv], steps)
+    return s.u[iu], s.v[jv]
+
+
+def gauss_codazzi_nodes(s: SampledSurface, n_probe: int = 6,
+                        steps=(4e-4, 8e-4)):
+    """The v-nodes at which gauss_codazzi_residuals reads the frame."""
+    return pde_nodes(_gauss_codazzi_probes(s, n_probe)[1], steps)
+
+
+def gauss_codazzi_residuals(s: SampledSurface, traj: frame.FrameTrajectory,
+                            n_probe: int = 6, steps=(4e-4, 8e-4)) -> list:
+    """Convenience wrapper: run the PDE battery at probes from the grid,
+    one dict of residuals per probe step.  traj must hold
+    `gauss_codazzi_nodes(s, n_probe, steps)` among its nodes."""
+    u_probes, v_probes = _gauss_codazzi_probes(s, n_probe)
+    return pde_battery(s.recipe.fam, s.recipe.spec, u_probes, v_probes, traj,
+                       steps)

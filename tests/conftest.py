@@ -4,12 +4,13 @@ Everything expensive is session-scoped so the surface builds and frame
 integrations are shared across test modules.
 """
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, elliptic, reparam, surface, theta
+from isoforge import curvefamily, elliptic, frame, reparam, surface, theta
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +108,21 @@ def theta_arrays(monkeypatch):
     monkeypatch.setattr(curvefamily, "theta_tensor", counted_tensor)
     monkeypatch.setattr(curvefamily, "theta_grid", counted_grid)
     return rec
+
+
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """Records the arguments of every frame.integrate call, defaults
+    included, one dict (spec, fam, ..., step_tol, v_nodes) per call."""
+    calls = []
+    integrate = frame.integrate
+    sig = inspect.signature(integrate)
+
+    def counted(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(frame, "integrate", counted)
+    return calls

@@ -112,6 +112,52 @@ def test_validate_config_raises_only_config_error(cfg):
         pass
 
 
+def _main_exit(tmp_path, monkeypatch, cfg):
+    """Exit code of `verify` on cfg through the console script's main()
+    (which returns on success)."""
+    monkeypatch.setattr(sys, "argv", [
+        "isoforge", "verify", _write(tmp_path, cfg),
+        "--out", str(tmp_path / "report.json")])
+    try:
+        cli_mod.main()
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu", 4), ("nu", True), ("nv", 1), ("nv", 2), ("nv", -3),
+    ("periods", 0), ("periods", True)])
+def test_grid_below_minimum_exits_1(tmp_path, monkeypatch, capsys, field,
+                                    value):
+    """nu 4 and true and nv 1 ended in an IndexError, nv 2 in exit 2
+    ("v_nodes must be strictly increasing from 0"), nv -3 and periods 0 in
+    a ValueError, and periods true ran as 1; each now exits 1 naming the
+    field."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8, field: value})
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert f"grid.{field} must be an integer >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [{"nu": 5, "nv": 3},
+                                  {"nu": 5, "nv": 3, "periods": 2},
+                                  {"nu": 8, "nv": 8}])
+def test_smallest_grids_still_verify(tmp_path, monkeypatch, grid):
+    """The minimum grid sizes (and the 8 x 8 grid of the tests and the
+    benchmark) run every check and pass."""
+    assert _main_exit(tmp_path, monkeypatch, _base_cfg(grid=grid)) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("key", ["curves", "svg"])
+def test_dead_output_keys_exit_1(tmp_path, monkeypatch, capsys, key):
+    """outputs.curves and outputs.svg were accepted, but nothing read them;
+    they are now unknown keys."""
+    cfg = _base_cfg(outputs={key: "out.txt"}, grid={"nu": 8, "nv": 8})
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert f"unknown key outputs.{key}" in capsys.readouterr().err
+
+
 def test_config_rejects_null_section():
     for section in ("omega", "grid"):
         cfg = _base_cfg(**{section: None})
@@ -360,13 +406,12 @@ def test_close_torus_says_no_amplitude_closes(tmp_path, monkeypatch, capsys,
 
 
 def test_close_torus_integrates_the_frame_once_after_tuning(tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            frame_calls):
     """The monodromy of the tuned piece comes from the piece's own frame
     at v = V: one frame integration after the tuning, for the piece."""
-    calls, at_tuned = [], []
-    integrate, close_torus = frame.integrate, frame.close_torus
-    monkeypatch.setattr(frame, "integrate",
-                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    calls, at_tuned = frame_calls, []
+    close_torus = frame.close_torus
     monkeypatch.setattr(frame, "close_torus", lambda *a, **k: (
         close_torus(*a, **k), at_tuned.append(len(calls)))[0])
     cfg = _base_cfg(grid={"nu": 16, "nv": 16})
@@ -656,19 +701,24 @@ def test_outputs_must_be_file_names(tmp_path, key, name):
     assert not list(out_dir.rglob("*.*"))
 
 
-def test_verify_integrates_the_frame_four_times(tmp_path, monkeypatch):
-    """A critical verify integrates the frame for the surface, once for
-    both steps of the PDE battery, once for the three fv_vs_fd probes and
-    once for the dual loop integral."""
-    calls = []
-    integrate = frame.integrate
-    monkeypatch.setattr(frame, "integrate",
-                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+@pytest.mark.parametrize("mode", ["critical", "explicit"])
+def test_verify_integrates_the_frame_twice(tmp_path, frame_calls, crit032,
+                                           mode):
+    """A verify integrates the frame once for the surface (step_tol 1e-12,
+    on the display grid) and once for the battery (1e-13), over the union
+    of the PDE stencil, the fv_vs_fd probes and, at the critical omega,
+    the dual loop's quadrature nodes."""
+    omega = ({"mode": "critical"} if mode == "critical" else
+             {"mode": "explicit", "value": crit032.omega})
     result = CliRunner().invoke(cli, [
-        "verify", _write(tmp_path, _base_cfg()), "--out",
+        "verify", _write(tmp_path, _base_cfg(omega=omega)), "--out",
         str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 4
+    assert [c["step_tol"] for c in frame_calls] == [1e-12, 1e-13]
+    assert len(frame_calls[0]["v_nodes"]) == 24 + 1
+    # 0, 6 probes x 5 shifts, 3 probes x 3 shifts (+ 16 loop nodes)
+    loop = 16 if mode == "critical" else 0
+    assert len(frame_calls[1]["v_nodes"]) == 1 + 30 + 9 + loop
 
 
 # ---------------------------------------------------------------------------
@@ -704,19 +754,15 @@ def test_spherical_command(tmp_path, sph_cfg_grid32):
     assert abs(report["period_V"]) > 0
 
 
-def test_spherical_command_integrates_the_frame_once(tmp_path, monkeypatch,
+def test_spherical_command_integrates_the_frame_once(tmp_path, frame_calls,
                                                      sph_cfg_grid32):
     """The monodromy comes from the surface's frame at v = V: one frame
     integration per spherical command."""
-    calls = []
-    integrate = frame.integrate
-    monkeypatch.setattr(frame, "integrate",
-                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
     result = CliRunner().invoke(cli, [
         "spherical", _write(tmp_path, sph_cfg_grid32),
         "--out", str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 1
+    assert len(frame_calls) == 1
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,9 @@ def test_family_computes_lame_constant_once(sph_surf, crit032, monkeypatch):
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     for _ in range(2):
-        surface.gauss_codazzi_residuals(surf)
+        traj = surface.battery_frame(fresh, surf.recipe.spec,
+                                     [surface.gauss_codazzi_nodes(surf)])
+        surface.gauss_codazzi_residuals(surf, traj)
         spherical.integrate_phis(surf.recipe.spec, fresh, [0.2, 0.9])
         spherical.sphere_centers(surf, fresh)
         assert len(calls) == 1

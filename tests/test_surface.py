@@ -94,6 +94,22 @@ def test_grid_fields_match_column_loop(torus_surf, crit032):
         assert np.max(np.abs(got[name] - want[name])) < 1e-14 * scale, name
 
 
+def test_fields_at_grids_are_views_of_component_planes(torus_surf, crit032):
+    """Each (nu, nv, 3) field grid of fields_at, and so of build, is the
+    moveaxis view of one C-contiguous (3, nu, nv) array of xyz planes."""
+    spec = torus_surf.recipe.spec
+    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)  # two blocks
+    got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
+    nv = len(torus_surf.v)
+    for fields, nu in ((got, 128), (vars(torus_surf), len(torus_surf.u))):
+        for name in ("points", "fu", "fv", "n"):
+            grid = fields[name]
+            planes = np.moveaxis(grid, -1, 0)
+            assert grid.shape == (nu, nv, 3), name
+            assert planes.flags.c_contiguous and not grid.flags.owndata, name
+            assert planes.base is grid.base and grid.base.shape == (3, nu, nv)
+
+
 def test_fields_at_memory_peak(crit032, torus_spec):
     """Blocks of columns bound the temporaries: a 128 x 129 grid stays
     under 5 MB (its five output grids take 1.7 MB)."""
@@ -145,13 +161,33 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
     spec = torus_surf.recipe.spec
     u_probes = np.array([0.3, 0.9, 2.0, 3.5])
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
-    levels = surface.pde_battery(crit032, spec, u_probes, v_probes,
-                                 steps=(4e-4, 8e-4))
+    steps = (4e-4, 8e-4)
+    traj = surface.battery_frame(crit032, spec,
+                                 [surface.pde_nodes(v_probes, steps)])
+    levels = surface.pde_battery(crit032, spec, u_probes, v_probes, traj,
+                                 steps=steps)
     assert len(levels) == 2
     assert counts == {"integrate": 1, "fields_at": 1, "coeffs": 1}
     assert sorted(theta_arrays.calls) == [(1, 20, (4, 25)), (1, 20, (4, 45)),
                                           (2, 20, (3, 25)), (2, 20, (3, 45))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
+
+
+def test_battery_frame_serves_every_node_set(torus_surf, crit032):
+    """One integration over the union of the node sets gives each set the
+    frame of an integration over that set alone; a v that is not a node
+    is refused instead of read off a neighbour."""
+    spec = torus_surf.recipe.spec
+    sets = [surface.gauss_codazzi_nodes(torus_surf),
+            surface.dual_loop_nodes(torus_surf)]
+    traj = surface.battery_frame(crit032, spec, sets)
+    for v in sets:
+        alone = surface.battery_frame(crit032, spec, [v])
+        got = surface.phi_at(traj, v)
+        assert got.shape == v.shape + (4,)
+        assert np.max(np.abs(got - surface.phi_at(alone, v))) < 1e-12
+    with pytest.raises(ValueError, match="not nodes"):
+        surface.phi_at(traj, sets[1] + 1e-9)
 
 
 def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
@@ -160,11 +196,16 @@ def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
     spec = torus_surf.recipe.spec
     u_probes = np.array([0.3, 0.9, 2.0, 3.5])
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
-    both = surface.pde_battery(crit032, spec, u_probes, v_probes,
-                               steps=(4e-4, 8e-4))
+
+    def battery(steps):
+        traj = surface.battery_frame(crit032, spec,
+                                     [surface.pde_nodes(v_probes, steps)])
+        return surface.pde_battery(crit032, spec, u_probes, v_probes, traj,
+                                   steps=steps)
+
+    both = battery((4e-4, 8e-4))
     for h, level in zip((4e-4, 8e-4), both):
-        alone, = surface.pde_battery(crit032, spec, u_probes, v_probes,
-                                     steps=(h,))
+        alone, = battery((h,))
         assert level.keys() == alone.keys()
         for name in level:
             assert abs(level[name] - alone[name]) <= 1e-2 * alone[name], name
@@ -181,9 +222,11 @@ def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
     fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
         torus_surf.recipe, fam=fresh))
-    surface.gauss_codazzi_residuals(surf)
+    traj = surface.battery_frame(fresh, surf.recipe.spec,
+                                 [surface.gauss_codazzi_nodes(surf)])
+    surface.gauss_codazzi_residuals(surf, traj)
     assert len(calls) == 1
-    surface.gauss_codazzi_residuals(surf)
+    surface.gauss_codazzi_residuals(surf, traj)
     assert len(calls) == 1
 
 
@@ -201,12 +244,16 @@ def test_inversion_symmetry(torus_surf, crit032):
 
 
 def test_dual_symmetry(torus_surf):
-    rep = surface.dual_symmetry(torus_surf)
+    traj = surface.battery_frame(torus_surf.recipe.fam, torus_surf.recipe.spec,
+                                 [surface.dual_loop_nodes(torus_surf)])
+    rep = surface.dual_symmetry(torus_surf, traj)
     assert rep.ok, rep.residuals
 
 
 def test_pde_battery_converges(torus_surf):
-    fine, coarse = surface.gauss_codazzi_residuals(torus_surf,
+    traj = surface.battery_frame(torus_surf.recipe.fam, torus_surf.recipe.spec,
+                                 [surface.gauss_codazzi_nodes(torus_surf)])
+    fine, coarse = surface.gauss_codazzi_residuals(torus_surf, traj,
                                                    steps=(4e-4, 8e-4))
     for name in fine:
         order = np.log2(coarse[name] / fine[name])
