@@ -164,7 +164,7 @@ class CurveGrid:
         """
         val = self._td[0] * self._td[1] / (self._th1_p * self._th1_pb)
         val = val * np.exp(self.u * self.fam.c.real)[:, None]
-        out = np.real(val)
+        out = np.real(val).copy()  # a view would keep the complex val alive
         im = np.max(np.abs(np.imag(val)), axis=0)
         if np.any(im > 1e-9 * np.max(np.abs(out), axis=0)):
             raise ArithmeticError("e^h should be real")

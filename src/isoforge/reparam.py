@@ -85,7 +85,9 @@ class ValidationReport:
 
 
 def analytic(mean: float, amplitude: float, period: float) -> ReparamSpec:
-    """w(v) = mean + amplitude * sin(2 pi v / period)."""
+    """w(v) = mean + amplitude * sin(2 pi v / period), period finite > 0."""
+    if not 0 < period < np.inf:  # NaN too
+        raise SpecInvalid(f"spec period must be positive and finite, got {period}")
     freq = 2 * np.pi / period
 
     def w(v):

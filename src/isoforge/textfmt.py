@@ -134,7 +134,7 @@ def _cells(words, x, fmt, ok, sep):
                 (width - len(words), words.shape[1]), words.dtype)])
         words[:, slow] = np.array(text, dtype=f"S{width * size}").view(
             words.dtype).reshape(-1, width).T
-    return words.reshape(-1, *x.shape)
+    return words.reshape(len(words), *x.shape)
 
 
 def g12(x, sep=b""):
@@ -209,7 +209,9 @@ def join(parts):
             layout.append((at, np.frombuffer(part, np.uint8)))
             at += len(part)
             continue
-        for cells in part.reshape(len(part), -1, part.shape[-1]).swapaxes(0, 1):
+        if part.ndim == 2:
+            part = part[:, None]
+        for cells in part.swapaxes(0, 1):
             at += -at % part.itemsize
             layout.append((at, cells))
             at += len(cells) * part.itemsize
@@ -219,9 +221,8 @@ def join(parts):
         if part.ndim == 1:
             out[:, start:start + len(part)] = part
             continue
-        words = out.view(part.dtype)
-        for k, word in enumerate(part, start=start // part.itemsize):
-            words[:, k] = word
+        k = start // part.itemsize
+        out.view(part.dtype)[:, k:k + len(part)] = part.T
     return out.tobytes().translate(None, _NUL)
 
 

@@ -89,15 +89,18 @@ def theta_arrays(monkeypatch):
 
     `calls` holds (index, len(a), shape of b) for each theta_tensor call,
     `arrays` one (index, order, a, b row) key for each array it returns,
-    and `grid` the shape of every array argument of theta_grid.
+    `columns` one (index, order, a, b) key for each of their columns, and
+    `grid` the shape of every array argument of theta_grid.
     """
-    rec = SimpleNamespace(calls=[], arrays=[], grid=[])
+    rec = SimpleNamespace(calls=[], arrays=[], columns=[], grid=[])
     tensor, grid = curvefamily.theta_tensor, curvefamily.theta_grid
 
     def counted_tensor(i, a, b, lat, orders):
         rec.calls.append((i, len(a), np.shape(b)))
         rec.arrays.extend((i, k, np.asarray(a).tobytes(), np.asarray(row).tobytes())
                           for k, row in zip(orders, b))
+        rec.columns.extend((i, k, np.asarray(a).tobytes(), complex(x))
+                           for k, row in zip(orders, b) for x in np.ravel(row))
         return tensor(i, a, b, lat, orders)
 
     def counted_grid(i, z, *args):

@@ -139,6 +139,29 @@ def test_grid_below_minimum_exits_1(tmp_path, monkeypatch, capsys, field,
     assert f"grid.{field} must be an integer >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("lattice", "lambda"), ("reparam", "mean"), ("reparam", "period")])
+def test_bool_for_a_number_exits_1(tmp_path, monkeypatch, capsys, section,
+                                   key):
+    """JSON true was taken as the number 1: lambda true ran as lambda = 1,
+    and mean and period true ran as 1.0; each now exits 1 naming the
+    field."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    cfg[section][key] = True
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert f"bad type for {section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", [0, -6.0])
+def test_nonpositive_period_exits_2(tmp_path, monkeypatch, capsys, period):
+    """reparam.period 0 ended in a ZeroDivisionError traceback; like a
+    negative period it now exits 2 before anything is built."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    cfg["reparam"]["period"] = period
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 2
+    assert "spec period must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [{"nu": 5, "nv": 3},
                                   {"nu": 5, "nv": 3, "periods": 2},
                                   {"nu": 8, "nv": 8}])
@@ -170,16 +193,6 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path))
-
-
-def test_max_threads(monkeypatch):
-    monkeypatch.setenv("ISOFORGE_THREADS", "3")
-    assert cli_mod.max_threads() == 3
-    monkeypatch.setenv("ISOFORGE_THREADS", "many")
-    with pytest.raises(ConfigError):
-        cli_mod.max_threads()
-    monkeypatch.delenv("ISOFORGE_THREADS")
-    assert cli_mod.max_threads() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +277,10 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_runtime_imports_stay_lean():
+def test_runtime_imports_stay_lean(tmp_path):
     """A spherical spec and its frame load neither numpy.polynomial nor
-    concurrent.futures (which loads logging) nor the writers' textfmt;
-    only the curves command imports its thread pool."""
+    concurrent.futures (which loads logging) nor the writers' textfmt, and
+    a curves run loads no concurrent module either."""
     code = ("import sys\n"
             "from isoforge import cli, elliptic, frame, reparam, theta\n"
             "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
@@ -275,11 +288,17 @@ def test_runtime_imports_stay_lean():
             "    delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit)\n"
             "frame.integrate(spec, crit)\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('numpy.polynomial', 'concurrent', 'isoforge.textfmt'))))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
-                          capture_output=True, text=True)
+            "    ('numpy.polynomial', 'concurrent', 'isoforge.textfmt'))))\n"
+            "cli.cli.main(['curves', sys.argv[1], '--n', '8', '--out-dir',\n"
+            "              sys.argv[2]], standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           _write(tmp_path, _base_cfg()), str(tmp_path)],
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7  # and five curves in between
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_console_script_entry_point():
@@ -315,16 +334,43 @@ def test_curves_writes_csv(tmp_path):
 
 def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
     """gamma, e^h, e^{i sigma} and the hyperbolic curvature of one curve
-    share five theta arrays and two derivative arrays, fetched in one
-    theta_tensor call per theta index; only W1 evaluates theta at a point
-    array, its w."""
+    share five theta arrays and two derivative arrays.  The curves of a
+    block of w share their calls: one theta_tensor call per theta index,
+    whose arrays hold one column per w; only W1 evaluates theta at a point
+    array, the block's w."""
     result = CliRunner().invoke(cli, [
         "curves", _write(tmp_path, _base_cfg()), "--w", "0.7", "--w", "1.3",
         "--n", "64", "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert sorted(theta_arrays.calls) == [(1, 65, (4, 1))] * 2 + [(2, 65, (3, 1))] * 2
-    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 14
-    assert theta_arrays.grid == [(1,)] * 4
+    assert sorted(theta_arrays.calls) == [(1, 65, (4, 2)), (2, 65, (3, 2))]
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 7
+    assert len(set(theta_arrays.columns)) == len(theta_arrays.columns) == 14
+    assert theta_arrays.grid == [(2,)] * 2
+    # at --n 4096 a block holds four curves: five w make two blocks
+    theta_arrays.calls.clear()
+    result = CliRunner().invoke(cli, [
+        "curves", _write(tmp_path, _base_cfg()), "--n", "4096",
+        "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert sorted(theta_arrays.calls) == [
+        (1, 4097, (4, 1)), (1, 4097, (4, 4)), (2, 4097, (3, 1)),
+        (2, 4097, (3, 4))]
+
+
+def test_curves_writes_no_file_when_a_later_w_fails(tmp_path, monkeypatch,
+                                                    capsys):
+    """Every block is computed before the first file is written: four good
+    w and then W1's pole pi*lam on a rectangular lattice, in the second
+    block at --n 4096, exit 2 and leave no CSV."""
+    cfg = _base_cfg(lattice={"kind": "rectangular", "lambda": 0.5},
+                    omega={"mode": "explicit", "value": 0.7})
+    ws = ["0.6", "1.0", "2.0", "2.5", repr(np.pi / 2)]
+    code = _exit_code(monkeypatch, "curves", _write(tmp_path, cfg),
+                      *(a for w in ws for a in ("--w", w)), "--n", "4096",
+                      "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "W1 pole" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve_w*.csv"))
 
 
 def _exit_code(monkeypatch, *argv):

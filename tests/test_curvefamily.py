@@ -199,6 +199,26 @@ def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
                           curvefamily.kappa_hyp(us, w, crit032))
 
 
+@pytest.mark.parametrize("kind", ["critical", "explicit", "rectangular"])
+def test_curves_block_matches_single_curve(crit032, rect_fam, kind):
+    """Each w column of a block of curves on 4097 u samples, as the curves
+    command evaluates them, matches the grid of that w alone to round-off:
+    on the critical rhombic family (c = 0), an explicit omega (c != 0) and
+    a rectangular lattice (td = theta4)."""
+    fam = {"critical": crit032, "rectangular": rect_fam,
+           "explicit": elliptic.Family(crit032.lattice, 0.3, "explicit")}[kind]
+    us = np.linspace(0.0, 2 * np.pi, 4097)
+    ws = _random_w(fam.lattice, n=4)
+    block = curvefamily.CurveGrid(us, ws, fam)
+    for name in ("gamma", "gamma_u", "exp_h", "exp_isigma", "dlog_gamma_u",
+                 "kappa_hyp"):
+        for k, w in enumerate(ws):
+            want = getattr(curvefamily.CurveGrid(us, w, fam), name)
+            got = getattr(block, name)[:, k]
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * np.maximum(1.0, np.abs(want))), (name, w)
+
+
 def test_curve_grid_memory_peak(crit032):
     """A 4097-point curve (gamma, e^h, e^{i sigma}, kappa) holds its seven
     theta arrays, yet its traced peak stays at or below the 1,117,124 bytes
