@@ -9,18 +9,20 @@ codes: 0 ok, 1 usage or config error, 2 mathematical precondition failure,
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import os
-import platform
+import platform  # click loads it too (click.types -> uuid)
 import sys
 
 import click
 import numpy as np
 
+# every module but elliptic and theta is lazy (see isoforge/__init__.py):
+# a command executes only the modules it uses
 from . import __version__, curvefamily, elliptic, frame, reparam, spherical
 from . import surface as surface_mod
-from . import theta
+from . import textfmt, theta
 from .errors import IsoforgeError, NoBracket, NoCriticalOmega
 
 
@@ -48,6 +50,22 @@ _REQUIRED = ("lattice", "omega", "reparam")
 # u-probe clears the Riccati poles, with fewer v samples a v-probe lies on
 # v = 0 and its stencil reaches below it
 _GRID_MIN = {"nu": 5, "nv": 3, "periods": 1}
+_GRID_DEFAULT = {"nu": 128, "nv": 128, "periods": 1}
+# nu * nv * periods, so that a grid's arrays fit in memory
+_MAX_VERTICES = 2 ** 22
+
+
+def _finite(val) -> bool:
+    """Whether a JSON number is finite as a float (NaN and Infinity load)."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number; true loads as an int, but is not one here."""
+    return isinstance(val, _NUM) and not isinstance(val, bool) and _finite(val)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -68,18 +86,30 @@ def validate_config(cfg: dict) -> dict:
         for k, val in sub.items():
             # JSON true loads as an int; the grid range check refuses it there
             if section == "tolerances":
-                if isinstance(val, bool) or not isinstance(val, _NUM):
-                    raise ConfigError(f"tolerances.{k} must be a number")
+                if not (_is_number(val) and val > 0):
+                    raise ConfigError(f"tolerances.{k} must be a finite "
+                                      f"number > 0, got {val!r}")
                 continue
             if k not in fields:
                 raise ConfigError(f"unknown key {section}.{k}")
             if not isinstance(val, fields[k]) or (isinstance(val, bool)
                                                   and fields[k] is not int):
                 raise ConfigError(f"bad type for {section}.{k}")
-    for k, val in cfg.get("grid", {}).items():
+            # s1 and s2: a number or an [re, im] pair
+            if isinstance(val, list) and not (
+                    len(val) == 2 and all(map(_is_number, val))):
+                raise ConfigError(f"bad type for {section}.{k}")
+            if isinstance(val, _NUM) and not _finite(val):
+                raise ConfigError(f"{section}.{k} must be finite, got {val!r}")
+    grid = {**_GRID_DEFAULT, **cfg.get("grid", {})}
+    for k, val in grid.items():
         if isinstance(val, bool) or val < _GRID_MIN[k]:
             raise ConfigError(f"grid.{k} must be an integer >= {_GRID_MIN[k]},"
                               f" got {json.dumps(val)}")
+    vertices = grid["nu"] * grid["nv"] * grid["periods"]
+    if vertices > _MAX_VERTICES:
+        raise ConfigError(f"grid.nu * grid.nv * grid.periods must be at most "
+                          f"{_MAX_VERTICES}, got {vertices}")
     mode = cfg["omega"].get("mode")
     if mode not in ("critical", "explicit", "limit"):
         raise ConfigError("omega.mode must be critical, explicit or limit")
@@ -109,6 +139,7 @@ def load_config(path: str) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
+    import hashlib  # here, so that only the commands that report load it
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -130,9 +161,8 @@ def _family(cfg) -> elliptic.Family:
 
 
 def _complex_param(val):
+    """A validated s1/s2: a number or an [re, im] pair."""
     if isinstance(val, list):
-        if len(val) != 2:
-            raise ConfigError("complex parameters are [re, im] pairs")
         return complex(float(val[0]), float(val[1]))
     return complex(float(val), 0.0)
 
@@ -161,24 +191,16 @@ def _reparam_spec(cfg, fam):
 
 
 def _recipe(cfg, fam, spec):
-    grid = cfg.get("grid", {})
-    return surface_mod.SurfaceRecipe(
-        fam=fam, spec=spec,
-        nu=int(grid.get("nu", 128)), nv=int(grid.get("nv", 128)),
-        periods=int(grid.get("periods", 1)))
+    grid = {**_GRID_DEFAULT, **cfg.get("grid", {})}
+    return surface_mod.SurfaceRecipe(fam=fam, spec=spec, **grid)
 
 
 # ---------------------------------------------------------------------------
 # writers
 
 
-# The writers import textfmt when they run: the commands that write no
-# file (verify, spherical, solve) then never load its tables.
-
-
 def write_obj(path, surf):
     """Quad mesh over the (u, v) grid; u is cyclic, v is an open strip."""
-    from . import textfmt
     pts = np.asarray(surf.points)
     nu, nv = pts.shape[:2]
     i = np.arange(nu)[:, None]
@@ -200,7 +222,6 @@ def write_curve_csv(path, us, gam, eh, tangent, kappa, u_cells=None):
     """One row per u, every cell in %.12g, with CSV's \\r\\n line ends.
     u_cells is textfmt.g12(us), for callers that write several curves on
     the same us."""
-    from . import textfmt
     if u_cells is None:
         u_cells = textfmt.g12(us)
     cols = np.stack([gam.real, gam.imag, eh, tangent.real, tangent.imag,
@@ -214,10 +235,12 @@ def write_curve_csv(path, us, gam, eh, tangent, kappa, u_cells=None):
 
 def write_svg(path, curves, size=640):
     """Polyline quick-look of complex curves (list of arrays)."""
-    from . import textfmt
-    allpts = np.concatenate(curves)
-    lo = complex(np.min(allpts.real), np.min(allpts.imag))
-    hi = complex(np.max(allpts.real), np.max(allpts.imag))
+    # the bounds of each curve: a concatenation would copy every curve
+    parts = [c for c in curves if c.size]
+    lo = complex(np.min([c.real.min() for c in parts]),
+                 np.min([c.imag.min() for c in parts]))
+    hi = complex(np.max([c.real.max() for c in parts]),
+                 np.max([c.imag.max() for c in parts]))
     span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-12)
     pad = 0.05 * span
 
@@ -479,7 +502,6 @@ def curves(config, w_values, n_samples, out_dir, svg):
     results = [curve for grid in blocks for curve in zip(
         grid.gamma.T, grid.exp_h.T, grid.exp_isigma.T, grid.kappa_hyp.T)]
 
-    from . import textfmt
     polylines = []
     u_cells = textfmt.g12(us)
     for w, name, (gam, eh, tangent, kappa) in zip(w_values, names, results):

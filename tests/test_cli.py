@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,57 @@ def test_nonpositive_period_exits_2(tmp_path, monkeypatch, capsys, period):
     assert "spec period must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [["a", 0.25], [True, 0.25], [0.45],
+                                   [0.45, 0.25, 0.0], [float("nan"), 0.25]],
+                         ids=["text", "bool", "one", "three", "nan"])
+def test_bad_complex_param_exits_1(tmp_path, monkeypatch, capsys, value):
+    """reparam.s1 is a number or a list of two finite numbers: ["a", 0.25]
+    ended in a ValueError traceback and [true, 0.25] ran as 1 + 0.25i."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8},
+                    reparam={"kind": "spherical", "delta": 0.5, "s1": value,
+                             "s2": [0.45, -0.25]})
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert "bad type for reparam.s1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("tolerances", "pde_gauss", float("nan"), "must be a finite number > 0"),
+    ("tolerances", "pde_gauss", -1, "must be a finite number > 0"),
+    ("tolerances", "pde_gauss", 0.0, "must be a finite number > 0"),
+    ("lattice", "lambda", float("nan"), "must be finite, got nan"),
+    ("omega", "value", float("nan"), "must be finite, got nan"),
+    ("reparam", "amplitude", float("inf"), "must be finite, got inf"),
+    ("reparam", "mean", 10 ** 400, "must be finite, got 1000"),
+], ids=["tolerance-nan", "tolerance-negative", "tolerance-zero",
+        "lambda-nan", "omega-value-nan", "amplitude-infinity",
+        "mean-beyond-float"])
+def test_nonfinite_or_nonpositive_number_exits_1(tmp_path, monkeypatch, capsys,
+                                                 section, key, value, message):
+    """JSON's NaN and Infinity load as floats: a tolerance of NaN or -1 ran
+    the whole pipeline and exited 3, lambda NaN exited 2 ("lambda must be
+    positive, got nan"), an explicit omega NaN exited 2 ("explicit omega
+    must lie in (0, pi/2)") and amplitude Infinity exited 2 with a nan
+    range; each now exits 1 naming the field."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    if section == "omega":
+        cfg["omega"]["mode"] = "explicit"
+    cfg.setdefault(section, {})[key] = value
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert f"{section}.{key} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, vertices", [
+    ({"nu": 2048, "nv": 2048, "periods": 2}, 2 ** 23),
+    ({"nu": 2 ** 16}, 2 ** 23),             # nv defaults to 128
+    ({"nu": 10 ** 9, "nv": 10 ** 9}, 10 ** 18)])
+def test_grid_vertex_cap(grid, vertices):
+    """nu * nv * periods is capped at 2**22, so no grid asks numpy for more
+    memory than the machine has (nu = nv = 100000 asked for 224 GiB)."""
+    with pytest.raises(ConfigError, match=f"at most 4194304, got {vertices}$"):
+        validate_config(_base_cfg(grid=grid))
+    validate_config(_base_cfg(grid={"nu": 2048, "nv": 2048}))
+
+
 @pytest.mark.parametrize("grid", [{"nu": 5, "nv": 3},
                                   {"nu": 5, "nv": 3, "periods": 2},
                                   {"nu": 8, "nv": 8}])
@@ -279,16 +331,17 @@ def test_runtime_imports_no_scipy():
 
 def test_runtime_imports_stay_lean(tmp_path):
     """A spherical spec and its frame load neither numpy.polynomial nor
-    concurrent.futures (which loads logging) nor the writers' textfmt, and
-    a curves run loads no concurrent module either."""
-    code = ("import sys\n"
+    concurrent.futures (which loads logging) and leave the writers' textfmt
+    unexecuted, and a curves run loads no concurrent module either."""
+    code = ("import sys, types\n"
             "from isoforge import cli, elliptic, frame, reparam, theta\n"
             "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
             "spec = reparam.build_spherical(reparam.SphericalSpec(\n"
             "    delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit)\n"
             "frame.integrate(spec, crit)\n"
-            "print(sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('numpy.polynomial', 'concurrent', 'isoforge.textfmt'))))\n"
+            "print(sorted(m for m, mod in sys.modules.items() if m.startswith(\n"
+            "    ('numpy.polynomial', 'concurrent')) or m == 'isoforge.textfmt'\n"
+            "    and type(mod) is types.ModuleType))\n"
             "cli.cli.main(['curves', sys.argv[1], '--n', '8', '--out-dir',\n"
             "              sys.argv[2]], standalone_mode=False)\n"
             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
@@ -299,6 +352,47 @@ def test_runtime_imports_stay_lean(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 7  # and five curves in between
     assert lines[0] == lines[-1] == "[]"
+
+
+# what `import isoforge.cli` executes; every other submodule is registered
+# in sys.modules and executes on first attribute access
+_STARTUP_MODULES = ["isoforge", "isoforge.cli", "isoforge.elliptic",
+                    "isoforge.errors", "isoforge.theta"]
+
+
+@pytest.mark.parametrize("command, executed", [
+    (["solve", "--lambda", "0.32"], []),
+    (["curves", "{cfg}", "--n", "8", "--out-dir", "{out}"],
+     ["isoforge.curvefamily", "isoforge.textfmt"])], ids=["solve", "curves"])
+def test_commands_execute_only_the_modules_they_use(tmp_path, command,
+                                                    executed):
+    """`import isoforge.cli` executes five modules and registers every layer
+    the bench tracer wraps; solve executes no other, and curves adds only
+    curvefamily and textfmt (no frame, quat, surface or spherical).  A
+    pending lazy module is a subclass of ModuleType, and any attribute
+    access would execute it, so the child only looks at type(module)."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys, types\n"
+            "import isoforge.cli\n"
+            "def executed():\n"
+            "    return sorted(m for m, mod in sys.modules.items()\n"
+            "                  if m.split('.')[0] == 'isoforge'\n"
+            "                  and type(mod) is types.ModuleType)\n"
+            "print(executed())\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import LAYERS\n"
+            "print(sorted(l for l in LAYERS if 'isoforge.' + l not in sys.modules))\n"
+            "isoforge.cli.cli.main(sys.argv[2:], standalone_mode=False)\n"
+            "print(executed())\n")
+    args = [a.format(cfg=_write(tmp_path, _base_cfg()), out=tmp_path)
+            for a in command]
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench), *args],
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(_STARTUP_MODULES)
+    assert lines[1] == "[]"
+    assert lines[-1] == str(sorted(_STARTUP_MODULES + executed))
 
 
 def test_console_script_entry_point():
@@ -531,6 +625,22 @@ def test_write_svg_matches_point_loop(tmp_path):
                 == (tmp_path / "want.svg").read_bytes())
 
 
+def test_write_svg_copies_no_curve():
+    """write_svg takes the bounds of each curve: on 16 curves of 4097
+    points it peaked at 1.83 MB when it took them on a concatenation of
+    all the curves (a 1.05 MB copy)."""
+    us = np.linspace(0.0, 2 * np.pi, 4097)
+    curves = [np.exp(1j * us) * (1 + 0.02 * k) for k in range(16)]
+    cli_mod.write_svg(os.devnull, curves[:1])  # executes the lazy textfmt
+    tracemalloc.start()
+    try:
+        cli_mod.write_svg(os.devnull, curves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
 def _obj_loop(path, surf):
     """Reference OBJ writer: one f-string per vertex and per face."""
     pts = np.asarray(surf.points)
@@ -673,11 +783,11 @@ def test_verify_inadmissible_spec_exits_2(tmp_path, monkeypatch, capsys):
     assert "|w'| reaches" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [0.0, -0.3, 2.0, float("nan")])
+@pytest.mark.parametrize("value", [0.0, -0.3, 2.0])
 def test_verify_explicit_omega_outside_range_exits_2(tmp_path, monkeypatch,
                                                     capsys, value):
-    """An explicit omega must lie in (0, pi/2): outside it (or NaN, which
-    JSON configs may spell) the command exits 2 before building anything."""
+    """An explicit omega must lie in (0, pi/2): outside it the command exits
+    2 before building anything (a NaN is a config error, exit 1)."""
     cfg = _base_cfg(omega={"mode": "explicit", "value": value})
     monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
                                       _write(tmp_path, cfg)])
