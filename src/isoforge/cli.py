@@ -101,6 +101,9 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"bad type for {section}.{k}")
             if isinstance(val, _NUM) and not _finite(val):
                 raise ConfigError(f"{section}.{k} must be finite, got {val!r}")
+    amplitude = cfg["reparam"].get("amplitude", 0)
+    if amplitude < 0:
+        raise ConfigError(f"reparam.amplitude must be >= 0, got {amplitude!r}")
     grid = {**_GRID_DEFAULT, **cfg.get("grid", {})}
     for k, val in grid.items():
         if isinstance(val, bool) or val < _GRID_MIN[k]:
@@ -293,6 +296,13 @@ def check(name, value, tol):
 _STRUCTURAL = ("reparam_admissible", "normals_rank_defect")
 
 
+def _positive_tol(ctx, param, value):
+    """The --tol option: None or a finite number > 0, like tolerances.<k>."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
+    return value
+
+
 def override_tol(checks, tol):
     """The checks with every residual tolerance replaced by tol."""
     if tol is None:
@@ -333,7 +343,7 @@ def run_battery(surf, fam, cfg):
     if not is_limit:
         # metric identity e^h = 2 Re(W1 conj gamma)
         us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        grid = curvefamily.CurveGrid(us, ws, fam)
+        grid = curvefamily.CurveGrid(us, ws, fam, forms=("exp_h", "gamma"))
         eh, gam = grid.exp_h, grid.gamma
         w1 = curvefamily.w1(ws, fam)
         metric = float(np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))
@@ -426,7 +436,7 @@ def _fv_fd_residual(surf, fam, traj, dv=1e-4):
     nodes = _fv_fd_nodes(spec, dv).ravel()
     us = surf.u[:: max(1, len(surf.u) // 8)]
     f = surface_mod.fields_at(fam, spec, us, nodes,
-                              surface_mod.phi_at(traj, nodes))
+                              surface_mod.phi_at(traj, nodes), ("points", "fv"))
     pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
     fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
     return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
@@ -518,7 +528,7 @@ def curves(config, w_values, n_samples, out_dir, svg):
 @cli.command("surface")
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_positive_tol,
               help="override every residual check tolerance")
 def surface_cmd(config, out_dir, tol):
     """Build the immersion mesh (OBJ) and its verification report."""
@@ -557,7 +567,7 @@ def surface_cmd(config, out_dir, tol):
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write the JSON report here instead of stdout")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_positive_tol,
               help="override every residual check tolerance")
 def verify(config, out, tol):
     """Run the full invariant battery and emit a JSON report."""

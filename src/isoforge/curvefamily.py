@@ -19,11 +19,14 @@ and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2):
 
 A `CurveGrid` evaluates them on a tensor grid u x w.  There each argument
 is u/2 + b with b = (+-i w + const)/2, and every theta series term
-e^{i m (u/2 + b)} splits as e^{i m u/2} e^{i m b}, so the arrays of one
-theta index are a single matrix product (`theta.theta_tensor`): two
-products give all seven.  The products sum the terms of `theta_grid`, so
-its truncation bound certifies them.  The functions of the same names are
-one-call wrappers around a grid.  The rotation coefficient of the curve at
+e^{i m (u/2 + b)} splits as e^{i m u/2} e^{i m b}, so the arrays are
+matrix products with one left factor per m0 of the series
+(`theta.theta_tensor`).  A grid fetches only the arrays of the forms it
+is built for, all in one call: one product on a rhombic lattice, where
+theta1 and td = theta2 both have m0 = 1, two on a rectangular one.  The
+products sum the terms of `theta_grid`, so its truncation bound certifies
+them.  The functions of the same names are one-call wrappers around a
+grid built for their one form.  The rotation coefficient of the curve at
 w is
 
     W1(w) = i th1'(0) td(om - i w) / (2 td(om) th1(i w)) * e^{i w c}.
@@ -90,25 +93,47 @@ def _pole_checked(den, what):
     return den
 
 
+# the theta arrays of the module docstring that each form of a CurveGrid
+# reads
+_READS = {
+    "gamma": ("A", "G"),
+    "gamma_u": ("A", "D"),
+    "exp_h": ("A", "Ab", "D", "Db"),
+    "exp_isigma": ("A", "Ab", "D", "Db"),
+    "dlog_gamma_u": ("A", "A'", "D", "D'"),
+    "kappa_hyp": ("A", "Ab", "A'", "D", "Db", "D'"),
+}
+FORMS = tuple(_READS)
+
+
 class CurveGrid:
     """The family's closed forms on the grid z = u + i w.
 
     u and w are each a number or a 1-D array; a form has shape
     (len(u), len(w)), and a number drops its axis (two numbers give a
     number).  The band of w is checked on construction (the mirrored band
-    if `mirrored`).  On first use the grid fetches all its arrays of one
-    theta index with one `theta_tensor` call: A, Ab, G and A' of theta1,
-    then D, Db and D' of td, each on the u x w grid as the product of
-    a = u/2 and b = (+-i w + const)/2.  The arrays keep the truncation
-    certificate of `theta_grid`, since |Im b| = |w|/2 lies in the strip.
-    The zeros of A and Ab are guarded when a form reads them.
+    if `mirrored`).  A grid is built for the forms it names (all of
+    FORMS by default), and reading any other raises ValueError.  On first
+    use it fetches the theta arrays those forms read (`_READS`: gamma
+    reads A and G, e^h and e^{i sigma} read A, Ab, D and Db, (h + i
+    sigma)_u reads A, A', D and D') with one `theta_tensor` call, each on
+    the u x w grid as the product of a = u/2 and b = (+-i w + const)/2:
+    one product on a rhombic lattice, where theta1 and td = theta2 share
+    the left factor, and two on a rectangular one.  The arrays keep the
+    truncation certificate of `theta_grid`, since |Im b| = |w|/2 lies in
+    the strip.  The zeros of A and Ab are guarded when a form reads them.
     """
 
-    def __init__(self, u, w, fam: Family, mirrored: bool = False):
+    def __init__(self, u, w, fam: Family, mirrored: bool = False,
+                 forms=FORMS):
         if np.ndim(u) > 1 or np.ndim(w) > 1:
             raise ValueError("u and w must be numbers or 1-D arrays")
+        unknown = set(forms) - set(FORMS)
+        if unknown:
+            raise ValueError(f"unknown forms {sorted(unknown)}")
         _check_w(w, fam.lattice, mirrored)
         self.fam = fam
+        self.forms = tuple(forms)
         self._shape = np.shape(u) + np.shape(w)
         self.u = np.atleast_1d(np.asarray(u, dtype=float))
         self.w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -116,27 +141,37 @@ class CurveGrid:
     def _out(self, val, kind=complex):
         return kind(val[0, 0]) if self._shape == () else val.reshape(self._shape)
 
-    @cached_property
-    def _th1(self):
-        """A, Ab, G and A' of the module docstring, stacked."""
-        om, iw = self.fam.omega, 1j * self.w
-        b = np.stack([iw + om, -iw + om, iw - 3 * om, iw + om]) / 2
-        return theta_tensor(1, self.u / 2, b, self.fam.lattice, (0, 0, 0, 1))
+    def _read(self, form):
+        """The theta arrays, once the grid is known to be built for form."""
+        if form not in self.forms:
+            raise ValueError(f"this CurveGrid is built for {self.forms}, "
+                             f"not {form}")
+        return self._theta
 
     @cached_property
-    def _td(self):
-        """D, Db and D' of the module docstring, stacked."""
-        fam, iw = self.fam, 1j * self.w
-        b = np.stack([iw - fam.omega, -iw - fam.omega, iw - fam.omega]) / 2
-        return theta_tensor(fam.den, self.u / 2, b, fam.lattice, (0, 0, 1))
+    def _theta(self):
+        """The arrays the grid's forms read, by name."""
+        fam, iw, om = self.fam, 1j * self.w, self.fam.omega
+        # theta index, derivative order and 2 b of every array, in the
+        # order of the fetch: theta1 rows, then td rows
+        arrays = {"A": (1, 0, iw + om), "Ab": (1, 0, -iw + om),
+                  "G": (1, 0, iw - 3 * om), "A'": (1, 1, iw + om),
+                  "D": (fam.den, 0, iw - om), "Db": (fam.den, 0, -iw - om),
+                  "D'": (fam.den, 1, iw - om)}
+        names = [x for x in arrays
+                 if any(x in _READS[form] for form in self.forms)]
+        b = np.stack([arrays[x][2] for x in names]) / 2
+        out = theta_tensor([arrays[x][:2] for x in names], self.u / 2, b,
+                           fam.lattice)
+        return dict(zip(names, out))
 
     @cached_property
     def _th1_p(self):
-        return _pole_checked(self._th1[0], "theta1((z + omega)/2)")
+        return _pole_checked(self._theta["A"], "theta1((z + omega)/2)")
 
     @cached_property
     def _th1_pb(self):
-        return _pole_checked(self._th1[1], "theta1((zb + omega)/2)")
+        return _pole_checked(self._theta["Ab"], "theta1((zb + omega)/2)")
 
     @cached_property
     def _ezc(self):
@@ -147,14 +182,15 @@ class CurveGrid:
     @cached_property
     def gamma(self):
         """The planar curve gamma(u, w)."""
-        fam = self.fam
+        fam, t = self.fam, self._read("gamma")
         pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
-        return self._out(pref * self._th1[2] / self._th1_p * self._ezc)
+        return self._out(pref * t["G"] / self._th1_p * self._ezc)
 
     @cached_property
     def gamma_u(self):
         """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}."""
-        return self._out(-1j * (self._td[0] / self._th1_p) ** 2 * self._ezc)
+        t = self._read("gamma_u")
+        return self._out(-1j * (t["D"] / self._th1_p) ** 2 * self._ezc)
 
     @cached_property
     def exp_h(self):
@@ -162,7 +198,8 @@ class CurveGrid:
 
         The realness check compares each w column with its own scale, over u.
         """
-        val = self._td[0] * self._td[1] / (self._th1_p * self._th1_pb)
+        t = self._read("exp_h")
+        val = t["D"] * t["Db"] / (self._th1_p * self._th1_pb)
         val = val * np.exp(self.u * self.fam.c.real)[:, None]
         out = np.real(val).copy()  # a view would keep the complex val alive
         im = np.max(np.abs(np.imag(val)), axis=0)
@@ -170,29 +207,36 @@ class CurveGrid:
             raise ArithmeticError("e^h should be real")
         return self._out(out, float)
 
+    # _eis and _dlog serve exp_isigma, dlog_gamma_u and kappa_hyp, which
+    # check that the grid is built for them
     @cached_property
     def _eis(self):
-        val = -1j * self._td[0] * self._th1_pb / (self._th1_p * self._td[1])
+        t = self._theta
+        val = -1j * t["D"] * self._th1_pb / (self._th1_p * t["Db"])
         return val * np.exp(1j * self.w * self.fam.c)
 
     @cached_property
     def _dlog(self):
-        return self._td[2] / self._td[0] - self._th1[3] / self._th1_p + self.fam.c
+        t = self._theta
+        return t["D'"] / t["D"] - t["A'"] / self._th1_p + self.fam.c
 
     @cached_property
     def exp_isigma(self):
         """Unitary factor e^{i sigma(u,w)} of gamma_u."""
+        self._read("exp_isigma")
         return self._out(self._eis)
 
     @cached_property
     def dlog_gamma_u(self):
         """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives."""
+        self._read("dlog_gamma_u")
         return self._out(self._dlog)
 
     @cached_property
     def kappa_hyp(self):
         """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized
         curve."""
+        self._read("kappa_hyp")
         W1 = w1(self.w, self.fam)
         q = _standardizing_rotation(W1) * self._eis
         return self._out(np.imag(self._dlog) / (2 * abs(W1)) + np.real(q), float)
@@ -200,23 +244,23 @@ class CurveGrid:
 
 def gamma(u, w, fam: Family):
     """The planar curve gamma(u, w) on the grid u x w (see `CurveGrid`)."""
-    return CurveGrid(u, w, fam, mirrored=True).gamma
+    return CurveGrid(u, w, fam, mirrored=True, forms=("gamma",)).gamma
 
 
 def gamma_u(u, w, fam: Family):
     """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form,
     on the grid u x w."""
-    return CurveGrid(u, w, fam, mirrored=True).gamma_u
+    return CurveGrid(u, w, fam, mirrored=True, forms=("gamma_u",)).gamma_u
 
 
 def exp_h(u, w, fam: Family):
     """Metric factor e^{h(u,w)} (positive real) on the grid u x w."""
-    return CurveGrid(u, w, fam).exp_h
+    return CurveGrid(u, w, fam, forms=("exp_h",)).exp_h
 
 
 def exp_isigma(u, w, fam: Family):
     """Unitary factor e^{i sigma(u,w)} of gamma_u on the grid u x w."""
-    return CurveGrid(u, w, fam).exp_isigma
+    return CurveGrid(u, w, fam, forms=("exp_isigma",)).exp_isigma
 
 
 def w1(w, fam: Family):
@@ -241,7 +285,8 @@ def w1(w, fam: Family):
 def dlog_gamma_u(u, w, fam: Family):
     """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives, on the
     grid u x w."""
-    return CurveGrid(u, w, fam, mirrored=True).dlog_gamma_u
+    grid = CurveGrid(u, w, fam, mirrored=True, forms=("dlog_gamma_u",))
+    return grid.dlog_gamma_u
 
 
 def dlog_w1(w, fam: Family):
@@ -282,7 +327,7 @@ def hyperbolic_speed(us, w: float, fam):
 
 def kappa_hyp(u, w: float, fam):
     """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized curve."""
-    return CurveGrid(u, w, fam).kappa_hyp
+    return CurveGrid(u, w, fam, forms=("kappa_hyp",)).kappa_hyp
 
 
 def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> ElasticaConstants:

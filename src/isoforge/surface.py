@@ -7,13 +7,14 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
     f_v = e^h Phi^{-1} ( sqrt(1-w'^2) i + w' e^{i sigma} k ) Phi,
     n   =     Phi^{-1} ( w' i - sqrt(1-w'^2) e^{i sigma} k ) Phi,
 
-where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates them on
-a (u, v) grid in blocks of whole v columns of at most _BLOCK_POINTS points:
-one `curvefamily.CurveGrid` on u x w(block), whose theta arrays come from
-two matrix products (`theta.theta_tensor`, one per theta index) with the
-truncation bound of the theta series, and serve every closed form.  The
-blocks keep the theta temporaries bounded, and the frame acts through one
-3x3 rotation matrix per column
+where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates the
+fields its caller names on a (u, v) grid in blocks of whole v columns of
+at most _BLOCK_POINTS points: one `curvefamily.CurveGrid` on u x w(block),
+built for the closed forms those fields read (points: gamma; fu, fv:
+e^h and e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta arrays come
+from one `theta.theta_tensor` call with the truncation bound of the
+theta series.  The blocks keep the theta temporaries bounded, and the
+frame acts through one 3x3 rotation matrix per column
 (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
 Phi^{-1} k Phi).  Each vector field is stored as component planes: one
 C-contiguous (3, nu, nv) array of its x, y and z grids, assembled plane by
@@ -85,43 +86,67 @@ def _plane_vectors(spec: ReparamSpec, v):
             np.asarray(spec.signed_root(v), dtype=float))
 
 
-def fields_at(fam: Family, spec: ReparamSpec, u, v, phi):
+# the fields of fields_at and the CurveGrid forms each one reads
+_FIELD_FORMS = {
+    "points": ("gamma",),
+    "fu": ("exp_h", "exp_isigma"),
+    "fv": ("exp_h", "exp_isigma"),
+    "n": ("exp_isigma",),
+    "expH": ("exp_h",),
+}
+FIELDS = tuple(_FIELD_FORMS)
+
+
+def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
     """Closed-form immersion fields on the tensor grid u x v.
 
     phi must hold the frame at the nodes of v, shape (len(v), 4).
-    Returns a dict with the (nu, nv, 3) grids points/fu/fv/n and the
-    (nu, nv) metric factor expH.  Each (nu, nv, 3) grid is the
+    Returns a dict of the fields in names (all of FIELDS by default):
+    the (nu, nv, 3) grids points/fu/fv/n and the (nu, nv) metric factor
+    expH.  Only those are assembled, from the theta arrays their closed
+    forms read.  Each (nu, nv, 3) grid is the
     np.moveaxis(planes, 0, -1) view of one C-contiguous (3, nu, nv) array
     of x, y and z planes, so a reduction over xyz and numpy's elementwise
     results keep plane order; its reshape(-1, 3) copies.
     """
+    unknown = set(names) - set(FIELDS)
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = len(u), len(v)
+    forms = tuple(dict.fromkeys(f for name in names for f in _FIELD_FORMS[name]))
     w_arr, wp, root = _plane_vectors(spec, v)
     # rot[c, b, j]: component c of the image of basis vector b (i, j, k) at
     # v_j, contiguous in j like the planes
     rot = np.ascontiguousarray(np.moveaxis(qrotation(phi), 0, -1))
-    planes = {name: np.empty((3, nu, nv))
-              for name in ("points", "fu", "fv", "n")}
-    eh = np.empty((nu, nv))
+    planes = {name: np.empty((3, nu, nv)) for name in names
+              if name != "expH"}
+    eh = np.empty((nu, nv)) if "expH" in names else None
     step = max(1, _BLOCK_POINTS // max(nu, 1))
     for lo in range(0, nv, step):
         cols = slice(lo, lo + step)
-        grid = curvefamily.CurveGrid(u, w_arr[cols], fam)
-        gam, eis = grid.gamma, grid.exp_isigma
-        eh[:, cols] = eh_c = grid.exp_h
+        grid = curvefamily.CurveGrid(u, w_arr[cols], fam, forms=forms)
+        gam, eis, eh_c = (getattr(grid, f) if f in forms else None
+                          for f in ("gamma", "exp_isigma", "exp_h"))
         del grid  # its theta arrays are not needed for the assembly
+        if "expH" in names:
+            eh[:, cols] = eh_c
         ri, rj, rk = (rot[:, b, None, cols] for b in range(3))  # (3, 1, cols)
         # z j = a j + b k and z k = a k - b j for z = a + ib
-        eis_j = eis.real * rj + eis.imag * rk
-        eis_k = eis.real * rk - eis.imag * rj
-        planes["points"][:, :, cols] = gam.real * rj + gam.imag * rk
-        planes["fu"][:, :, cols] = eh_c * eis_j
-        planes["fv"][:, :, cols] = eh_c * (root[cols] * ri + wp[cols] * eis_k)
-        planes["n"][:, :, cols] = wp[cols] * ri - root[cols] * eis_k
+        if "points" in planes:
+            planes["points"][:, :, cols] = gam.real * rj + gam.imag * rk
+        if "fu" in planes:
+            planes["fu"][:, :, cols] = eh_c * (eis.real * rj + eis.imag * rk)
+        if "fv" in planes or "n" in planes:
+            eis_k = eis.real * rk - eis.imag * rj
+        if "fv" in planes:
+            planes["fv"][:, :, cols] = eh_c * (root[cols] * ri + wp[cols] * eis_k)
+        if "n" in planes:
+            planes["n"][:, :, cols] = wp[cols] * ri - root[cols] * eis_k
     out = {name: np.moveaxis(p, 0, -1) for name, p in planes.items()}
-    out["expH"] = eh
+    if "expH" in names:
+        out["expH"] = eh
     return out
 
 
@@ -317,7 +342,8 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
     # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi_at(traj, vs.ravel()))
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi_at(traj, vs.ravel()),
+                  ("fu", "fv", "n", "expH"))
     fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
     e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
 
@@ -409,16 +435,15 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     """
     spec, fam = s.recipe.spec, crit
     R = fam.R
-    # the 2 omega - u grid with the u = omega row appended
-    f2 = fields_at(fam, spec, np.append(2 * fam.omega - s.u, fam.omega), s.v,
-                   s.phi)
+    f2 = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi, ("points",))
     f = s.points
     inv = R ** 2 * f / np.sum(f * f, axis=-1, keepdims=True)
-    res_inv = float(np.max(np.linalg.norm(inv - f2["points"][:-1], axis=-1)))
+    res_inv = float(np.max(np.linalg.norm(inv - f2["points"], axis=-1)))
 
-    fom = f2["points"][-1]
+    row = fields_at(fam, spec, [fam.omega], s.v, s.phi, ("points", "fu"))
+    fom = row["points"][0]
     sphere = float(np.max(np.abs(np.linalg.norm(fom, axis=-1) - abs(R))))
-    fuom = f2["fu"][-1]
+    fuom = row["fu"][0]
     par = float(np.max(np.linalg.norm(
         fom / R + fuom / np.linalg.norm(fuom, axis=-1, keepdims=True), axis=-1)))
     residuals = {"involution": res_inv, "involution_rel": res_inv / abs(R),
@@ -446,7 +471,7 @@ def dual_symmetry(s: SampledSurface,
     """
     spec = s.recipe.spec
     fam = s.recipe.fam
-    shifted = fields_at(fam, spec, np.pi - s.u, s.v, s.phi)
+    shifted = fields_at(fam, spec, np.pi - s.u, s.v, s.phi, ("fu", "fv"))
     e2h = s.expH[..., None] ** 2
     res_u = float(np.max(np.linalg.norm(shifted["fu"] - s.fu / e2h, axis=-1))
                   / np.max(s.expH))
@@ -470,9 +495,9 @@ def dual_symmetry(s: SampledSurface,
     vm = dual_loop_nodes(s)
     # u-edges at v = va, vb (grid columns 1, 2); the v-edges need the frame
     # at interior quadrature nodes
-    fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3])
+    fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3], ("fu", "expH"))
     om_u = fl["fu"] / fl["expH"][..., None] ** 2              # (16, 2, 3)
-    fl = fields_at(fam, spec, [ua, ub], vm, phi_at(traj, vm))
+    fl = fields_at(fam, spec, [ua, ub], vm, phi_at(traj, vm), ("fv", "expH"))
     om_v = fl["fv"] / fl["expH"][..., None] ** 2              # (2, 16, 3)
     loop = (0.5 * (ub - ua) * weights @ (om_u[:, 0] - om_u[:, 1])
             + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))

@@ -27,9 +27,12 @@ tail bound certifies this evaluation too.
 On a tensor grid of points z = a_j + b_l with real a, the kind the curve
 family evaluates on u x w surface grids, each term splits as
 e^{i m a_j} e^{i m b_l}, so `theta_tensor` sums the series as one complex
-matrix product (len(a) x 2N) @ (2N x len(b)) per array; the arrays of
-one theta index share the left factor.  It sums the same terms with the
-same truncation, so the same bound certifies it on |Im b| <= H.
+matrix product (len(a) x 2N) @ (2N x len(b)) per array.  The left factor
+depends on a and m0 alone, so one call evaluates arrays of any theta
+indices and orders, with one left factor and one batched product per
+m0: a single one for the theta1 and theta2 arrays of a rhombic lattice.
+It sums the same terms with the same truncation, so the same bound
+certifies it on |Im b| <= H.
 `theta_grid` remains for points and lines and as the reference the
 kernel is tested against.
 """
@@ -215,40 +218,65 @@ def _powers(e, n, m0, axis, size=None):
     return out
 
 
-def theta_tensor(i: int, a, b, lat: Lattice, orders):
-    """theta_i^(orders[k])(a_j + b[k, l]) as a (K, len(a), nb) array.
+def _runs(keys):
+    """(key, slice) of each run of equal consecutive entries of keys."""
+    starts = [r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]]
+    return [(keys[r], slice(r, e))
+            for r, e in zip(starts, starts[1:] + [len(keys)])]
 
-    a is a real 1-D array, b a (K, nb) complex array (or K 1-D arrays of
-    one length) and orders holds K derivative orders; each array out[k]
-    of the result is contiguous.  With m_n = m0 + 2n the series of
-    `_laurent` is the matrix product
+
+def theta_tensor(rows, a, b, lat: Lattice):
+    """theta_i^(k)(a_j + b[r, l]) for the pair (i, k) = rows[r] of every
+    b-row, as a (len(rows), len(a), nb) array.
+
+    a is a real 1-D array, b a (len(rows), nb) complex array (or 1-D
+    arrays of one length) and rows holds one (theta index, derivative
+    order) pair per row of b; each array out[r] of the result is
+    contiguous.  With m_n = m0 + 2n the series of `_laurent` is the
+    matrix product
 
         [e^{i m_n a_j}, e^{-i m_n a_j}] @ [[a_n e^{i m_n b_l}], [s a_n e^{-i m_n b_l}]]
 
-    (a_n, m0 and s of theta_i^(k)), whose left factor all K planes share.
-    Both factors are built from one complex exponential per value of a or
-    b and its powers; the left one in blocks of at most _BLOCK_ENTRIES
-    entries, so no temporary grows with len(a) x N.  The terms
+    (a_n, m0 and s of theta_i^(k)), whose left factor depends on a and m0
+    alone (m0 = 1 for theta1 and theta2, 0 for theta3 and theta4): each
+    run of consecutive rows with one m0 is one batched product, and the
+    runs of one m0 share the left factor.  Both factors are built from one
+    complex exponential per value of a or b and its powers; the left one
+    in blocks of at most _BLOCK_ENTRIES entries, so no temporary grows
+    with len(a) x N.  The right factor is built for each run of rows of
+    one theta index as a call on that run alone builds it (numpy's
+    strided and contiguous loops may round a complex product differently),
+    so each array is bit for bit the one that call returns.  The terms
     are those of `theta_grid`, so its tail bound certifies the product on
     |Im b| <= H, where every e^{+-i m_n b} is finite: the truncation loop
     evaluated e^{(2N+1)H}.
     """
-    series = [_series(i, k, lat) for k in orders]
+    series = [_series(i, k, lat) for i, k in rows]
+    nr = len(series)
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=complex).reshape(len(series), -1)
+    b = np.asarray(b, dtype=complex).reshape(nr, -1)
     # allocated before the temporaries it outlives
-    out = np.empty((len(series), len(a), b.shape[1]), dtype=complex)
+    out = np.empty((nr, len(a), b.shape[1]), dtype=complex)
     _check_strip(np.max(np.abs(b.imag), initial=0.0), lat)
-    n, m0 = len(series[0][0]), series[0][1]
-    coef = np.array([c for c, _, _ in series])[:, :, None]     # (K, n, 1)
+    n = len(series[0][0])
+    coef = np.array([c for c, _, _ in series])[:, :, None]     # (nr, n, 1)
     sign = np.array([s for _, _, s in series])[:, None, None]
-    eb = _powers(np.exp(1j * b), n, m0, axis=1)                # e^{i m_n b}
-    right = np.concatenate([coef * eb, sign * coef / eb], axis=1)
-    rows = max(1, _BLOCK_ENTRIES // (2 * n))
-    for lo in range(0, len(a), rows):
-        left = _powers(np.exp(1j * a[lo:lo + rows]), n, m0, 0, 2 * n)
-        np.conjugate(left[:n], out=left[n:])                   # e^{-i m_n a}
-        np.matmul(left.T, right, out=out[:, lo:lo + rows])
+    m0s = [m0 for _, m0, _ in series]
+    eb = np.exp(1j * b)
+    right = np.empty((nr, 2 * n, b.shape[1]), dtype=complex)
+    for _, rs in _runs([i for i, _ in rows]):
+        p = _powers(eb[rs], n, m0s[rs.start], axis=1)          # e^{i m_n b}
+        np.multiply(coef[rs], p, out=right[rs, :n])
+        np.divide(sign[rs] * coef[rs], p, out=right[rs, n:])
+    step = max(1, _BLOCK_ENTRIES // (2 * n))
+    for lo in range(0, len(a), step):
+        ea = np.exp(1j * a[lo:lo + step])
+        for m0 in set(m0s):
+            left = _powers(ea, n, m0, 0, 2 * n)
+            np.conjugate(left[:n], out=left[n:])               # e^{-i m_n a}
+            for m, rs in _runs(m0s):
+                if m == m0:
+                    np.matmul(left.T, right[rs], out=out[rs, lo:lo + step])
     return out
 
 

@@ -87,21 +87,25 @@ def limit_surf(lam0, limit_spec):
 def theta_arrays(monkeypatch):
     """Records the theta arrays curvefamily evaluates.
 
-    `calls` holds (index, len(a), shape of b) for each theta_tensor call,
+    `calls` holds (theta indices of the rows, len(a), shape of b) for each
+    theta_tensor call, `products` its number of matrix products (one per
+    m0 of its rows: 1 for theta1 and theta2, 0 for theta3 and theta4),
     `arrays` one (index, order, a, b row) key for each array it returns,
     `columns` one (index, order, a, b) key for each of their columns, and
     `grid` the shape of every array argument of theta_grid.
     """
-    rec = SimpleNamespace(calls=[], arrays=[], columns=[], grid=[])
+    rec = SimpleNamespace(calls=[], products=[], arrays=[], columns=[],
+                          grid=[])
     tensor, grid = curvefamily.theta_tensor, curvefamily.theta_grid
 
-    def counted_tensor(i, a, b, lat, orders):
-        rec.calls.append((i, len(a), np.shape(b)))
+    def counted_tensor(rows, a, b, lat):
+        rec.calls.append((tuple(i for i, _ in rows), len(a), np.shape(b)))
+        rec.products.append(len({i in (1, 2) for i, _ in rows}))
         rec.arrays.extend((i, k, np.asarray(a).tobytes(), np.asarray(row).tobytes())
-                          for k, row in zip(orders, b))
+                          for (i, k), row in zip(rows, b))
         rec.columns.extend((i, k, np.asarray(a).tobytes(), complex(x))
-                           for k, row in zip(orders, b) for x in np.ravel(row))
-        return tensor(i, a, b, lat, orders)
+                           for (i, k), row in zip(rows, b) for x in np.ravel(row))
+        return tensor(rows, a, b, lat)
 
     def counted_grid(i, z, *args):
         if np.ndim(z):

@@ -202,6 +202,34 @@ def test_nonfinite_or_nonpositive_number_exits_1(tmp_path, monkeypatch, capsys,
     assert f"{section}.{key} {message}" in capsys.readouterr().err
 
 
+def test_negative_amplitude_exits_1(tmp_path, monkeypatch, capsys):
+    """A negative reparam.amplitude is sin shifted by half a period, not a
+    new profile: it exits 1 naming the field; 0 (a constant w) still runs."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    cfg["reparam"]["amplitude"] = -0.1
+    assert _main_exit(tmp_path, monkeypatch, cfg) == 1
+    assert "reparam.amplitude must be >= 0, got -0.1" in capsys.readouterr().err
+    cfg["reparam"]["amplitude"] = 0
+    validate_config(cfg)
+
+
+@pytest.mark.parametrize("command", ["verify", "surface"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, monkeypatch, capsys,
+                                         command, tol):
+    """--tol nan ran the whole battery and exited 3 with every residual
+    check failing; a --tol that is not a finite number > 0 now exits 1
+    before anything is built, like a tolerances.<k> of that value."""
+    monkeypatch.setattr(cli_mod.surface_mod, "build", None)  # never reached
+    code = _exit_code(monkeypatch, command, _write(tmp_path, _base_cfg()),
+                      "--tol", tol, "--out" if command == "verify"
+                      else "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert ("'--tol': must be a finite number > 0, got"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid, vertices", [
     ({"nu": 2048, "nv": 2048, "periods": 2}, 2 ** 23),
     ({"nu": 2 ** 16}, 2 ** 23),             # nv defaults to 128
@@ -429,14 +457,15 @@ def test_curves_writes_csv(tmp_path):
 def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
     """gamma, e^h, e^{i sigma} and the hyperbolic curvature of one curve
     share five theta arrays and two derivative arrays.  The curves of a
-    block of w share their calls: one theta_tensor call per theta index,
-    whose arrays hold one column per w; only W1 evaluates theta at a point
-    array, the block's w."""
+    block of w share one theta_tensor call, one matrix product on the
+    rhombic lattice, whose arrays hold one column per w; only W1 evaluates
+    theta at a point array, the block's w."""
     result = CliRunner().invoke(cli, [
         "curves", _write(tmp_path, _base_cfg()), "--w", "0.7", "--w", "1.3",
         "--n", "64", "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert sorted(theta_arrays.calls) == [(1, 65, (4, 2)), (2, 65, (3, 2))]
+    assert theta_arrays.calls == [((1, 1, 1, 1, 2, 2, 2), 65, (7, 2))]
+    assert theta_arrays.products == [1]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 7
     assert len(set(theta_arrays.columns)) == len(theta_arrays.columns) == 14
     assert theta_arrays.grid == [(2,)] * 2
@@ -446,9 +475,8 @@ def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
         "curves", _write(tmp_path, _base_cfg()), "--n", "4096",
         "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert sorted(theta_arrays.calls) == [
-        (1, 4097, (4, 1)), (1, 4097, (4, 4)), (2, 4097, (3, 1)),
-        (2, 4097, (3, 4))]
+    assert theta_arrays.calls == [((1, 1, 1, 1, 2, 2, 2), 4097, (7, 4)),
+                                  ((1, 1, 1, 1, 2, 2, 2), 4097, (7, 1))]
 
 
 def test_curves_writes_no_file_when_a_later_w_fails(tmp_path, monkeypatch,

@@ -199,6 +199,57 @@ def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
                           curvefamily.kappa_hyp(us, w, crit032))
 
 
+@pytest.mark.parametrize("forms, indices, orders", [
+    (("gamma",), (1, 1), (0, 0)),
+    (("exp_h", "exp_isigma"), (1, 1, 2, 2), (0, 0, 0, 0)),
+    (("dlog_gamma_u",), (1, 1, 2, 2), (0, 1, 0, 1)),
+    (("exp_h", "gamma"), (1, 1, 1, 2, 2), (0, 0, 0, 0, 0)),
+], ids=["gamma", "eh-eis", "dlog", "eh-gamma"])
+def test_curve_grid_fetches_only_the_arrays_of_its_forms(
+        crit032, theta_arrays, forms, indices, orders):
+    """A grid built for named forms fetches the theta arrays they read
+    (gamma: A and G; e^h and e^{i sigma}: A, Ab, D and Db; (h + i
+    sigma)_u: A, A', D and D') in one theta_tensor call, one product on
+    the rhombic lattice, and each form equals, bit for bit, the form of a
+    grid built for all of them."""
+    u = np.linspace(0.0, 2 * np.pi, 7)
+    w = _random_w(crit032.lattice, n=3)
+    grid = curvefamily.CurveGrid(u, w, crit032, forms=forms)
+    got = {name: getattr(grid, name) for name in forms}
+    assert theta_arrays.calls == [(indices, 7, (len(indices), 3))]
+    assert theta_arrays.products == [1]
+    assert tuple(k for _, k, _, _ in theta_arrays.arrays) == orders
+    full = curvefamily.CurveGrid(u, w, crit032)
+    for name in forms:
+        assert np.array_equal(got[name], getattr(full, name)), name
+
+
+def test_rectangular_grid_makes_two_theta_products(rect_fam, theta_arrays):
+    """On a rectangular lattice td = theta4 has m0 = 0 and theta1 m0 = 1,
+    so the seven arrays of a grid take two matrix products, one per m0,
+    in the same theta_tensor call that serves a rhombic grid."""
+    u = np.linspace(0.0, 2 * np.pi, 7)
+    w = _random_w(rect_fam.lattice, n=3)
+    grid = curvefamily.CurveGrid(u, w, rect_fam)
+    grid.gamma, grid.exp_h, grid.dlog_gamma_u
+    assert theta_arrays.calls == [((1, 1, 1, 1, 4, 4, 4), 7, (7, 3))]
+    assert theta_arrays.products == [2]
+
+
+def test_curve_grid_refuses_forms_it_was_not_built_for(crit032, theta_arrays):
+    """Reading a form outside the grid's forms raises ValueError before
+    any theta array is fetched, as does naming an unknown form."""
+    grid = curvefamily.CurveGrid(0.3, 1.0, crit032, forms=("gamma",))
+    for name in ("exp_h", "exp_isigma", "gamma_u", "dlog_gamma_u",
+                 "kappa_hyp"):
+        with pytest.raises(ValueError, match=f"built for .*not {name}"):
+            getattr(grid, name)
+    assert theta_arrays.calls == []
+    assert isinstance(grid.gamma, complex)
+    with pytest.raises(ValueError, match="unknown forms"):
+        curvefamily.CurveGrid(0.3, 1.0, crit032, forms=("gamma", "h"))
+
+
 @pytest.mark.parametrize("kind", ["critical", "explicit", "rectangular"])
 def test_curves_block_matches_single_curve(crit032, rect_fam, kind):
     """Each w column of a block of curves on 4097 u samples, as the curves

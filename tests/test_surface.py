@@ -131,25 +131,90 @@ def test_fields_at_block_evaluates_five_theta_arrays(torus_surf, crit032,
     """One block of columns fetches the five theta arrays that gamma,
     e^{i sigma} and e^h share -- theta1((z + omega)/2), theta1((zb +
     omega)/2), theta1((z - 3 omega)/2), td((z - omega)/2) and
-    td((zb - omega)/2) -- with the two derivative arrays in one
-    theta_tensor call per theta index, evaluates no array twice and none
-    point by point."""
+    td((zb - omega)/2) -- in one theta_tensor call (one product on the
+    rhombic lattice) without the derivative arrays, evaluates no array
+    twice and none point by point."""
     u = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     v = torus_surf.v[:40]
     assert len(u) * len(v) <= surface._BLOCK_POINTS
     surface.fields_at(crit032, torus_surf.recipe.spec, u, v,
                       torus_surf.phi[:40])
-    assert sorted(theta_arrays.calls) == [(1, 64, (4, 40)), (2, 64, (3, 40))]
-    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 7
+    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 64, (5, 40))]
+    assert theta_arrays.products == [1]
+    assert {k[:2] for k in theta_arrays.arrays} == {(1, 0), (2, 0)}
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 5
     assert theta_arrays.grid == []
+
+
+def test_build_block_makes_one_theta_call_for_five_arrays(crit032,
+                                                          torus_spec,
+                                                          theta_arrays):
+    """A 48 x 49 build is one block of columns: its fields read gamma,
+    e^h and e^{i sigma}, so one theta_tensor call fetches A, Ab, G, D and
+    Db without the derivative arrays A' and D'."""
+    surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
+                                        nu=48, nv=48))
+    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 48, (5, 49))]
+    assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
+
+
+def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
+                                             theta_arrays):
+    """The involution reads only the points of the 2 omega - u grid, so
+    that grid fetches A and G and no td row; points and fu on the
+    u = omega row come from a one-row grid."""
+    rep = surface.inversion_symmetry(torus_surf, crit032)
+    assert rep.ok
+    assert theta_arrays.calls == [((1, 1), 48, (2, 49)),
+                                  ((1, 1, 1, 2, 2), 1, (5, 49))]
+    assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
+
+
+def test_dual_grid_fetches_four_arrays(torus_surf, crit032, theta_arrays):
+    """The dual checks read fu and fv on the shifted grid, fu and expH on
+    the u-edges of the loop and fv and expH on its v-edges: each grid
+    fetches A, Ab, D and Db only."""
+    traj = surface.battery_frame(crit032, torus_surf.recipe.spec,
+                                 [surface.dual_loop_nodes(torus_surf)])
+    rep = surface.dual_symmetry(torus_surf, traj)
+    assert rep.ok
+    four = (1, 1, 2, 2)
+    assert theta_arrays.calls == [(four, 48, (4, 49)), (four, 16, (4, 2)),
+                                  (four, 2, (4, 16))]
+    assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
+
+
+@pytest.mark.parametrize("names", [
+    ("points",), ("points", "fu"), ("fu", "fv"), ("fu", "expH"),
+    ("fv", "expH"), ("fu", "fv", "n", "expH"), ("points", "fv")])
+def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
+    """Each set of fields a battery stage requests (build's all, the
+    involution's points and its omega row's points and fu, the dual
+    checks' fu/fv, fu/expH and fv/expH, the PDE stencil's fu, fv, n and
+    expH, fv_vs_fd's points and fv) equals, bit for bit, the same arrays
+    of the full call, on a grid of two blocks whose second holds one
+    column."""
+    spec = torus_surf.recipe.spec
+    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    v, phi = torus_surf.v[:33], torus_surf.phi[:33]
+    assert len(v) % (surface._BLOCK_POINTS // len(u)) == 1
+    full = surface.fields_at(crit032, spec, u, v, phi)
+    assert tuple(full) == surface.FIELDS
+    got = surface.fields_at(crit032, spec, u, v, phi, names)
+    assert sorted(got) == sorted(names)
+    for name in names:
+        assert np.array_equal(got[name], full[name]), name
+    with pytest.raises(ValueError, match="unknown fields"):
+        surface.fields_at(crit032, spec, u, v, phi, ("points", "h"))
 
 
 def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                                    theta_arrays, monkeypatch):
     """Both probe steps share one stencil: one frame integration over its
-    v-nodes, one CurveGrid (two theta_tensor calls on the 5 u-shifts x
-    (5 w(v) shifts + 4 w-shifts) of the probes), one coeffs sample and one
-    fields_at call (two theta_tensor calls in one block); no array is
+    v-nodes, one CurveGrid (one theta_tensor call for all seven arrays on
+    the 5 u-shifts x (5 w(v) shifts + 4 w-shifts) of the probes), one
+    coeffs sample and one fields_at call for fu, fv, n and expH (one
+    theta_tensor call for A, Ab, D and Db in one block); no array is
     evaluated twice.  (theta_grid still serves W1 along the frame.)"""
     counts = {"integrate": 0, "fields_at": 0, "coeffs": 0}
     for mod, name in ((frame, "integrate"), (surface, "fields_at"),
@@ -168,8 +233,8 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                  steps=steps)
     assert len(levels) == 2
     assert counts == {"integrate": 1, "fields_at": 1, "coeffs": 1}
-    assert sorted(theta_arrays.calls) == [(1, 20, (4, 25)), (1, 20, (4, 45)),
-                                          (2, 20, (3, 25)), (2, 20, (3, 45))]
+    assert sorted(theta_arrays.calls) == [((1, 1, 1, 1, 2, 2, 2), 20, (7, 45)),
+                                          ((1, 1, 2, 2), 20, (4, 25))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
 
 

@@ -218,7 +218,7 @@ def test_tensor_matches_theta_grid(lat, i, orders, a, nb, seed):
         + 1j * h * rng.choice([-1.0, 1.0, 0.0, rng.uniform(-1, 1)],
                               (len(orders), nb))
     a = np.array(a)
-    got = theta.theta_tensor(i, a, b, lat, orders)
+    got = theta.theta_tensor([(i, k) for k in orders], a, b, lat)
     assert got.shape == (len(orders), len(a), nb)
     assert got.flags.c_contiguous
     for k, order in enumerate(orders):
@@ -235,7 +235,7 @@ def test_tensor_blocks_rows_and_matches_oracle():
     a = np.linspace(-3.0, 3.0, 2000)
     assert len(a) > theta._BLOCK_ENTRIES // (2 * lat.truncation)
     b = [np.array([0.2 + 0.5j, -0.4 - 1j * h]), np.array([1.1j, 0.3 + 1j * h])]
-    got = theta.theta_tensor(2, a, b, lat, (0, 2))
+    got = theta.theta_tensor([(2, 0), (2, 2)], a, b, lat)
     for k, order in enumerate((0, 2)):
         for j in (0, 777, 1999):
             for l in (0, 1):
@@ -247,13 +247,42 @@ def test_tensor_checks_strip_index_and_order():
     lat = theta.rhombic(0.32)
     h = lat.strip_height
     a = np.array([0.1, 0.2])
-    theta.theta_tensor(1, a, [[1j * h]], lat, (0,))
+    theta.theta_tensor([(1, 0)], a, [[1j * h]], lat)
     with pytest.raises(StripExceeded, match="exceeds certified strip"):
-        theta.theta_tensor(1, a, [[0.3, 1j * (h + 1e-9)]], lat, (0,))
+        theta.theta_tensor([(1, 0)], a, [[0.3, 1j * (h + 1e-9)]], lat)
     with pytest.raises(ValueError, match="theta index must be 1..4"):
-        theta.theta_tensor(0, a, [[0.3]], lat, (0,))
+        theta.theta_tensor([(1, 0), (0, 0)], a, [[0.3], [0.3]], lat)
     with pytest.raises(ValueError, match="derivative order must be 0..2"):
-        theta.theta_tensor(1, a, [[0.3]], lat, (3,))
+        theta.theta_tensor([(1, 3)], a, [[0.3]], lat)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lat=st.sampled_from(_TENSOR_LATTICES),
+       rows=st.lists(st.tuples(st.sampled_from([1, 2, 3, 4]),
+                               st.sampled_from([0, 1, 2])),
+                     min_size=1, max_size=7),
+       na=st.integers(1, 700), nb=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_tensor_mixes_indices_and_orders(lat, rows, na, nb, seed):
+    """Rows of any theta indices and orders, in any order, in one call:
+    every array is within 1e-12 of theta_grid (scaled by max(1, max
+    |theta|)), and each run of rows of one theta index equals, bit for
+    bit, the one-index call on that run alone.  Up to 700 values of a
+    span several blocks of the left factor."""
+    rng = np.random.default_rng(seed)
+    h = lat.strip_height
+    a = rng.uniform(-4.0, 4.0, na)
+    b = rng.uniform(-np.pi, np.pi, (len(rows), nb)) \
+        + 1j * h * rng.uniform(-1, 1, (len(rows), nb))
+    got = theta.theta_tensor(rows, a, b, lat)
+    assert got.shape == (len(rows), na, nb)
+    for r, (i, order) in enumerate(rows):
+        want = theta.theta_grid(i, a[:, None] + b[r], lat, order)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got[r] - want)) <= 1e-12 * scale
+    for _, rs in theta._runs([i for i, _ in rows]):
+        assert np.array_equal(got[rs], theta.theta_tensor(rows[rs], a, b[rs],
+                                                          lat))
 
 
 # property tests: random points of the certified strip |Im z| <= H
