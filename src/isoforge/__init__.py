@@ -23,6 +23,6 @@ def _register_lazy(name):
 
 
 for _name in ("curvefamily", "reparam", "quat", "frame", "surface",
-              "spherical", "textfmt"):
+              "spherical", "textfmt", "verify"):
     globals()[_name] = _register_lazy(_name)
 del _name

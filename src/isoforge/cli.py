@@ -20,9 +20,10 @@ import numpy as np
 
 # every module but elliptic and theta is lazy (see isoforge/__init__.py):
 # a command executes only the modules it uses
-from . import __version__, curvefamily, elliptic, frame, reparam, spherical
+from . import __version__, curvefamily, elliptic, frame, reparam
 from . import surface as surface_mod
 from . import textfmt, theta
+from . import verify as verify_mod
 from .errors import IsoforgeError, NoBracket, NoCriticalOmega
 
 
@@ -104,7 +105,7 @@ def validate_config(cfg: dict) -> dict:
     amplitude = cfg["reparam"].get("amplitude", 0)
     if amplitude < 0:
         raise ConfigError(f"reparam.amplitude must be >= 0, got {amplitude!r}")
-    grid = {**_GRID_DEFAULT, **cfg.get("grid", {})}
+    grid = _grid(cfg)
     for k, val in grid.items():
         if isinstance(val, bool) or val < _GRID_MIN[k]:
             raise ConfigError(f"grid.{k} must be an integer >= {_GRID_MIN[k]},"
@@ -139,6 +140,11 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     return validate_config(cfg)
+
+
+def _grid(cfg) -> dict:
+    """The grid section with the defaults of the keys it leaves out."""
+    return {**_GRID_DEFAULT, **cfg.get("grid", {})}
 
 
 def config_hash(cfg: dict) -> str:
@@ -194,8 +200,34 @@ def _reparam_spec(cfg, fam):
 
 
 def _recipe(cfg, fam, spec):
-    grid = {**_GRID_DEFAULT, **cfg.get("grid", {})}
-    return surface_mod.SurfaceRecipe(fam=fam, spec=spec, **grid)
+    return surface_mod.SurfaceRecipe(fam=fam, spec=spec, **_grid(cfg))
+
+
+def _build(config, kind=None):
+    """Load a config and build its surface: (cfg, family, surface).
+
+    Every tolerances.<name> must name a residual check of the verify
+    table, whether or not it runs on this config, so that one tolerances
+    block serves every command.  `kind` is the reparam.kind the command
+    requires, if any.
+    """
+    cfg = load_config(config)
+    for name in cfg.get("tolerances", {}):
+        check = verify_mod.CHECKS.get(name)
+        if check is None:
+            import difflib  # here, so that only a refused name loads it
+            near, = difflib.get_close_matches(name, verify_mod.CHECKS, n=1,
+                                              cutoff=0)
+            raise ConfigError(f"tolerances.{name}: no check has that name "
+                              f"(the closest is {near!r})")
+        if check.structural:
+            raise ConfigError(f"tolerances.{name}: the bound of {name} is "
+                              f"fixed at {check.tol}")
+    if kind is not None and cfg["reparam"]["kind"] != kind:
+        raise ConfigError(f"{kind} command requires reparam.kind={kind}")
+    fam = _family(cfg)
+    spec = _reparam_spec(cfg, fam)
+    return cfg, fam, surface_mod.build(_recipe(cfg, fam, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +292,11 @@ def write_svg(path, curves, size=640):
         fh.write(b"</svg>\n")
 
 
-def make_report(cfg, checks, extra=None):
+def emit_report(cfg, values, path, tol=None, extra=None, announce=False):
+    """Write the report of a battery's check values to path (stdout if
+    None), echo `report -> path (pass|FAIL)` if announce, and exit 3 if a
+    check failed.  tol is --tol."""
+    checks = verify_mod.entries(values, cfg, tol)
     report = {
         "config": cfg,
         "config_hash": config_hash(cfg),
@@ -272,28 +308,26 @@ def make_report(cfg, checks, extra=None):
         },
         "checks": checks,
         "passed": all(c["pass"] for c in checks),
+        **(extra or {}),
     }
-    if extra:
-        report.update(extra)
-    return report
-
-
-def emit_report(report, path=None):
     text = json.dumps(report, indent=2, default=float)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
+    if announce:
+        click.echo(f"report -> {path} "
+                   f"({'pass' if report['passed'] else 'FAIL'})")
+    if not report["passed"]:
+        sys.exit(3)
 
 
-def check(name, value, tol):
-    return {"name": name, "value": float(value), "tolerance": float(tol),
-            "pass": bool(abs(value) < tol)}
-
-
-# 0/1 and rank checks, whose bound no --tol moves
-_STRUCTURAL = ("reparam_admissible", "normals_rank_defect")
+def run_battery(surf, fam) -> dict:
+    """verify.battery(surf, fam), called here so that perfbench's span of
+    `cli.run_battery` (its per-layer metric `cli.run_battery.self_s`)
+    still times the battery."""
+    return verify_mod.battery(surf, fam)
 
 
 def _positive_tol(ctx, param, value):
@@ -301,145 +335,6 @@ def _positive_tol(ctx, param, value):
     if value is not None and not (math.isfinite(value) and value > 0):
         raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
     return value
-
-
-def override_tol(checks, tol):
-    """The checks with every residual tolerance replaced by tol."""
-    if tol is None:
-        return checks
-    return [c if c["name"] in _STRUCTURAL else check(c["name"], c["value"], tol)
-            for c in checks]
-
-
-# ---------------------------------------------------------------------------
-# verification battery
-
-
-def run_battery(surf, fam, cfg):
-    """All surface-level certificates as a flat check list."""
-    tols = cfg.get("tolerances", {})
-
-    def tol(name, default):
-        return float(tols.get(name, default))
-
-    checks = []
-    d = surf.diagnostics
-    spec = surf.recipe.spec
-    is_limit = fam.mode == "limit"
-    names = (("orthogonality", "conformality") if is_limit else
-             ("orthogonality", "conformality_u", "conformality_v",
-              "normal_unit", "normal_tangency"))
-    for name in names:
-        checks.append(check(name, d[name], tol(name, 1e-10)))
-
-    # u-closure of gamma (closed only at critical omega on rhombic lattices)
-    ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
-    ends = np.array([0.0, 2 * np.pi])
-    g0 = (curvefamily.gamma_hat(ends[:, None], ws, fam) if is_limit
-          else curvefamily.gamma(ends, ws, fam))
-    closure = float(np.max(np.abs(g0[1] - g0[0])))
-    checks.append(check("u_closure", closure, tol("u_closure", 1e-9)))
-
-    if not is_limit:
-        # metric identity e^h = 2 Re(W1 conj gamma)
-        us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        grid = curvefamily.CurveGrid(us, ws, fam, forms=("exp_h", "gamma"))
-        eh, gam = grid.exp_h, grid.gamma
-        w1 = curvefamily.w1(ws, fam)
-        metric = float(np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))
-        checks.append(check("metric_identity", metric,
-                            tol("metric_identity", 1e-9)))
-
-        # the frame at the v-nodes of the PDE stencil, the fv_vs_fd probes
-        # and the dual loop, from one integration
-        v_sets = [surface_mod.gauss_codazzi_nodes(surf), _fv_fd_nodes(spec)]
-        if fam.mode == "critical":
-            v_sets.append(surface_mod.dual_loop_nodes(surf))
-        traj = surface_mod.battery_frame(fam, spec, v_sets)
-
-        # PDE identities: require second-order convergence of the FD
-        # residuals plus a residual cap.  Quadrature-built spherical w(v)
-        # has much larger v-derivatives than the analytic profiles, so its
-        # truncation constant (and hence the cap) is larger.
-        res, coarse = surface_mod.gauss_codazzi_residuals(surf, traj)
-        pde_cap = 1e-2 if spec.kind == "spherical" else 1e-5
-        for name, val in res.items():
-            checks.append(check(f"pde_{name}", val, tol(f"pde_{name}", pde_cap)))
-        orders = [np.log2(coarse[k] / res[k]) for k in res
-                  if res[k] > 1e-12]
-        deficit = max(0.0, 1.9 - min(orders)) if orders else 0.0
-        checks.append(check("pde_order_deficit", deficit,
-                            tol("pde_order_deficit", 0.05)))
-
-        # closed-form fv against a finite difference of the immersion
-        checks.append(check("fv_vs_fd", _fv_fd_residual(surf, fam, traj),
-                            tol("fv_vs_fd", 1e-6)))
-
-        # admissibility + branch smoothness of the signed root: a wrong
-        # branch (e.g. |.| of a sign-changing root) kinks, so its second
-        # divided differences keep growing under mesh refinement
-        rep_c = reparam.validate(spec, fam.lattice, n=2001)
-        rep_f = reparam.validate(spec, fam.lattice, n=4001)
-        checks.append(check("reparam_admissible", 0.0 if rep_f.ok else 1.0,
-                            0.5))
-        checks.append(check("root_consistency", rep_f.root_residual,
-                            tol("root_consistency", 1e-8)))
-        # floor the denominator so roundoff-level dd2 (constant w) passes
-        growth = rep_f.root_dd2 / max(rep_c.root_dd2, 1.0)
-        checks.append(check("root_branch_smoothness", growth,
-                            tol("root_branch_smoothness", 1.5)))
-
-        if fam.mode == "critical":  # symmetry involutions
-            inv = surface_mod.inversion_symmetry(surf, fam)
-            for name, val in inv.residuals.items():
-                checks.append(check(f"inversion_{name}", val,
-                                    tol(f"inversion_{name}", 1e-8)))
-            dual = surface_mod.dual_symmetry(surf, traj)
-            for name, val in dual.residuals.items():
-                dtol = 1e-7 if name in ("double_dual", "loop_integral") else 1e-8
-                checks.append(check(f"dual_{name}", val,
-                                    tol(f"dual_{name}", dtol)))
-
-    plan = surface_mod.planarity_certificate(surf)
-    checks.append(check("planarity", plan.max_deviation_rel,
-                        tol("planarity", 1e-8)))
-    checks.append(check("joachimsthal", plan.angle_std_max,
-                        tol("joachimsthal", 1e-8)))
-    # generic surfaces have plane normals spanning 3-space; the limit
-    # surface's planes are all tangent to one cylinder (rank 2)
-    want_rank = 2 if is_limit else 3
-    checks.append(check("normals_rank_defect", plan.normal_rank - want_rank,
-                        0.5))
-
-    if spec.kind == "spherical" and not is_limit:
-        cert = reparam.sphericality_certificate(surf)
-        checks.append(check("sphere_fit", cert.sphere_residual_rel,
-                            tol("sphere_fit", 1e-6)))
-        checks.append(check("sphere_angle", cert.angle_std_max,
-                            tol("sphere_angle", 1e-6)))
-    return checks
-
-
-def _fv_fd_nodes(spec, dv=1e-4):
-    """The (probe, shift) v-nodes of _fv_fd_residual: three probes, each
-    at -dv, 0 and +dv."""
-    v0 = np.linspace(0.31, 0.77, 3) * spec.period
-    return v0[:, None] + [-dv, 0.0, dv]
-
-
-def _fv_fd_residual(surf, fam, traj, dv=1e-4):
-    """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
-    one field grid over the probes' stencils.  The frame there comes from
-    traj, an integration that holds `_fv_fd_nodes(spec, dv)` among its
-    nodes (run_battery's `surface.battery_frame`)."""
-    spec = surf.recipe.spec
-    nodes = _fv_fd_nodes(spec, dv).ravel()
-    us = surf.u[:: max(1, len(surf.u) // 8)]
-    f = surface_mod.fields_at(fam, spec, us, nodes,
-                              surface_mod.phi_at(traj, nodes), ("points", "fv"))
-    pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
-    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
-    return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +385,10 @@ _CURVE_POINTS = 20_000
 def curves(config, w_values, n_samples, out_dir, svg):
     """Planar curvature-line curves with elastica data, one CSV per w."""
     cfg = load_config(config)
+    points = (n_samples + 1) * (len(w_values) or 5)  # five default curves
+    if points > _MAX_VERTICES:
+        raise ConfigError(f"--n: (n + 1) * (number of curves) must be at "
+                          f"most {_MAX_VERTICES}, got {points}")
     fam = _family(cfg)
     if fam.mode == "limit":
         raise ConfigError("curves requires omega.mode critical or explicit")
@@ -532,12 +431,7 @@ def curves(config, w_values, n_samples, out_dir, svg):
               help="override every residual check tolerance")
 def surface_cmd(config, out_dir, tol):
     """Build the immersion mesh (OBJ) and its verification report."""
-    cfg = load_config(config)
-    if tol is not None:
-        cfg = {**cfg, "tolerances": {}}  # a flat override wins
-    fam = _family(cfg)
-    spec = _reparam_spec(cfg, fam)
-    surf = surface_mod.build(_recipe(cfg, fam, spec))
+    cfg, fam, surf = _build(config)
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = cfg.get("outputs", {})
@@ -545,8 +439,8 @@ def surface_cmd(config, out_dir, tol):
     nverts, nfaces = write_obj(mesh_path, surf)
     click.echo(f"mesh -> {mesh_path} ({nverts} vertices, {nfaces} quads)")
 
-    checks = override_tol(run_battery(surf, fam, cfg), tol)
-    if fam.mode != "limit" and spec.kind != "constant":
+    values = run_battery(surf, fam)
+    if fam.mode != "limit" and surf.recipe.spec.kind != "constant":
         try:
             mono = frame.monodromy(surf.phi[surf.recipe.nv])
             extra = {"axis": list(mono.axis), "theta": mono.theta}
@@ -554,13 +448,8 @@ def surface_cmd(config, out_dir, tol):
             extra = {"axis": None, "theta": 0.0}
     else:
         extra = None
-    report = make_report(cfg, checks, extra)
     report_path = os.path.join(out_dir, outputs.get("report", "report.json"))
-    emit_report(report, report_path)
-    click.echo(f"report -> {report_path} "
-               f"({'pass' if report['passed'] else 'FAIL'})")
-    if not report["passed"]:
-        sys.exit(3)
+    emit_report(cfg, values, report_path, tol, extra, announce=True)
 
 
 @cli.command()
@@ -571,15 +460,8 @@ def surface_cmd(config, out_dir, tol):
               help="override every residual check tolerance")
 def verify(config, out, tol):
     """Run the full invariant battery and emit a JSON report."""
-    cfg = load_config(config)
-    fam = _family(cfg)
-    spec = _reparam_spec(cfg, fam)
-    surf = surface_mod.build(_recipe(cfg, fam, spec))
-    checks = override_tol(run_battery(surf, fam, cfg), tol)
-    report = make_report(cfg, checks)
-    emit_report(report, out)
-    if not report["passed"]:
-        sys.exit(3)
+    cfg, fam, surf = _build(config)
+    emit_report(cfg, run_battery(surf, fam), out, tol)
 
 
 @cli.command("spherical")
@@ -587,46 +469,16 @@ def verify(config, out, tol):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def spherical_cmd(config, out):
     """Spherical-second-family certificates, axis and monodromy angle."""
-    cfg = load_config(config)
-    if cfg["reparam"].get("kind") != "spherical":
-        raise ConfigError("spherical command requires reparam.kind=spherical")
-    crit = _family(cfg)
-    spec = _reparam_spec(cfg, crit)  # refuses a non-critical family
-    surf = surface_mod.build(_recipe(cfg, crit, spec))
-
-    tols = cfg.get("tolerances", {})
-    cert = reparam.sphericality_certificate(surf)
-    samples = spherical.sphere_centers(surf, crit)
-    ratio, _, _ = spherical.collinearity(samples)
-    _, plane_dist = spherical.cone_point(surf, samples)
-    ax = spherical.axis(spec, crit, surf)
+    # _reparam_spec refuses a non-critical family
+    cfg, crit, surf = _build(config, kind="spherical")
     mono = frame.monodromy(surf.phi[surf.recipe.nv])
-    axdir = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(axdir, mono.axis))
-    angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
-    rel_norm = abs(ax.norm_sq_assembled - ax.norm_sq) / ax.norm_sq
-
-    checks = [
-        check("sphere_fit", cert.sphere_residual_rel,
-              float(tols.get("sphere_fit", 1e-6))),
-        check("collinearity", ratio, float(tols.get("collinearity", 1e-6))),
-        check("cone_point_planes", plane_dist,
-              float(tols.get("cone_point_planes", 1e-7))),
-        check("axis_unit", ax.unit_residual,
-              float(tols.get("axis_unit", 1e-9))),
-        check("axis_norm_sq", rel_norm, float(tols.get("axis_norm_sq", 1e-8))),
-        check("axis_vs_monodromy", angle,
-              float(tols.get("axis_vs_monodromy", 1e-6))),
-    ]
-    report = make_report(cfg, checks, {
+    values = verify_mod.spherical_battery(surf, crit, mono)
+    click.echo(f"theta = {mono.theta:.12f}", err=True)
+    emit_report(cfg, values, out, extra={
         "theta": mono.theta,
         "axis": list(mono.axis),
-        "period_V": spec.period,
+        "period_V": surf.recipe.spec.period,
     })
-    emit_report(report, out)
-    click.echo(f"theta = {mono.theta:.12f}", err=True)
-    if not report["passed"]:
-        sys.exit(3)
 
 
 @cli.command("close-torus")
@@ -643,6 +495,15 @@ def close_torus_cmd(config, target, k, out_dir):
     sec = cfg["reparam"]
     if sec.get("kind") != "analytic":
         raise ConfigError("close-torus requires reparam.kind=analytic")
+    grid = _grid(cfg)
+    if grid["periods"] != 1:  # the k periods come from rotating one
+        raise ConfigError(f"grid.periods must be 1 for close-torus, got "
+                          f"{grid['periods']}")
+    vertices = grid["nu"] * (k * grid["nv"] + 1)
+    if out_dir and vertices > _MAX_VERTICES:
+        raise ConfigError(f"--k: the torus mesh's grid.nu * (k * grid.nv + 1)"
+                          f" vertices must be at most {_MAX_VERTICES}, got "
+                          f"{vertices}")
     fam = _family(cfg)
     if fam.mode == "limit":
         raise ConfigError("close-torus requires a non-limit family")
@@ -664,11 +525,7 @@ def close_torus_cmd(config, target, k, out_dir):
                f"= {abs(achieved - target):.3e})")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        grid = cfg.get("grid", {})
-        recipe = surface_mod.SurfaceRecipe(
-            fam=fam, spec=spec, nu=int(grid.get("nu", 96)),
-            nv=int(grid.get("nv", 96)), periods=1)
-        piece = surface_mod.build(recipe)
+        piece = surface_mod.build(_recipe(cfg, fam, spec))
         mono = frame.monodromy(piece.phi[-1])
         torus = frame.extend_by_rotation(piece, mono, k)
         path = os.path.join(out_dir, "torus.obj")

@@ -529,6 +529,28 @@ def test_curves_refuses_two_w_with_one_file_name(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("curve_*.csv"))
 
 
+def _family_reached(cfg):
+    raise ConfigError("family reached")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["--n", str(2 ** 22), "--w", "1.0"], True),
+    (["--n", str(2 ** 22 - 1), "--w", "1.0"], False),  # 2^22 points
+    (["--n", "838861"], True)], ids=["above", "at", "five-default-w"])
+def test_curves_bounds_points_by_max_vertices(tmp_path, monkeypatch, capsys,
+                                              argv, refused):
+    """(n + 1) * (number of curves) above 2^22 exits 1 naming --n before
+    the family is solved; at 2^22 the command goes on to solve it."""
+    monkeypatch.setattr(cli_mod, "_family", _family_reached)
+    code = _exit_code(monkeypatch, "curves", _write(tmp_path, _base_cfg()),
+                      *argv, "--out-dir", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("--n: (n + 1) * (number of curves) must be at most 4194304"
+            in err) == refused
+    assert ("family reached" in err) != refused
+
+
 def test_close_torus_default_target_is_two_pi_over_k(tmp_path):
     """With k = 4 the default target is pi/2, and the written torus closes:
     its last column of vertices meets its first (a target of 2 pi/3 left
@@ -544,6 +566,46 @@ def test_close_torus_default_target_is_two_pi_over_k(tmp_path):
                     if line.startswith("v ")], dtype=float).reshape(16, -1, 3)
     assert pts.shape[1] == 4 * 16 + 1
     assert np.max(np.abs(pts[:, -1] - pts[:, 0])) < 1e-6
+
+
+@pytest.mark.parametrize("k, out_dir, refused", [
+    ("256", True, True), ("255", True, False), ("256", False, False)])
+def test_close_torus_bounds_mesh_by_max_vertices(tmp_path, monkeypatch,
+                                                 capsys, k, out_dir, refused):
+    """On the default 128 x 128 grid the k-period mesh has 128 * (128 k + 1)
+    vertices: above 2^22 (k = 256) --out-dir exits 1 naming --k before the
+    family is solved; without --out-dir no mesh is made."""
+    monkeypatch.setattr(cli_mod, "_family", _family_reached)
+    cfg = _base_cfg()
+    del cfg["grid"]
+    code = _exit_code(monkeypatch, "close-torus", _write(tmp_path, cfg),
+                      "--k", k, *(["--out-dir", str(tmp_path)] * out_dir))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("--k: the torus mesh's grid.nu * (k * grid.nv + 1) vertices must "
+            "be at most 4194304" in err) == refused
+    assert ("family reached" in err) != refused
+
+
+def test_close_torus_refuses_grid_periods(tmp_path, monkeypatch, capsys):
+    """The k periods come from rotating one period: grid.periods 2 was
+    ignored, and now exits 1 naming it."""
+    monkeypatch.setattr(cli_mod, "_family", None)  # never reached
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8, "periods": 2})
+    assert _exit_code(monkeypatch, "close-torus", _write(tmp_path, cfg)) == 1
+    assert "grid.periods must be 1 for close-torus" in capsys.readouterr().err
+
+
+def test_close_torus_default_grid(tmp_path):
+    """Without a grid section the piece is meshed on the default 128 x 128
+    grid of the other commands (96 x 96 before)."""
+    cfg = _base_cfg()
+    del cfg["grid"]
+    result = CliRunner().invoke(cli, [
+        "close-torus", _write(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "torus.obj") as fh:
+        assert fh.readline().endswith(" surface mesh 128x385\n")
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -866,6 +928,74 @@ def test_tol_override_keeps_structural_bounds(tmp_path, monkeypatch, command):
         "normals_rank_defect"]
 
 
+@pytest.mark.parametrize("command", ["verify", "surface", "spherical"])
+@pytest.mark.parametrize("name, message", [
+    ("pde_guass", "tolerances.pde_guass: no check has that name (the "
+                  "closest is 'pde_gauss')"),
+    ("xyz", "tolerances.xyz: no check has that name (the closest is "),
+    ("normals_rank_defect", "tolerances.normals_rank_defect: the bound of "
+                            "normals_rank_defect is fixed at 0.5")],
+    ids=["typo", "unlike-any", "structural"])
+def test_tolerance_names_must_be_residual_checks(tmp_path, monkeypatch,
+                                                 capsys, sph_cfg_grid32,
+                                                 command, name, message):
+    """tolerances.pde_guass: 1e-30 was ignored and verify exited 0, and a
+    structural check's tolerance was ignored too; each reporting command
+    now exits 1 on them before building anything."""
+    monkeypatch.setattr(cli_mod, "_family", None)  # never reached
+    cfg = dict(sph_cfg_grid32, tolerances={"planarity": 1e-3, name: 1e-30})
+    code = _exit_code(monkeypatch, command, _write(tmp_path, cfg),
+                      *(["--out-dir", str(tmp_path)] * (command == "surface")))
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_readme_check_table_matches_verify():
+    """README's table of checks lists verify's table: every name in order,
+    its default tolerances and whether it can be moved."""
+    import re
+    from isoforge import verify
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line.split(" | ") for line in readme.read_text().splitlines()
+            if line.startswith("| `")]
+    assert [row[0][3:-1] for row in rows] == list(verify.CHECKS)
+    for name, tol, *_, moved in rows:
+        check = verify.CHECKS[name[3:-1]]
+        assert [float(x) for x in re.findall(r"\d[\d.e-]*", tol)] == [
+            t for t in (check.tol, check.spherical_tol) if t is not None]
+        assert moved == ("no |" if check.structural else "yes |")
+
+
+def test_tolerance_of_a_check_that_does_not_run_is_accepted(tmp_path):
+    """One tolerances block serves every command: a spherical check's
+    tolerance on an analytic config is accepted and changes nothing."""
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    for cfg, out in ((_base_cfg(), plain), (_base_cfg(tolerances={
+            "sphere_fit": 1e-3, "axis_unit": 1e-3}), extra)):
+        result = CliRunner().invoke(cli, ["verify", _write(tmp_path, cfg),
+                                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    assert (json.loads(plain.read_text())["checks"]
+            == json.loads(extra.read_text())["checks"])
+
+
+def test_surface_and_verify_tol_report_the_same_config(tmp_path):
+    """surface --tol reported "tolerances": {} and the hash of that config;
+    it now reports the config as loaded, like verify --tol."""
+    cfg = _base_cfg(tolerances={"planarity": 1e-12, "pde_gauss": 1e-3})
+    path = _write(tmp_path, cfg)
+    for argv in (["verify", path, "--out", str(tmp_path / "verify.json")],
+                 ["surface", path, "--out-dir", str(tmp_path)]):
+        # --tol 1e-3 fails root_branch_smoothness (default 1.5): exit 3
+        result = CliRunner().invoke(cli, argv + ["--tol", "1e-3"])
+        assert result.exit_code == 3, result.output
+    got = json.loads((tmp_path / "verify.json").read_text())
+    want = json.loads((tmp_path / "report.json").read_text())
+    assert got["config"] == want["config"] == cfg
+    assert got["config_hash"] == want["config_hash"]
+    assert got["checks"] == want["checks"]
+
+
 @pytest.mark.parametrize("key", ["mesh", "report"])
 @pytest.mark.parametrize("name", ["ABS", "sub/out.txt", "..", ""])
 def test_outputs_must_be_file_names(tmp_path, key, name):
@@ -938,6 +1068,22 @@ def test_spherical_command(tmp_path, sph_cfg_grid32):
     assert abs(report["period_V"]) > 0
 
 
+def test_spherical_and_verify_report_the_same_sphere_fit(tmp_path,
+                                                       sph_cfg_grid32):
+    """Both commands take sphere_fit's value and tolerance from verify."""
+    path = _write(tmp_path, dict(sph_cfg_grid32,
+                                 tolerances={"sphere_fit": 2e-6}))
+    fits = []
+    for command in ("spherical", "verify"):
+        out = tmp_path / f"{command}.json"
+        result = CliRunner().invoke(cli, [command, path, "--out", str(out)])
+        assert result.exit_code in (0, 3), result.output
+        fits += [c for c in json.loads(out.read_text())["checks"]
+                 if c["name"] == "sphere_fit"]
+    assert len(fits) == 2 and fits[0] == fits[1]
+    assert fits[0]["tolerance"] == 2e-6
+
+
 def test_spherical_command_integrates_the_frame_once(tmp_path, frame_calls,
                                                      sph_cfg_grid32):
     """The monodromy comes from the surface's frame at v = V: one frame
@@ -960,6 +1106,14 @@ def sph_cfg_grid32():
     }
 
 
+def _battery(surf, fam):
+    """verify's checks of surf by name, at the default tolerances."""
+    from isoforge import verify
+    cfg = {"reparam": {"kind": surf.recipe.spec.kind}}
+    return {c["name"]: c for c in verify.entries(verify.battery(surf, fam),
+                                                  cfg)}
+
+
 def test_battery_catches_wrong_root_branch(crit032):
     """Taking |.| of a sign-changing square root leaves every local identity
     intact but kinks the branch; the smoothness check must catch it.  (Only
@@ -970,17 +1124,15 @@ def test_battery_catches_wrong_root_branch(crit032):
     spec = reparam.build_spherical(
         reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
     recipe = surface.SurfaceRecipe(fam=crit032, spec=spec, nu=32, nv=32)
-    good = {c["name"]: c for c in cli_mod.run_battery(
-        surface.build(recipe), crit032, {})}
+    good = _battery(surface.build(recipe), crit032)
     assert good["root_branch_smoothness"]["pass"]
     assert good["root_consistency"]["pass"]
 
     orig = spec.signed_root
     bad_spec = dataclasses.replace(
         spec, signed_root=lambda v: np.abs(np.asarray(orig(v))))
-    bad = {c["name"]: c for c in cli_mod.run_battery(
-        surface.build(dataclasses.replace(recipe, spec=bad_spec)),
-        crit032, {})}
+    bad = _battery(surface.build(dataclasses.replace(recipe, spec=bad_spec)),
+                   crit032)
     assert not bad["root_branch_smoothness"]["pass"]
     # fv against finite differences alone does NOT discriminate: the
     # immersion is consistent with either branch pointwise
@@ -988,7 +1140,7 @@ def test_battery_catches_wrong_root_branch(crit032):
 
 
 def test_battery_passes_on_conjugate_pair_spherical(sph_surf, crit032):
-    checks = {c["name"]: c for c in cli_mod.run_battery(sph_surf, crit032, {})}
+    checks = _battery(sph_surf, crit032)
     assert all(c["pass"] for c in checks.values()), [
         n for n, c in checks.items() if not c["pass"]]
     assert "sphere_fit" in checks and "sphere_angle" in checks
