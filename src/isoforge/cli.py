@@ -220,7 +220,7 @@ def _build(config, kind=None):
                                               cutoff=0)
             raise ConfigError(f"tolerances.{name}: no check has that name "
                               f"(the closest is {near!r})")
-        if check.structural:
+        if check.kind == "structural":
             raise ConfigError(f"tolerances.{name}: the bound of {name} is "
                               f"fixed at {check.tol}")
     if kind is not None and cfg["reparam"]["kind"] != kind:

@@ -14,10 +14,16 @@ phi-system and the limit-surface frame -- is integrated by `_magnus_solve`,
 the sixth-order Magnus method on three Gauss-Legendre nodes (Iserles &
 Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step
 propagators exp(Omega) do not depend on Y, so the steps are not taken one
-after another: all steps of a round are formed from batched evaluations of
-A, each is checked against the product of its two half steps, the rejected
-ones are halved for the next round, and an ordered product of the accepted
-propagators gives Y at the output nodes.
+after another: all steps of a round are formed from one evaluation of A
+(one generator call up to `_MAX_POINTS` points), each is checked against
+the product of its two half steps (the full step and both halves are one
+`_magnus6` call), the rejected ones are halved for the next round, and an
+ordered product of the accepted propagators gives Y at the output nodes.
+One solve may hold several independent systems, such as the two
+directions of the phi-system or the amplitudes of the close-torus scan:
+they share each round's calls, and a doubling scan segmented by system
+multiplies each one's propagators, so every system's steps and Y are bit
+for bit those of solving it alone.
 
 Two algebras carry the method.  `UnitQuaternions`: A is an imaginary
 quaternion, [x, y] = 2 x cross y, and exp(Omega) = cos|Omega| +
@@ -63,13 +69,18 @@ def generator(spec: ReparamSpec, fam):
 
     def a_of_v(v):
         v = np.asarray(v, dtype=float)
-        W1 = curvefamily.w1(spec.w(v), fam)
-        root = np.asarray(spec.signed_root(v), dtype=float)
-        zero = np.zeros(np.shape(root))
-        return np.stack([zero, zero, -root * np.imag(W1), root * np.real(W1)],
-                        axis=-1)
+        return _coefficient(spec.w(v), spec.signed_root(v), fam)
 
     return a_of_v
+
+
+def _coefficient(w, root, fam):
+    """root W1(w) k as quaternions (..., 4), for arrays of w and root."""
+    W1 = curvefamily.w1(w, fam)
+    root = np.asarray(root, dtype=float)
+    zero = np.zeros(np.shape(root))
+    return np.stack([zero, zero, -root * np.imag(W1), root * np.real(W1)],
+                    axis=-1)
 
 
 class UnitQuaternions:
@@ -120,7 +131,9 @@ class Matrices2:
 # Gauss-Legendre nodes on [0, 1] of the full step, then of its two halves
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10
 _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
-_BATCH = 64            # steps per generator call: bounds the theta temporaries
+# generator points per call: a round of each benchmarked integration is one
+# call, and its temporaries stay below those of a surface.fields_at block
+_MAX_POINTS = 4096
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
 
@@ -136,83 +149,129 @@ def _magnus6(alg, a, h):
     return alg.exp(b1 + b3 / 12 + alg.comm(-20 * b1 - b3 + c1, b2 + c2) / 240)
 
 
-def _propagators(gen, alg, a, b):
-    """Propagators of the steps [a, b] with their local error estimates.
+def _propagators(alg, g, h):
+    """Propagators of steps of length h from A at their nodes `_NODES`,
+    g (n, 9, ...), with their local error estimates.
 
-    gen maps an array of v to A(v) in the algebra alg.  Returns (E, err): E
-    is the product of the two half-step propagators, err = max |E_h -
-    E_{h/2} E_{h/2}| over the components.
+    Returns (E, err): E is the product of the two half-step propagators,
+    err = max |E_h - E_{h/2} E_{h/2}| over the components.  The full step
+    and both halves are one `_magnus6` call on a contiguous stack.
     """
-    h = b - a
-    g = gen(a[:, None] + h[:, None] * _NODES)
-    finite = np.all(np.isfinite(g).reshape(len(a), -1), axis=1)
-    if not np.all(finite):
-        bad = np.nonzero(~finite)[0][0]
-        raise StepFailure(f"non-finite generator on [{a[bad]}, {b[bad]}]")
-    full = _magnus6(alg, g[:, 0:3], h)
-    two = alg.mul(_magnus6(alg, g[:, 6:9], h / 2), _magnus6(alg, g[:, 3:6], h / 2))
-    return two, np.max(np.abs(full - two).reshape(len(a), -1), axis=1)
+    n = len(h)
+    e = _magnus6(alg, np.concatenate([g[:, 0:3], g[:, 3:6], g[:, 6:9]]),
+                 np.concatenate([h, h / 2, h / 2]))
+    two = alg.mul(e[2 * n:], e[n:2 * n])
+    return two, np.max(np.abs(e[:n] - two).reshape(n, -1), axis=1)
 
 
-def _ordered_product(alg, e):
-    """Running left products e[k] ... e[1] e[0] by a doubling scan."""
-    p = np.array(e)
+def _round(gen, alg, a, b, system):
+    """(E, err) of `_propagators` on the steps [a, b] of the given systems,
+    from one generator call per `_MAX_POINTS` points."""
+    per_call = _MAX_POINTS // len(_NODES)
+    parts = []
+    for lo in range(0, len(a), per_call):
+        s = slice(lo, lo + per_call)
+        h = b[s] - a[s]
+        g = gen(a[s, None] + h[:, None] * _NODES,
+                np.repeat(system[s, None], len(_NODES), axis=1))
+        finite = np.all(np.isfinite(g).reshape(len(h), -1), axis=1)
+        if not np.all(finite):
+            bad = np.nonzero(~finite)[0]
+            i = lo + bad[np.argmin(system[s][bad])]
+            raise StepFailure(f"non-finite generator on [{a[i]}, {b[i]}]")
+        parts.append(_propagators(alg, g, h))
+    return map(np.concatenate, zip(*parts))
+
+
+def _ordered_product(alg, e, pos):
+    """Running left products e[k] ... e[j+1] e[j], in place, by a doubling
+    scan over each run of e, where pos[k] = k - j is e[k]'s place in its
+    run."""
     shift = 1
-    while shift < len(p):
-        p[shift:] = alg.mul(p[shift:], p[:-shift])
+    while shift <= np.max(pos, initial=0):
+        i = np.nonzero(pos >= shift)[0]
+        e[i] = alg.mul(e[i], e[i - shift])
         shift *= 2
-    return p
+    return e
 
 
-def _magnus_solve(gen, alg, nodes, h0, step_tol):
-    """Solve Y' = A(v) Y, Y(nodes[0]) = 1, at the increasing nodes.
+def _magnus_solve(gen, alg, systems, step_tol):
+    """Solve Y' = A(v) Y, Y(nodes[0]) = 1, at the increasing nodes of each
+    independent system of the list `systems` of (nodes, h0).
 
-    gen maps an array of v to A(v) in the algebra alg.  Each node gap
-    starts as ceil(gap / h0) equal steps; a step is accepted when its local
-    error estimate is at most step_tol, otherwise it is halved.  Returns Y
-    at the nodes and the stats n_steps (accepted), n_rejected (split) and
-    err_est (largest accepted local error estimate).
+    gen maps arrays v and s of one shape to A(v) of system s in the algebra
+    alg.  Each node gap starts as ceil(gap / h0) equal steps; a step is
+    accepted when its local error estimate is at most step_tol, otherwise it
+    is halved.  The pending steps of all systems make one generator call per
+    round (per `_MAX_POINTS` points), and each system's steps, decisions and
+    Y are those of solving it alone.  Returns, per system, Y at the nodes
+    and the stats n_steps (accepted), n_rejected (split) and err_est
+    (largest accepted local error estimate).  The first round in which a
+    system fails raises StepFailure, for the lowest such system.
     """
-    counts = np.maximum(np.ceil(np.diff(nodes) / h0 - 1e-9).astype(int), 1)
-    gap = np.repeat(np.arange(len(counts)), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    t = (np.arange(len(gap)) - first) / counts[gap]
-    a = nodes[gap] * (1 - t) + nodes[gap + 1] * t
-    b = np.concatenate([a[1:], nodes[-1:]])
-    n_initial = len(a)
-    floor = 1e-13 * (nodes[-1] - nodes[0])
+    a, b, gap, gap_system, floor, n_initial = [], [], [], [], [], []
+    n_gaps = 0
+    for k, (nodes, h0) in enumerate(systems):
+        counts = np.maximum(np.ceil(np.diff(nodes) / h0 - 1e-9).astype(int), 1)
+        g = np.repeat(np.arange(len(counts)), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        t = (np.arange(len(g)) - first) / counts[g]
+        a.append(nodes[g] * (1 - t) + nodes[g + 1] * t)
+        b.append(np.concatenate([a[-1][1:], nodes[-1:]]))
+        gap.append(g + n_gaps)
+        gap_system.append(np.full(len(counts), k))
+        floor.append(1e-13 * (nodes[-1] - nodes[0]))
+        n_initial.append(len(g))
+        n_gaps += len(counts)
+    # steps carry their gap, numbered across the systems in order
+    a, b, gap, gap_system = map(np.concatenate, (a, b, gap, gap_system))
+    floor, n_initial = np.array(floor), np.array(n_initial)
+    n_sys = len(systems)
 
-    done_a, done_gap, done_e = [a[:0]], [gap[:0]], []
-    n_rejected, err_est = 0, 0.0
+    done_a, done_gap, done_e, done_err = [], [], [], []
+    n_rejected = np.zeros(n_sys, dtype=int)
     while len(a):
-        e, err = map(np.concatenate, zip(*(
-            _propagators(gen, alg, a[s:s + _BATCH], b[s:s + _BATCH])
-            for s in range(0, len(a), _BATCH))))
+        sys = gap_system[gap]
+        e, err = _round(gen, alg, a, b, sys)
         ok = err <= step_tol
         done_a.append(a[ok])
         done_gap.append(gap[ok])
         done_e.append(e[ok])
-        err_est = max(err_est, float(np.max(err[ok], initial=0.0)))
-        a, b, gap = a[~ok], b[~ok], gap[~ok]
-        n_rejected += len(a)
-        if np.any(b - a < 2 * floor):
-            raise StepFailure(f"step size underflow at v = {a[np.argmin(b - a)]}")
-        if 2 * len(a) > _MAX_GROWTH * n_initial:
+        done_err.append(err[ok])
+        a, b, gap, sys = a[~ok], b[~ok], gap[~ok], sys[~ok]
+        n_rejected += np.bincount(sys, minlength=n_sys)
+        short = b - a < 2 * floor[sys]
+        if np.any(short):
+            i = np.nonzero(sys == np.min(sys[short]))[0]
+            raise StepFailure("step size underflow at "
+                              f"v = {a[i[np.argmin(b[i] - a[i])]]}")
+        pending = 2 * np.bincount(sys, minlength=n_sys)
+        over = np.nonzero(pending > _MAX_GROWTH * n_initial)[0]
+        if len(over):
             raise StepFailure(f"step_tol = {step_tol:g} not met: "
-                              f"{2 * len(a)} half steps pending")
+                              f"{pending[over[0]]} half steps pending")
         m = 0.5 * (a + b)
         a, b, gap = (np.concatenate([a, m]), np.concatenate([m, b]),
                      np.concatenate([gap, gap]))
 
-    done_a = np.concatenate(done_a)
-    prod = _ordered_product(alg, np.concatenate(done_e)[np.argsort(done_a)])
-    # the last step of gap g ends on node g + 1
-    last = np.cumsum(np.bincount(np.concatenate(done_gap))) - 1
-    y = np.concatenate([np.broadcast_to(alg.one, (1,) + prod.shape[1:]),
-                        prod[last]])
-    stats = {"n_steps": len(done_a), "n_rejected": n_rejected,
-             "err_est": err_est}
-    return y, stats
+    done_a, done_gap, done_e, done_err = map(
+        np.concatenate, (done_a, done_gap, done_e, done_err))
+    runs = [np.nonzero(gap_system[done_gap] == k)[0] for k in range(n_sys)]
+    # each system's accepted steps in order of v, one system after another
+    order = np.concatenate([i[np.argsort(done_a[i])] for i in runs])
+    pos = np.concatenate([np.arange(len(i)) for i in runs])
+    prod = _ordered_product(alg, done_e[order], pos)
+    # the last step of gap g ends on its system's node g + 1
+    last = np.cumsum(np.bincount(done_gap, minlength=n_gaps)) - 1
+    one = np.broadcast_to(alg.one, (1,) + prod.shape[1:])
+    out, lo = [], 0
+    for k, (nodes, _) in enumerate(systems):
+        hi = lo + len(nodes) - 1
+        stats = {"n_steps": len(runs[k]), "n_rejected": int(n_rejected[k]),
+                 "err_est": float(np.max(done_err[runs[k]], initial=0.0))}
+        out.append((np.concatenate([one, prod[last[lo:hi]]]), stats))
+        lo = hi
+    return out
 
 
 def integrate(spec: ReparamSpec, fam, periods: int = 1,
@@ -226,21 +285,42 @@ def integrate(spec: ReparamSpec, fam, periods: int = 1,
     holds n_steps (accepted), n_rejected (split), err_est (largest accepted
     local error estimate) and prenorm_drift (max | |Phi| - 1 |).
     """
-    if not (spec.period > 0):
-        raise SpecInvalid("spec period must be positive")
-    reparam.require_admissible(spec, fam.lattice)
+    _require_valid(spec, fam)
     if v_nodes is not None:
         nodes = np.asarray(v_nodes, dtype=float)
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
             raise SpecInvalid("v_nodes must be strictly increasing from 0")
     else:
         nodes = np.linspace(0.0, periods * spec.period, periods * n_per_period + 1)
-    a_of_v = generator(spec, fam)
-    phi, stats = _magnus_solve(lambda v: a_of_v(v)[..., 1:], UnitQuaternions,
-                               nodes, spec.period / 128, step_tol)
-    drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
-    stats["prenorm_drift"] = float(drift)
-    return FrameTrajectory(v=nodes, phi=phi, stats=stats)
+    return _frames([spec], fam, [nodes], step_tol)[0]
+
+
+def _require_valid(spec: ReparamSpec, fam):
+    if not (spec.period > 0):
+        raise SpecInvalid("spec period must be positive")
+    reparam.require_admissible(spec, fam.lattice)
+
+
+def _frames(specs, fam, nodes, step_tol):
+    """The FrameTrajectory of each valid spec at its nodes, from one solve
+    with one system per spec (see `integrate`)."""
+
+    def a_of_v(v, s):
+        w, root = np.empty(v.shape), np.empty(v.shape)
+        for k, spec in enumerate(specs):
+            on = s == k
+            w[on], root[on] = spec.w(v[on]), spec.signed_root(v[on])
+        return _coefficient(w, root, fam)[..., 1:]
+
+    solved = _magnus_solve(a_of_v, UnitQuaternions,
+                           [(v, spec.period / 128)
+                            for spec, v in zip(specs, nodes)], step_tol)
+    out = []
+    for v, (phi, stats) in zip(nodes, solved):
+        drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
+        stats["prenorm_drift"] = float(drift)
+        out.append(FrameTrajectory(v=v, phi=phi, stats=stats))
+    return out
 
 
 def monodromy(phi_end) -> Monodromy:
@@ -310,8 +390,14 @@ def close_torus(template, fam, target_angle: float,
                          step_tol=step_tol)
         return monodromy(traj.phi[-1]).theta
 
+    # the scan is one solve with a system per amplitude, on theta_of's nodes
     amps = np.linspace(lo, hi, n_scan)
-    vals = np.array([theta_of(a) - target_angle for a in amps])
+    scan = [template(a) for a in amps]
+    for spec in scan:
+        _require_valid(spec, fam)
+    trajs = _frames(scan, fam, [np.linspace(0.0, s.period, 9) for s in scan],
+                    step_tol)
+    vals = np.array([monodromy(t.phi[-1]).theta for t in trajs]) - target_angle
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) == 0:

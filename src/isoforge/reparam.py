@@ -179,17 +179,26 @@ def s_of_w(w, crit: Family):
 
 def _w_of_s(starget: float, crit: Family) -> float:
     """Invert the monotone map s(w) by bracketed root finding."""
-    top = 2 * np.pi * crit.lattice.lam
+    lat, om, t2om = crit.lattice, crit.omega, crit.td
+    top = 2 * np.pi * lat.lam
+    # s_of_w at a w inside the band, with its constants computed once and
+    # its expression order kept, so s(w) == s_of_w(w, crit)
+    scale = t2om ** 2 / theta_grid(2, 0.0, lat) ** 2
+    base = theta_grid(1, om, lat) ** 2 / t2om ** 2
+
+    def s(w):
+        ratio = theta_grid(1, 0.5j * w, lat) / theta_grid(2, 0.5j * w, lat)
+        return _real(scale * (base - ratio ** 2), "s(w)")
+
     # stay away from the band ends: theta2(i w / 2) vanishes at the top, and
     # cancellation there spoils the realness of the s(w) evaluation
     lo, hi = 1e-6 * top, top * (1 - 1e-4)
-    slo, shi = s_of_w(lo, crit), s_of_w(hi, crit)
+    slo, shi = s(lo), s(hi)
     if not (slo < starget < shi):
         raise NoOscillation(
             f"s = {starget:.6g} outside the attainable range ({slo:.6g}, {shi:.6g})"
         )
-    return brentq(lambda w: s_of_w(w, crit) - starget, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16)
+    return brentq(lambda w: s(w) - starget, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 # ---------------------------------------------------------------------------

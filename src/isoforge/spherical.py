@@ -109,10 +109,11 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
     phi' = [[0, -U1, 0], [2U, 0, -2U1], [0, U, 0]] phi is the symmetric
     square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
     phi(omega) with M(omega) = 1, phi(omega) = delta^{-1} (1, -(s1 + s2),
-    s1 s2).  M is integrated by the frame module's Magnus solver outward
-    from omega in both directions.  The coefficients have poles where the
-    u-denominator theta2 vanishes (u = pi/2 mod pi), so a requested u
-    outside (-pi/2, pi/2) raises PoleProximity before any integration.
+    s1 s2).  M is integrated outward from omega in both directions, as two
+    systems of one solve of the frame module's Magnus solver.  The
+    coefficients have poles where the u-denominator theta2 vanishes
+    (u = pi/2 mod pi), so a requested u outside (-pi/2, pi/2) raises
+    PoleProximity before any integration.
     """
     sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
@@ -132,16 +133,23 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
         x[..., 0, 1], x[..., 1, 0] = -U1, U
         return x
 
+    # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M
+    sides = [(sign, sign * (us - om) > 1e-14) for sign in (1.0, -1.0)]
+    sides = [(sign, side) for sign, side in sides if np.any(side)]
+    signs = np.array([sign for sign, _ in sides])
+    nodes = [np.unique(np.concatenate([[0.0], sign * (us[side] - om)]))
+             for sign, side in sides]
+
+    def x_of_t(t, s):
+        sign = signs[s]
+        return sign[..., None, None] * x_of_u(om + sign * t)
+
     m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
-    for sign in (1.0, -1.0):
-        # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M
-        side = sign * (us - om) > 1e-14
-        if np.any(side):
-            nodes = np.unique(np.concatenate([[0.0], sign * (us[side] - om)]))
-            y, _ = frame._magnus_solve(
-                lambda t, sign=sign: sign * x_of_u(om + sign * t),
-                frame.Matrices2, nodes, np.pi / 64, step_tol)
-            m[side] = y[np.searchsorted(nodes, sign * (us[side] - om))]
+    if sides:
+        solved = frame._magnus_solve(x_of_t, frame.Matrices2,
+                                     [(t, np.pi / 64) for t in nodes], step_tol)
+        for (sign, side), t, (y, _) in zip(sides, nodes, solved):
+            m[side] = y[np.searchsorted(t, sign * (us[side] - om))]
     phis = sym2(m) @ y0
     return [PhiTriple(u=float(u), phi2=float(p[0]), phi1=float(p[1]),
                       phi0=float(p[2])) for u, p in zip(us, phis)]

@@ -74,7 +74,7 @@ class SampledSurface:
 
 # grid points per block of whole v columns in fields_at (one column when
 # nu is larger): bounds the theta and field temporaries, like the frame
-# integrator's 64-step batches
+# integrator's bound of points per generator call
 _BLOCK_POINTS = 4096
 
 
@@ -199,8 +199,8 @@ def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v, step_tol=1e-12):
         y[..., 1, 0] = root * curvefamily.limit_r(w, fam)
         return y
 
-    y, _ = frame._magnus_solve(a_of_v, frame.Matrices2, v, spec.period / 128,
-                               step_tol)
+    (y, _), = frame._magnus_solve(lambda vv, _: a_of_v(vv), frame.Matrices2,
+                                  [(v, spec.period / 128)], step_tol)
     return y[:, 0, 0], y[:, 1, 0]
 
 

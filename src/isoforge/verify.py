@@ -1,10 +1,10 @@
 """The checks that `verify`, `surface` and `spherical` report.
 
 CHECKS is the one table of check names, in report order, with each check's
-default tolerance and whether it is structural: a 0/1 or rank check whose
-bound no tolerance moves.  `battery` computes the surface checks' values
-and `spherical_battery` the spherical command's, each as a name -> value
-dict; `entries` turns such a dict into a report's check entries.
+default tolerance and kind, which says what moves that tolerance.
+`battery` computes the surface checks' values and `spherical_battery` the
+spherical command's, each as a name -> value dict; `entries` turns such a
+dict into a report's check entries.
 """
 
 from __future__ import annotations
@@ -18,9 +18,15 @@ from . import curvefamily, reparam, spherical, surface
 
 
 class Check(NamedTuple):
-    """A check passes when |value| < its tolerance, by default tol."""
+    """A check passes when |value| < its tolerance, by default tol.
+
+    kind "residual": tolerances.<name> and --tol move tol.  "convergence",
+    a measure of how an error shrinks between two resolutions:
+    tolerances.<name> moves tol, --tol does not.  "structural", a 0/1 or
+    rank check: neither does.
+    """
     tol: float
-    structural: bool = False  # tolerances.<name> and --tol leave tol as is
+    kind: str = "residual"
     spherical_tol: float | None = None  # the default on reparam.kind spherical
 
 
@@ -48,11 +54,11 @@ CHECKS = {
     "pde_cauchy_riemann": _PDE,
     "pde_riccati": _PDE,
     "pde_hw_quartic": _PDE,
-    "pde_order_deficit": Check(0.05),
+    "pde_order_deficit": Check(0.05, "convergence"),
     "fv_vs_fd": Check(1e-6),
-    "reparam_admissible": Check(0.5, structural=True),
+    "reparam_admissible": Check(0.5, "structural"),
     "root_consistency": Check(1e-8),
-    "root_branch_smoothness": Check(1.5),
+    "root_branch_smoothness": Check(1.5, "convergence"),
     # at the critical omega only
     "inversion_involution": Check(1e-8),
     "inversion_involution_rel": Check(1e-8),
@@ -64,7 +70,7 @@ CHECKS = {
     "dual_loop_integral": Check(1e-7),
     "planarity": Check(1e-8),
     "joachimsthal": Check(1e-8),
-    "normals_rank_defect": Check(0.5, structural=True),
+    "normals_rank_defect": Check(0.5, "structural"),
     # sphere_fit and sphere_angle: the battery on spherical specs;
     # sphere_fit through axis_vs_monodromy: the spherical command
     "sphere_fit": Check(1e-6),
@@ -81,7 +87,8 @@ def entries(values, cfg, tol=None) -> list:
     """The report's {"name", "value", "tolerance", "pass"} entries of a
     name -> value dict, in its order.  A residual check's tolerance is
     `tol` (--tol) if given, else the config's tolerances.<name>, else its
-    default; a structural check keeps its default."""
+    default; a convergence check's is the config's or its default, and a
+    structural check keeps its default."""
     tols = cfg.get("tolerances", {})
     is_spherical = cfg["reparam"]["kind"] == "spherical"
     out = []
@@ -90,8 +97,10 @@ def entries(values, cfg, tol=None) -> list:
         bound = check.tol
         if is_spherical and check.spherical_tol:
             bound = check.spherical_tol
-        if not check.structural:
-            bound = float(tol if tol is not None else tols.get(name, bound))
+        if check.kind == "residual" and tol is not None:
+            bound = float(tol)
+        elif check.kind != "structural":
+            bound = float(tols.get(name, bound))
         out.append({"name": name, "value": float(value), "tolerance": bound,
                     "pass": bool(abs(value) < bound)})
     return out

@@ -952,18 +952,38 @@ def test_tolerance_names_must_be_residual_checks(tmp_path, monkeypatch,
 
 def test_readme_check_table_matches_verify():
     """README's table of checks lists verify's table: every name in order,
-    its default tolerances and whether it can be moved."""
+    its default tolerances and whether tolerances.<name> and --tol move
+    them."""
     import re
     from isoforge import verify
     readme = Path(__file__).resolve().parents[1] / "README.md"
     rows = [line.split(" | ") for line in readme.read_text().splitlines()
             if line.startswith("| `")]
     assert [row[0][3:-1] for row in rows] == list(verify.CHECKS)
-    for name, tol, *_, moved in rows:
+    for name, tol, _, _, by_config, by_tol in rows:
         check = verify.CHECKS[name[3:-1]]
         assert [float(x) for x in re.findall(r"\d[\d.e-]*", tol)] == [
             t for t in (check.tol, check.spherical_tol) if t is not None]
-        assert moved == ("no |" if check.structural else "yes |")
+        assert by_config == ("no" if check.kind == "structural" else "yes")
+        assert by_tol == ("yes |" if check.kind == "residual" else "no |")
+
+
+def test_tol_leaves_convergence_checks(tmp_path):
+    """--tol 1e-3 on the README config: root_branch_smoothness (0.158, a
+    ratio with bound 1.5) failed against 1e-3 and verify exited 3; the two
+    convergence checks now keep their default bounds and every residual
+    passes at 1e-3."""
+    cfg = _base_cfg(grid={"nu": 128, "nv": 128})
+    cfg["reparam"]["mean"] = 1.0053
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli, ["verify", _write(tmp_path, cfg),
+                                      "--out", str(out), "--tol", "1e-3"])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["root_branch_smoothness"]["tolerance"] == 1.5
+    assert checks["pde_order_deficit"]["tolerance"] == 0.05
+    assert checks["root_branch_smoothness"]["value"] > 1e-3
+    assert checks["planarity"]["tolerance"] == 1e-3
 
 
 def test_tolerance_of_a_check_that_does_not_run_is_accepted(tmp_path):
@@ -986,9 +1006,10 @@ def test_surface_and_verify_tol_report_the_same_config(tmp_path):
     path = _write(tmp_path, cfg)
     for argv in (["verify", path, "--out", str(tmp_path / "verify.json")],
                  ["surface", path, "--out-dir", str(tmp_path)]):
-        # --tol 1e-3 fails root_branch_smoothness (default 1.5): exit 3
+        # every residual passes at 1e-3, and --tol leaves the convergence
+        # checks (root_branch_smoothness 0.158 against 1.5) as they are
         result = CliRunner().invoke(cli, argv + ["--tol", "1e-3"])
-        assert result.exit_code == 3, result.output
+        assert result.exit_code == 0, result.output
     got = json.loads((tmp_path / "verify.json").read_text())
     want = json.loads((tmp_path / "report.json").read_text())
     assert got["config"] == want["config"] == cfg

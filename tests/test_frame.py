@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoforge import curvefamily, frame, quat, reparam
 from isoforge.errors import (DegenerateRotation, DomainW, NoBracket,
@@ -95,11 +96,155 @@ def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
     starts = np.linspace(0.0, V, 7)[:-1]
     errs = []
     for h in (V / 16, V / 32):
-        _, err = frame._propagators(lambda v: a_of_v(v)[..., 1:],
-                                    frame.UnitQuaternions, starts, starts + h)
+        g = a_of_v(starts[:, None] + h * frame._NODES)[..., 1:]
+        _, err = frame._propagators(frame.UnitQuaternions, g,
+                                    np.full(len(starts), h))
         errs.append(err)
     assert np.all(errs[1] > 1e-12)  # above roundoff
     assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
+
+
+def _matrix_generator(coef, cplx):
+    """A(v) of system s: a 2x2 matrix with a steep bump at v = coef[s, 2],
+    real or complex; elementwise in v, so any batching gives the same A."""
+    coef = np.asarray(coef)
+
+    def gen(v, s):
+        p, q, c = coef[s, 0], coef[s, 1], coef[s, 2]
+        bump = np.exp(-((v - c) / 0.05) ** 2)
+        a = np.stack([np.stack([p * np.sin(v), q + 8 * bump], axis=-1),
+                      np.stack([-q * np.cos(2 * v), -p * np.sin(v)], axis=-1)],
+                     axis=-2)
+        return a * (1 + 0.5j) if cplx else a
+
+    return gen
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(2, 40), st.floats(0.1, 2.0),
+                          st.floats(-1.0, 1.0), st.floats(0.1, 1.9),
+                          st.floats(0.01, 0.3)), min_size=1, max_size=4),
+       st.booleans())
+def test_matrix_systems_solved_together_match_alone(draws, cplx):
+    """Systems solved together give each one's Y and stats of solving it
+    alone, bit for bit, for real and complex generators."""
+    systems = [(np.linspace(0.0, 2.0, n) ** 1.5, h0) for n, _, _, _, h0 in draws]
+    coef = [(p, q, c) for _, p, q, c, _ in draws]
+    together = frame._magnus_solve(_matrix_generator(coef, cplx),
+                                   frame.Matrices2, systems, 1e-11)
+    for k, (system, (y, stats)) in enumerate(zip(systems, together)):
+        (y1, stats1), = frame._magnus_solve(
+            _matrix_generator([coef[k]], cplx), frame.Matrices2, [system],
+            1e-11)
+        assert np.iscomplexobj(y) == cplx
+        assert np.array_equal(y, y1)
+        assert stats == stats1
+
+
+def test_matrix_systems_have_rejections():
+    """The bump of `_matrix_generator` makes the step control split steps,
+    so the test above compares refined solves."""
+    (_, stats), = frame._magnus_solve(
+        _matrix_generator([(1.0, 0.5, 1.0)], False), frame.Matrices2,
+        [(np.linspace(0.0, 2.0, 9), 0.25)], 1e-11)
+    assert stats["n_rejected"] > 0
+
+
+def test_frames_solved_together_match_alone(crit032, torus_spec, sph_spec):
+    """Frames of several specs from one solve (the close-torus scan) are
+    `integrate` of each spec alone, bit for bit; sph_spec has rejected
+    steps."""
+    specs = [sph_spec, torus_spec, sph_spec]
+    nodes = [np.linspace(0.0, sph_spec.period, 49),
+             np.linspace(0.0, torus_spec.period, 9),
+             np.linspace(0.0, 2 * sph_spec.period, 7)]
+    together = frame._frames(specs, crit032, nodes, 1e-12)
+    for spec, v, traj in zip(specs, nodes, together):
+        alone = frame.integrate(spec, crit032, v_nodes=v)
+        assert np.array_equal(traj.phi, alone.phi)
+        assert traj.stats == alone.stats
+    assert together[0].stats["n_rejected"] > 0
+
+
+def test_one_generator_call_per_round():
+    """Round r evaluates the steps halved r times, all of them in one
+    generator call: r rounds make r calls, the i-th holding exactly the
+    steps of length h0 / 2^i of every system."""
+    h0 = np.array([0.25, 0.125, 0.5])
+    gen = _matrix_generator([(1.0, 0.5, 1.0), (0.5, -0.3, 0.4),
+                             (0.2, 0.8, 1.7)], False)
+    lengths = []
+
+    def counted(v, s):
+        width = (frame._NODES[2] - frame._NODES[0]) * h0[s[:, 0]]
+        lengths.append((v[:, 2] - v[:, 0]) / width)
+        return gen(v, s)
+
+    solved = frame._magnus_solve(
+        counted, frame.Matrices2,
+        [(np.arange(0.0, 2.0 + h / 2, h), h) for h in h0], 1e-11)
+    assert len(lengths) >= 3
+    for i, rel in enumerate(lengths):
+        assert np.allclose(rel, 0.5 ** i, rtol=1e-9, atol=0)
+    assert sum(map(len, lengths)) == sum(
+        stats["n_steps"] + stats["n_rejected"] for _, stats in solved)
+
+
+
+def test_points_per_generator_call_are_bounded():
+    """A solve over 10^5 nodes passes at most _MAX_POINTS points to any
+    generator call."""
+    sizes = []
+    gen = _matrix_generator([(0.3, 0.2, 5.0)], False)
+
+    def counted(v, s):
+        sizes.append(v.size)
+        return gen(v, s)
+
+    nodes = np.linspace(0.0, 1.0, 10 ** 5 + 1)
+    (y, stats), = frame._magnus_solve(counted, frame.Matrices2,
+                                      [(nodes, 1.0)], 1e-10)
+    assert y.shape == (len(nodes), 2, 2)
+    assert stats["n_steps"] == 10 ** 5
+    assert len(sizes) > 1 and max(sizes) <= frame._MAX_POINTS
+    assert sum(sizes) == 9 * 10 ** 5
+
+
+@pytest.mark.parametrize("alg, dim", [
+    (frame.UnitQuaternions, (3,)), (frame.Matrices2, (2, 2)),
+    (frame.Matrices2, "complex")])
+def test_stacked_propagators_match_three_calls(alg, dim):
+    """The full step and both halves stacked into one `_magnus6` call give
+    the propagators and error estimates of three separate calls."""
+    rng = np.random.default_rng(5)
+    if dim == "complex":
+        g = rng.normal(size=(40, 9, 2, 2)) + 1j * rng.normal(size=(40, 9, 2, 2))
+    else:
+        g = rng.normal(size=(40, 9) + dim)
+    h = rng.uniform(0.01, 0.3, 40)
+    full = frame._magnus6(alg, g[:, 0:3], h)
+    two = alg.mul(frame._magnus6(alg, g[:, 6:9], h / 2),
+                  frame._magnus6(alg, g[:, 3:6], h / 2))
+    e, err = frame._propagators(alg, g, h)
+    assert np.array_equal(e, two)
+    assert np.array_equal(err, np.max(np.abs(full - two).reshape(40, -1), axis=1))
+
+
+def test_failing_system_names_its_step():
+    """A system whose generator turns NaN fails the solve, naming a step of
+    that system; an unreachable step_tol fails it too."""
+    gen = _matrix_generator([(0.3, 0.2, 1.0)] * 3, False)
+
+    def nan_in_two(v, s):
+        a = gen(v, s)
+        a[(s == 2) & (v > 1.0)] = np.nan
+        return a
+
+    systems = [(np.linspace(0.0, 2.0, 5), 0.5)] * 3
+    with pytest.raises(StepFailure, match=r"non-finite generator on \[1\.0"):
+        frame._magnus_solve(nan_in_two, frame.Matrices2, systems, 1e-11)
+    with pytest.raises(StepFailure, match="not met"):
+        frame._magnus_solve(gen, frame.Matrices2, systems, 1e-30)
 
 
 def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):

@@ -59,6 +59,27 @@ def test_s_of_w_satisfies_cubic(crit032):
         assert abs(sp ** 2 - q3s) < 1e-8 * max(1.0, abs(q3s))
 
 
+def test_w_of_s_iterates_are_those_of_s_of_w(crit032, monkeypatch):
+    """The inversion computes s_of_w's constants once but keeps its value:
+    at every Brent iterate, the function is s_of_w(w) - s exactly."""
+    brentq = reparam.brentq
+    seen = []
+
+    def recording(f, a, b, **kwargs):
+        def g(w):
+            seen.append((w, f(w)))
+            return seen[-1][1]
+        return brentq(g, a, b, **kwargs)
+
+    monkeypatch.setattr(reparam, "brentq", recording)
+    for s in (0.7, 1.3, 4.0):
+        seen.clear()
+        w = reparam._w_of_s(s, crit032)
+        assert len(seen) > 5 and w in [x for x, _ in seen]
+        for x, fx in seen:
+            assert fx == reparam.s_of_w(x, crit032) - s
+
+
 def test_s_of_w_domain(crit032):
     with pytest.raises(DomainW):
         reparam.s_of_w(-0.1, crit032)
