@@ -165,22 +165,40 @@ def _propagators(alg, g, h):
 
 
 def _round(gen, alg, a, b, system):
-    """(E, err) of `_propagators` on the steps [a, b] of the given systems,
-    from one generator call per `_MAX_POINTS` points."""
+    """(E, err, finite) of the steps [a, b] of the given systems, from one
+    generator call per `_MAX_POINTS` points: E and err as `_propagators`
+    gives them, and finite flags the steps whose A is finite at every node
+    (the others are evaluated as if A were 0 there)."""
     per_call = _MAX_POINTS // len(_NODES)
-    parts = []
+    parts, finite = [], []
     for lo in range(0, len(a), per_call):
         s = slice(lo, lo + per_call)
         h = b[s] - a[s]
         g = gen(a[s, None] + h[:, None] * _NODES,
                 np.repeat(system[s, None], len(_NODES), axis=1))
-        finite = np.all(np.isfinite(g).reshape(len(h), -1), axis=1)
-        if not np.all(finite):
-            bad = np.nonzero(~finite)[0]
-            i = lo + bad[np.argmin(system[s][bad])]
-            raise StepFailure(f"non-finite generator on [{a[i]}, {b[i]}]")
+        finite.append(np.all(np.isfinite(g).reshape(len(h), -1), axis=1))
+        if not np.all(finite[-1]):
+            g = np.where(finite[-1].reshape((-1,) + (1,) * (g.ndim - 1)),
+                         g, 0.0)
         parts.append(_propagators(alg, g, h))
-    return map(np.concatenate, zip(*parts))
+    e, err = map(np.concatenate, zip(*parts))
+    return e, err, np.concatenate(finite)
+
+
+def _step_failure(k, a, b, system, finite, short, pending, step_tol):
+    """The StepFailure that a solve of system k alone raises in a round in
+    which k fails: a step with non-finite A, else the shortest rejected
+    step under twice the floor, else too many pending half steps."""
+    mine = system == k
+    if np.any(mine & ~finite):
+        i = np.nonzero(mine & ~finite)[0][0]
+        return StepFailure(f"non-finite generator on [{a[i]}, {b[i]}]")
+    if np.any(mine & short):
+        i = np.nonzero(mine & short)[0]
+        return StepFailure("step size underflow at "
+                           f"v = {a[i[np.argmin(b[i] - a[i])]]}")
+    return StepFailure(f"step_tol = {step_tol:g} not met: "
+                       f"{pending} half steps pending")
 
 
 def _ordered_product(alg, e, pos):
@@ -207,7 +225,7 @@ def _magnus_solve(gen, alg, systems, step_tol):
     Y are those of solving it alone.  Returns, per system, Y at the nodes
     and the stats n_steps (accepted), n_rejected (split) and err_est
     (largest accepted local error estimate).  The first round in which a
-    system fails raises StepFailure, for the lowest such system.
+    system fails raises the StepFailure of the lowest such system.
     """
     a, b, gap, gap_system, floor, n_initial = [], [], [], [], [], []
     n_gaps = 0
@@ -232,24 +250,22 @@ def _magnus_solve(gen, alg, systems, step_tol):
     n_rejected = np.zeros(n_sys, dtype=int)
     while len(a):
         sys = gap_system[gap]
-        e, err = _round(gen, alg, a, b, sys)
-        ok = err <= step_tol
+        e, err, finite = _round(gen, alg, a, b, sys)
+        ok = finite & (err <= step_tol)
         done_a.append(a[ok])
         done_gap.append(gap[ok])
         done_e.append(e[ok])
         done_err.append(err[ok])
-        a, b, gap, sys = a[~ok], b[~ok], gap[~ok], sys[~ok]
-        n_rejected += np.bincount(sys, minlength=n_sys)
-        short = b - a < 2 * floor[sys]
-        if np.any(short):
-            i = np.nonzero(sys == np.min(sys[short]))[0]
-            raise StepFailure("step size underflow at "
-                              f"v = {a[i[np.argmin(b[i] - a[i])]]}")
-        pending = 2 * np.bincount(sys, minlength=n_sys)
-        over = np.nonzero(pending > _MAX_GROWTH * n_initial)[0]
-        if len(over):
-            raise StepFailure(f"step_tol = {step_tol:g} not met: "
-                              f"{pending[over[0]]} half steps pending")
+        rejected = np.bincount(sys[~ok], minlength=n_sys)
+        short = ~ok & (b - a < 2 * floor[sys])
+        over = 2 * rejected > _MAX_GROWTH * n_initial
+        failing = np.concatenate([sys[~finite | short], np.nonzero(over)[0]])
+        if len(failing):
+            k = np.min(failing)
+            raise _step_failure(k, a, b, sys, finite, short, 2 * rejected[k],
+                                step_tol)
+        a, b, gap = a[~ok], b[~ok], gap[~ok]
+        n_rejected += rejected
         m = 0.5 * (a + b)
         a, b, gap = (np.concatenate([a, m]), np.concatenate([m, b]),
                      np.concatenate([gap, gap]))
@@ -384,20 +400,18 @@ def close_torus(template, fam, target_angle: float,
         band = 2 * np.pi * fam.lattice.lam
         hi = min(0.9 * min(mean, band - mean), spec.period / (2 * np.pi))
 
-    def theta_of(amp):
-        spec = template(amp)
-        traj = integrate(spec, fam, periods=1, n_per_period=8,
-                         step_tol=step_tol)
-        return monodromy(traj.phi[-1]).theta
+    def thetas(amps):
+        # the monodromy angle of each amplitude after one period, from one
+        # solve with a system per amplitude, output at 9 nodes of the period
+        specs = [template(a) for a in amps]
+        for spec in specs:
+            _require_valid(spec, fam)
+        trajs = _frames(specs, fam,
+                        [np.linspace(0.0, s.period, 9) for s in specs], step_tol)
+        return np.array([monodromy(t.phi[-1]).theta for t in trajs])
 
-    # the scan is one solve with a system per amplitude, on theta_of's nodes
     amps = np.linspace(lo, hi, n_scan)
-    scan = [template(a) for a in amps]
-    for spec in scan:
-        _require_valid(spec, fam)
-    trajs = _frames(scan, fam, [np.linspace(0.0, s.period, 9) for s in scan],
-                    step_tol)
-    vals = np.array([monodromy(t.phi[-1]).theta for t in trajs]) - target_angle
+    vals = thetas(amps) - target_angle
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) == 0:
@@ -408,7 +422,6 @@ def close_torus(template, fam, target_angle: float,
             f"{np.max(vals) + target_angle:.6g}]"
         )
     i = idx[0]
-    amp = brentq(lambda a: theta_of(a) - target_angle, amps[i], amps[i + 1],
+    amp = brentq(lambda a: thetas([a])[0] - target_angle, amps[i], amps[i + 1],
                  xtol=1e-13, rtol=8.9e-16)
-    achieved = theta_of(amp)
-    return template(amp), achieved
+    return template(amp), float(thetas([amp])[0])

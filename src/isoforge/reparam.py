@@ -165,31 +165,31 @@ def s_of_w(w, crit: Family):
     Monotone increasing on (0, 2 pi lam), from the real root of Q3 at w -> 0
     to +infinity at the top of the band (theta2(i w / 2) -> 0 there).
     """
-    lat, om = crit.lattice, crit.omega
     warr = np.asarray(w, dtype=float)
-    top = 2 * np.pi * lat.lam
+    top = 2 * np.pi * crit.lattice.lam
     if np.any(warr <= 0) or np.any(warr >= top):
         raise DomainW(f"w must lie in the open band (0, {top:.6g})")
-    t2om = crit.td
-    t20 = theta_grid(2, 0.0, lat)
-    ratio = theta_grid(1, 0.5j * warr, lat) / theta_grid(2, 0.5j * warr, lat)
-    val = t2om ** 2 / t20 ** 2 * (theta_grid(1, om, lat) ** 2 / t2om ** 2 - ratio ** 2)
-    return _real(val, "s(w)")
+    return _s_function(crit)(warr)
 
 
-def _w_of_s(starget: float, crit: Family) -> float:
-    """Invert the monotone map s(w) by bracketed root finding."""
-    lat, om, t2om = crit.lattice, crit.omega, crit.td
-    top = 2 * np.pi * lat.lam
-    # s_of_w at a w inside the band, with its constants computed once and
-    # its expression order kept, so s(w) == s_of_w(w, crit)
+def _s_function(crit: Family):
+    """w -> s(w) of `s_of_w` without the band check, its constants
+    th2(om)^2/th2(0)^2 and th1(om)^2/th2(om)^2 computed once."""
+    lat, t2om = crit.lattice, crit.td
     scale = t2om ** 2 / theta_grid(2, 0.0, lat) ** 2
-    base = theta_grid(1, om, lat) ** 2 / t2om ** 2
+    base = theta_grid(1, crit.omega, lat) ** 2 / t2om ** 2
 
     def s(w):
         ratio = theta_grid(1, 0.5j * w, lat) / theta_grid(2, 0.5j * w, lat)
         return _real(scale * (base - ratio ** 2), "s(w)")
 
+    return s
+
+
+def _w_of_s(starget: float, crit: Family) -> float:
+    """Invert the monotone map s(w) by bracketed root finding."""
+    top = 2 * np.pi * crit.lattice.lam
+    s = _s_function(crit)
     # stay away from the band ends: theta2(i w / 2) vanishes at the top, and
     # cancellation there spoils the realness of the s(w) evaluation
     lo, hi = 1e-6 * top, top * (1 - 1e-4)

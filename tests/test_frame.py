@@ -230,9 +230,17 @@ def test_stacked_propagators_match_three_calls(alg, dim):
     assert np.array_equal(err, np.max(np.abs(full - two).reshape(40, -1), axis=1))
 
 
-def test_failing_system_names_its_step():
+def _failure(gen, systems, step_tol):
+    with pytest.raises(StepFailure) as info:
+        frame._magnus_solve(gen, frame.Matrices2, systems, step_tol)
+    return str(info.value)
+
+
+def test_failing_system_names_its_step(monkeypatch):
     """A system whose generator turns NaN fails the solve, naming a step of
-    that system; an unreachable step_tol fails it too."""
+    that system; an unreachable step_tol fails it too.  Whichever generator
+    call holds its step and whichever way it fails, the lowest failing
+    system of a round raises what it raises alone."""
     gen = _matrix_generator([(0.3, 0.2, 1.0)] * 3, False)
 
     def nan_in_two(v, s):
@@ -245,6 +253,35 @@ def test_failing_system_names_its_step():
         frame._magnus_solve(nan_in_two, frame.Matrices2, systems, 1e-11)
     with pytest.raises(StepFailure, match="not met"):
         frame._magnus_solve(gen, frame.Matrices2, systems, 1e-30)
+
+    def nan_on_halves(v, s):
+        # split steps of 0.5 have midpoints at 0.125 (left) and 0.375
+        # (right) mod 0.5: NaN on system 0's right and system 1's left halves
+        a = gen(v, s)
+        mid = 0.5 * (v.min(axis=1) + v.max(axis=1)) % 0.5
+        bad = np.where(s[:, 0] == 0, np.isclose(mid, 0.375),
+                       np.isclose(mid, 0.125))
+        a[bad] = np.nan
+        return a
+
+    # 4 steps a call: the second round (16 steps, every first one rejected)
+    # holds system 1's left halves in its second call and system 0's right
+    # halves in its third
+    monkeypatch.setattr(frame, "_MAX_POINTS", 4 * 9)
+    alone = _failure(nan_on_halves, systems[:1], 1e-30)
+    assert alone == "non-finite generator on [0.25, 0.5]"
+    assert _failure(nan_on_halves, systems[:2], 1e-30) == alone
+
+    def nan_in_one(v, s):
+        a = gen(v, s)
+        a[s == 1] = np.nan
+        return a
+
+    # system 0 fails by growth in the round in which system 1 turns NaN
+    monkeypatch.setattr(frame, "_MAX_GROWTH", 1)
+    alone = _failure(nan_in_one, systems[:1], 1e-30)
+    assert alone == "step_tol = 1e-30 not met: 8 half steps pending"
+    assert _failure(nan_in_one, systems[:2], 1e-30) == alone
 
 
 def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):
