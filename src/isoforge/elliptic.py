@@ -41,7 +41,21 @@ _BRENT_MAXITER = 100
 
 def _real(z, what: str, error=ArithmeticError):
     """Re z, a float for a number; raises error for Im z above
-    _REAL_TOL max(1, |z|)."""
+    _REAL_TOL max(1, |z|).
+
+    A number takes a scalar path with the same comparison (|z| by libm's
+    hypot, as np.abs; a NaN |z| passes, as in np.maximum), value and
+    message as a 0-d array.
+    """
+    if isinstance(z, (complex, float, int, np.number)):
+        z = complex(z)
+        try:
+            size = abs(z)
+        except OverflowError:  # np.abs gives inf
+            size = np.inf
+        if abs(z.imag) > _REAL_TOL * (1.0 if size <= 1.0 else size):
+            raise error(f"{what} should be real, got {np.complex128(z)}")
+        return z.real
     z = np.asarray(z, dtype=complex)
     bad = np.abs(z.imag) > _REAL_TOL * np.maximum(1.0, np.abs(z))
     if np.any(bad):

@@ -68,8 +68,8 @@ def generator(spec: ReparamSpec, fam):
     """
 
     def a_of_v(v):
-        v = np.asarray(v, dtype=float)
-        return _coefficient(spec.w(v), spec.signed_root(v), fam)
+        w, _, root = spec.planes(np.asarray(v, dtype=float))
+        return _coefficient(w, root, fam)
 
     return a_of_v
 
@@ -325,7 +325,7 @@ def _frames(specs, fam, nodes, step_tol):
         w, root = np.empty(v.shape), np.empty(v.shape)
         for k, spec in enumerate(specs):
             on = s == k
-            w[on], root[on] = spec.w(v[on]), spec.signed_root(v[on])
+            w[on], _, root[on] = spec.planes(v[on])
         return _coefficient(w, root, fam)[..., 1:]
 
     solved = _magnus_solve(a_of_v, UnitQuaternions,

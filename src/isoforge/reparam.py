@@ -3,7 +3,9 @@
 An admissible reparametrization takes values in the open band (0, 2*pi*lam),
 has |w'(v)| <= 1, and carries sqrt(1 - w'(v)^2) as a *signed* smooth function
 (the sign may flip only where w' = +-1).  The signed root is recorded on the
-spec; downstream frame integration never re-derives it from w'.
+spec; downstream frame integration never re-derives it from w'.  A spec
+evaluates w, w' and the signed root together (`ReparamSpec.planes`), since
+the frame, the field assembly and admissibility all read them at the same v.
 
 Two families are provided:
 
@@ -20,9 +22,10 @@ Two families are provided:
   endpoint singularities are removed by the substitution
   s = s_a + (s_b - s_a) sin^2(theta) and the integrals are evaluated by
   per-panel Gauss-Legendre quadrature.  w(v) and s(v) between the panel
-  edges are cubic Hermite interpolants (`cubic_hermite`) of the exact edge
-  values and slopes, and the edge values of w come from inverting s(w) with
-  the package's Brent root finder, `elliptic.brentq`.
+  edges are cubic Hermite interpolants (`cubic_hermite`, both on one knot
+  search) of the exact edge values and slopes, and the edge values of w
+  come from inverting s(w) with the package's Brent root finder,
+  `elliptic.brentq`.  w' and the signed root are closed forms in s(v).
 """
 
 from __future__ import annotations
@@ -41,16 +44,27 @@ from .theta import theta_grid
 class ReparamSpec:
     """A reparametrization function with its derivative and signed root.
 
-    w, wprime and signed_root are vectorized callables of v; signed_root(v)
-    is the recorded branch of sqrt(1 - wprime(v)^2).
+    planes is the spec's one evaluator: a vectorized callable that maps v
+    to the tuple (w(v), w'(v), root(v)), where root is the recorded branch
+    of sqrt(1 - w'(v)^2).  Every consumer reads the three together at the
+    same v, so one call folds, searches and evaluates a v-array once;
+    `w`, `wprime` and `signed_root` are its projections, so no quantity
+    can be replaced without the others seeing it.
     """
 
     kind: str
     period: float
-    w: Callable
-    wprime: Callable
-    signed_root: Callable
+    planes: Callable
     meta: dict = field(default_factory=dict)
+
+    def w(self, v):
+        return self.planes(v)[0]
+
+    def wprime(self, v):
+        return self.planes(v)[1]
+
+    def signed_root(self, v):
+        return self.planes(v)[2]
 
 
 @dataclass(frozen=True)
@@ -90,18 +104,14 @@ def analytic(mean: float, amplitude: float, period: float) -> ReparamSpec:
         raise SpecInvalid(f"spec period must be positive and finite, got {period}")
     freq = 2 * np.pi / period
 
-    def w(v):
-        return mean + amplitude * np.sin(freq * np.asarray(v, dtype=float))
-
-    def wprime(v):
-        return amplitude * freq * np.cos(freq * np.asarray(v, dtype=float))
-
-    def signed_root(v):
-        return np.sqrt(np.clip(1.0 - wprime(v) ** 2, 0.0, None))
+    def planes(v):
+        x = freq * np.asarray(v, dtype=float)
+        wp = amplitude * freq * np.cos(x)
+        return (mean + amplitude * np.sin(x), wp,
+                np.sqrt(np.clip(1.0 - wp ** 2, 0.0, None)))
 
     return ReparamSpec(
-        kind="analytic", period=float(period), w=w, wprime=wprime,
-        signed_root=signed_root,
+        kind="analytic", period=float(period), planes=planes,
         meta={"mean": float(mean), "amplitude": float(amplitude)},
     )
 
@@ -112,15 +122,27 @@ def constant(level: float, period: float = 2 * np.pi) -> ReparamSpec:
     return replace(spec, meta={**spec.meta, "constant": True})
 
 
-def validate(spec: ReparamSpec, lat, n: int = 4001) -> ValidationReport:
-    """Dense-sampling admissibility report over one period."""
-    v = np.linspace(0.0, spec.period, n)
-    dv = v[1] - v[0]
-    w = np.asarray(spec.w(v), dtype=float)
-    wp = np.asarray(spec.wprime(v), dtype=float)
-    root = np.asarray(spec.signed_root(v), dtype=float)
-    top = 2 * np.pi * lat.lam
+def validate(spec: ReparamSpec, lat, n: int = 4001, coarse: bool = False):
+    """Dense-sampling admissibility report over one period, on n samples.
 
+    With coarse=True, returns (the report on every other sample, the report
+    on all n) from one evaluation of the spec: for odd n the coarse samples
+    are those of n // 2 + 1 samples, bit for bit, so both reports equal
+    the two separate calls.
+    """
+    v = np.linspace(0.0, spec.period, n)
+    w, wp, root = (np.asarray(x, dtype=float) for x in spec.planes(v))
+    top = 2 * np.pi * lat.lam
+    fine = _report(v, w, wp, root, top)
+    if not coarse:
+        return fine
+    return _report(v[::2], w[::2], wp[::2], root[::2], top), fine
+
+
+def _report(v, w, wp, root, top) -> ValidationReport:
+    """The admissibility report of the samples w, wp, root at the uniform v."""
+    n = len(v)
+    dv = v[1] - v[0]
     flags = []
     w_min, w_max = float(np.min(w)), float(np.max(w))
     if not (0.0 < w_min and w_max < top):
@@ -208,24 +230,29 @@ def _w_of_s(starget: float, crit: Family) -> float:
 def cubic_hermite(x, y, dydx):
     """The piecewise cubic through (x, y) with slopes dydx, as a callable.
 
-    x must increase strictly.  The coefficients and the evaluation are those
-    of SciPy's CubicHermiteSpline (power basis about each left knot, summed
-    in increasing powers), so the values agree bit for bit; points outside
+    x must increase strictly.  y and dydx may carry leading axes, one curve
+    per row on the same knots: the callable then returns y.shape[:-1] +
+    xq.shape, and every curve shares one knot search per call.  The
+    coefficients and the evaluation are those of SciPy's
+    CubicHermiteSpline (power basis about each left knot, summed in
+    increasing powers), so the values agree bit for bit; points outside
     [x[0], x[-1]] extrapolate the end pieces.
     """
     x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    coeffs = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
+    d0, d1 = dydx[..., :-1], dydx[..., 1:]
+    t = (d0 + d1 - 2 * slope) / dx
+    coeffs = np.stack([y[..., :-1], d0, (slope - d0) / dx - t, t / dx])
+    curves = y.shape[:-1]
 
     def evaluate(xq):
         xq = np.asarray(xq, dtype=float)
         i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
-        s = xq - x[i]
-        out, z = np.zeros_like(s), np.ones_like(s)
-        for c in coeffs:
-            out += c[i] * z
+        s = xq - x.take(i)
+        out, z = np.zeros(curves + s.shape), np.ones_like(s)
+        for c in coeffs.take(i, axis=-1):
+            out += c * z
             z *= s
         return out
 
@@ -332,46 +359,39 @@ def build_spherical(spec: SphericalSpec, crit: Family,
     # interpolants consistent with the closed-form derivatives
     s_edges = s_of_theta(edges)
     ds_edges = np.sqrt(q_of(s_edges)) / abs(delta)
-    s_spline = cubic_hermite(v_edges, s_edges, ds_edges)
-    w_spline = cubic_hermite(v_edges, w_edges, ds_edges / np.sqrt(cub(s_edges)))
+    spline = cubic_hermite(v_edges, [s_edges, w_edges],
+                           [ds_edges, ds_edges / np.sqrt(cub(s_edges))])
 
-    def _fold(v):
+    def s_and_w(v):
+        """s(v) and w(v) from one fold and one knot search, with the
+        mirrored half's mask."""
         vv = np.mod(np.asarray(v, dtype=float), period)
         mirrored = vv > half_period
-        return np.where(mirrored, period - vv, vv), mirrored
+        both = spline(np.where(mirrored, period - vv, vv))
+        return np.clip(both[0, ...], s_a, s_b), both[1, ...], mirrored
 
-    def _s(v):
-        vv, _ = _fold(v)
-        return np.clip(s_spline(vv), s_a, s_b)
+    def planes(v):
+        s, w, mirrored = s_and_w(v)
+        sqrt_q3 = np.sqrt(cub(s))
+        mag = np.sqrt(q_of(s)) / (abs(delta) * sqrt_q3)
+        out = (w, np.where(mirrored, -mag, mag),
+               np.polyval(pair, s) / (delta * sqrt_q3))
+        return tuple(map(float, out)) if np.isscalar(v) else out
 
-    def w(v):
-        vv, _ = _fold(v)
-        out = w_spline(vv)
-        return float(out) if np.isscalar(v) else out
-
-    def wprime(v):
-        _, mirrored = _fold(v)
-        s = _s(v)
-        mag = np.sqrt(q_of(s)) / (abs(delta) * np.sqrt(cub(s)))
-        out = np.where(mirrored, -mag, mag)
-        return float(out) if np.isscalar(v) else out
-
-    def signed_root(v):
-        s = _s(v)
-        out = np.polyval(pair, s) / (delta * np.sqrt(cub(s)))
-        return float(out) if np.isscalar(v) else out
+    def s_of_v(v):
+        s = s_and_w(v)[0]
+        return float(s) if np.isscalar(v) else s
 
     filled = replace(spec, q_coeffs=tuple(float(c) for c in qcoef),
                      period_V=period)
     return ReparamSpec(
-        kind="spherical", period=period, w=w, wprime=wprime,
-        signed_root=signed_root,
+        kind="spherical", period=period, planes=planes,
         meta={
             "spec": filled,
             "s_range": (s_a, s_b),
             "w_range": (w_a, float(w_edges[-1])),
             "candidates": tuple(candidates),
-            "s_of_v": lambda v: (float(_s(v)) if np.isscalar(v) else _s(v)),
+            "s_of_v": s_of_v,
             "endpoint_mismatch": float(endpoint_mismatch),
         },
     )

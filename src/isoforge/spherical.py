@@ -268,14 +268,17 @@ def cone_point(surf, samples):
     distance over the sampled v-columns).
     """
     _, _, b_point = collinearity(samples)
-    worst = 0.0
-    for j in range(surf.points.shape[1]):
-        pts = surf.points[:, j, :]
-        mean = np.mean(pts, axis=0)
-        _, _, vt = np.linalg.svd(pts - mean, full_matrices=False)
-        normal = vt[2]
-        worst = max(worst, abs(float(np.dot(b_point - mean, normal))))
-    return b_point, worst
+    cols = np.swapaxes(surf.points, 0, 1)  # (nv, nu, 3)
+    # each column's mean sums its u-samples pairwise along a contiguous
+    # axis, as np.mean of one column of the surface's (3, nu, nv) planes
+    # does, and the batched SVD factors each column alone: every value is
+    # that of the column taken by itself
+    mean = np.mean(np.ascontiguousarray(np.moveaxis(cols, 1, -1)), axis=-1)
+    _, _, vt = np.linalg.svd(cols - mean[:, None, :], full_matrices=False)
+    # the distance of b_point to each plane, along its normal vt[2]; a
+    # matmul of a row by a column is np.dot's inner product
+    dist = np.matmul((b_point - mean)[:, None, :], vt[:, 2, :, None])
+    return b_point, float(np.max(np.abs(dist), initial=0.0))
 
 
 def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
@@ -302,10 +305,10 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     j_sel = np.unique(np.linspace(1, np.searchsorted(surf.v, rspec.period) - 1,
                                   n_v).astype(int))
     v_sel = surf.v[j_sel]
-    w_sel = np.asarray(rspec.w(v_sel), dtype=float)
-    wp_sel = np.asarray(rspec.wprime(v_sel), dtype=float)
+    w_sel, wp_sel, _ = rspec.planes(v_sel)
 
-    grid = curvefamily.CurveGrid(om, w_sel, fam)
+    grid = curvefamily.CurveGrid(om, w_sel, fam,
+                                 forms=("exp_h", "dlog_gamma_u"))
     s = 1.0 / grid.exp_h
     h_w = -np.imag(grid.dlog_gamma_u)
     sprime = -h_w * s * wp_sel  # carries the sign of sqrt(Q)/delta
@@ -316,7 +319,7 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
                                  + (s - e1 / 2) ** 2 + e2 - e1 ** 2 / 4)
 
     f = surface_mod.fields_at(fam, rspec, np.array([om]), v_sel,
-                              surf.phi[j_sel])
+                              surf.phi[j_sel], names=("fu", "fv", "n", "expH"))
     eh_row = f["expH"][0][:, None]
     # minus on the normal term: the surface module's Gauss map fu x fv is
     # opposite to the normal the sphere data is written in (same flip as in

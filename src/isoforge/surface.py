@@ -78,14 +78,6 @@ class SampledSurface:
 _BLOCK_POINTS = 4096
 
 
-def _plane_vectors(spec: ReparamSpec, v):
-    """w, w' and the signed root sqrt(1 - w'^2) along a v-array."""
-    v = np.asarray(v, dtype=float)
-    return (np.asarray(spec.w(v), dtype=float),
-            np.asarray(spec.wprime(v), dtype=float),
-            np.asarray(spec.signed_root(v), dtype=float))
-
-
 # the fields of fields_at and the CurveGrid forms each one reads
 _FIELD_FORMS = {
     "points": ("gamma",),
@@ -116,7 +108,7 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
     v = np.asarray(v, dtype=float)
     nu, nv = len(u), len(v)
     forms = tuple(dict.fromkeys(f for name in names for f in _FIELD_FORMS[name]))
-    w_arr, wp, root = _plane_vectors(spec, v)
+    w_arr, wp, root = spec.planes(v)
     # rot[c, b, j]: component c of the image of basis vector b (i, j, k) at
     # v_j, contiguous in j like the planes
     rot = np.ascontiguousarray(np.moveaxis(qrotation(phi), 0, -1))
@@ -193,7 +185,7 @@ def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v, step_tol=1e-12):
     """
 
     def a_of_v(vv):
-        w, _, root = _plane_vectors(spec, vv)
+        w, _, root = spec.planes(vv)
         y = np.zeros(np.shape(vv) + (2, 2), dtype=complex)
         y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, fam)
         y[..., 1, 0] = root * curvefamily.limit_r(w, fam)
@@ -217,7 +209,7 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
     E, T = _limit_frame_arrays(fam, spec, v, recipe.step_tol)
-    w_arr, wp, root = _plane_vectors(spec, v)
+    w_arr, wp, root = spec.planes(v)
     gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], fam)
     ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], fam)
     gv = 1j * wp * ghu
@@ -315,7 +307,7 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
 
     # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
     # for s > 0 (the w-shifts)
-    wv, wpv, _ = _plane_vectors(spec, vs.ravel())
+    wv, wpv, _ = spec.planes(vs.ravel())
     grid = curvefamily.CurveGrid(
         us.ravel(), np.concatenate([wv, (wv[:nv] + off[1:, None]).ravel()]),
         fam)

@@ -96,24 +96,27 @@ _MINUS32 = np.frombuffer(b"\0-\0\0", np.uint32)[0]
 _NUL = b"\0"
 
 
-def _split(m):
-    """The three 4-digit groups of the integers m in [0, 1e12], most
-    significant first, as a (3, n) float array (1e12: 10000, 0, 0)."""
-    g = np.empty((3, m.size))
-    np.floor(m / 1e8, out=g[0])
-    r = m - g[0] * 1e8
-    np.floor(r / 1e4, out=g[1])
-    np.subtract(r, g[1] * 1e4, out=g[2])
+def _split(m, groups=3):
+    """The last `groups` 4-digit groups of the integers m in
+    [0, 1e4 ** groups], most significant first, as a (groups, n) float
+    array (1e12 in three groups: 10000, 0, 0)."""
+    g = np.empty((groups, m.size))
+    for k in range(groups - 1, 0, -1):
+        np.floor(m / 1e4 ** k, out=g[-1 - k])
+        m = m - g[-1 - k] * 1e4 ** k
+    g[-1] = m
     return g
 
 
-def _integer(m):
-    """The (3, n) words of the integers m in [0, 1e12), without leading
-    zeros."""
+def _integer(m, groups=3):
+    """The (groups, n) words of the integers m in [0, 1e4 ** groups),
+    groups <= 3, without leading zeros."""
     with np.errstate(invalid="ignore"):
-        g = _split(m)
-        state = (2 * np.sign(g[0]) + np.sign(g[1])).astype(np.intp)
-        g += _SHOWN.take(state, axis=1, mode="clip")
+        g = _split(m, groups)
+        # the column of _SHOWN, as if the groups left out were zeros
+        state = sum(np.sign(g[k]).astype(np.intp) << (groups - 2 - k)
+                    for k in range(groups - 1))
+        g += _SHOWN[3 - groups:].take(state, axis=1, mode="clip")
         return _GROUPS.take(g.astype(np.intp), mode="clip")
 
 
@@ -172,7 +175,9 @@ def g12(x, sep=b""):
 
 
 def f2(x, sep=b""):
-    """Cells of sep + '%.2f' % v for each v of the float array x."""
+    """Cells of sep + '%.2f' % v for each v of the float array x.  The
+    integer part takes as many 4-digit groups as the largest one of the
+    fast path needs (one for the coordinates of an SVG)."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,10 +186,12 @@ def f2(x, sep=b""):
         ok = (m < 1e12) & (np.abs(s - m) < 0.5)  # false for nan, inf
         whole = np.floor(m / 100)
         cents = (m - 100 * whole).astype(np.intp)
-    words = np.empty((5, flat.size), np.uint32)
+    top = np.max(whole, where=ok, initial=0.0)
+    groups = 1 + int(top >= 1e4) + int(top >= 1e8)
+    words = np.empty((groups + 2, flat.size), np.uint32)
     np.multiply(np.signbit(flat), _MINUS32, out=words[0])
-    words[1:4] = _integer(whole)
-    words[4] = _CENTS.take(cents, mode="clip")
+    words[1:-1] = _integer(whole, groups)
+    words[-1] = _CENTS.take(cents, mode="clip")
     return _cells(words, x, "%.2f", ok, sep)
 
 

@@ -152,8 +152,8 @@ def battery(surf, fam) -> dict:
         # admissibility + branch smoothness of the signed root: a wrong
         # branch (e.g. |.| of a sign-changing root) kinks, so its second
         # divided differences keep growing under mesh refinement
-        rep_c = reparam.validate(spec, fam.lattice, n=2001)
-        rep_f = reparam.validate(spec, fam.lattice, n=4001)
+        rep_c, rep_f = reparam.validate(spec, fam.lattice, n=4001,
+                                        coarse=True)
         values["reparam_admissible"] = 0.0 if rep_f.ok else 1.0
         values["root_consistency"] = rep_f.root_residual
         # floor the denominator so roundoff-level dd2 (constant w) passes

@@ -1149,9 +1149,11 @@ def test_battery_catches_wrong_root_branch(crit032):
     assert good["root_branch_smoothness"]["pass"]
     assert good["root_consistency"]["pass"]
 
-    orig = spec.signed_root
-    bad_spec = dataclasses.replace(
-        spec, signed_root=lambda v: np.abs(np.asarray(orig(v))))
+    def kinked(v):
+        w, wp, root = spec.planes(v)
+        return w, wp, np.abs(np.asarray(root))
+
+    bad_spec = dataclasses.replace(spec, planes=kinked)
     bad = _battery(surface.build(dataclasses.replace(recipe, spec=bad_spec)),
                    crit032)
     assert not bad["root_branch_smoothness"]["pass"]

@@ -298,3 +298,37 @@ def test_brentq_endpoint_roots_and_tolerance():
     root = elliptic.brentq(lambda x: x * x - 2, 0.0, 2.0, xtol=1e-14,
                            rtol=8.9e-16)
     assert abs(root - math.sqrt(2)) < 1e-14
+
+
+def _real_outcome(z, what="z"):
+    try:
+        return elliptic._real(z, what, SpecInvalid)
+    except SpecInvalid as exc:
+        return type(exc), str(exc)
+
+
+def test_real_scalar_path_matches_the_array_path():
+    """A number and the 0-d array of it give _real the same value, or the
+    same error type and message: on both sides of the tolerance, at |z|
+    around 1, for NaN, infinities and magnitudes whose |z| overflows."""
+    tol = elliptic._REAL_TOL
+    rng = np.random.default_rng(41)
+    nan, inf = float("nan"), float("inf")
+    values = [0.0, -0.0, 1.0, 0.5 + 0.9e-9j, 0.5 + 1.1e-9j, 3.0 + 2.9e-9j,
+              3.0 + 3.1e-9j, 1.0 + tol * 1j, complex(nan, 0.0),
+              complex(0.0, nan), complex(nan, 1.0), complex(1.0, nan),
+              complex(inf, 0.0), complex(inf, 1.0), complex(1.0, inf),
+              complex(1.7e308, 1.7e308), complex(1.7e308, 1e299), -2.5, 3, True]
+    values += list(rng.normal(size=50) * 10.0 ** rng.integers(-5, 5, 50)
+                   * (1 + 1j * tol * rng.uniform(0, 2, 50)))
+    values += [np.float64(0.25), np.complex128(1 + 2j), np.float32(0.1),
+               np.int64(-4), np.complex64(0.5 + 0.5j)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in values:
+            want = _real_outcome(np.asarray(z))
+            got = _real_outcome(z)
+            assert type(got) is type(want)
+            if isinstance(want, float):
+                assert got == want or (math.isnan(got) and math.isnan(want))
+            else:
+                assert got == want

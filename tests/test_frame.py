@@ -321,8 +321,12 @@ def test_refinement_is_local(crit032):
     dozen extra steps, not by refining the whole period."""
     spec = reparam.build_spherical(
         reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
-    kinked = dataclasses.replace(
-        spec, signed_root=lambda v: np.abs(np.asarray(spec.signed_root(v))))
+
+    def abs_root(v):
+        w, wp, root = spec.planes(v)
+        return w, wp, np.abs(np.asarray(root))
+
+    kinked = dataclasses.replace(spec, planes=abs_root)
     smooth = frame.integrate(spec, crit032).stats
     stats = frame.integrate(kinked, crit032).stats
     assert stats["n_rejected"] > smooth["n_rejected"]
@@ -333,9 +337,12 @@ def test_nan_signed_root_raises_step_failure(crit032, torus_spec):
     """A root that turns NaN beyond the first period (which validation
     samples) stops the integration at once without large allocations."""
     V = torus_spec.period
-    nan_late = dataclasses.replace(
-        torus_spec, signed_root=lambda v: np.where(
-            np.asarray(v) > 1.5 * V, np.nan, torus_spec.signed_root(v)))
+
+    def nan_root(v):
+        w, wp, root = torus_spec.planes(v)
+        return w, wp, np.where(np.asarray(v) > 1.5 * V, np.nan, root)
+
+    nan_late = dataclasses.replace(torus_spec, planes=nan_root)
     tracemalloc.start()
     try:
         with pytest.raises(StepFailure):
@@ -469,3 +476,26 @@ def test_close_torus_bracket_respects_admissibility():
     assert abs(achieved - 2 * np.pi / 3) < 1e-9
     assert spec.meta["amplitude"] <= 5.0 / (2 * np.pi)
     assert reparam.validate(spec, crit.lattice).ok
+
+
+def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
+                                                           monkeypatch):
+    """Each generator call of a spherical frame integration folds v and
+    searches the spline knots once, for w and the signed root together;
+    the one search more is the admissibility check's."""
+    searches, calls = [], []
+    searchsorted, coefficient = np.searchsorted, frame._coefficient
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return searchsorted(*args, **kwargs)
+
+    def counted_coefficient(*args):
+        calls.append(1)
+        return coefficient(*args)
+
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    monkeypatch.setattr(frame, "_coefficient", counted_coefficient)
+    frame.integrate(sph_spec, crit032)
+    assert len(calls) > 1
+    assert len(searches) == len(calls) + 1

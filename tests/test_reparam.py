@@ -246,8 +246,9 @@ def test_cubic_hermite_matches_scipy():
 
 
 def test_spherical_splines_match_scipy(crit032, monkeypatch):
-    """build_spherical's two interpolants equal CubicHermiteSpline on the
-    same knot data, at the fold points 0 and V/2 and in between."""
+    """build_spherical's two interpolants (one cubic_hermite on the knots
+    of both) equal CubicHermiteSpline on the same knot data, at the fold
+    points 0 and V/2 and in between."""
     interpolate = pytest.importorskip("scipy.interpolate")
     data = []
     cubic_hermite = reparam.cubic_hermite
@@ -260,13 +261,182 @@ def test_spherical_splines_match_scipy(crit032, monkeypatch):
     spec = reparam.build_spherical(
         reparam.SphericalSpec(delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j),
         crit032)
-    (sx, sy, sd), (wx, wy, wd) = data
-    s_ref = interpolate.CubicHermiteSpline(sx, sy, sd)
-    w_ref = interpolate.CubicHermiteSpline(wx, wy, wd)
+    (x, (sy, wy), (sd, wd)), = data
+    s_ref = interpolate.CubicHermiteSpline(x, sy, sd)
+    w_ref = interpolate.CubicHermiteSpline(x, wy, wd)
     half = spec.period / 2
-    assert sx[0] == 0.0 and sx[-1] == half
+    assert x[0] == 0.0 and x[-1] == half
     v = np.concatenate([[0.0, half], RNG.uniform(0.0, half, 500)])
     assert np.array_equal(spec.w(v), w_ref(v))
     assert spec.w(half) == w_ref(half) and spec.w(0.0) == w_ref(0.0)
     s_a, s_b = spec.meta["s_range"]
     assert np.array_equal(spec.meta["s_of_v"](v), np.clip(s_ref(v), s_a, s_b))
+
+
+def test_cubic_hermite_rows_equal_each_row_alone():
+    """Curves stacked on one set of knots share a knot search and give
+    each curve's own values bit for bit, for scalars and arrays."""
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 1601):
+        x, y, d = _random_knots(rng, n)
+        y2, d2 = rng.normal(size=n), rng.normal(size=n) * 5
+        both = reparam.cubic_hermite(x, [y, y2], [d, d2])
+        q = np.concatenate([rng.uniform(x[0] - 1, x[-1] + 1, 300), x[[0, -1]]])
+        for xq in (q, q.reshape(2, -1), x[0], float(q[7])):
+            got = both(xq)
+            assert got.shape == (2,) + np.shape(xq)
+            assert np.array_equal(got[0], reparam.cubic_hermite(x, y, d)(xq))
+            assert np.array_equal(got[1], reparam.cubic_hermite(x, y2, d2)(xq))
+
+
+def _recorded_spherical(sph, crit, monkeypatch):
+    """build_spherical(sph, crit) and the knot data it gave cubic_hermite."""
+    data = []
+    cubic_hermite = reparam.cubic_hermite
+
+    def recording(x, y, dydx):
+        data.append((x, y, dydx))
+        return cubic_hermite(x, y, dydx)
+
+    monkeypatch.setattr(reparam, "cubic_hermite", recording)
+    spec = reparam.build_spherical(sph, crit)
+    monkeypatch.undo()
+    (knots,) = data
+    return spec, knots
+
+
+def _closure_oracles(spec, crit, knots):
+    """w, wprime and signed_root as build_spherical made them before the
+    spec had one evaluator: three closures, each folding v and searching
+    the knots on its own, with s and w on separate splines."""
+    x, (s_y, w_y), (s_d, w_d) = knots
+    s_spline = reparam.cubic_hermite(x, s_y, s_d)
+    w_spline = reparam.cubic_hermite(x, w_y, w_d)
+    sph = spec.meta["spec"]
+    s_a, s_b = spec.meta["s_range"]
+    delta, cub, period, half = float(sph.delta), crit.q3, spec.period, x[-1]
+    s1, s2 = complex(sph.s1), complex(sph.s2)
+    pair = np.array([1.0, -(s1 + s2).real, (s1 * s2).real])
+    quot = np.polydiv(np.array(sph.q_coeffs),
+                      np.polymul([1.0, -s_a], [-1.0, s_b]))[0]
+
+    def q_of(s):
+        return (np.clip(s - s_a, 0.0, None) * np.clip(s_b - s, 0.0, None)
+                * np.polyval(quot, s))
+
+    def fold(v):
+        vv = np.mod(np.asarray(v, dtype=float), period)
+        mirrored = vv > half
+        return np.where(mirrored, period - vv, vv), mirrored
+
+    def s_of(v):
+        return np.clip(s_spline(fold(v)[0]), s_a, s_b)
+
+    def w(v):
+        out = w_spline(fold(v)[0])
+        return float(out) if np.isscalar(v) else out
+
+    def wprime(v):
+        s = s_of(v)
+        mag = np.sqrt(q_of(s)) / (abs(delta) * np.sqrt(cub(s)))
+        out = np.where(fold(v)[1], -mag, mag)
+        return float(out) if np.isscalar(v) else out
+
+    def signed_root(v):
+        s = s_of(v)
+        out = np.polyval(pair, s) / (delta * np.sqrt(cub(s)))
+        return float(out) if np.isscalar(v) else out
+
+    return w, wprime, signed_root
+
+
+def _probe_vs(period, rng):
+    """Scalars and arrays of v: the fold points, the mirrored half, v past
+    one period and below zero."""
+    half = period / 2
+    inside = rng.uniform(0.0, period, 400)
+    arrays = [inside, rng.uniform(half, period, 100),
+              inside + 3 * period, -inside, inside.reshape(20, 20),
+              np.array([0.0, half, period, 2 * period])]
+    scalars = [0.0, half, period, 1.3 * period, -0.2 * period,
+               float(inside[0]), np.float64(inside[1]), 7, np.array(0.4 * period)]
+    return arrays, scalars
+
+
+@pytest.mark.parametrize("s1, s2, delta", [(0.45 + 0.25j, 0.45 - 0.25j, 0.5),
+                                           (0.5, 0.9, 0.4)])
+def test_spherical_planes_match_the_per_quantity_closures(crit032, monkeypatch,
+                                                          s1, s2, delta):
+    """planes(v) gives w, w' and the signed root bit for bit as the three
+    closures that each folded v and searched the knots did, with the same
+    types (a float for a number), on a conjugate and a real pair."""
+    spec, knots = _recorded_spherical(
+        reparam.SphericalSpec(delta=delta, s1=s1, s2=s2), crit032, monkeypatch)
+    oracles = _closure_oracles(spec, crit032, knots)
+    arrays, scalars = _probe_vs(spec.period, np.random.default_rng(5))
+    for v in arrays + scalars:
+        got = spec.planes(v)
+        for value, projection, oracle in zip(
+                got, (spec.w, spec.wprime, spec.signed_root), oracles):
+            want = oracle(v)
+            assert type(value) is type(want)
+            assert np.shape(value) == np.shape(want)
+            assert np.array_equal(value, want)
+            assert np.array_equal(projection(v), want)
+
+
+def test_analytic_planes_match_the_per_quantity_closures():
+    """The analytic planes take sin and cos once and equal the closures
+    w, w' and sqrt(clip(1 - w'^2)) bit for bit."""
+    mean, amp, period = 1.0053, 0.35, 6.0
+    spec = reparam.analytic(mean, amp, period)
+    freq = 2 * np.pi / period
+
+    def w(v):
+        return mean + amp * np.sin(freq * np.asarray(v, dtype=float))
+
+    def wprime(v):
+        return amp * freq * np.cos(freq * np.asarray(v, dtype=float))
+
+    def signed_root(v):
+        return np.sqrt(np.clip(1.0 - wprime(v) ** 2, 0.0, None))
+
+    arrays, scalars = _probe_vs(period, np.random.default_rng(6))
+    for v in arrays + scalars:
+        for value, oracle in zip(spec.planes(v), (w, wprime, signed_root)):
+            want = oracle(v)
+            assert type(value) is type(want)
+            assert np.array_equal(value, want)
+
+
+def test_coarse_samples_are_every_other_fine_sample():
+    """np.linspace(0, V, 2001) is np.linspace(0, V, 4001)[::2] bit for bit,
+    which the one-evaluation validation pair relies on."""
+    rng = np.random.default_rng(17)
+    periods = np.concatenate([rng.uniform(0.1, 50.0, 2000),
+                              np.exp(rng.uniform(-20, 20, 2000)),
+                              [1.0, 2 * np.pi, 6.0, 1e-300, 1e300]])
+    for period in periods:
+        assert np.array_equal(np.linspace(0.0, period, 2001),
+                              np.linspace(0.0, period, 4001)[::2])
+
+
+@pytest.mark.parametrize("which", ["analytic", "constant", "conjugate",
+                                   "real", "steep"])
+def test_validate_pair_equals_two_calls(crit032, lat032, which):
+    """validate(..., coarse=True) returns, from one evaluation on 4001
+    samples, the reports of the separate calls at n = 2001 and n = 4001,
+    field for field."""
+    band = 2 * np.pi * lat032.lam
+    spec = {
+        "analytic": lambda: reparam.analytic(band / 2, 0.3, 5.0),
+        "constant": lambda: reparam.constant(band / 2),
+        "conjugate": lambda: reparam.build_spherical(reparam.SphericalSpec(
+            delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit032),
+        "real": lambda: reparam.build_spherical(reparam.SphericalSpec(
+            delta=0.4, s1=0.5, s2=0.9), crit032),
+        "steep": lambda: reparam.analytic(band / 2, 2.0, 2 * np.pi),
+    }[which]()
+    coarse, fine = reparam.validate(spec, lat032, n=4001, coarse=True)
+    assert coarse == reparam.validate(spec, lat032, n=2001)
+    assert fine == reparam.validate(spec, lat032, n=4001)

@@ -285,3 +285,19 @@ def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
     assert len(at_samples) == 1
     assert np.shape(at_samples[0]) == (len(samples),)
     assert len(c1_calls) == 1
+
+
+def test_cone_point_matches_a_loop_over_columns(sph_surf, crit032):
+    """The batched plane fit of cone_point equals one mean and one SVD per
+    v-column, bit for bit."""
+    samples = spherical.sphere_centers(sph_surf, crit032)
+    b_point, worst = spherical.cone_point(sph_surf, samples)
+    _, _, b_ref = spherical.collinearity(samples)
+    ref = 0.0
+    for j in range(sph_surf.points.shape[1]):
+        pts = sph_surf.points[:, j, :]
+        mean = np.mean(pts, axis=0)
+        _, _, vt = np.linalg.svd(pts - mean, full_matrices=False)
+        ref = max(ref, abs(float(np.dot(b_ref - mean, vt[2]))))
+    assert np.array_equal(b_point, b_ref)
+    assert worst == ref and ref > 0

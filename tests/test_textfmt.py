@@ -148,3 +148,22 @@ def test_readme_curves_take_the_fast_path(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert sum(cells) == 4097 * (1 + 5 * 6)   # u once, six columns per curve
     assert sum(slow) <= 1e-3 * sum(cells)
+
+
+def test_f2_spells_only_the_groups_its_values_need():
+    """'%.2f' cells take one 4-digit integer group below 1e4, two below 1e8
+    and three above, counting only the fast path's values, and stay byte
+    for byte Python's % at every group boundary."""
+    edges = np.array([9999.994, 9999.995, 1e4, 99999999.994, 99999999.995,
+                      1e8, 0.004, 0.005])
+    for top, groups in [(9999.99, 1), (10000.0, 2), (99999999.99, 2),
+                        (1e8, 3), (9e9, 3)]:
+        x = np.array([0.0, -1.5, top, -top])
+        assert len(textfmt.f2(x)) == groups + 2
+        _assert_matches(x)
+    # a value that the slow path spells adds no group
+    assert len(textfmt.f2(np.array([1.5, np.nan, -np.inf]))) == 3
+    _assert_matches(np.concatenate([_ulps(edges, 2), -_ulps(edges, 2),
+                                    [np.nan, np.inf, 1e15, 123.456]]))
+    rng = np.random.default_rng(3)
+    _assert_matches(rng.uniform(-1e4, 1e4, 100000))
