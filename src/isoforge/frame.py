@@ -132,7 +132,7 @@ class Matrices2:
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10
 _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
 # generator points per call: a round of each benchmarked integration is one
-# call, and its temporaries stay below those of a surface.fields_at block
+# call, of half the points of a full surface.fields_at block (_BLOCK_POINTS)
 _MAX_POINTS = 4096
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 

@@ -60,13 +60,6 @@ def qinv(a):
     return qconj(a) / n2[..., None]
 
 
-def qnormalize(a):
-    n = np.sqrt(qnorm2(a))
-    if np.any(n == 0):
-        raise ZeroQuaternion("cannot normalize the zero quaternion")
-    return np.asarray(a, dtype=float) / n[..., None]
-
-
 def qsandwich(q, v):
     """q^{-1} X q on vector arrays X (..., 3); broadcasts q against v."""
     q = np.asarray(q, dtype=float)
@@ -92,16 +85,3 @@ def qrotation(q):
             (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z))
     m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
     return m / n2[..., None, None]
-
-
-def qexp_k(angle):
-    """exp(angle * k) as a quaternion array."""
-    angle = np.asarray(angle, dtype=float)
-    z = np.zeros_like(angle)
-    return np.stack([np.cos(angle), z, z, np.sin(angle)], axis=-1)
-
-
-def cj(z):
-    """(a + b i) j = a j + b k as a vector array; z complex array -> (..., 3)."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([np.zeros(z.shape), z.real, z.imag], axis=-1)

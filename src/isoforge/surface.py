@@ -8,19 +8,25 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
     n   =     Phi^{-1} ( w' i - sqrt(1-w'^2) e^{i sigma} k ) Phi,
 
 where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates the
-fields its caller names on a (u, v) grid in blocks of whole v columns of
-at most _BLOCK_POINTS points: one `curvefamily.CurveGrid` on u x w(block),
-built for the closed forms those fields read (points: gamma; fu, fv:
-e^h and e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta arrays come
-from one `theta.theta_tensor` call with the truncation bound of the
-theta series.  The blocks keep the theta temporaries bounded, and the
-frame acts through one 3x3 rotation matrix per column
+fields its caller names on a (u, v) grid in blocks of whole v columns: the
+fewest blocks of at most _BLOCK_POINTS points, their widths differing by at
+most one (np.array_split's rule), so a 128 x 129 display grid runs as three
+blocks of 43 columns.  Each block is one `curvefamily.CurveGrid` on
+u x w(block), built for the closed forms its fields read (points: gamma;
+fu, fv: e^h and e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta
+arrays come from one `theta.theta_tensor` call with the truncation bound
+of the theta series.  The blocks keep the theta temporaries bounded, and
+the frame acts through one 3x3 rotation matrix per column
 (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
 Phi^{-1} k Phi).  Each vector field is stored as component planes: one
 C-contiguous (3, nu, nv) array of its x, y and z grids, assembled plane by
-plane and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1).
-Sums and norms over xyz then add three contiguous planes, and elementwise
-results keep the layout; reshape(-1, 3) of such a view copies.
+plane and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1);
+elementwise results keep the layout, and reshape(-1, 3) of such a view
+copies.  Every norm and dot product over xyz (`_norm`, `_dot`) adds the
+three planes: bit for bit the values of numpy's 3-wide reduce, at a
+fraction of its time on C-ordered grids (0.1 against 0.4 ms at
+128 x 129) and on the battery's fresh temporaries, where
+np.linalg.norm's own (..., 3) temporaries cost most.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
 (planes tangent to a cylinder) instead, assembled from the limit data
@@ -73,9 +79,28 @@ class SampledSurface:
 
 
 # grid points per block of whole v columns in fields_at (one column when
-# nu is larger): bounds the theta and field temporaries, like the frame
-# integrator's bound of points per generator call
-_BLOCK_POINTS = 4096
+# nu is larger).  Each block pays a fixed cost for its CurveGrid (the theta
+# call and the forms, about half of a one-column call's 0.3 to 0.6 ms), so
+# display-size grids want few blocks; but beyond about 8k points the cost
+# per point rises again (a cache knee).  On a 128 x 129 grid, three blocks
+# of 43 columns ran faster than five, two or one.
+_BLOCK_POINTS = 8192
+
+
+def _norm(x):
+    """|x| over the last axis of a (..., 3) grid, from its x, y and z
+    planes: bit for bit np.linalg.norm(x, axis=-1), whose 3-wide reduce
+    also adds the squares left to right."""
+    x0, x1, x2 = np.moveaxis(x, -1, 0)
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def _dot(x, y):
+    """x . y over the last axis of (..., 3) grids, broadcasting, from
+    their planes: bit for bit np.sum(x * y, axis=-1), whose reduce starts
+    from +0.0 (so three products of -0.0 sum to +0.0 here too)."""
+    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    return x0 * y0 + x1 * y1 + x2 * y2 + 0.0
 
 
 # the fields of fields_at and the CurveGrid forms each one reads
@@ -115,9 +140,13 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
     planes = {name: np.empty((3, nu, nv)) for name in names
               if name != "expH"}
     eh = np.empty((nu, nv)) if "expH" in names else None
-    step = max(1, _BLOCK_POINTS // max(nu, 1))
-    for lo in range(0, nv, step):
-        cols = slice(lo, lo + step)
+    # the fewest blocks of at most _BLOCK_POINTS points, the first
+    # nv % nblocks of them one column wider (np.array_split's widths)
+    nblocks = -(-nv // max(1, _BLOCK_POINTS // max(nu, 1)))
+    width, wider = divmod(nv, max(nblocks, 1))
+    edges = np.cumsum([0] + [width + 1] * wider + [width] * (nblocks - wider))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cols = slice(lo, hi)
         grid = curvefamily.CurveGrid(u, w_arr[cols], fam, forms=forms)
         gam, eis, eh_c = (getattr(grid, f) if f in forms else None
                           for f in ("gamma", "exp_isigma", "exp_h"))
@@ -155,14 +184,13 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
 
     eh = f["expH"]
     fu, fv, nrm = f["fu"], f["fv"], f["n"]
-    dots = np.sum(fu * fv, axis=-1)
     diagnostics = {
-        "orthogonality": float(np.max(np.abs(dots)) / np.max(eh ** 2)),
-        "conformality_u": float(np.max(np.abs(np.linalg.norm(fu, axis=-1) - eh) / eh)),
-        "conformality_v": float(np.max(np.abs(np.linalg.norm(fv, axis=-1) - eh) / eh)),
-        "normal_unit": float(np.max(np.abs(np.linalg.norm(nrm, axis=-1) - 1.0))),
-        "normal_tangency": float(max(np.max(np.abs(np.sum(fu * nrm, axis=-1))),
-                                     np.max(np.abs(np.sum(fv * nrm, axis=-1))))
+        "orthogonality": float(np.max(np.abs(_dot(fu, fv))) / np.max(eh ** 2)),
+        "conformality_u": float(np.max(np.abs(_norm(fu) - eh) / eh)),
+        "conformality_v": float(np.max(np.abs(_norm(fv) - eh) / eh)),
+        "normal_unit": float(np.max(np.abs(_norm(nrm) - 1.0))),
+        "normal_tangency": float(max(np.max(np.abs(_dot(fu, nrm))),
+                                     np.max(np.abs(_dot(fv, nrm))))
                                  / np.max(eh)),
         "frame": traj.stats,
     }
@@ -217,20 +245,25 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
                    + curvefamily.limit_r(w_arr, fam))
 
     def vec(g, plane):
-        """Im(g) k plus the (i, j)-plane vector x + i y = plane, in which
-        j e^{2 a k} is i E and i e^{2 a k} is E."""
-        return np.stack([plane.real, plane.imag, g.imag], axis=-1)
+        """The xyz planes (3, nu, nv) of Im(g) k plus the (i, j)-plane
+        vector x + i y = plane, in which j e^{2 a k} is i E and i e^{2 a k}
+        is E."""
+        return np.stack([plane.real, plane.imag, g.imag])
 
     points = vec(gh, 1j * E * gh.real + T)
     fu = vec(ghu, 1j * E * ghu.real)
     fv = vec(gv, 1j * E * gv.real + E * turn)
-    cross = np.cross(fu, fv)
-    nrm = cross / np.linalg.norm(cross, axis=-1, keepdims=True)
-    eh = np.linalg.norm(fu, axis=-1)
+    # np.cross(fu, fv), plane by plane: the same products and differences
+    cross = np.stack([fu[1] * fv[2] - fu[2] * fv[1],
+                      fu[2] * fv[0] - fu[0] * fv[2],
+                      fu[0] * fv[1] - fu[1] * fv[0]])
+    nrm = cross / _norm(np.moveaxis(cross, 0, -1))
+    points, fu, fv, nrm = (np.moveaxis(p, 0, -1) for p in (points, fu, fv, nrm))
+    eh = _norm(fu)
 
     diagnostics = {
-        "orthogonality": float(np.max(np.abs(np.sum(fu * fv, axis=-1))) / np.max(eh ** 2)),
-        "conformality": float(np.max(np.abs(np.linalg.norm(fv, axis=-1) - eh) / eh)),
+        "orthogonality": float(np.max(np.abs(_dot(fu, fv))) / np.max(eh ** 2)),
+        "conformality": float(np.max(np.abs(_norm(fv) - eh) / eh)),
     }
     return SampledSurface(u=u, v=v, points=points, fu=fu, fv=fv, n=nrm,
                           expH=eh, phi=None, recipe=recipe,
@@ -363,8 +396,8 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
 
         # k1 on (u-probe, v-shift [-h, 0, +h], v-probe), k2 on
         # (u-shift [-h, 0, +h], u-probe, v-probe)
-        k1 = np.sum(d(fu[:, :, sh]) * nrm[0][:, sh], axis=-1) / e2h[0][:, sh]
-        k2 = (np.sum(d(np.moveaxis(fv[sh], 2, 0)) * nrm[sh][:, :, 0], axis=-1)
+        k1 = _dot(d(fu[:, :, sh]), nrm[0][:, sh]) / e2h[0][:, sh]
+        k2 = (_dot(d(np.moveaxis(fv[sh], 2, 0)), nrm[sh][:, :, 0])
               / e2h[sh][:, :, 0])
         k1c, k2c = k1[:, 1], k2[1]
         k1_v = (k1[:, 2] - k1[:, 0]) / (2 * h)
@@ -398,10 +431,9 @@ def planarity_certificate(s: SampledSurface, tol: float = 1e-8) -> PlanarityRepo
     q = pts - np.mean(pts, axis=1, keepdims=True)
     _, _, vt = np.linalg.svd(q, full_matrices=False)   # one SVD per column
     m = vt[:, -1]                                      # (nv, 3) plane normals
-    diam = 2 * np.max(np.linalg.norm(q, axis=2), axis=1)
-    dev = float(np.max(np.max(np.abs(np.sum(q * m[:, None], axis=-1)), axis=1)
-                       / diam))
-    cosang = np.sum(s.n * m[None], axis=-1)            # (nu, nv)
+    diam = 2 * np.max(_norm(q), axis=1)
+    dev = float(np.max(np.max(np.abs(_dot(q, m[:, None])), axis=1) / diam))
+    cosang = _dot(s.n, m[None])                        # (nu, nv)
     ang = float(np.max(np.std(cosang, axis=0)))
     normals = np.where(m[:, 2:] >= 0, m, -m)
     sv = np.linalg.svd(normals, compute_uv=False)
@@ -429,15 +461,14 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     R = fam.R
     f2 = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi, ("points",))
     f = s.points
-    inv = R ** 2 * f / np.sum(f * f, axis=-1, keepdims=True)
-    res_inv = float(np.max(np.linalg.norm(inv - f2["points"], axis=-1)))
+    inv = R ** 2 * f / _dot(f, f)[..., None]
+    res_inv = float(np.max(_norm(inv - f2["points"])))
 
     row = fields_at(fam, spec, [fam.omega], s.v, s.phi, ("points", "fu"))
     fom = row["points"][0]
-    sphere = float(np.max(np.abs(np.linalg.norm(fom, axis=-1) - abs(R))))
+    sphere = float(np.max(np.abs(_norm(fom) - abs(R))))
     fuom = row["fu"][0]
-    par = float(np.max(np.linalg.norm(
-        fom / R + fuom / np.linalg.norm(fuom, axis=-1, keepdims=True), axis=-1)))
+    par = float(np.max(_norm(fom / R + fuom / _norm(fuom)[..., None])))
     residuals = {"involution": res_inv, "involution_rel": res_inv / abs(R),
                  "omega_sphere": sphere, "omega_parallel": par}
     ok = res_inv < 1e-8 * abs(R) and sphere < 1e-9 and par < 1e-9
@@ -465,18 +496,16 @@ def dual_symmetry(s: SampledSurface,
     fam = s.recipe.fam
     shifted = fields_at(fam, spec, np.pi - s.u, s.v, s.phi, ("fu", "fv"))
     e2h = s.expH[..., None] ** 2
-    res_u = float(np.max(np.linalg.norm(shifted["fu"] - s.fu / e2h, axis=-1))
-                  / np.max(s.expH))
-    res_v = float(np.max(np.linalg.norm(shifted["fv"] - s.fv / e2h, axis=-1))
-                  / np.max(s.expH))
+    res_u = float(np.max(_norm(shifted["fu"] - s.fu / e2h)) / np.max(s.expH))
+    res_v = float(np.max(_norm(shifted["fv"] - s.fv / e2h)) / np.max(s.expH))
 
     # double dual: the dual surface's dual one-form must equal df
     eh_star = 1.0 / s.expH
     fu_star = shifted["fu"]
     fv_star = -shifted["fv"]
     res_dd = float(max(
-        np.max(np.linalg.norm(fu_star / eh_star[..., None] ** 2 - s.fu, axis=-1)),
-        np.max(np.linalg.norm(-fv_star / eh_star[..., None] ** 2 - s.fv, axis=-1)),
+        np.max(_norm(fu_star / eh_star[..., None] ** 2 - s.fu)),
+        np.max(_norm(-fv_star / eh_star[..., None] ** 2 - s.fv)),
     ) / np.max(s.expH))
 
     # closedness of the dual one-form around one grid cell (quadrature loop)

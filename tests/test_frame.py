@@ -370,7 +370,8 @@ def test_integrate_rejects_inadmissible_spec(crit032, lat032):
 def test_monodromy_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(5):
-        m = quat.qnormalize(rng.normal(size=4))
+        q = rng.normal(size=4)
+        m = q / np.sqrt(quat.qnorm2(q))
         traj = frame.FrameTrajectory(v=np.array([0.0, 1.0]),
                                      phi=np.array([[1, 0, 0, 0], m]),
                                      stats={})

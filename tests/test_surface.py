@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoforge import curvefamily, elliptic, frame, quat, reparam, surface, theta
 from isoforge.errors import SpecInvalid
@@ -62,6 +63,12 @@ def test_fv_matches_fd_in_v(torus_surf, crit032):
     assert np.max(np.abs(fd - f["fv"][:, 1])) < 1e-6
 
 
+def _cj(z):
+    """(a + b i) j = a j + b k as a vector array (..., 3)."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([np.zeros(z.shape), z.real, z.imag], axis=-1)
+
+
 def _fields_by_column(fam, spec, u, v, phi):
     """Reference: one v column at a time, scalar w, quaternion sandwiches."""
     out = {k: [] for k in ("points", "fu", "fv", "n", "expH")}
@@ -72,20 +79,21 @@ def _fields_by_column(fam, spec, u, v, phi):
         eis = curvefamily.exp_isigma(u, w, fam)
         eh = curvefamily.exp_h(u, w, fam)
         zk = np.stack([np.zeros(len(u)), -eis.imag, eis.real], axis=-1)
-        out["points"].append(quat.qsandwich(phi[j], quat.cj(gam)))
-        out["fu"].append(eh[:, None] * quat.qsandwich(phi[j], quat.cj(eis)))
+        out["points"].append(quat.qsandwich(phi[j], _cj(gam)))
+        out["fu"].append(eh[:, None] * quat.qsandwich(phi[j], _cj(eis)))
         out["fv"].append(eh[:, None] * quat.qsandwich(phi[j], root * ivec + wp * zk))
         out["n"].append(quat.qsandwich(phi[j], wp * ivec - root * zk))
         out["expH"].append(eh)
     return {k: np.stack(val, axis=1) for k, val in out.items()}
 
 
-def test_grid_fields_match_column_loop(torus_surf, crit032):
-    """128 x 49 points span two blocks of columns."""
+def test_grid_fields_match_column_loop(torus_surf, crit032, theta_arrays):
+    """512 x 49 points span four blocks of columns, 13, 12, 12 and 12
+    wide."""
     spec = torus_surf.recipe.spec
-    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
-    assert len(u) * len(torus_surf.v) > surface._BLOCK_POINTS
+    u = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
     got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
+    assert [b[1] for _, _, b in theta_arrays.calls] == [13, 12, 12, 12]
     want = _fields_by_column(crit032, spec, u, torus_surf.v, torus_surf.phi)
     assert set(got) == set(want)
     for name in want:
@@ -94,20 +102,52 @@ def test_grid_fields_match_column_loop(torus_surf, crit032):
         assert np.max(np.abs(got[name] - want[name])) < 1e-14 * scale, name
 
 
-def test_fields_at_grids_are_views_of_component_planes(torus_surf, crit032):
-    """Each (nu, nv, 3) field grid of fields_at, and so of build, is the
-    moveaxis view of one C-contiguous (3, nu, nv) array of xyz planes."""
+def test_fields_at_grids_are_views_of_component_planes(torus_surf, limit_surf,
+                                                       crit032):
+    """Each (nu, nv, 3) field grid of fields_at, and so of build, and of
+    the limit surface is the moveaxis view of one C-contiguous (3, nu, nv)
+    array of xyz planes."""
     spec = torus_surf.recipe.spec
-    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)  # two blocks
+    u = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)  # four blocks
     got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
     nv = len(torus_surf.v)
-    for fields, nu in ((got, 128), (vars(torus_surf), len(torus_surf.u))):
+    for fields, nu in ((got, 512), (vars(torus_surf), len(torus_surf.u)),
+                       (vars(limit_surf), len(limit_surf.u))):
         for name in ("points", "fu", "fv", "n"):
             grid = fields[name]
             planes = np.moveaxis(grid, -1, 0)
             assert grid.shape == (nu, nv, 3), name
             assert planes.flags.c_contiguous and not grid.flags.owndata, name
             assert planes.base is grid.base and grid.base.shape == (3, nu, nv)
+
+
+# scales of the components: zeros of both signs, subnormals, values whose
+# squares come near underflow and overflow (1e-150, 1e150), ordinary ones
+_scale = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-150, 1.0, 1e150,
+                          1e154])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 40)),
+       seed=st.integers(0, 2**32 - 1),
+       scales=st.lists(_scale, min_size=1, max_size=4, unique=True))
+def test_plane_norm_and_dot_match_numpy_bitwise(shape, seed, scales):
+    """surface._norm and _dot give np.linalg.norm(x, axis=-1) and
+    np.sum(x * y, axis=-1) bit for bit (the sign of a zero included), on
+    (..., 3) views of xyz planes, on C-ordered arrays, on a mix of both
+    and broadcast against one row."""
+    rng = np.random.default_rng(seed)
+    px, py = (rng.normal(size=(3,) + shape) * rng.choice(scales, (3,) + shape)
+              for _ in range(2))
+    views = np.moveaxis(px, 0, -1), np.moveaxis(py, 0, -1)
+    c_ordered = tuple(np.ascontiguousarray(a) for a in views)
+    for x, y in (views, c_ordered, (views[0], c_ordered[1]),
+                 (views[0], c_ordered[1][:1])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (surface._norm(x).tobytes()
+                    == np.linalg.norm(x, axis=-1).tobytes())
+            assert (surface._dot(x, y).tobytes()
+                    == np.sum(x * y, axis=-1).tobytes())
 
 
 def test_fields_at_memory_peak(crit032, torus_spec):
@@ -124,6 +164,23 @@ def test_fields_at_memory_peak(crit032, torus_spec):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_fields_at_splits_a_display_grid_into_balanced_blocks(crit032,
+                                                             torus_spec,
+                                                             theta_arrays):
+    """A 128 x 129 grid runs as ceil(16512 / _BLOCK_POINTS) blocks of
+    whole columns, one theta_tensor call each, whose widths differ by at
+    most one and each of which holds at most _BLOCK_POINTS points."""
+    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    v = np.linspace(0.0, torus_spec.period, 129)
+    phi = np.tile([1.0, 0.0, 0.0, 0.0], (len(v), 1))
+    surface.fields_at(crit032, torus_spec, u, v, phi)
+    assert len(theta_arrays.calls) == -(-128 * 129 // surface._BLOCK_POINTS)
+    assert {len_a for _, len_a, _ in theta_arrays.calls} == {128}
+    widths = [b[1] for _, _, b in theta_arrays.calls]
+    assert sum(widths) == 129 and max(widths) - min(widths) <= 1
+    assert 128 * max(widths) <= surface._BLOCK_POINTS
 
 
 def test_fields_at_block_evaluates_five_theta_arrays(torus_surf, crit032,
@@ -192,12 +249,13 @@ def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
     involution's points and its omega row's points and fu, the dual
     checks' fu/fv, fu/expH and fv/expH, the PDE stencil's fu, fv, n and
     expH, fv_vs_fd's points and fv) equals, bit for bit, the same arrays
-    of the full call, on a grid of two blocks whose second holds one
-    column."""
+    of the full call, on a grid of three blocks, 17, 16 and 16 columns
+    wide."""
     spec = torus_surf.recipe.spec
-    u = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
-    v, phi = torus_surf.v[:33], torus_surf.phi[:33]
-    assert len(v) % (surface._BLOCK_POINTS // len(u)) == 1
+    u = np.linspace(0.0, 2 * np.pi, 384, endpoint=False)
+    v, phi = torus_surf.v, torus_surf.phi
+    cols = surface._BLOCK_POINTS // len(u)
+    assert 2 * cols < len(v) <= 3 * cols and len(v) % 3 == 1
     full = surface.fields_at(crit032, spec, u, v, phi)
     assert tuple(full) == surface.FIELDS
     got = surface.fields_at(crit032, spec, u, v, phi, names)
