@@ -25,17 +25,15 @@ matrix products with one left factor per m0 of the series
 is built for, all in one call: one product on a rhombic lattice, where
 theta1 and td = theta2 both have m0 = 1, two on a rectangular one.  The
 products sum the terms of `theta_grid`, so its truncation bound certifies
-them.  The functions of the same names are one-call wrappers around a
-grid built for their one form.  The rotation coefficient of the curve at
-w is
+them.  The rotation coefficient of the curve at w is
 
     W1(w) = i th1'(0) td(om - i w) / (2 td(om) th1(i w)) * e^{i w c}.
 
 At the critical omega of a rhombic lattice c = 0 and gamma becomes
 2*pi-periodic in u (closed curves).  The curves live in the band w in
-(0, 2*pi*lam); gamma, gamma_u and (h + i sigma)_u are also allowed at
-mirrored negative w so the conjugation symmetry
-conj(gamma(u, w)) = -gamma(u, -w) can be checked.
+(0, 2*pi*lam); a grid built with mirrored=True also allows mirrored
+negative w, so the conjugation symmetry conj(gamma(u, w)) = -gamma(u, -w)
+can be checked.
 
 In hyperbolic standardization the curves are area-constrained quasiperiodic
 hyperbolic elastica: with hyperbolic speed a = 2|W1| (so arclength s = a*u),
@@ -242,27 +240,6 @@ class CurveGrid:
         return self._out(np.imag(self._dlog) / (2 * abs(W1)) + np.real(q), float)
 
 
-def gamma(u, w, fam: Family):
-    """The planar curve gamma(u, w) on the grid u x w (see `CurveGrid`)."""
-    return CurveGrid(u, w, fam, mirrored=True, forms=("gamma",)).gamma
-
-
-def gamma_u(u, w, fam: Family):
-    """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}, by the closed form,
-    on the grid u x w."""
-    return CurveGrid(u, w, fam, mirrored=True, forms=("gamma_u",)).gamma_u
-
-
-def exp_h(u, w, fam: Family):
-    """Metric factor e^{h(u,w)} (positive real) on the grid u x w."""
-    return CurveGrid(u, w, fam, forms=("exp_h",)).exp_h
-
-
-def exp_isigma(u, w, fam: Family):
-    """Unitary factor e^{i sigma(u,w)} of gamma_u on the grid u x w."""
-    return CurveGrid(u, w, fam, forms=("exp_isigma",)).exp_isigma
-
-
 def w1(w, fam: Family):
     """Infinitesimal rotation coefficient W1(w); W(w) = conj(W1(w)).
 
@@ -280,13 +257,6 @@ def w1(w, fam: Family):
            / (2 * fam.td * den))
     val = val * np.exp(1j * warr * fam.c)
     return complex(val) if val.ndim == 0 else val
-
-
-def dlog_gamma_u(u, w, fam: Family):
-    """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives, on the
-    grid u x w."""
-    grid = CurveGrid(u, w, fam, mirrored=True, forms=("dlog_gamma_u",))
-    return grid.dlog_gamma_u
 
 
 def dlog_w1(w, fam: Family):
@@ -315,7 +285,7 @@ def _standardizing_rotation(W1) -> complex:
 def hyperbolic_standardize(us, w: float, fam):
     """Rotate gamma(., w) so its rotation axis is the ideal boundary of H^2."""
     rot = _standardizing_rotation(w1(w, fam))
-    return rot * np.asarray(gamma(np.asarray(us, dtype=float), w, fam))
+    return rot * CurveGrid(us, w, fam, forms=("gamma",)).gamma
 
 
 def hyperbolic_speed(us, w: float, fam):
@@ -323,11 +293,6 @@ def hyperbolic_speed(us, w: float, fam):
     rot = _standardizing_rotation(w1(w, fam))
     grid = CurveGrid(np.asarray(us, dtype=float), w, fam)
     return np.abs(rot * grid.gamma_u) / np.imag(rot * grid.gamma)
-
-
-def kappa_hyp(u, w: float, fam):
-    """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized curve."""
-    return CurveGrid(u, w, fam, forms=("kappa_hyp",)).kappa_hyp
 
 
 def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> ElasticaConstants:
@@ -343,7 +308,7 @@ def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> 
     us = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
 
     def q_of(u):
-        return rot * exp_isigma(u, w, fam)
+        return rot * CurveGrid(u, w, fam, forms=("exp_isigma",)).exp_isigma
 
     q = q_of(us)
     # fourth-order central stencil: the quartic residual is quadratic in the

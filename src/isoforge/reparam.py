@@ -389,8 +389,6 @@ def build_spherical(spec: SphericalSpec, crit: Family,
         meta={
             "spec": filled,
             "s_range": (s_a, s_b),
-            "w_range": (w_a, float(w_edges[-1])),
-            "candidates": tuple(candidates),
             "s_of_v": s_of_v,
             "endpoint_mismatch": float(endpoint_mismatch),
         },
@@ -399,16 +397,6 @@ def build_spherical(spec: SphericalSpec, crit: Family,
 
 # ---------------------------------------------------------------------------
 # sphericality certificate (geometric, surface-level)
-
-
-@dataclass(frozen=True)
-class SphericalityReport:
-    u_indices: tuple
-    centers: tuple
-    radii: tuple
-    sphere_residual_rel: float
-    angle_std_max: float
-    ok: bool
 
 
 def fit_sphere(points):
@@ -424,19 +412,21 @@ def fit_sphere(points):
     return center, radius
 
 
-def sphericality_certificate(surface, n_u: int = 5, tol: float = 1e-6) -> SphericalityReport:
-    """Fit spheres to sampled v-curves and check the Joachimsthal angle.
+def sphericality_certificate(surface, n_u: int = 5) -> dict:
+    """Fit spheres to sampled v-curves and measure the Joachimsthal angle.
 
-    For each sampled u0 the v-curve must lie on a sphere (distance residual
-    relative to the fitted radius) and the surface normal must make a constant
-    angle with the sphere's radial direction.
+    For each of n_u sampled u0 the v-curve must lie on a sphere and the
+    surface normal must make a constant angle with the sphere's radial
+    direction.  Returns, by check name, `sphere_fit`: the largest distance
+    residual relative to the fitted radius, and `sphere_angle`: the
+    largest spread (std over v) of that angle's cosine.
     """
     pts_grid = np.asarray(surface.points, dtype=float)
     n_grid = np.asarray(surface.n, dtype=float)
     nu = pts_grid.shape[0]
     idx = np.unique(np.linspace(0, nu - 1, n_u).astype(int))
 
-    centers, radii, res, ang = [], [], [], []
+    res, ang = [], []
     for i in idx:
         pts = pts_grid[i]
         center, radius = fit_sphere(pts)
@@ -445,16 +435,5 @@ def sphericality_certificate(surface, n_u: int = 5, tol: float = 1e-6) -> Spheri
         radial = (pts - center) / dist[:, None]
         cosang = np.sum(n_grid[i] * radial, axis=1)
         ang.append(np.std(cosang))
-        centers.append(tuple(center))
-        radii.append(radius)
-
-    worst = float(np.max(res))
-    ang_max = float(np.max(ang))
-    return SphericalityReport(
-        u_indices=tuple(int(i) for i in idx),
-        centers=tuple(centers),
-        radii=tuple(radii),
-        sphere_residual_rel=worst,
-        angle_std_max=ang_max,
-        ok=worst < tol and ang_max < 1e-5,
-    )
+    return {"sphere_fit": float(np.max(res)),
+            "sphere_angle": float(np.max(ang))}

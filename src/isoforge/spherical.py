@@ -17,20 +17,7 @@ import numpy as np
 
 from . import curvefamily, elliptic, frame, surface as surface_mod
 from .errors import PoleProximity, SpecInvalid
-from .reparam import SphericalSpec, fit_sphere
-
-
-@dataclass(frozen=True)
-class PhiTriple:
-    """Solution sample (phi2, phi1, phi0) of the linear sphere-data system."""
-
-    u: float
-    phi2: float
-    phi1: float
-    phi0: float
-
-    def array(self):
-        return np.array([self.phi2, self.phi1, self.phi0])
+from .reparam import fit_sphere
 
 
 @dataclass(frozen=True)
@@ -64,12 +51,11 @@ class AxisData:
 
 
 def _spec_of(spec):
-    """Accept either a SphericalSpec or a ReparamSpec carrying one."""
-    if isinstance(spec, SphericalSpec):
-        return spec
-    filled = spec.meta.get("spec") if hasattr(spec, "meta") else None
+    """The SphericalSpec (delta, s1, s2) of a ReparamSpec that
+    `reparam.build_spherical` returned."""
+    filled = spec.meta.get("spec")
     if filled is None:
-        raise SpecInvalid("a SphericalSpec (delta, s1, s2) is required")
+        raise SpecInvalid("a spec built by reparam.build_spherical is required")
     return filled
 
 
@@ -104,7 +90,8 @@ def sym2(m):
 
 
 def integrate_phis(spec, crit, us, step_tol=1e-12):
-    """Solve the 3x3 linear system for (phi2, phi1, phi0) along u.
+    """Solve the 3x3 linear system for (phi2, phi1, phi0) along u: one row
+    (phi2, phi1, phi0) per u of us, shape (len(us), 3).
 
     phi' = [[0, -U1, 0], [2U, 0, -2U1], [0, U, 0]] phi is the symmetric
     square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
@@ -150,59 +137,12 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
                                      [(t, np.pi / 64) for t in nodes], step_tol)
         for (sign, side), t, (y, _) in zip(sides, nodes, solved):
             m[side] = y[np.searchsorted(t, sign * (us[side] - om))]
-    phis = sym2(m) @ y0
-    return [PhiTriple(u=float(u), phi2=float(p[0]), phi1=float(p[1]),
-                      phi0=float(p[2])) for u, p in zip(us, phis)]
+    return sym2(m) @ y0
 
 
 def _sphere_data(phi2, phi0, U, U1):
     den = U1 * phi0 + U * phi2
     return U1 / den, -phi2 / den
-
-
-def alpha_beta(tr: PhiTriple, crit):
-    """Sphere data alpha(u), beta(u) from a phi-triple."""
-    c = elliptic.coeffs(tr.u, crit)
-    return _sphere_data(tr.phi2, tr.phi0, c.U, c.U1)
-
-
-def intersection_angle(tr: PhiTriple, crit) -> float:
-    """psi(u) with tan(psi) = -phi2/U1, limit-safe at U1 -> 0 (u -> omega)."""
-    c = elliptic.coeffs(tr.u, crit)
-    return float(np.arctan2(-tr.phi2, c.U1))
-
-
-def curvature_p(tr: PhiTriple, eh):
-    """p(u, v) = phi2 e^{-h} + phi1 + phi0 e^h (third-fundamental-form entry)."""
-    eh = np.asarray(eh, dtype=float)
-    return tr.phi2 / eh + tr.phi1 + tr.phi0 * eh
-
-
-def curvature_q(tr: PhiTriple, eh):
-    """q = p_w / h_w = -phi2 e^{-h} + phi0 e^h."""
-    eh = np.asarray(eh, dtype=float)
-    return -tr.phi2 / eh + tr.phi0 * eh
-
-
-def characterization_residual(surf, crit, us, n_v: int = 33,
-                              step_tol: float = 1e-12) -> float:
-    """Max residual of e^h - alpha q + beta h_u over a (u, v) probe grid.
-
-    The vanishing of this combination is exactly the condition that the
-    v-curves are spherical; alpha, beta, q all come from the phi-triples.
-    """
-    spec = surf.recipe.spec
-    fam = surf.recipe.fam
-    triples = integrate_phis(spec, crit, us, step_tol=step_tol)
-    ws = np.asarray(spec.w(np.linspace(0.0, spec.period, n_v)), dtype=float)
-    worst = 0.0
-    for tr in triples:
-        a, b = alpha_beta(tr, crit)
-        grid = curvefamily.CurveGrid(tr.u, ws, fam)
-        eh, hu = grid.exp_h, np.real(grid.dlog_gamma_u)
-        worst = max(worst, float(np.max(np.abs(
-            eh - a * curvature_q(tr, eh) + b * hu))))
-    return worst
 
 
 def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
@@ -218,8 +158,7 @@ def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
         u_indices = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
     u_indices = np.asarray(u_indices, dtype=int)
     us = surf.u[u_indices]
-    phis = np.array([tr.array() for tr in
-                     integrate_phis(surf.recipe.spec, crit, us, step_tol=step_tol)])
+    phis = integrate_phis(surf.recipe.spec, crit, us, step_tol=step_tol)
     c = elliptic.coeffs(us, crit)
     alphas, betas = _sphere_data(phis[:, 0], phis[:, 2], c.U, c.U1)
 
@@ -260,14 +199,14 @@ def collinearity(samples):
     return ratio, sol[0], sol[1]
 
 
-def cone_point(surf, samples):
-    """The common point of the u-curve planes, with plane distances.
+def cone_point(surf, b_point):
+    """The largest distance of the cone point from the u-curve planes.
 
     The planes of the u-curves all pass through the cone point B of the
-    sphere-center line Z(u) = alpha(u) A + B.  Returns (B, max plane-to-B
-    distance over the sampled v-columns).
+    sphere-center line Z(u) = alpha(u) A + B; b_point is that B, as
+    `collinearity` fits it.  Returns the max plane-to-B distance over the
+    v-columns of surf.
     """
-    _, _, b_point = collinearity(samples)
     cols = np.swapaxes(surf.points, 0, 1)  # (nv, nu, 3)
     # each column's mean sums its u-samples pairwise along a contiguous
     # axis, as np.mean of one column of the surface's (3, nu, nv) planes
@@ -278,7 +217,7 @@ def cone_point(surf, samples):
     # the distance of b_point to each plane, along its normal vt[2]; a
     # matmul of a row by a column is np.dot's inner product
     dist = np.matmul((b_point - mean)[:, None, :], vt[:, 2, :, None])
-    return b_point, float(np.max(np.abs(dist), initial=0.0))
+    return float(np.max(np.abs(dist), initial=0.0))
 
 
 def axis(spec, crit, surf, n_v: int = 9) -> AxisData:

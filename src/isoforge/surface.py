@@ -40,6 +40,11 @@ of the display grid, so truncation error is controlled by the probe step
 alone.  The frame at the battery's own v-nodes (that stencil, the dual
 loop's quadrature nodes) comes from one integration over all of them
 (`battery_frame`), looked up per node by `phi_at`.
+
+Every certificate here (`build`'s diagnostics, each level of `pde_battery`,
+`inversion_symmetry`, `dual_symmetry` and `planarity_certificate`) returns
+its values as a plain dict keyed by `verify.CHECKS` names and passes no
+verdict: `verify.CHECKS` alone holds the thresholds.
 """
 
 from __future__ import annotations
@@ -313,7 +318,8 @@ def pde_nodes(v_probes, steps=(4e-4,)):
 
 def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     """Max residuals of the local structure equations at probe points, one
-    dict per probe step h of `steps` (du = dv = h).
+    dict per probe step h of `steps` (du = dv = h), keyed by check name
+    (pde_gauss, ..., pde_hw_quartic).
 
     Identities: Gauss  h_uu + h_vv + k1 k2 e^{2h} = 0,
     Codazzi  k1_v = h_v (k2 - k1)  and  k2_u = h_u (k1 - k2),
@@ -404,29 +410,29 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
         k2_u = (k2[2] - k2[0]) / (2 * h)
 
         levels.append({
-            "gauss": worst(h_uu + h_vv + k1c * k2c * np.exp(2 * h_c)),
-            "codazzi_u": worst(k2_u - h_u * (k1c - k2c)),
-            "codazzi_v": worst(k1_v - h_v * (k2c - k1c)),
-            "harmonic": worst(h_uu + h_ww),
-            "cauchy_riemann": max(worst(h_u - sig_w), worst(h_w + sig_u)),
-            "riccati": worst(h_u - U * ehc - U1 / ehc),
-            "hw_quartic": worst(h_w ** 2 + U1 ** 2 / ehc ** 2 - 2 * U1p / ehc
-                                + U2 + 2 * Up * ehc + U ** 2 * ehc ** 2),
+            "pde_gauss": worst(h_uu + h_vv + k1c * k2c * np.exp(2 * h_c)),
+            "pde_codazzi_u": worst(k2_u - h_u * (k1c - k2c)),
+            "pde_codazzi_v": worst(k1_v - h_v * (k2c - k1c)),
+            "pde_harmonic": worst(h_uu + h_ww),
+            "pde_cauchy_riemann": max(worst(h_u - sig_w),
+                                      worst(h_w + sig_u)),
+            "pde_riccati": worst(h_u - U * ehc - U1 / ehc),
+            "pde_hw_quartic": worst(h_w ** 2 + U1 ** 2 / ehc ** 2
+                                    - 2 * U1p / ehc + U2 + 2 * Up * ehc
+                                    + U ** 2 * ehc ** 2),
         })
     return levels
 
 
-@dataclass(frozen=True)
-class PlanarityReport:
-    max_deviation_rel: float
-    angle_std_max: float
-    normal_rank: int
-    normal_singvals: tuple
-    ok: bool
-
-
-def planarity_certificate(s: SampledSurface, tol: float = 1e-8) -> PlanarityReport:
-    """Best-fit planes of the u-curves, Joachimsthal angle, normals rank."""
+def planarity_certificate(s: SampledSurface) -> dict:
+    """Best-fit planes of the u-curves, by check name: `planarity`, the
+    largest distance of a curve from its plane relative to the curve's
+    diameter; `joachimsthal`, the largest spread (std over u) of the cosine
+    between n and the plane normal along one curve; and
+    `normals_rank_defect`, the rank of the plane normals less the rank the
+    family expects: generic surfaces have plane normals spanning 3-space,
+    while the limit surface's planes are all tangent to one cylinder
+    (rank 2)."""
     pts = np.moveaxis(s.points, 1, 0)                  # (nv, nu, 3)
     q = pts - np.mean(pts, axis=1, keepdims=True)
     _, _, vt = np.linalg.svd(q, full_matrices=False)   # one SVD per column
@@ -438,24 +444,19 @@ def planarity_certificate(s: SampledSurface, tol: float = 1e-8) -> PlanarityRepo
     normals = np.where(m[:, 2:] >= 0, m, -m)
     sv = np.linalg.svd(normals, compute_uv=False)
     rank = int(np.sum(sv > 1e-6 * sv[0]))
-    return PlanarityReport(
-        max_deviation_rel=dev, angle_std_max=ang, normal_rank=rank,
-        normal_singvals=tuple(float(x) for x in sv),
-        ok=dev < tol and ang < 1e-5,
-    )
+    expected = 2 if s.recipe.fam.mode == "limit" else 3
+    return {"planarity": dev, "joachimsthal": ang,
+            "normals_rank_defect": rank - expected}
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    residuals: dict
-    ok: bool
-
-
-def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
+def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
     """Thm-5.7 involution: -R(omega)^2 f^{-1}(u,v) = f(2 omega - u, v).
 
     For imaginary quaternions f^{-1} = -f/|f|^2, so the left side is
     R^2 f / |f|^2.  Also checks the u = omega sphere and tangency there.
+    Returns the residuals `inversion_involution` (absolute and, as
+    `inversion_involution_rel`, relative to |R|), `inversion_omega_sphere`
+    and `inversion_omega_parallel`.
     """
     spec, fam = s.recipe.spec, crit
     R = fam.R
@@ -469,10 +470,10 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> SymmetryReport:
     sphere = float(np.max(np.abs(_norm(fom) - abs(R))))
     fuom = row["fu"][0]
     par = float(np.max(_norm(fom / R + fuom / _norm(fuom)[..., None])))
-    residuals = {"involution": res_inv, "involution_rel": res_inv / abs(R),
-                 "omega_sphere": sphere, "omega_parallel": par}
-    ok = res_inv < 1e-8 * abs(R) and sphere < 1e-9 and par < 1e-9
-    return SymmetryReport(residuals=residuals, ok=ok)
+    return {"inversion_involution": res_inv,
+            "inversion_involution_rel": res_inv / abs(R),
+            "inversion_omega_sphere": sphere,
+            "inversion_omega_parallel": par}
 
 
 def dual_loop_nodes(s: SampledSurface):
@@ -482,15 +483,16 @@ def dual_loop_nodes(s: SampledSurface):
     return 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
 
 
-def dual_symmetry(s: SampledSurface,
-                  traj: frame.FrameTrajectory) -> SymmetryReport:
+def dual_symmetry(s: SampledSurface, traj: frame.FrameTrajectory) -> dict:
     """Christoffel duality as the u-shift: f^*(u,v) = -f(pi - u, v).
 
     The dual one-form is df^* = e^{-2h}(f_u du - f_v dv); the residuals
     compare the shifted closed-form fields against it, check closedness of
-    the form around a grid cell, and apply the involution twice.  The
-    frame comes from s on the grid and from traj, an integration that holds
-    `dual_loop_nodes(s)` among its nodes (`battery_frame`), inside the cell.
+    the form around a grid cell, and apply the involution twice:
+    `dual_dual_u`, `dual_dual_v`, `dual_double_dual` and
+    `dual_loop_integral`.  The frame comes from s on the grid and from
+    traj, an integration that holds `dual_loop_nodes(s)` among its nodes
+    (`battery_frame`), inside the cell.
     """
     spec = s.recipe.spec
     fam = s.recipe.fam
@@ -524,10 +526,8 @@ def dual_symmetry(s: SampledSurface,
             + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))
     res_loop = float(np.linalg.norm(loop))
 
-    residuals = {"dual_u": res_u, "dual_v": res_v,
-                 "double_dual": res_dd, "loop_integral": res_loop}
-    ok = res_u < 1e-8 and res_v < 1e-8 and res_dd < 1e-7 and res_loop < 1e-10
-    return SymmetryReport(residuals=residuals, ok=ok)
+    return {"dual_dual_u": res_u, "dual_dual_v": res_v,
+            "dual_double_dual": res_dd, "dual_loop_integral": res_loop}
 
 
 def _gauss_codazzi_probes(s: SampledSurface, n_probe: int):

@@ -1,10 +1,13 @@
 """The checks that `verify`, `surface` and `spherical` report.
 
 CHECKS is the one table of check names, in report order, with each check's
-default tolerance and kind, which says what moves that tolerance.
-`battery` computes the surface checks' values and `spherical_battery` the
-spherical command's, each as a name -> value dict; `entries` turns such a
-dict into a report's check entries.
+default tolerance and kind, which says what moves that tolerance; it alone
+holds the thresholds that decide pass or fail.  The certificates of the
+surface, reparam and spherical modules return their values as plain dicts
+keyed by CHECKS names and pass no verdict.  `battery` collects the surface
+checks' values and `spherical_battery` the spherical command's, each as a
+name -> value dict; `entries` turns such a dict into a report's check
+entries, each judged against its tolerance.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def battery(surf, fam) -> dict:
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
     ends = np.array([0.0, 2 * np.pi])
     g0 = (curvefamily.gamma_hat(ends[:, None], ws, fam) if is_limit
-          else curvefamily.gamma(ends, ws, fam))
+          else curvefamily.CurveGrid(ends, ws, fam, forms=("gamma",)).gamma)
     values["u_closure"] = float(np.max(np.abs(g0[1] - g0[0])))
 
     if not is_limit:
@@ -140,7 +143,7 @@ def battery(surf, fam) -> dict:
         # PDE identities: require second-order convergence of the FD
         # residuals plus a residual cap
         res, coarse = surface.gauss_codazzi_residuals(surf, traj)
-        values.update((f"pde_{name}", val) for name, val in res.items())
+        values.update(res)
         orders = [np.log2(coarse[k] / res[k]) for k in res
                   if res[k] > 1e-12]
         values["pde_order_deficit"] = (max(0.0, 1.9 - min(orders)) if orders
@@ -161,24 +164,12 @@ def battery(surf, fam) -> dict:
                                             / max(rep_c.root_dd2, 1.0))
 
         if fam.mode == "critical":  # symmetry involutions
-            inv = surface.inversion_symmetry(surf, fam)
-            values.update((f"inversion_{name}", val)
-                          for name, val in inv.residuals.items())
-            dual = surface.dual_symmetry(surf, traj)
-            values.update((f"dual_{name}", val)
-                          for name, val in dual.residuals.items())
+            values.update(surface.inversion_symmetry(surf, fam))
+            values.update(surface.dual_symmetry(surf, traj))
 
-    plan = surface.planarity_certificate(surf)
-    values["planarity"] = plan.max_deviation_rel
-    values["joachimsthal"] = plan.angle_std_max
-    # generic surfaces have plane normals spanning 3-space; the limit
-    # surface's planes are all tangent to one cylinder (rank 2)
-    values["normals_rank_defect"] = plan.normal_rank - (2 if is_limit else 3)
-
+    values.update(surface.planarity_certificate(surf))
     if spec.kind == "spherical" and not is_limit:
-        cert = reparam.sphericality_certificate(surf)
-        values["sphere_fit"] = cert.sphere_residual_rel
-        values["sphere_angle"] = cert.angle_std_max
+        values.update(reparam.sphericality_certificate(surf))
     return values
 
 
@@ -209,15 +200,15 @@ def spherical_battery(surf, crit, mono) -> dict:
     on the critical family crit: per-curve sphere fits, collinear sphere
     centres, the cone point's planes and the closed-form axis, against
     `mono`, the monodromy of the surface's frame."""
-    cert = reparam.sphericality_certificate(surf)
+    fit = reparam.sphericality_certificate(surf)["sphere_fit"]
     samples = spherical.sphere_centers(surf, crit)
-    ratio, _, _ = spherical.collinearity(samples)
-    _, plane_dist = spherical.cone_point(surf, samples)
+    ratio, _, b_point = spherical.collinearity(samples)
+    plane_dist = spherical.cone_point(surf, b_point)
     ax = spherical.axis(surf.recipe.spec, crit, surf)
     axdir = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
     angle = float(spherical.angle(axdir, mono.axis))
     return {
-        "sphere_fit": cert.sphere_residual_rel,
+        "sphere_fit": fit,
         "collinearity": ratio,
         "cone_point_planes": plane_dist,
         "axis_unit": ax.unit_residual,

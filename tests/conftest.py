@@ -83,6 +83,20 @@ def limit_surf(lam0, limit_spec):
     return surface.build(recipe)
 
 
+# the forms curve_form evaluates on the mirrored band, negative w included,
+# for the conjugation symmetry conj(gamma(u, w)) = -gamma(u, -w)
+MIRRORED_FORMS = ("gamma", "gamma_u", "dlog_gamma_u")
+
+
+def curve_form(name, u, w, fam):
+    """The closed form `name` of fam on the grid u x w, read from a
+    `curvefamily.CurveGrid` built for that form alone (on the mirrored band
+    for MIRRORED_FORMS)."""
+    grid = curvefamily.CurveGrid(u, w, fam, mirrored=name in MIRRORED_FORMS,
+                                 forms=(name,))
+    return getattr(grid, name)
+
+
 @pytest.fixture
 def theta_arrays(monkeypatch):
     """Records the theta arrays curvefamily evaluates.

@@ -13,6 +13,8 @@ from isoforge import curvefamily, elliptic, frame, reparam, spherical
 from isoforge import surface, theta
 from isoforge.errors import NoCriticalOmega
 
+from conftest import curve_form
+
 LAMBDA0_REF = 0.354729892522
 
 
@@ -69,8 +71,8 @@ def test_criterion_03_closure_and_negative_control():
     ws = np.linspace(0.05 * top, 0.95 * top, 16)
     closure = 0.0
     for w in ws:
-        g0 = curvefamily.gamma(us, float(w), crit)
-        g1 = curvefamily.gamma(us + 2 * np.pi, float(w), crit)
+        g0 = curve_form("gamma", us, float(w), crit)
+        g1 = curve_form("gamma", us + 2 * np.pi, float(w), crit)
         closure = max(closure, float(np.max(np.abs(g1 - g0))))
 
     rect = elliptic.Family(theta.rectangular(0.9), 0.3, "explicit")
@@ -78,10 +80,10 @@ def test_criterion_03_closure_and_negative_control():
     defect = 0.0
     ratio = np.inf
     for w in rtop * np.array([0.1, 0.2, 0.3, 0.4]):  # below the W1 pole
-        g = curvefamily.gamma(np.linspace(0, 2 * np.pi, 128), float(w), rect)
+        g = curve_form("gamma", np.linspace(0, 2 * np.pi, 128), float(w), rect)
         diam = float(np.max(np.abs(g[:, None] - g[None, :])))
-        d = abs(curvefamily.gamma(2 * np.pi, float(w), rect)
-                - curvefamily.gamma(0.0, float(w), rect))
+        d = abs(curve_form("gamma", 2 * np.pi, float(w), rect)
+                - curve_form("gamma", 0.0, float(w), rect))
         defect = max(defect, d)
         ratio = min(ratio, d / diam)
     _report(3, "u-closure + rectangular control",
@@ -118,14 +120,17 @@ def test_criterion_05_symmetry_involutions(acc_surf, crit032):
     inv = surface.inversion_symmetry(acc_surf, crit032)
     dual = surface.dual_symmetry(acc_surf, surface.battery_frame(
         crit032, acc_surf.recipe.spec, [surface.dual_loop_nodes(acc_surf)]))
-    ok = (inv.residuals["involution"] < 1e-8 * R
-          and dual.residuals["dual_u"] < 1e-8
-          and dual.residuals["dual_v"] < 1e-8
-          and inv.ok and dual.ok)
+    ok = (inv["inversion_involution"] < 1e-8 * R
+          and inv["inversion_omega_sphere"] < 1e-9
+          and inv["inversion_omega_parallel"] < 1e-9
+          and dual["dual_dual_u"] < 1e-8
+          and dual["dual_dual_v"] < 1e-8
+          and dual["dual_double_dual"] < 1e-7
+          and dual["dual_loop_integral"] < 1e-10)
     _report(5, "inversion + dual symmetry", ok,
-            f"inv={inv.residuals['involution'] / R:.2e}R, "
-            f"dual_u={dual.residuals['dual_u']:.2e}, "
-            f"dual_v={dual.residuals['dual_v']:.2e}")
+            f"inv={inv['inversion_involution'] / R:.2e}R, "
+            f"dual_u={dual['dual_dual_u']:.2e}, "
+            f"dual_v={dual['dual_dual_v']:.2e}")
 
 
 def test_criterion_06_metric_identity(acc_surf, crit032):
@@ -134,8 +139,8 @@ def test_criterion_06_metric_identity(acc_surf, crit032):
     worst = 0.0
     for v in acc_surf.v[::8]:
         w = float(spec.w(v))
-        eh = curvefamily.exp_h(us, w, crit032)
-        gam = curvefamily.gamma(us, w, crit032)
+        eh = curve_form("exp_h", us, w, crit032)
+        gam = curve_form("gamma", us, w, crit032)
         W1 = curvefamily.w1(w, crit032)
         worst = max(worst, float(np.max(
             np.abs(eh - 2 * np.real(W1 * np.conj(gam))) / eh)))
@@ -249,7 +254,9 @@ def test_criterion_12_limit_surface(limit_surf, lam0):
         closure = max(closure, float(abs(g[1] - g[0])))
     conf = limit_surf.diagnostics["conformality"]
     plan = surface.planarity_certificate(limit_surf)
-    ok = closure < 1e-9 and conf < 1e-7 and plan.ok and plan.normal_rank == 2
+    # normals_rank_defect 0: the plane normals have rank 2 on the limit
+    ok = (closure < 1e-9 and conf < 1e-7 and plan["planarity"] < 1e-8
+          and plan["joachimsthal"] < 1e-5 and plan["normals_rank_defect"] == 0)
     _report(12, "limit surface certificates", ok,
             f"closure={closure:.2e}, conformality={conf:.2e}, "
-            f"rank={plan.normal_rank}")
+            f"rank={2 + plan['normals_rank_defect']}")

@@ -911,8 +911,7 @@ def test_tol_override_keeps_structural_bounds(tmp_path, monkeypatch, command):
     --tol 2, which let it pass by |-1| < 2."""
     planarity = cli_mod.surface_mod.planarity_certificate
     monkeypatch.setattr(cli_mod.surface_mod, "planarity_certificate",
-                        lambda s: dataclasses.replace(planarity(s),
-                                                      normal_rank=2))
+                        lambda s: {**planarity(s), "normals_rank_defect": -1})
     out = tmp_path / "report.json"
     argv = ([command, _write(tmp_path, _base_cfg()), "--tol", "2"]
             + (["--out", str(out)] if command == "verify"
@@ -1167,3 +1166,53 @@ def test_battery_passes_on_conjugate_pair_spherical(sph_surf, crit032):
     assert all(c["pass"] for c in checks.values()), [
         n for n, c in checks.items() if not c["pass"]]
     assert "sphere_fit" in checks and "sphere_angle" in checks
+
+
+# the README example's config
+_README_CFG = {
+    "lattice": {"kind": "rhombic", "lambda": 0.32},
+    "omega": {"mode": "critical"},
+    "reparam": {"kind": "analytic", "mean": 1.0053, "amplitude": 0.35,
+                "period": 6.0},
+    "grid": {"nu": 128, "nv": 128},
+}
+
+
+@pytest.mark.parametrize("config", ["readme", "spherical"])
+def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
+                                                  config, sph_cfg_grid32):
+    """Every certificate returns its values under CHECKS names, and
+    verify.battery is, value for value, the union of their dicts (build's
+    diagnostics less its frame stats, the finest PDE level) with the seven
+    values the battery computes itself."""
+    from isoforge import reparam, surface, verify
+    cfg = _README_CFG if config == "readme" else sph_cfg_grid32
+    _, fam, surf = cli_mod._build(_write(tmp_path, cfg))
+    returned = {}
+    for mod, name in ((surface, "gauss_codazzi_residuals"),
+                      (surface, "inversion_symmetry"),
+                      (surface, "dual_symmetry"),
+                      (surface, "planarity_certificate"),
+                      (reparam, "sphericality_certificate")):
+        def recorded(*args, _f=getattr(mod, name), _n=name, **kwargs):
+            returned[_n] = _f(*args, **kwargs)
+            return returned[_n]
+        monkeypatch.setattr(mod, name, recorded)
+    values = verify.battery(surf, fam)
+
+    diagnostics = {name: val for name, val in surf.diagnostics.items()
+                   if name != "frame"}
+    levels = returned.pop("gauss_codazzi_residuals")
+    assert len(levels) == 2
+    assert sorted(returned) == sorted(
+        ["inversion_symmetry", "dual_symmetry", "planarity_certificate"]
+        + (["sphericality_certificate"] if config == "spherical" else []))
+    for cert in (diagnostics, *levels, *returned.values()):
+        assert set(cert) <= set(verify.CHECKS), cert
+    union = {}
+    for cert in (diagnostics, levels[0], *returned.values()):
+        union.update(cert)
+    assert {name: values[name] for name in union} == union
+    assert set(values) - set(union) == {
+        "u_closure", "metric_identity", "pde_order_deficit", "fv_vs_fd",
+        "reparam_admissible", "root_consistency", "root_branch_smoothness"}

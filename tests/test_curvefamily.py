@@ -1,5 +1,6 @@
 """The planar curve family, its metric data and elastica diagnostics."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from isoforge import curvefamily, elliptic, theta
 from isoforge.errors import DomainW, PoleProximity
+
+from conftest import MIRRORED_FORMS, curve_form
 
 RNG = np.random.default_rng(11)
 
@@ -19,34 +22,34 @@ def _random_w(lat, n=6, margin=0.12):
 def test_closure_at_critical_omega(crit032):
     for w in _random_w(crit032.lattice, 5):
         u = RNG.uniform(0, 2 * np.pi)
-        g0 = curvefamily.gamma(u, float(w), crit032)
-        g1 = curvefamily.gamma(u + 2 * np.pi, float(w), crit032)
+        g0 = curve_form("gamma", u, float(w), crit032)
+        g1 = curve_form("gamma", u + 2 * np.pi, float(w), crit032)
         assert abs(g1 - g0) < 1e-10
 
 
 def test_gamma_modulus_at_omega(crit032):
     R = crit032.R
     for w in _random_w(crit032.lattice, 5):
-        g = curvefamily.gamma(crit032.omega, float(w), crit032)
+        g = curve_form("gamma", crit032.omega, float(w), crit032)
         assert abs(abs(g) - abs(R)) < 1e-10
 
 
 def test_gamma_conjugation(crit032):
     for w in _random_w(crit032.lattice, 5):
         u = RNG.uniform(0, 2 * np.pi)
-        a = np.conj(curvefamily.gamma(u, float(w), crit032))
-        b = -curvefamily.gamma(u, -float(w), crit032)
+        a = np.conj(curve_form("gamma", u, float(w), crit032))
+        b = -curve_form("gamma", u, -float(w), crit032)
         assert abs(a - b) < 1e-11
 
 
 def test_gamma_u_closed_form_vs_fd(crit032):
     w = 0.9
     u = 0.83
-    exact = curvefamily.gamma_u(u, w, crit032)
+    exact = curve_form("gamma_u", u, w, crit032)
     errs = []
     for h in (1e-4, 5e-5):
-        fd = (curvefamily.gamma(u + h, w, crit032)
-              - curvefamily.gamma(u - h, w, crit032)) / (2 * h)
+        fd = (curve_form("gamma", u + h, w, crit032)
+              - curve_form("gamma", u - h, w, crit032)) / (2 * h)
         errs.append(abs(fd - exact))
     assert np.log2(errs[0] / errs[1]) > 1.9
     assert errs[1] < 1e-8
@@ -54,25 +57,25 @@ def test_gamma_u_closed_form_vs_fd(crit032):
 
 def test_gamma_u_is_minus_i_gamma_w(crit032):
     u, w, h = 0.61, 1.1, 1e-5
-    gw = (curvefamily.gamma(u, w + h, crit032)
-          - curvefamily.gamma(u, w - h, crit032)) / (2 * h)
-    assert abs(curvefamily.gamma_u(u, w, crit032) + 1j * gw) < 1e-8
+    gw = (curve_form("gamma", u, w + h, crit032)
+          - curve_form("gamma", u, w - h, crit032)) / (2 * h)
+    assert abs(curve_form("gamma_u", u, w, crit032) + 1j * gw) < 1e-8
 
 
 def test_tangent_at_omega(crit032):
     R = crit032.R
     for w in _random_w(crit032.lattice, 4):
-        eis = curvefamily.exp_isigma(crit032.omega, float(w), crit032)
-        g = curvefamily.gamma(crit032.omega, float(w), crit032)
+        eis = curve_form("exp_isigma", crit032.omega, float(w), crit032)
+        g = curve_form("gamma", crit032.omega, float(w), crit032)
         assert abs(eis + g / R) < 1e-10
 
 
 def test_polar_decomposition(crit032):
     for w in _random_w(crit032.lattice, 4):
         us = np.linspace(0.1, 2 * np.pi, 17)
-        gu = curvefamily.gamma_u(us, float(w), crit032)
-        eh = curvefamily.exp_h(us, float(w), crit032)
-        eis = curvefamily.exp_isigma(us, float(w), crit032)
+        gu = curve_form("gamma_u", us, float(w), crit032)
+        eh = curve_form("exp_h", us, float(w), crit032)
+        eis = curve_form("exp_isigma", us, float(w), crit032)
         assert np.max(np.abs(np.abs(eis) - 1.0)) < 1e-12
         assert np.max(np.abs(gu - eh * eis)) < 1e-10 * np.max(eh)
 
@@ -81,8 +84,8 @@ def test_metric_identity(crit032):
     """e^h = 2 Re(W1 conj gamma) pointwise."""
     for w in _random_w(crit032.lattice, 20):
         u = RNG.uniform(0, 2 * np.pi)
-        eh = curvefamily.exp_h(u, float(w), crit032)
-        g = curvefamily.gamma(u, float(w), crit032)
+        eh = curve_form("exp_h", u, float(w), crit032)
+        g = curve_form("gamma", u, float(w), crit032)
         W1 = curvefamily.w1(float(w), crit032)
         assert abs(eh - 2 * np.real(W1 * np.conj(g))) < 1e-9 * eh
 
@@ -92,9 +95,9 @@ def test_sigma_riccati(crit032):
     sigma_w from branch-free finite differences of e^{i sigma}."""
     u, h = 0.77, 1e-5
     for w in (0.6, 1.0, 1.5):
-        eis = curvefamily.exp_isigma(u, w, crit032)
-        ep = curvefamily.exp_isigma(u, w + h, crit032)
-        em = curvefamily.exp_isigma(u, w - h, crit032)
+        eis = curve_form("exp_isigma", u, w, crit032)
+        ep = curve_form("exp_isigma", u, w + h, crit032)
+        em = curve_form("exp_isigma", u, w - h, crit032)
         sig_w = np.imag((ep - em) / (2 * h) / eis)
         W1 = curvefamily.w1(w, crit032)
         rhs = np.conj(W1) * eis + W1 / eis
@@ -112,9 +115,9 @@ def test_exp_h_degenerates_at_band_edges(crit032):
     of the band and blows up toward the bottom."""
     top = 2 * np.pi * crit032.lattice.lam
     ws = top * np.array([0.9, 0.99, 0.999])
-    vals = [curvefamily.exp_h(crit032.omega, float(w), crit032) for w in ws]
+    vals = [curve_form("exp_h", crit032.omega, float(w), crit032) for w in ws]
     assert vals[0] > vals[1] > vals[2]
-    lows = [curvefamily.exp_h(crit032.omega, w, crit032)
+    lows = [curve_form("exp_h", crit032.omega, w, crit032)
             for w in (1e-1, 1e-2, 1e-3)]
     assert lows[0] < lows[1] < lows[2]
 
@@ -122,13 +125,13 @@ def test_exp_h_degenerates_at_band_edges(crit032):
 def test_domain_guards(crit032):
     top = 2 * np.pi * crit032.lattice.lam
     with pytest.raises(DomainW):
-        curvefamily.exp_h(0.3, top + 0.1, crit032)
+        curve_form("exp_h", 0.3, top + 0.1, crit032)
     with pytest.raises(DomainW):
         curvefamily.w1(-0.5, crit032)
     # gamma allows the mirrored band for the conjugation symmetry
-    curvefamily.gamma(0.3, -0.5, crit032)
+    curve_form("gamma", 0.3, -0.5, crit032)
     with pytest.raises(DomainW):
-        curvefamily.gamma(0.3, top + 0.1, crit032)
+        curve_form("gamma", 0.3, top + 0.1, crit032)
 
 
 def test_dlog_gamma_u_checks_the_band(crit032):
@@ -137,19 +140,21 @@ def test_dlog_gamma_u_checks_the_band(crit032):
     top = 2 * np.pi * crit032.lattice.lam
     for w in (top + 0.1, 0.0, -top - 0.1):
         with pytest.raises(DomainW):
-            curvefamily.dlog_gamma_u(0.3, w, crit032)
-    assert np.isfinite(curvefamily.dlog_gamma_u(0.3, -0.5, crit032))
+            curve_form("dlog_gamma_u", 0.3, w, crit032)
+    assert np.isfinite(curve_form("dlog_gamma_u", 0.3, -0.5, crit032))
 
 
 def test_wrappers_raise_on_the_same_inputs(crit032):
-    """Every public form refuses w outside its band with DomainW (gamma,
-    gamma_u and the log-derivative allow the mirrored band) and the points
-    next to the zero of theta1((z + omega)/2) with PoleProximity."""
+    """Every form of a one-form grid refuses w outside its band with
+    DomainW (gamma, gamma_u and the log-derivative on the mirrored band),
+    as does hyperbolic_speed, and the points next to the zero of
+    theta1((z + omega)/2) with PoleProximity."""
     fam, top = crit032, 2 * np.pi * crit032.lattice.lam
     us = np.array([0.3, 1.1])
-    mirrored = (curvefamily.gamma, curvefamily.gamma_u,
-                curvefamily.dlog_gamma_u)
-    band = (curvefamily.exp_h, curvefamily.exp_isigma, curvefamily.kappa_hyp,
+    mirrored = tuple(functools.partial(curve_form, name)
+                     for name in MIRRORED_FORMS)
+    band = (*(functools.partial(curve_form, name)
+              for name in ("exp_h", "exp_isigma", "kappa_hyp")),
             curvefamily.hyperbolic_speed)
     for form in mirrored + band:
         for w in (top + 0.1, 0.0, top, -top - 0.1):
@@ -171,8 +176,8 @@ def test_wrappers_raise_on_the_same_inputs(crit032):
 
 
 def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
-    """Every form read from one grid equals, bit for bit, the module
-    function of the same name; the forms are (len(u), len(w)) grids, a
+    """Every form read from one grid equals, bit for bit, the same form of
+    a grid built for it alone; the forms are (len(u), len(w)) grids, a
     number drops its axis, and two numbers give a number."""
     for fam in (crit032, rect_fam):
         u = np.linspace(0.0, 2 * np.pi, 7)
@@ -182,7 +187,7 @@ def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
                      "dlog_gamma_u"):
             assert getattr(grid, name).shape == (7, 3)
             assert np.array_equal(getattr(grid, name),
-                                  getattr(curvefamily, name)(u, w, fam))
+                                  curve_form(name, u, w, fam))
             # a row or column alone, to round-off
             full = getattr(grid, name)
             for part, want in ((curvefamily.CurveGrid(u[2], w, fam), full[2]),
@@ -196,7 +201,7 @@ def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
     w = float(_random_w(crit032.lattice, n=1)[0])
     us = np.linspace(0.0, 2 * np.pi, 9)
     assert np.array_equal(curvefamily.CurveGrid(us, w, crit032).kappa_hyp,
-                          curvefamily.kappa_hyp(us, w, crit032))
+                          curve_form("kappa_hyp", us, w, crit032))
 
 
 @pytest.mark.parametrize("forms, indices, orders", [
@@ -317,7 +322,7 @@ def test_hyperbolic_speed_constant(crit032):
 def test_standardization_preserves_modulus(crit032):
     us = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     w = 0.9
-    g = curvefamily.gamma(us, w, crit032)
+    g = curve_form("gamma", us, w, crit032)
     gt = curvefamily.hyperbolic_standardize(us, w, crit032)
     assert np.max(np.abs(np.abs(gt) - np.abs(g))) < 1e-12 * np.max(np.abs(g))
 
@@ -338,7 +343,7 @@ def test_kappa_hyp_against_osculating_circle(crit032):
         kappa_e = np.imag(np.conj(d1) * d2) / speed ** 3
         center = gt(u) + (1j * d1 / speed) / kappa_e
         oracle = center.imag * kappa_e  # y0 / r with the orientation sign
-        got = float(curvefamily.kappa_hyp(u, w, crit032))
+        got = float(curve_form("kappa_hyp", u, w, crit032))
         assert abs(got - oracle) < 1e-6 * max(1.0, abs(oracle))
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, reparam
+from isoforge import reparam
 from isoforge.errors import DomainW, NoOscillation, SpecInvalid
+
+from conftest import curve_form
 
 RNG = np.random.default_rng(23)
 
@@ -42,7 +44,7 @@ def test_s_of_w_matches_exp_minus_h(crit032):
     top = 2 * np.pi * crit032.lattice.lam
     for w in RNG.uniform(0.1 * top, 0.9 * top, 20):
         s = reparam.s_of_w(float(w), crit032)
-        eh = curvefamily.exp_h(crit032.omega, float(w), crit032)
+        eh = curve_form("exp_h", crit032.omega, float(w), crit032)
         assert abs(s - 1.0 / eh) < 1e-10 * max(1.0, abs(s))
 
 
@@ -207,16 +209,15 @@ def test_fit_sphere_recovers_synthetic():
 
 def test_sphericality_certificate_positive(sph_surf):
     cert = reparam.sphericality_certificate(sph_surf)
-    assert cert.ok
-    assert cert.sphere_residual_rel < 1e-6
-    assert cert.angle_std_max < 1e-7
+    assert cert["sphere_fit"] < 1e-6
+    assert cert["sphere_angle"] < 1e-7
 
 
 def test_sphericality_certificate_negative_control(torus_surf):
     """A generic analytic reparametrization has non-spherical v-curves."""
     cert = reparam.sphericality_certificate(torus_surf)
-    assert not cert.ok
-    assert cert.sphere_residual_rel > 1e-3
+    assert not (cert["sphere_fit"] < 1e-6 and cert["sphere_angle"] < 1e-5)
+    assert cert["sphere_fit"] > 1e-3
 
 
 # ---------------------------------------------------------------------------

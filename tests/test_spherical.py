@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from isoforge import curvefamily, elliptic, frame, reparam, spherical, surface
 from isoforge.errors import PoleProximity
 
+from conftest import curve_form
+
 RNG = np.random.default_rng(31)
 
 
@@ -18,17 +20,65 @@ def _probe_us(crit, n=7):
         [[crit.omega], RNG.uniform(0.1, np.pi / 2 - 0.15, n)]))
 
 
+# oracles on the rows (phi2, phi1, phi0) that integrate_phis returns
+
+
+def alpha_beta(phis, us, crit):
+    """Sphere data alpha(u), beta(u) of the rows phis at us."""
+    c = elliptic.coeffs(us, crit)
+    den = c.U1 * phis[:, 2] + c.U * phis[:, 0]
+    return c.U1 / den, -phis[:, 0] / den
+
+
+def intersection_angle(phis, us, crit):
+    """psi(u) with tan(psi) = -phi2/U1, limit-safe at U1 -> 0 (u -> omega)."""
+    return np.arctan2(-phis[:, 0], elliptic.coeffs(us, crit).U1)
+
+
+def curvature_p(phi, eh):
+    """p(u, v) = phi2 e^{-h} + phi1 + phi0 e^h (third-fundamental-form
+    entry), phi one row (phi2, phi1, phi0)."""
+    phi2, phi1, phi0 = phi
+    return phi2 / eh + phi1 + phi0 * eh
+
+
+def curvature_q(phi, eh):
+    """q = p_w / h_w = -phi2 e^{-h} + phi0 e^h, phi one row."""
+    phi2, _, phi0 = phi
+    return -phi2 / eh + phi0 * eh
+
+
+def characterization_residual(surf, crit, us, n_v=33):
+    """Max residual of e^h - alpha q + beta h_u over the probe grid us x
+    w(v) at n_v v-samples of a period.
+
+    The vanishing of this combination is exactly the condition that the
+    v-curves are spherical; alpha, beta, q all come from the phi rows.
+    """
+    spec = surf.recipe.spec
+    phis = spherical.integrate_phis(spec, crit, us)
+    a, b = alpha_beta(phis, us, crit)
+    ws = np.asarray(spec.w(np.linspace(0.0, spec.period, n_v)), dtype=float)
+    grid = curvefamily.CurveGrid(us, ws, surf.recipe.fam,
+                                 forms=("exp_h", "dlog_gamma_u"))
+    eh, hu = grid.exp_h, np.real(grid.dlog_gamma_u)
+    q = curvature_q(phis.T[:, :, None], eh)
+    return float(np.max(np.abs(eh - a[:, None] * q + b[:, None] * hu)))
+
+
 def test_phi_initial_data(sph_spec, crit032):
     """At u = omega the triple is delta^{-1}(1, -(s1+s2), s1 s2), which makes
     alpha(omega) = 0 and beta(omega) = R."""
     sph = sph_spec.meta["spec"]
-    tr = spherical.integrate_phis(sph_spec, crit032, [crit032.omega])[0]
+    us = np.array([crit032.omega])
+    phis = spherical.integrate_phis(sph_spec, crit032, us)
+    assert phis.shape == (1, 3)
     e1 = float((sph.s1 + sph.s2).real)
     e2 = float((sph.s1 * sph.s2).real)
     want = np.array([1.0, -e1, e2]) / sph.delta
-    assert np.max(np.abs(tr.array() - want)) < 1e-14
+    assert np.max(np.abs(phis[0] - want)) < 1e-14
 
-    a, b = spherical.alpha_beta(tr, crit032)
+    (a,), (b,) = alpha_beta(phis, us, crit032)
     R = elliptic.radius(crit032)
     assert abs(a) < 1e-12
     assert abs(b - R) < 1e-10 * abs(R)
@@ -36,36 +86,35 @@ def test_phi_initial_data(sph_spec, crit032):
 
 def test_characterization_residual(sph_surf, crit032):
     us = _probe_us(crit032)
-    res = spherical.characterization_residual(sph_surf, crit032, us)
+    res = characterization_residual(sph_surf, crit032, us)
     assert res < 1e-7
 
 
 def test_q_is_p_w_over_h_w(sph_spec, crit032):
     """q = p_w / h_w, with p_w by finite differences of p(u, w)."""
-    tr = spherical.integrate_phis(sph_spec, crit032, [0.9])[0]
+    u = 0.9
+    phi, = spherical.integrate_phis(sph_spec, crit032, [u])
     h = 1e-6
     for w in (0.6, 1.0, 1.4):
-        hw = -float(np.imag(curvefamily.dlog_gamma_u(tr.u, w, crit032)))
-        pp = spherical.curvature_p(
-            tr, curvefamily.exp_h(tr.u, w + h, crit032))
-        pm = spherical.curvature_p(
-            tr, curvefamily.exp_h(tr.u, w - h, crit032))
-        q = spherical.curvature_q(tr, curvefamily.exp_h(tr.u, w, crit032))
+        hw = -float(np.imag(curve_form("dlog_gamma_u", u, w, crit032)))
+        pp = curvature_p(phi, curve_form("exp_h", u, w + h, crit032))
+        pm = curvature_p(phi, curve_form("exp_h", u, w - h, crit032))
+        q = curvature_q(phi, curve_form("exp_h", u, w, crit032))
         assert abs((pp - pm) / (2 * h) - q * hw) < 1e-7 * max(1.0, abs(q * hw))
 
 
 def test_ratio_p_over_hw_is_u_independent(sph_spec, crit032):
     """p / h_w depends on v only, with |p / h_w| = sqrt(1 - w'(v)^2)."""
     us = _probe_us(crit032, 5)
-    triples = spherical.integrate_phis(sph_spec, crit032, us)
+    phis = spherical.integrate_phis(sph_spec, crit032, us)
     for v in RNG.uniform(0.05, 0.95, 5) * sph_spec.period:
         w = float(sph_spec.w(v))
         wp = float(sph_spec.wprime(v))
         vals = []
-        for tr in triples:
-            eh = float(curvefamily.exp_h(tr.u, w, crit032))
-            hw = -float(np.imag(curvefamily.dlog_gamma_u(tr.u, w, crit032)))
-            vals.append(float(spherical.curvature_p(tr, eh)) / hw)
+        for u, phi in zip(us, phis):
+            eh = float(curve_form("exp_h", u, w, crit032))
+            hw = -float(np.imag(curve_form("dlog_gamma_u", u, w, crit032)))
+            vals.append(float(curvature_p(phi, eh)) / hw)
         vals = np.array(vals)
         assert np.max(np.abs(vals - vals[0])) < 1e-7
         assert abs(abs(vals[0]) - np.sqrt(1.0 - wp ** 2)) < 1e-7
@@ -73,13 +122,12 @@ def test_ratio_p_over_hw_is_u_independent(sph_spec, crit032):
 
 def test_intersection_angle_consistent(sph_spec, crit032):
     """atan2(-phi2, U1) and atan2(beta, alpha) agree modulo pi."""
-    for tr in spherical.integrate_phis(sph_spec, crit032,
-                                       _probe_us(crit032, 5)):
-        a, b = spherical.alpha_beta(tr, crit032)
-        psi_loc = spherical.intersection_angle(tr, crit032)
-        psi_geo = float(np.arctan2(b, a))
-        gap = (psi_loc - psi_geo + np.pi / 2) % np.pi - np.pi / 2
-        assert abs(gap) < 1e-12
+    us = _probe_us(crit032, 5)
+    phis = spherical.integrate_phis(sph_spec, crit032, us)
+    a, b = alpha_beta(phis, us, crit032)
+    psi_loc = intersection_angle(phis, us, crit032)
+    gap = (psi_loc - np.arctan2(b, a) + np.pi / 2) % np.pi - np.pi / 2
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_sphere_centers(sph_surf, crit032):
@@ -114,8 +162,7 @@ def test_centers_collinear_and_cone_point(sph_surf, crit032):
         line = s.alpha * a_dir + b_point
         assert np.max(np.abs(line - s.center)) < 1e-6
 
-    _, worst = spherical.cone_point(sph_surf, samples)
-    assert worst < 1e-7
+    assert spherical.cone_point(sph_surf, b_point) < 1e-7
 
 
 def test_axis_closed_form(sph_spec, sph_surf, crit032):
@@ -133,7 +180,7 @@ def test_axis_z2_encodes_sqrt_q(sph_spec, sph_surf, crit032):
     ax = spherical.axis(sph_spec, crit032, sph_surf)
     ws = np.asarray(sph_spec.w(ax.v), dtype=float)
     for z2, w in zip(ax.z2, ws):
-        s = 1.0 / float(curvefamily.exp_h(crit032.omega, float(w), crit032))
+        s = 1.0 / float(curve_form("exp_h", crit032.omega, float(w), crit032))
         q = max(float(np.polyval(sph.q_coeffs, s)), 0.0)
         got = abs(z2 * np.sqrt(ax.norm_sq) * sph.delta * s / R)
         assert abs(got - np.sqrt(q)) < 1e-9 * max(1.0, np.sqrt(q))
@@ -230,8 +277,7 @@ def test_phis_match_oracle_both_directions(sph_spec, crit032):
         reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
     us = np.array([-0.4, 0.03, 0.2, crit032.omega + 0.3, 1.0, 1.45])
     for spec in (sph_spec, real_pair):
-        got = np.array([tr.array() for tr in
-                        spherical.integrate_phis(spec, crit032, us)])
+        got = spherical.integrate_phis(spec, crit032, us)
         want = _phi_oracle(spec, crit032, us)
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.max(err) <= 1e-10
@@ -291,13 +337,12 @@ def test_cone_point_matches_a_loop_over_columns(sph_surf, crit032):
     """The batched plane fit of cone_point equals one mean and one SVD per
     v-column, bit for bit."""
     samples = spherical.sphere_centers(sph_surf, crit032)
-    b_point, worst = spherical.cone_point(sph_surf, samples)
-    _, _, b_ref = spherical.collinearity(samples)
+    _, _, b_point = spherical.collinearity(samples)
+    worst = spherical.cone_point(sph_surf, b_point)
     ref = 0.0
     for j in range(sph_surf.points.shape[1]):
         pts = sph_surf.points[:, j, :]
         mean = np.mean(pts, axis=0)
         _, _, vt = np.linalg.svd(pts - mean, full_matrices=False)
-        ref = max(ref, abs(float(np.dot(b_ref - mean, vt[2]))))
-    assert np.array_equal(b_point, b_ref)
+        ref = max(ref, abs(float(np.dot(b_point - mean, vt[2]))))
     assert worst == ref and ref > 0
