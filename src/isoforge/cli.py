@@ -128,6 +128,21 @@ def validate_config(cfg: dict) -> dict:
         # a path would make os.path.join drop --out-dir
         if name in ("", ".", "..") or os.path.basename(name) != name:
             raise ConfigError(f"outputs.{k} must be a file name, got {name!r}")
+    # each tolerances.<name> names a residual check, run on this config or
+    # not, so that one tolerances block serves every command
+    for name in cfg.get("tolerances", {}):
+        check = verify_mod.CHECKS.get(name)
+        if check is None:
+            import difflib  # here, so that only a refused name loads it
+            near, = difflib.get_close_matches(name, verify_mod.CHECKS, n=1,
+                                              cutoff=0)
+            raise ConfigError(f"tolerances.{name}: no check has that name "
+                              f"(the closest is {near!r})")
+        if check.kind == "structural":
+            raise ConfigError(f"tolerances.{name}: the bound of {name} is "
+                              f"fixed at {check.tol}")
+    if "lambda" not in cfg["lattice"]:
+        raise ConfigError("lattice.lambda required")
     return cfg
 
 
@@ -176,6 +191,13 @@ def _complex_param(val):
     return complex(float(val), 0.0)
 
 
+def _require_reparam(sec, keys):
+    """Refuse a reparam section that lacks one of keys, naming its kind."""
+    for key in keys:
+        if key not in sec:
+            raise ConfigError(f"reparam.{key} required for {sec['kind']}")
+
+
 def _reparam_spec(cfg, fam):
     sec = cfg["reparam"]
     kind = sec["kind"]
@@ -183,14 +205,10 @@ def _reparam_spec(cfg, fam):
         return reparam.constant(float(sec.get("level", np.pi * fam.lattice.lam)),
                                 float(sec.get("period", 2 * np.pi)))
     if kind == "analytic":
-        for key in ("mean", "amplitude", "period"):
-            if key not in sec:
-                raise ConfigError(f"reparam.{key} required for analytic")
+        _require_reparam(sec, ("mean", "amplitude", "period"))
         return reparam.analytic(float(sec["mean"]), float(sec["amplitude"]),
                                 float(sec["period"]))
-    for key in ("delta", "s1", "s2"):
-        if key not in sec:
-            raise ConfigError(f"reparam.{key} required for spherical")
+    _require_reparam(sec, ("delta", "s1", "s2"))
     if fam.mode != "critical":
         raise ConfigError("spherical reparam requires omega.mode=critical")
     sph = reparam.SphericalSpec(delta=float(sec["delta"]),
@@ -205,24 +223,8 @@ def _recipe(cfg, fam, spec):
 
 def _build(config, kind=None):
     """Load a config and build its surface: (cfg, family, surface).
-
-    Every tolerances.<name> must name a residual check of the verify
-    table, whether or not it runs on this config, so that one tolerances
-    block serves every command.  `kind` is the reparam.kind the command
-    requires, if any.
-    """
+    `kind` is the reparam.kind the command requires, if any."""
     cfg = load_config(config)
-    for name in cfg.get("tolerances", {}):
-        check = verify_mod.CHECKS.get(name)
-        if check is None:
-            import difflib  # here, so that only a refused name loads it
-            near, = difflib.get_close_matches(name, verify_mod.CHECKS, n=1,
-                                              cutoff=0)
-            raise ConfigError(f"tolerances.{name}: no check has that name "
-                              f"(the closest is {near!r})")
-        if check.kind == "structural":
-            raise ConfigError(f"tolerances.{name}: the bound of {name} is "
-                              f"fixed at {check.tol}")
     if kind is not None and cfg["reparam"]["kind"] != kind:
         raise ConfigError(f"{kind} command requires reparam.kind={kind}")
     fam = _family(cfg)
@@ -507,6 +509,7 @@ def close_torus_cmd(config, target, k, out_dir):
     fam = _family(cfg)
     if fam.mode == "limit":
         raise ConfigError("close-torus requires a non-limit family")
+    _require_reparam(sec, ("mean", "period"))  # the amplitude is tuned
     mean, period = float(sec["mean"]), float(sec["period"])
     if target is None:
         target = 2 * np.pi / k

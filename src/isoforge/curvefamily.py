@@ -295,17 +295,18 @@ def hyperbolic_speed(us, w: float, fam):
     return np.abs(rot * grid.gamma_u) / np.imag(rot * grid.gamma)
 
 
-def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> ElasticaConstants:
+def elastica_constants(w: float, fam) -> ElasticaConstants:
     """Fit the quartic tangent ODE of the standardized curve on a u-grid.
 
     Lambda comes from the closed form (d/dw log W1)/a; mu is fitted pointwise
-    from the ODE with Q_s = (dQ/du)/a by central differences, then averaged.
+    from the ODE with Q_s = (dQ/du)/a by central differences of step 1e-3,
+    at 200 u in [0, 2 pi), then averaged.
     """
     W1 = w1(w, fam)
     a = 2 * abs(W1)
     lam = dlog_w1(w, fam) / a
     rot = _standardizing_rotation(W1)
-    us = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
+    us = np.linspace(0, 2 * np.pi, 200, endpoint=False)
 
     def q_of(u):
         return rot * CurveGrid(u, w, fam, forms=("exp_isigma",)).exp_isigma
@@ -313,6 +314,7 @@ def elastica_constants(w: float, fam, n_grid: int = 200, step: float = 1e-3) -> 
     q = q_of(us)
     # fourth-order central stencil: the quartic residual is quadratic in the
     # Q_s error, so a second-order stencil would dominate the ODE residual
+    step = 1e-3
     qs = (-q_of(us + 2 * step) + 8 * q_of(us + step)
           - 8 * q_of(us - step) + q_of(us - 2 * step)) / (12 * step) / a
     mu_pts = -(qs ** 2 + 0.25 * q ** 4 + np.conj(lam) * q ** 3 + lam * q + 0.25) / q ** 2

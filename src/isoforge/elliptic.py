@@ -253,15 +253,16 @@ def theta2_logdd0(lam: float) -> float:
                  "theta2''(0)/theta2(0)")
 
 
-def solve_lambda0(lo: float = 0.1, hi: float = 0.6) -> float:
-    """The unique lambda with theta2''(0 | 1/2 + i*lambda) = 0."""
-    return brentq(theta2_logdd0, lo, hi, xtol=1e-14, rtol=8.9e-16)
+def solve_lambda0() -> float:
+    """The unique lambda in [0.1, 0.6] with theta2''(0 | 1/2 + i lambda) = 0."""
+    return brentq(theta2_logdd0, 0.1, 0.6, xtol=1e-14, rtol=8.9e-16)
 
 
-def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> Family:
+def solve_critical_omega(lat: Lattice) -> Family:
     """The unique omega in (0, pi/4) with theta2'(omega | tau) = 0.
 
-    Exists iff lambda < lambda0; otherwise NoCriticalOmega is raised.
+    A scan in steps of 1e-3 brackets it for Brent's method.  Exists iff
+    lambda < lambda0; otherwise NoCriticalOmega is raised.
     """
     if lat.kind != "rhombic":
         raise InvalidLattice("critical omega is defined for rhombic lattices")
@@ -270,7 +271,7 @@ def solve_critical_omega(lat: Lattice, scan_step: float = 1e-3) -> Family:
         return _real(theta_grid(2, w, lat, 1) / theta_grid(2, w, lat, 0),
                      "theta2'/theta2 at real omega")
 
-    grid = np.arange(scan_step, np.pi / 4, scan_step)
+    grid = np.arange(1e-3, np.pi / 4, 1e-3)
     vals = np.real(theta_grid(2, grid, lat, 1) / theta_grid(2, grid, lat, 0))
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -346,14 +347,14 @@ def c1_at_critical(fam: Family) -> float:
     return _real(fam.t1p0 ** 2 / fam.td ** 2 * s, "U2(omega)")
 
 
-def lame_c1(fam: Family, u_probe: float = 0.31) -> float:
-    """C1 recovered from the Lame equation U''/U = C1 - 8 U U1 at a probe point.
+def lame_c1(fam: Family) -> float:
+    """C1 from the Lame equation U''/U = C1 - 8 U U1 at u = omega + 0.31.
 
     Works for any omega; used to cross-check the closed form at critical omega.
     U'' is taken by central differences of the analytic U'.
     """
     h = 1e-5
-    u = fam.omega + u_probe
+    u = fam.omega + 0.31
     U, Up, U1, _ = _uu1_complex(u, fam)
     _, up_p, _, _ = _uu1_complex(u + h, fam)
     _, up_m, _, _ = _uu1_complex(u - h, fam)

@@ -134,6 +134,9 @@ _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
 # generator points per call: a round of each benchmarked integration is one
 # call, of half the points of a full surface.fields_at block (_BLOCK_POINTS)
 _MAX_POINTS = 4096
+# local error per step of the display grid's frame, phi-system and limit
+# frame, and of close_torus (the battery's frame: surface._BATTERY_STEP_TOL)
+STEP_TOL = 1e-12
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
 
@@ -291,7 +294,7 @@ def _magnus_solve(gen, alg, systems, step_tol):
 
 
 def integrate(spec: ReparamSpec, fam, periods: int = 1,
-              n_per_period: int = 256, step_tol: float = 1e-12,
+              n_per_period: int = 256, step_tol: float = STEP_TOL,
               v_nodes=None) -> FrameTrajectory:
     """Integrate Phi' = A(v) Phi from Phi(0) = 1 over the given periods.
 
@@ -382,23 +385,19 @@ def extend_by_rotation(piece, mono: Monodromy, k: int):
     )
 
 
-def close_torus(template, fam, target_angle: float,
-                bracket=(0.02, None), n_scan: int = 17,
-                step_tol: float = 1e-12):
+def close_torus(template, fam, target_angle: float):
     """Tune the free amplitude A so the monodromy angle hits target_angle.
 
     template is a callable A -> ReparamSpec (an analytic sin family with
-    everything but the amplitude fixed).  A coarse scan locates a sign change
-    of theta(A) - target_angle, then Brent's method refines it.  Returns
-    (tuned spec, achieved theta).
+    everything but the amplitude fixed).  A scan of 17 amplitudes from 0.02
+    locates a sign change of theta(A) - target_angle, then Brent's method
+    refines it.  Returns (tuned spec, achieved theta).
     """
-    lo, hi = bracket
-    if hi is None:
-        # keep w inside the band and |w'| = 2 pi A / V <= 1
-        spec = template(lo)
-        mean = spec.meta["mean"]
-        band = 2 * np.pi * fam.lattice.lam
-        hi = min(0.9 * min(mean, band - mean), spec.period / (2 * np.pi))
+    # keep w inside the band and |w'| = 2 pi A / V <= 1
+    spec = template(0.02)
+    mean = spec.meta["mean"]
+    band = 2 * np.pi * fam.lattice.lam
+    hi = min(0.9 * min(mean, band - mean), spec.period / (2 * np.pi))
 
     def thetas(amps):
         # the monodromy angle of each amplitude after one period, from one
@@ -406,17 +405,17 @@ def close_torus(template, fam, target_angle: float,
         specs = [template(a) for a in amps]
         for spec in specs:
             _require_valid(spec, fam)
-        trajs = _frames(specs, fam,
-                        [np.linspace(0.0, s.period, 9) for s in specs], step_tol)
+        nodes = [np.linspace(0.0, s.period, 9) for s in specs]
+        trajs = _frames(specs, fam, nodes, STEP_TOL)
         return np.array([monodromy(t.phi[-1]).theta for t in trajs])
 
-    amps = np.linspace(lo, hi, n_scan)
+    amps = np.linspace(0.02, hi, 17)
     vals = thetas(amps) - target_angle
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) == 0:
         raise NoBracket(
-            f"no amplitude in [{lo:.6g}, {hi:.6g}] turns the monodromy by "
+            f"no amplitude in [0.02, {hi:.6g}] turns the monodromy by "
             f"{target_angle:.6g}: the scanned angles span "
             f"[{np.min(vals) + target_angle:.6g}, "
             f"{np.max(vals) + target_angle:.6g}]"

@@ -84,9 +84,6 @@ class SphericalSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    w_min: float
-    w_max: float
-    band_top: float
     max_abs_wprime: float
     root_residual: float
     root_dd2: float
@@ -163,8 +160,7 @@ def _report(v, w, wp, root, top) -> ValidationReport:
     ok = (0.0 < w_min and w_max < top and max_wp <= 1.0 + 1e-12
           and root_residual <= 1e-8)
     return ValidationReport(
-        w_min=w_min, w_max=w_max, band_top=top, max_abs_wprime=max_wp,
-        root_residual=root_residual, root_dd2=root_dd2,
+        max_abs_wprime=max_wp, root_residual=root_residual, root_dd2=root_dd2,
         flags=tuple(flags), ok=ok,
     )
 
@@ -259,15 +255,14 @@ def cubic_hermite(x, y, dydx):
     return evaluate
 
 
-def build_spherical(spec: SphericalSpec, crit: Family,
-                    n_panels: int = 1600) -> ReparamSpec:
+def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
     """Construct the periodic w(v) with spherical v-curvature lines.
 
     s oscillates on an interval [s_a, s_b] bounded by simple roots of Q with
     Q > 0 inside and Q3 > 0 throughout; v and w are elliptic integrals of s,
     regularized by s = s_a + (s_b - s_a) sin^2(theta) and accumulated by
-    per-panel Gauss-Legendre quadrature.  The half period is mirrored to a
-    full period: w(V - v) = w(v).
+    five-point Gauss-Legendre quadrature on 1600 equal theta-panels.  The
+    half period is mirrored to a full period: w(V - v) = w(v).
     """
     delta = float(spec.delta)
     if delta == 0.0:
@@ -325,7 +320,7 @@ def build_spherical(spec: SphericalSpec, crit: Family,
                 * np.polyval(quot, s))
 
     span = s_b - s_a
-    edges = np.linspace(0.0, np.pi / 2, n_panels + 1)
+    edges = np.linspace(0.0, np.pi / 2, 1601)
     nodes, weights = gauss_legendre(5)
 
     def cumulative(g):
@@ -412,19 +407,19 @@ def fit_sphere(points):
     return center, radius
 
 
-def sphericality_certificate(surface, n_u: int = 5) -> dict:
+def sphericality_certificate(surface) -> dict:
     """Fit spheres to sampled v-curves and measure the Joachimsthal angle.
 
-    For each of n_u sampled u0 the v-curve must lie on a sphere and the
-    surface normal must make a constant angle with the sphere's radial
-    direction.  Returns, by check name, `sphere_fit`: the largest distance
-    residual relative to the fitted radius, and `sphere_angle`: the
-    largest spread (std over v) of that angle's cosine.
+    For each of 5 u0 evenly spread over the grid the v-curve must lie on a
+    sphere and the surface normal must make a constant angle with the
+    sphere's radial direction.  Returns, by check name, `sphere_fit`: the
+    largest distance residual relative to the fitted radius, and
+    `sphere_angle`: the largest spread (std over v) of that angle's cosine.
     """
     pts_grid = np.asarray(surface.points, dtype=float)
     n_grid = np.asarray(surface.n, dtype=float)
     nu = pts_grid.shape[0]
-    idx = np.unique(np.linspace(0, nu - 1, n_u).astype(int))
+    idx = np.unique(np.linspace(0, nu - 1, 5).astype(int))
 
     res, ang = [], []
     for i in idx:

@@ -3,10 +3,9 @@
 When the reparametrization function comes from the quartic elliptic curve
 Q(s) = -(s - s1)^2 (s - s2)^2 + delta^2 Q3(s), every v-curve of the surface
 lies on a sphere.  This module integrates the linear phi-system that encodes
-the sphere data along u, recovers the sphere centers Z(u), radii and
-intersection angles, and evaluates the closed-form axis direction Z'(omega)
-in the moving frame at u = omega -- the local formula that must reproduce
-the (global) monodromy axis.
+the sphere data along u, recovers the sphere centers Z(u) and radii, and
+evaluates the closed-form axis direction Z'(omega) in the moving frame at
+u = omega -- the local formula that must reproduce the global monodromy axis.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from .reparam import fit_sphere
 
 @dataclass(frozen=True)
 class SphereSample:
-    """One spherical v-curve: center two ways, radius, intersection angle."""
+    """One spherical v-curve: center two ways and radius."""
 
     u: float
     center: np.ndarray        # from alpha/beta (v-averaged)
     radius: float             # sqrt(alpha^2 + beta^2)
-    psi: float                # atan2(beta, alpha)
     alpha: float
-    beta: float
     center_spread: float      # max_v |Z_v - center| (should be ~0)
     fit_center: np.ndarray    # least-squares sphere through the v-curve
     fit_radius: float
@@ -89,7 +86,7 @@ def sym2(m):
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def integrate_phis(spec, crit, us, step_tol=1e-12):
+def integrate_phis(spec, crit, us):
     """Solve the 3x3 linear system for (phi2, phi1, phi0) along u: one row
     (phi2, phi1, phi0) per u of us, shape (len(us), 3).
 
@@ -97,7 +94,8 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
     square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
     phi(omega) with M(omega) = 1, phi(omega) = delta^{-1} (1, -(s1 + s2),
     s1 s2).  M is integrated outward from omega in both directions, as two
-    systems of one solve of the frame module's Magnus solver.  The
+    systems of one solve of the frame module's Magnus solver, to its step
+    tolerance `frame.STEP_TOL`.  The
     coefficients have poles where the u-denominator theta2 vanishes
     (u = pi/2 mod pi), so a requested u outside (-pi/2, pi/2) raises
     PoleProximity before any integration.
@@ -134,7 +132,8 @@ def integrate_phis(spec, crit, us, step_tol=1e-12):
     m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
     if sides:
         solved = frame._magnus_solve(x_of_t, frame.Matrices2,
-                                     [(t, np.pi / 64) for t in nodes], step_tol)
+                                     [(t, np.pi / 64) for t in nodes],
+                                     frame.STEP_TOL)
         for (sign, side), t, (y, _) in zip(sides, nodes, solved):
             m[side] = y[np.searchsorted(t, sign * (us[side] - om))]
     return sym2(m) @ y0
@@ -145,8 +144,8 @@ def _sphere_data(phi2, phi0, U, U1):
     return U1 / den, -phi2 / den
 
 
-def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
-    """Sphere center, radius and intersection angle for sampled v-curves.
+def sphere_centers(surf, crit, u_indices=None):
+    """Sphere center and radius for sampled v-curves.
 
     Z(u) is assembled from alpha, beta as Z = f + alpha n + beta fu/|fu|
     (v-independent up to integration error) and cross-checked against a
@@ -158,7 +157,7 @@ def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
         u_indices = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
     u_indices = np.asarray(u_indices, dtype=int)
     us = surf.u[u_indices]
-    phis = integrate_phis(surf.recipe.spec, crit, us, step_tol=step_tol)
+    phis = integrate_phis(surf.recipe.spec, crit, us)
     c = elliptic.coeffs(us, crit)
     alphas, betas = _sphere_data(phis[:, 0], phis[:, 2], c.U, c.U1)
 
@@ -175,8 +174,7 @@ def sphere_centers(surf, crit, u_indices=None, step_tol=1e-12):
         fit_center, fit_radius = fit_sphere(pts)
         samples.append(SphereSample(
             u=float(surf.u[i]), center=center,
-            radius=float(np.hypot(a, b)), psi=float(np.arctan2(b, a)),
-            alpha=float(a), beta=float(b), center_spread=spread,
+            radius=float(np.hypot(a, b)), alpha=float(a), center_spread=spread,
             fit_center=fit_center, fit_radius=float(fit_radius),
         ))
     return samples
@@ -220,13 +218,13 @@ def cone_point(surf, b_point):
     return float(np.max(np.abs(dist), initial=0.0))
 
 
-def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
+def axis(spec, crit, surf) -> AxisData:
     """Closed-form axis Z'(omega) in the moving frame at u = omega.
 
     The coefficients z1, z2, z3 on (e^{-h} f_u, e^{-h} f_v, n) are rational
     in s = e^{-h(omega, w)} with the signed sqrt(Q) carried by s'(v); the
-    assembled vector must be v-independent and parallel to the monodromy
-    axis of the frame.
+    assembled vector, at 9 interior v-samples of the first period, must be
+    v-independent and parallel to the monodromy axis of the frame.
     """
     sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
@@ -242,7 +240,7 @@ def axis(spec, crit, surf, n_v: int = 9) -> AxisData:
     # interior v-samples of the first period (endpoints have w'(v) = 0,
     # which is fine, but spread detection benefits from generic points)
     j_sel = np.unique(np.linspace(1, np.searchsorted(surf.v, rspec.period) - 1,
-                                  n_v).astype(int))
+                                  9).astype(int))
     v_sel = surf.v[j_sel]
     w_sel, wp_sel, _ = rspec.planes(v_sel)
 

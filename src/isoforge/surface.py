@@ -66,7 +66,6 @@ class SurfaceRecipe:
     nu: int = 128
     nv: int = 128            # v samples per period
     periods: int = 1
-    step_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
-    traj = frame.integrate(spec, fam, v_nodes=v, step_tol=recipe.step_tol)
+    traj = frame.integrate(spec, fam, v_nodes=v)
     f = fields_at(fam, spec, u, v, traj.phi)
 
     eh = f["expH"]
@@ -208,9 +207,9 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
 # the omega -> 0 limit surface (planes tangent to a cylinder)
 
 
-def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v, step_tol=1e-12):
+def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v):
     """E = e^{-2ia(v)} (the rotation) and T(v) = T_x + i T_y (the translation)
-    of the limit immersion at the nodes v.
+    of the limit immersion at the nodes v (to frame.STEP_TOL).
 
     a' = sqrt(1-w'^2) W_hat(w) and T' = sqrt(1-w'^2) r(w) e^{-2ia} make
     (E, T) the first column of the solution of the linear system
@@ -225,7 +224,7 @@ def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v, step_tol=1e-12):
         return y
 
     (y, _), = frame._magnus_solve(lambda vv, _: a_of_v(vv), frame.Matrices2,
-                                  [(v, spec.period / 128)], step_tol)
+                                  [(v, spec.period / 128)], frame.STEP_TOL)
     return y[:, 0, 0], y[:, 1, 0]
 
 
@@ -241,7 +240,7 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
     u = np.linspace(0.0, 2 * np.pi, recipe.nu, endpoint=False)
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
-    E, T = _limit_frame_arrays(fam, spec, v, recipe.step_tol)
+    E, T = _limit_frame_arrays(fam, spec, v)
     w_arr, wp, root = spec.planes(v)
     gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], fam)
     ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], fam)
@@ -282,10 +281,12 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
 # own: the PDE stencil (`gauss_codazzi_nodes`), the fv_vs_fd probes of the
 # CLI and the dual loop's quadrature nodes (`dual_loop_nodes`).
 # `battery_frame` integrates the frame once over the union of such node
-# sets, at a step_tol ten times below the display grid's, since the
-# stencils take differences over steps of 1e-4 to 8e-4, and each consumer
-# looks its nodes up with `phi_at`.
+# sets, at a step_tol ten times below the display grid's frame.STEP_TOL,
+# since the stencils take differences over steps of 1e-4 to 8e-4, and each
+# consumer looks its nodes up with `phi_at`.
 _BATTERY_STEP_TOL = 1e-13
+# u- and v-probes each of gauss_codazzi_nodes and gauss_codazzi_residuals
+_N_PROBE = 6
 
 
 def battery_frame(fam, spec, v_sets) -> frame.FrameTrajectory:
@@ -530,30 +531,29 @@ def dual_symmetry(s: SampledSurface, traj: frame.FrameTrajectory) -> dict:
             "dual_double_dual": res_dd, "dual_loop_integral": res_loop}
 
 
-def _gauss_codazzi_probes(s: SampledSurface, n_probe: int):
-    """u- and v-probes of the PDE battery, n_probe of each from the grid.
+def _gauss_codazzi_probes(s: SampledSurface):
+    """u- and v-probes of the PDE battery, _N_PROBE of each from the grid.
 
     u-probes stay clear of u = pi/2 mod pi, where the Riccati coefficients
     U, U1 have poles (the identities hold only in the limit there).
     """
     dist = np.abs(np.mod(s.u + np.pi / 4, np.pi / 2) - np.pi / 4)
     ok = np.nonzero(dist > 0.08)[0][1:-1]
-    iu = ok[np.unique(np.linspace(0, len(ok) - 1, n_probe).astype(int))]
-    jv = np.linspace(2, len(s.v) - 3, n_probe).astype(int)
+    iu = ok[np.unique(np.linspace(0, len(ok) - 1, _N_PROBE).astype(int))]
+    jv = np.linspace(2, len(s.v) - 3, _N_PROBE).astype(int)
     return s.u[iu], s.v[jv]
 
 
-def gauss_codazzi_nodes(s: SampledSurface, n_probe: int = 6,
-                        steps=(4e-4, 8e-4)):
+def gauss_codazzi_nodes(s: SampledSurface, steps=(4e-4, 8e-4)):
     """The v-nodes at which gauss_codazzi_residuals reads the frame."""
-    return pde_nodes(_gauss_codazzi_probes(s, n_probe)[1], steps)
+    return pde_nodes(_gauss_codazzi_probes(s)[1], steps)
 
 
 def gauss_codazzi_residuals(s: SampledSurface, traj: frame.FrameTrajectory,
-                            n_probe: int = 6, steps=(4e-4, 8e-4)) -> list:
-    """Convenience wrapper: run the PDE battery at probes from the grid,
-    one dict of residuals per probe step.  traj must hold
-    `gauss_codazzi_nodes(s, n_probe, steps)` among its nodes."""
-    u_probes, v_probes = _gauss_codazzi_probes(s, n_probe)
+                            steps=(4e-4, 8e-4)) -> list:
+    """Convenience wrapper: run the PDE battery at _N_PROBE u- and
+    v-probes from the grid, one dict of residuals per probe step.  traj
+    must hold `gauss_codazzi_nodes(s, steps)` among its nodes."""
+    u_probes, v_probes = _gauss_codazzi_probes(s)
     return pde_battery(s.recipe.fam, s.recipe.spec, u_probes, v_probes, traj,
                        steps)

@@ -37,6 +37,8 @@ class Check(NamedTuple):
 # analytic profiles, so the truncation constant of the PDE residuals (and
 # hence their cap) is larger.
 _PDE = Check(1e-5, spherical_tol=1e-2)
+# the v-step of fv_vs_fd's difference, for _fv_fd_nodes and _fv_fd_residual
+_FV_FD_DV = 1e-4
 
 CHECKS = {
     # surface battery; the limit surface has conformality, the others
@@ -173,25 +175,25 @@ def battery(surf, fam) -> dict:
     return values
 
 
-def _fv_fd_nodes(spec, dv=1e-4):
+def _fv_fd_nodes(spec):
     """The (probe, shift) v-nodes of _fv_fd_residual: three probes, each
-    at -dv, 0 and +dv."""
+    at -_FV_FD_DV, 0 and +_FV_FD_DV."""
     v0 = np.linspace(0.31, 0.77, 3) * spec.period
-    return v0[:, None] + [-dv, 0.0, dv]
+    return v0[:, None] + [-_FV_FD_DV, 0.0, _FV_FD_DV]
 
 
-def _fv_fd_residual(surf, fam, traj, dv=1e-4):
+def _fv_fd_residual(surf, fam, traj):
     """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
     one field grid over the probes' stencils.  The frame there comes from
-    traj, an integration that holds `_fv_fd_nodes(spec, dv)` among its
-    nodes (the battery's `surface.battery_frame`)."""
+    traj, an integration that holds `_fv_fd_nodes(spec)` among its nodes
+    (the battery's `surface.battery_frame`)."""
     spec = surf.recipe.spec
-    nodes = _fv_fd_nodes(spec, dv).ravel()
+    nodes = _fv_fd_nodes(spec).ravel()
     us = surf.u[:: max(1, len(surf.u) // 8)]
     f = surface.fields_at(fam, spec, us, nodes,
                           surface.phi_at(traj, nodes), ("points", "fv"))
     pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
-    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
+    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * _FV_FD_DV)
     return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
 
 

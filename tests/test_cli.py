@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import isoforge
 from isoforge import cli as cli_mod
@@ -113,17 +113,79 @@ def test_validate_config_raises_only_config_error(cfg):
         pass
 
 
-def _main_exit(tmp_path, monkeypatch, cfg):
-    """Exit code of `verify` on cfg through the console script's main()
-    (which returns on success)."""
+def _main_exit(tmp_path, monkeypatch, cfg, command="verify"):
+    """Exit code of `command` on cfg (verify with its report in
+    tmp_path) through the console script's main() (which returns on
+    success)."""
+    out = ["--out", str(tmp_path / "report.json")] * (command == "verify")
     monkeypatch.setattr(sys, "argv", [
-        "isoforge", "verify", _write(tmp_path, cfg),
-        "--out", str(tmp_path / "report.json")])
+        "isoforge", command, _write(tmp_path, cfg), *out])
     try:
         cli_mod.main()
     except SystemExit as exc:
         return exc.code
     return 0
+
+
+# the fields of the README config, each with the end of its range, and
+# its sections (whose end is null)
+_EDGES = {
+    ("lattice", "lambda"): 0.354729892522,       # lambda0
+    ("lattice", "kind"): "rectangular",
+    ("omega", "mode"): "limit",
+    ("reparam", "kind"): "spherical",
+    ("reparam", "mean"): 2 * np.pi * 0.32,       # the top of the band
+    ("reparam", "amplitude"): 1.0053,            # w reaches 0
+    ("reparam", "period"): 2 * np.pi * 0.35,     # |w'| reaches 1
+    ("grid", "nu"): 5,
+    ("grid", "nv"): 3,
+    ("lattice",): None, ("omega",): None, ("reparam",): None, ("grid",): None,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["verify", "close-torus"]),
+       path=st.sampled_from(sorted(_EDGES)),
+       edit=st.sampled_from(["drop", 0, -1, True, "end"]))
+def test_no_config_ends_in_a_traceback(tmp_path, monkeypatch, capsys,
+                                       command, path, edit):
+    """A lattice without lambda ended every command in KeyError: 'lambda',
+    and close-torus on an analytic reparam without mean or period in
+    KeyError: 'mean' or 'period'.  Every config one edit away from the
+    README's exits with a documented code and no traceback."""
+    cfg = json.loads(json.dumps(dict(_README_CFG, grid={"nu": 8, "nv": 8})))
+    parent = cfg if len(path) == 1 else cfg[path[0]]
+    if edit == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _EDGES[path] if edit == "end" else edit
+    assert _main_exit(tmp_path, monkeypatch, cfg, command) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "close-torus"])
+@pytest.mark.parametrize("section, key, message", [
+    ("lattice", "lambda", "lattice.lambda required"),
+    ("reparam", "mean", "reparam.mean required for analytic"),
+    ("reparam", "period", "reparam.period required for analytic")],
+    ids=["lambda", "mean", "period"])
+def test_missing_required_key_exits_1(tmp_path, monkeypatch, capsys, command,
+                                      section, key, message):
+    """verify and close-torus exit 1 naming the missing key, as verify did
+    for reparam.mean and reparam.period; a lattice without lambda, and
+    close-torus without either, ended in a KeyError."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    del cfg[section][key]
+    assert _main_exit(tmp_path, monkeypatch, cfg, command) == 1
+    assert f"Error: {message}\n" in capsys.readouterr().err
+
+
+def test_close_torus_needs_no_amplitude(tmp_path, monkeypatch):
+    """close-torus tunes the amplitude, so its config may leave it out."""
+    cfg = _base_cfg(grid={"nu": 8, "nv": 8})
+    del cfg["reparam"]["amplitude"]
+    assert _main_exit(tmp_path, monkeypatch, cfg, "close-torus") == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -927,7 +989,8 @@ def test_tol_override_keeps_structural_bounds(tmp_path, monkeypatch, command):
         "normals_rank_defect"]
 
 
-@pytest.mark.parametrize("command", ["verify", "surface", "spherical"])
+@pytest.mark.parametrize("command", ["verify", "surface", "spherical",
+                                     "curves", "close-torus"])
 @pytest.mark.parametrize("name, message", [
     ("pde_guass", "tolerances.pde_guass: no check has that name (the "
                   "closest is 'pde_gauss')"),
@@ -940,7 +1003,9 @@ def test_tolerance_names_must_be_residual_checks(tmp_path, monkeypatch,
                                                  command, name, message):
     """tolerances.pde_guass: 1e-30 was ignored and verify exited 0, and a
     structural check's tolerance was ignored too; each reporting command
-    now exits 1 on them before building anything."""
+    now exits 1 on them before building anything.  curves and close-torus,
+    which report no checks, accepted them; they exit 1 too, so one
+    tolerances block is valid or not for every command."""
     monkeypatch.setattr(cli_mod, "_family", None)  # never reached
     cfg = dict(sph_cfg_grid32, tolerances={"planarity": 1e-3, name: 1e-30})
     code = _exit_code(monkeypatch, command, _write(tmp_path, cfg),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from isoforge import reparam
-from isoforge.errors import DomainW, NoOscillation, SpecInvalid
+from isoforge.errors import (DegenerateFit, DomainW, NoOscillation,
+                             SingularRoot, SpecInvalid)
 
 from conftest import curve_form
 
@@ -181,6 +182,11 @@ def test_spherical_rejects_bad_specs(crit032):
         reparam.build_spherical(
             reparam.SphericalSpec(delta=0.4, s1=0.5 + 0.3j, s2=0.7 + 0.3j),
             crit032)
+    # s1 = s2 and a tiny delta: Q's roots next to s1 are almost double
+    with pytest.raises(SingularRoot,
+                       match="root of Q at s = 0.598999 is not simple"):
+        reparam.build_spherical(
+            reparam.SphericalSpec(delta=1e-6, s1=0.6, s2=0.6), crit032)
 
 
 def test_spherical_no_oscillation_for_tiny_delta(crit032):
@@ -205,6 +211,16 @@ def test_fit_sphere_recovers_synthetic():
     c, r = reparam.fit_sphere(pts)
     assert np.max(np.abs(c - center)) < 1e-10
     assert abs(r - radius) < 1e-10
+
+
+def test_fit_sphere_refuses_coplanar_points():
+    """Points on a circle in a tilted plane lie on a pencil of spheres: the
+    least-squares system has rank 3, and no sphere is fitted."""
+    t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    x, y = np.cos(t), np.sin(t)
+    pts = np.stack([x, y, 0.3 * x - 0.2 * y + 1.0], axis=1)
+    with pytest.raises(DegenerateFit, match="too flat"):
+        reparam.fit_sphere(pts)
 
 
 def test_sphericality_certificate_positive(sph_surf):
