@@ -441,15 +441,13 @@ def surface_cmd(config, out_dir, tol):
     nverts, nfaces = write_obj(mesh_path, surf)
     click.echo(f"mesh -> {mesh_path} ({nverts} vertices, {nfaces} quads)")
 
-    values = run_battery(surf, fam)
-    if fam.mode != "limit" and surf.recipe.spec.kind != "constant":
+    values, extra = run_battery(surf, fam), None
+    if fam.mode != "limit":
         try:
             mono = frame.monodromy(surf.phi[surf.recipe.nv])
             extra = {"axis": list(mono.axis), "theta": mono.theta}
         except IsoforgeError:
             extra = {"axis": None, "theta": 0.0}
-    else:
-        extra = None
     report_path = os.path.join(out_dir, outputs.get("report", "report.json"))
     emit_report(cfg, values, report_path, tol, extra, announce=True)
 

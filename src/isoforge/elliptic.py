@@ -70,8 +70,10 @@ class Family:
     mode is "critical" (omega is the zero of theta2' on a rhombic lattice,
     from `solve_critical_omega`; the curves close), "explicit" (omega given,
     in (0, pi/2)) or "limit" (omega = 0: the cylinder-tangent limit
-    surface).  A mode or omega outside these raises SpecInvalid.  td is the
-    companion theta: theta2 on rhombic, theta4 on rectangular lattices.
+    surface, on the rhombic lattice at lambda0 only, where theta2''(0) = 0
+    to 1e-10).  A mode, omega or lattice outside these raises SpecInvalid.
+    td is the companion theta: theta2 on rhombic, theta4 on rectangular
+    lattices.
     """
 
     lattice: Lattice
@@ -86,6 +88,14 @@ class Family:
                               f"got {self.omega}")
         if self.mode == "limit" and self.omega != 0:
             raise SpecInvalid(f"the limit family has omega = 0, got {self.omega}")
+        # the limit curves miss closure by about 21.5 |lambda - lambda0|;
+        # the bound admits |lambda - lambda0| <= 1.3e-11, well within 1e-9
+        lat = self.lattice
+        if self.mode == "limit" and (lat.kind != "rhombic" or abs(
+                theta2_logdd0(lat.lam)) > 1e-10):
+            raise SpecInvalid(f"the limit family needs the rhombic lattice at"
+                              f" lambda0 = {solve_lambda0():.12f}, got "
+                              f"{lat.kind} lambda = {lat.lam}")
 
     @cached_property
     def den(self) -> int:

@@ -48,8 +48,8 @@ class ReparamSpec:
     to the tuple (w(v), w'(v), root(v)), where root is the recorded branch
     of sqrt(1 - w'(v)^2).  Every consumer reads the three together at the
     same v, so one call folds, searches and evaluates a v-array once;
-    `w`, `wprime` and `signed_root` are its projections, so no quantity
-    can be replaced without the others seeing it.
+    `w` is its first projection, so no quantity can be replaced without
+    the others seeing it.
     """
 
     kind: str
@@ -59,12 +59,6 @@ class ReparamSpec:
 
     def w(self, v):
         return self.planes(v)[0]
-
-    def wprime(self, v):
-        return self.planes(v)[1]
-
-    def signed_root(self, v):
-        return self.planes(v)[2]
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,7 @@ def analytic(mean: float, amplitude: float, period: float) -> ReparamSpec:
 
 def constant(level: float, period: float = 2 * np.pi) -> ReparamSpec:
     """Constant w; admissible but corresponds to a surface of revolution."""
-    spec = analytic(level, 0.0, period)
-    return replace(spec, meta={**spec.meta, "constant": True})
+    return analytic(level, 0.0, period)
 
 
 def validate(spec: ReparamSpec, lat, n: int = 4001, coarse: bool = False):

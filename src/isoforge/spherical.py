@@ -3,48 +3,19 @@
 When the reparametrization function comes from the quartic elliptic curve
 Q(s) = -(s - s1)^2 (s - s2)^2 + delta^2 Q3(s), every v-curve of the surface
 lies on a sphere.  This module integrates the linear phi-system that encodes
-the sphere data along u, recovers the sphere centers Z(u) and radii, and
-evaluates the closed-form axis direction Z'(omega) in the moving frame at
-u = omega -- the local formula that must reproduce the global monodromy axis.
+the sphere data along u, recovers the sphere centers Z(u) and the line they
+lie on, and evaluates the closed-form axis direction Z'(omega) in the moving
+frame at u = omega -- the local formula that must reproduce the global
+monodromy axis.  The certificates return plain values, and pass no verdict:
+`verify.spherical_battery` collects them under `verify.CHECKS` names.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import curvefamily, elliptic, frame, surface as surface_mod
 from .errors import PoleProximity, SpecInvalid
-from .reparam import fit_sphere
-
-
-@dataclass(frozen=True)
-class SphereSample:
-    """One spherical v-curve: center two ways and radius."""
-
-    u: float
-    center: np.ndarray        # from alpha/beta (v-averaged)
-    radius: float             # sqrt(alpha^2 + beta^2)
-    alpha: float
-    center_spread: float      # max_v |Z_v - center| (should be ~0)
-    fit_center: np.ndarray    # least-squares sphere through the v-curve
-    fit_radius: float
-
-
-@dataclass(frozen=True)
-class AxisData:
-    """The axis Z'(omega) expressed in the moving frame at u = omega."""
-
-    Zprime_omega: np.ndarray  # (3,), v-averaged assembled vector
-    norm_sq: float            # closed form |Z'(omega)|^2
-    z1: np.ndarray            # coefficients on e^{-h} f_u, e^{-h} f_v, n
-    z2: np.ndarray
-    z3: np.ndarray
-    v: np.ndarray
-    unit_residual: float      # max |z1^2 + z2^2 + z3^2 - 1|
-    norm_sq_assembled: float  # max_v of the componentwise |Z'(omega)|^2
-    spread_angle: float       # max angle between per-v assembled directions
 
 
 def _spec_of(spec):
@@ -95,10 +66,9 @@ def integrate_phis(spec, crit, us):
     phi(omega) with M(omega) = 1, phi(omega) = delta^{-1} (1, -(s1 + s2),
     s1 s2).  M is integrated outward from omega in both directions, as two
     systems of one solve of the frame module's Magnus solver, to its step
-    tolerance `frame.STEP_TOL`.  The
-    coefficients have poles where the u-denominator theta2 vanishes
-    (u = pi/2 mod pi), so a requested u outside (-pi/2, pi/2) raises
-    PoleProximity before any integration.
+    tolerance `frame.STEP_TOL`.  The coefficients have poles where the
+    u-denominator theta2 vanishes (u = pi/2 mod pi), so a requested u
+    outside (-pi/2, pi/2) raises PoleProximity before any integration.
     """
     sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
@@ -139,61 +109,40 @@ def integrate_phis(spec, crit, us):
     return sym2(m) @ y0
 
 
-def _sphere_data(phi2, phi0, U, U1):
-    den = U1 * phi0 + U * phi2
-    return U1 / den, -phi2 / den
-
-
-def sphere_centers(surf, crit, u_indices=None):
-    """Sphere center and radius for sampled v-curves.
-
-    Z(u) is assembled from alpha, beta as Z = f + alpha n + beta fu/|fu|
-    (v-independent up to integration error) and cross-checked against a
-    least-squares sphere through the sampled v-curve.
-    """
-    if u_indices is None:
-        # a pole-free window around omega, clear of u = pi/2
-        sel = np.nonzero((surf.u > 0.03) & (surf.u < np.pi / 2 - 0.08))[0]
-        u_indices = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
-    u_indices = np.asarray(u_indices, dtype=int)
-    us = surf.u[u_indices]
+def sphere_centers(surf, crit):
+    """alpha (9,) and the sphere centres (9, 3) of the v-curves at 9
+    u-samples of a pole-free window around omega.  Each centre Z(u) = f +
+    alpha n + beta fu/|fu| is v-independent (up to integration error) and
+    averaged over the curve's v-samples."""
+    # a pole-free window around omega, clear of u = pi/2
+    sel = np.nonzero((surf.u > 0.03) & (surf.u < np.pi / 2 - 0.08))[0]
+    rows = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
+    us = surf.u[rows]
     phis = integrate_phis(surf.recipe.spec, crit, us)
     c = elliptic.coeffs(us, crit)
-    alphas, betas = _sphere_data(phis[:, 0], phis[:, 2], c.U, c.U1)
-
-    samples = []
-    for i, a, b in zip(u_indices, alphas, betas):
-        pts = surf.points[i]
-        fu = surf.fu[i]
-        unit_u = fu / np.linalg.norm(fu, axis=-1, keepdims=True)
-        # the sphere-data normal is opposite to the assembled Gauss map
-        # n = fu x fv / |..| used by the surface module
-        z_v = pts - a * surf.n[i] + b * unit_u
-        center = np.mean(z_v, axis=0)
-        spread = float(np.max(np.linalg.norm(z_v - center, axis=-1)))
-        fit_center, fit_radius = fit_sphere(pts)
-        samples.append(SphereSample(
-            u=float(surf.u[i]), center=center,
-            radius=float(np.hypot(a, b)), alpha=float(a), center_spread=spread,
-            fit_center=fit_center, fit_radius=float(fit_radius),
-        ))
-    return samples
+    den = c.U1 * phis[:, 2] + c.U * phis[:, 0]
+    alphas, betas = c.U1 / den, -phis[:, 0] / den
+    fu = surf.fu[rows]
+    unit_u = fu / np.linalg.norm(fu, axis=-1, keepdims=True)
+    # the sphere-data normal is opposite to the assembled Gauss map
+    # n = fu x fv / |..| used by the surface module
+    z_v = (surf.points[rows] - alphas[:, None, None] * surf.n[rows]
+           + betas[:, None, None] * unit_u)
+    return alphas, np.mean(z_v, axis=1)
 
 
-def collinearity(samples):
-    """Fit Z(u) = alpha(u) A + B and report the center-line quality.
+def collinearity(alphas, centers):
+    """Fit Z(u) = alpha(u) A + B to the sphere centres of `sphere_centers`.
 
     Returns (sv_ratio, A, B): sv_ratio is the second-to-first singular value
     ratio of the centered Z cloud (0 for perfectly collinear centers), and
     A, B the regression line in the intersection-angle parametrization.
     """
-    zs = np.array([s.center for s in samples])
-    alphas = np.array([s.alpha for s in samples])
-    centered = zs - np.mean(zs, axis=0)
+    centered = centers - np.mean(centers, axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
     design = np.stack([alphas, np.ones_like(alphas)], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(design, zs, rcond=None)
+    sol, _, _, _ = np.linalg.lstsq(design, centers, rcond=None)
     return ratio, sol[0], sol[1]
 
 
@@ -218,13 +167,14 @@ def cone_point(surf, b_point):
     return float(np.max(np.abs(dist), initial=0.0))
 
 
-def axis(spec, crit, surf) -> AxisData:
-    """Closed-form axis Z'(omega) in the moving frame at u = omega.
+def _axis_terms(spec, crit, surf):
+    """Closed-form axis Z'(omega) in the moving frame at u = omega, at 9
+    interior v-samples of the first period: (v, (zeta1, zeta2, zeta3),
+    |Z'(omega)|^2, the assembled vectors (9, 3)).
 
-    The coefficients z1, z2, z3 on (e^{-h} f_u, e^{-h} f_v, n) are rational
-    in s = e^{-h(omega, w)} with the signed sqrt(Q) carried by s'(v); the
-    assembled vector, at 9 interior v-samples of the first period, must be
-    v-independent and parallel to the monodromy axis of the frame.
+    The coefficients on (e^{-h} f_u, e^{-h} f_v, n) are rational in
+    s = e^{-h(omega, w)} with the signed sqrt(Q) carried by s'(v); their
+    squares sum to |Z'(omega)|^2, and the assembled vector is v-independent.
     """
     sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
@@ -238,7 +188,7 @@ def axis(spec, crit, surf) -> AxisData:
                + R ** 4 * (co.Uprime + e2 * co.U1prime) ** 2)
 
     # interior v-samples of the first period (endpoints have w'(v) = 0,
-    # which is fine, but spread detection benefits from generic points)
+    # which is fine, but generic points probe the v-independence better)
     j_sel = np.unique(np.linspace(1, np.searchsorted(surf.v, rspec.period) - 1,
                                   9).astype(int))
     v_sel = surf.v[j_sel]
@@ -264,15 +214,24 @@ def axis(spec, crit, surf) -> AxisData:
     assembled = (zeta1[:, None] * f["fu"][0] / eh_row
                  + zeta2[:, None] * f["fv"][0] / eh_row
                  - zeta3[:, None] * f["n"][0])
-    norms = np.linalg.norm(assembled, axis=-1)
-    spread = float(np.max(angle(assembled, assembled[0])))
-    scale = np.sqrt(norm_sq)
-    return AxisData(
-        Zprime_omega=np.mean(assembled, axis=0),
-        norm_sq=float(norm_sq),
-        z1=zeta1 / scale, z2=zeta2 / scale, z3=zeta3 / scale, v=v_sel,
-        unit_residual=float(np.max(np.abs(
+    return v_sel, (zeta1, zeta2, zeta3), float(norm_sq), assembled
+
+
+def axis(spec, crit, surf, mono_axis) -> dict:
+    """The axis of `_axis_terms` by check name: `axis_unit` and
+    `axis_norm_sq`, the largest relative error of the coefficients' square
+    sum and of the assembled |Z'(omega)|^2 against the closed form, and
+    `axis_vs_monodromy`, the angle between the lines of the v-averaged
+    assembled vector and of mono_axis, the frame's monodromy axis."""
+    _, (zeta1, zeta2, zeta3), norm_sq, assembled = _axis_terms(spec, crit,
+                                                               surf)
+    norm_sq_assembled = float(np.max(np.linalg.norm(assembled, axis=-1) ** 2))
+    mean = np.mean(assembled, axis=0)
+    ang = float(angle(mean / np.linalg.norm(mean), mono_axis))
+    return {
+        "axis_unit": float(np.max(np.abs(
             (zeta1 ** 2 + zeta2 ** 2 + zeta3 ** 2) / norm_sq - 1.0))),
-        norm_sq_assembled=float(np.max(norms ** 2)),
-        spread_angle=spread,
-    )
+        "axis_norm_sq": abs(norm_sq_assembled - norm_sq) / norm_sq,
+        # between lines: the axis sign is free
+        "axis_vs_monodromy": min(ang, np.pi - ang),
+    }

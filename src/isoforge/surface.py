@@ -431,9 +431,8 @@ def planarity_certificate(s: SampledSurface) -> dict:
     diameter; `joachimsthal`, the largest spread (std over u) of the cosine
     between n and the plane normal along one curve; and
     `normals_rank_defect`, the rank of the plane normals less the rank the
-    family expects: generic surfaces have plane normals spanning 3-space,
-    while the limit surface's planes are all tangent to one cylinder
-    (rank 2)."""
+    surface expects: 3 in general, 2 on the limit surface (its planes are
+    tangent to one cylinder) and on `is_flat` ones (congruent u-curves)."""
     pts = np.moveaxis(s.points, 1, 0)                  # (nv, nu, 3)
     q = pts - np.mean(pts, axis=1, keepdims=True)
     _, _, vt = np.linalg.svd(q, full_matrices=False)   # one SVD per column
@@ -445,9 +444,14 @@ def planarity_certificate(s: SampledSurface) -> dict:
     normals = np.where(m[:, 2:] >= 0, m, -m)
     sv = np.linalg.svd(normals, compute_uv=False)
     rank = int(np.sum(sv > 1e-6 * sv[0]))
-    expected = 2 if s.recipe.fam.mode == "limit" else 3
+    expected = 2 if s.recipe.fam.mode == "limit" or is_flat(s) else 3
     return {"planarity": dev, "joachimsthal": ang,
             "normals_rank_defect": rank - expected}
+
+
+def is_flat(s: SampledSurface) -> bool:
+    """Whether w' = 0 at every v-sample of s (a constant w)."""
+    return not np.any(s.recipe.spec.planes(s.v)[1])
 
 
 def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:

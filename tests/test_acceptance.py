@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from isoforge import curvefamily, elliptic, frame, reparam, spherical
-from isoforge import surface, theta
+from isoforge import curvefamily, elliptic, frame, reparam
+from isoforge import surface, theta, verify
 from isoforge.errors import NoCriticalOmega
 
 from conftest import curve_form
@@ -216,25 +216,14 @@ def test_criterion_09_torus_closing(crit032):
 
 
 def test_criterion_10_spherical(sph_spec, sph_surf, crit032):
-    samples = spherical.sphere_centers(sph_surf, crit032)[:5]
-    fit = 0.0
-    for s in samples:
-        i = int(np.argmin(np.abs(sph_surf.u - s.u)))
-        pts = sph_surf.points[i]
-        dist = np.linalg.norm(pts - s.fit_center, axis=-1)
-        fit = max(fit, float(np.max(np.abs(dist - s.fit_radius)))
-                  / s.fit_radius)
-    ratio, _, _ = spherical.collinearity(samples)
-    ax = spherical.axis(sph_spec, crit032, sph_surf)
-    norm_rel = abs(ax.norm_sq_assembled - ax.norm_sq) / abs(ax.norm_sq)
     mono = frame.monodromy(frame.integrate(sph_spec, crit032).phi[-1])
-    unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(unit, mono.axis))
-    angle = min(angle, np.pi - angle)  # between lines: the axis sign is free
-    ok = (fit < 1e-6 and ratio < 1e-6 and norm_rel < 1e-8 and angle < 1e-6)
+    vals = verify.spherical_battery(sph_surf, crit032, mono)
+    ok = (vals["sphere_fit"] < 1e-6 and vals["collinearity"] < 1e-6
+          and vals["axis_norm_sq"] < 1e-8 and vals["axis_vs_monodromy"] < 1e-6)
     _report(10, "spherical second family", ok,
-            f"fit={fit:.2e}, collin={ratio:.2e}, |Z'|^2 rel={norm_rel:.2e}, "
-            f"axis angle={angle:.2e}")
+            f"fit={vals['sphere_fit']:.2e}, collin={vals['collinearity']:.2e}, "
+            f"|Z'|^2 rel={vals['axis_norm_sq']:.2e}, "
+            f"axis angle={vals['axis_vs_monodromy']:.2e}")
 
 
 def test_criterion_11_g2_g3_invariance(crit032):

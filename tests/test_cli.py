@@ -921,6 +921,42 @@ def test_verify_limit_surface(tmp_path):
     assert defect["value"] == 0.0  # rank-2 plane-normal family
 
 
+@pytest.mark.parametrize("command", ["verify", "surface"])
+def test_limit_mode_off_lambda0_exits_2(tmp_path, monkeypatch, capsys,
+                                        command):
+    """The README config with omega.mode limit (lambda 0.32): off lambda0
+    the limit curves do not close (u_closure read 0.744), so the family is
+    refused with exit 2, naming lambda0, before any file is written."""
+    cfg = dict(_README_CFG, omega={"mode": "limit"})
+    out = tmp_path / "out"
+    code = _exit_code(monkeypatch, command, _write(tmp_path, cfg),
+                      *(["--out", str(out / "report.json")]
+                        if command == "verify" else ["--out-dir", str(out)]))
+    assert code == 2
+    assert "lambda0 = 0.354729892522" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reparam", [
+    {"kind": "constant", "mean": 1.0053, "amplitude": 0.35, "period": 6.0},
+    {"kind": "analytic", "mean": 1.0053, "amplitude": 0, "period": 6.0}],
+    ids=["constant", "amplitude-0"])
+def test_verify_constant_w_passes(tmp_path, reparam):
+    """w' = 0 makes congruent u-curves: their plane normals have rank 2,
+    and pde_codazzi_v vanishes identically, so it counts towards no order.
+    Both configs verified with exit 3 (rank defect -1, order deficit 2.08
+    and 1.69)."""
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, dict(_README_CFG, reparam=reparam)),
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c["value"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert checks["normals_rank_defect"] == 0
+    assert checks["pde_order_deficit"] == 0
+
+
 def test_verify_inadmissible_spec_exits_2(tmp_path, monkeypatch, capsys):
     """|w'| = 0.8 * 2 pi / 3 > 1: the frame integration refuses the spec
     (instead of clipping 1 - w'^2 at 0) and the command exits 2."""
@@ -1126,12 +1162,12 @@ def test_verify_integrates_the_frame_twice(tmp_path, frame_calls, crit032,
 
 def test_spherical_sample_past_the_pole_exits_2(tmp_path, monkeypatch, capsys,
                                                sph_cfg_grid32):
-    """A sphere sample at u = pi lies past the theta2 pole at pi/2: the
-    phi-system refuses it with PoleProximity and the command exits 2."""
+    """Sphere samples shifted by pi/2 lie past the theta2 pole at pi/2: the
+    phi-system refuses them with PoleProximity and the command exits 2."""
     from isoforge import spherical
-    centers = spherical.sphere_centers
-    monkeypatch.setattr(spherical, "sphere_centers", lambda surf, crit: centers(
-        surf, crit, u_indices=[1, len(surf.u) // 2]))
+    phis = spherical.integrate_phis
+    monkeypatch.setattr(spherical, "integrate_phis", lambda spec, crit, us: (
+        phis(spec, crit, np.asarray(us) + np.pi / 2)))
     monkeypatch.setattr(sys, "argv", ["isoforge", "spherical",
                                       _write(tmp_path, sph_cfg_grid32)])
     with pytest.raises(SystemExit) as exc:
@@ -1224,6 +1260,24 @@ def test_battery_catches_wrong_root_branch(crit032):
     # fv against finite differences alone does NOT discriminate: the
     # immersion is consistent with either branch pointwise
     assert bad["fv_vs_fd"]["pass"]
+
+
+def test_battery_catches_wprime_sign_error(crit032):
+    """A spec whose w' has the wrong sign builds a surface whose closed-form
+    fv disagrees with the points' finite differences: the battery fails."""
+    from isoforge import reparam, surface
+
+    spec = reparam.analytic(1.0053, 0.35, 6.0)
+
+    def flipped(v):
+        w, wp, root = spec.planes(v)
+        return w, -wp, root
+
+    bad = _battery(surface.build(surface.SurfaceRecipe(
+        fam=crit032, spec=dataclasses.replace(spec, planes=flipped),
+        nu=32, nv=32)), crit032)
+    assert not bad["fv_vs_fd"]["pass"]
+    assert not bad["pde_codazzi_v"]["pass"]
 
 
 def test_battery_passes_on_conjugate_pair_spherical(sph_surf, crit032):

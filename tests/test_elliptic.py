@@ -100,13 +100,23 @@ def test_lame_equation_by_finite_differences(crit032):
 
 def test_family_refuses_unknown_mode_and_omega(lat032):
     """A Family's mode is one of three, an explicit omega lies in (0, pi/2)
-    and the limit family has omega = 0; anything else is SpecInvalid."""
-    for omega, mode in ((0.3, "auto"), (0.0, "explicit"), (np.pi / 2, "explicit"),
-                        (np.inf, "explicit"), (np.nan, "explicit"),
-                        (0.3, "limit")):
+    and the limit family has omega = 0 on the rhombic lattice at lambda0;
+    anything else is SpecInvalid."""
+    lam0 = elliptic.solve_lambda0()
+    for lat, omega, mode in ((lat032, 0.3, "auto"), (lat032, 0.0, "explicit"),
+                             (lat032, np.pi / 2, "explicit"),
+                             (lat032, np.inf, "explicit"),
+                             (lat032, np.nan, "explicit"),
+                             (theta.rhombic(lam0), 0.3, "limit"),
+                             (lat032, 0.0, "limit"),
+                             (theta.rhombic(lam0 + 2e-11), 0.0, "limit"),
+                             (theta.rectangular(lam0), 0.0, "limit")):
         with pytest.raises(SpecInvalid):
-            elliptic.Family(lat032, omega, mode)
+            elliptic.Family(lat, omega, mode)
     assert elliptic.Family(lat032, 0.3, "explicit").omega == 0.3
+    # the lambda0 of the configs, to 12 digits, is one
+    assert elliptic.Family(theta.rhombic(0.354729892522), 0.0,
+                           "limit").mode == "limit"
 
 
 def test_family_constants_match_the_direct_formulas(crit032, rect_fam):

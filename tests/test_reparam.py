@@ -135,7 +135,7 @@ def test_spherical_wprime_vs_fd(sph_spec):
     h = 1e-6
     for v in RNG.uniform(0.05, 0.95, 8) * sph_spec.period:
         fd = (float(sph_spec.w(v + h)) - float(sph_spec.w(v - h))) / (2 * h)
-        assert abs(fd - float(sph_spec.wprime(v))) < 1e-6
+        assert abs(fd - float(sph_spec.planes(v)[1])) < 1e-6
 
 
 def test_spherical_composite_derivative(sph_spec, crit032):
@@ -147,13 +147,12 @@ def test_spherical_composite_derivative(sph_spec, crit032):
         s = float(s_of_v(v))
         want = (np.sqrt(max(np.polyval(sph.q_coeffs, s), 0.0))
                 / (abs(sph.delta) * np.sqrt(float(cub(s)))))
-        assert abs(float(sph_spec.wprime(v)) - want) < 1e-9
+        assert abs(float(sph_spec.planes(v)[1]) - want) < 1e-9
 
 
 def test_spherical_signed_root_consistent(sph_spec):
     vs = np.linspace(0.0, sph_spec.period, 500)
-    wp = np.asarray(sph_spec.wprime(vs))
-    root = np.asarray(sph_spec.signed_root(vs))
+    _, wp, root = sph_spec.planes(vs)
     assert np.max(np.abs(1.0 - wp ** 2 - root ** 2)) < 1e-8
 
 
@@ -163,7 +162,7 @@ def test_spherical_real_pair_root_changes_sign(crit032):
     spec = reparam.build_spherical(
         reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
     vs = np.linspace(0.0, spec.period, 2000)
-    root = np.asarray(spec.signed_root(vs))
+    root = spec.planes(vs)[2]
     assert np.min(root) < 0 < np.max(root)
     rep = reparam.validate(spec, crit032.lattice)
     assert rep.ok, rep.flags
@@ -393,13 +392,12 @@ def test_spherical_planes_match_the_per_quantity_closures(crit032, monkeypatch,
     arrays, scalars = _probe_vs(spec.period, np.random.default_rng(5))
     for v in arrays + scalars:
         got = spec.planes(v)
-        for value, projection, oracle in zip(
-                got, (spec.w, spec.wprime, spec.signed_root), oracles):
+        for value, oracle in zip(got, oracles):
             want = oracle(v)
             assert type(value) is type(want)
             assert np.shape(value) == np.shape(want)
             assert np.array_equal(value, want)
-            assert np.array_equal(projection(v), want)
+        assert np.array_equal(spec.w(v), got[0])
 
 
 def test_analytic_planes_match_the_per_quantity_closures():

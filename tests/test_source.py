@@ -1,0 +1,55 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# public functions that only tests call, each with its reason
+TEST_ONLY = {
+    # paper criteria 7 and 11 and the theta identities, which run in
+    # tests/test_acceptance.py and tests/test_theta.py until they are checks
+    "curvefamily.elastica_constants": "criterion 7",
+    "curvefamily.hyperbolic_standardize": "criterion 7",
+    "curvefamily.hyperbolic_speed": "criterion 7",
+    "elliptic.g2g3": "criterion 11",
+    "theta.quasiperiodicity_residual": "theta identity",
+    "theta.rhombic_conjugation_residual": "theta identity",
+    "theta.addition_formula_residual": "theta identity",
+    # reference implementations that tests compare the fast paths against
+    "frame.generator": "reference for the frame's generator",
+    "reparam.s_of_w": "reference for the spherical construction's s(w)",
+}
+
+
+def _is_command(fn):
+    """Whether fn is a click command or group: click calls it."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in fn.decorator_list)
+
+
+def test_every_public_function_has_a_caller():
+    """Each public function or method of src/isoforge is named somewhere in
+    src/ or perfbench/ outside its own definition, or is in TEST_ONLY: code
+    that only tests call does not grow in the package unnoticed."""
+    sources = sorted((ROOT / "src" / "isoforge").glob("*.py"))
+    defined = {}
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")
+                        and not _is_command(fn)):
+                    owner = f"{node.name}." if fn is not node else ""
+                    defined[f"{path.stem}.{owner}{fn.name}"] = fn.name
+    named = set()
+    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    uncalled = {key for key, name in defined.items() if name not in named}
+    assert uncalled == set(TEST_ONLY)

@@ -109,7 +109,7 @@ def test_ratio_p_over_hw_is_u_independent(sph_spec, crit032):
     phis = spherical.integrate_phis(sph_spec, crit032, us)
     for v in RNG.uniform(0.05, 0.95, 5) * sph_spec.period:
         w = float(sph_spec.w(v))
-        wp = float(sph_spec.wprime(v))
+        wp = float(sph_spec.planes(v)[1])
         vals = []
         for u, phi in zip(us, phis):
             eh = float(curve_form("exp_h", u, w, crit032))
@@ -130,15 +130,30 @@ def test_intersection_angle_consistent(sph_spec, crit032):
     assert np.max(np.abs(gap)) < 1e-12
 
 
-def test_sphere_centers(sph_surf, crit032):
+def test_sphere_centers(sph_surf, crit032, monkeypatch):
+    """Each centre is the v-average of a v-independent Z_v = f - alpha n +
+    beta fu/|fu|, and matches the least-squares sphere through its v-curve,
+    whose radius is hypot(alpha, beta)."""
     R = abs(elliptic.radius(crit032))
-    samples = spherical.sphere_centers(sph_surf, crit032)
-    assert len(samples) >= 5
-    for s in samples:
-        # assembled center is v-independent and matches the fitted sphere
-        assert s.center_spread < 1e-6 * R
-        assert np.max(np.abs(s.center - s.fit_center)) < 1e-6 * R
-        assert abs(abs(s.radius) - s.fit_radius) < 1e-6 * R
+    requested = []
+    phis_of = spherical.integrate_phis
+    monkeypatch.setattr(spherical, "integrate_phis", lambda spec, crit, us: (
+        requested.append(us) or phis_of(spec, crit, us)))
+    alphas, centers = spherical.sphere_centers(sph_surf, crit032)
+    us, = requested
+    assert len(alphas) >= 5 and centers.shape == (len(alphas), 3)
+    a, b = alpha_beta(phis_of(sph_surf.recipe.spec, crit032, us), us, crit032)
+    assert np.array_equal(alphas, a)
+    for i, alpha, beta, center in zip(np.searchsorted(sph_surf.u, us), a, b,
+                                      centers):
+        pts = sph_surf.points[i]
+        fu = sph_surf.fu[i]
+        z_v = (pts - alpha * sph_surf.n[i]
+               + beta * fu / np.linalg.norm(fu, axis=-1, keepdims=True))
+        assert np.max(np.linalg.norm(z_v - center, axis=-1)) < 1e-6 * R
+        fit_center, fit_radius = reparam.fit_sphere(pts)
+        assert np.max(np.abs(center - fit_center)) < 1e-6 * R
+        assert abs(np.hypot(alpha, beta) - fit_radius) < 1e-6 * R
 
 
 def test_center_at_omega_is_origin(sph_surf, crit032):
@@ -154,44 +169,51 @@ def test_center_at_omega_is_origin(sph_surf, crit032):
 
 
 def test_centers_collinear_and_cone_point(sph_surf, crit032):
-    samples = spherical.sphere_centers(sph_surf, crit032)
-    ratio, a_dir, b_point = spherical.collinearity(samples)
+    alphas, centers = spherical.sphere_centers(sph_surf, crit032)
+    ratio, a_dir, b_point = spherical.collinearity(alphas, centers)
     assert ratio < 1e-6
     # the regression reproduces each center
-    for s in samples:
-        line = s.alpha * a_dir + b_point
-        assert np.max(np.abs(line - s.center)) < 1e-6
+    for alpha, center in zip(alphas, centers):
+        line = alpha * a_dir + b_point
+        assert np.max(np.abs(line - center)) < 1e-6
 
     assert spherical.cone_point(sph_surf, b_point) < 1e-7
 
 
+def _monodromy_axis(spec, crit):
+    return frame.monodromy(frame.integrate(spec, crit).phi[-1]).axis
+
+
 def test_axis_closed_form(sph_spec, sph_surf, crit032):
-    ax = spherical.axis(sph_spec, crit032, sph_surf)
-    assert ax.unit_residual < 1e-9
-    assert ax.spread_angle < 1e-7
-    assert abs(ax.norm_sq_assembled - ax.norm_sq) < 1e-8 * abs(ax.norm_sq)
+    """The coefficients square-sum to the closed form |Z'(omega)|^2, and the
+    assembled vector has that norm and one direction at every v."""
+    ax = spherical.axis(sph_spec, crit032, sph_surf,
+                        _monodromy_axis(sph_spec, crit032))
+    assert ax["axis_unit"] < 1e-9
+    assert ax["axis_norm_sq"] < 1e-8
+    _, _, _, assembled = spherical._axis_terms(sph_spec, crit032, sph_surf)
+    assert np.max(spherical.angle(assembled, assembled[0])) < 1e-7
 
 
 def test_axis_z2_encodes_sqrt_q(sph_spec, sph_surf, crit032):
-    """|z2| carries the signed root: z2 sqrt(|Z'|^2) delta s / R = sqrt(Q(s))
-    up to the sign of the branch."""
+    """|zeta2| carries the signed root: zeta2 delta s / R = sqrt(Q(s)) up
+    to the sign of the branch."""
     sph = sph_spec.meta["spec"]
     R = elliptic.radius(crit032)
-    ax = spherical.axis(sph_spec, crit032, sph_surf)
-    ws = np.asarray(sph_spec.w(ax.v), dtype=float)
-    for z2, w in zip(ax.z2, ws):
+    v, (_, zeta2, _), _, _ = spherical._axis_terms(sph_spec, crit032,
+                                                   sph_surf)
+    ws = np.asarray(sph_spec.w(v), dtype=float)
+    for z2, w in zip(zeta2, ws):
         s = 1.0 / float(curve_form("exp_h", crit032.omega, float(w), crit032))
         q = max(float(np.polyval(sph.q_coeffs, s)), 0.0)
-        got = abs(z2 * np.sqrt(ax.norm_sq) * sph.delta * s / R)
+        got = abs(z2 * sph.delta * s / R)
         assert abs(got - np.sqrt(q)) < 1e-9 * max(1.0, np.sqrt(q))
 
 
 def test_axis_parallel_to_monodromy(sph_spec, sph_surf, crit032):
-    ax = spherical.axis(sph_spec, crit032, sph_surf)
-    mono = frame.monodromy(frame.integrate(sph_spec, crit032).phi[-1])
-    unit = ax.Zprime_omega / np.linalg.norm(ax.Zprime_omega)
-    angle = float(spherical.angle(unit, mono.axis))
-    assert min(angle, np.pi - angle) < 1e-6  # the axis sign is free
+    ax = spherical.axis(sph_spec, crit032, sph_surf,
+                        _monodromy_axis(sph_spec, crit032))
+    assert ax["axis_vs_monodromy"] < 1e-6  # between lines: the sign is free
 
 
 def _count_c1(monkeypatch):
@@ -326,18 +348,18 @@ def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
     monkeypatch.setattr(elliptic, "coeffs",
                         lambda u, crit: coeff_calls.append(u) or coeffs(u, crit))
     fresh = elliptic.solve_critical_omega(crit032.lattice)
-    samples = spherical.sphere_centers(sph_surf, fresh)
+    alphas, _ = spherical.sphere_centers(sph_surf, fresh)
     at_samples = [u for u in coeff_calls if np.ndim(u) < 2]
     assert len(at_samples) == 1
-    assert np.shape(at_samples[0]) == (len(samples),)
+    assert np.shape(at_samples[0]) == (len(alphas),)
     assert len(c1_calls) == 1
 
 
 def test_cone_point_matches_a_loop_over_columns(sph_surf, crit032):
     """The batched plane fit of cone_point equals one mean and one SVD per
     v-column, bit for bit."""
-    samples = spherical.sphere_centers(sph_surf, crit032)
-    _, _, b_point = spherical.collinearity(samples)
+    _, _, b_point = spherical.collinearity(
+        *spherical.sphere_centers(sph_surf, crit032))
     worst = spherical.cone_point(sph_surf, b_point)
     ref = 0.0
     for j in range(sph_surf.points.shape[1]):

@@ -76,7 +76,7 @@ def _fields_by_column(fam, spec, u, v, phi):
     out = {k: [] for k in ("points", "fu", "fv", "n", "expH")}
     ivec = np.array([1.0, 0.0, 0.0])
     for j, vj in enumerate(v):
-        w, wp, root = (float(g(vj)) for g in (spec.w, spec.wprime, spec.signed_root))
+        w, wp, root = map(float, spec.planes(vj))
         gam = curve_form("gamma", u, w, fam)
         eis = curve_form("exp_isigma", u, w, fam)
         eh = curve_form("exp_h", u, w, fam)
@@ -483,9 +483,9 @@ def test_limit_frame_matches_oracle(lam0, limit_spec):
     v = np.linspace(0.0, 2 * spec.period, 97)
 
     def rhs(vv, y):
-        w = float(spec.w(vv))
-        rr = float(spec.signed_root(vv)) * curvefamily.limit_r(w, fam)
-        return [float(spec.signed_root(vv)) * curvefamily.w_hat(w, fam),
+        w, _, root = map(float, spec.planes(vv))
+        rr = root * curvefamily.limit_r(w, fam)
+        return [root * curvefamily.w_hat(w, fam),
                 rr * np.cos(2 * y[0]), -rr * np.sin(2 * y[0])]
 
     ref = solve_ivp(rhs, (0.0, v[-1]), [0.0, 0.0, 0.0], method="DOP853",
