@@ -198,6 +198,14 @@ def _require_reparam(sec, keys):
             raise ConfigError(f"reparam.{key} required for {sec['kind']}")
 
 
+def _spherical_spec(sec):
+    """The SphericalSpec (delta, s1, s2) of a spherical reparam section."""
+    _require_reparam(sec, ("delta", "s1", "s2"))
+    return reparam.SphericalSpec(delta=float(sec["delta"]),
+                                 s1=_complex_param(sec["s1"]),
+                                 s2=_complex_param(sec["s2"]))
+
+
 def _reparam_spec(cfg, fam):
     sec = cfg["reparam"]
     kind = sec["kind"]
@@ -208,12 +216,9 @@ def _reparam_spec(cfg, fam):
         _require_reparam(sec, ("mean", "amplitude", "period"))
         return reparam.analytic(float(sec["mean"]), float(sec["amplitude"]),
                                 float(sec["period"]))
-    _require_reparam(sec, ("delta", "s1", "s2"))
+    sph = _spherical_spec(sec)
     if fam.mode != "critical":
         raise ConfigError("spherical reparam requires omega.mode=critical")
-    sph = reparam.SphericalSpec(delta=float(sec["delta"]),
-                                s1=_complex_param(sec["s1"]),
-                                s2=_complex_param(sec["s2"]))
     return reparam.build_spherical(sph, fam)
 
 
@@ -470,9 +475,10 @@ def verify(config, out, tol):
 def spherical_cmd(config, out):
     """Spherical-second-family certificates, axis and monodromy angle."""
     # _reparam_spec refuses a non-critical family
-    cfg, crit, surf = _build(config, kind="spherical")
+    cfg, _, surf = _build(config, kind="spherical")
     mono = frame.monodromy(surf.phi[surf.recipe.nv])
-    values = verify_mod.spherical_battery(surf, crit, mono)
+    values = verify_mod.spherical_battery(surf, mono,
+                                          _spherical_spec(cfg["reparam"]))
     click.echo(f"theta = {mono.theta:.12f}", err=True)
     emit_report(cfg, values, out, extra={
         "theta": mono.theta,
@@ -511,21 +517,17 @@ def close_torus_cmd(config, target, k, out_dir):
     mean, period = float(sec["mean"]), float(sec["period"])
     if target is None:
         target = 2 * np.pi / k
-
-    def template(amp):
-        return reparam.analytic(mean, amp, period)
-
     try:
-        spec, achieved = frame.close_torus(template, fam, target)
+        amp, achieved = frame.close_torus(mean, period, fam, target)
     except NoBracket as exc:
         raise NoBracket(f"{exc}, so no amplitude closes the piece after "
                         f"{k} period{'s' if k > 1 else ''}") from None
-    amp = spec.meta["amplitude"]
     click.echo(f"amplitude = {amp:.15f}")
     click.echo(f"theta = {achieved:.15f} (|theta - target| "
                f"= {abs(achieved - target):.3e})")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        spec = reparam.analytic(mean, amp, period)
         piece = surface_mod.build(_recipe(cfg, fam, spec))
         mono = frame.monodromy(piece.phi[-1])
         torus = frame.extend_by_rotation(piece, mono, k)

@@ -293,24 +293,20 @@ def _magnus_solve(gen, alg, systems, step_tol):
     return out
 
 
-def integrate(spec: ReparamSpec, fam, periods: int = 1,
-              n_per_period: int = 256, step_tol: float = STEP_TOL,
-              v_nodes=None) -> FrameTrajectory:
-    """Integrate Phi' = A(v) Phi from Phi(0) = 1 over the given periods.
+def integrate(spec: ReparamSpec, fam, v_nodes,
+              step_tol: float = STEP_TOL) -> FrameTrajectory:
+    """Integrate Phi' = A(v) Phi from Phi(0) = 1, with output at v_nodes
+    (strictly increasing, starting at 0).
 
-    If v_nodes is given (increasing, starting at 0) output is produced
-    there instead of on the uniform grid.  Steps start at V/128 and are
-    halved until their local error estimate is at most step_tol.  stats
-    holds n_steps (accepted), n_rejected (split), err_est (largest accepted
-    local error estimate) and prenorm_drift (max | |Phi| - 1 |).
+    Steps start at V/128 and are halved until their local error estimate
+    is at most step_tol.  stats holds n_steps (accepted), n_rejected
+    (split), err_est (largest accepted local error estimate) and
+    prenorm_drift (max | |Phi| - 1 |).
     """
     _require_valid(spec, fam)
-    if v_nodes is not None:
-        nodes = np.asarray(v_nodes, dtype=float)
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise SpecInvalid("v_nodes must be strictly increasing from 0")
-    else:
-        nodes = np.linspace(0.0, periods * spec.period, periods * n_per_period + 1)
+    nodes = np.asarray(v_nodes, dtype=float)
+    if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
+        raise SpecInvalid("v_nodes must be strictly increasing from 0")
     return _frames([spec], fam, [nodes], step_tol)[0]
 
 
@@ -385,24 +381,22 @@ def extend_by_rotation(piece, mono: Monodromy, k: int):
     )
 
 
-def close_torus(template, fam, target_angle: float):
-    """Tune the free amplitude A so the monodromy angle hits target_angle.
+def close_torus(mean: float, period: float, fam, target_angle: float):
+    """Tune the amplitude A of the analytic spec `reparam.analytic(mean, A,
+    period)` so the monodromy angle hits target_angle.
 
-    template is a callable A -> ReparamSpec (an analytic sin family with
-    everything but the amplitude fixed).  A scan of 17 amplitudes from 0.02
-    locates a sign change of theta(A) - target_angle, then Brent's method
-    refines it.  Returns (tuned spec, achieved theta).
+    A scan of 17 amplitudes from 0.02 locates a sign change of theta(A) -
+    target_angle, then Brent's method refines it.  Returns (tuned
+    amplitude, achieved theta).
     """
     # keep w inside the band and |w'| = 2 pi A / V <= 1
-    spec = template(0.02)
-    mean = spec.meta["mean"]
     band = 2 * np.pi * fam.lattice.lam
-    hi = min(0.9 * min(mean, band - mean), spec.period / (2 * np.pi))
+    hi = min(0.9 * min(mean, band - mean), period / (2 * np.pi))
 
     def thetas(amps):
         # the monodromy angle of each amplitude after one period, from one
         # solve with a system per amplitude, output at 9 nodes of the period
-        specs = [template(a) for a in amps]
+        specs = [reparam.analytic(mean, a, period) for a in amps]
         for spec in specs:
             _require_valid(spec, fam)
         nodes = [np.linspace(0.0, s.period, 9) for s in specs]
@@ -423,4 +417,4 @@ def close_torus(template, fam, target_angle: float):
     i = idx[0]
     amp = brentq(lambda a: thetas([a])[0] - target_angle, amps[i], amps[i + 1],
                  xtol=1e-13, rtol=8.9e-16)
-    return template(amp), float(thetas([amp])[0])
+    return amp, float(thetas([amp])[0])

@@ -26,12 +26,16 @@ Two families are provided:
   search) of the exact edge values and slopes, and the edge values of w
   come from inverting s(w) with the package's Brent root finder,
   `elliptic.brentq`.  w' and the signed root are closed forms in s(v).
+
+A spec is its kind, its period and its `planes` evaluator, nothing more:
+the data a family was built from (an analytic mean and amplitude, a
+spherical (delta, s1, s2)) stays with the caller that chose it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +46,8 @@ from .theta import theta_grid
 
 @dataclass(frozen=True)
 class ReparamSpec:
-    """A reparametrization function with its derivative and signed root.
+    """A reparametrization function with its derivative and signed root:
+    its kind, its period and its evaluator, nothing else.
 
     planes is the spec's one evaluator: a vectorized callable that maps v
     to the tuple (w(v), w'(v), root(v)), where root is the recorded branch
@@ -55,7 +60,6 @@ class ReparamSpec:
     kind: str
     period: float
     planes: Callable
-    meta: dict = field(default_factory=dict)
 
     def w(self, v):
         return self.planes(v)[0]
@@ -63,22 +67,15 @@ class ReparamSpec:
 
 @dataclass(frozen=True)
 class SphericalSpec:
-    """(delta, s1, s2) defining the second elliptic curve Q.
-
-    q_coeffs (descending-degree quartic coefficients of Q) and period_V are
-    filled in by build_spherical.
-    """
+    """(delta, s1, s2) defining the second elliptic curve Q."""
 
     delta: float
     s1: complex
     s2: complex
-    q_coeffs: Optional[tuple] = None
-    period_V: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    max_abs_wprime: float
     root_residual: float
     root_dd2: float
     flags: tuple
@@ -101,10 +98,7 @@ def analytic(mean: float, amplitude: float, period: float) -> ReparamSpec:
         return (mean + amplitude * np.sin(x), wp,
                 np.sqrt(np.clip(1.0 - wp ** 2, 0.0, None)))
 
-    return ReparamSpec(
-        kind="analytic", period=float(period), planes=planes,
-        meta={"mean": float(mean), "amplitude": float(amplitude)},
-    )
+    return ReparamSpec(kind="analytic", period=float(period), planes=planes)
 
 
 def constant(level: float, period: float = 2 * np.pi) -> ReparamSpec:
@@ -147,15 +141,11 @@ def _report(v, w, wp, root, top) -> ValidationReport:
         flags.append("signed root inconsistent with 1 - w'^2")
     # smoothness proxy for the signed branch: bounded second divided differences
     root_dd2 = float(np.max(np.abs(np.diff(root, 2)))) / dv ** 2 if n >= 3 else 0.0
-    if w_max - w_min < 1e-14:
-        flags.append("constant w: surface of revolution excluded")
 
     ok = (0.0 < w_min and w_max < top and max_wp <= 1.0 + 1e-12
           and root_residual <= 1e-8)
-    return ValidationReport(
-        max_abs_wprime=max_wp, root_residual=root_residual, root_dd2=root_dd2,
-        flags=tuple(flags), ok=ok,
-    )
+    return ValidationReport(root_residual=root_residual, root_dd2=root_dd2,
+                            flags=tuple(flags), ok=ok)
 
 
 def require_admissible(spec: ReparamSpec, lat) -> None:
@@ -333,8 +323,6 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
         lambda th: span * np.sin(2 * th) / np.sqrt(cub(s_of_theta(th))))
     w_a = _w_of_s(s_a, crit)
     w_edges = w_a + w_edges
-    w_b_direct = _w_of_s(s_b, crit)
-    endpoint_mismatch = abs(w_edges[-1] - w_b_direct)
 
     top = 2 * np.pi * crit.lattice.lam
     if not (0.0 < w_a and w_edges[-1] < top):
@@ -350,37 +338,19 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
     spline = cubic_hermite(v_edges, [s_edges, w_edges],
                            [ds_edges, ds_edges / np.sqrt(cub(s_edges))])
 
-    def s_and_w(v):
-        """s(v) and w(v) from one fold and one knot search, with the
-        mirrored half's mask."""
+    def planes(v):
+        # s(v) and w(v) from one fold and one knot search
         vv = np.mod(np.asarray(v, dtype=float), period)
         mirrored = vv > half_period
         both = spline(np.where(mirrored, period - vv, vv))
-        return np.clip(both[0, ...], s_a, s_b), both[1, ...], mirrored
-
-    def planes(v):
-        s, w, mirrored = s_and_w(v)
+        s, w = np.clip(both[0, ...], s_a, s_b), both[1, ...]
         sqrt_q3 = np.sqrt(cub(s))
         mag = np.sqrt(q_of(s)) / (abs(delta) * sqrt_q3)
         out = (w, np.where(mirrored, -mag, mag),
                np.polyval(pair, s) / (delta * sqrt_q3))
         return tuple(map(float, out)) if np.isscalar(v) else out
 
-    def s_of_v(v):
-        s = s_and_w(v)[0]
-        return float(s) if np.isscalar(v) else s
-
-    filled = replace(spec, q_coeffs=tuple(float(c) for c in qcoef),
-                     period_V=period)
-    return ReparamSpec(
-        kind="spherical", period=period, planes=planes,
-        meta={
-            "spec": filled,
-            "s_range": (s_a, s_b),
-            "s_of_v": s_of_v,
-            "endpoint_mismatch": float(endpoint_mismatch),
-        },
-    )
+    return ReparamSpec(kind="spherical", period=period, planes=planes)
 
 
 # ---------------------------------------------------------------------------

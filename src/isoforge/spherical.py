@@ -6,8 +6,11 @@ lies on a sphere.  This module integrates the linear phi-system that encodes
 the sphere data along u, recovers the sphere centers Z(u) and the line they
 lie on, and evaluates the closed-form axis direction Z'(omega) in the moving
 frame at u = omega -- the local formula that must reproduce the global
-monodromy axis.  The certificates return plain values, and pass no verdict:
-`verify.spherical_battery` collects them under `verify.CHECKS` names.
+monodromy axis.  The certificates take the `reparam.SphericalSpec`
+(delta, s1, s2) that the surface's spec was built from, and read the family
+and the spec from the surface's recipe.  They return plain values, and pass
+no verdict: `verify.spherical_battery` collects them under `verify.CHECKS`
+names.
 """
 
 from __future__ import annotations
@@ -16,15 +19,6 @@ import numpy as np
 
 from . import curvefamily, elliptic, frame, surface as surface_mod
 from .errors import PoleProximity, SpecInvalid
-
-
-def _spec_of(spec):
-    """The SphericalSpec (delta, s1, s2) of a ReparamSpec that
-    `reparam.build_spherical` returned."""
-    filled = spec.meta.get("spec")
-    if filled is None:
-        raise SpecInvalid("a spec built by reparam.build_spherical is required")
-    return filled
 
 
 def angle(a, b):
@@ -57,9 +51,10 @@ def sym2(m):
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def integrate_phis(spec, crit, us):
-    """Solve the 3x3 linear system for (phi2, phi1, phi0) along u: one row
-    (phi2, phi1, phi0) per u of us, shape (len(us), 3).
+def integrate_phis(sph, crit, us):
+    """Solve the 3x3 linear system of the SphericalSpec sph on the critical
+    family crit for (phi2, phi1, phi0) along u: one row (phi2, phi1, phi0)
+    per u of us, shape (len(us), 3).
 
     phi' = [[0, -U1, 0], [2U, 0, -2U1], [0, U, 0]] phi is the symmetric
     square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
@@ -70,7 +65,6 @@ def integrate_phis(spec, crit, us):
     u-denominator theta2 vanishes (u = pi/2 mod pi), so a requested u
     outside (-pi/2, pi/2) raises PoleProximity before any integration.
     """
-    sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
     if delta == 0.0:
         raise SpecInvalid("delta must be nonzero")
@@ -109,16 +103,18 @@ def integrate_phis(spec, crit, us):
     return sym2(m) @ y0
 
 
-def sphere_centers(surf, crit):
+def sphere_centers(surf, sph):
     """alpha (9,) and the sphere centres (9, 3) of the v-curves at 9
-    u-samples of a pole-free window around omega.  Each centre Z(u) = f +
-    alpha n + beta fu/|fu| is v-independent (up to integration error) and
-    averaged over the curve's v-samples."""
+    u-samples of a pole-free window around omega, for the surface built
+    from the SphericalSpec sph.  Each centre Z(u) = f + alpha n + beta
+    fu/|fu| is v-independent (up to integration error) and averaged over
+    the curve's v-samples."""
+    crit = surf.recipe.fam
     # a pole-free window around omega, clear of u = pi/2
     sel = np.nonzero((surf.u > 0.03) & (surf.u < np.pi / 2 - 0.08))[0]
     rows = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
     us = surf.u[rows]
-    phis = integrate_phis(surf.recipe.spec, crit, us)
+    phis = integrate_phis(sph, crit, us)
     c = elliptic.coeffs(us, crit)
     den = c.U1 * phis[:, 2] + c.U * phis[:, 0]
     alphas, betas = c.U1 / den, -phis[:, 0] / den
@@ -167,21 +163,20 @@ def cone_point(surf, b_point):
     return float(np.max(np.abs(dist), initial=0.0))
 
 
-def _axis_terms(spec, crit, surf):
+def _axis_terms(sph, surf):
     """Closed-form axis Z'(omega) in the moving frame at u = omega, at 9
-    interior v-samples of the first period: (v, (zeta1, zeta2, zeta3),
-    |Z'(omega)|^2, the assembled vectors (9, 3)).
+    interior v-samples of the first period of the surface built from the
+    SphericalSpec sph: (v, (zeta1, zeta2, zeta3), |Z'(omega)|^2, the
+    assembled vectors (9, 3)).
 
     The coefficients on (e^{-h} f_u, e^{-h} f_v, n) are rational in
     s = e^{-h(omega, w)} with the signed sqrt(Q) carried by s'(v); their
     squares sum to |Z'(omega)|^2, and the assembled vector is v-independent.
     """
-    sph = _spec_of(spec)
     delta, e1, e2 = _elementary(sph)
-    rspec = surf.recipe.spec
-    fam = surf.recipe.fam
-    om, R = crit.omega, crit.R
-    co = elliptic.coeffs_at_omega(crit)
+    rspec, fam = surf.recipe.spec, surf.recipe.fam
+    om, R = fam.omega, fam.R
+    co = elliptic.coeffs_at_omega(fam)
     beta_prime = R ** 2 * (co.Uprime + e2 * co.U1prime)
     norm_sq = (R ** 2 * (2 * e1 * co.U1prime + delta ** 2 * co.U1prime ** 2
                          - co.U2)
@@ -217,14 +212,13 @@ def _axis_terms(spec, crit, surf):
     return v_sel, (zeta1, zeta2, zeta3), float(norm_sq), assembled
 
 
-def axis(spec, crit, surf, mono_axis) -> dict:
+def axis(sph, surf, mono_axis) -> dict:
     """The axis of `_axis_terms` by check name: `axis_unit` and
     `axis_norm_sq`, the largest relative error of the coefficients' square
     sum and of the assembled |Z'(omega)|^2 against the closed form, and
     `axis_vs_monodromy`, the angle between the lines of the v-averaged
     assembled vector and of mono_axis, the frame's monodromy axis."""
-    _, (zeta1, zeta2, zeta3), norm_sq, assembled = _axis_terms(spec, crit,
-                                                               surf)
+    _, (zeta1, zeta2, zeta3), norm_sq, assembled = _axis_terms(sph, surf)
     norm_sq_assembled = float(np.max(np.linalg.norm(assembled, axis=-1) ** 2))
     mean = np.mean(assembled, axis=0)
     ang = float(angle(mean / np.linalg.norm(mean), mono_axis))

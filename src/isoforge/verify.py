@@ -199,15 +199,15 @@ def _fv_fd_residual(surf, fam, traj):
     return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
 
 
-def spherical_battery(surf, crit, mono) -> dict:
-    """The values of the spherical second family's certificates of surf
-    on the critical family crit, against `mono`, the monodromy of the
-    surface's frame."""
+def spherical_battery(surf, mono, sph) -> dict:
+    """The values of the spherical second family's certificates of surf,
+    built from the SphericalSpec sph on a critical family, against `mono`,
+    the monodromy of the surface's frame."""
     ratio, _, b_point = spherical.collinearity(
-        *spherical.sphere_centers(surf, crit))
+        *spherical.sphere_centers(surf, sph))
     return {
         "sphere_fit": reparam.sphericality_certificate(surf)["sphere_fit"],
         "collinearity": ratio,
         "cone_point_planes": spherical.cone_point(surf, b_point),
-        **spherical.axis(surf.recipe.spec, crit, surf, mono.axis),
+        **spherical.axis(sph, surf, mono.axis),
     }

@@ -58,9 +58,14 @@ def torus_surf(crit032, torus_spec):
 
 
 @pytest.fixture(scope="session")
-def sph_spec(crit032):
+def sph():
+    """The conjugate-pair (delta, s1, s2) of sph_spec."""
+    return reparam.SphericalSpec(delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j)
+
+
+@pytest.fixture(scope="session")
+def sph_spec(crit032, sph):
     """Spherical reparametrization from a conjugate-pair (delta, s1, s2)."""
-    sph = reparam.SphericalSpec(delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j)
     return reparam.build_spherical(sph, crit032)
 
 
@@ -81,6 +86,21 @@ def limit_surf(lam0, limit_spec):
     fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     recipe = surface.SurfaceRecipe(fam=fam, spec=limit_spec, nu=48, nv=48)
     return surface.build(recipe)
+
+
+def period_nodes(spec, periods=1, n=256):
+    """The uniform v-nodes 0, V/n, ..., periods V of `periods` periods of
+    spec at n intervals each, for `frame.integrate`."""
+    return np.linspace(0.0, periods * spec.period, periods * n + 1)
+
+
+def q_coeffs(sph, crit):
+    """The descending real coefficients of the quartic Q(s) = -(s - s1)^2
+    (s - s2)^2 + delta^2 Q3(s) of the SphericalSpec sph on crit."""
+    cub = crit.q3
+    pair = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
+    return (sph.delta ** 2 * np.array([0.0, cub.c3, cub.c2, cub.c1, cub.c0])
+            - np.polymul(pair, pair))
 
 
 # the forms curve_form evaluates on the mirrored band, negative w included,

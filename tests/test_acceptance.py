@@ -13,7 +13,7 @@ from isoforge import curvefamily, elliptic, frame, reparam
 from isoforge import surface, theta, verify
 from isoforge.errors import NoCriticalOmega
 
-from conftest import curve_form
+from conftest import curve_form, period_nodes
 
 LAMBDA0_REF = 0.354729892522
 
@@ -198,15 +198,14 @@ def test_criterion_09_torus_closing(crit032):
     band = 2 * np.pi * crit032.lattice.lam
     target = 2 * np.pi / 3
 
-    def template(amp):
-        return reparam.analytic(band / 2, amp, 6.0)
-
     t0 = time.perf_counter()
-    spec, achieved = frame.close_torus(template, crit032, target)
+    amp, achieved = frame.close_torus(band / 2, 6.0, crit032, target)
     angle_err = abs(achieved - target)
+    spec = reparam.analytic(band / 2, amp, 6.0)
     piece = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=spec, nu=48, nv=48))
-    mono = frame.monodromy(frame.integrate(spec, crit032).phi[-1])
+    mono = frame.monodromy(frame.integrate(spec, crit032,
+                                           period_nodes(spec)).phi[-1])
     torus = frame.extend_by_rotation(piece, mono, 3)
     gap = float(np.max(np.linalg.norm(
         torus.points[:, -1, :] - torus.points[:, 0, :], axis=-1)))
@@ -215,9 +214,10 @@ def test_criterion_09_torus_closing(crit032):
             f"|theta-2pi/3|={angle_err:.2e}, gap={gap:.2e}, {dt:.1f}s")
 
 
-def test_criterion_10_spherical(sph_spec, sph_surf, crit032):
-    mono = frame.monodromy(frame.integrate(sph_spec, crit032).phi[-1])
-    vals = verify.spherical_battery(sph_surf, crit032, mono)
+def test_criterion_10_spherical(sph, sph_spec, sph_surf, crit032):
+    mono = frame.monodromy(frame.integrate(sph_spec, crit032,
+                                           period_nodes(sph_spec)).phi[-1])
+    vals = verify.spherical_battery(sph_surf, mono, sph)
     ok = (vals["sphere_fit"] < 1e-6 and vals["collinearity"] < 1e-6
           and vals["axis_norm_sq"] < 1e-8 and vals["axis_vs_monodromy"] < 1e-6)
     _report(10, "spherical second family", ok,

@@ -20,6 +20,8 @@ from isoforge import cli as cli_mod
 from isoforge import elliptic, frame
 from isoforge.cli import ConfigError, cli, load_config, validate_config
 
+from conftest import period_nodes
+
 
 def _write(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
@@ -428,7 +430,7 @@ def test_runtime_imports_stay_lean(tmp_path):
             "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
             "spec = reparam.build_spherical(reparam.SphericalSpec(\n"
             "    delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j), crit)\n"
-            "frame.integrate(spec, crit)\n"
+            "frame.integrate(spec, crit, [0.0, spec.period])\n"
             "print(sorted(m for m, mod in sys.modules.items() if m.startswith(\n"
             "    ('numpy.polynomial', 'concurrent')) or m == 'isoforge.textfmt'\n"
             "    and type(mod) is types.ModuleType))\n"
@@ -817,7 +819,8 @@ def _obj_loop(path, surf):
 def test_write_obj_matches_loop(tmp_path, torus_surf, crit032, torus_spec):
     """Byte for byte the loop writer on a surface mesh and on the k = 3
     rotational extension close-torus writes."""
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
+    mono = frame.monodromy(frame.integrate(
+        torus_spec, crit032, period_nodes(torus_spec)).phi[-1])
     torus = frame.extend_by_rotation(torus_surf, mono, 3)
     for surf in (torus_surf, torus):
         got = cli_mod.write_obj(tmp_path / "got.obj", surf)
@@ -1166,8 +1169,8 @@ def test_spherical_sample_past_the_pole_exits_2(tmp_path, monkeypatch, capsys,
     phi-system refuses them with PoleProximity and the command exits 2."""
     from isoforge import spherical
     phis = spherical.integrate_phis
-    monkeypatch.setattr(spherical, "integrate_phis", lambda spec, crit, us: (
-        phis(spec, crit, np.asarray(us) + np.pi / 2)))
+    monkeypatch.setattr(spherical, "integrate_phis", lambda sph, crit, us: (
+        phis(sph, crit, np.asarray(us) + np.pi / 2)))
     monkeypatch.setattr(sys, "argv", ["isoforge", "spherical",
                                       _write(tmp_path, sph_cfg_grid32)])
     with pytest.raises(SystemExit) as exc:

@@ -11,13 +11,15 @@ from isoforge import curvefamily, frame, quat, reparam
 from isoforge.errors import (DegenerateRotation, DomainW, NoBracket,
                              SpecInvalid, StepFailure)
 
+from conftest import period_nodes
+
 
 def test_constant_coefficient_closed_form(crit032):
     """For constant w the generator is a fixed imaginary quaternion A and
     Phi(v) = exp(v A) = cos(|A| v) + sin(|A| v) A/|A|."""
     w0 = np.pi * crit032.lattice.lam
     spec = reparam.constant(w0, period=2.0)
-    traj = frame.integrate(spec, crit032, n_per_period=16)
+    traj = frame.integrate(spec, crit032, period_nodes(spec, n=16))
     W1 = curvefamily.w1(w0, crit032)
     a_vec = np.array([0.0, 0.0, -W1.imag, W1.real])  # root = 1
     mag = np.linalg.norm(a_vec)
@@ -35,7 +37,7 @@ def test_generator_in_jk_plane(crit032, torus_spec):
 
 
 def test_unit_norm_preserved(crit032, torus_spec):
-    traj = frame.integrate(torus_spec, crit032)
+    traj = frame.integrate(torus_spec, crit032, period_nodes(torus_spec))
     norms = np.linalg.norm(traj.phi, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert traj.stats["prenorm_drift"] < 1e-8
@@ -73,7 +75,8 @@ def test_w1_array_checks_every_point(crit032):
 
 def test_integrate_stats_keys(crit032, torus_spec):
     """The stats that reports and the benchmark tracer read."""
-    stats = frame.integrate(torus_spec, crit032).stats
+    stats = frame.integrate(torus_spec, crit032,
+                            period_nodes(torus_spec)).stats
     assert set(stats) == {"n_steps", "n_rejected", "err_est", "prenorm_drift"}
     assert isinstance(stats["n_steps"], int) and stats["n_steps"] >= 128
     assert isinstance(stats["n_rejected"], int) and stats["n_rejected"] >= 0
@@ -84,7 +87,8 @@ def test_integrate_stats_keys(crit032, torus_spec):
 def test_err_est_within_step_tol(crit032, torus_spec, sph_spec):
     for spec in (torus_spec, sph_spec):
         for tol in (1e-6, 1e-10, 1e-13):
-            stats = frame.integrate(spec, crit032, step_tol=tol).stats
+            stats = frame.integrate(spec, crit032, period_nodes(spec),
+                                    step_tol=tol).stats
             assert stats["err_est"] <= tol
 
 
@@ -327,8 +331,8 @@ def test_refinement_is_local(crit032):
         return w, wp, np.abs(np.asarray(root))
 
     kinked = dataclasses.replace(spec, planes=abs_root)
-    smooth = frame.integrate(spec, crit032).stats
-    stats = frame.integrate(kinked, crit032).stats
+    smooth = frame.integrate(spec, crit032, period_nodes(spec)).stats
+    stats = frame.integrate(kinked, crit032, period_nodes(kinked)).stats
     assert stats["n_rejected"] > smooth["n_rejected"]
     assert stats["n_steps"] - smooth["n_steps"] < 200
 
@@ -346,7 +350,8 @@ def test_nan_signed_root_raises_step_failure(crit032, torus_spec):
     tracemalloc.start()
     try:
         with pytest.raises(StepFailure):
-            frame.integrate(nan_late, crit032, periods=2)
+            frame.integrate(nan_late, crit032,
+                            period_nodes(nan_late, periods=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,16 +360,18 @@ def test_nan_signed_root_raises_step_failure(crit032, torus_spec):
 
 def test_unreachable_step_tol_raises(crit032, torus_spec):
     with pytest.raises(StepFailure):
-        frame.integrate(torus_spec, crit032, step_tol=1e-20)
+        frame.integrate(torus_spec, crit032, period_nodes(torus_spec),
+                        step_tol=1e-20)
 
 
 def test_integrate_rejects_inadmissible_spec(crit032, lat032):
     """|w'| > 1: the signed root would be clipped; integrate refuses."""
     band = 2 * np.pi * lat032.lam
     with pytest.raises(SpecInvalid, match=r"\|w'\| reaches"):
-        frame.integrate(reparam.analytic(band / 2, 0.8, 3.0), crit032)
+        frame.integrate(reparam.analytic(band / 2, 0.8, 3.0), crit032,
+                        [0.0, 3.0])
     with pytest.raises(SpecInvalid, match="escapes the band"):
-        frame.integrate(reparam.analytic(0.1, 0.2, 6.0), crit032)
+        frame.integrate(reparam.analytic(0.1, 0.2, 6.0), crit032, [0.0, 6.0])
 
 
 def test_monodromy_round_trip():
@@ -425,17 +432,19 @@ def test_integrate_node_validation(crit032, torus_spec):
 
 def test_step_tol_controls_accuracy(crit032, torus_spec):
     """Tightening step_tol moves the monodromy toward a reference value."""
-    ref = frame.monodromy(frame.integrate(torus_spec, crit032,
+    nodes = period_nodes(torus_spec)
+    ref = frame.monodromy(frame.integrate(torus_spec, crit032, nodes,
                                           step_tol=1e-13).phi[-1]).M
     for tol in (1e-6, 1e-9):
-        m = frame.monodromy(frame.integrate(torus_spec, crit032,
+        m = frame.monodromy(frame.integrate(torus_spec, crit032, nodes,
                                             step_tol=tol).phi[-1]).M
         # errors stay under the requested tolerance (roundoff floor ~1e-13)
         assert np.max(np.abs(m - ref)) < max(tol, 1e-12)
 
 
 def test_extend_by_rotation_identity(torus_surf, crit032, torus_spec):
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
+    mono = frame.monodromy(frame.integrate(
+        torus_spec, crit032, period_nodes(torus_spec)).phi[-1])
     same = frame.extend_by_rotation(torus_surf, mono, 1)
     assert same is torus_surf
 
@@ -444,7 +453,8 @@ def test_extend_matches_direct_two_periods(crit032, torus_spec):
     from isoforge import surface
     recipe = surface.SurfaceRecipe(fam=crit032, spec=torus_spec, nu=24, nv=24)
     piece = surface.build(recipe)
-    mono = frame.monodromy(frame.integrate(torus_spec, crit032).phi[-1])
+    mono = frame.monodromy(frame.integrate(
+        torus_spec, crit032, period_nodes(torus_spec)).phi[-1])
     extended = frame.extend_by_rotation(piece, mono, 2)
     direct = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=torus_spec, nu=24, nv=24, periods=2))
@@ -455,12 +465,8 @@ def test_extend_matches_direct_two_periods(crit032, torus_spec):
 
 def test_close_torus_no_bracket(crit032, lat032):
     band = 2 * np.pi * lat032.lam
-
-    def template(amp):
-        return reparam.analytic(band / 2, amp, 6.0)
-
     with pytest.raises(NoBracket):
-        frame.close_torus(template, crit032, target_angle=6.0)
+        frame.close_torus(band / 2, 6.0, crit032, target_angle=6.0)
 
 
 def test_close_torus_bracket_respects_admissibility():
@@ -469,14 +475,13 @@ def test_close_torus_bracket_respects_admissibility():
     from isoforge import elliptic, theta
     crit = elliptic.solve_critical_omega(theta.rhombic(0.34))
     band = 2 * np.pi * 0.34
-
-    def template(amp):
-        return reparam.analytic(band / 2, amp, 5.0)
-
-    spec, achieved = frame.close_torus(template, crit, 2 * np.pi / 3)
+    amp, achieved = frame.close_torus(band / 2, 5.0, crit, 2 * np.pi / 3)
     assert abs(achieved - 2 * np.pi / 3) < 1e-9
-    assert spec.meta["amplitude"] <= 5.0 / (2 * np.pi)
+    assert amp <= 5.0 / (2 * np.pi)
+    spec = reparam.analytic(band / 2, amp, 5.0)
     assert reparam.validate(spec, crit.lattice).ok
+    assert frame.monodromy(frame.integrate(
+        spec, crit, np.linspace(0.0, 5.0, 9)).phi[-1]).theta == achieved
 
 
 def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
@@ -497,6 +502,6 @@ def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
 
     monkeypatch.setattr(np, "searchsorted", counted_search)
     monkeypatch.setattr(frame, "_coefficient", counted_coefficient)
-    frame.integrate(sph_spec, crit032)
+    frame.integrate(sph_spec, crit032, period_nodes(sph_spec))
     assert len(calls) > 1
     assert len(searches) == len(calls) + 1

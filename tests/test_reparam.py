@@ -7,7 +7,7 @@ from isoforge import reparam
 from isoforge.errors import (DegenerateFit, DomainW, NoOscillation,
                              SingularRoot, SpecInvalid)
 
-from conftest import curve_form
+from conftest import curve_form, q_coeffs
 
 RNG = np.random.default_rng(23)
 
@@ -16,7 +16,8 @@ def test_analytic_admissible(lat032):
     spec = reparam.analytic(np.pi * lat032.lam, 0.3, 2 * np.pi)
     rep = reparam.validate(spec, lat032)
     assert rep.ok and not rep.flags
-    assert rep.max_abs_wprime <= 0.3 + 1e-12
+    wp = spec.planes(np.linspace(0.0, spec.period, 4001))[1]
+    assert np.max(np.abs(wp)) <= 0.3 + 1e-12
 
 
 def test_analytic_too_steep_flagged(lat032):
@@ -26,11 +27,11 @@ def test_analytic_too_steep_flagged(lat032):
     assert any("w'" in f or "escapes" in f for f in rep.flags)
 
 
-def test_constant_flagged_as_revolution(lat032):
+def test_constant_admissible_without_flags(lat032):
+    """A constant w is admissible, and verify passes it: no flag."""
     spec = reparam.constant(np.pi * lat032.lam)
     rep = reparam.validate(spec, lat032)
-    assert rep.ok  # admissible ...
-    assert any("revolution" in f for f in rep.flags)  # ... but flagged
+    assert rep.ok and not rep.flags
 
 
 def test_out_of_band_flagged(lat032):
@@ -101,17 +102,19 @@ def test_s_of_w_monotone(crit032):
 # spherical construction
 
 
-def test_spherical_q_coefficient_identity(sph_spec, crit032):
-    """Stored Q equals -(s-s1)^2(s-s2)^2 + delta^2 Q3 coefficientwise."""
-    sph = sph_spec.meta["spec"]
-    cub = crit032.q3
-    pair = np.array([1.0, -float((sph.s1 + sph.s2).real),
-                     float((sph.s1 * sph.s2).real)])
-    want = (sph.delta ** 2
-            * np.concatenate([[0.0], [cub.c3, cub.c2, cub.c1, cub.c0]])
-            - np.polymul(pair, pair))
-    got = np.array(sph.q_coeffs)
-    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+def test_spherical_q_coefficient_identity(sph, crit032, monkeypatch):
+    """Q's real coefficients equal -(s-s1)^2(s-s2)^2 + delta^2 Q3 at every
+    s, and the turning points that build_spherical's knots start and end on
+    are roots of Q."""
+    coeffs = q_coeffs(sph, crit032)
+    s = np.linspace(-1.0, 3.0, 41)
+    want = (-((s - sph.s1) * (s - sph.s2)) ** 2
+            + sph.delta ** 2 * crit032.q3(s))
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(np.polyval(coeffs, s) - want)) < 1e-12 * scale
+    _, (_, (s_knots, _), _) = _recorded_spherical(sph, crit032, monkeypatch)
+    ends = np.polyval(coeffs, s_knots[[0, -1]])
+    assert np.max(np.abs(ends)) < 1e-12 * max(1.0, np.max(np.abs(coeffs)))
 
 
 def test_spherical_passes_validation(sph_spec, lat032):
@@ -138,14 +141,12 @@ def test_spherical_wprime_vs_fd(sph_spec):
         assert abs(fd - float(sph_spec.planes(v)[1])) < 1e-6
 
 
-def test_spherical_composite_derivative(sph_spec, crit032):
+def test_spherical_composite_derivative(sph, sph_spec, crit032):
     """w'(v) = w'(s) s'(v) = sqrt(Q)/ (|delta| sqrt(Q3)) on the s-track."""
-    sph = sph_spec.meta["spec"]
     cub = crit032.q3
-    s_of_v = sph_spec.meta["s_of_v"]
     for v in RNG.uniform(0.02, 0.48, 6) * sph_spec.period:
-        s = float(s_of_v(v))
-        want = (np.sqrt(max(np.polyval(sph.q_coeffs, s), 0.0))
+        s = float(reparam.s_of_w(sph_spec.w(v), crit032))
+        want = (np.sqrt(max(np.polyval(q_coeffs(sph, crit032), s), 0.0))
                 / (abs(sph.delta) * np.sqrt(float(cub(s)))))
         assert abs(float(sph_spec.planes(v)[1]) - want) < 1e-9
 
@@ -168,9 +169,12 @@ def test_spherical_real_pair_root_changes_sign(crit032):
     assert rep.ok, rep.flags
 
 
-def test_spherical_endpoint_consistency(sph_spec):
+def test_spherical_endpoint_consistency(sph, crit032, monkeypatch):
     """Accumulated w at the top turning point matches direct inversion."""
-    assert sph_spec.meta["endpoint_mismatch"] < 1e-7
+    spec, (_, (s_knots, _), _) = _recorded_spherical(sph, crit032,
+                                                     monkeypatch)
+    w_b = reparam._w_of_s(s_knots[-1], crit032)
+    assert abs(spec.w(spec.period / 2) - w_b) < 1e-7
 
 
 def test_spherical_rejects_bad_specs(crit032):
@@ -261,23 +265,13 @@ def test_cubic_hermite_matches_scipy():
             assert ours(q) == theirs(q)
 
 
-def test_spherical_splines_match_scipy(crit032, monkeypatch):
+def test_spherical_splines_match_scipy(sph, crit032, monkeypatch):
     """build_spherical's two interpolants (one cubic_hermite on the knots
     of both) equal CubicHermiteSpline on the same knot data, at the fold
     points 0 and V/2 and in between."""
     interpolate = pytest.importorskip("scipy.interpolate")
-    data = []
-    cubic_hermite = reparam.cubic_hermite
-
-    def recording(x, y, dydx):
-        data.append((x, y, dydx))
-        return cubic_hermite(x, y, dydx)
-
-    monkeypatch.setattr(reparam, "cubic_hermite", recording)
-    spec = reparam.build_spherical(
-        reparam.SphericalSpec(delta=0.5, s1=0.45 + 0.25j, s2=0.45 - 0.25j),
-        crit032)
-    (x, (sy, wy), (sd, wd)), = data
+    spec, (x, (sy, wy), (sd, wd)) = _recorded_spherical(sph, crit032,
+                                                        monkeypatch)
     s_ref = interpolate.CubicHermiteSpline(x, sy, sd)
     w_ref = interpolate.CubicHermiteSpline(x, wy, wd)
     half = spec.period / 2
@@ -285,8 +279,11 @@ def test_spherical_splines_match_scipy(crit032, monkeypatch):
     v = np.concatenate([[0.0, half], RNG.uniform(0.0, half, 500)])
     assert np.array_equal(spec.w(v), w_ref(v))
     assert spec.w(half) == w_ref(half) and spec.w(0.0) == w_ref(0.0)
-    s_a, s_b = spec.meta["s_range"]
-    assert np.array_equal(spec.meta["s_of_v"](v), np.clip(s_ref(v), s_a, s_b))
+    # s(v), clipped to the turning points, through the signed root
+    s_v = np.clip(s_ref(v), sy[0], sy[-1])
+    pair = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
+    root = np.polyval(pair, s_v) / (sph.delta * np.sqrt(crit032.q3(s_v)))
+    assert np.array_equal(spec.planes(v)[2], root)
 
 
 def test_cubic_hermite_rows_equal_each_row_alone():
@@ -321,19 +318,18 @@ def _recorded_spherical(sph, crit, monkeypatch):
     return spec, knots
 
 
-def _closure_oracles(spec, crit, knots):
+def _closure_oracles(spec, sph, crit, knots):
     """w, wprime and signed_root as build_spherical made them before the
     spec had one evaluator: three closures, each folding v and searching
     the knots on its own, with s and w on separate splines."""
     x, (s_y, w_y), (s_d, w_d) = knots
     s_spline = reparam.cubic_hermite(x, s_y, s_d)
     w_spline = reparam.cubic_hermite(x, w_y, w_d)
-    sph = spec.meta["spec"]
-    s_a, s_b = spec.meta["s_range"]
+    s_a, s_b = s_y[0], s_y[-1]
     delta, cub, period, half = float(sph.delta), crit.q3, spec.period, x[-1]
     s1, s2 = complex(sph.s1), complex(sph.s2)
     pair = np.array([1.0, -(s1 + s2).real, (s1 * s2).real])
-    quot = np.polydiv(np.array(sph.q_coeffs),
+    quot = np.polydiv(q_coeffs(sph, crit),
                       np.polymul([1.0, -s_a], [-1.0, s_b]))[0]
 
     def q_of(s):
@@ -386,9 +382,9 @@ def test_spherical_planes_match_the_per_quantity_closures(crit032, monkeypatch,
     """planes(v) gives w, w' and the signed root bit for bit as the three
     closures that each folded v and searched the knots did, with the same
     types (a float for a number), on a conjugate and a real pair."""
-    spec, knots = _recorded_spherical(
-        reparam.SphericalSpec(delta=delta, s1=s1, s2=s2), crit032, monkeypatch)
-    oracles = _closure_oracles(spec, crit032, knots)
+    sph = reparam.SphericalSpec(delta=delta, s1=s1, s2=s2)
+    spec, knots = _recorded_spherical(sph, crit032, monkeypatch)
+    oracles = _closure_oracles(spec, sph, crit032, knots)
     arrays, scalars = _probe_vs(spec.period, np.random.default_rng(5))
     for v in arrays + scalars:
         got = spec.planes(v)

@@ -53,3 +53,42 @@ def test_every_public_function_has_a_caller():
                 named.add(node.attr)
     uncalled = {key for key, name in defined.items() if name not in named}
     assert uncalled == set(TEST_ONLY)
+
+
+# annotated class fields that nothing in src/ or perfbench/ reads, by class
+# or by field, each with its reason
+UNREAD_FIELDS = {
+    # read by tests/test_acceptance.py until criterion 7 is a check
+    "curvefamily.ElasticaConstants": "criterion 7",
+}
+
+
+def test_every_field_is_read():
+    """Each annotated field of a class of src/isoforge is read as an
+    attribute (obj.field) somewhere in src/ or perfbench/, or it or its
+    class is in UNREAD_FIELDS: setting a field by a constructor keyword
+    does not count, so a field that only tests read does not grow in the
+    package unnoticed."""
+    sources = sorted((ROOT / "src" / "isoforge").glob("*.py"))
+    fields = {}
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        key = f"{path.stem}.{node.name}.{stmt.target.id}"
+                        fields[key] = stmt.target.id
+    read = set()
+    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+    unread = {key for key, name in fields.items() if name not in read}
+    # (field, entry) pairs: an entry names a field, or a class for all of
+    # its fields
+    pairs = {(key, entry) for key in unread for entry in UNREAD_FIELDS
+             if f"{key}.".startswith(f"{entry}.")}
+    assert {key for key, _ in pairs} == unread
+    assert {entry for _, entry in pairs} == set(UNREAD_FIELDS)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from isoforge import curvefamily, elliptic, frame, reparam, spherical, surface
 from isoforge.errors import PoleProximity
 
-from conftest import curve_form
+from conftest import curve_form, period_nodes, q_coeffs
 
 RNG = np.random.default_rng(31)
 
@@ -48,15 +48,16 @@ def curvature_q(phi, eh):
     return -phi2 / eh + phi0 * eh
 
 
-def characterization_residual(surf, crit, us, n_v=33):
+def characterization_residual(surf, sph, crit, us, n_v=33):
     """Max residual of e^h - alpha q + beta h_u over the probe grid us x
-    w(v) at n_v v-samples of a period.
+    w(v) at n_v v-samples of a period, for surf built from the
+    SphericalSpec sph.
 
     The vanishing of this combination is exactly the condition that the
     v-curves are spherical; alpha, beta, q all come from the phi rows.
     """
     spec = surf.recipe.spec
-    phis = spherical.integrate_phis(spec, crit, us)
+    phis = spherical.integrate_phis(sph, crit, us)
     a, b = alpha_beta(phis, us, crit)
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, n_v)), dtype=float)
     grid = curvefamily.CurveGrid(us, ws, surf.recipe.fam,
@@ -66,12 +67,11 @@ def characterization_residual(surf, crit, us, n_v=33):
     return float(np.max(np.abs(eh - a[:, None] * q + b[:, None] * hu)))
 
 
-def test_phi_initial_data(sph_spec, crit032):
+def test_phi_initial_data(sph, crit032):
     """At u = omega the triple is delta^{-1}(1, -(s1+s2), s1 s2), which makes
     alpha(omega) = 0 and beta(omega) = R."""
-    sph = sph_spec.meta["spec"]
     us = np.array([crit032.omega])
-    phis = spherical.integrate_phis(sph_spec, crit032, us)
+    phis = spherical.integrate_phis(sph, crit032, us)
     assert phis.shape == (1, 3)
     e1 = float((sph.s1 + sph.s2).real)
     e2 = float((sph.s1 * sph.s2).real)
@@ -84,16 +84,16 @@ def test_phi_initial_data(sph_spec, crit032):
     assert abs(b - R) < 1e-10 * abs(R)
 
 
-def test_characterization_residual(sph_surf, crit032):
+def test_characterization_residual(sph, sph_surf, crit032):
     us = _probe_us(crit032)
-    res = characterization_residual(sph_surf, crit032, us)
+    res = characterization_residual(sph_surf, sph, crit032, us)
     assert res < 1e-7
 
 
-def test_q_is_p_w_over_h_w(sph_spec, crit032):
+def test_q_is_p_w_over_h_w(sph, crit032):
     """q = p_w / h_w, with p_w by finite differences of p(u, w)."""
     u = 0.9
-    phi, = spherical.integrate_phis(sph_spec, crit032, [u])
+    phi, = spherical.integrate_phis(sph, crit032, [u])
     h = 1e-6
     for w in (0.6, 1.0, 1.4):
         hw = -float(np.imag(curve_form("dlog_gamma_u", u, w, crit032)))
@@ -103,10 +103,10 @@ def test_q_is_p_w_over_h_w(sph_spec, crit032):
         assert abs((pp - pm) / (2 * h) - q * hw) < 1e-7 * max(1.0, abs(q * hw))
 
 
-def test_ratio_p_over_hw_is_u_independent(sph_spec, crit032):
+def test_ratio_p_over_hw_is_u_independent(sph, sph_spec, crit032):
     """p / h_w depends on v only, with |p / h_w| = sqrt(1 - w'(v)^2)."""
     us = _probe_us(crit032, 5)
-    phis = spherical.integrate_phis(sph_spec, crit032, us)
+    phis = spherical.integrate_phis(sph, crit032, us)
     for v in RNG.uniform(0.05, 0.95, 5) * sph_spec.period:
         w = float(sph_spec.w(v))
         wp = float(sph_spec.planes(v)[1])
@@ -120,29 +120,29 @@ def test_ratio_p_over_hw_is_u_independent(sph_spec, crit032):
         assert abs(abs(vals[0]) - np.sqrt(1.0 - wp ** 2)) < 1e-7
 
 
-def test_intersection_angle_consistent(sph_spec, crit032):
+def test_intersection_angle_consistent(sph, crit032):
     """atan2(-phi2, U1) and atan2(beta, alpha) agree modulo pi."""
     us = _probe_us(crit032, 5)
-    phis = spherical.integrate_phis(sph_spec, crit032, us)
+    phis = spherical.integrate_phis(sph, crit032, us)
     a, b = alpha_beta(phis, us, crit032)
     psi_loc = intersection_angle(phis, us, crit032)
     gap = (psi_loc - np.arctan2(b, a) + np.pi / 2) % np.pi - np.pi / 2
     assert np.max(np.abs(gap)) < 1e-12
 
 
-def test_sphere_centers(sph_surf, crit032, monkeypatch):
+def test_sphere_centers(sph, sph_surf, crit032, monkeypatch):
     """Each centre is the v-average of a v-independent Z_v = f - alpha n +
     beta fu/|fu|, and matches the least-squares sphere through its v-curve,
     whose radius is hypot(alpha, beta)."""
     R = abs(elliptic.radius(crit032))
     requested = []
     phis_of = spherical.integrate_phis
-    monkeypatch.setattr(spherical, "integrate_phis", lambda spec, crit, us: (
-        requested.append(us) or phis_of(spec, crit, us)))
-    alphas, centers = spherical.sphere_centers(sph_surf, crit032)
+    monkeypatch.setattr(spherical, "integrate_phis", lambda sph, crit, us: (
+        requested.append(us) or phis_of(sph, crit, us)))
+    alphas, centers = spherical.sphere_centers(sph_surf, sph)
     us, = requested
     assert len(alphas) >= 5 and centers.shape == (len(alphas), 3)
-    a, b = alpha_beta(phis_of(sph_surf.recipe.spec, crit032, us), us, crit032)
+    a, b = alpha_beta(phis_of(sph, crit032, us), us, crit032)
     assert np.array_equal(alphas, a)
     for i, alpha, beta, center in zip(np.searchsorted(sph_surf.u, us), a, b,
                                       centers):
@@ -168,8 +168,8 @@ def test_center_at_omega_is_origin(sph_surf, crit032):
     assert np.max(np.linalg.norm(z, axis=-1)) < 1e-8 * abs(R)
 
 
-def test_centers_collinear_and_cone_point(sph_surf, crit032):
-    alphas, centers = spherical.sphere_centers(sph_surf, crit032)
+def test_centers_collinear_and_cone_point(sph, sph_surf):
+    alphas, centers = spherical.sphere_centers(sph_surf, sph)
     ratio, a_dir, b_point = spherical.collinearity(alphas, centers)
     assert ratio < 1e-6
     # the regression reproduces each center
@@ -181,38 +181,35 @@ def test_centers_collinear_and_cone_point(sph_surf, crit032):
 
 
 def _monodromy_axis(spec, crit):
-    return frame.monodromy(frame.integrate(spec, crit).phi[-1]).axis
+    return frame.monodromy(frame.integrate(spec, crit,
+                                           period_nodes(spec)).phi[-1]).axis
 
 
-def test_axis_closed_form(sph_spec, sph_surf, crit032):
+def test_axis_closed_form(sph, sph_spec, sph_surf, crit032):
     """The coefficients square-sum to the closed form |Z'(omega)|^2, and the
     assembled vector has that norm and one direction at every v."""
-    ax = spherical.axis(sph_spec, crit032, sph_surf,
-                        _monodromy_axis(sph_spec, crit032))
+    ax = spherical.axis(sph, sph_surf, _monodromy_axis(sph_spec, crit032))
     assert ax["axis_unit"] < 1e-9
     assert ax["axis_norm_sq"] < 1e-8
-    _, _, _, assembled = spherical._axis_terms(sph_spec, crit032, sph_surf)
+    _, _, _, assembled = spherical._axis_terms(sph, sph_surf)
     assert np.max(spherical.angle(assembled, assembled[0])) < 1e-7
 
 
-def test_axis_z2_encodes_sqrt_q(sph_spec, sph_surf, crit032):
+def test_axis_z2_encodes_sqrt_q(sph, sph_spec, sph_surf, crit032):
     """|zeta2| carries the signed root: zeta2 delta s / R = sqrt(Q(s)) up
     to the sign of the branch."""
-    sph = sph_spec.meta["spec"]
     R = elliptic.radius(crit032)
-    v, (_, zeta2, _), _, _ = spherical._axis_terms(sph_spec, crit032,
-                                                   sph_surf)
+    v, (_, zeta2, _), _, _ = spherical._axis_terms(sph, sph_surf)
     ws = np.asarray(sph_spec.w(v), dtype=float)
     for z2, w in zip(zeta2, ws):
         s = 1.0 / float(curve_form("exp_h", crit032.omega, float(w), crit032))
-        q = max(float(np.polyval(sph.q_coeffs, s)), 0.0)
+        q = max(float(np.polyval(q_coeffs(sph, crit032), s)), 0.0)
         got = abs(z2 * sph.delta * s / R)
         assert abs(got - np.sqrt(q)) < 1e-9 * max(1.0, np.sqrt(q))
 
 
-def test_axis_parallel_to_monodromy(sph_spec, sph_surf, crit032):
-    ax = spherical.axis(sph_spec, crit032, sph_surf,
-                        _monodromy_axis(sph_spec, crit032))
+def test_axis_parallel_to_monodromy(sph, sph_spec, sph_surf, crit032):
+    ax = spherical.axis(sph, sph_surf, _monodromy_axis(sph_spec, crit032))
     assert ax["axis_vs_monodromy"] < 1e-6  # between lines: the sign is free
 
 
@@ -225,7 +222,7 @@ def _count_c1(monkeypatch):
     return calls
 
 
-def test_phis_evaluate_only_u_and_u1(sph_spec, crit032, monkeypatch):
+def test_phis_evaluate_only_u_and_u1(sph, crit032, monkeypatch):
     """The phi-system needs U and U1 only: three theta arrays per batch
     (td(u), theta1(u + omega), theta1(u - omega)), no `coeffs` (U', U1',
     U2) and so no Lame constant, on a freshly solved family too."""
@@ -242,12 +239,13 @@ def test_phis_evaluate_only_u_and_u1(sph_spec, crit032, monkeypatch):
     monkeypatch.setattr(elliptic, "theta_grid", lambda n, z, *a: (
         np.ndim(z) and arrays.append(n)) or theta_grid(n, z, *a))
     for _ in range(2):
-        spherical.integrate_phis(sph_spec, fresh, [0.2, fresh.omega + 0.3])
+        spherical.integrate_phis(sph, fresh, [0.2, fresh.omega + 0.3])
     assert calls == []
     assert batches and len(arrays) == 3 * len(batches)
 
 
-def test_family_computes_lame_constant_once(sph_surf, crit032, monkeypatch):
+def test_family_computes_lame_constant_once(sph, sph_surf, crit032,
+                                            monkeypatch):
     """The PDE battery, the phi-system and the sphere centers of one
     freshly solved family compute C1 once together, and a second pass
     not at all."""
@@ -259,8 +257,8 @@ def test_family_computes_lame_constant_once(sph_surf, crit032, monkeypatch):
         traj = surface.battery_frame(fresh, surf.recipe.spec,
                                      [surface.gauss_codazzi_nodes(surf)])
         surface.gauss_codazzi_residuals(surf, traj)
-        spherical.integrate_phis(surf.recipe.spec, fresh, [0.2, 0.9])
-        spherical.sphere_centers(surf, fresh)
+        spherical.integrate_phis(sph, fresh, [0.2, 0.9])
+        spherical.sphere_centers(surf, sph)
         assert len(calls) == 1
 
 
@@ -277,10 +275,10 @@ def test_angle_resolves_tiny_angles():
     assert np.allclose(both, [1e-10, np.pi / 2], rtol=1e-6, atol=0)
 
 
-def _phi_oracle(spec, crit, us):
-    """The 3x3 phi-system solved by SciPy's DOP853 from omega to each u."""
+def _phi_oracle(sph, crit, us):
+    """The 3x3 phi-system of the SphericalSpec sph solved by SciPy's DOP853
+    from omega to each u."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    sph = spec.meta["spec"]
     y0 = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
     y0 /= sph.delta
 
@@ -292,13 +290,12 @@ def _phi_oracle(spec, crit, us):
                                rtol=1e-13, atol=1e-14).y[:, -1] for u in us])
 
 
-def test_phis_match_oracle_both_directions(sph_spec, crit032):
+def test_phis_match_oracle_both_directions(sph, crit032):
     """sym2(M) phi(omega) equals the 3x3 system solved directly, on both
     sides of omega, for a conjugate-pair and a real-pair spec."""
-    real_pair = reparam.build_spherical(
-        reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
+    real_pair = reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9)
     us = np.array([-0.4, 0.03, 0.2, crit032.omega + 0.3, 1.0, 1.45])
-    for spec in (sph_spec, real_pair):
+    for spec in (sph, real_pair):
         got = spherical.integrate_phis(spec, crit032, us)
         want = _phi_oracle(spec, crit032, us)
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
@@ -325,7 +322,7 @@ def test_sym2_is_multiplicative_with_phi_derivative(a, b, U, U1):
     assert np.max(np.abs(deriv - want)) <= 1e-14 * max(1.0, abs(U), abs(U1)) ** 2
 
 
-def test_phis_refuse_u_past_the_pole(sph_spec, crit032, monkeypatch):
+def test_phis_refuse_u_past_the_pole(sph, crit032, monkeypatch):
     """theta2 vanishes at u = pi/2: a requested u at or past it raises
     PoleProximity before the coefficients are evaluated anywhere."""
 
@@ -336,10 +333,11 @@ def test_phis_refuse_u_past_the_pole(sph_spec, crit032, monkeypatch):
     monkeypatch.setattr(elliptic, "riccati_u_u1", never)
     for us in ([1.7], [0.5, np.pi / 2], [-1.6, 0.4], [np.nan]):
         with pytest.raises(PoleProximity, match="pole-free interval"):
-            spherical.integrate_phis(sph_spec, crit032, us)
+            spherical.integrate_phis(sph, crit032, us)
 
 
-def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
+def test_sphere_centers_batches_coefficients(sph, sph_surf, crit032,
+                                            monkeypatch):
     """sphere_centers evaluates U, U1 at all its samples in one call (the
     phi-system's Magnus steps evaluate theirs on (steps, nodes) arrays),
     and a freshly solved family computes one Lame constant for both."""
@@ -348,18 +346,20 @@ def test_sphere_centers_batches_coefficients(sph_surf, crit032, monkeypatch):
     monkeypatch.setattr(elliptic, "coeffs",
                         lambda u, crit: coeff_calls.append(u) or coeffs(u, crit))
     fresh = elliptic.solve_critical_omega(crit032.lattice)
-    alphas, _ = spherical.sphere_centers(sph_surf, fresh)
+    surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
+        sph_surf.recipe, fam=fresh))
+    alphas, _ = spherical.sphere_centers(surf, sph)
     at_samples = [u for u in coeff_calls if np.ndim(u) < 2]
     assert len(at_samples) == 1
     assert np.shape(at_samples[0]) == (len(alphas),)
     assert len(c1_calls) == 1
 
 
-def test_cone_point_matches_a_loop_over_columns(sph_surf, crit032):
+def test_cone_point_matches_a_loop_over_columns(sph, sph_surf):
     """The batched plane fit of cone_point equals one mean and one SVD per
     v-column, bit for bit."""
     _, _, b_point = spherical.collinearity(
-        *spherical.sphere_centers(sph_surf, crit032))
+        *spherical.sphere_centers(sph_surf, sph))
     worst = spherical.cone_point(sph_surf, b_point)
     ref = 0.0
     for j in range(sph_surf.points.shape[1]):
