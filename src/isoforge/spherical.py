@@ -115,9 +115,9 @@ def sphere_centers(surf, sph):
     rows = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
     us = surf.u[rows]
     phis = integrate_phis(sph, crit, us)
-    c = elliptic.coeffs(us, crit)
-    den = c.U1 * phis[:, 2] + c.U * phis[:, 0]
-    alphas, betas = c.U1 / den, -phis[:, 0] / den
+    U, U1 = elliptic.riccati_u_u1(us, crit)
+    den = U1 * phis[:, 2] + U * phis[:, 0]
+    alphas, betas = U1 / den, -phis[:, 0] / den
     fu = surf.fu[rows]
     unit_u = fu / np.linalg.norm(fu, axis=-1, keepdims=True)
     # the sphere-data normal is opposite to the assembled Gauss map
@@ -175,12 +175,12 @@ def _axis_terms(sph, surf):
     """
     delta, e1, e2 = _elementary(sph)
     rspec, fam = surf.recipe.spec, surf.recipe.fam
-    om, R = fam.omega, fam.R
-    co = elliptic.coeffs_at_omega(fam)
-    beta_prime = R ** 2 * (co.Uprime + e2 * co.U1prime)
-    norm_sq = (R ** 2 * (2 * e1 * co.U1prime + delta ** 2 * co.U1prime ** 2
-                         - co.U2)
-               + R ** 4 * (co.Uprime + e2 * co.U1prime) ** 2)
+    om, R, q3 = fam.omega, fam.R, fam.q3
+    # U'(omega), U1'(omega) and U2(omega) from Q3's coefficients
+    Up, U1p, U2 = -q3.c1 / 2, q3.c3 / 2, -q3.c2
+    beta_prime = R ** 2 * (Up + e2 * U1p)
+    norm_sq = (R ** 2 * (2 * e1 * U1p + delta ** 2 * U1p ** 2 - U2)
+               + R ** 4 * (Up + e2 * U1p) ** 2)
 
     # interior v-samples of the first period (endpoints have w'(v) = 0,
     # which is fine, but generic points probe the v-independence better)
@@ -197,7 +197,7 @@ def _axis_terms(sph, surf):
 
     zeta1 = (1.0 + s * beta_prime) / s
     zeta2 = R * sprime / s
-    zeta3 = (R / (delta * s)) * (-delta ** 2 * co.U1prime * s
+    zeta3 = (R / (delta * s)) * (-delta ** 2 * U1p * s
                                  + (s - e1 / 2) ** 2 + e2 - e1 ** 2 / 4)
 
     f = surface_mod.fields_at(fam, rspec, np.array([om]), v_sel,

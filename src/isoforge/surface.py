@@ -350,7 +350,7 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     wv, wpv, _ = spec.planes(vs.ravel())
     grid = curvefamily.CurveGrid(
         us.ravel(), np.concatenate([wv, (wv[:nv] + off[1:, None]).ravel()]),
-        fam)
+        fam, forms=("exp_h", "dlog_gamma_u", "exp_isigma"))
     wcol = np.concatenate([[0], np.arange(ns, 2 * ns - 1)])
 
     def on_stencil(x):

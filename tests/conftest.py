@@ -94,6 +94,18 @@ def period_nodes(spec, periods=1, n=256):
     return np.linspace(0.0, periods * spec.period, periods * n + 1)
 
 
+def lame_c1(fam):
+    """C1 from the Lame equation U''/U = C1 - 8 U U1 at u = omega + 0.31,
+    with U'' by central differences (step 1e-5) of the analytic U': an
+    oracle for `elliptic.c1_at_critical` at any omega, to about 1e-8."""
+    h = 1e-5
+    u = fam.omega + 0.31
+    U, _, U1, _ = elliptic._uu1_complex(u, fam)
+    upp = (elliptic._uu1_complex(u + h, fam)[1]
+           - elliptic._uu1_complex(u - h, fam)[1]) / (2 * h)
+    return elliptic._real(upp / U + 8 * U * U1, "Lame constant C1")
+
+
 def q_coeffs(sph, crit):
     """The descending real coefficients of the quartic Q(s) = -(s - s1)^2
     (s - s2)^2 + delta^2 Q3(s) of the SphericalSpec sph on crit."""

@@ -904,6 +904,27 @@ def test_verify_rectangular_fails_closure(tmp_path):
     assert "u_closure" in failed
 
 
+def test_verify_explicit_omega_has_second_order_pde_residuals(tmp_path):
+    """The README config at 64 x 64 with omega explicit at 1.0: the curves
+    do not close, but the closed-form Lame constant puts no floor under
+    pde_hw_quartic, so its residuals converge at second order and
+    pde_order_deficit passes."""
+    cfg = {
+        "lattice": {"kind": "rhombic", "lambda": 0.32},
+        "omega": {"mode": "explicit", "value": 1.0},
+        "reparam": {"kind": "analytic", "mean": 1.0053, "amplitude": 0.35,
+                    "period": 6.0},
+        "grid": {"nu": 64, "nv": 64},
+    }
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 3
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["u_closure"]["pass"]
+    assert checks["pde_order_deficit"]["pass"], checks["pde_order_deficit"]
+
+
 def test_verify_limit_surface(tmp_path):
     cfg = {
         "lattice": {"kind": "rhombic", "lambda": 0.354729892522},

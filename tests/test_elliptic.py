@@ -9,6 +9,8 @@ from isoforge import elliptic, theta
 from isoforge.errors import (InvalidLattice, IsoforgeError, NoBracket,
                              NoCriticalOmega, PoleProximity, SpecInvalid)
 
+from conftest import lame_c1
+
 LAMBDA0_REF = 0.354729892522
 
 
@@ -49,16 +51,17 @@ def test_critical_omega_rejects_rectangular():
 
 
 def test_coeffs_at_omega(crit032):
-    at = elliptic.coeffs_at_omega(crit032)
-    assert at.U1 == 0.0
-    R = elliptic.radius(crit032)
-    assert abs(at.U + 1.0 / R) < 1e-12
-    # the generic evaluator agrees with the closed forms at u = omega
+    """Q3's coefficients are the closed forms 2U1'(w), -U2(w), -2U'(w) and
+    -U(w)^2 with U(w) = -1/R; the generic evaluator agrees at u = omega."""
+    cub, R = crit032.q3, crit032.R
+    assert abs(cub.c0 + 1.0 / R ** 2) < 1e-12 * max(1.0, 1.0 / R ** 2)
+    assert cub.c2 == -crit032.C1
     s = elliptic.coeffs(crit032.omega, crit032)
-    assert abs(s.U - at.U) < 1e-11
-    assert abs(s.U1) < 1e-11
-    assert abs(s.Uprime - at.Uprime) < 1e-9
-    assert abs(s.U1prime - at.U1prime) < 1e-9
+    assert abs(s.U + 1.0 / R) < 1e-11
+    assert s.U1 == 0.0  # theta1(0) sums to 0 exactly: no s^4 term
+    assert abs(s.U2 + cub.c2) < 1e-11 * max(1.0, abs(cub.c2))
+    assert abs(s.Uprime + cub.c1 / 2) < 1e-9
+    assert abs(s.U1prime - cub.c3 / 2) < 1e-9
 
 
 def test_realness_on_grid(crit032):
@@ -120,25 +123,79 @@ def test_family_refuses_unknown_mode_and_omega(lat032):
 
 
 def test_family_constants_match_the_direct_formulas(crit032, rect_fam):
-    """The cached constants are the theta values they name, and the critical
-    C1 is the closed form while an explicit family's is the Lame probe."""
+    """The cached constants are the theta values they name, and C1 is the
+    closed form of `c1_at_critical` on both lattices."""
     for fam in (crit032, rect_fam):
         lat, om, i = fam.lattice, fam.omega, fam.den
         assert fam.td == theta.theta_grid(i, om, lat)
         assert fam.t1p0 == theta.theta_grid(1, 0.0, lat, 1)
         assert fam.c == theta.theta_grid(i, om, lat, 1) / fam.td
-        assert fam.R == elliptic.radius(fam)
+        assert fam.R == elliptic._real(
+            2 * fam.td ** 2 / (fam.t1p0 * theta.theta_grid(1, 2 * om, lat)),
+            "R")
+        assert fam.C1 == elliptic.c1_at_critical(fam)
     assert (crit032.den, rect_fam.den) == (2, 4)
-    assert crit032.C1 == elliptic.c1_at_critical(crit032)
-    assert rect_fam.C1 == elliptic.lame_c1(rect_fam)
     assert crit032.residual < 1e-13
 
 
-def test_c1_two_routes(crit032):
-    """Closed form at critical omega vs the Lame-equation probe recovery."""
-    closed = elliptic.c1_at_critical(crit032)
-    probed = elliptic.lame_c1(crit032)
-    assert abs(closed - probed) < 1e-8 * max(1.0, abs(closed))
+def test_explicit_family_at_the_critical_omega_has_its_c1(crit032):
+    """An explicit family at the critical omega has the critical family's
+    C1, R and Q3, bit for bit."""
+    fam = elliptic.Family(crit032.lattice, crit032.omega, "explicit")
+    assert fam.C1 == crit032.C1
+    assert fam.R == crit032.R
+    assert fam.q3 == crit032.q3
+
+
+def _mp_lame_c1(kind, lam, omega):
+    """U''/U + 8 U U1 at u = omega + 0.31 by mpmath at 30 digits: jtheta
+    for the thetas and mp.diff for U''."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        tau = mp.mpc(0.5 if kind == "rhombic" else 0, lam)
+        q = mp.exp(1j * mp.pi * tau)
+        den = 2 if kind == "rhombic" else 4
+
+        def th(i, z, k=0):
+            return mp.jtheta(i, z, q, k)
+
+        om = mp.mpf(omega)
+        c = th(den, om, 1) / th(den, om)
+        k = -th(1, 0, 1) / (2 * th(den, om))
+
+        def U(x):
+            return k * th(1, x + om) / th(den, x) * mp.exp(-x * c)
+
+        def U1(x):
+            return -k * th(1, x - om) / th(den, x) * mp.exp(x * c)
+
+        u = om + mp.mpf("0.31")
+        val = mp.diff(U, u, 2) / U(u) + 8 * U(u) * U1(u)
+        return float(mp.re(val)), float(abs(mp.im(val)))
+
+
+@pytest.mark.parametrize("kind,lam,omega", [
+    ("rhombic", 0.32, None), ("rhombic", 0.32, 0.3), ("rhombic", 0.3, 1.0),
+    ("rectangular", 0.3, 0.3), ("rectangular", 0.25, 0.5)])
+def test_c1_closed_form_matches_mpmath_oracle(kind, lam, omega):
+    """C1 is the Lame constant U''/U + 8 U U1 to 1e-12 relative, at the
+    critical and at explicit omegas, on both lattices."""
+    lat = (theta.rhombic(lam) if kind == "rhombic"
+           else theta.rectangular(lam))
+    fam = (elliptic.solve_critical_omega(lat) if omega is None
+           else elliptic.Family(lat, omega, "explicit"))
+    want, imag = _mp_lame_c1(kind, lam, fam.omega)
+    assert imag < 1e-20 * max(1.0, abs(want))
+    assert abs(fam.C1 - want) < 1e-12 * abs(want)
+
+
+def test_c1_two_routes(crit032, rect_fam):
+    """Closed form vs the Lame-equation probe recovery, at the critical
+    omega and on a rectangular lattice."""
+    for fam in (crit032, rect_fam):
+        closed = elliptic.c1_at_critical(fam)
+        probed = lame_c1(fam)
+        assert abs(closed - probed) < 1e-8 * max(1.0, abs(closed))
 
 
 def test_coeffs_pole_guard(crit032):
@@ -199,9 +256,9 @@ def test_rectangular_has_no_critical_point():
 
 def test_general_omega_coefficients_satisfy_lame(rect_fam):
     """The non-critical path (exponential factors kept) still solves the
-    Lame equation, on rectangular lattices too."""
+    Lame equation with the closed-form C1, on rectangular lattices too."""
     om = rect_fam.omega
-    c1 = elliptic.lame_c1(rect_fam)
+    c1 = rect_fam.C1
     h = 1e-5
     for u in (om + 0.4, om + 0.9):
         U, Up, U1, _ = elliptic._uu1_complex(u, rect_fam)

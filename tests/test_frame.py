@@ -484,6 +484,31 @@ def test_close_torus_bracket_respects_admissibility():
         spec, crit, np.linspace(0.0, 5.0, 9)).phi[-1]).theta == achieved
 
 
+def test_close_torus_validates_the_scan_ends_only(crit032, lat032,
+                                                 monkeypatch):
+    """close_torus validates two specs, the first and the last scanned
+    amplitude, and every amplitude it then integrates, Brent's included,
+    lies between them."""
+    validated, scanned = [], []
+    require, frames = frame._require_valid, frame._frames
+    monkeypatch.setattr(frame, "_require_valid", lambda spec, fam: (
+        validated.append(spec), require(spec, fam))[1])
+    monkeypatch.setattr(frame, "_frames", lambda specs, *a: (
+        scanned.extend(specs), frames(specs, *a))[1])
+    band = 2 * np.pi * lat032.lam
+    frame.close_torus(band / 2, 6.0, crit032, 2 * np.pi / 3)
+    amps = np.linspace(0.02, min(0.9 * band / 2, 6.0 / (2 * np.pi)), 17)
+    assert len(validated) == 2
+
+    def amp(spec):
+        return spec.planes(np.array([1.5]))[0][0] - band / 2
+
+    ends = [amp(spec) for spec in validated]
+    assert np.allclose(ends, amps[[0, -1]], rtol=1e-12)
+    assert len(scanned) > 17
+    assert all(ends[0] - 1e-12 <= amp(s) <= ends[1] + 1e-12 for s in scanned)
+
+
 def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
                                                            monkeypatch):
     """Each generator call of a spherical frame integration folds v and

@@ -79,7 +79,7 @@ def test_phi_initial_data(sph, crit032):
     assert np.max(np.abs(phis[0] - want)) < 1e-14
 
     (a,), (b,) = alpha_beta(phis, us, crit032)
-    R = elliptic.radius(crit032)
+    R = crit032.R
     assert abs(a) < 1e-12
     assert abs(b - R) < 1e-10 * abs(R)
 
@@ -134,7 +134,7 @@ def test_sphere_centers(sph, sph_surf, crit032, monkeypatch):
     """Each centre is the v-average of a v-independent Z_v = f - alpha n +
     beta fu/|fu|, and matches the least-squares sphere through its v-curve,
     whose radius is hypot(alpha, beta)."""
-    R = abs(elliptic.radius(crit032))
+    R = abs(crit032.R)
     requested = []
     phis_of = spherical.integrate_phis
     monkeypatch.setattr(spherical, "integrate_phis", lambda sph, crit, us: (
@@ -160,7 +160,7 @@ def test_center_at_omega_is_origin(sph_surf, crit032):
     """alpha(omega) = 0, beta(omega) = R place the u = omega sphere at the
     origin: Z = f + R f_u/|f_u| with f_u/|f_u| = -f/R there."""
     from isoforge import surface
-    R = elliptic.radius(crit032)
+    R = crit032.R
     f = surface.fields_at(crit032, sph_surf.recipe.spec,
                           np.array([crit032.omega]), sph_surf.v, sph_surf.phi)
     unit_u = f["fu"][0] / np.linalg.norm(f["fu"][0], axis=-1, keepdims=True)
@@ -198,7 +198,7 @@ def test_axis_closed_form(sph, sph_spec, sph_surf, crit032):
 def test_axis_z2_encodes_sqrt_q(sph, sph_spec, sph_surf, crit032):
     """|zeta2| carries the signed root: zeta2 delta s / R = sqrt(Q(s)) up
     to the sign of the branch."""
-    R = elliptic.radius(crit032)
+    R = crit032.R
     v, (_, zeta2, _), _, _ = spherical._axis_terms(sph, sph_surf)
     ws = np.asarray(sph_spec.w(v), dtype=float)
     for z2, w in zip(zeta2, ws):
@@ -340,19 +340,25 @@ def test_sphere_centers_batches_coefficients(sph, sph_surf, crit032,
                                             monkeypatch):
     """sphere_centers evaluates U, U1 at all its samples in one call (the
     phi-system's Magnus steps evaluate theirs on (steps, nodes) arrays),
-    and a freshly solved family computes one Lame constant for both."""
-    c1_calls, coeff_calls = _count_c1(monkeypatch), []
-    coeffs = elliptic.coeffs
-    monkeypatch.setattr(elliptic, "coeffs",
-                        lambda u, crit: coeff_calls.append(u) or coeffs(u, crit))
+    and neither needs `coeffs` (U', U1', U2) nor the Lame constant, on a
+    freshly solved family too."""
+    c1_calls, u_u1_calls = _count_c1(monkeypatch), []
+    u_u1 = elliptic.riccati_u_u1
+    monkeypatch.setattr(elliptic, "riccati_u_u1",
+                        lambda u, crit: u_u1_calls.append(u) or u_u1(u, crit))
+
+    def never(*args, **kwargs):
+        raise AssertionError("sphere_centers evaluated U', U1' or U2")
+
+    monkeypatch.setattr(elliptic, "coeffs", never)
     fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     alphas, _ = spherical.sphere_centers(surf, sph)
-    at_samples = [u for u in coeff_calls if np.ndim(u) < 2]
+    at_samples = [u for u in u_u1_calls if np.ndim(u) < 2]
     assert len(at_samples) == 1
     assert np.shape(at_samples[0]) == (len(alphas),)
-    assert len(c1_calls) == 1
+    assert len(c1_calls) == 0
 
 
 def test_cone_point_matches_a_loop_over_columns(sph, sph_surf):

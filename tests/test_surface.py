@@ -288,8 +288,9 @@ def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
 def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                                    theta_arrays, monkeypatch):
     """Both probe steps share one stencil: one frame integration over its
-    v-nodes, one CurveGrid (one theta_tensor call for all seven arrays on
-    the 5 u-shifts x (5 w(v) shifts + 4 w-shifts) of the probes), one
+    v-nodes, one CurveGrid (one theta_tensor call for the six arrays its
+    forms read, all but G, on the 5 u-shifts x (5 w(v) shifts + 4
+    w-shifts) of the probes), one
     coeffs sample and one fields_at call for fu, fv, n and expH (one
     theta_tensor call for A, Ab, D and Db in one block); no array is
     evaluated twice.  (theta_grid still serves W1 along the frame.)"""
@@ -310,7 +311,7 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                  steps=steps)
     assert len(levels) == 2
     assert counts == {"integrate": 1, "fields_at": 1, "coeffs": 1}
-    assert sorted(theta_arrays.calls) == [((1, 1, 1, 1, 2, 2, 2), 20, (7, 45)),
+    assert sorted(theta_arrays.calls) == [((1, 1, 1, 2, 2, 2), 20, (6, 45)),
                                           ((1, 1, 2, 2), 20, (4, 25))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
 
