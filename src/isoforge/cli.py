@@ -260,12 +260,10 @@ def write_obj(path, surf):
     return nu * nv, nu * (nv - 1)
 
 
-def write_curve_csv(path, us, gam, eh, tangent, kappa, u_cells=None):
+def write_curve_csv(path, us, gam, eh, tangent, kappa, u_cells):
     """One row per u, every cell in %.12g, with CSV's \\r\\n line ends.
-    u_cells is textfmt.g12(us), for callers that write several curves on
-    the same us."""
-    if u_cells is None:
-        u_cells = textfmt.g12(us)
+    u_cells is textfmt.g12(us), shared by the curves written on the same
+    us."""
     cols = np.stack([gam.real, gam.imag, eh, tangent.real, tangent.imag,
                      kappa])
     with open(path, "wb") as fh:
@@ -375,7 +373,7 @@ def solve(want_lambda0, lam):
     click.echo(f"residual = {crit.residual:.3e}")
 
 
-# points (u samples x curves) of one CurveGrid block of the curves
+# points (u samples x curves) of one forms_at block of the curves
 # command: 4 curves at --n 4096, all 5 default curves at the default --n
 _CURVE_POINTS = 20_000
 
@@ -413,10 +411,12 @@ def curves(config, w_values, n_samples, out_dir, svg):
     # every block is computed before the first file is opened, so a w that
     # fails leaves no file behind
     width = max(1, _CURVE_POINTS // len(us))
-    blocks = (curvefamily.CurveGrid(us, np.array(w_values[lo:lo + width]), fam)
+    forms = ("gamma", "exp_h", "exp_isigma", "kappa_hyp")
+    blocks = (curvefamily.forms_at(us, np.array(w_values[lo:lo + width]), fam,
+                                   forms)
               for lo in range(0, len(w_values), width))
-    results = [curve for grid in blocks for curve in zip(
-        grid.gamma.T, grid.exp_h.T, grid.exp_isigma.T, grid.kappa_hyp.T)]
+    results = [curve for block in blocks
+               for curve in zip(*(block[name].T for name in forms))]
 
     polylines = []
     u_cells = textfmt.g12(us)

@@ -17,12 +17,12 @@ and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2):
     e^{i sigma}     = -i D Ab/(A Db) * e^{i w c},
     (h + i sigma)_u = D'/D - A'/A + c.
 
-A `CurveGrid` evaluates them on a tensor grid u x w.  There each argument
-is u/2 + b with b = (+-i w + const)/2, and every theta series term
-e^{i m (u/2 + b)} splits as e^{i m u/2} e^{i m b}, so the arrays are
-matrix products with one left factor per m0 of the series
-(`theta.theta_tensor`).  A grid fetches only the arrays of the forms it
-is built for, all in one call: one product on a rhombic lattice, where
+`forms_at` evaluates the forms it is asked for on a tensor grid u x w.
+There each argument is u/2 + b with b = (+-i w + const)/2, and every theta
+series term e^{i m (u/2 + b)} splits as e^{i m u/2} e^{i m b}, so the
+arrays are matrix products with one left factor per m0 of the series
+(`theta.theta_tensor`).  It fetches only the arrays of the forms it is
+asked for, all in one call: one product on a rhombic lattice, where
 theta1 and td = theta2 both have m0 = 1, two on a rectangular one.  The
 products sum the terms of `theta_grid`, so its truncation bound certifies
 them.  The rotation coefficient of the curve at w is
@@ -31,7 +31,7 @@ them.  The rotation coefficient of the curve at w is
 
 At the critical omega of a rhombic lattice c = 0 and gamma becomes
 2*pi-periodic in u (closed curves).  The curves live in the band w in
-(0, 2*pi*lam); a grid built with mirrored=True also allows mirrored
+(0, 2*pi*lam); forms_at with mirrored=True also allows mirrored
 negative w, so the conjugation symmetry conj(gamma(u, w)) = -gamma(u, -w)
 can be checked.
 
@@ -52,7 +52,6 @@ gamma_hat, gamma_hat_u, w_hat, limit_d and limit_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,8 +90,7 @@ def _pole_checked(den, what):
     return den
 
 
-# the theta arrays of the module docstring that each form of a CurveGrid
-# reads
+# the theta arrays of the module docstring that each form of forms_at reads
 _READS = {
     "gamma": ("A", "G"),
     "gamma_u": ("A", "D"),
@@ -104,140 +102,78 @@ _READS = {
 FORMS = tuple(_READS)
 
 
-class CurveGrid:
-    """The family's closed forms on the grid z = u + i w.
+def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
+    """The closed forms `names` (of FORMS) of fam on the grid z = u + i w, as
+    {name: form} for exactly names.
 
     u and w are each a number or a 1-D array; a form has shape
     (len(u), len(w)), and a number drops its axis (two numbers give a
-    number).  The band of w is checked on construction (the mirrored band
-    if `mirrored`).  A grid is built for the forms it names (all of
-    FORMS by default), and reading any other raises ValueError.  On first
-    use it fetches the theta arrays those forms read (`_READS`: gamma
-    reads A and G, e^h and e^{i sigma} read A, Ab, D and Db, (h + i
-    sigma)_u reads A, A', D and D') with one `theta_tensor` call, each on
-    the u x w grid as the product of a = u/2 and b = (+-i w + const)/2:
-    one product on a rhombic lattice, where theta1 and td = theta2 share
-    the left factor, and two on a rectangular one.  The arrays keep the
-    truncation certificate of `theta_grid`, since |Im b| = |w|/2 lies in
-    the strip.  The zeros of A and Ab are guarded when a form reads them.
+    number).  The forms are those of the module docstring: gamma, gamma_u
+    = d(gamma)/du = -i d(gamma)/dw, the positive real metric factor exp_h
+    = e^h, the unitary exp_isigma = e^{i sigma}, dlog_gamma_u =
+    (h + i sigma)_u = d/dz log gamma_u, and kappa_hyp, the hyperbolic
+    curvature sigma~_u / a + cos(sigma~) of the standardized curve.
+
+    An unknown name raises ValueError, and a w outside the band (the
+    mirrored band if `mirrored`) DomainW, before any theta array is fetched.
+    The arrays the forms read (`_READS`) come from one `theta_tensor` call,
+    as the module docstring sets out; they keep the truncation certificate
+    of `theta_grid`, since |Im b| = |w|/2 lies in the strip.  The zeros of A
+    and Ab are guarded.
     """
+    if np.ndim(u) > 1 or np.ndim(w) > 1:
+        raise ValueError("u and w must be numbers or 1-D arrays")
+    unknown = set(names) - set(FORMS)
+    if unknown:
+        raise ValueError(f"unknown forms {sorted(unknown)}")
+    _check_w(w, fam.lattice, mirrored)
+    shape = np.shape(u) + np.shape(w)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    iw, om, c = 1j * w, fam.omega, fam.c
+    # theta index, derivative order and 2 b of every array, in the order
+    # of the fetch: theta1 rows, then td rows
+    arrays = {"A": (1, 0, iw + om), "Ab": (1, 0, -iw + om),
+              "G": (1, 0, iw - 3 * om), "A'": (1, 1, iw + om),
+              "D": (fam.den, 0, iw - om), "Db": (fam.den, 0, -iw - om),
+              "D'": (fam.den, 1, iw - om)}
+    fetch = [x for x in arrays if any(x in _READS[form] for form in names)]
+    b = np.stack([arrays[x][2] for x in fetch]) / 2
+    t = dict(zip(fetch, theta_tensor([arrays[x][:2] for x in fetch], u / 2,
+                                     b, fam.lattice)))
+    _pole_checked(t["A"], "theta1((z + omega)/2)")
+    if "Ab" in t:
+        _pole_checked(t["Ab"], "theta1((zb + omega)/2)")
 
-    def __init__(self, u, w, fam: Family, mirrored: bool = False,
-                 forms=FORMS):
-        if np.ndim(u) > 1 or np.ndim(w) > 1:
-            raise ValueError("u and w must be numbers or 1-D arrays")
-        unknown = set(forms) - set(FORMS)
-        if unknown:
-            raise ValueError(f"unknown forms {sorted(unknown)}")
-        _check_w(w, fam.lattice, mirrored)
-        self.fam = fam
-        self.forms = tuple(forms)
-        self._shape = np.shape(u) + np.shape(w)
-        self.u = np.atleast_1d(np.asarray(u, dtype=float))
-        self.w = np.atleast_1d(np.asarray(w, dtype=float))
-
-    def _out(self, val, kind=complex):
-        return kind(val[0, 0]) if self._shape == () else val.reshape(self._shape)
-
-    def _read(self, form):
-        """The theta arrays, once the grid is known to be built for form."""
-        if form not in self.forms:
-            raise ValueError(f"this CurveGrid is built for {self.forms}, "
-                             f"not {form}")
-        return self._theta
-
-    @cached_property
-    def _theta(self):
-        """The arrays the grid's forms read, by name."""
-        fam, iw, om = self.fam, 1j * self.w, self.fam.omega
-        # theta index, derivative order and 2 b of every array, in the
-        # order of the fetch: theta1 rows, then td rows
-        arrays = {"A": (1, 0, iw + om), "Ab": (1, 0, -iw + om),
-                  "G": (1, 0, iw - 3 * om), "A'": (1, 1, iw + om),
-                  "D": (fam.den, 0, iw - om), "Db": (fam.den, 0, -iw - om),
-                  "D'": (fam.den, 1, iw - om)}
-        names = [x for x in arrays
-                 if any(x in _READS[form] for form in self.forms)]
-        b = np.stack([arrays[x][2] for x in names]) / 2
-        out = theta_tensor([arrays[x][:2] for x in names], self.u / 2, b,
-                           fam.lattice)
-        return dict(zip(names, out))
-
-    @cached_property
-    def _th1_p(self):
-        return _pole_checked(self._theta["A"], "theta1((z + omega)/2)")
-
-    @cached_property
-    def _th1_pb(self):
-        return _pole_checked(self._theta["Ab"], "theta1((zb + omega)/2)")
-
-    @cached_property
-    def _ezc(self):
-        """e^{z c} on the grid, as e^{u c} e^{i w c}."""
-        c = self.fam.c
-        return np.exp(self.u * c)[:, None] * np.exp(1j * self.w * c)
-
-    @cached_property
-    def gamma(self):
-        """The planar curve gamma(u, w)."""
-        fam, t = self.fam, self._read("gamma")
-        pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * fam.omega, fam.lattice))
-        return self._out(pref * t["G"] / self._th1_p * self._ezc)
-
-    @cached_property
-    def gamma_u(self):
-        """d(gamma)/du = -i d(gamma)/dw = e^{h + i sigma}."""
-        t = self._read("gamma_u")
-        return self._out(-1j * (t["D"] / self._th1_p) ** 2 * self._ezc)
-
-    @cached_property
-    def exp_h(self):
-        """Metric factor e^{h(u,w)}, positive real.
-
-        The realness check compares each w column with its own scale, over u.
-        """
-        t = self._read("exp_h")
-        val = t["D"] * t["Db"] / (self._th1_p * self._th1_pb)
-        val = val * np.exp(self.u * self.fam.c.real)[:, None]
-        out = np.real(val).copy()  # a view would keep the complex val alive
+    out = {}
+    if "gamma" in names or "gamma_u" in names:
+        ezc = np.exp(u * c)[:, None] * np.exp(1j * w * c)
+        if "gamma" in names:
+            pref = -2j * fam.td ** 2 / (fam.t1p0 * theta_grid(1, 2 * om, fam.lattice))
+            out["gamma"] = pref * t["G"] / t["A"] * ezc
+        if "gamma_u" in names:
+            out["gamma_u"] = -1j * (t["D"] / t["A"]) ** 2 * ezc
+        del ezc
+    if "exp_h" in names:
+        val = t["D"] * t["Db"] / (t["A"] * t["Ab"]) * np.exp(u * c.real)[:, None]
+        out["exp_h"] = np.real(val).copy()  # a view would keep val alive
+        # the realness check compares each w column with its own scale
         im = np.max(np.abs(np.imag(val)), axis=0)
-        if np.any(im > 1e-9 * np.max(np.abs(out), axis=0)):
+        del val
+        if np.any(im > 1e-9 * np.max(np.abs(out["exp_h"]), axis=0)):
             raise ArithmeticError("e^h should be real")
-        return self._out(out, float)
-
-    # _eis and _dlog serve exp_isigma, dlog_gamma_u and kappa_hyp, which
-    # check that the grid is built for them
-    @cached_property
-    def _eis(self):
-        t = self._theta
-        val = -1j * t["D"] * self._th1_pb / (self._th1_p * t["Db"])
-        return val * np.exp(1j * self.w * self.fam.c)
-
-    @cached_property
-    def _dlog(self):
-        t = self._theta
-        return t["D'"] / t["D"] - t["A'"] / self._th1_p + self.fam.c
-
-    @cached_property
-    def exp_isigma(self):
-        """Unitary factor e^{i sigma(u,w)} of gamma_u."""
-        self._read("exp_isigma")
-        return self._out(self._eis)
-
-    @cached_property
-    def dlog_gamma_u(self):
-        """(h + i sigma)_u = d/dz log gamma_u, by theta log-derivatives."""
-        self._read("dlog_gamma_u")
-        return self._out(self._dlog)
-
-    @cached_property
-    def kappa_hyp(self):
-        """Hyperbolic curvature sigma~_u / a + cos(sigma~) of the standardized
-        curve."""
-        self._read("kappa_hyp")
-        W1 = w1(self.w, self.fam)
-        q = _standardizing_rotation(W1) * self._eis
-        return self._out(np.imag(self._dlog) / (2 * abs(W1)) + np.real(q), float)
+    if "exp_isigma" in names or "kappa_hyp" in names:
+        out["exp_isigma"] = (-1j * t["D"] * t["Ab"] / (t["A"] * t["Db"])
+                             * np.exp(1j * w * c))
+    if "dlog_gamma_u" in names or "kappa_hyp" in names:
+        out["dlog_gamma_u"] = t["D'"] / t["D"] - t["A'"] / t["A"] + c
+    del t
+    if "kappa_hyp" in names:
+        W1 = w1(w, fam)
+        q = _standardizing_rotation(W1) * out["exp_isigma"]
+        out["kappa_hyp"] = np.imag(out["dlog_gamma_u"]) / (2 * abs(W1)) + np.real(q)
+    return {name: out[name].reshape(shape) if shape else out[name][0, 0].item()
+            for name in names}
 
 
 def w1(w, fam: Family):
@@ -285,14 +221,14 @@ def _standardizing_rotation(W1) -> complex:
 def hyperbolic_standardize(us, w: float, fam):
     """Rotate gamma(., w) so its rotation axis is the ideal boundary of H^2."""
     rot = _standardizing_rotation(w1(w, fam))
-    return rot * CurveGrid(us, w, fam, forms=("gamma",)).gamma
+    return rot * forms_at(us, w, fam, ("gamma",))["gamma"]
 
 
 def hyperbolic_speed(us, w: float, fam):
     """|gamma~_u|/Im(gamma~) on a u-grid; constant equal to a = 2|W1(w)|."""
     rot = _standardizing_rotation(w1(w, fam))
-    grid = CurveGrid(np.asarray(us, dtype=float), w, fam)
-    return np.abs(rot * grid.gamma_u) / np.imag(rot * grid.gamma)
+    f = forms_at(np.asarray(us, dtype=float), w, fam, ("gamma", "gamma_u"))
+    return np.abs(rot * f["gamma_u"]) / np.imag(rot * f["gamma"])
 
 
 def elastica_constants(w: float, fam) -> ElasticaConstants:
@@ -309,7 +245,7 @@ def elastica_constants(w: float, fam) -> ElasticaConstants:
     us = np.linspace(0, 2 * np.pi, 200, endpoint=False)
 
     def q_of(u):
-        return rot * CurveGrid(u, w, fam, forms=("exp_isigma",)).exp_isigma
+        return rot * forms_at(u, w, fam, ("exp_isigma",))["exp_isigma"]
 
     q = q_of(us)
     # fourth-order central stencil: the quartic residual is quadratic in the
@@ -343,10 +279,7 @@ def _limit_parts(u, w, fam: Family):
     _check_w(w, lat, mirrored=True)
     z = np.asarray(u, dtype=complex) + 1j * w
     slope = -1j * theta_grid(fam.den, 0.0, lat, 2) * fam.td / fam.t1p0 ** 2
-    th1h = theta_grid(1, z / 2, lat)
-    if np.min(np.abs(th1h)) < _POLE_TOL:
-        raise PoleProximity("theta1(z/2) too close to zero")
-    return z, slope, th1h
+    return z, slope, _pole_checked(theta_grid(1, z / 2, lat), "theta1(z/2)")
 
 
 def gamma_hat(u, w, fam: Family):

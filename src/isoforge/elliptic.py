@@ -154,7 +154,14 @@ class Family:
     def q3(self) -> "CubicQ3":
         """Q3(s) = 2U1'(w)s^3 - U2(w)s^2 - 2U'(w)s - U(w)^2 with its roots
         `e`, by the closed forms of U(w), U'(w) and U1'(w) at c = 0 (the
-        critical omega; U1(w) = 0 and U2(w) = C1)."""
+        critical omega; U1(w) = 0 and U2(w) = C1).
+
+        Off the critical omega they are not Q3's coefficients (they
+        disagree with the roots), so |c| > 1e-12 raises SpecInvalid; at the
+        critical omega |c| <= 2.1e-16 for lambda 0.28 to 0.354."""
+        if abs(self.c) > 1e-12:
+            raise SpecInvalid(f"Q3 needs the critical omega (c = 0), got "
+                              f"|c| = {abs(self.c):.3g} at omega = {self.omega}")
         lat, w, t1p0, t2w2 = self.lattice, self.omega, self.t1p0, self.td ** 2
         U = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat) / t2w2, "U(omega)")
         Up = _real(-0.5 * t1p0 * theta_grid(1, 2 * w, lat, 1) / t2w2,

@@ -142,10 +142,8 @@ def _report(v, w, wp, root, top) -> ValidationReport:
     # smoothness proxy for the signed branch: bounded second divided differences
     root_dd2 = float(np.max(np.abs(np.diff(root, 2)))) / dv ** 2 if n >= 3 else 0.0
 
-    ok = (0.0 < w_min and w_max < top and max_wp <= 1.0 + 1e-12
-          and root_residual <= 1e-8)
     return ValidationReport(root_residual=root_residual, root_dd2=root_dd2,
-                            flags=tuple(flags), ok=ok)
+                            flags=tuple(flags), ok=not flags)
 
 
 def require_admissible(spec: ReparamSpec, lat) -> None:

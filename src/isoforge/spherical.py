@@ -189,10 +189,9 @@ def _axis_terms(sph, surf):
     v_sel = surf.v[j_sel]
     w_sel, wp_sel, _ = rspec.planes(v_sel)
 
-    grid = curvefamily.CurveGrid(om, w_sel, fam,
-                                 forms=("exp_h", "dlog_gamma_u"))
-    s = 1.0 / grid.exp_h
-    h_w = -np.imag(grid.dlog_gamma_u)
+    grid = curvefamily.forms_at(om, w_sel, fam, ("exp_h", "dlog_gamma_u"))
+    s = 1.0 / grid["exp_h"]
+    h_w = -np.imag(grid["dlog_gamma_u"])
     sprime = -h_w * s * wp_sel  # carries the sign of sqrt(Q)/delta
 
     zeta1 = (1.0 + s * beta_prime) / s

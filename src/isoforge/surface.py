@@ -11,8 +11,8 @@ where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates the
 fields its caller names on a (u, v) grid in blocks of whole v columns: the
 fewest blocks of at most _BLOCK_POINTS points, their widths differing by at
 most one (np.array_split's rule), so a 128 x 129 display grid runs as three
-blocks of 43 columns.  Each block is one `curvefamily.CurveGrid` on
-u x w(block), built for the closed forms its fields read (points: gamma;
+blocks of 43 columns.  Each block is one `curvefamily.forms_at` call on
+u x w(block), for the closed forms its fields read (points: gamma;
 fu, fv: e^h and e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta
 arrays come from one `theta.theta_tensor` call with the truncation bound
 of the theta series.  The blocks keep the theta temporaries bounded, and
@@ -83,7 +83,7 @@ class SampledSurface:
 
 
 # grid points per block of whole v columns in fields_at (one column when
-# nu is larger).  Each block pays a fixed cost for its CurveGrid (the theta
+# nu is larger).  Each block pays a fixed cost for its forms_at call (the theta
 # call and the forms, about half of a one-column call's 0.3 to 0.6 ms), so
 # display-size grids want few blocks; but beyond about 8k points the cost
 # per point rises again (a cache knee).  On a 128 x 129 grid, three blocks
@@ -107,7 +107,7 @@ def _dot(x, y):
     return x0 * y0 + x1 * y1 + x2 * y2 + 0.0
 
 
-# the fields of fields_at and the CurveGrid forms each one reads
+# the fields of fields_at and the curvefamily forms each one reads
 _FIELD_FORMS = {
     "points": ("gamma",),
     "fu": ("exp_h", "exp_isigma"),
@@ -151,10 +151,8 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
     edges = np.cumsum([0] + [width + 1] * wider + [width] * (nblocks - wider))
     for lo, hi in zip(edges[:-1], edges[1:]):
         cols = slice(lo, hi)
-        grid = curvefamily.CurveGrid(u, w_arr[cols], fam, forms=forms)
-        gam, eis, eh_c = (getattr(grid, f) if f in forms else None
-                          for f in ("gamma", "exp_isigma", "exp_h"))
-        del grid  # its theta arrays are not needed for the assembly
+        f = curvefamily.forms_at(u, w_arr[cols], fam, forms)
+        gam, eis, eh_c = (f.get(x) for x in ("gamma", "exp_isigma", "exp_h"))
         if "expH" in names:
             eh[:, cols] = eh_c
         ri, rj, rk = (rot[:, b, None, cols] for b in range(3))  # (3, 1, cols)
@@ -329,7 +327,7 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     All derivatives are centered differences with step h of the
     closed-form fields, so the battery converges at second order in the
     probe step independently of any display grid.  The shifts 0, -h, +h of
-    every step form one stencil: one `CurveGrid` on its u-nodes x (its w(v)
+    every step form one stencil: one `forms_at` call on its u-nodes x (its w(v)
     and its w-shifts), one `coeffs` sample and one `fields_at` on its
     u-nodes x v-nodes serve every step.  Grids below have the shifts along
     their leading axes.
@@ -348,9 +346,9 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
     # for s > 0 (the w-shifts)
     wv, wpv, _ = spec.planes(vs.ravel())
-    grid = curvefamily.CurveGrid(
+    grid = curvefamily.forms_at(
         us.ravel(), np.concatenate([wv, (wv[:nv] + off[1:, None]).ravel()]),
-        fam, forms=("exp_h", "dlog_gamma_u", "exp_isigma"))
+        fam, ("exp_h", "dlog_gamma_u", "exp_isigma"))
     wcol = np.concatenate([[0], np.arange(ns, 2 * ns - 1)])
 
     def on_stencil(x):
@@ -359,9 +357,9 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
         x = x.reshape(ns, nu, 2 * ns - 1, nv)
         return x[:, :, :ns], x[0, :, wcol]
 
-    h_uv, h_wv = on_stencil(np.log(grid.exp_h))
-    dl_uv, dl_wv = on_stencil(grid.dlog_gamma_u)
-    eis_uv, eis_wv = on_stencil(grid.exp_isigma)
+    h_uv, h_wv = on_stencil(np.log(grid["exp_h"]))
+    dl_uv, dl_wv = on_stencil(grid["dlog_gamma_u"])
+    eis_uv, eis_wv = on_stencil(grid["exp_isigma"])
     # h_v = h_w(w(v)) w'(v) analytically, so h_vv is a single difference
     h_v_all = (-np.imag(np.moveaxis(dl_uv[0], 1, 0))
                * wpv.reshape(ns, 1, nv))                       # (S, nu, nv)

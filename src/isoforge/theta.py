@@ -48,6 +48,7 @@ import numpy as np
 from .errors import InvalidLattice, StripExceeded
 
 _MAX_TERMS = 400
+_TOL = 1e-12
 # entries of the left factor of theta_tensor per row block (128 KB)
 _BLOCK_ENTRIES = 8192
 
@@ -57,12 +58,12 @@ class Lattice:
     """Period lattice tau with certified theta-series truncation.
 
     kind is "rectangular" (tau = i*lam) or "rhombic" (tau = 1/2 + i*lam).
-    tol is the absolute truncation bound guaranteed on |Im z| <= strip_height.
+    The truncation is certified to the absolute bound _TOL on
+    |Im z| <= strip_height.
     """
 
     kind: str
     lam: float
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in ("rectangular", "rhombic"):
@@ -95,10 +96,10 @@ class Lattice:
             # factor from two term-wise differentiations
             half = 2 * absq ** ((n + 0.5) ** 2) * np.exp((2 * n + 1) * h) * (2 * n + 1) ** 2
             whole = 2 * absq ** (n * n) * np.exp(2 * n * h) * (2 * n) ** 2
-            if half + whole < self.tol:
+            if half + whole < _TOL:
                 return n
         raise InvalidLattice(
-            f"cannot certify tol={self.tol} on strip {h} with {_MAX_TERMS} terms"
+            f"cannot certify tol={_TOL} on strip {h} with {_MAX_TERMS} terms"
         )
 
     @cached_property
@@ -107,12 +108,12 @@ class Lattice:
         return {}
 
 
-def rhombic(lam: float, tol: float = 1e-12) -> Lattice:
-    return Lattice("rhombic", lam, tol)
+def rhombic(lam: float) -> Lattice:
+    return Lattice("rhombic", lam)
 
 
-def rectangular(lam: float, tol: float = 1e-12) -> Lattice:
-    return Lattice("rectangular", lam, tol)
+def rectangular(lam: float) -> Lattice:
+    return Lattice("rectangular", lam)
 
 
 def _laurent(i: int, order: int, lat: Lattice):
@@ -141,14 +142,12 @@ def _laurent(i: int, order: int, lat: Lattice):
         c = c * (-1.0) ** n
     odd = i == 1  # the sin series
     a = c * (m0 + 2 * n) ** order * (0.5 * 1j ** ((order - odd) % 4))
-    coef = tuple(complex(x) for x in a)
-    if len(coef) == 1:  # only a tol above ~18 certifies one term
-        coef += (0j,)   # _horner needs two; a zero one changes nothing
-    return coef, m0, (-1) ** (order + odd)
+    return tuple(complex(x) for x in a), m0, (-1) ** (order + odd)
 
 
 def _horner(coef, x):
-    """sum_n coef[n] x^n by Horner's rule; in place when x is an array."""
+    """sum_n coef[n] x^n by Horner's rule; in place when x is an array.
+    coef needs two terms or more: a certified truncation has at least 5."""
     acc = x * coef[-1]
     for c in coef[-2:0:-1]:
         acc += c

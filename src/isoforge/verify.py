@@ -123,14 +123,14 @@ def battery(surf, fam) -> dict:
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
     ends = np.array([0.0, 2 * np.pi])
     g0 = (curvefamily.gamma_hat(ends[:, None], ws, fam) if is_limit
-          else curvefamily.CurveGrid(ends, ws, fam, forms=("gamma",)).gamma)
+          else curvefamily.forms_at(ends, ws, fam, ("gamma",))["gamma"])
     values["u_closure"] = float(np.max(np.abs(g0[1] - g0[0])))
 
     if not is_limit:
         # metric identity e^h = 2 Re(W1 conj gamma)
         us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        grid = curvefamily.CurveGrid(us, ws, fam, forms=("exp_h", "gamma"))
-        eh, gam = grid.exp_h, grid.gamma
+        f = curvefamily.forms_at(us, ws, fam, ("exp_h", "gamma"))
+        eh, gam = f["exp_h"], f["gamma"]
         w1 = curvefamily.w1(ws, fam)
         values["metric_identity"] = float(
             np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))

@@ -121,12 +121,11 @@ MIRRORED_FORMS = ("gamma", "gamma_u", "dlog_gamma_u")
 
 
 def curve_form(name, u, w, fam):
-    """The closed form `name` of fam on the grid u x w, read from a
-    `curvefamily.CurveGrid` built for that form alone (on the mirrored band
+    """The closed form `name` of fam on the grid u x w, from a
+    `curvefamily.forms_at` call for that form alone (on the mirrored band
     for MIRRORED_FORMS)."""
-    grid = curvefamily.CurveGrid(u, w, fam, mirrored=name in MIRRORED_FORMS,
-                                 forms=(name,))
-    return getattr(grid, name)
+    return curvefamily.forms_at(u, w, fam, (name,),
+                                mirrored=name in MIRRORED_FORMS)[name]
 
 
 @pytest.fixture

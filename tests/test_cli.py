@@ -584,7 +584,7 @@ def test_curves_refuses_two_w_with_one_file_name(tmp_path, monkeypatch,
     """1.00001 and 1.00002 both write curve_w1.0000.csv: the command exits
     1 before it computes any curve, instead of overwriting the first."""
     from isoforge import curvefamily
-    monkeypatch.setattr(curvefamily, "CurveGrid", None)  # never reached
+    monkeypatch.setattr(curvefamily, "forms_at", None)  # never reached
     code = _exit_code(monkeypatch, "curves", _write(tmp_path, _base_cfg()),
                       "--w", "0.7", "--w", "1.00001", "--w", "1.00002",
                       "--out-dir", str(tmp_path))
@@ -727,7 +727,8 @@ def test_curve_csv_matches_csv_writer(tmp_path):
     eh = np.abs(gam) * 0.5
     tangent = np.exp(1j * us)
     kappa = np.array([0.1, -7.25e-17, np.nan, 1e20, -1.0, 0.0, 5.5])
-    cli_mod.write_curve_csv(tmp_path / "got.csv", us, gam, eh, tangent, kappa)
+    cli_mod.write_curve_csv(tmp_path / "got.csv", us, gam, eh, tangent, kappa,
+                            cli_mod.textfmt.g12(us))
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["u", "re_gamma", "im_gamma", "exp_h",

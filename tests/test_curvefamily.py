@@ -176,32 +176,34 @@ def test_wrappers_raise_on_the_same_inputs(crit032):
 
 
 def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
-    """Every form read from one grid equals, bit for bit, the same form of
-    a grid built for it alone; the forms are (len(u), len(w)) grids, a
-    number drops its axis, and two numbers give a number."""
+    """Every form of one forms_at call for all of FORMS equals, bit for
+    bit, the same form asked for alone; the forms are (len(u), len(w))
+    grids, a number drops its axis, and two numbers give a number."""
     for fam in (crit032, rect_fam):
         u = np.linspace(0.0, 2 * np.pi, 7)
         w = _random_w(fam.lattice, n=3)
-        grid = curvefamily.CurveGrid(u, w, fam)
+        grid = curvefamily.forms_at(u, w, fam, curvefamily.FORMS)
         for name in ("gamma", "gamma_u", "exp_h", "exp_isigma",
                      "dlog_gamma_u"):
-            assert getattr(grid, name).shape == (7, 3)
-            assert np.array_equal(getattr(grid, name),
-                                  curve_form(name, u, w, fam))
+            assert grid[name].shape == (7, 3)
+            assert np.array_equal(grid[name], curve_form(name, u, w, fam))
             # a row or column alone, to round-off
-            full = getattr(grid, name)
-            for part, want in ((curvefamily.CurveGrid(u[2], w, fam), full[2]),
-                               (curvefamily.CurveGrid(u, w[1], fam), full[:, 1])):
-                got = getattr(part, name)
+            full = grid[name]
+            for part, want in ((curvefamily.forms_at(u[2], w, fam, (name,)),
+                                full[2]),
+                               (curvefamily.forms_at(u, w[1], fam, (name,)),
+                                full[:, 1])):
+                got = part[name]
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(full))
-        one = curvefamily.CurveGrid(0.7, float(w[1]), fam)
-        assert isinstance(one.gamma, complex)
-        assert isinstance(one.exp_h, float)
+        one = curvefamily.forms_at(0.7, float(w[1]), fam, ("gamma", "exp_h"))
+        assert isinstance(one["gamma"], complex)
+        assert isinstance(one["exp_h"], float)
     w = float(_random_w(crit032.lattice, n=1)[0])
     us = np.linspace(0.0, 2 * np.pi, 9)
-    assert np.array_equal(curvefamily.CurveGrid(us, w, crit032).kappa_hyp,
-                          curve_form("kappa_hyp", us, w, crit032))
+    assert np.array_equal(
+        curvefamily.forms_at(us, w, crit032, curvefamily.FORMS)["kappa_hyp"],
+        curve_form("kappa_hyp", us, w, crit032))
 
 
 @pytest.mark.parametrize("forms, indices, orders", [
@@ -212,79 +214,78 @@ def test_curve_grid_matches_the_wrappers(crit032, rect_fam):
 ], ids=["gamma", "eh-eis", "dlog", "eh-gamma"])
 def test_curve_grid_fetches_only_the_arrays_of_its_forms(
         crit032, theta_arrays, forms, indices, orders):
-    """A grid built for named forms fetches the theta arrays they read
-    (gamma: A and G; e^h and e^{i sigma}: A, Ab, D and Db; (h + i
-    sigma)_u: A, A', D and D') in one theta_tensor call, one product on
-    the rhombic lattice, and each form equals, bit for bit, the form of a
-    grid built for all of them."""
+    """forms_at fetches the theta arrays the named forms read (gamma: A
+    and G; e^h and e^{i sigma}: A, Ab, D and Db; (h + i sigma)_u: A, A',
+    D and D') in one theta_tensor call, one product on the rhombic
+    lattice, and each form equals, bit for bit, the form of a call for all
+    of FORMS."""
     u = np.linspace(0.0, 2 * np.pi, 7)
     w = _random_w(crit032.lattice, n=3)
-    grid = curvefamily.CurveGrid(u, w, crit032, forms=forms)
-    got = {name: getattr(grid, name) for name in forms}
+    got = curvefamily.forms_at(u, w, crit032, forms)
     assert theta_arrays.calls == [(indices, 7, (len(indices), 3))]
     assert theta_arrays.products == [1]
     assert tuple(k for _, k, _, _ in theta_arrays.arrays) == orders
-    full = curvefamily.CurveGrid(u, w, crit032)
+    full = curvefamily.forms_at(u, w, crit032, curvefamily.FORMS)
     for name in forms:
-        assert np.array_equal(got[name], getattr(full, name)), name
+        assert np.array_equal(got[name], full[name]), name
 
 
 def test_rectangular_grid_makes_two_theta_products(rect_fam, theta_arrays):
     """On a rectangular lattice td = theta4 has m0 = 0 and theta1 m0 = 1,
-    so the seven arrays of a grid take two matrix products, one per m0,
-    in the same theta_tensor call that serves a rhombic grid."""
+    so the seven arrays of all the forms take two matrix products, one per
+    m0, in the same theta_tensor call that serves a rhombic grid."""
     u = np.linspace(0.0, 2 * np.pi, 7)
     w = _random_w(rect_fam.lattice, n=3)
-    grid = curvefamily.CurveGrid(u, w, rect_fam)
-    grid.gamma, grid.exp_h, grid.dlog_gamma_u
+    curvefamily.forms_at(u, w, rect_fam, ("gamma", "exp_h", "dlog_gamma_u"))
     assert theta_arrays.calls == [((1, 1, 1, 1, 4, 4, 4), 7, (7, 3))]
     assert theta_arrays.products == [2]
 
 
-def test_curve_grid_refuses_forms_it_was_not_built_for(crit032, theta_arrays):
-    """Reading a form outside the grid's forms raises ValueError before
-    any theta array is fetched, as does naming an unknown form."""
-    grid = curvefamily.CurveGrid(0.3, 1.0, crit032, forms=("gamma",))
-    for name in ("exp_h", "exp_isigma", "gamma_u", "dlog_gamma_u",
-                 "kappa_hyp"):
-        with pytest.raises(ValueError, match=f"built for .*not {name}"):
-            getattr(grid, name)
-    assert theta_arrays.calls == []
-    assert isinstance(grid.gamma, complex)
+def test_forms_at_returns_exactly_its_names(crit032, theta_arrays):
+    """The result holds the named forms and no others, also where a form
+    is computed on the way to another (kappa_hyp from e^{i sigma} and
+    (h + i sigma)_u); an unknown name raises ValueError before any theta
+    array is fetched."""
     with pytest.raises(ValueError, match="unknown forms"):
-        curvefamily.CurveGrid(0.3, 1.0, crit032, forms=("gamma", "h"))
+        curvefamily.forms_at(0.3, 1.0, crit032, ("gamma", "h"))
+    assert theta_arrays.calls == []
+    for names in (("gamma",), ("kappa_hyp",), ("exp_h", "gamma"),
+                  curvefamily.FORMS):
+        got = curvefamily.forms_at(0.3, 1.0, crit032, names)
+        assert tuple(got) == names
 
 
 @pytest.mark.parametrize("kind", ["critical", "explicit", "rectangular"])
 def test_curves_block_matches_single_curve(crit032, rect_fam, kind):
     """Each w column of a block of curves on 4097 u samples, as the curves
-    command evaluates them, matches the grid of that w alone to round-off:
+    command evaluates them, matches the forms of that w alone to round-off:
     on the critical rhombic family (c = 0), an explicit omega (c != 0) and
     a rectangular lattice (td = theta4)."""
     fam = {"critical": crit032, "rectangular": rect_fam,
            "explicit": elliptic.Family(crit032.lattice, 0.3, "explicit")}[kind]
     us = np.linspace(0.0, 2 * np.pi, 4097)
     ws = _random_w(fam.lattice, n=4)
-    block = curvefamily.CurveGrid(us, ws, fam)
-    for name in ("gamma", "gamma_u", "exp_h", "exp_isigma", "dlog_gamma_u",
-                 "kappa_hyp"):
-        for k, w in enumerate(ws):
-            want = getattr(curvefamily.CurveGrid(us, w, fam), name)
-            got = getattr(block, name)[:, k]
+    names = ("gamma", "gamma_u", "exp_h", "exp_isigma", "dlog_gamma_u",
+             "kappa_hyp")
+    block = curvefamily.forms_at(us, ws, fam, names)
+    for k, w in enumerate(ws):
+        single = curvefamily.forms_at(us, w, fam, names)
+        for name in names:
+            want, got = single[name], block[name][:, k]
             assert np.all(np.abs(got - want)
                           <= 1e-14 * np.maximum(1.0, np.abs(want))), (name, w)
 
 
 def test_curve_grid_memory_peak(crit032):
-    """A 4097-point curve (gamma, e^h, e^{i sigma}, kappa) holds its seven
-    theta arrays, yet its traced peak stays at or below the 1,117,124 bytes
-    of evaluating them point by point (the theta_tensor temporaries are
-    bounded by its row blocks)."""
+    """A 4097-point curve (gamma, e^h, e^{i sigma}, kappa) reads all seven
+    theta arrays, yet its traced peak stays at or below the 1,117,124
+    bytes of evaluating them point by point (the theta_tensor temporaries
+    are bounded by its row blocks)."""
     us = np.linspace(0.0, 2 * np.pi, 4097)
 
     def curve(u):
-        grid = curvefamily.CurveGrid(u, 0.7, crit032)
-        return grid.gamma, grid.exp_h, grid.exp_isigma, grid.kappa_hyp
+        return curvefamily.forms_at(
+            u, 0.7, crit032, ("gamma", "exp_h", "exp_isigma", "kappa_hyp"))
 
     curve(us[:3])  # fill the coefficient caches
     tracemalloc.start()

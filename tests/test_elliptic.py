@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isoforge import elliptic, theta
+from isoforge import elliptic, reparam, theta
 from isoforge.errors import (InvalidLattice, IsoforgeError, NoBracket,
                              NoCriticalOmega, PoleProximity, SpecInvalid)
 
@@ -145,6 +145,18 @@ def test_explicit_family_at_the_critical_omega_has_its_c1(crit032):
     assert fam.C1 == crit032.C1
     assert fam.R == crit032.R
     assert fam.q3 == crit032.q3
+
+
+def test_q3_refuses_a_family_off_the_critical_omega(crit032, rect_fam, sph):
+    """Off the critical omega (c != 0) the closed-form coefficients are not
+    Q3's, so fam.q3 raises SpecInvalid, and so does build_spherical on such
+    a family: rhombic lambda 0.32 and rectangular lambda 0.9 at omega 0.3."""
+    off = elliptic.Family(crit032.lattice, 0.3, "explicit")
+    for fam in (off, rect_fam):
+        with pytest.raises(SpecInvalid, match="critical omega"):
+            fam.q3
+        with pytest.raises(SpecInvalid, match="critical omega"):
+            reparam.build_spherical(sph, fam)
 
 
 def _mp_lame_c1(kind, lam, omega):

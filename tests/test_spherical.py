@@ -60,9 +60,9 @@ def characterization_residual(surf, sph, crit, us, n_v=33):
     phis = spherical.integrate_phis(sph, crit, us)
     a, b = alpha_beta(phis, us, crit)
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, n_v)), dtype=float)
-    grid = curvefamily.CurveGrid(us, ws, surf.recipe.fam,
-                                 forms=("exp_h", "dlog_gamma_u"))
-    eh, hu = grid.exp_h, np.real(grid.dlog_gamma_u)
+    grid = curvefamily.forms_at(us, ws, surf.recipe.fam,
+                                ("exp_h", "dlog_gamma_u"))
+    eh, hu = grid["exp_h"], np.real(grid["dlog_gamma_u"])
     q = curvature_q(phis.T[:, :, None], eh)
     return float(np.max(np.abs(eh - a[:, None] * q + b[:, None] * hu)))
 

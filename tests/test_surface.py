@@ -288,7 +288,7 @@ def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
 def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                                    theta_arrays, monkeypatch):
     """Both probe steps share one stencil: one frame integration over its
-    v-nodes, one CurveGrid (one theta_tensor call for the six arrays its
+    v-nodes, one forms_at call (one theta_tensor call for the six arrays its
     forms read, all but G, on the 5 u-shifts x (5 w(v) shifts + 4
     w-shifts) of the probes), one
     coeffs sample and one fields_at call for fu, fv, n and expH (one

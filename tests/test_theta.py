@@ -123,7 +123,7 @@ def test_lattice_validation():
 def test_truncation_certified():
     """The stored truncation bound really covers the strip: compare a point
     near the strip edge against the oracle at tight tolerance."""
-    lat = theta.rhombic(0.35, tol=1e-12)
+    lat = theta.rhombic(0.35)
     z = 0.5 + 1j * (lat.strip_height - 1e-3)
     got = complex(theta.theta_grid(3, z, lat))
     want = _mp_theta(3, z, lat)
