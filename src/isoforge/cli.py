@@ -399,7 +399,9 @@ def curves(config, w_values, n_samples, out_dir, svg):
         raise ConfigError("curves requires omega.mode critical or explicit")
     if not w_values:
         top = 2 * np.pi * fam.lattice.lam
-        w_values = tuple(top * k / 6 for k in (1, 2, 3, 4, 5))
+        # theta1(i w) vanishes mid-band on a rectangular lattice: 7/12 there
+        mid = 3 if fam.lattice.kind == "rhombic" else 3.5
+        w_values = tuple(top * k / 6 for k in (1, 2, mid, 4, 5))
     names = [os.path.join(out_dir, f"curve_w{w:.4f}.csv") for w in w_values]
     for k, name in enumerate(names):
         if name in names[:k]:

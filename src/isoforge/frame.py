@@ -14,11 +14,12 @@ phi-system and the limit-surface frame -- is integrated by `_magnus_solve`,
 the sixth-order Magnus method on three Gauss-Legendre nodes (Iserles &
 Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step
 propagators exp(Omega) do not depend on Y, so the steps are not taken one
-after another: all steps of a round are formed from one evaluation of A
-(one generator call up to `_MAX_POINTS` points), each is checked against
-the product of its two half steps (the full step and both halves are one
-`_magnus6` call), the rejected ones are halved for the next round, and an
-ordered product of the accepted propagators gives Y at the output nodes.
+after another: all steps of a round, laid out from h0 alone, are formed
+from one evaluation of A (one generator call up to `_MAX_POINTS` points),
+each is checked against the product of its two half steps (the full step
+and both halves are one `_magnus6` call), the rejected ones are halved for
+the next round, and an ordered product of the accepted propagators gives Y
+at the step ends, and one partial step more Y at any other v.
 One solve may hold several independent systems, such as the two
 directions of the phi-system or the amplitudes of the close-torus scan:
 they share each round's calls, and a doubling scan segmented by system
@@ -49,9 +50,20 @@ from .reparam import ReparamSpec
 
 @dataclass(frozen=True)
 class FrameTrajectory:
+    """The frame of one solve on [0, v[-1]]: Phi at the nodes v it was
+    asked for, and, through `at`, at any v of that interval."""
     v: np.ndarray
     phi: np.ndarray  # (n, 4) unit quaternions
     stats: dict
+    steps: tuple | None = None  # the solve's steps, which `at` reads
+
+    def at(self, v):
+        """Phi at v (any shape, in [0, self.v[-1]]), read as `_evaluate`
+        reads it, with the partial steps' estimates folded into err_est."""
+        phi, err = _evaluate(self.steps, v)
+        self.stats["err_est"] = max(self.stats["err_est"],
+                                    float(np.max(err, initial=0.0)))
+        return phi
 
 
 @dataclass(frozen=True)
@@ -134,8 +146,8 @@ _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
 # generator points per call: a round of each benchmarked integration is one
 # call, of half the points of a full surface.fields_at block (_BLOCK_POINTS)
 _MAX_POINTS = 4096
-# local error per step of the display grid's frame, phi-system and limit
-# frame, and of close_torus (the battery's frame: surface._BATTERY_STEP_TOL)
+# local error per step of every solve: a surface's frame (which the battery
+# reads off its steps too), the phi-system, the limit frame and close_torus
 STEP_TOL = 1e-12
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
@@ -193,9 +205,7 @@ def _step_failure(k, a, b, system, finite, short, pending, step_tol):
     which k fails: a step with non-finite A, else the shortest rejected
     step under twice the floor, else too many pending half steps."""
     mine = system == k
-    if np.any(mine & ~finite):
-        i = np.nonzero(mine & ~finite)[0][0]
-        return StepFailure(f"non-finite generator on [{a[i]}, {b[i]}]")
+    _require_finite(finite | ~mine, a, b)
     if np.any(mine & short):
         i = np.nonzero(mine & short)[0]
         return StepFailure("step size underflow at "
@@ -217,91 +227,144 @@ def _ordered_product(alg, e, pos):
 
 
 def _magnus_solve(gen, alg, systems, step_tol):
-    """Solve Y' = A(v) Y, Y(nodes[0]) = 1, at the increasing nodes of each
-    independent system of the list `systems` of (nodes, h0).
+    """Solve Y' = A(v) Y, Y(0) = 1, on [0, max v] for each independent
+    system of the list `systems` of (v, h0), with Y at its points v.
 
     gen maps arrays v and s of one shape to A(v) of system s in the algebra
-    alg.  Each node gap starts as ceil(gap / h0) equal steps; a step is
-    accepted when its local error estimate is at most step_tol, otherwise it
-    is halved.  The pending steps of all systems make one generator call per
-    round (per `_MAX_POINTS` points), and each system's steps, decisions and
-    Y are those of solving it alone.  Returns, per system, Y at the nodes
-    and the stats n_steps (accepted), n_rejected (split) and err_est
-    (largest accepted local error estimate).  The first round in which a
-    system fails raises the StepFailure of the lowest such system.
+    alg.  The first steps are np.linspace's ceil(max v / h0) equal steps; a
+    step is accepted when its local error estimate is at most step_tol,
+    otherwise it is halved.  The pending steps of all systems make one
+    generator call per round (per `_MAX_POINTS` points), and each system's
+    steps, decisions and Y are those of solving it alone.  Y at a v that
+    no step ends at is `_evaluate`'s, its partial step formed in the call
+    of the round that accepts the step around v.  Returns per system Y at
+    v, the stats n_steps (accepted), n_rejected (split) and err_est, and
+    its steps (gen, alg, system, its accepted steps' ends from 0, Y there).
+    The first round in which a system fails raises the StepFailure of the
+    lowest such system.
     """
-    a, b, gap, gap_system, floor, n_initial = [], [], [], [], [], []
-    n_gaps = 0
-    for k, (nodes, h0) in enumerate(systems):
-        counts = np.maximum(np.ceil(np.diff(nodes) / h0 - 1e-9).astype(int), 1)
-        g = np.repeat(np.arange(len(counts)), counts)
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        t = (np.arange(len(g)) - first) / counts[g]
-        a.append(nodes[g] * (1 - t) + nodes[g + 1] * t)
-        b.append(np.concatenate([a[-1][1:], nodes[-1:]]))
-        gap.append(g + n_gaps)
-        gap_system.append(np.full(len(counts), k))
-        floor.append(1e-13 * (nodes[-1] - nodes[0]))
-        n_initial.append(len(g))
-        n_gaps += len(counts)
-    # steps carry their gap, numbered across the systems in order
-    a, b, gap, gap_system = map(np.concatenate, (a, b, gap, gap_system))
-    floor, n_initial = np.array(floor), np.array(n_initial)
+    span = np.array([np.max(v) for v, _ in systems])
+    n_initial = np.array([max(int(np.ceil(s / h0 - 1e-9)), 1)
+                          for s, (_, h0) in zip(span, systems)])
+    ends = [np.linspace(0.0, s, n + 1) for s, n in zip(span, n_initial)]
+    a = np.concatenate([e[:-1] for e in ends])
+    b = np.concatenate([e[1:] for e in ends])
     n_sys = len(systems)
+    system = np.repeat(np.arange(n_sys), n_initial)
+    floor = 1e-13 * span
+    # each v at no step end so far holds the index of its pending step
+    pv = np.concatenate([np.ravel(v) for v, _ in systems])
+    held = np.concatenate([np.minimum(e.searchsorted(np.ravel(v), "right"),
+                                      len(e) - 1) - 1 + lo for e, (v, _), lo
+                           in zip(ends, systems, np.cumsum([0, *n_initial]))])
+    held[(a[held] == pv) | (b[held] == pv)] = -1
 
-    done_a, done_gap, done_e, done_err = [], [], [], []
+    done, kept = [], None  # kept: per v, its partial step and estimate
     n_rejected = np.zeros(n_sys, dtype=int)
     while len(a):
-        sys = gap_system[gap]
-        e, err, finite = _round(gen, alg, a, b, sys)
+        t = np.nonzero(held >= 0)[0]
+        c, n, vt = held[t], len(a), pv[t]
+        e, err, finite = _round(gen, alg, np.concatenate([a, a[c]]),
+                                np.concatenate([b, vt]),
+                                np.concatenate([system, system[c]]))
+        (e, e_part), (err, err_part), (finite, fin_part) = (
+            (x[:n], x[n:]) for x in (e, err, finite))
         ok = finite & (err <= step_tol)
-        done_a.append(a[ok])
-        done_gap.append(gap[ok])
-        done_e.append(e[ok])
-        done_err.append(err[ok])
-        rejected = np.bincount(sys[~ok], minlength=n_sys)
-        short = ~ok & (b - a < 2 * floor[sys])
+        bad = ~ok
+        done.append((a[ok], b[ok], system[ok], e[ok], err[ok]))
+        rejected = np.bincount(system[bad], minlength=n_sys)
+        short = bad & (b - a < 2 * floor[system])
         over = 2 * rejected > _MAX_GROWTH * n_initial
-        failing = np.concatenate([sys[~finite | short], np.nonzero(over)[0]])
+        failing = np.concatenate([system[~finite | short],
+                                  np.nonzero(over)[0]])
         if len(failing):
             k = np.min(failing)
-            raise _step_failure(k, a, b, sys, finite, short, 2 * rejected[k],
-                                step_tol)
-        a, b, gap = a[~ok], b[~ok], gap[~ok]
+            raise _step_failure(k, a, b, system, finite, short,
+                                2 * rejected[k], step_tol)
+        if len(t):
+            # a v whose step is accepted keeps this round's partial step,
+            # the others move into the half of their step that holds them
+            mine, m = ok[c], 0.5 * (a[c] + b[c])
+            _require_finite(fin_part | ~mine, a[c], vt)
+            if kept is None:
+                kept = (np.empty((len(pv),) + e_part.shape[1:], e_part.dtype),
+                        np.zeros(len(pv)))
+            kept[0][t[mine]], kept[1][t[mine]] = e_part[mine], err_part[mine]
+            held[t] = np.where(mine | (vt == m), -1, np.cumsum(bad)[c] - 1
+                               + (vt > m) * np.count_nonzero(bad))
+        a, b, system = a[bad], b[bad], system[bad]
         n_rejected += rejected
         m = 0.5 * (a + b)
-        a, b, gap = (np.concatenate([a, m]), np.concatenate([m, b]),
-                     np.concatenate([gap, gap]))
+        a, b, system = (np.concatenate([a, m]), np.concatenate([m, b]),
+                        np.concatenate([system, system]))
 
-    done_a, done_gap, done_e, done_err = map(
-        np.concatenate, (done_a, done_gap, done_e, done_err))
-    runs = [np.nonzero(gap_system[done_gap] == k)[0] for k in range(n_sys)]
+    a, b, system, e, err = map(np.concatenate, zip(*done))
+    runs = [np.nonzero(system == k)[0] for k in range(n_sys)]
     # each system's accepted steps in order of v, one system after another
-    order = np.concatenate([i[np.argsort(done_a[i])] for i in runs])
+    order = np.concatenate([i[np.argsort(a[i])] for i in runs])
     pos = np.concatenate([np.arange(len(i)) for i in runs])
-    prod = _ordered_product(alg, done_e[order], pos)
-    # the last step of gap g ends on its system's node g + 1
-    last = np.cumsum(np.bincount(done_gap, minlength=n_gaps)) - 1
+    prod = _ordered_product(alg, e[order], pos)
     one = np.broadcast_to(alg.one, (1,) + prod.shape[1:])
-    out, lo = [], 0
-    for k, (nodes, _) in enumerate(systems):
-        hi = lo + len(nodes) - 1
-        stats = {"n_steps": len(runs[k]), "n_rejected": int(n_rejected[k]),
-                 "err_est": float(np.max(done_err[runs[k]], initial=0.0))}
-        out.append((np.concatenate([one, prod[last[lo:hi]]]), stats))
-        lo = hi
-    return out
+    cut = np.cumsum([0] + [len(i) for i in runs])
+    steps = [(gen, alg, k, np.concatenate([[0.0], b[order[lo:hi]]]),
+              np.concatenate([one, prod[lo:hi]]))
+             for k, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
+    cut = np.cumsum([0] + [np.size(v) for v, _ in systems])
+    ys, errs = zip(*[_evaluate(st, v, kept and tuple(x[lo:hi] for x in kept))
+                     for st, (v, _), lo, hi in zip(steps, systems, cut[:-1],
+                                                   cut[1:])])
+    stats = [{"n_steps": len(i), "n_rejected": int(n_rejected[k]),
+              "err_est": float(max(np.max(err[i], initial=0.0),
+                                   np.max(part, initial=0.0)))}
+             for k, (i, part) in enumerate(zip(runs, errs))]
+    return list(zip(ys, stats, steps))
+
+
+def _require_finite(finite, a, b):
+    """Raise the StepFailure of the first step [a, b] with non-finite A."""
+    if not np.all(finite):
+        j = np.nonzero(~finite)[0][0]
+        raise StepFailure(f"non-finite generator on [{a[j]}, {b[j]}]")
+
+
+def _evaluate(st, v, partial=None):
+    """Y at v (any shape) of one system's steps st, and the estimates of
+    its partial steps: the solve's product at an accepted step's end, else
+    one partial step from the end below v, formed as the solve forms a step
+    (two half steps checked against the full one) in one generator call per
+    `_MAX_POINTS` points, or read from `partial` (each v's propagator and
+    estimate, if the solve took them).  Where A is smooth such a step of
+    length h' inside one of length h errs by about (h'/h)^7 of that step's
+    estimate; on a spline-built w, more.
+    """
+    gen, alg, system, ends, y_ends = st
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    if not np.all((flat >= 0.0) & (flat <= ends[-1])):
+        raise ValueError(f"v outside the solved interval [0, {ends[-1]}]")
+    i = ends.searchsorted(flat, "right") - 1
+    p = np.nonzero(ends[i] != flat)[0]
+    y = y_ends[i]
+    e, err = (partial[0][p], partial[1][p]) if partial else (None,
+                                                             np.zeros(0))
+    if len(p):
+        if partial is None:
+            e, err, finite = _round(gen, alg, ends[i[p]], flat[p],
+                                    np.full(len(p), system))
+            _require_finite(finite, ends[i[p]], flat[p])
+        y[p] = alg.mul(e, y[p])
+    return y.reshape(v.shape + y.shape[1:]), err
 
 
 def integrate(spec: ReparamSpec, fam, v_nodes,
               step_tol: float = STEP_TOL) -> FrameTrajectory:
-    """Integrate Phi' = A(v) Phi from Phi(0) = 1, with output at v_nodes
-    (strictly increasing, starting at 0).
+    """Integrate Phi' = A(v) Phi from Phi(0) = 1 on [0, v_nodes[-1]], with
+    output at v_nodes (strictly increasing, starting at 0).
 
-    Steps start at V/128 and are halved until their local error estimate
-    is at most step_tol.  stats holds n_steps (accepted), n_rejected
-    (split), err_est (largest accepted local error estimate) and
-    prenorm_drift (max | |Phi| - 1 |).
+    `_magnus_solve` lays the steps from h0 = V/128 alone, so Phi at a node
+    depends on the spec, the family, v_nodes[-1], step_tol and the node
+    alone, as at any v the trajectory's `at` reads.  stats holds n_steps,
+    n_rejected, err_est and prenorm_drift (max | |Phi| - 1 | at the nodes).
     """
     _require_valid(spec, fam)
     nodes = np.asarray(v_nodes, dtype=float)
@@ -330,12 +393,10 @@ def _frames(specs, fam, nodes, step_tol):
     solved = _magnus_solve(a_of_v, UnitQuaternions,
                            [(v, spec.period / 128)
                             for spec, v in zip(specs, nodes)], step_tol)
-    out = []
-    for v, (phi, stats) in zip(nodes, solved):
+    for phi, stats, _ in solved:
         drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
         stats["prenorm_drift"] = float(drift)
-        out.append(FrameTrajectory(v=v, phi=phi, stats=stats))
-    return out
+    return [FrameTrajectory(v, *out) for v, out in zip(nodes, solved)]
 
 
 def monodromy(phi_end) -> Monodromy:
@@ -395,10 +456,9 @@ def close_torus(mean: float, period: float, fam, target_angle: float):
 
     def thetas(amps):
         # the monodromy angle of each amplitude after one period, from one
-        # solve with a system per amplitude, output at 9 nodes of the period
+        # solve with a system per amplitude, read at v = V alone
         specs = [reparam.analytic(mean, a, period) for a in amps]
-        nodes = [np.linspace(0.0, s.period, 9) for s in specs]
-        trajs = _frames(specs, fam, nodes, STEP_TOL)
+        trajs = _frames(specs, fam, [[s.period] for s in specs], STEP_TOL)
         return np.array([monodromy(t.phi[-1]).theta for t in trajs])
 
     amps = np.linspace(0.02, hi, 17)

@@ -82,24 +82,21 @@ def integrate_phis(sph, crit, us):
         x[..., 0, 1], x[..., 1, 0] = -U1, U
         return x
 
-    # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M
-    sides = [(sign, sign * (us - om) > 1e-14) for sign in (1.0, -1.0)]
-    sides = [(sign, side) for sign, side in sides if np.any(side)]
-    signs = np.array([sign for sign, _ in sides])
-    nodes = [np.unique(np.concatenate([[0.0], sign * (us[side] - om)]))
-             for sign, side in sides]
+    # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M,
+    # each side read at its t and at t = 0
+    signs = np.array([1.0, -1.0])
+    sides = [sign * (us - om) > 1e-14 for sign in signs]
 
     def x_of_t(t, s):
-        sign = signs[s]
-        return sign[..., None, None] * x_of_u(om + sign * t)
+        return signs[s][..., None, None] * x_of_u(om + signs[s] * t)
 
     m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
-    if sides:
-        solved = frame._magnus_solve(x_of_t, frame.Matrices2,
-                                     [(t, np.pi / 64) for t in nodes],
-                                     frame.STEP_TOL)
-        for (sign, side), t, (y, _) in zip(sides, nodes, solved):
-            m[side] = y[np.searchsorted(t, sign * (us[side] - om))]
+    solved = frame._magnus_solve(
+        x_of_t, frame.Matrices2,
+        [(np.append(sign * (us[side] - om), 0.0), np.pi / 128)
+         for sign, side in zip(signs, sides)], frame.STEP_TOL)
+    for side, (y, _, _) in zip(sides, solved):
+        m[side] = y[:-1]
     return sym2(m) @ y0
 
 

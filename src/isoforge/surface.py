@@ -37,9 +37,9 @@ The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
 around all probes and all probe steps at once, whose steps are independent
 of the display grid, so truncation error is controlled by the probe step
-alone.  The frame at the battery's own v-nodes (that stencil, the dual
-loop's quadrature nodes) comes from one integration over all of them
-(`battery_frame`), looked up per node by `phi_at`.
+alone.  `build` solves the frame once and keeps the solve as `traj`, from
+which the battery reads the frame at its own v-nodes (that stencil, the
+fv_vs_fd probes, the dual loop's quadrature nodes) with `traj.at`.
 
 Every certificate here (`build`'s diagnostics, each level of `pde_battery`,
 `inversion_symmetry`, `dual_symmetry` and `planarity_certificate`) returns
@@ -78,6 +78,7 @@ class SampledSurface:
     n: np.ndarray
     expH: np.ndarray         # (nu, nv_total)
     phi: np.ndarray          # (nv_total, 4) frame samples (None for limit)
+    traj: frame.FrameTrajectory | None   # the frame's solve (None for limit)
     recipe: SurfaceRecipe
     diagnostics: dict = field(default_factory=dict)
 
@@ -91,11 +92,11 @@ class SampledSurface:
 _BLOCK_POINTS = 8192
 
 
-def _norm(x):
-    """|x| over the last axis of a (..., 3) grid, from its x, y and z
-    planes: bit for bit np.linalg.norm(x, axis=-1), whose 3-wide reduce
-    also adds the squares left to right."""
-    x0, x1, x2 = np.moveaxis(x, -1, 0)
+def _norm(x, axis=-1):
+    """|x| over the xyz axis of a (..., 3) grid (or of its (3, ...) planes,
+    axis 0), from its x, y and z planes: bit for bit np.linalg.norm, whose
+    3-wide reduce also adds the squares left to right."""
+    x0, x1, x2 = np.moveaxis(x, axis, 0)
     return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
@@ -194,10 +195,9 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
         "normal_tangency": float(max(np.max(np.abs(_dot(fu, nrm))),
                                      np.max(np.abs(_dot(fv, nrm))))
                                  / np.max(eh)),
-        "frame": traj.stats,
     }
     return SampledSurface(u=u, v=v, points=f["points"], fu=fu, fv=fv, n=nrm,
-                          expH=eh, phi=traj.phi, recipe=recipe,
+                          expH=eh, phi=traj.phi, traj=traj, recipe=recipe,
                           diagnostics=diagnostics)
 
 
@@ -214,15 +214,15 @@ def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v):
     Y' = [[-2i root W_hat, 0], [root r, 0]] Y, Y(0) = 1.
     """
 
-    def a_of_v(vv):
+    def a_of_v(vv, _):
         w, _, root = spec.planes(vv)
         y = np.zeros(np.shape(vv) + (2, 2), dtype=complex)
         y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, fam)
         y[..., 1, 0] = root * curvefamily.limit_r(w, fam)
         return y
 
-    (y, _), = frame._magnus_solve(lambda vv, _: a_of_v(vv), frame.Matrices2,
-                                  [(v, spec.period / 128)], frame.STEP_TOL)
+    (y, _, _), = frame._magnus_solve(a_of_v, frame.Matrices2,
+                                     [(v, spec.period / 128)], frame.STEP_TOL)
     return y[:, 0, 0], y[:, 1, 0]
 
 
@@ -268,51 +268,15 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
         "conformality": float(np.max(np.abs(_norm(fv) - eh) / eh)),
     }
     return SampledSurface(u=u, v=v, points=points, fu=fu, fv=fv, n=nrm,
-                          expH=eh, phi=None, recipe=recipe,
+                          expH=eh, phi=None, traj=None, recipe=recipe,
                           diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # residual battery
-#
-# Besides the display grid, the battery reads the frame at v-nodes of its
-# own: the PDE stencil (`gauss_codazzi_nodes`), the fv_vs_fd probes of the
-# CLI and the dual loop's quadrature nodes (`dual_loop_nodes`).
-# `battery_frame` integrates the frame once over the union of such node
-# sets, at a step_tol ten times below the display grid's frame.STEP_TOL,
-# since the stencils take differences over steps of 1e-4 to 8e-4, and each
-# consumer looks its nodes up with `phi_at`.
-_BATTERY_STEP_TOL = 1e-13
-# u- and v-probes each of gauss_codazzi_nodes and gauss_codazzi_residuals
+
+# u- and v-probes each of gauss_codazzi_residuals
 _N_PROBE = 6
-
-
-def battery_frame(fam, spec, v_sets) -> frame.FrameTrajectory:
-    """The frame from one integration over v = 0 and the union of the
-    v-arrays of v_sets (any shapes)."""
-    nodes = np.unique(np.concatenate([[0.0], *map(np.ravel, v_sets)]))
-    return frame.integrate(spec, fam, v_nodes=nodes,
-                           step_tol=_BATTERY_STEP_TOL)
-
-
-def phi_at(traj: frame.FrameTrajectory, v):
-    """The frame of traj at v, each entry of which must be one of its
-    nodes (ValueError otherwise); shape v.shape + (4,)."""
-    v = np.asarray(v, dtype=float)
-    at = np.minimum(np.searchsorted(traj.v, v), len(traj.v) - 1)
-    if not np.array_equal(traj.v[at], v):
-        raise ValueError("v holds values that are not nodes of the trajectory")
-    return traj.phi[at]
-
-
-def _shifts(steps):
-    """The stencil shifts 0, -h, +h of every probe step h, shape (S,)."""
-    return np.concatenate([[0.0], *([-h, h] for h in steps)])
-
-
-def pde_nodes(v_probes, steps=(4e-4,)):
-    """The v-nodes of the PDE stencil: v_probes + every shift, (S, nv)."""
-    return np.asarray(v_probes, dtype=float) + _shifts(steps)[:, None]
 
 
 def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
@@ -330,18 +294,16 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     every step form one stencil: one `forms_at` call on its u-nodes x (its w(v)
     and its w-shifts), one `coeffs` sample and one `fields_at` on its
     u-nodes x v-nodes serve every step.  Grids below have the shifts along
-    their leading axes.
-
-    The frame at the stencil's v-nodes (`pde_nodes(v_probes, steps)`) comes
-    from traj, one integration that holds them among its nodes
-    (`battery_frame`).
+    their leading axes.  The frame at the stencil's v-nodes is read from
+    traj, a frame solve whose interval holds them.
     """
     u_probes = np.asarray(u_probes, dtype=float)
     nu, nv = len(u_probes), len(v_probes)
-    off = _shifts(steps)                                       # (S,)
+    # the stencil shifts 0, -h, +h of every probe step h
+    off = np.concatenate([[0.0], *([-h, h] for h in steps)])   # (S,)
     ns = len(off)
     us = u_probes + off[:, None]                               # (S, nu)
-    vs = pde_nodes(v_probes, steps)                            # (S, nv)
+    vs = np.asarray(v_probes, dtype=float) + off[:, None]     # (S, nv)
 
     # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
     # for s > 0 (the w-shifts)
@@ -372,7 +334,7 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
     # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi_at(traj, vs.ravel()),
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(), traj.at(vs.ravel()),
                   ("fu", "fv", "n", "expH"))
     fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
     e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
@@ -430,11 +392,12 @@ def planarity_certificate(s: SampledSurface) -> dict:
     between n and the plane normal along one curve; and
     `normals_rank_defect`, the rank of the plane normals less the rank the
     surface expects: 3 in general, 2 on the limit surface (its planes are
-    tangent to one cylinder) and on `is_flat` ones (congruent u-curves)."""
+    tangent to one cylinder) and on `is_flat` ones (congruent u-curves).
+    A curve's plane normal is the eigenvector of the least eigenvalue of
+    q^T q, q its centered points (the last right singular vector of q)."""
     pts = np.moveaxis(s.points, 1, 0)                  # (nv, nu, 3)
     q = pts - np.mean(pts, axis=1, keepdims=True)
-    _, _, vt = np.linalg.svd(q, full_matrices=False)   # one SVD per column
-    m = vt[:, -1]                                      # (nv, 3) plane normals
+    m = np.linalg.eigh(np.swapaxes(q, 1, 2) @ q)[1][..., 0]  # (nv, 3) normals
     diam = 2 * np.max(_norm(q), axis=1)
     dev = float(np.max(np.max(np.abs(_dot(q, m[:, None])), axis=1) / diam))
     cosang = _dot(s.n, m[None])                        # (nu, nv)
@@ -464,9 +427,10 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
     spec, fam = s.recipe.spec, crit
     R = fam.R
     f2 = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi, ("points",))
-    f = s.points
-    inv = R ** 2 * f / _dot(f, f)[..., None]
-    res_inv = float(np.max(_norm(inv - f2["points"])))
+    # on the (3, nu, nv) planes that fields_at assembled
+    f, f2 = np.moveaxis(s.points, -1, 0), np.moveaxis(f2["points"], -1, 0)
+    inv = R ** 2 * f / (f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
+    res_inv = float(np.max(_norm(inv - f2, 0)))
 
     row = fields_at(fam, spec, [fam.omega], s.v, s.phi, ("points", "fu"))
     fom = row["points"][0]
@@ -479,51 +443,51 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
             "inversion_omega_parallel": par}
 
 
-def dual_loop_nodes(s: SampledSurface):
-    """The 16 Gauss-Legendre nodes on [v_1, v_2] of dual_symmetry's loop."""
-    nodes, _ = gauss_legendre(16)
-    va, vb = s.v[1], s.v[2]
-    return 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
-
-
-def dual_symmetry(s: SampledSurface, traj: frame.FrameTrajectory) -> dict:
+def dual_symmetry(s: SampledSurface) -> dict:
     """Christoffel duality as the u-shift: f^*(u,v) = -f(pi - u, v).
 
     The dual one-form is df^* = e^{-2h}(f_u du - f_v dv); the residuals
     compare the shifted closed-form fields against it, check closedness of
     the form around a grid cell, and apply the involution twice:
     `dual_dual_u`, `dual_dual_v`, `dual_double_dual` and
-    `dual_loop_integral`.  The frame comes from s on the grid and from
-    traj, an integration that holds `dual_loop_nodes(s)` among its nodes
-    (`battery_frame`), inside the cell.
-    """
-    spec = s.recipe.spec
-    fam = s.recipe.fam
-    shifted = fields_at(fam, spec, np.pi - s.u, s.v, s.phi, ("fu", "fv"))
-    e2h = s.expH[..., None] ** 2
-    res_u = float(np.max(_norm(shifted["fu"] - s.fu / e2h)) / np.max(s.expH))
-    res_v = float(np.max(_norm(shifted["fv"] - s.fv / e2h)) / np.max(s.expH))
+    `dual_loop_integral`.  The frame inside the loop's cell comes from
+    s's own solve, `s.traj`.
 
-    # double dual: the dual surface's dual one-form must equal df
-    eh_star = 1.0 / s.expH
-    fu_star = shifted["fu"]
-    fv_star = -shifted["fv"]
-    res_dd = float(max(
-        np.max(_norm(fu_star / eh_star[..., None] ** 2 - s.fu)),
-        np.max(_norm(-fv_star / eh_star[..., None] ** 2 - s.fv)),
-    ) / np.max(s.expH))
+    On an even nu, pi - u_i is the grid's u at row (nu/2 - i) mod nu up to
+    2 pi, so fu and fv there are rows of s, and the check rests on the
+    u-periodicity of the fields that `u_closure` certifies.  An odd nu
+    evaluates the shifted grid afresh.
+    """
+    spec, fam, nu = s.recipe.spec, s.recipe.fam, len(s.u)
+    # fu and fv and their values at (pi - u, v), as (3, nu, nv) planes
+    fu, fv = np.moveaxis(s.fu, -1, 0), np.moveaxis(s.fv, -1, 0)
+    if nu % 2 == 0:
+        rows = (nu // 2 - np.arange(nu)) % nu
+        fu_pi, fv_pi = fu[:, rows], fv[:, rows]
+    else:
+        shifted = fields_at(fam, spec, np.pi - s.u, s.v, s.phi, ("fu", "fv"))
+        fu_pi, fv_pi = (np.moveaxis(shifted[k], -1, 0) for k in ("fu", "fv"))
+    e2h = s.expH ** 2
+    top = np.max(s.expH)
+    res_u = float(np.max(_norm(fu_pi - fu / e2h, 0)) / top)
+    res_v = float(np.max(_norm(fv_pi - fv / e2h, 0)) / top)
+    # double dual: the dual surface's dual one-form, with e^{h*} = e^{-h},
+    # f*_u = fu_pi and f*_v = -fv_pi, must equal df
+    e2h_star = (1.0 / s.expH) ** 2
+    res_dd = float(max(np.max(_norm(fu_pi / e2h_star - fu, 0)),
+                       np.max(_norm(fv_pi / e2h_star - fv, 0))) / top)
 
     # closedness of the dual one-form around one grid cell (quadrature loop)
     nodes, weights = gauss_legendre(16)
     ua, ub = s.u[1], s.u[2]
     va, vb = s.v[1], s.v[2]
     um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes
-    vm = dual_loop_nodes(s)
+    vm = 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
     # u-edges at v = va, vb (grid columns 1, 2); the v-edges need the frame
     # at interior quadrature nodes
     fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3], ("fu", "expH"))
     om_u = fl["fu"] / fl["expH"][..., None] ** 2              # (16, 2, 3)
-    fl = fields_at(fam, spec, [ua, ub], vm, phi_at(traj, vm), ("fv", "expH"))
+    fl = fields_at(fam, spec, [ua, ub], vm, s.traj.at(vm), ("fv", "expH"))
     om_v = fl["fv"] / fl["expH"][..., None] ** 2              # (2, 16, 3)
     loop = (0.5 * (ub - ua) * weights @ (om_u[:, 0] - om_u[:, 1])
             + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))
@@ -546,16 +510,10 @@ def _gauss_codazzi_probes(s: SampledSurface):
     return s.u[iu], s.v[jv]
 
 
-def gauss_codazzi_nodes(s: SampledSurface, steps=(4e-4, 8e-4)):
-    """The v-nodes at which gauss_codazzi_residuals reads the frame."""
-    return pde_nodes(_gauss_codazzi_probes(s)[1], steps)
-
-
-def gauss_codazzi_residuals(s: SampledSurface, traj: frame.FrameTrajectory,
-                            steps=(4e-4, 8e-4)) -> list:
+def gauss_codazzi_residuals(s: SampledSurface, steps=(4e-4, 8e-4)) -> list:
     """Convenience wrapper: run the PDE battery at _N_PROBE u- and
-    v-probes from the grid, one dict of residuals per probe step.  traj
-    must hold `gauss_codazzi_nodes(s, steps)` among its nodes."""
+    v-probes from the grid, one dict of residuals per probe step, with the
+    frame of s's own solve."""
     u_probes, v_probes = _gauss_codazzi_probes(s)
-    return pde_battery(s.recipe.fam, s.recipe.spec, u_probes, v_probes, traj,
-                       steps)
+    return pde_battery(s.recipe.fam, s.recipe.spec, u_probes, v_probes,
+                       s.traj, steps)

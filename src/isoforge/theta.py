@@ -89,14 +89,15 @@ class Lattice:
 
     @cached_property
     def truncation(self) -> int:
-        absq = abs(self.nome)
-        h = self.strip_height
+        log_q, h = -np.pi * self.tau.imag, self.strip_height  # log |q|
         for n in range(1, _MAX_TERMS):
-            # first omitted term of each series family, with the (2n+1)^2
-            # factor from two term-wise differentiations
-            half = 2 * absq ** ((n + 0.5) ** 2) * np.exp((2 * n + 1) * h) * (2 * n + 1) ** 2
-            whole = 2 * absq ** (n * n) * np.exp(2 * n * h) * (2 * n) ** 2
-            if half + whole < _TOL:
+            # log of the first omitted term of each series family, with the
+            # (2n+1)^2 factor from two term-wise differentiations: on a tall
+            # strip e^{(2n+1) h} overflows where |q|^{n^2} underflows
+            half = (np.log(2 * (2 * n + 1) ** 2) + (n + 0.5) ** 2 * log_q
+                    + (2 * n + 1) * h)
+            whole = np.log(8 * n * n) + n * n * log_q + 2 * n * h
+            if np.logaddexp(half, whole) < np.log(_TOL):
                 return n
         raise InvalidLattice(
             f"cannot certify tol={_TOL} on strip {h} with {_MAX_TERMS} terms"

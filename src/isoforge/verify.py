@@ -37,8 +37,6 @@ class Check(NamedTuple):
 # analytic profiles, so the truncation constant of the PDE residuals (and
 # hence their cap) is larger.
 _PDE = Check(1e-5, spherical_tol=1e-2)
-# the v-step of fv_vs_fd's difference, for _fv_fd_nodes and _fv_fd_residual
-_FV_FD_DV = 1e-4
 
 CHECKS = {
     # surface battery; the limit surface has conformality, the others
@@ -115,9 +113,7 @@ def battery(surf, fam) -> dict:
     """The values of every surface-level certificate of surf on fam."""
     spec = surf.recipe.spec
     is_limit = fam.mode == "limit"
-    # the metric and normal residuals of the build (not its frame stats)
-    values = {name: val for name, val in surf.diagnostics.items()
-              if name in CHECKS}
+    values = dict(surf.diagnostics)  # the build's metric and normal residuals
 
     # u-closure of gamma (closed only at critical omega on rhombic lattices)
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
@@ -135,17 +131,10 @@ def battery(surf, fam) -> dict:
         values["metric_identity"] = float(
             np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))
 
-        # the frame at the v-nodes of the PDE stencil, the fv_vs_fd probes
-        # and the dual loop, from one integration
-        v_sets = [surface.gauss_codazzi_nodes(surf), _fv_fd_nodes(spec)]
-        if fam.mode == "critical":
-            v_sets.append(surface.dual_loop_nodes(surf))
-        traj = surface.battery_frame(fam, spec, v_sets)
-
         # PDE identities: require second-order convergence of the FD
         # residuals plus a residual cap; with w' = 0 at every v-sample
         # pde_codazzi_v vanishes identically, its roundoff of no order
-        res, coarse = surface.gauss_codazzi_residuals(surf, traj)
+        res, coarse = surface.gauss_codazzi_residuals(surf)
         values.update(res)
         flat = surface.is_flat(surf)
         orders = [np.log2(coarse[k] / res[k]) for k in res
@@ -154,7 +143,7 @@ def battery(surf, fam) -> dict:
                                        else 0.0)
 
         # closed-form fv against a finite difference of the immersion
-        values["fv_vs_fd"] = _fv_fd_residual(surf, fam, traj)
+        values["fv_vs_fd"] = _fv_fd_residual(surf, fam)
 
         # admissibility + branch smoothness of the signed root: a wrong
         # branch (e.g. |.| of a sign-changing root) kinks, so its second
@@ -169,7 +158,7 @@ def battery(surf, fam) -> dict:
 
         if fam.mode == "critical":  # symmetry involutions
             values.update(surface.inversion_symmetry(surf, fam))
-            values.update(surface.dual_symmetry(surf, traj))
+            values.update(surface.dual_symmetry(surf))
 
     values.update(surface.planarity_certificate(surf))
     if spec.kind == "spherical" and not is_limit:
@@ -177,25 +166,17 @@ def battery(surf, fam) -> dict:
     return values
 
 
-def _fv_fd_nodes(spec):
-    """The (probe, shift) v-nodes of _fv_fd_residual: three probes, each
-    at -_FV_FD_DV, 0 and +_FV_FD_DV."""
+def _fv_fd_residual(surf, fam):
+    """Max |fv - d(points)/dv| (catches sign errors) on one field grid over
+    three probes, each at -dv, 0 and +dv, with the surface's own frame."""
+    spec, dv = surf.recipe.spec, 1e-4
     v0 = np.linspace(0.31, 0.77, 3) * spec.period
-    return v0[:, None] + [-_FV_FD_DV, 0.0, _FV_FD_DV]
-
-
-def _fv_fd_residual(surf, fam, traj):
-    """Max |fv - d(points)/dv| at a few probes (catches sign errors), from
-    one field grid over the probes' stencils.  The frame there comes from
-    traj, an integration that holds `_fv_fd_nodes(spec)` among its nodes
-    (the battery's `surface.battery_frame`)."""
-    spec = surf.recipe.spec
-    nodes = _fv_fd_nodes(spec).ravel()
+    nodes = (v0[:, None] + [-dv, 0.0, dv]).ravel()
     us = surf.u[:: max(1, len(surf.u) // 8)]
-    f = surface.fields_at(fam, spec, us, nodes,
-                          surface.phi_at(traj, nodes), ("points", "fv"))
+    f = surface.fields_at(fam, spec, us, nodes, surf.traj.at(nodes),
+                          ("points", "fv"))
     pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
-    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * _FV_FD_DV)
+    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
     return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
 
 

@@ -96,11 +96,8 @@ def test_criterion_04_pde_battery(acc_surf):
     # order from the 8e-4 -> 4e-4 halving (truncation-dominated); absolute
     # residuals at the finest 2e-4 step
     steps = (2e-4, 4e-4, 8e-4)
-    traj = surface.battery_frame(
-        acc_surf.recipe.fam, acc_surf.recipe.spec,
-        [surface.gauss_codazzi_nodes(acc_surf, steps=steps)])
-    finest, fine, coarse = surface.gauss_codazzi_residuals(
-        acc_surf, traj, steps=steps)
+    finest, fine, coarse = surface.gauss_codazzi_residuals(acc_surf,
+                                                           steps=steps)
     dt = time.perf_counter() - t0
     ok = dt < 30.0
     worst_order = np.inf
@@ -118,8 +115,7 @@ def test_criterion_04_pde_battery(acc_surf):
 def test_criterion_05_symmetry_involutions(acc_surf, crit032):
     R = abs(crit032.R)
     inv = surface.inversion_symmetry(acc_surf, crit032)
-    dual = surface.dual_symmetry(acc_surf, surface.battery_frame(
-        crit032, acc_surf.recipe.spec, [surface.dual_loop_nodes(acc_surf)]))
+    dual = surface.dual_symmetry(acc_surf)
     ok = (inv["inversion_involution"] < 1e-8 * R
           and inv["inversion_omega_sphere"] < 1e-9
           and inv["inversion_omega_parallel"] < 1e-9

@@ -559,6 +559,38 @@ def test_curves_writes_no_file_when_a_later_w_fails(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("curve_w*.csv"))
 
 
+@pytest.mark.parametrize("kind, thirds", [("rhombic", 3), ("rectangular", 3.5)])
+def test_curves_default_w_stay_off_the_w1_pole(tmp_path, kind, thirds):
+    """Without --w, curves writes five curves at k/6 of the band; on a
+    rectangular lattice, where theta1(i w) vanishes at the band's middle
+    pi*lam, the third moves to 7/12."""
+    cfg = _base_cfg(lattice={"kind": kind, "lambda": 0.9},
+                    omega={"mode": "explicit", "value": 0.3})
+    result = CliRunner().invoke(cli, [
+        "curves", _write(tmp_path, cfg), "--n", "16",
+        "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    top = 2 * np.pi * 0.9
+    names = sorted(p.name for p in tmp_path.glob("curve_w*.csv"))
+    assert names == sorted(f"curve_w{top * k / 6:.4f}.csv"
+                           for k in (1, 2, thirds, 4, 5))
+
+
+def test_verify_on_a_tall_strip_runs_without_warnings(tmp_path):
+    """At lambda 20 the theta truncation bound overflowed in linear scale
+    (a RuntimeWarning, an error under this suite) and verify refused the
+    lattice; now it builds the surface and reports its checks."""
+    cfg = _base_cfg(lattice={"kind": "rectangular", "lambda": 20.0},
+                    omega={"mode": "explicit", "value": 0.3},
+                    grid={"nu": 16, "nv": 16})
+    cfg["reparam"].update(mean=1.4137, amplitude=0.5655)
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli, ["verify", _write(tmp_path, cfg),
+                                      "--out", str(out)])
+    assert result.exit_code in (0, 3), result.output
+    assert json.loads(out.read_text())["checks"]
+
+
 def _exit_code(monkeypatch, *argv):
     """The exit code of the isoforge entry point on argv."""
     monkeypatch.setattr(sys, "argv", ["isoforge", *argv])
@@ -1162,23 +1194,20 @@ def test_outputs_must_be_file_names(tmp_path, key, name):
 
 
 @pytest.mark.parametrize("mode", ["critical", "explicit"])
-def test_verify_integrates_the_frame_twice(tmp_path, frame_calls, crit032,
-                                           mode):
-    """A verify integrates the frame once for the surface (step_tol 1e-12,
-    on the display grid) and once for the battery (1e-13), over the union
-    of the PDE stencil, the fv_vs_fd probes and, at the critical omega,
-    the dual loop's quadrature nodes."""
+def test_verify_integrates_the_frame_once(tmp_path, frame_calls, crit032,
+                                          mode):
+    """A verify integrates the frame once, for the surface, at step_tol
+    1e-12 on the display grid: the battery reads the PDE stencil, the
+    fv_vs_fd probes and, at the critical omega, the dual loop's quadrature
+    nodes from that solve."""
     omega = ({"mode": "critical"} if mode == "critical" else
              {"mode": "explicit", "value": crit032.omega})
     result = CliRunner().invoke(cli, [
         "verify", _write(tmp_path, _base_cfg(omega=omega)), "--out",
         str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    assert [c["step_tol"] for c in frame_calls] == [1e-12, 1e-13]
+    assert [c["step_tol"] for c in frame_calls] == [1e-12]
     assert len(frame_calls[0]["v_nodes"]) == 24 + 1
-    # 0, 6 probes x 5 shifts, 3 probes x 3 shifts (+ 16 loop nodes)
-    loop = 16 if mode == "critical" else 0
-    assert len(frame_calls[1]["v_nodes"]) == 1 + 30 + 9 + loop
 
 
 # ---------------------------------------------------------------------------
@@ -1327,7 +1356,7 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
                                                   config, sph_cfg_grid32):
     """Every certificate returns its values under CHECKS names, and
     verify.battery is, value for value, the union of their dicts (build's
-    diagnostics less its frame stats, the finest PDE level) with the seven
+    diagnostics, the finest PDE level) with the seven
     values the battery computes itself."""
     from isoforge import reparam, surface, verify
     cfg = _README_CFG if config == "readme" else sph_cfg_grid32
@@ -1344,8 +1373,7 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
         monkeypatch.setattr(mod, name, recorded)
     values = verify.battery(surf, fam)
 
-    diagnostics = {name: val for name, val in surf.diagnostics.items()
-                   if name != "frame"}
+    diagnostics = surf.diagnostics
     levels = returned.pop("gauss_codazzi_residuals")
     assert len(levels) == 2
     assert sorted(returned) == sorted(

@@ -136,8 +136,8 @@ def test_matrix_systems_solved_together_match_alone(draws, cplx):
     coef = [(p, q, c) for _, p, q, c, _ in draws]
     together = frame._magnus_solve(_matrix_generator(coef, cplx),
                                    frame.Matrices2, systems, 1e-11)
-    for k, (system, (y, stats)) in enumerate(zip(systems, together)):
-        (y1, stats1), = frame._magnus_solve(
+    for k, (system, (y, stats, _)) in enumerate(zip(systems, together)):
+        (y1, stats1, _), = frame._magnus_solve(
             _matrix_generator([coef[k]], cplx), frame.Matrices2, [system],
             1e-11)
         assert np.iscomplexobj(y) == cplx
@@ -148,7 +148,7 @@ def test_matrix_systems_solved_together_match_alone(draws, cplx):
 def test_matrix_systems_have_rejections():
     """The bump of `_matrix_generator` makes the step control split steps,
     so the test above compares refined solves."""
-    (_, stats), = frame._magnus_solve(
+    (_, stats, _), = frame._magnus_solve(
         _matrix_generator([(1.0, 0.5, 1.0)], False), frame.Matrices2,
         [(np.linspace(0.0, 2.0, 9), 0.25)], 1e-11)
     assert stats["n_rejected"] > 0
@@ -168,6 +168,70 @@ def test_frames_solved_together_match_alone(crit032, torus_spec, sph_spec):
         assert np.array_equal(traj.phi, alone.phi)
         assert traj.stats == alone.stats
     assert together[0].stats["n_rejected"] > 0
+
+
+def test_extra_nodes_leave_the_grid_frame_unchanged(crit032, torus_spec):
+    """The steps are laid from h0 alone, so three nodes more move no bit
+    of the frame on a 128-per-period grid; the frame at the extra nodes is
+    what `at` reads from the grid's solve."""
+    grid = period_nodes(torus_spec, n=128)
+    extra = np.array([0.1234, 2.5, 5.99]) * torus_spec.period / 6.0
+    both = np.unique(np.concatenate([grid, extra]))
+    alone = frame.integrate(torus_spec, crit032, grid, step_tol=1e-13)
+    more = frame.integrate(torus_spec, crit032, both, step_tol=1e-13)
+    assert np.array_equal(more.phi[np.isin(both, grid)], alone.phi)
+    assert np.array_equal(more.phi[np.isin(both, extra)], alone.at(extra))
+    assert more.stats["n_steps"] == alone.stats["n_steps"] == 128
+
+
+def test_frame_at_off_step_v_matches_a_finer_solve(crit032, torus_spec,
+                                                   sph_spec):
+    """Phi read off the steps, by one partial step each, agrees with a
+    solve on 32 times shorter steps to 1e-12, at random v and in any
+    array shape."""
+    rng = np.random.default_rng(11)
+    for spec in (torus_spec, sph_spec):
+        V = spec.period
+        traj = frame.integrate(spec, crit032, period_nodes(spec, n=8))
+        v = rng.uniform(0.0, V, (5, 8))
+        got = traj.at(v)
+        assert got.shape == (5, 8, 4)
+        a_of_v = frame.generator(spec, crit032)
+        nodes = np.concatenate([[0.0], np.sort(v.ravel()), [V]])
+        (ref, _, _), = frame._magnus_solve(
+            lambda vv, _: a_of_v(vv)[..., 1:], frame.UnitQuaternions,
+            [(nodes, V / 4096)], 1e-13)
+        want = ref[1:-1][np.argsort(np.argsort(v.ravel()))].reshape(got.shape)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_err_est_covers_the_partial_steps(crit032, torus_spec, sph_spec):
+    """The estimates of the partial steps (each full step against its two
+    halves) to a solve's nodes, and to the v that `at` reads, are folded
+    into its err_est.  On the spline-built sph_spec a partial step's
+    estimate exceeds every accepted step's."""
+    rng = np.random.default_rng(3)
+    over = []
+    for spec in (torus_spec, sph_spec):
+        on_steps = frame.integrate(spec, crit032, period_nodes(spec, n=128))
+        accepted = on_steps.stats["err_est"]
+        v = rng.uniform(0.0, spec.period, 200)
+        _, err = frame._evaluate(on_steps.steps, v)
+        assert len(err) == 200 and np.all(err > 0)
+        over.append(np.max(err) > accepted)
+        nodes = np.concatenate([[0.0], np.sort(v), [spec.period]])
+        off = frame.integrate(spec, crit032, nodes)
+        assert off.stats["err_est"] == max(accepted, np.max(err))
+        on_steps.at(v)
+        assert on_steps.stats["err_est"] == off.stats["err_est"]
+    assert over == [False, True]
+
+
+def test_frame_at_refuses_v_outside_its_solve(crit032, torus_spec):
+    traj = frame.integrate(torus_spec, crit032, period_nodes(torus_spec))
+    for v in (-1e-9, torus_spec.period * (1 + 1e-12), np.nan):
+        with pytest.raises(ValueError, match="outside the solved interval"):
+            traj.at(np.array([1.0, v]))
 
 
 def test_one_generator_call_per_round():
@@ -191,12 +255,12 @@ def test_one_generator_call_per_round():
     for i, rel in enumerate(lengths):
         assert np.allclose(rel, 0.5 ** i, rtol=1e-9, atol=0)
     assert sum(map(len, lengths)) == sum(
-        stats["n_steps"] + stats["n_rejected"] for _, stats in solved)
+        stats["n_steps"] + stats["n_rejected"] for _, stats, _ in solved)
 
 
 
 def test_points_per_generator_call_are_bounded():
-    """A solve over 10^5 nodes passes at most _MAX_POINTS points to any
+    """A solve of 10^5 steps passes at most _MAX_POINTS points to any
     generator call."""
     sizes = []
     gen = _matrix_generator([(0.3, 0.2, 5.0)], False)
@@ -206,8 +270,8 @@ def test_points_per_generator_call_are_bounded():
         return gen(v, s)
 
     nodes = np.linspace(0.0, 1.0, 10 ** 5 + 1)
-    (y, stats), = frame._magnus_solve(counted, frame.Matrices2,
-                                      [(nodes, 1.0)], 1e-10)
+    (y, stats, _), = frame._magnus_solve(counted, frame.Matrices2,
+                                         [(nodes, 1e-5)], 1e-10)
     assert y.shape == (len(nodes), 2, 2)
     assert stats["n_steps"] == 10 ** 5
     assert len(sizes) > 1 and max(sizes) <= frame._MAX_POINTS

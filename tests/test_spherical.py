@@ -254,9 +254,7 @@ def test_family_computes_lame_constant_once(sph, sph_surf, crit032,
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     for _ in range(2):
-        traj = surface.battery_frame(fresh, surf.recipe.spec,
-                                     [surface.gauss_codazzi_nodes(surf)])
-        surface.gauss_codazzi_residuals(surf, traj)
+        surface.gauss_codazzi_residuals(surf)
         spherical.integrate_phis(sph, fresh, [0.2, 0.9])
         spherical.sphere_centers(surf, sph)
         assert len(calls) == 1

@@ -247,17 +247,52 @@ def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
 
 
 def test_dual_grid_fetches_four_arrays(torus_surf, crit032, theta_arrays):
-    """The dual checks read fu and fv on the shifted grid, fu and expH on
-    the u-edges of the loop and fv and expH on its v-edges: each grid
-    fetches A, Ab, D and Db only."""
-    traj = surface.battery_frame(crit032, torus_surf.recipe.spec,
-                                 [surface.dual_loop_nodes(torus_surf)])
-    rep = surface.dual_symmetry(torus_surf, traj)
+    """On an even nu the dual checks read fu and fv at pi - u from the
+    surface's grid; they evaluate fu and expH on the u-edges of the loop
+    and fv and expH on its v-edges: each grid fetches A, Ab, D and Db
+    only."""
+    rep = surface.dual_symmetry(torus_surf)
     _assert_dual_symmetric(rep)
     four = (1, 1, 2, 2)
-    assert theta_arrays.calls == [(four, 48, (4, 49)), (four, 16, (4, 2)),
-                                  (four, 2, (4, 16))]
+    assert theta_arrays.calls == [(four, 16, (4, 2)), (four, 2, (4, 16))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
+
+
+def test_dual_rows_match_the_fresh_shifted_grid(torus_surf, crit032):
+    """On an even nu, fu and fv at pi - u read from the grid's rows
+    (nu/2 - i) mod nu agree with a fresh evaluation at pi - u to 1e-13 of
+    max e^h, and so do the dual residuals computed from either."""
+    s = torus_surf
+    nu = len(s.u)
+    rows = (nu // 2 - np.arange(nu)) % nu
+    fresh = surface.fields_at(crit032, s.recipe.spec, np.pi - s.u, s.v, s.phi,
+                              ("fu", "fv"))
+    top = np.max(s.expH)
+    for name in ("fu", "fv"):
+        assert np.max(np.abs(getattr(s, name)[rows] - fresh[name])) < 1e-13 * top
+    e2h = s.expH[..., None] ** 2
+    want = {"dual_dual_u": np.linalg.norm(fresh["fu"] - s.fu / e2h, axis=-1),
+            "dual_dual_v": np.linalg.norm(fresh["fv"] - s.fv / e2h, axis=-1),
+            "dual_double_dual": np.maximum(
+                np.linalg.norm(fresh["fu"] * e2h - s.fu, axis=-1),
+                np.linalg.norm(fresh["fv"] * e2h - s.fv, axis=-1))}
+    got = surface.dual_symmetry(s)
+    for name, res in want.items():
+        assert abs(got[name] - np.max(res) / top) < 1e-13, name
+
+
+def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
+                                                            torus_spec,
+                                                            theta_arrays):
+    """pi - u is no grid row when nu is odd: the dual checks evaluate fu
+    and fv on the shifted grid, and pass."""
+    surf = surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
+                                               nu=47, nv=24))
+    theta_arrays.calls.clear()
+    _assert_dual_symmetric(surface.dual_symmetry(surf))
+    four = (1, 1, 2, 2)
+    assert theta_arrays.calls == [(four, 47, (4, 25)), (four, 16, (4, 2)),
+                                  (four, 2, (4, 16))]
 
 
 @pytest.mark.parametrize("names", [
@@ -287,8 +322,9 @@ def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
 
 def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                                    theta_arrays, monkeypatch):
-    """Both probe steps share one stencil: one frame integration over its
-    v-nodes, one forms_at call (one theta_tensor call for the six arrays its
+    """Both probe steps share one stencil: the frame read from the
+    surface's solve (no integration), one forms_at call (one theta_tensor
+    call for the six arrays its
     forms read, all but G, on the 5 u-shifts x (5 w(v) shifts + 4
     w-shifts) of the probes), one
     coeffs sample and one fields_at call for fu, fv, n and expH (one
@@ -305,32 +341,13 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
     u_probes = np.array([0.3, 0.9, 2.0, 3.5])
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
     steps = (4e-4, 8e-4)
-    traj = surface.battery_frame(crit032, spec,
-                                 [surface.pde_nodes(v_probes, steps)])
-    levels = surface.pde_battery(crit032, spec, u_probes, v_probes, traj,
-                                 steps=steps)
+    levels = surface.pde_battery(crit032, spec, u_probes, v_probes,
+                                 torus_surf.traj, steps=steps)
     assert len(levels) == 2
-    assert counts == {"integrate": 1, "fields_at": 1, "coeffs": 1}
+    assert counts == {"integrate": 0, "fields_at": 1, "coeffs": 1}
     assert sorted(theta_arrays.calls) == [((1, 1, 1, 2, 2, 2), 20, (6, 45)),
                                           ((1, 1, 2, 2), 20, (4, 25))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
-
-
-def test_battery_frame_serves_every_node_set(torus_surf, crit032):
-    """One integration over the union of the node sets gives each set the
-    frame of an integration over that set alone; a v that is not a node
-    is refused instead of read off a neighbour."""
-    spec = torus_surf.recipe.spec
-    sets = [surface.gauss_codazzi_nodes(torus_surf),
-            surface.dual_loop_nodes(torus_surf)]
-    traj = surface.battery_frame(crit032, spec, sets)
-    for v in sets:
-        alone = surface.battery_frame(crit032, spec, [v])
-        got = surface.phi_at(traj, v)
-        assert got.shape == v.shape + (4,)
-        assert np.max(np.abs(got - surface.phi_at(alone, v))) < 1e-12
-    with pytest.raises(ValueError, match="not nodes"):
-        surface.phi_at(traj, sets[1] + 1e-9)
 
 
 def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
@@ -341,10 +358,8 @@ def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
 
     def battery(steps):
-        traj = surface.battery_frame(crit032, spec,
-                                     [surface.pde_nodes(v_probes, steps)])
-        return surface.pde_battery(crit032, spec, u_probes, v_probes, traj,
-                                   steps=steps)
+        return surface.pde_battery(crit032, spec, u_probes, v_probes,
+                                   torus_surf.traj, steps=steps)
 
     both = battery((4e-4, 8e-4))
     for h, level in zip((4e-4, 8e-4), both):
@@ -365,11 +380,9 @@ def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
     fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
         torus_surf.recipe, fam=fresh))
-    traj = surface.battery_frame(fresh, surf.recipe.spec,
-                                 [surface.gauss_codazzi_nodes(surf)])
-    surface.gauss_codazzi_residuals(surf, traj)
+    surface.gauss_codazzi_residuals(surf)
     assert len(calls) == 1
-    surface.gauss_codazzi_residuals(surf, traj)
+    surface.gauss_codazzi_residuals(surf)
     assert len(calls) == 1
 
 
@@ -386,15 +399,11 @@ def test_inversion_symmetry(torus_surf, crit032):
 
 
 def test_dual_symmetry(torus_surf):
-    traj = surface.battery_frame(torus_surf.recipe.fam, torus_surf.recipe.spec,
-                                 [surface.dual_loop_nodes(torus_surf)])
-    _assert_dual_symmetric(surface.dual_symmetry(torus_surf, traj))
+    _assert_dual_symmetric(surface.dual_symmetry(torus_surf))
 
 
 def test_pde_battery_converges(torus_surf):
-    traj = surface.battery_frame(torus_surf.recipe.fam, torus_surf.recipe.spec,
-                                 [surface.gauss_codazzi_nodes(torus_surf)])
-    fine, coarse = surface.gauss_codazzi_residuals(torus_surf, traj,
+    fine, coarse = surface.gauss_codazzi_residuals(torus_surf,
                                                    steps=(4e-4, 8e-4))
     for name in fine:
         order = np.log2(coarse[name] / fine[name])

@@ -130,6 +130,36 @@ def test_truncation_certified():
     assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
+def _linear_truncation(lam):
+    """The tail bound of `Lattice.truncation` summed in linear scale, which
+    overflows above lambda ~ 10.2: an oracle below that."""
+    absq, h = np.exp(-np.pi * lam), 2 * np.pi * lam
+    for n in range(1, theta._MAX_TERMS):
+        half = 2 * absq ** ((n + 0.5) ** 2) * np.exp((2 * n + 1) * h) * (2 * n + 1) ** 2
+        whole = 2 * absq ** (n * n) * np.exp(2 * n * h) * (2 * n) ** 2
+        if half + whole < theta._TOL:
+            return n
+
+
+def test_truncation_in_logs_matches_the_linear_bound():
+    """The log-space bound picks the linear bound's N wherever that one is
+    finite."""
+    for lam in np.linspace(0.01, 10.0, 400):
+        assert theta.rhombic(float(lam)).truncation == _linear_truncation(lam)
+
+
+@pytest.mark.parametrize("lat", [theta.rectangular(20.0), theta.rhombic(20.0)])
+def test_truncation_on_tall_strips(lat):
+    """Above lambda ~ 10.2 the linear bound computed 0 * inf (a numpy
+    RuntimeWarning, an error under this suite) and blamed the term count;
+    in logs it certifies a few terms, and theta matches the oracle inside
+    the strip."""
+    assert 3 <= lat.truncation <= 6
+    z = 0.4 + 1j * 0.5 * lat.strip_height
+    want = _mp_theta(3, z, lat)
+    assert abs(complex(theta.theta_grid(3, z, lat)) - want) < 1e-10 * abs(want)
+
+
 @pytest.mark.parametrize("lat", [theta.rhombic(0.32), theta.rectangular(0.9)],
                          ids=["rhombic032", "rect090"])
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
