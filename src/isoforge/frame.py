@@ -345,8 +345,7 @@ def _evaluate(st, v, partial=None):
     i = ends.searchsorted(flat, "right") - 1
     p = np.nonzero(ends[i] != flat)[0]
     y = y_ends[i]
-    e, err = (partial[0][p], partial[1][p]) if partial else (None,
-                                                             np.zeros(0))
+    e, err = (partial[0][p], partial[1][p]) if partial else (None, flat[:0])
     if len(p):
         if partial is None:
             e, err, finite = _round(gen, alg, ends[i[p]], flat[p],
