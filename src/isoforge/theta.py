@@ -51,6 +51,9 @@ _MAX_TERMS = 400
 _TOL = 1e-12
 # entries of the left factor of theta_tensor per row block (128 KB)
 _BLOCK_ENTRIES = 8192
+# from this |Im z| on, w = e^{2iz} or 1/w is below the smallest normal
+# float (0 on a tall enough strip) or its reciprocal overflows
+_FLOAT_IM = -np.log(np.finfo(float).tiny) / 2
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,11 @@ def _check_strip(im: float, lat: Lattice):
     if im > lat.strip_height + 1e-12:
         raise StripExceeded(
             f"|Im z| = {im:.6g} exceeds certified strip {lat.strip_height:.6g}"
+        )
+    if im >= _FLOAT_IM:
+        raise StripExceeded(
+            f"|Im z| = {im:.6g} reaches {_FLOAT_IM:.6g}, where e^(+-2iz) "
+            f"leaves the normal float range"
         )
 
 

@@ -168,16 +168,19 @@ def battery(surf, fam) -> dict:
 
 def _fv_fd_residual(surf, fam):
     """Max |fv - d(points)/dv| (catches sign errors) on one field grid over
-    three probes, each at -dv, 0 and +dv, with the surface's own frame."""
+    three probes, each at -dv, 0 and +dv, with the surface's own frame,
+    relative to the largest e^h = |fv| on that grid: the difference's
+    truncation error grows with the surface's scale."""
     spec, dv = surf.recipe.spec, 1e-4
     v0 = np.linspace(0.31, 0.77, 3) * spec.period
     nodes = (v0[:, None] + [-dv, 0.0, dv]).ravel()
     us = surf.u[:: max(1, len(surf.u) // 8)]
     f = surface.fields_at(fam, spec, us, nodes, surf.traj.at(nodes),
-                          ("points", "fv"))
+                          ("points", "fv", "expH"))
     pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
     fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
-    return float(np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1])))
+    err = np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1]))
+    return float(err / np.max(f["expH"]))
 
 
 def spherical_battery(surf, mono, sph) -> dict:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -579,7 +580,11 @@ def test_curves_default_w_stay_off_the_w1_pole(tmp_path, kind, thirds):
 def test_verify_on_a_tall_strip_runs_without_warnings(tmp_path):
     """At lambda 20 the theta truncation bound overflowed in linear scale
     (a RuntimeWarning, an error under this suite) and verify refused the
-    lattice; now it builds the surface and reports its checks."""
+    lattice; now it builds the surface and reports its checks.  |points|
+    reaches 5.5e13 there, and fv_vs_fd, relative to the largest e^h, passes
+    (4.9e-9; it read 2.5e5 in absolute terms).  The surface still fails
+    u_closure (a rectangular lattice does not close in u) and
+    normals_rank_defect (its plane normals have rank 2, not 3)."""
     cfg = _base_cfg(lattice={"kind": "rectangular", "lambda": 20.0},
                     omega={"mode": "explicit", "value": 0.3},
                     grid={"nu": 16, "nv": 16})
@@ -587,8 +592,11 @@ def test_verify_on_a_tall_strip_runs_without_warnings(tmp_path):
     out = tmp_path / "report.json"
     result = CliRunner().invoke(cli, ["verify", _write(tmp_path, cfg),
                                       "--out", str(out)])
-    assert result.exit_code in (0, 3), result.output
-    assert json.loads(out.read_text())["checks"]
+    assert result.exit_code == 3, result.output
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["fv_vs_fd"]["pass"]
+    assert {n for n, c in checks.items() if not c["pass"]} == {
+        "u_closure", "normals_rank_defect"}
 
 
 def _exit_code(monkeypatch, *argv):
@@ -1208,6 +1216,26 @@ def test_verify_integrates_the_frame_once(tmp_path, frame_calls, crit032,
     assert result.exit_code == 0, result.output
     assert [c["step_tol"] for c in frame_calls] == [1e-12]
     assert len(frame_calls[0]["v_nodes"]) == 24 + 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the command sets glibc's malloc thresholds; "
+                           "other C libraries keep their own policy")
+def test_second_verify_reuses_freed_memory(tmp_path):
+    """A command keeps freed grid arrays in glibc's heap: a second README
+    verify in one process faults in fewer than 100 pages.  With glibc's
+    default thresholds it faulted about 1,500 (6 MB of arrays mapped or
+    trimmed away and faulted in again every op)."""
+    import resource
+    argv = ["verify", _write(tmp_path, _README_CFG), "--out",
+            str(tmp_path / "report.json")]
+    faults = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cli.main(argv, standalone_mode=False)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert faults[1] < 100, faults
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,13 @@ def test_every_field_is_read():
              if f"{key}.".startswith(f"{entry}.")}
     assert {key for key, _ in pairs} == unread
     assert {entry for _, entry in pairs} == set(UNREAD_FIELDS)
+
+
+def test_only_the_cli_sets_the_allocator_policy():
+    """ctypes and mallopt appear in src/isoforge/cli.py alone: a command
+    may set a process-wide malloc policy, importing a library module sets
+    none."""
+    sources = sorted((ROOT / "src" / "isoforge").glob("*.py"))
+    naming = {path.name for path in sources for word in ("ctypes", "mallopt")
+              if word in path.read_text()}
+    assert naming == {"cli.py"}

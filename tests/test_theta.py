@@ -160,6 +160,27 @@ def test_truncation_on_tall_strips(lat):
     assert abs(complex(theta.theta_grid(3, z, lat)) - want) < 1e-10 * abs(want)
 
 
+def test_tall_strip_refuses_z_beyond_the_float_range():
+    """On rectangular lambda 200 the strip reaches |Im z| = 1257, but
+    e^{2iz} underflows to 0 from |Im z| ~ 354 on: a number raised
+    ZeroDivisionError and an array gave inf with a RuntimeWarning.  Both,
+    and the tensor kernel, refuse such z with StripExceeded, and a point
+    just inside the float range matches the oracle."""
+    lat = theta.rectangular(200.0)
+    z = 0.4 + 628.3j
+    with pytest.raises(StripExceeded, match="float range"):
+        theta.theta_grid(1, z, lat)
+    with pytest.raises(StripExceeded, match="float range"):
+        theta.theta_grid(1, np.array([0.1, z]), lat)
+    with pytest.raises(StripExceeded, match="float range"):
+        theta.theta_tensor([(1, 0)], [0.4], [628.3j], lat)
+    inside = 0.4 - 1j * (theta._FLOAT_IM - 0.01)
+    want = _mp_theta(1, inside, lat)
+    for got in (theta.theta_grid(1, inside, lat),
+                theta.theta_grid(1, np.array([inside]), lat)[0]):
+        assert abs(got - want) < 1e-10 * abs(want)
+
+
 @pytest.mark.parametrize("lat", [theta.rhombic(0.32), theta.rectangular(0.9)],
                          ids=["rhombic032", "rect090"])
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
