@@ -9,30 +9,28 @@ where the coefficient is a quaternion in span{j, k}: with W1 = w_r + i w_i
 the generator is sqrt(1 - w'^2) (w_r k - w_i j), and the signed root comes
 from the reparametrization spec's recorded branch, never from |.|.
 
-Every linear ODE Y' = A(v) Y of the package -- this frame, the spherical
-phi-system and the limit-surface frame -- is integrated by `_magnus_solve`,
-the sixth-order Magnus method on three Gauss-Legendre nodes (Iserles &
-Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step
-propagators exp(Omega) do not depend on Y, so the steps are not taken one
-after another: all steps of a round, laid out from h0 alone, are formed
-from one evaluation of A (one generator call up to `_MAX_POINTS` points),
-each is checked against the product of its two half steps (the full step
-and both halves are one `_magnus6` call), the rejected ones are halved for
-the next round, and an ordered product of the accepted propagators gives Y
-at the step ends, and one partial step more Y at any other v.
-One solve may hold several independent systems, such as the two
-directions of the phi-system or the amplitudes of the close-torus scan:
-they share each round's calls, and a doubling scan segmented by system
-multiplies each one's propagators, so every system's steps and Y are bit
-for bit those of solving it alone.
+Every linear ODE Y' = A(v) Y of the package -- this frame and the
+limit-surface frame -- is integrated by `_magnus_solve`, the sixth-order
+Magnus method on three Gauss-Legendre nodes (Iserles & Norsett 1999;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step propagators
+exp(Omega) do not depend on Y, so the steps are not taken one after
+another: all steps of a round, laid out from h0 alone, are formed from one
+evaluation of A (one generator call up to `_MAX_POINTS` points), each is
+checked against the product of its two half steps (the full step and both
+halves are one `_magnus6` call), the rejected ones are halved for the next
+round, and an ordered product of the accepted propagators gives Y at the
+step ends; `_evaluate` reads Y at any other v by one partial step.
+One solve may hold several independent systems, such as the amplitudes of
+the close-torus scan: they share each round's calls, and a doubling scan
+segmented by system multiplies each one's propagators, so every system's
+steps and Y are bit for bit those of solving it alone.
 
 Two algebras carry the method.  `UnitQuaternions`: A is an imaginary
 quaternion, [x, y] = 2 x cross y, and exp(Omega) = cos|Omega| +
 sin|Omega| Omega/|Omega| is a unit quaternion, so Phi stays on the sphere
-without projection.  `Matrices2` (the phi-system through its symmetric
-square, and the limit frame): A is a real or complex 2x2 matrix, and
-exp(Omega) = e^t (cosh mu I + sinh(mu)/mu (Omega - t I)) with
-t = tr(Omega)/2 and mu^2 = -det(Omega - t I).
+without projection.  `Matrices2` (the limit frame): A is a real or
+complex 2x2 matrix, and exp(Omega) = e^t (cosh mu I + sinh(mu)/mu (Omega -
+t I)) with t = tr(Omega)/2 and mu^2 = -det(Omega - t I).
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ class UnitQuaternions:
 
 
 class Matrices2:
-    """Real or complex 2x2 matrices (..., 2, 2)."""
+    """Real or complex 2x2 matrices (..., 2, 2), the limit frame's."""
 
     one = np.eye(2)
 
@@ -147,7 +145,7 @@ _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
 # call, of half the points of a full surface.fields_at block (_BLOCK_POINTS)
 _MAX_POINTS = 4096
 # local error per step of every solve: a surface's frame (which the battery
-# reads off its steps too), the phi-system, the limit frame and close_torus
+# reads off its steps too), the limit frame and close_torus
 STEP_TOL = 1e-12
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
@@ -236,10 +234,10 @@ def _magnus_solve(gen, alg, systems, step_tol):
     otherwise it is halved.  The pending steps of all systems make one
     generator call per round (per `_MAX_POINTS` points), and each system's
     steps, decisions and Y are those of solving it alone.  Y at a v that
-    no step ends at is `_evaluate`'s, its partial step formed in the call
-    of the round that accepts the step around v.  Returns per system Y at
-    v, the stats n_steps (accepted), n_rejected (split) and err_est, and
-    its steps (gen, alg, system, its accepted steps' ends from 0, Y there).
+    no step ends at is `_evaluate`'s, its partial step formed after the
+    solve.  Returns per system Y at v, the stats n_steps (accepted),
+    n_rejected (split) and err_est (the partial steps' included), and its
+    steps (gen, alg, system, its accepted steps' ends from 0, Y there).
     The first round in which a system fails raises the StepFailure of the
     lowest such system.
     """
@@ -252,23 +250,11 @@ def _magnus_solve(gen, alg, systems, step_tol):
     n_sys = len(systems)
     system = np.repeat(np.arange(n_sys), n_initial)
     floor = 1e-13 * span
-    # each v at no step end so far holds the index of its pending step
-    pv = np.concatenate([np.ravel(v) for v, _ in systems])
-    held = np.concatenate([np.minimum(e.searchsorted(np.ravel(v), "right"),
-                                      len(e) - 1) - 1 + lo for e, (v, _), lo
-                           in zip(ends, systems, np.cumsum([0, *n_initial]))])
-    held[(a[held] == pv) | (b[held] == pv)] = -1
 
-    done, kept = [], None  # kept: per v, its partial step and estimate
+    done = []
     n_rejected = np.zeros(n_sys, dtype=int)
     while len(a):
-        t = np.nonzero(held >= 0)[0]
-        c, n, vt = held[t], len(a), pv[t]
-        e, err, finite = _round(gen, alg, np.concatenate([a, a[c]]),
-                                np.concatenate([b, vt]),
-                                np.concatenate([system, system[c]]))
-        (e, e_part), (err, err_part), (finite, fin_part) = (
-            (x[:n], x[n:]) for x in (e, err, finite))
+        e, err, finite = _round(gen, alg, a, b, system)
         ok = finite & (err <= step_tol)
         bad = ~ok
         done.append((a[ok], b[ok], system[ok], e[ok], err[ok]))
@@ -281,17 +267,6 @@ def _magnus_solve(gen, alg, systems, step_tol):
             k = np.min(failing)
             raise _step_failure(k, a, b, system, finite, short,
                                 2 * rejected[k], step_tol)
-        if len(t):
-            # a v whose step is accepted keeps this round's partial step,
-            # the others move into the half of their step that holds them
-            mine, m = ok[c], 0.5 * (a[c] + b[c])
-            _require_finite(fin_part | ~mine, a[c], vt)
-            if kept is None:
-                kept = (np.empty((len(pv),) + e_part.shape[1:], e_part.dtype),
-                        np.zeros(len(pv)))
-            kept[0][t[mine]], kept[1][t[mine]] = e_part[mine], err_part[mine]
-            held[t] = np.where(mine | (vt == m), -1, np.cumsum(bad)[c] - 1
-                               + (vt > m) * np.count_nonzero(bad))
         a, b, system = a[bad], b[bad], system[bad]
         n_rejected += rejected
         m = 0.5 * (a + b)
@@ -309,10 +284,7 @@ def _magnus_solve(gen, alg, systems, step_tol):
     steps = [(gen, alg, k, np.concatenate([[0.0], b[order[lo:hi]]]),
               np.concatenate([one, prod[lo:hi]]))
              for k, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
-    cut = np.cumsum([0] + [np.size(v) for v, _ in systems])
-    ys, errs = zip(*[_evaluate(st, v, kept and tuple(x[lo:hi] for x in kept))
-                     for st, (v, _), lo, hi in zip(steps, systems, cut[:-1],
-                                                   cut[1:])])
+    ys, errs = zip(*[_evaluate(st, v) for st, (v, _) in zip(steps, systems)])
     stats = [{"n_steps": len(i), "n_rejected": int(n_rejected[k]),
               "err_est": float(max(np.max(err[i], initial=0.0),
                                    np.max(part, initial=0.0)))}
@@ -327,15 +299,14 @@ def _require_finite(finite, a, b):
         raise StepFailure(f"non-finite generator on [{a[j]}, {b[j]}]")
 
 
-def _evaluate(st, v, partial=None):
+def _evaluate(st, v):
     """Y at v (any shape) of one system's steps st, and the estimates of
     its partial steps: the solve's product at an accepted step's end, else
     one partial step from the end below v, formed as the solve forms a step
     (two half steps checked against the full one) in one generator call per
-    `_MAX_POINTS` points, or read from `partial` (each v's propagator and
-    estimate, if the solve took them).  Where A is smooth such a step of
-    length h' inside one of length h errs by about (h'/h)^7 of that step's
-    estimate; on a spline-built w, more.
+    `_MAX_POINTS` points.  Where A is smooth such a step of length h' inside
+    one of length h errs by about (h'/h)^7 of that step's estimate; on a
+    spline-built w, more.
     """
     gen, alg, system, ends, y_ends = st
     v = np.asarray(v, dtype=float)
@@ -344,13 +315,11 @@ def _evaluate(st, v, partial=None):
         raise ValueError(f"v outside the solved interval [0, {ends[-1]}]")
     i = ends.searchsorted(flat, "right") - 1
     p = np.nonzero(ends[i] != flat)[0]
-    y = y_ends[i]
-    e, err = (partial[0][p], partial[1][p]) if partial else (None, flat[:0])
+    y, err = y_ends[i], flat[:0]
     if len(p):
-        if partial is None:
-            e, err, finite = _round(gen, alg, ends[i[p]], flat[p],
-                                    np.full(len(p), system))
-            _require_finite(finite, ends[i[p]], flat[p])
+        e, err, finite = _round(gen, alg, ends[i[p]], flat[p],
+                                np.full(len(p), system))
+        _require_finite(finite, ends[i[p]], flat[p])
         y[p] = alg.mul(e, y[p])
     return y.reshape(v.shape + y.shape[1:]), err
 

@@ -2,22 +2,22 @@
 
 When the reparametrization function comes from the quartic elliptic curve
 Q(s) = -(s - s1)^2 (s - s2)^2 + delta^2 Q3(s), every v-curve of the surface
-lies on a sphere.  This module integrates the linear phi-system that encodes
-the sphere data along u, recovers the sphere centers Z(u) and the line they
-lie on, and evaluates the closed-form axis direction Z'(omega) in the moving
-frame at u = omega -- the local formula that must reproduce the global
-monodromy axis.  The certificates take the `reparam.SphericalSpec`
-(delta, s1, s2) that the surface's spec was built from, and read the family
-and the spec from the surface's recipe.  They return plain values, and pass
-no verdict: `verify.spherical_battery` collects them under `verify.CHECKS`
-names.
+lies on a sphere.  This module solves the linear phi-system that encodes
+the sphere data along u in closed form, recovers the sphere centers Z(u)
+and the line they lie on, and evaluates the closed-form axis direction
+Z'(omega) in the moving frame at u = omega -- the local formula that must
+reproduce the global monodromy axis.  The certificates take the
+`reparam.SphericalSpec` (delta, s1, s2) that the surface's spec was built
+from, and read the family and the spec from the surface's recipe.  They
+return plain values, and pass no verdict: `verify.spherical_battery`
+collects them under `verify.CHECKS` names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import curvefamily, elliptic, frame, surface as surface_mod
+from . import curvefamily, elliptic, surface as surface_mod
 from .errors import PoleProximity, SpecInvalid
 
 
@@ -52,18 +52,23 @@ def sym2(m):
 
 
 def integrate_phis(sph, crit, us):
-    """Solve the 3x3 linear system of the SphericalSpec sph on the critical
-    family crit for (phi2, phi1, phi0) along u: one row (phi2, phi1, phi0)
-    per u of us, shape (len(us), 3).
+    """The rows (phi2, phi1, phi0) of the SphericalSpec sph on the critical
+    family crit along u, in closed form: one row per u of us, shape
+    (len(us), 3).
 
     phi' = [[0, -U1, 0], [2U, 0, -2U1], [0, U, 0]] phi is the symmetric
     square of M' = X M, X = [[0, -U1], [U, 0]]: phi(u) = sym2(M(u))
     phi(omega) with M(omega) = 1, phi(omega) = delta^{-1} (1, -(s1 + s2),
-    s1 s2).  M is integrated outward from omega in both directions, as two
-    systems of one solve of the frame module's Magnus solver, to its step
-    tolerance `frame.STEP_TOL`.  The coefficients have poles where the
-    u-denominator theta2 vanishes (u = pi/2 mod pi), so a requested u
-    outside (-pi/2, pi/2) raises PoleProximity before any integration.
+    s1 s2).  M needs no ODE solve: at every w, y = e^{h(u, w)} solves the
+    Riccati equation y' = U y^2 + U1 (the `pde_riccati` identity), so
+    x = x2 (-y, 1) solves x' = X x, and as tr X = 0 the Wronskian
+    x2_a x2_b (y_b - y_a) of two such x is constant.  e^h at three w thus
+    fixes x2_a and x2_b up to constant factors, whose signs hold along u
+    as the y never cross, and which cancel in M(u) = X(u) X(omega)^{-1},
+    X = [x_a, x_b] (Ince, Ordinary Differential Equations, 1926, 2.15).
+    The coefficients have poles where theta2 vanishes (u = pi/2 mod pi),
+    so a u outside (-pi/2, pi/2) raises PoleProximity before any
+    evaluation.
     """
     delta, e1, e2 = _elementary(sph)
     if delta == 0.0:
@@ -73,31 +78,15 @@ def integrate_phis(sph, crit, us):
     if len(outside):
         raise PoleProximity(f"u = {outside[0]} is outside (-pi/2, pi/2), the "
                             "pole-free interval of the phi-system around omega")
-    om = crit.omega
-    y0 = np.array([1.0, -e1, e2]) / delta
-
-    def x_of_u(u):
-        U, U1 = elliptic.riccati_u_u1(u, crit)
-        x = np.zeros(np.shape(u) + (2, 2))
-        x[..., 0, 1], x[..., 1, 0] = -U1, U
-        return x
-
-    # t = sign (u - omega) runs upward from 0: M' = sign X(omega + sign t) M,
-    # each side read at its t and at t = 0
-    signs = np.array([1.0, -1.0])
-    sides = [sign * (us - om) > 1e-14 for sign in signs]
-
-    def x_of_t(t, s):
-        return signs[s][..., None, None] * x_of_u(om + signs[s] * t)
-
-    m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
-    solved = frame._magnus_solve(
-        x_of_t, frame.Matrices2,
-        [(np.append(sign * (us[side] - om), 0.0), np.pi / 128)
-         for sign, side in zip(signs, sides)], frame.STEP_TOL)
-    for side, (y, _, _) in zip(sides, solved):
-        m[side] = y[:-1]
-    return sym2(m) @ y0
+    # e^h at a quarter, half and three quarters of the band, at us and omega
+    ws = 2 * np.pi * crit.lattice.lam * np.array([0.25, 0.5, 0.75])
+    ya, yb, yc = curvefamily.forms_at(np.append(us, crit.omega), ws, crit,
+                                      ("exp_h",))["exp_h"].T
+    x2a = np.sqrt(np.abs((yc - yb) / ((yb - ya) * (yc - ya))))
+    x2b = np.sqrt(np.abs((yc - ya) / ((yb - ya) * (yc - yb))))
+    x = np.stack([-ya * x2a, -yb * x2b, x2a, x2b], axis=-1).reshape(-1, 2, 2)
+    m = x[:-1] @ np.linalg.inv(x[-1])
+    return sym2(m) @ (np.array([1.0, -e1, e2]) / delta)
 
 
 def sphere_centers(surf, sph):

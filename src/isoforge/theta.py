@@ -256,8 +256,10 @@ def theta_tensor(rows, a, b, lat: Lattice):
     strided and contiguous loops may round a complex product differently),
     so each array is bit for bit the one that call returns.  The terms
     are those of `theta_grid`, so its tail bound certifies the product on
-    |Im b| <= H, where every e^{+-i m_n b} is finite: the truncation loop
-    evaluated e^{(2N+1)H}.
+    |Im b| <= H.  Each e^{+-i m_n b} is formed as a number, so a b at which
+    (m0 + 2N - 2) |Im b| leaves the normal float range (as on a tall
+    rectangular strip, where N is small but H large) raises StripExceeded,
+    as `theta_grid` does from |Im z| = _FLOAT_IM on.
     """
     series = [_series(i, k, lat) for i, k in rows]
     nr = len(series)
@@ -270,6 +272,13 @@ def theta_tensor(rows, a, b, lat: Lattice):
     coef = np.array([c for c, _, _ in series])[:, :, None]     # (nr, n, 1)
     sign = np.array([s for _, _, s in series])[:, None, None]
     m0s = [m0 for _, m0, _ in series]
+    # the right factor holds e^{+-i m_n b} up to m_n = m0 + 2N - 2
+    top = np.array(m0s) + 2 * n - 2
+    im = np.max(np.abs(b.imag), axis=1, initial=0.0)
+    if np.any(top * im >= 2 * _FLOAT_IM):
+        r = np.argmax(top * im)
+        raise StripExceeded(f"|Im b| = {im[r]:.6g} puts e^(+-{top[r]} i b) "
+                            "outside the normal float range")
     eb = np.exp(1j * b)
     right = np.empty((nr, 2 * n, b.shape[1]), dtype=complex)
     for _, rs in _runs([i for i, _ in rows]):

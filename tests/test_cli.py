@@ -1288,14 +1288,21 @@ def test_spherical_and_verify_report_the_same_sphere_fit(tmp_path,
 
 
 def test_spherical_command_integrates_the_frame_once(tmp_path, frame_calls,
-                                                     sph_cfg_grid32):
-    """The monodromy comes from the surface's frame at v = V: one frame
-    integration per spherical command."""
+                                                     sph_cfg_grid32,
+                                                     monkeypatch):
+    """The monodromy comes from the surface's frame at v = V, and the phi
+    rows are closed forms: a spherical command makes one frame
+    integration, at step_tol 1e-12, and no other Magnus solve."""
+    solves = []
+    solve = frame._magnus_solve
+    monkeypatch.setattr(frame, "_magnus_solve",
+                        lambda *a: solves.append(a) or solve(*a))
     result = CliRunner().invoke(cli, [
         "spherical", _write(tmp_path, sph_cfg_grid32),
         "--out", str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    assert len(frame_calls) == 1
+    assert [c["step_tol"] for c in frame_calls] == [1e-12]
+    assert [a[1] for a in solves] == [frame.UnitQuaternions]
 
 
 @pytest.fixture(scope="session")

@@ -222,26 +222,26 @@ def _count_c1(monkeypatch):
     return calls
 
 
-def test_phis_evaluate_only_u_and_u1(sph, crit032, monkeypatch):
-    """The phi-system needs U and U1 only: three theta arrays per batch
-    (td(u), theta1(u + omega), theta1(u - omega)), no `coeffs` (U', U1',
-    U2) and so no Lame constant, on a freshly solved family too."""
+def test_phis_are_one_theta_tensor_call(sph, crit032, monkeypatch):
+    """The phi rows are closed forms in e^h at three w: one `theta_tensor`
+    call each, no `coeffs` (U', U1', U2) and so no Lame constant, and no
+    Magnus solve, on a freshly solved family too."""
     fresh = elliptic.solve_critical_omega(crit032.lattice)
-    calls, batches, arrays = _count_c1(monkeypatch), [], []
+    calls, tensors = _count_c1(monkeypatch), []
 
     def never(*args, **kwargs):
-        raise AssertionError("the phi-system evaluated U', U1' or U2")
+        raise AssertionError("the phi rows evaluated U', U1' or U2, or "
+                             "solved an ODE")
 
     monkeypatch.setattr(elliptic, "coeffs", never)
-    u_u1, theta_grid = elliptic.riccati_u_u1, elliptic.theta_grid
-    monkeypatch.setattr(elliptic, "riccati_u_u1",
-                        lambda u, fam: batches.append(u) or u_u1(u, fam))
-    monkeypatch.setattr(elliptic, "theta_grid", lambda n, z, *a: (
-        np.ndim(z) and arrays.append(n)) or theta_grid(n, z, *a))
-    for _ in range(2):
+    monkeypatch.setattr(frame, "_magnus_solve", never)
+    tensor = curvefamily.theta_tensor
+    monkeypatch.setattr(curvefamily, "theta_tensor",
+                        lambda *a: tensors.append(a) or tensor(*a))
+    for k in range(1, 3):
         spherical.integrate_phis(sph, fresh, [0.2, fresh.omega + 0.3])
+        assert len(tensors) == k
     assert calls == []
-    assert batches and len(arrays) == 3 * len(batches)
 
 
 def test_family_computes_lame_constant_once(sph, sph_surf, crit032,
@@ -300,6 +300,44 @@ def test_phis_match_oracle_both_directions(sph, crit032):
         assert np.max(err) <= 1e-10
 
 
+def _phi_magnus(sph, crit, us):
+    """The phi rows sym2(M) phi(omega), with M' = X M solved outward from
+    omega on each side by the frame module's Magnus solver at step_tol
+    1e-15 from steps of pi/4096."""
+    y0 = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
+    y0 /= sph.delta
+    om, signs = crit.omega, np.array([1.0, -1.0])
+
+    def x_of_t(t, s):
+        U, U1 = elliptic.riccati_u_u1(om + signs[s] * t, crit)
+        x = np.zeros(np.shape(t) + (2, 2))
+        x[..., 0, 1], x[..., 1, 0] = -U1, U
+        return signs[s][..., None, None] * x
+
+    sides = [sign * (us - om) > 0 for sign in signs]
+    solved = frame._magnus_solve(
+        x_of_t, frame.Matrices2,
+        [(np.append(sign * (us[side] - om), 0.0), np.pi / 4096)
+         for sign, side in zip(signs, sides)], 1e-15)
+    m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
+    for side, (y, _, _) in zip(sides, solved):
+        m[side] = y[:-1]
+    return spherical.sym2(m) @ y0
+
+
+def test_phis_match_a_fine_magnus_solve(sph, crit032):
+    """The closed form agrees with the phi-system solved by the Magnus
+    method on fine steps to 1e-12 relative, on both sides of omega up to
+    |u| = 1.5, for a conjugate-pair and a real-pair spec."""
+    real_pair = reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9)
+    us = np.array([-1.5, -0.8, -0.2, 0.03, crit032.omega, 0.6, 1.1, 1.5])
+    for spec in (sph, real_pair):
+        got = spherical.integrate_phis(spec, crit032, us)
+        want = _phi_magnus(spec, crit032, us)
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert np.max(err) <= 1e-12
+
+
 _entry = st.floats(-3.0, 3.0)
 _mat = st.tuples(_entry, _entry, _entry, _entry).map(
     lambda e: np.array(e).reshape(2, 2))
@@ -322,11 +360,12 @@ def test_sym2_is_multiplicative_with_phi_derivative(a, b, U, U1):
 
 def test_phis_refuse_u_past_the_pole(sph, crit032, monkeypatch):
     """theta2 vanishes at u = pi/2: a requested u at or past it raises
-    PoleProximity before the coefficients are evaluated anywhere."""
+    PoleProximity before e^h or the coefficients are evaluated anywhere."""
 
     def never(*args, **kwargs):
-        raise AssertionError("integrated past the pole check")
+        raise AssertionError("evaluated past the pole check")
 
+    monkeypatch.setattr(curvefamily, "forms_at", never)
     monkeypatch.setattr(elliptic, "coeffs", never)
     monkeypatch.setattr(elliptic, "riccati_u_u1", never)
     for us in ([1.7], [0.5, np.pi / 2], [-1.6, 0.4], [np.nan]):
@@ -336,9 +375,8 @@ def test_phis_refuse_u_past_the_pole(sph, crit032, monkeypatch):
 
 def test_sphere_centers_batches_coefficients(sph, sph_surf, crit032,
                                             monkeypatch):
-    """sphere_centers evaluates U, U1 at all its samples in one call (the
-    phi-system's Magnus steps evaluate theirs on (steps, nodes) arrays),
-    and neither needs `coeffs` (U', U1', U2) nor the Lame constant, on a
+    """sphere_centers evaluates U, U1 at all its samples in one call, and
+    needs neither `coeffs` (U', U1', U2) nor the Lame constant, on a
     freshly solved family too."""
     c1_calls, u_u1_calls = _count_c1(monkeypatch), []
     u_u1 = elliptic.riccati_u_u1
@@ -353,9 +391,8 @@ def test_sphere_centers_batches_coefficients(sph, sph_surf, crit032,
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     alphas, _ = spherical.sphere_centers(surf, sph)
-    at_samples = [u for u in u_u1_calls if np.ndim(u) < 2]
-    assert len(at_samples) == 1
-    assert np.shape(at_samples[0]) == (len(alphas),)
+    assert len(u_u1_calls) == 1
+    assert np.shape(u_u1_calls[0]) == (len(alphas),)
     assert len(c1_calls) == 0
 
 

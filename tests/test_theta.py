@@ -181,6 +181,25 @@ def test_tall_strip_refuses_z_beyond_the_float_range():
         assert abs(got - want) < 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("frac", [0.75, 1.0])
+def test_tensor_refuses_b_whose_terms_leave_the_float_range(frac):
+    """On rectangular lambda 20 (N = 5 terms, H = 126) the tensor kernel
+    forms e^{+-i m_n b} up to m_n = 2N - 1 as numbers: at |Im b| = 0.75 H it
+    returned NaN (invalid value in divide), at H +-inf (divide by zero),
+    where theta_grid is finite.  It raises StripExceeded there, and at
+    0.5 H agrees with theta_grid."""
+    lat = theta.rectangular(20.0)
+    a = np.array([0.1, 0.4])
+    for sign in (1.0, -1.0):
+        b = sign * 1j * lat.strip_height
+        assert np.all(np.isfinite(theta.theta_grid(1, a + frac * b, lat)))
+        with pytest.raises(StripExceeded, match="float range"):
+            theta.theta_tensor([(1, 0)], a, [frac * b], lat)
+        got = theta.theta_tensor([(1, 0)], a, [0.5 * b], lat)[0, :, 0]
+        want = theta.theta_grid(1, a + 0.5 * b, lat)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("lat", [theta.rhombic(0.32), theta.rectangular(0.9)],
                          ids=["rhombic032", "rect090"])
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
