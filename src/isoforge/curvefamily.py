@@ -4,17 +4,22 @@ Every function takes an `elliptic.Family`: its lattice, omega and the
 cached constants theta1'(0), td(omega) and c = td'(om)/td(om).  With
 z = u + i*w, zb = u - i*w, omega in (0, pi/2) and td the lattice's companion
 theta (theta2 on rhombic, theta4 on rectangular lattices), the family and
-its derived forms are quotients of five theta arrays
+its derived forms are quotients of three theta arrays
 
-    A = th1((z + om)/2),  Ab = th1((zb + om)/2),  G = th1((z - 3 om)/2),
-    D = td((z - om)/2),   Db = td((zb - om)/2),
+    A = th1((z + om)/2),  G = th1((z - 3 om)/2),  D = td((z - om)/2),
 
-and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2):
+and two derivative arrays A' = th1'((z + om)/2), D' = td'((z - om)/2).
+The forms at zb need no arrays of their own: for real u, w and omega,
+(zb +- om)/2 is the conjugate of (z +- om)/2, and th(conj x) =
+lam conj(th(x)) with lam = e^{i pi/4} for theta1 and theta2 on rhombic
+(conj(q) = -q there) and lam = 1 for theta1 and theta4 on rectangular
+lattices (real q).  So Ab = th1((zb + om)/2) = lam conj(A) and Db =
+td((zb - om)/2) = lam conj(D), and with r = D/A lam cancels from
 
     gamma           = -i 2 td(om)^2/(th1'(0) th1(2 om)) * G/A * e^{z c},
-    gamma_u         = -i (D/A)^2 * e^{z c} = e^{h + i sigma},
-    e^h             = D Db/(A Ab) * e^{u Re c},
-    e^{i sigma}     = -i D Ab/(A Db) * e^{i w c},
+    gamma_u         = -i r^2 * e^{z c} = e^{h + i sigma},
+    e^h             = D Db/(A Ab) * e^{u Re c} = |r|^2 e^{u Re c},
+    e^{i sigma}     = -i D Ab/(A Db) * e^{i w c} = -i r^2/|r|^2 e^{i w c},
     (h + i sigma)_u = D'/D - A'/A + c.
 
 `forms_at` evaluates the forms it is asked for on a tensor grid u x w.
@@ -94,10 +99,10 @@ def _pole_checked(den, what):
 _READS = {
     "gamma": ("A", "G"),
     "gamma_u": ("A", "D"),
-    "exp_h": ("A", "Ab", "D", "Db"),
-    "exp_isigma": ("A", "Ab", "D", "Db"),
+    "exp_h": ("A", "D"),
+    "exp_isigma": ("A", "D"),
     "dlog_gamma_u": ("A", "A'", "D", "D'"),
-    "kappa_hyp": ("A", "Ab", "A'", "D", "Db", "D'"),
+    "kappa_hyp": ("A", "A'", "D", "D'"),
 }
 FORMS = tuple(_READS)
 
@@ -119,7 +124,7 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
     The arrays the forms read (`_READS`) come from one `theta_tensor` call,
     as the module docstring sets out; they keep the truncation certificate
     of `theta_grid`, since |Im b| = |w|/2 lies in the strip.  The zeros of A
-    and Ab are guarded.
+    are guarded.
     """
     if np.ndim(u) > 1 or np.ndim(w) > 1:
         raise ValueError("u and w must be numbers or 1-D arrays")
@@ -133,17 +138,14 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
     iw, om, c = 1j * w, fam.omega, fam.c
     # theta index, derivative order and 2 b of every array, in the order
     # of the fetch: theta1 rows, then td rows
-    arrays = {"A": (1, 0, iw + om), "Ab": (1, 0, -iw + om),
-              "G": (1, 0, iw - 3 * om), "A'": (1, 1, iw + om),
-              "D": (fam.den, 0, iw - om), "Db": (fam.den, 0, -iw - om),
+    arrays = {"A": (1, 0, iw + om), "G": (1, 0, iw - 3 * om),
+              "A'": (1, 1, iw + om), "D": (fam.den, 0, iw - om),
               "D'": (fam.den, 1, iw - om)}
     fetch = [x for x in arrays if any(x in _READS[form] for form in names)]
     b = np.stack([arrays[x][2] for x in fetch]) / 2
     t = dict(zip(fetch, theta_tensor([arrays[x][:2] for x in fetch], u / 2,
                                      b, fam.lattice)))
     _pole_checked(t["A"], "theta1((z + omega)/2)")
-    if "Ab" in t:
-        _pole_checked(t["Ab"], "theta1((zb + omega)/2)")
 
     out = {}
     if "gamma" in names or "gamma_u" in names:
@@ -154,17 +156,13 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
         if "gamma_u" in names:
             out["gamma_u"] = -1j * (t["D"] / t["A"]) ** 2 * ezc
         del ezc
+    if "exp_h" in names or "exp_isigma" in names or "kappa_hyp" in names:
+        r = t["D"] / t["A"]
+        r2 = r.real * r.real + r.imag * r.imag                 # |r|^2
     if "exp_h" in names:
-        val = t["D"] * t["Db"] / (t["A"] * t["Ab"]) * np.exp(u * c.real)[:, None]
-        out["exp_h"] = np.real(val).copy()  # a view would keep val alive
-        # the realness check compares each w column with its own scale
-        im = np.max(np.abs(np.imag(val)), axis=0)
-        del val
-        if np.any(im > 1e-9 * np.max(np.abs(out["exp_h"]), axis=0)):
-            raise ArithmeticError("e^h should be real")
+        out["exp_h"] = r2 * np.exp(u * c.real)[:, None]
     if "exp_isigma" in names or "kappa_hyp" in names:
-        out["exp_isigma"] = (-1j * t["D"] * t["Ab"] / (t["A"] * t["Db"])
-                             * np.exp(1j * w * c))
+        out["exp_isigma"] = r * r / r2 * (-1j * np.exp(1j * w * c))
     if "dlog_gamma_u" in names or "kappa_hyp" in names:
         out["dlog_gamma_u"] = t["D'"] / t["D"] - t["A'"] / t["A"] + c
     del t

@@ -142,7 +142,8 @@ class Matrices2:
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10
 _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
 # generator points per call: a round of each benchmarked integration is one
-# call, of half the points of a full surface.fields_at block (_BLOCK_POINTS)
+# call, of an eighth of the points of a full surface.fields_at block
+# (_BLOCK_POINTS)
 _MAX_POINTS = 4096
 # local error per step of every solve: a surface's frame (which the battery
 # reads off its steps too), the limit frame and close_torus

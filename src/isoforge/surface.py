@@ -10,22 +10,22 @@ All frame fields come from closed forms: with z j = a j + b k for z = a + ib,
 where sqrt(1-w'^2) is the spec's signed root.  fields_at evaluates the
 fields its caller names on a (u, v) grid in blocks of whole v columns: the
 fewest blocks of at most _BLOCK_POINTS points, their widths differing by at
-most one (np.array_split's rule), so a 128 x 129 display grid runs as three
-blocks of 43 columns.  Each block is one `curvefamily.forms_at` call on
-u x w(block), for the closed forms its fields read (points: gamma;
-fu, fv: e^h and e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta
-arrays come from one `theta.theta_tensor` call with the truncation bound
-of the theta series.  The blocks keep the theta temporaries bounded, and
-the frame acts through one 3x3 rotation matrix per column
-(quat.qrotation(Phi), whose columns are Phi^{-1} i Phi, Phi^{-1} j Phi and
-Phi^{-1} k Phi).  Each vector field is stored as component planes: one
-C-contiguous (3, nu, nv) array of its x, y and z grids, assembled plane by
-plane and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1);
-elementwise results keep the layout, and reshape(-1, 3) of such a view
-copies.  Every norm and dot product over xyz (`_norm`, `_dot`) adds the
-three planes: bit for bit the values of numpy's 3-wide reduce, at a
-fraction of its time on C-ordered grids (0.1 against 0.4 ms at
-128 x 129) and on the battery's fresh temporaries, where
+most one (np.array_split's rule), so a 128 x 129 display grid runs as one
+block.  Each block is one `curvefamily.forms_at` call on u x w(block),
+for the closed forms its fields read (points: gamma; fu, fv: e^h and
+e^{i sigma}; n: e^{i sigma}; expH: e^h), whose theta arrays (A, G and D
+for all five fields) come from one `theta.theta_tensor` call with the
+truncation bound of the theta series.  The blocks keep the theta
+temporaries bounded, and the frame acts through one 3x3 rotation matrix
+per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
+Phi^{-1} j Phi and Phi^{-1} k Phi).  Each vector field is stored as
+component planes: one C-contiguous (3, nu, nv) array of its x, y and z
+grids, assembled plane by plane and exposed as the (nu, nv, 3) view
+np.moveaxis(planes, 0, -1); elementwise results keep the layout, and
+reshape(-1, 3) of such a view copies.  Every norm and dot product over
+xyz (`_norm`, `_dot`) adds the three planes: bit for bit the values of
+numpy's 3-wide reduce, at a fraction of its time on C-ordered grids (0.1
+against 0.4 ms at 128 x 129) and on the battery's fresh temporaries, where
 np.linalg.norm's own (..., 3) temporaries cost most.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
@@ -86,10 +86,14 @@ class SampledSurface:
 # grid points per block of whole v columns in fields_at (one column when
 # nu is larger).  Each block pays a fixed cost for its forms_at call (the theta
 # call and the forms, about half of a one-column call's 0.3 to 0.6 ms), so
-# display-size grids want few blocks; but beyond about 8k points the cost
-# per point rises again (a cache knee).  On a 128 x 129 grid, three blocks
-# of 43 columns ran faster than five, two or one.
-_BLOCK_POINTS = 8192
+# display-size grids want few blocks, while the temporaries of a block
+# grow with its points (a traced peak of 2.9, 3.5 and 4.0 MB for all
+# fields on 128 x 129 at 8192, 16384 and 32768).  Swept in one process at
+# 8192, 16384 and 32768 (all fields, medians of 15 interleaved rounds on
+# one CPU of a shared 2-vCPU host): 64 x 65 is one block at each (0.9 to
+# 1.0 ms); 128 x 129 took 3.4, 3.4 and 2.7 ms (3, 2 and 1 blocks) and
+# 256 x 257 15.0, 14.1 and 13.3 ms (9, 5 and 3 blocks).
+_BLOCK_POINTS = 32768
 
 
 def _norm(x, axis=-1):

@@ -519,9 +519,9 @@ def test_curves_writes_csv(tmp_path):
     assert (tmp_path / "curves.svg").exists()
 
 
-def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
+def test_curves_evaluates_five_theta_arrays_per_w(tmp_path, theta_arrays):
     """gamma, e^h, e^{i sigma} and the hyperbolic curvature of one curve
-    share five theta arrays and two derivative arrays.  The curves of a
+    share three theta arrays and two derivative arrays.  The curves of a
     block of w share one theta_tensor call, one matrix product on the
     rhombic lattice, whose arrays hold one column per w; only W1 evaluates
     theta at a point array, the block's w."""
@@ -529,10 +529,10 @@ def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
         "curves", _write(tmp_path, _base_cfg()), "--w", "0.7", "--w", "1.3",
         "--n", "64", "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert theta_arrays.calls == [((1, 1, 1, 1, 2, 2, 2), 65, (7, 2))]
+    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 65, (5, 2))]
     assert theta_arrays.products == [1]
-    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 7
-    assert len(set(theta_arrays.columns)) == len(theta_arrays.columns) == 14
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 5
+    assert len(set(theta_arrays.columns)) == len(theta_arrays.columns) == 10
     assert theta_arrays.grid == [(2,)] * 2
     # at --n 4096 a block holds four curves: five w make two blocks
     theta_arrays.calls.clear()
@@ -540,8 +540,8 @@ def test_curves_evaluates_seven_theta_arrays_per_w(tmp_path, theta_arrays):
         "curves", _write(tmp_path, _base_cfg()), "--n", "4096",
         "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    assert theta_arrays.calls == [((1, 1, 1, 1, 2, 2, 2), 4097, (7, 4)),
-                                  ((1, 1, 1, 1, 2, 2, 2), 4097, (7, 1))]
+    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 4097, (5, 4)),
+                                  ((1, 1, 1, 2, 2), 4097, (5, 1))]
 
 
 def test_curves_writes_no_file_when_a_later_w_fails(tmp_path, monkeypatch,
@@ -1216,6 +1216,20 @@ def test_verify_integrates_the_frame_once(tmp_path, frame_calls, crit032,
     assert result.exit_code == 0, result.output
     assert [c["step_tol"] for c in frame_calls] == [1e-12]
     assert len(frame_calls[0]["v_nodes"]) == 24 + 1
+
+
+def test_verify_runs_each_display_size_grid_as_one_block(tmp_path,
+                                                         theta_arrays):
+    """A README verify at 128 x 128 makes one theta_tensor call per block
+    of fields_at, and each 128 x 129 grid is one block: the display grid
+    fetches A, G and D (rows theta1, theta1, theta2) for all five fields,
+    and the involution's 2 omega - u grid A and G for its points."""
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, _README_CFG), "--out",
+        str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    wide = [call for call in theta_arrays.calls if call[1] == 128]
+    assert wide == [((1, 1, 2), 128, (3, 129)), ((1, 1), 128, (2, 129))]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

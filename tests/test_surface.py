@@ -89,9 +89,11 @@ def _fields_by_column(fam, spec, u, v, phi):
     return {k: np.stack(val, axis=1) for k, val in out.items()}
 
 
-def test_grid_fields_match_column_loop(torus_surf, crit032, theta_arrays):
-    """512 x 49 points span four blocks of columns, 13, 12, 12 and 12
-    wide."""
+def test_grid_fields_match_column_loop(torus_surf, crit032, theta_arrays,
+                                      monkeypatch):
+    """At 8192 points per block, 512 x 49 points span four blocks of
+    columns, 13, 12, 12 and 12 wide."""
+    monkeypatch.setattr(surface, "_BLOCK_POINTS", 8192)
     spec = torus_surf.recipe.spec
     u = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
     got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
@@ -187,21 +189,20 @@ def test_fields_at_splits_a_display_grid_into_balanced_blocks(crit032,
 
 def test_fields_at_block_evaluates_five_theta_arrays(torus_surf, crit032,
                                                      theta_arrays):
-    """One block of columns fetches the five theta arrays that gamma,
-    e^{i sigma} and e^h share -- theta1((z + omega)/2), theta1((zb +
-    omega)/2), theta1((z - 3 omega)/2), td((z - omega)/2) and
-    td((zb - omega)/2) -- in one theta_tensor call (one product on the
-    rhombic lattice) without the derivative arrays, evaluates no array
-    twice and none point by point."""
+    """One block of columns fetches the three theta arrays that gamma,
+    e^{i sigma} and e^h share -- theta1((z + omega)/2), theta1((z -
+    3 omega)/2) and td((z - omega)/2), none at zb -- in one theta_tensor
+    call (one product on the rhombic lattice) without the derivative
+    arrays, evaluates no array twice and none point by point."""
     u = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     v = torus_surf.v[:40]
     assert len(u) * len(v) <= surface._BLOCK_POINTS
     surface.fields_at(crit032, torus_surf.recipe.spec, u, v,
                       torus_surf.phi[:40])
-    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 64, (5, 40))]
+    assert theta_arrays.calls == [((1, 1, 2), 64, (3, 40))]
     assert theta_arrays.products == [1]
     assert {k[:2] for k in theta_arrays.arrays} == {(1, 0), (2, 0)}
-    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 5
+    assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays) == 3
     assert theta_arrays.grid == []
 
 
@@ -209,11 +210,11 @@ def test_build_block_makes_one_theta_call_for_five_arrays(crit032,
                                                           torus_spec,
                                                           theta_arrays):
     """A 48 x 49 build is one block of columns: its fields read gamma,
-    e^h and e^{i sigma}, so one theta_tensor call fetches A, Ab, G, D and
-    Db without the derivative arrays A' and D'."""
+    e^h and e^{i sigma}, so one theta_tensor call fetches A, G and D
+    without the derivative arrays A' and D'."""
     surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
                                         nu=48, nv=48))
-    assert theta_arrays.calls == [((1, 1, 1, 2, 2), 48, (5, 49))]
+    assert theta_arrays.calls == [((1, 1, 2), 48, (3, 49))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
@@ -242,19 +243,18 @@ def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
     rep = surface.inversion_symmetry(torus_surf, crit032)
     _assert_inversion_symmetric(rep, crit032)
     assert theta_arrays.calls == [((1, 1), 48, (2, 49)),
-                                  ((1, 1, 1, 2, 2), 1, (5, 49))]
+                                  ((1, 1, 2), 1, (3, 49))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
 def test_dual_grid_fetches_four_arrays(torus_surf, crit032, theta_arrays):
     """On an even nu the dual checks read fu and fv at pi - u from the
     surface's grid; they evaluate fu and expH on the u-edges of the loop
-    and fv and expH on its v-edges: each grid fetches A, Ab, D and Db
-    only."""
+    and fv and expH on its v-edges: each grid fetches A and D only."""
     rep = surface.dual_symmetry(torus_surf)
     _assert_dual_symmetric(rep)
-    four = (1, 1, 2, 2)
-    assert theta_arrays.calls == [(four, 16, (4, 2)), (four, 2, (4, 16))]
+    two = (1, 2)
+    assert theta_arrays.calls == [(two, 16, (2, 2)), (two, 2, (2, 16))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
@@ -290,21 +290,23 @@ def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
                                                nu=47, nv=24))
     theta_arrays.calls.clear()
     _assert_dual_symmetric(surface.dual_symmetry(surf))
-    four = (1, 1, 2, 2)
-    assert theta_arrays.calls == [(four, 47, (4, 25)), (four, 16, (4, 2)),
-                                  (four, 2, (4, 16))]
+    two = (1, 2)
+    assert theta_arrays.calls == [(two, 47, (2, 25)), (two, 16, (2, 2)),
+                                  (two, 2, (2, 16))]
 
 
 @pytest.mark.parametrize("names", [
     ("points",), ("points", "fu"), ("fu", "fv"), ("fu", "expH"),
     ("fv", "expH"), ("fu", "fv", "n", "expH"), ("points", "fv")])
-def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names):
+def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names,
+                                               monkeypatch):
     """Each set of fields a battery stage requests (build's all, the
     involution's points and its omega row's points and fu, the dual
     checks' fu/fv, fu/expH and fv/expH, the PDE stencil's fu, fv, n and
     expH, fv_vs_fd's points and fv) equals, bit for bit, the same arrays
-    of the full call, on a grid of three blocks, 17, 16 and 16 columns
-    wide."""
+    of the full call, on a grid of three blocks at 8192 points per block,
+    17, 16 and 16 columns wide."""
+    monkeypatch.setattr(surface, "_BLOCK_POINTS", 8192)
     spec = torus_surf.recipe.spec
     u = np.linspace(0.0, 2 * np.pi, 384, endpoint=False)
     v, phi = torus_surf.v, torus_surf.phi
@@ -324,12 +326,11 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                                    theta_arrays, monkeypatch):
     """Both probe steps share one stencil: the frame read from the
     surface's solve (no integration), one forms_at call (one theta_tensor
-    call for the six arrays its
-    forms read, all but G, on the 5 u-shifts x (5 w(v) shifts + 4
-    w-shifts) of the probes), one
-    coeffs sample and one fields_at call for fu, fv, n and expH (one
-    theta_tensor call for A, Ab, D and Db in one block); no array is
-    evaluated twice.  (theta_grid still serves W1 along the frame.)"""
+    call for the four arrays its forms read, A, A', D and D', on the 5
+    u-shifts x (5 w(v) shifts + 4 w-shifts) of the probes), one coeffs
+    sample and one fields_at call for fu, fv, n and expH (one
+    theta_tensor call for A and D in one block); no array is evaluated
+    twice.  (theta_grid still serves W1 along the frame.)"""
     counts = {"integrate": 0, "fields_at": 0, "coeffs": 0}
     for mod, name in ((frame, "integrate"), (surface, "fields_at"),
                       (surface, "coeffs")):
@@ -345,8 +346,8 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
                                  torus_surf.traj, steps=steps)
     assert len(levels) == 2
     assert counts == {"integrate": 0, "fields_at": 1, "coeffs": 1}
-    assert sorted(theta_arrays.calls) == [((1, 1, 1, 2, 2, 2), 20, (6, 45)),
-                                          ((1, 1, 2, 2), 20, (4, 25))]
+    assert sorted(theta_arrays.calls) == [((1, 1, 2, 2), 20, (4, 45)),
+                                          ((1, 2), 20, (2, 25))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
 
 
