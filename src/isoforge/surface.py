@@ -37,9 +37,10 @@ The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
 around all probes and all probe steps at once, whose steps are independent
 of the display grid, so truncation error is controlled by the probe step
-alone.  `build` solves the frame once and keeps the solve as `traj`, from
-which the battery reads the frame at its own v-nodes (that stencil, the
-fv_vs_fd probes, the dual loop's quadrature nodes) with `traj.at`.
+alone.  `build` solves the frame once and keeps the solve as `traj`;
+`verify.small_grids` reads the frame at every v off the display grid that
+the battery needs with one `traj.at`, and fv_vs_fd's probes, the dual
+loop's edges and the u = omega row as blocks of one `fields_at` tensor.
 
 Every certificate here (`build`'s diagnostics, each level of `pde_battery`,
 `inversion_symmetry`, `dual_symmetry` and `planarity_certificate`) returns
@@ -279,11 +280,18 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
 # ---------------------------------------------------------------------------
 # residual battery
 
-# u- and v-probes each of gauss_codazzi_residuals
+# u- and v-probes each of the battery's PDE stencil
 _N_PROBE = 6
 
 
-def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
+def _stencil(probes, steps):
+    """probes shifted by 0 and by -h and +h for every probe step h: the
+    nodes (S, n) of the PDE stencil along one axis, shifts leading."""
+    off = np.concatenate([[0.0], *([-h, h] for h in steps)])
+    return np.asarray(probes, dtype=float) + off[:, None]
+
+
+def pde_battery(fam, spec, u_probes, v_probes, phi, steps):
     """Max residuals of the local structure equations at probe points, one
     dict per probe step h of `steps` (du = dv = h), keyed by check name
     (pde_gauss, ..., pde_hw_quartic).
@@ -298,22 +306,16 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
     every step form one stencil: one `forms_at` call on its u-nodes x (its w(v)
     and its w-shifts), one `coeffs` sample and one `fields_at` on its
     u-nodes x v-nodes serve every step.  Grids below have the shifts along
-    their leading axes.  The frame at the stencil's v-nodes is read from
-    traj, a frame solve whose interval holds them.
+    their leading axes.  phi is the frame at the stencil's v-nodes,
+    _stencil(v_probes, steps).ravel().
     """
-    u_probes = np.asarray(u_probes, dtype=float)
-    nu, nv = len(u_probes), len(v_probes)
-    # the stencil shifts 0, -h, +h of every probe step h
-    off = np.concatenate([[0.0], *([-h, h] for h in steps)])   # (S,)
-    ns = len(off)
-    us = u_probes + off[:, None]                               # (S, nu)
-    vs = np.asarray(v_probes, dtype=float) + off[:, None]     # (S, nv)
+    us, vs = _stencil(u_probes, steps), _stencil(v_probes, steps)
+    (ns, nu), nv = us.shape, len(v_probes)
 
-    # grid columns: w(v_probes + off[s]) for every s, then w(v_probes) + off[s]
-    # for s > 0 (the w-shifts)
+    # grid columns: w(vs), then the nonzero shifts of w(v_probes) (w-shifts)
     wv, wpv, _ = spec.planes(vs.ravel())
     grid = curvefamily.forms_at(
-        us.ravel(), np.concatenate([wv, (wv[:nv] + off[1:, None]).ravel()]),
+        us.ravel(), np.concatenate([wv, _stencil(wv[:nv], steps)[1:].ravel()]),
         fam, ("exp_h", "dlog_gamma_u", "exp_isigma"))
     wcol = np.concatenate([[0], np.arange(ns, 2 * ns - 1)])
 
@@ -338,7 +340,7 @@ def pde_battery(fam, spec, u_probes, v_probes, traj, steps=(4e-4,)):
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
     # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(), traj.at(vs.ravel()),
+    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi,
                   ("fu", "fv", "n", "expH"))
     fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
     e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
@@ -419,27 +421,25 @@ def is_flat(s: SampledSurface) -> bool:
     return not np.any(s.recipe.spec.planes(s.v)[1])
 
 
-def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
+def inversion_symmetry(s: SampledSurface, crit: Family, row: dict) -> dict:
     """Thm-5.7 involution: -R(omega)^2 f^{-1}(u,v) = f(2 omega - u, v).
 
     For imaginary quaternions f^{-1} = -f/|f|^2, so the left side is
-    R^2 f / |f|^2.  Also checks the u = omega sphere and tangency there.
+    R^2 f / |f|^2.  Also checks the u = omega sphere and tangency there on
+    row, points and fu at u = omega x s.v from `verify.small_grids`.
     Returns the residuals `inversion_involution` (absolute and, as
     `inversion_involution_rel`, relative to |R|), `inversion_omega_sphere`
     and `inversion_omega_parallel`.
     """
-    spec, fam = s.recipe.spec, crit
-    R = fam.R
+    spec, fam, R = s.recipe.spec, crit, crit.R
     f2 = fields_at(fam, spec, 2 * fam.omega - s.u, s.v, s.phi, ("points",))
     # on the (3, nu, nv) planes that fields_at assembled
     f, f2 = np.moveaxis(s.points, -1, 0), np.moveaxis(f2["points"], -1, 0)
     inv = R ** 2 * f / (f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
     res_inv = float(np.max(_norm(inv - f2, 0)))
 
-    row = fields_at(fam, spec, [fam.omega], s.v, s.phi, ("points", "fu"))
-    fom = row["points"][0]
+    fom, fuom = row["points"][0], row["fu"][0]
     sphere = float(np.max(np.abs(_norm(fom) - abs(R))))
-    fuom = row["fu"][0]
     par = float(np.max(_norm(fom / R + fuom / _norm(fuom)[..., None])))
     return {"inversion_involution": res_inv,
             "inversion_involution_rel": res_inv / abs(R),
@@ -447,15 +447,26 @@ def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
             "inversion_omega_parallel": par}
 
 
-def dual_symmetry(s: SampledSurface) -> dict:
+def _dual_loop(s: SampledSurface):
+    """The 16-point Gauss-Legendre loop around the cell [u_1, u_2] x
+    [v_1, v_2]: its u- and v-edge nodes, then their scaled weights."""
+    nodes, weights = gauss_legendre(16)
+    (ua, ub), (va, vb) = s.u[1:3], s.v[1:3]
+    return (0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes,
+            0.5 * (va + vb) + 0.5 * (vb - va) * nodes,
+            0.5 * (ub - ua) * weights, 0.5 * (vb - va) * weights)
+
+
+def dual_symmetry(s: SampledSurface, loop) -> dict:
     """Christoffel duality as the u-shift: f^*(u,v) = -f(pi - u, v).
 
     The dual one-form is df^* = e^{-2h}(f_u du - f_v dv); the residuals
     compare the shifted closed-form fields against it, check closedness of
     the form around a grid cell, and apply the involution twice:
     `dual_dual_u`, `dual_dual_v`, `dual_double_dual` and
-    `dual_loop_integral`.  The frame inside the loop's cell comes from
-    s's own solve, `s.traj`.
+    `dual_loop_integral`.  loop, from `verify.small_grids`, holds the
+    `_dual_loop` weights of the u- and v-edges, then fu and expH at its
+    u-nodes x (v_1, v_2) and fv and expH at (u_1, u_2) x its v-nodes.
 
     On an even nu, pi - u_i is the grid's u at row (nu/2 - i) mod nu up to
     2 pi, so fu and fv there are rows of s, and the check rests on the
@@ -482,20 +493,11 @@ def dual_symmetry(s: SampledSurface) -> dict:
                        np.max(_norm(fv_pi / e2h_star - fv, 0))) / top)
 
     # closedness of the dual one-form around one grid cell (quadrature loop)
-    nodes, weights = gauss_legendre(16)
-    ua, ub = s.u[1], s.u[2]
-    va, vb = s.v[1], s.v[2]
-    um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * nodes
-    vm = 0.5 * (va + vb) + 0.5 * (vb - va) * nodes
-    # u-edges at v = va, vb (grid columns 1, 2); the v-edges need the frame
-    # at interior quadrature nodes
-    fl = fields_at(fam, spec, um, [va, vb], s.phi[1:3], ("fu", "expH"))
-    om_u = fl["fu"] / fl["expH"][..., None] ** 2              # (16, 2, 3)
-    fl = fields_at(fam, spec, [ua, ub], vm, s.traj.at(vm), ("fv", "expH"))
-    om_v = fl["fv"] / fl["expH"][..., None] ** 2              # (2, 16, 3)
-    loop = (0.5 * (ub - ua) * weights @ (om_u[:, 0] - om_u[:, 1])
-            + 0.5 * (vb - va) * weights @ (om_v[0] - om_v[1]))
-    res_loop = float(np.linalg.norm(loop))
+    wu, wv, ue, ve = loop
+    om_u = ue["fu"] / ue["expH"][..., None] ** 2              # (16, 2, 3)
+    om_v = ve["fv"] / ve["expH"][..., None] ** 2              # (2, 16, 3)
+    res_loop = float(np.linalg.norm(wu @ (om_u[:, 0] - om_u[:, 1])
+                                    + wv @ (om_v[0] - om_v[1])))
 
     return {"dual_dual_u": res_u, "dual_dual_v": res_v,
             "dual_double_dual": res_dd, "dual_loop_integral": res_loop}
@@ -512,12 +514,3 @@ def _gauss_codazzi_probes(s: SampledSurface):
     iu = ok[np.unique(np.linspace(0, len(ok) - 1, _N_PROBE).astype(int))]
     jv = np.linspace(2, len(s.v) - 3, _N_PROBE).astype(int)
     return s.u[iu], s.v[jv]
-
-
-def gauss_codazzi_residuals(s: SampledSurface, steps=(4e-4, 8e-4)) -> list:
-    """Convenience wrapper: run the PDE battery at _N_PROBE u- and
-    v-probes from the grid, one dict of residuals per probe step, with the
-    frame of s's own solve."""
-    u_probes, v_probes = _gauss_codazzi_probes(s)
-    return pde_battery(s.recipe.fam, s.recipe.spec, u_probes, v_probes,
-                       s.traj, steps)

@@ -116,17 +116,17 @@ def battery(surf, fam) -> dict:
     values = dict(surf.diagnostics)  # the build's metric and normal residuals
 
     # u-closure of gamma (closed only at critical omega on rhombic lattices)
+    # between u = 0 and 2 pi, off the limit the rows 0 and 64 of one grid
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
-    ends = np.array([0.0, 2 * np.pi])
-    g0 = (curvefamily.gamma_hat(ends[:, None], ws, fam) if is_limit
-          else curvefamily.forms_at(ends, ws, fam, ("gamma",))["gamma"])
-    values["u_closure"] = float(np.max(np.abs(g0[1] - g0[0])))
+    g = (curvefamily.gamma_hat(np.array([[0.0], [2 * np.pi]]), ws, fam)
+         if is_limit else curvefamily.forms_at(
+             np.linspace(0.0, 2 * np.pi, 65), ws, fam, ("exp_h", "gamma")))
+    gam = g if is_limit else g["gamma"]
+    values["u_closure"] = float(np.max(np.abs(gam[-1] - gam[0])))
 
     if not is_limit:
-        # metric identity e^h = 2 Re(W1 conj gamma)
-        us = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        f = curvefamily.forms_at(us, ws, fam, ("exp_h", "gamma"))
-        eh, gam = f["exp_h"], f["gamma"]
+        # metric identity e^h = 2 Re(W1 conj gamma) on that grid's 64 u < 2 pi
+        eh, gam = g["exp_h"][:-1], gam[:-1]
         w1 = curvefamily.w1(ws, fam)
         values["metric_identity"] = float(
             np.max(np.abs(eh - 2 * np.real(w1 * np.conj(gam))) / eh))
@@ -134,7 +134,8 @@ def battery(surf, fam) -> dict:
         # PDE identities: require second-order convergence of the FD
         # residuals plus a residual cap; with w' = 0 at every v-sample
         # pde_codazzi_v vanishes identically, its roundoff of no order
-        res, coarse = surface.gauss_codazzi_residuals(surf)
+        stencil, fv_fd, row, loop = small_grids(surf, fam)
+        res, coarse = surface.pde_battery(fam, spec, *stencil)
         values.update(res)
         flat = surface.is_flat(surf)
         orders = [np.log2(coarse[k] / res[k]) for k in res
@@ -143,7 +144,7 @@ def battery(surf, fam) -> dict:
                                        else 0.0)
 
         # closed-form fv against a finite difference of the immersion
-        values["fv_vs_fd"] = _fv_fd_residual(surf, fam)
+        values["fv_vs_fd"] = _fv_fd_residual(fv_fd)
 
         # admissibility + branch smoothness of the signed root: a wrong
         # branch (e.g. |.| of a sign-changing root) kinks, so its second
@@ -157,8 +158,8 @@ def battery(surf, fam) -> dict:
                                             / max(rep_c.root_dd2, 1.0))
 
         if fam.mode == "critical":  # symmetry involutions
-            values.update(surface.inversion_symmetry(surf, fam))
-            values.update(surface.dual_symmetry(surf))
+            values.update(surface.inversion_symmetry(surf, fam, row))
+            values.update(surface.dual_symmetry(surf, loop))
 
     values.update(surface.planarity_certificate(surf))
     if spec.kind == "spherical" and not is_limit:
@@ -166,21 +167,47 @@ def battery(surf, fam) -> dict:
     return values
 
 
-def _fv_fd_residual(surf, fam):
-    """Max |fv - d(points)/dv| (catches sign errors) on one field grid over
-    three probes, each at -dv, 0 and +dv, with the surface's own frame,
-    relative to the largest e^h = |fv| on that grid: the difference's
-    truncation error grows with the surface's scale."""
-    spec, dv = surf.recipe.spec, 1e-4
-    v0 = np.linspace(0.31, 0.77, 3) * spec.period
-    nodes = (v0[:, None] + [-dv, 0.0, dv]).ravel()
-    us = surf.u[:: max(1, len(surf.u) // 8)]
-    f = surface.fields_at(fam, spec, us, nodes, surf.traj.at(nodes),
-                          ("points", "fv", "expH"))
-    pts = f["points"].reshape(len(us), 3, 3, 3)   # (u, probe, shift, xyz)
-    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * dv)
+_FV_DV = 1e-4  # the v-step of fv_vs_fd's differences
+
+
+def _fv_fd_residual(f):
+    """Max |fv - d(points)/dv| (catches sign errors) on f, fv_vs_fd's
+    block of `small_grids` (three probes, each at -dv, 0 and +dv), relative
+    to its largest e^h = |fv|: the truncation error grows with scale."""
+    pts = f["points"].reshape(-1, 3, 3, 3)        # (u, probe, shift, xyz)
+    fd = (pts[:, :, 2] - pts[:, :, 0]) / (2 * _FV_DV)
     err = np.max(np.abs(fd - f["fv"].reshape(pts.shape)[:, :, 1]))
     return float(err / np.max(f["expH"]))
+
+
+def small_grids(surf, fam):
+    """The battery's small grids on surf, (stencil, fv_fd, row, loop):
+    pde_battery's arguments after fam and spec, then the blocks of
+    fv_vs_fd, inversion_symmetry's u = omega row and dual_symmetry's loop
+    (the last two None off a critical family).  One `traj.at` reads the
+    frame at every v off the display grid, and the blocks are the diagonal
+    blocks of one `fields_at` tensor (their u and v concatenated)."""
+    critical, steps = fam.mode == "critical", (4e-4, 8e-4)
+    u_probes, v_probes = surface._gauss_codazzi_probes(surf)
+    v0 = np.linspace(0.31, 0.77, 3) * surf.recipe.spec.period
+    fv_v = (v0[:, None] + [-_FV_DV, 0.0, _FV_DV]).ravel()
+    um, vm, *weights = surface._dual_loop(surf) if critical else [[]] * 4
+    off_grid = [surface._stencil(v_probes, steps).ravel(), fv_v, vm]
+    phi = np.split(surf.traj.at(np.concatenate(off_grid)),
+                   np.cumsum([len(v) for v in off_grid[:-1]]))
+    # (u, v, frame at v): fv_vs_fd's every (nu // 8)-th u x probes, then
+    # on a critical family the loop's edges and the u = omega row
+    blocks = [(surf.u[:: max(1, len(surf.u) // 8)], fv_v, phi[1]),
+              (um, surf.v[1:3], surf.phi[1:3]), (surf.u[1:3], vm, phi[2]),
+              ([fam.omega], surf.v, surf.phi)][:4 if critical else 1]
+    f = surface.fields_at(fam, surf.recipe.spec,
+                          *(np.concatenate(x) for x in zip(*blocks)),
+                          ("points", "fu", "fv", "expH"))
+    iu, iv = (np.cumsum([0] + [len(b[k]) for b in blocks]) for k in (0, 1))
+    fv_fd, *rest = ({k: x[iu[i]:iu[i + 1], iv[i]:iv[i + 1]]
+                     for k, x in f.items()} for i in range(len(blocks)))
+    row, loop = (rest[2], (*weights, *rest[:2])) if critical else (None, None)
+    return (u_probes, v_probes, phi[0], steps), fv_fd, row, loop
 
 
 def spherical_battery(surf, mono, sph) -> dict:

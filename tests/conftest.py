@@ -120,6 +120,22 @@ def q_coeffs(sph, crit):
 MIRRORED_FORMS = ("gamma", "gamma_u", "dlog_gamma_u")
 
 
+def stencil_frame(traj, v_probes, steps):
+    """The frame at the PDE stencil's v-nodes of v_probes and steps, read
+    from traj on its own (verify.small_grids reads it in the battery's
+    one traj.at)."""
+    return traj.at(surface._stencil(v_probes, steps).ravel())
+
+
+def pde_levels(surf, steps):
+    """surface.pde_battery on surf's own probes at the probe steps `steps`,
+    its stencil's frame read from surf's solve by stencil_frame."""
+    u_probes, v_probes = surface._gauss_codazzi_probes(surf)
+    return surface.pde_battery(surf.recipe.fam, surf.recipe.spec, u_probes,
+                               v_probes, stencil_frame(surf.traj, v_probes,
+                                                       steps), steps)
+
+
 def curve_form(name, u, w, fam):
     """The closed form `name` of fam on the grid u x w, from a
     `curvefamily.forms_at` call for that form alone (on the mirrored band

@@ -13,7 +13,7 @@ from isoforge import curvefamily, elliptic, frame, reparam
 from isoforge import surface, theta, verify
 from isoforge.errors import NoCriticalOmega
 
-from conftest import curve_form, period_nodes
+from conftest import curve_form, pde_levels, period_nodes
 
 LAMBDA0_REF = 0.354729892522
 
@@ -96,8 +96,7 @@ def test_criterion_04_pde_battery(acc_surf):
     # order from the 8e-4 -> 4e-4 halving (truncation-dominated); absolute
     # residuals at the finest 2e-4 step
     steps = (2e-4, 4e-4, 8e-4)
-    finest, fine, coarse = surface.gauss_codazzi_residuals(acc_surf,
-                                                           steps=steps)
+    finest, fine, coarse = pde_levels(acc_surf, steps)
     dt = time.perf_counter() - t0
     ok = dt < 30.0
     worst_order = np.inf
@@ -114,8 +113,9 @@ def test_criterion_04_pde_battery(acc_surf):
 
 def test_criterion_05_symmetry_involutions(acc_surf, crit032):
     R = abs(crit032.R)
-    inv = surface.inversion_symmetry(acc_surf, crit032)
-    dual = surface.dual_symmetry(acc_surf)
+    _, _, row, loop = verify.small_grids(acc_surf, crit032)
+    inv = surface.inversion_symmetry(acc_surf, crit032, row)
+    dual = surface.dual_symmetry(acc_surf, loop)
     ok = (inv["inversion_involution"] < 1e-8 * R
           and inv["inversion_omega_sphere"] < 1e-9
           and inv["inversion_omega_parallel"] < 1e-9

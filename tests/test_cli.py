@@ -1411,7 +1411,7 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
     cfg = _README_CFG if config == "readme" else sph_cfg_grid32
     _, fam, surf = cli_mod._build(_write(tmp_path, cfg))
     returned = {}
-    for mod, name in ((surface, "gauss_codazzi_residuals"),
+    for mod, name in ((surface, "pde_battery"),
                       (surface, "inversion_symmetry"),
                       (surface, "dual_symmetry"),
                       (surface, "planarity_certificate"),
@@ -1423,7 +1423,7 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
     values = verify.battery(surf, fam)
 
     diagnostics = surf.diagnostics
-    levels = returned.pop("gauss_codazzi_residuals")
+    levels = returned.pop("pde_battery")
     assert len(levels) == 2
     assert sorted(returned) == sorted(
         ["inversion_symmetry", "dual_symmetry", "planarity_certificate"]
@@ -1437,3 +1437,36 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
     assert set(values) - set(union) == {
         "u_closure", "metric_identity", "pde_order_deficit", "fv_vs_fd",
         "reparam_admissible", "root_consistency", "root_branch_smoothness"}
+
+
+@pytest.mark.parametrize("mode", ["critical", "explicit"])
+def test_battery_reads_the_frame_once_and_small_grids_in_one_block(
+        tmp_path, monkeypatch, crit032, mode):
+    """A README battery reads the frame off the surface's solve in one
+    FrameTrajectory.at call, and evaluates fields in three fields_at calls
+    on a critical family (the PDE stencil, the 2 omega - u grid and the
+    union of the small grids) and two on an explicit one (the stencil and
+    fv_vs_fd's grid).  The critical union is 27 x 156 points: fv_vs_fd's
+    8 u (every 16th of 128), the loop's 16 u, u_1, u_2 and omega by
+    fv_vs_fd's 9 v, v_1, v_2, the loop's 16 v and the 129 grid v."""
+    from isoforge import surface, verify
+    omega = ({"mode": "critical"} if mode == "critical" else
+             {"mode": "explicit", "value": crit032.omega})
+    _, fam, surf = cli_mod._build(_write(tmp_path, {**_README_CFG,
+                                                    "omega": omega}))
+    calls = {"at": [], "fields_at": []}
+    for owner, name in ((frame.FrameTrajectory, "at"),
+                        (surface, "fields_at")):
+        def counted(*a, _f=getattr(owner, name), _n=name, **k):
+            calls[_n].append(a)
+            return _f(*a, **k)
+        monkeypatch.setattr(owner, name, counted)
+    values = verify.battery(surf, fam)
+    assert len(calls["at"]) == 1
+    shapes = [(len(a[2]), len(a[3])) for a in calls["fields_at"]]
+    stencil = (5 * 6, 5 * 6)
+    if mode == "critical":
+        assert sorted(shapes) == sorted([stencil, (128, 129), (27, 156)])
+    else:
+        assert sorted(shapes) == sorted([stencil, (8, 9)])
+    assert values["fv_vs_fd"] < verify.CHECKS["fv_vs_fd"].tol

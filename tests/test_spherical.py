@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from isoforge import curvefamily, elliptic, frame, reparam, spherical, surface
 from isoforge.errors import PoleProximity
 
-from conftest import curve_form, period_nodes, q_coeffs
+from conftest import curve_form, pde_levels, period_nodes, q_coeffs
 
 RNG = np.random.default_rng(31)
 
@@ -254,7 +254,7 @@ def test_family_computes_lame_constant_once(sph, sph_surf, crit032,
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     for _ in range(2):
-        surface.gauss_codazzi_residuals(surf)
+        pde_levels(surf, (4e-4, 8e-4))
         spherical.integrate_phis(sph, fresh, [0.2, 0.9])
         spherical.sphere_centers(surf, sph)
         assert len(calls) == 1

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoforge import curvefamily, elliptic, frame, quat, reparam, surface, theta
+from isoforge import (curvefamily, elliptic, frame, quat, reparam, surface,
+                      theta, verify)
 from isoforge.errors import SpecInvalid
 
-from conftest import curve_form
+from conftest import curve_form, pde_levels, stencil_frame
 
 
 def test_isothermic_diagnostics(torus_surf):
@@ -239,23 +240,25 @@ def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
                                              theta_arrays):
     """The involution reads only the points of the 2 omega - u grid, so
     that grid fetches A and G and no td row; points and fu on the
-    u = omega row come from a one-row grid."""
-    rep = surface.inversion_symmetry(torus_surf, crit032)
+    u = omega row are a block of the battery's union grid."""
+    row = verify.small_grids(torus_surf, crit032)[2]
+    theta_arrays.calls.clear()
+    theta_arrays.arrays.clear()
+    rep = surface.inversion_symmetry(torus_surf, crit032, row)
     _assert_inversion_symmetric(rep, crit032)
-    assert theta_arrays.calls == [((1, 1), 48, (2, 49)),
-                                  ((1, 1, 2), 1, (3, 49))]
+    assert theta_arrays.calls == [((1, 1), 48, (2, 49))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
-def test_dual_grid_fetches_four_arrays(torus_surf, crit032, theta_arrays):
+def test_dual_symmetry_on_even_nu_evaluates_no_grid(torus_surf, crit032,
+                                                    theta_arrays):
     """On an even nu the dual checks read fu and fv at pi - u from the
-    surface's grid; they evaluate fu and expH on the u-edges of the loop
-    and fv and expH on its v-edges: each grid fetches A and D only."""
-    rep = surface.dual_symmetry(torus_surf)
-    _assert_dual_symmetric(rep)
-    two = (1, 2)
-    assert theta_arrays.calls == [(two, 16, (2, 2)), (two, 2, (2, 16))]
-    assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
+    surface's grid, and the loop's u- and v-edges are blocks of the
+    battery's union grid: dual_symmetry fetches no theta array."""
+    loop = verify.small_grids(torus_surf, crit032)[3]
+    theta_arrays.calls.clear()
+    _assert_dual_symmetric(surface.dual_symmetry(torus_surf, loop))
+    assert theta_arrays.calls == []
 
 
 def test_dual_rows_match_the_fresh_shifted_grid(torus_surf, crit032):
@@ -276,9 +279,64 @@ def test_dual_rows_match_the_fresh_shifted_grid(torus_surf, crit032):
             "dual_double_dual": np.maximum(
                 np.linalg.norm(fresh["fu"] * e2h - s.fu, axis=-1),
                 np.linalg.norm(fresh["fv"] * e2h - s.fv, axis=-1))}
-    got = surface.dual_symmetry(s)
+    got = surface.dual_symmetry(s, verify.small_grids(s, crit032)[3])
     for name, res in want.items():
         assert abs(got[name] - np.max(res) / top) < 1e-13, name
+
+
+def _separate_small_grids(s, fam):
+    """Each check's small grid evaluated on its own points, one traj.at and
+    one fields_at per grid: the PDE stencil's frame, fv_vs_fd's probes,
+    the u = omega row and the dual loop's weights and edges, in the layout
+    of verify.small_grids."""
+    spec, dv = s.recipe.spec, 1e-4
+    _, v_probes = surface._gauss_codazzi_probes(s)
+    stencil_phi = stencil_frame(s.traj, v_probes, (4e-4, 8e-4))
+    v0 = np.linspace(0.31, 0.77, 3) * spec.period
+    nodes = (v0[:, None] + [-dv, 0.0, dv]).ravel()
+    fv = surface.fields_at(fam, spec, s.u[:: max(1, len(s.u) // 8)], nodes,
+                           s.traj.at(nodes), ("points", "fv", "expH"))
+    row = surface.fields_at(fam, spec, [fam.omega], s.v, s.phi,
+                            ("points", "fu"))
+    x, weights = elliptic.gauss_legendre(16)
+    (ua, ub), (va, vb) = s.u[1:3], s.v[1:3]
+    um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * x
+    vm = 0.5 * (va + vb) + 0.5 * (vb - va) * x
+    loop = (0.5 * (ub - ua) * weights, 0.5 * (vb - va) * weights,
+            surface.fields_at(fam, spec, um, [va, vb], s.phi[1:3],
+                              ("fu", "expH")),
+            surface.fields_at(fam, spec, [ua, ub], vm, s.traj.at(vm),
+                              ("fv", "expH")))
+    return stencil_phi, fv, row, loop
+
+
+@pytest.mark.parametrize("grid", [(48, 48, 1), (47, 24, 1), (32, 24, 2)])
+def test_small_grids_match_separate_evaluations(crit032, torus_spec, grid):
+    """The blocks of verify.small_grids' one union fields_at (fv_vs_fd's
+    probes, the u = omega row, the dual loop's edges) equal each grid
+    evaluated on its own to round-off, its one traj.at reads the frame of
+    the separate reads, and the battery leaves the solve's err_est where
+    the separate reads leave it; on an even, an odd and a two-period
+    grid."""
+    nu, nv, periods = grid
+    surf = surface.build(surface.SurfaceRecipe(
+        fam=crit032, spec=torus_spec, nu=nu, nv=nv, periods=periods))
+    err0 = surf.traj.stats["err_est"]
+    want = _separate_small_grids(surf, crit032)
+    err_separate = surf.traj.stats["err_est"]
+    surf.traj.stats["err_est"] = err0
+    verify.battery(surf, crit032)
+    assert surf.traj.stats["err_est"] == err_separate
+    stencil, fv, row, loop = verify.small_grids(surf, crit032)
+    assert np.max(np.abs(stencil[2] - want[0])) <= 1e-15
+    pairs = [(fv, want[1]), (row, want[2]), (loop[2], want[3][2]),
+             (loop[3], want[3][3])]
+    for got, ref in pairs:
+        for name in ref:
+            assert got[name].shape == ref[name].shape, name
+            scale = max(1.0, float(np.max(np.abs(ref[name]))))
+            assert np.max(np.abs(got[name] - ref[name])) <= 1e-14 * scale
+    assert all(np.array_equal(g, w) for g, w in zip(loop[:2], want[3][:2]))
 
 
 def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
@@ -288,24 +346,24 @@ def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
     and fv on the shifted grid, and pass."""
     surf = surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
                                                nu=47, nv=24))
+    loop = verify.small_grids(surf, crit032)[3]
     theta_arrays.calls.clear()
-    _assert_dual_symmetric(surface.dual_symmetry(surf))
-    two = (1, 2)
-    assert theta_arrays.calls == [(two, 47, (2, 25)), (two, 16, (2, 2)),
-                                  (two, 2, (2, 16))]
+    _assert_dual_symmetric(surface.dual_symmetry(surf, loop))
+    assert theta_arrays.calls == [((1, 2), 47, (2, 25))]
 
 
 @pytest.mark.parametrize("names", [
     ("points",), ("points", "fu"), ("fu", "fv"), ("fu", "expH"),
-    ("fv", "expH"), ("fu", "fv", "n", "expH"), ("points", "fv")])
+    ("fv", "expH"), ("fu", "fv", "n", "expH"), ("points", "fv"),
+    ("points", "fu", "fv", "expH")])
 def test_fields_at_subset_equals_the_full_call(torus_surf, crit032, names,
                                                monkeypatch):
-    """Each set of fields a battery stage requests (build's all, the
-    involution's points and its omega row's points and fu, the dual
-    checks' fu/fv, fu/expH and fv/expH, the PDE stencil's fu, fv, n and
-    expH, fv_vs_fd's points and fv) equals, bit for bit, the same arrays
-    of the full call, on a grid of three blocks at 8192 points per block,
-    17, 16 and 16 columns wide."""
+    """Each set of fields equals, bit for bit, the same arrays of the full
+    call, on a grid of three blocks at 8192 points per block, 17, 16 and
+    16 columns wide: among them those the battery requests (build's all,
+    the involution's points, the odd-nu dual checks' fu and fv, the PDE
+    stencil's fu, fv, n and expH, and the union of the small grids'
+    points, fu, fv and expH)."""
     monkeypatch.setattr(surface, "_BLOCK_POINTS", 8192)
     spec = torus_surf.recipe.spec
     u = np.linspace(0.0, 2 * np.pi, 384, endpoint=False)
@@ -342,8 +400,9 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
     u_probes = np.array([0.3, 0.9, 2.0, 3.5])
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
     steps = (4e-4, 8e-4)
-    levels = surface.pde_battery(crit032, spec, u_probes, v_probes,
-                                 torus_surf.traj, steps=steps)
+    phi = stencil_frame(torus_surf.traj, v_probes, steps)
+    levels = surface.pde_battery(crit032, spec, u_probes, v_probes, phi,
+                                 steps)
     assert len(levels) == 2
     assert counts == {"integrate": 0, "fields_at": 1, "coeffs": 1}
     assert sorted(theta_arrays.calls) == [((1, 1, 2, 2), 20, (4, 45)),
@@ -359,8 +418,9 @@ def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
     v_probes = np.linspace(0.4, 0.8, 5) * spec.period
 
     def battery(steps):
-        return surface.pde_battery(crit032, spec, u_probes, v_probes,
-                                   torus_surf.traj, steps=steps)
+        phi = stencil_frame(torus_surf.traj, v_probes, steps)
+        return surface.pde_battery(crit032, spec, u_probes, v_probes, phi,
+                                   steps)
 
     both = battery((4e-4, 8e-4))
     for h, level in zip((4e-4, 8e-4), both):
@@ -381,9 +441,9 @@ def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
     fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
         torus_surf.recipe, fam=fresh))
-    surface.gauss_codazzi_residuals(surf)
+    pde_levels(surf, (4e-4, 8e-4))
     assert len(calls) == 1
-    surface.gauss_codazzi_residuals(surf)
+    pde_levels(surf, (4e-4, 8e-4))
     assert len(calls) == 1
 
 
@@ -395,17 +455,20 @@ def test_planarity_certificate(torus_surf):
 
 
 def test_inversion_symmetry(torus_surf, crit032):
+    row = verify.small_grids(torus_surf, crit032)[2]
     _assert_inversion_symmetric(
-        surface.inversion_symmetry(torus_surf, crit032), crit032)
+        surface.inversion_symmetry(torus_surf, crit032, row), crit032)
 
 
-def test_dual_symmetry(torus_surf):
-    _assert_dual_symmetric(surface.dual_symmetry(torus_surf))
+def test_dual_symmetry(torus_surf, crit032):
+    loop = verify.small_grids(torus_surf, crit032)[3]
+    _assert_dual_symmetric(surface.dual_symmetry(torus_surf, loop))
 
 
-def test_pde_battery_converges(torus_surf):
-    fine, coarse = surface.gauss_codazzi_residuals(torus_surf,
-                                                   steps=(4e-4, 8e-4))
+def test_pde_battery_converges(torus_surf, crit032):
+    stencil = verify.small_grids(torus_surf, crit032)[0]
+    fine, coarse = surface.pde_battery(crit032, torus_surf.recipe.spec,
+                                       *stencil)
     for name in fine:
         order = np.log2(coarse[name] / fine[name])
         assert order > 1.9, (name, order)
