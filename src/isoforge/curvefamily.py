@@ -50,8 +50,16 @@ with L = (d/dw log W1)/a and real mu, and the hyperbolic curvature is
 kappa = sigma~_u / a + cos sigma~ (verified against the osculating-circle
 construction).
 
-The omega -> 0 limit (a Family of mode "limit") has its own functions:
-gamma_hat, gamma_hat_u, w_hat, limit_d and limit_r.
+The omega -> 0 limit (a Family of mode "limit") has c = 0 and the forms
+gamma_hat and gamma_hat_u of forms_at, in A = th1(z/2), A' = th1'(z/2) and
+A'' = th1''(z/2) (one array more for the same tensor call), with the slope
+s = -i td''(0) td(0)/th1'(0)^2 (zero exactly when td''(0) = 0, on the
+rhombic lattice at lambda0, making the curves 2*pi-periodic):
+
+    gamma_hat       = s z + 2i td(0)^2/th1'(0)^2 * A'/A,
+    gamma_hat_u     = s + i td(0)^2/th1'(0)^2 * (A'' A - A'^2)/A^2.
+
+Its rotation data W_hat, limit_d and limit_r are functions of w.
 """
 
 from __future__ import annotations
@@ -103,13 +111,17 @@ _READS = {
     "exp_isigma": ("A", "D"),
     "dlog_gamma_u": ("A", "A'", "D", "D'"),
     "kappa_hyp": ("A", "A'", "D", "D'"),
+    "gamma_hat": ("A", "A'"),
+    "gamma_hat_u": ("A", "A'", "A''"),
 }
-FORMS = tuple(_READS)
+LIMIT_FORMS = ("gamma_hat", "gamma_hat_u")   # of a Family of mode "limit"
+FORMS = tuple(x for x in _READS if x not in LIMIT_FORMS)   # of the others
 
 
 def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
-    """The closed forms `names` (of FORMS) of fam on the grid z = u + i w, as
-    {name: form} for exactly names.
+    """The closed forms `names` (of FORMS, or of LIMIT_FORMS on a Family of
+    mode "limit") of fam on the grid z = u + i w, as {name: form} for
+    exactly names.
 
     u and w are each a number or a 1-D array; a form has shape
     (len(u), len(w)), and a number drops its axis (two numbers give a
@@ -117,20 +129,22 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
     = d(gamma)/du = -i d(gamma)/dw, the positive real metric factor exp_h
     = e^h, the unitary exp_isigma = e^{i sigma}, dlog_gamma_u =
     (h + i sigma)_u = d/dz log gamma_u, and kappa_hyp, the hyperbolic
-    curvature sigma~_u / a + cos(sigma~) of the standardized curve.
+    curvature sigma~_u / a + cos(sigma~) of the standardized curve; on the
+    limit, gamma_hat and its u-derivative gamma_hat_u.
 
-    An unknown name raises ValueError, and a w outside the band (the
-    mirrored band if `mirrored`) DomainW, before any theta array is fetched.
-    The arrays the forms read (`_READS`) come from one `theta_tensor` call,
-    as the module docstring sets out; they keep the truncation certificate
-    of `theta_grid`, since |Im b| = |w|/2 lies in the strip.  The zeros of A
-    are guarded.
+    A name not of fam's forms raises ValueError, and a w outside the band
+    (the mirrored band if `mirrored`) DomainW, before any theta array is
+    fetched.  The arrays the forms read (`_READS`) come from one
+    `theta_tensor` call, as the module docstring sets out; they keep the
+    truncation certificate of `theta_grid`, since |Im b| = |w|/2 lies in
+    the strip.  The zeros of A are guarded.
     """
     if np.ndim(u) > 1 or np.ndim(w) > 1:
         raise ValueError("u and w must be numbers or 1-D arrays")
-    unknown = set(names) - set(FORMS)
+    unknown = set(names) - set(LIMIT_FORMS if fam.mode == "limit" else FORMS)
     if unknown:
-        raise ValueError(f"unknown forms {sorted(unknown)}")
+        raise ValueError(f"unknown forms {sorted(unknown)} of a {fam.mode} "
+                         "family")
     _check_w(w, fam.lattice, mirrored)
     shape = np.shape(u) + np.shape(w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -139,8 +153,8 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
     # theta index, derivative order and 2 b of every array, in the order
     # of the fetch: theta1 rows, then td rows
     arrays = {"A": (1, 0, iw + om), "G": (1, 0, iw - 3 * om),
-              "A'": (1, 1, iw + om), "D": (fam.den, 0, iw - om),
-              "D'": (fam.den, 1, iw - om)}
+              "A'": (1, 1, iw + om), "A''": (1, 2, iw + om),
+              "D": (fam.den, 0, iw - om), "D'": (fam.den, 1, iw - om)}
     fetch = [x for x in arrays if any(x in _READS[form] for form in names)]
     b = np.stack([arrays[x][2] for x in fetch]) / 2
     t = dict(zip(fetch, theta_tensor([arrays[x][:2] for x in fetch], u / 2,
@@ -165,6 +179,14 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
         out["exp_isigma"] = r * r / r2 * (-1j * np.exp(1j * w * c))
     if "dlog_gamma_u" in names or "kappa_hyp" in names:
         out["dlog_gamma_u"] = t["D'"] / t["D"] - t["A'"] / t["A"] + c
+    if "gamma_hat" in names or "gamma_hat_u" in names:
+        k = 1j * fam.td ** 2 / fam.t1p0 ** 2
+        slope = -k * theta_grid(fam.den, 0.0, fam.lattice, 2) / fam.td
+        a, a1 = t["A"], t["A'"]
+        if "gamma_hat" in names:
+            out["gamma_hat"] = slope * (u[:, None] + iw) + 2 * k * a1 / a
+        if "gamma_hat_u" in names:
+            out["gamma_hat_u"] = slope + k * (t["A''"] * a - a1 * a1) / (a * a)
     del t
     if "kappa_hyp" in names:
         W1 = w1(w, fam)
@@ -268,39 +290,6 @@ def elastica_constants(w: float, fam) -> ElasticaConstants:
 
 # ---------------------------------------------------------------------------
 # the omega -> 0 limit family (cylinder-tangent case)
-
-
-def _limit_parts(u, w, fam: Family):
-    """z = u + i w, the slope -i td''(0) td(0)/th1'(0)^2 of the linear term
-    of gamma_hat and th1(z/2), guarded against its zeros."""
-    lat = fam.lattice
-    _check_w(w, lat, mirrored=True)
-    z = np.asarray(u, dtype=complex) + 1j * w
-    slope = -1j * theta_grid(fam.den, 0.0, lat, 2) * fam.td / fam.t1p0 ** 2
-    return z, slope, _pole_checked(theta_grid(1, z / 2, lat), "theta1(z/2)")
-
-
-def gamma_hat(u, w, fam: Family):
-    """Limit curve: linear term + 2i td(0)^2 th1'(z/2) / (th1'(0)^2 th1(z/2)).
-
-    u and w may be arrays that broadcast.
-    The linear term vanishes exactly when td''(0) = 0, i.e. on the rhombic
-    lattice at lambda0, making the curves 2*pi-periodic.
-    """
-    z, slope, th1h = _limit_parts(u, w, fam)
-    val = slope * z + 2j * fam.td ** 2 * theta_grid(1, z / 2, fam.lattice, 1) / (
-        fam.t1p0 ** 2 * th1h)
-    return complex(val) if np.isscalar(u) else val
-
-
-def gamma_hat_u(u, w, fam: Family):
-    """d(gamma_hat)/du by theta log-derivatives (the linear slope plus the
-    derivative of th1'(z/2)/th1(z/2)); u and w broadcast."""
-    z, slope, th1h = _limit_parts(u, w, fam)
-    lat = fam.lattice
-    dd = (theta_grid(1, z / 2, lat, 2) * th1h - theta_grid(1, z / 2, lat, 1) ** 2) / th1h ** 2
-    val = slope + 1j * fam.td ** 2 / fam.t1p0 ** 2 * dd
-    return complex(val) if np.isscalar(u) else val
 
 
 def w_hat(w, fam: Family):

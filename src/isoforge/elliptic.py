@@ -37,7 +37,7 @@ amplitude -- all go through `brentq` below, Brent's bracketed method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -206,12 +206,18 @@ class CubicQ3:
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
 
 
+@cache
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch:
-    the eigenvalues of the Jacobi matrix and 2 v[0]^2 of its eigenvectors."""
+    the eigenvalues of the Jacobi matrix and 2 v[0]^2 of its eigenvectors.
+    Solved once per n in a process, on first use (not at import: the
+    first eigh of a process adds about 0.9 MB of resident memory), and
+    read-only, since every call shares them."""
     k = np.arange(1.0, n)
     x, v = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    return x, 2 * v[0] ** 2
+    w = 2 * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:

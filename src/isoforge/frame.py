@@ -1,5 +1,5 @@
-"""Rotation frame Phi(v) on unit quaternions, monodromy, torus closing, and
-the Magnus solver of every linear ODE of the package.
+"""Rotation frame Phi(v) on unit quaternions, its Magnus solver, monodromy
+and torus closing.
 
 The frame solves
 
@@ -9,28 +9,23 @@ where the coefficient is a quaternion in span{j, k}: with W1 = w_r + i w_i
 the generator is sqrt(1 - w'^2) (w_r k - w_i j), and the signed root comes
 from the reparametrization spec's recorded branch, never from |.|.
 
-Every linear ODE Y' = A(v) Y of the package -- this frame and the
-limit-surface frame -- is integrated by `_magnus_solve`, the sixth-order
-Magnus method on three Gauss-Legendre nodes (Iserles & Norsett 1999;
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  The step propagators
-exp(Omega) do not depend on Y, so the steps are not taken one after
-another: all steps of a round, laid out from h0 alone, are formed from one
-evaluation of A (one generator call up to `_MAX_POINTS` points), each is
-checked against the product of its two half steps (the full step and both
-halves are one `_magnus6` call), the rejected ones are halved for the next
-round, and an ordered product of the accepted propagators gives Y at the
-step ends; `_evaluate` reads Y at any other v by one partial step.
-One solve may hold several independent systems, such as the amplitudes of
-the close-torus scan: they share each round's calls, and a doubling scan
-segmented by system multiplies each one's propagators, so every system's
-steps and Y are bit for bit those of solving it alone.
-
-Two algebras carry the method.  `UnitQuaternions`: A is an imaginary
+The frame is integrated by `_magnus_solve`, the sixth-order Magnus method
+on three Gauss-Legendre nodes (Iserles & Norsett 1999; Blanes, Casas, Oteo
+& Ros, Phys. Rep. 470, 2009), on unit quaternions: A is an imaginary
 quaternion, [x, y] = 2 x cross y, and exp(Omega) = cos|Omega| +
 sin|Omega| Omega/|Omega| is a unit quaternion, so Phi stays on the sphere
-without projection.  `Matrices2` (the limit frame): A is a real or
-complex 2x2 matrix, and exp(Omega) = e^t (cosh mu I + sinh(mu)/mu (Omega -
-t I)) with t = tr(Omega)/2 and mu^2 = -det(Omega - t I).
+without projection.  The step propagators exp(Omega) do not depend on Phi,
+so the steps are not taken one after another: all steps of a round, laid
+out from h0 alone, are formed from one evaluation of A (one generator call
+up to `_MAX_POINTS` points), each is checked against the product of its
+two half steps (the full step and both halves are one `_magnus6` call),
+the rejected ones are halved for the next round, and an ordered product of
+the accepted propagators gives Phi at the step ends; `_evaluate` reads Phi
+at any other v by one partial step.  One solve may hold several
+independent systems, such as the amplitudes of the close-torus scan: they
+share each round's calls, and a doubling scan segmented by system
+multiplies each one's propagators, so every system's steps and Phi are bit
+for bit those of solving it alone.
 """
 
 from __future__ import annotations
@@ -93,92 +88,50 @@ def _coefficient(w, root, fam):
                     axis=-1)
 
 
-class UnitQuaternions:
-    """Imaginary quaternions (..., 3) and the unit quaternions (..., 4)."""
-
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-
-    @staticmethod
-    def comm(x, y):
-        return 2.0 * cross(x, y)
-
-    @staticmethod
-    def exp(om):
-        ang = np.linalg.norm(om, axis=-1)
-        return np.concatenate([np.cos(ang)[:, None],
-                               np.sinc(ang / np.pi)[:, None] * om], axis=-1)
-
-    @staticmethod
-    def mul(a, b):
-        return qmul(a, b)
-
-
-class Matrices2:
-    """Real or complex 2x2 matrices (..., 2, 2), the limit frame's."""
-
-    one = np.eye(2)
-
-    @staticmethod
-    def comm(x, y):
-        return x @ y - y @ x
-
-    @staticmethod
-    def exp(om):
-        t = 0.5 * (om[:, 0, 0] + om[:, 1, 1])
-        d = om - t[:, None, None] * np.eye(2)
-        mu = np.sqrt((d[:, 0, 1] * d[:, 1, 0] - d[:, 0, 0] * d[:, 1, 1]) + 0j)
-        # sinh(mu)/mu = sin(i mu)/(i mu), continuous through mu = 0
-        e = np.exp(t)[:, None, None] * (
-            np.cosh(mu)[:, None, None] * np.eye(2)
-            + np.sinc(1j * mu / np.pi)[:, None, None] * d)
-        return e if np.iscomplexobj(om) else e.real
-
-    @staticmethod
-    def mul(a, b):
-        return a @ b
-
-
 # Gauss-Legendre nodes on [0, 1] of the full step, then of its two halves
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10
 _NODES = np.concatenate([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS])
-# generator points per call: a round of each benchmarked integration is one
+# generator points per call: a round of each benchmarked frame solve is one
 # call, of an eighth of the points of a full surface.fields_at block
 # (_BLOCK_POINTS)
 _MAX_POINTS = 4096
-# local error per step of every solve: a surface's frame (which the battery
-# reads off its steps too), the limit frame and close_torus
+# local error per step of every frame solve: a surface's frame (which the
+# battery reads off its steps too) and close_torus's scan
 STEP_TOL = 1e-12
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
 
 
-def _magnus6(alg, a, h):
-    """exp(Omega^[6]) from A at the three Gauss nodes, a (n, 3, ...); h (n,)."""
+def _magnus6(a, h):
+    """exp(Omega^[6]) from A at the three Gauss nodes, a (n, 3, 3); h (n,)."""
     a1, a2, a3 = a[:, 0], a[:, 1], a[:, 2]
-    h = h.reshape((-1,) + (1,) * (a1.ndim - 1))
+    h = h[:, None]
     b1 = h * a2
     b2 = np.sqrt(15.0) / 3 * h * (a3 - a1)
     b3 = 10.0 / 3 * h * (a3 - 2 * a2 + a1)
-    c1 = alg.comm(b1, b2)
-    c2 = -alg.comm(b1, 2 * b3 + c1) / 60
-    return alg.exp(b1 + b3 / 12 + alg.comm(-20 * b1 - b3 + c1, b2 + c2) / 240)
+    c1 = 2 * cross(b1, b2)
+    c2 = -2 * cross(b1, 2 * b3 + c1) / 60
+    om = b1 + b3 / 12 + 2 * cross(-20 * b1 - b3 + c1, b2 + c2) / 240
+    ang = np.linalg.norm(om, axis=-1)
+    return np.concatenate([np.cos(ang)[:, None],
+                           np.sinc(ang / np.pi)[:, None] * om], axis=-1)
 
 
-def _propagators(alg, g, h):
+def _propagators(g, h):
     """Propagators of steps of length h from A at their nodes `_NODES`,
-    g (n, 9, ...), with their local error estimates.
+    g (n, 9, 3), with their local error estimates.
 
     Returns (E, err): E is the product of the two half-step propagators,
     err = max |E_h - E_{h/2} E_{h/2}| over the components.  The full step
     and both halves are one `_magnus6` call on a contiguous stack.
     """
     n = len(h)
-    e = _magnus6(alg, np.concatenate([g[:, 0:3], g[:, 3:6], g[:, 6:9]]),
+    e = _magnus6(np.concatenate([g[:, 0:3], g[:, 3:6], g[:, 6:9]]),
                  np.concatenate([h, h / 2, h / 2]))
-    two = alg.mul(e[2 * n:], e[n:2 * n])
-    return two, np.max(np.abs(e[:n] - two).reshape(n, -1), axis=1)
+    two = qmul(e[2 * n:], e[n:2 * n])
+    return two, np.max(np.abs(e[:n] - two), axis=1)
 
 
-def _round(gen, alg, a, b, system):
+def _round(gen, a, b, system):
     """(E, err, finite) of the steps [a, b] of the given systems, from one
     generator call per `_MAX_POINTS` points: E and err as `_propagators`
     gives them, and finite flags the steps whose A is finite at every node
@@ -190,11 +143,10 @@ def _round(gen, alg, a, b, system):
         h = b[s] - a[s]
         g = gen(a[s, None] + h[:, None] * _NODES,
                 np.repeat(system[s, None], len(_NODES), axis=1))
-        finite.append(np.all(np.isfinite(g).reshape(len(h), -1), axis=1))
+        finite.append(np.all(np.isfinite(g), axis=(1, 2)))
         if not np.all(finite[-1]):
-            g = np.where(finite[-1].reshape((-1,) + (1,) * (g.ndim - 1)),
-                         g, 0.0)
-        parts.append(_propagators(alg, g, h))
+            g = np.where(finite[-1][:, None, None], g, 0.0)
+        parts.append(_propagators(g, h))
     e, err = map(np.concatenate, zip(*parts))
     return e, err, np.concatenate(finite)
 
@@ -213,33 +165,34 @@ def _step_failure(k, a, b, system, finite, short, pending, step_tol):
                        f"{pending} half steps pending")
 
 
-def _ordered_product(alg, e, pos):
+def _ordered_product(e, pos):
     """Running left products e[k] ... e[j+1] e[j], in place, by a doubling
     scan over each run of e, where pos[k] = k - j is e[k]'s place in its
     run."""
     shift = 1
     while shift <= np.max(pos, initial=0):
         i = np.nonzero(pos >= shift)[0]
-        e[i] = alg.mul(e[i], e[i - shift])
+        e[i] = qmul(e[i], e[i - shift])
         shift *= 2
     return e
 
 
-def _magnus_solve(gen, alg, systems, step_tol):
+def _magnus_solve(gen, systems, step_tol):
     """Solve Y' = A(v) Y, Y(0) = 1, on [0, max v] for each independent
     system of the list `systems` of (v, h0), with Y at its points v.
 
-    gen maps arrays v and s of one shape to A(v) of system s in the algebra
-    alg.  The first steps are np.linspace's ceil(max v / h0) equal steps; a
-    step is accepted when its local error estimate is at most step_tol,
-    otherwise it is halved.  The pending steps of all systems make one
-    generator call per round (per `_MAX_POINTS` points), and each system's
-    steps, decisions and Y are those of solving it alone.  Y at a v that
-    no step ends at is `_evaluate`'s, its partial step formed after the
-    solve.  Returns per system Y at v, the stats n_steps (accepted),
+    gen maps arrays v and s of one shape to A(v) of system s, imaginary
+    quaternions of shape v.shape + (3,).  The first steps are np.linspace's
+    ceil(max v / h0) equal steps; a step is accepted when its local error
+    estimate is at most step_tol, otherwise it is halved.  The pending
+    steps of all systems make one generator call per round (per
+    `_MAX_POINTS` points), and each system's steps, decisions and Y are
+    those of solving it alone.  Y at a v that no step ends at is
+    `_evaluate`'s, its partial step formed after the solve.  Returns per
+    system Y at v (unit quaternions), the stats n_steps (accepted),
     n_rejected (split) and err_est (the partial steps' included), and its
-    steps (gen, alg, system, its accepted steps' ends from 0, Y there).
-    The first round in which a system fails raises the StepFailure of the
+    steps (gen, system, its accepted steps' ends from 0, Y there).  The
+    first round in which a system fails raises the StepFailure of the
     lowest such system.
     """
     span = np.array([np.max(v) for v, _ in systems])
@@ -255,7 +208,7 @@ def _magnus_solve(gen, alg, systems, step_tol):
     done = []
     n_rejected = np.zeros(n_sys, dtype=int)
     while len(a):
-        e, err, finite = _round(gen, alg, a, b, system)
+        e, err, finite = _round(gen, a, b, system)
         ok = finite & (err <= step_tol)
         bad = ~ok
         done.append((a[ok], b[ok], system[ok], e[ok], err[ok]))
@@ -279,11 +232,10 @@ def _magnus_solve(gen, alg, systems, step_tol):
     # each system's accepted steps in order of v, one system after another
     order = np.concatenate([i[np.argsort(a[i])] for i in runs])
     pos = np.concatenate([np.arange(len(i)) for i in runs])
-    prod = _ordered_product(alg, e[order], pos)
-    one = np.broadcast_to(alg.one, (1,) + prod.shape[1:])
+    prod = _ordered_product(e[order], pos)
     cut = np.cumsum([0] + [len(i) for i in runs])
-    steps = [(gen, alg, k, np.concatenate([[0.0], b[order[lo:hi]]]),
-              np.concatenate([one, prod[lo:hi]]))
+    steps = [(gen, k, np.concatenate([[0.0], b[order[lo:hi]]]),
+              np.concatenate([[[1.0, 0.0, 0.0, 0.0]], prod[lo:hi]]))
              for k, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
     ys, errs = zip(*[_evaluate(st, v) for st, (v, _) in zip(steps, systems)])
     stats = [{"n_steps": len(i), "n_rejected": int(n_rejected[k]),
@@ -309,7 +261,7 @@ def _evaluate(st, v):
     one of length h errs by about (h'/h)^7 of that step's estimate; on a
     spline-built w, more.
     """
-    gen, alg, system, ends, y_ends = st
+    gen, system, ends, y_ends = st
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     if not np.all((flat >= 0.0) & (flat <= ends[-1])):
@@ -318,10 +270,10 @@ def _evaluate(st, v):
     p = np.nonzero(ends[i] != flat)[0]
     y, err = y_ends[i], flat[:0]
     if len(p):
-        e, err, finite = _round(gen, alg, ends[i[p]], flat[p],
+        e, err, finite = _round(gen, ends[i[p]], flat[p],
                                 np.full(len(p), system))
         _require_finite(finite, ends[i[p]], flat[p])
-        y[p] = alg.mul(e, y[p])
+        y[p] = qmul(e, y[p])
     return y.reshape(v.shape + y.shape[1:]), err
 
 
@@ -359,9 +311,9 @@ def _frames(specs, fam, nodes, step_tol):
             w[on], _, root[on] = spec.planes(v[on])
         return _coefficient(w, root, fam)[..., 1:]
 
-    solved = _magnus_solve(a_of_v, UnitQuaternions,
-                           [(v, spec.period / 128)
-                            for spec, v in zip(specs, nodes)], step_tol)
+    solved = _magnus_solve(a_of_v, [(v, spec.period / 128)
+                                    for spec, v in zip(specs, nodes)],
+                           step_tol)
     for phi, stats, _ in solved:
         drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
         stats["prenorm_drift"] = float(drift)

@@ -29,9 +29,10 @@ against 0.4 ms at 128 x 129) and on the battery's fresh temporaries, where
 np.linalg.norm's own (..., 3) temporaries cost most.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
-(planes tangent to a cylinder) instead, assembled from the limit data
-gamma_hat, W_hat, r; its rotation e^{-2ia(v)} and translation T(v) solve a
-linear 2x2 system, integrated by the frame module's Magnus solver.
+(planes tangent to a cylinder) instead, assembled from the limit forms
+gamma_hat and gamma_hat_u (one `forms_at` call) and the limit data W_hat,
+r; its rotation e^{-2ia(v)} and translation T(v) are two quadratures on
+Gauss-Legendre panels, not an ODE solve: a' reads w(v) alone, and T' a.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
@@ -51,6 +52,7 @@ verdict: `verify.CHECKS` alone holds the thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -210,25 +212,47 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
 # the omega -> 0 limit surface (planes tangent to a cylinder)
 
 
+@cache
+def _panel_rule(n):
+    """The n-node Gauss-Legendre nodes x and weights on [-1, 1] and the
+    integration matrix S: S[i, j] is the integral from -1 to x_i of the
+    Lagrange polynomial of the nodes that is 1 at x_j.  That polynomial is
+    sum_k (2k+1)/2 weights_j P_k(x_j) P_k (the rule is exact on P_k P_m),
+    and (2k+1) int_{-1}^x P_k = P_{k+1} - P_{k-1}, with P_{-1} = -1."""
+    x, weights = gauss_legendre(n)
+    p = [-np.ones_like(x), np.ones_like(x), x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[-1] - k * p[-2]) / (k + 1))
+    p = np.stack(p, axis=1)                      # P_{-1} .. P_n at x
+    s = 0.5 * (p[:, 2:] - p[:, :-2]) @ (p[:, 1:-1] * weights[:, None]).T
+    return x, weights, s
+
+
 def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v):
     """E = e^{-2ia(v)} (the rotation) and T(v) = T_x + i T_y (the translation)
-    of the limit immersion at the nodes v (to frame.STEP_TOL).
+    of the limit immersion at the nodes v (increasing from 0).
 
-    a' = sqrt(1-w'^2) W_hat(w) and T' = sqrt(1-w'^2) r(w) e^{-2ia} make
-    (E, T) the first column of the solution of the linear system
-    Y' = [[-2i root W_hat, 0], [root r, 0]] Y, Y(0) = 1.
+    The system Y' = [[-2i root W_hat, 0], [root r, 0]] Y, Y(0) = 1 of
+    (E, T), root = sqrt(1-w'^2), is lower triangular, so a = int root
+    W_hat dv and T = int root r E dv.  Both are 10-node Gauss-Legendre
+    sums on panels that split each interval of v into pieces of at most
+    V/128; a at a panel's inner nodes comes from the integration matrix.
     """
-
-    def a_of_v(vv, _):
-        w, _, root = spec.planes(vv)
-        y = np.zeros(np.shape(vv) + (2, 2), dtype=complex)
-        y[..., 0, 0] = -2j * root * curvefamily.w_hat(w, fam)
-        y[..., 1, 0] = root * curvefamily.limit_r(w, fam)
-        return y
-
-    (y, _, _), = frame._magnus_solve(a_of_v, frame.Matrices2,
-                                     [(v, spec.period / 128)], frame.STEP_TOL)
-    return y[:, 0, 0], y[:, 1, 0]
+    x, weights, s = _panel_rule(10)
+    v = np.asarray(v, dtype=float)
+    per = np.maximum(np.ceil(np.diff(v) / (spec.period / 128) - 1e-9),
+                     1).astype(int)                  # panels per interval
+    at = np.concatenate([[0], np.cumsum(per)])       # v's panel ends
+    half = np.repeat(np.diff(v) / (2 * per), per)    # the panels' half widths
+    j = np.arange(at[-1]) - np.repeat(at[:-1], per)  # place in its interval
+    mid = np.repeat(v[:-1], per) + (2 * j + 1) * half
+    w, _, root = spec.planes(mid[:, None] + half[:, None] * x)
+    f = root * curvefamily.w_hat(w, fam)
+    a = np.cumsum(np.concatenate([[0.0], half * (f @ weights)]))
+    e = np.exp(-2j * (a[:-1, None] + half[:, None] * (f @ s.T)))
+    g = root * curvefamily.limit_r(w, fam) * e
+    t = np.cumsum(np.concatenate([[0.0], half * (g @ weights)]))
+    return np.exp(-2j * a[at]), t[at]
 
 
 def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
@@ -245,8 +269,9 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
                     recipe.periods * recipe.nv + 1)
     E, T = _limit_frame_arrays(fam, spec, v)
     w_arr, wp, root = spec.planes(v)
-    gh = curvefamily.gamma_hat(u[:, None], w_arr[None, :], fam)
-    ghu = curvefamily.gamma_hat_u(u[:, None], w_arr[None, :], fam)
+    f = curvefamily.forms_at(u, w_arr, fam, ("gamma_hat", "gamma_hat_u"),
+                             mirrored=True)
+    gh, ghu = f["gamma_hat"], f["gamma_hat_u"]
     gv = 1j * wp * ghu
     turn = root * (2 * curvefamily.w_hat(w_arr, fam) * gh.real
                    + curvefamily.limit_r(w_arr, fam))

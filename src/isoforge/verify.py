@@ -115,13 +115,13 @@ def battery(surf, fam) -> dict:
     is_limit = fam.mode == "limit"
     values = dict(surf.diagnostics)  # the build's metric and normal residuals
 
-    # u-closure of gamma (closed only at critical omega on rhombic lattices)
-    # between u = 0 and 2 pi, off the limit the rows 0 and 64 of one grid
+    # u-closure of gamma (gamma_hat on the limit; closed only at critical
+    # omega on rhombic lattices) between u = 0 and 2 pi, rows 0 and 64 of
+    # one grid
     ws = np.asarray(spec.w(np.linspace(0.0, spec.period, 9)), dtype=float)
-    g = (curvefamily.gamma_hat(np.array([[0.0], [2 * np.pi]]), ws, fam)
-         if is_limit else curvefamily.forms_at(
-             np.linspace(0.0, 2 * np.pi, 65), ws, fam, ("exp_h", "gamma")))
-    gam = g if is_limit else g["gamma"]
+    names = ("gamma_hat",) if is_limit else ("exp_h", "gamma")
+    g = curvefamily.forms_at(np.linspace(0.0, 2 * np.pi, 65), ws, fam, names)
+    gam = g[names[-1]]
     values["u_closure"] = float(np.max(np.abs(gam[-1] - gam[0])))
 
     if not is_limit:

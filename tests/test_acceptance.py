@@ -234,8 +234,8 @@ def test_criterion_12_limit_surface(limit_surf, lam0):
     spec = limit_surf.recipe.spec
     closure = 0.0
     for v in np.linspace(0.0, spec.period, 7):
-        g = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]),
-                                  float(spec.w(v)), fam)
+        g = curvefamily.forms_at(np.array([0.0, 2 * np.pi]), float(spec.w(v)),
+                                 fam, ("gamma_hat",))["gamma_hat"]
         closure = max(closure, float(abs(g[1] - g[0])))
     conf = limit_surf.diagnostics["conformality"]
     plan = surface.planarity_certificate(limit_surf)

@@ -292,13 +292,17 @@ def test_rectangular_grid_makes_two_theta_products(rect_fam, theta_arrays):
     assert theta_arrays.products == [2]
 
 
-def test_forms_at_returns_exactly_its_names(crit032, theta_arrays):
+def test_forms_at_returns_exactly_its_names(crit032, lam0, theta_arrays):
     """The result holds the named forms and no others, also where a form
     is computed on the way to another (kappa_hyp from e^{i sigma} and
-    (h + i sigma)_u); an unknown name raises ValueError before any theta
-    array is fetched."""
-    with pytest.raises(ValueError, match="unknown forms"):
-        curvefamily.forms_at(0.3, 1.0, crit032, ("gamma", "h"))
+    (h + i sigma)_u); an unknown name, or a name of the other kind of
+    family (limit or not), raises ValueError before any theta array is
+    fetched."""
+    limit = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
+    for fam, names in ((crit032, ("gamma", "h")), (crit032, ("gamma_hat",)),
+                       (limit, ("gamma_hat", "gamma"))):
+        with pytest.raises(ValueError, match="unknown forms"):
+            curvefamily.forms_at(0.3, 1.0, fam, names)
     assert theta_arrays.calls == []
     for names in (("gamma",), ("kappa_hyp",), ("exp_h", "gamma"),
                   curvefamily.FORMS):
@@ -422,8 +426,8 @@ def test_limit_curves_close_at_lambda0(lam0):
     fam = elliptic.Family(lat, 0.0, "limit")
     for w in _random_w(lat, 4):
         u = RNG.uniform(0, 2 * np.pi)
-        a = curvefamily.gamma_hat(u, float(w), fam)
-        b = curvefamily.gamma_hat(u + 2 * np.pi, float(w), fam)
+        a = curve_form("gamma_hat", u, float(w), fam)
+        b = curve_form("gamma_hat", u + 2 * np.pi, float(w), fam)
         assert abs(a - b) < 1e-10
 
 
@@ -438,8 +442,8 @@ def test_limit_period_defect_off_lambda0(monkeypatch):
             * theta.theta_grid(2, 0.0, lat)
             / theta.theta_grid(1, 0.0, lat, 1) ** 2)
     w = 0.8
-    got = (curvefamily.gamma_hat(2 * np.pi + 0.3, w, fam)
-           - curvefamily.gamma_hat(0.3, w, fam))
+    got = (curve_form("gamma_hat", 2 * np.pi + 0.3, w, fam)
+           - curve_form("gamma_hat", 0.3, w, fam))
     assert abs(got - complex(want)) < 1e-10
 
 
@@ -454,9 +458,36 @@ def test_limit_data_real_valued(lam0):
         assert np.isfinite(curvefamily.limit_r(float(w), fam))
 
 
+def test_limit_forms_match_mpmath(lam0):
+    """gamma_hat and gamma_hat_u of one forms_at call on the mirrored band
+    equal the module docstring's formulas in mpmath's jtheta at 40 digits,
+    to 1e-13 relative, on both sides of w = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
+    us, ws = np.array([0.3, 2.0, 4.5]), np.array([-1.9, -0.5, 0.9, 1.8])
+    got = curvefamily.forms_at(us, ws, fam, curvefamily.LIMIT_FORMS,
+                               mirrored=True)
+    with mpmath.workdps(40):
+        q = mpmath.e ** (1j * mpmath.pi * mpmath.mpmathify(fam.lattice.tau))
+
+        def th(i, z, order=0):
+            return mpmath.jtheta(i, z, q, derivative=order)
+
+        k = 1j * th(2, 0) ** 2 / th(1, 0, 1) ** 2
+        slope = -k * th(2, 0, 2) / th(2, 0)
+        for a, u in enumerate(us):
+            for b, w in enumerate(ws):
+                z = mpmath.mpc(u, w)
+                t0, t1, t2 = (th(1, z / 2, order) for order in range(3))
+                want = (slope * z + 2 * k * t1 / t0,
+                        slope + k * (t2 * t0 - t1 ** 2) / t0 ** 2)
+                for name, x in zip(curvefamily.LIMIT_FORMS, want):
+                    assert abs(got[name][a, b] - complex(x)) <= 1e-13 * abs(x)
+
+
 def test_limit_gamma_hat_u_vs_fd(lam0):
     fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     u, w, h = 1.1, 0.9, 1e-5
-    fd = (curvefamily.gamma_hat(u + h, w, fam)
-          - curvefamily.gamma_hat(u - h, w, fam)) / (2 * h)
-    assert abs(fd - curvefamily.gamma_hat_u(u, w, fam)) < 1e-8
+    fd = (curve_form("gamma_hat", u + h, w, fam)
+          - curve_form("gamma_hat", u - h, w, fam)) / (2 * h)
+    assert abs(fd - curve_form("gamma_hat_u", u, w, fam)) < 1e-8

@@ -101,25 +101,22 @@ def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
     errs = []
     for h in (V / 16, V / 32):
         g = a_of_v(starts[:, None] + h * frame._NODES)[..., 1:]
-        _, err = frame._propagators(frame.UnitQuaternions, g,
-                                    np.full(len(starts), h))
+        _, err = frame._propagators(g, np.full(len(starts), h))
         errs.append(err)
     assert np.all(errs[1] > 1e-12)  # above roundoff
     assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
 
 
-def _matrix_generator(coef, cplx):
-    """A(v) of system s: a 2x2 matrix with a steep bump at v = coef[s, 2],
-    real or complex; elementwise in v, so any batching gives the same A."""
+def _bump_generator(coef):
+    """A(v) of system s: an imaginary quaternion (..., 3) with a steep bump
+    at v = coef[s, 2]; elementwise in v, so any batching gives the same A."""
     coef = np.asarray(coef)
 
     def gen(v, s):
         p, q, c = coef[s, 0], coef[s, 1], coef[s, 2]
         bump = np.exp(-((v - c) / 0.05) ** 2)
-        a = np.stack([np.stack([p * np.sin(v), q + 8 * bump], axis=-1),
-                      np.stack([-q * np.cos(2 * v), -p * np.sin(v)], axis=-1)],
-                     axis=-2)
-        return a * (1 + 0.5j) if cplx else a
+        return np.stack([p * np.sin(v), q + 8 * bump, -q * np.cos(2 * v)],
+                        axis=-1)
 
     return gen
 
@@ -127,29 +124,25 @@ def _matrix_generator(coef, cplx):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(2, 40), st.floats(0.1, 2.0),
                           st.floats(-1.0, 1.0), st.floats(0.1, 1.9),
-                          st.floats(0.01, 0.3)), min_size=1, max_size=4),
-       st.booleans())
-def test_matrix_systems_solved_together_match_alone(draws, cplx):
+                          st.floats(0.01, 0.3)), min_size=1, max_size=4))
+def test_systems_solved_together_match_alone(draws):
     """Systems solved together give each one's Y and stats of solving it
-    alone, bit for bit, for real and complex generators."""
+    alone, bit for bit."""
     systems = [(np.linspace(0.0, 2.0, n) ** 1.5, h0) for n, _, _, _, h0 in draws]
     coef = [(p, q, c) for _, p, q, c, _ in draws]
-    together = frame._magnus_solve(_matrix_generator(coef, cplx),
-                                   frame.Matrices2, systems, 1e-11)
+    together = frame._magnus_solve(_bump_generator(coef), systems, 1e-11)
     for k, (system, (y, stats, _)) in enumerate(zip(systems, together)):
-        (y1, stats1, _), = frame._magnus_solve(
-            _matrix_generator([coef[k]], cplx), frame.Matrices2, [system],
-            1e-11)
-        assert np.iscomplexobj(y) == cplx
+        (y1, stats1, _), = frame._magnus_solve(_bump_generator([coef[k]]),
+                                               [system], 1e-11)
         assert np.array_equal(y, y1)
         assert stats == stats1
 
 
-def test_matrix_systems_have_rejections():
-    """The bump of `_matrix_generator` makes the step control split steps,
+def test_bump_systems_have_rejections():
+    """The bump of `_bump_generator` makes the step control split steps,
     so the test above compares refined solves."""
     (_, stats, _), = frame._magnus_solve(
-        _matrix_generator([(1.0, 0.5, 1.0)], False), frame.Matrices2,
+        _bump_generator([(1.0, 0.5, 1.0)]),
         [(np.linspace(0.0, 2.0, 9), 0.25)], 1e-11)
     assert stats["n_rejected"] > 0
 
@@ -199,8 +192,7 @@ def test_frame_at_off_step_v_matches_a_finer_solve(crit032, torus_spec,
         a_of_v = frame.generator(spec, crit032)
         nodes = np.concatenate([[0.0], np.sort(v.ravel()), [V]])
         (ref, _, _), = frame._magnus_solve(
-            lambda vv, _: a_of_v(vv)[..., 1:], frame.UnitQuaternions,
-            [(nodes, V / 4096)], 1e-13)
+            lambda vv, _: a_of_v(vv)[..., 1:], [(nodes, V / 4096)], 1e-13)
         want = ref[1:-1][np.argsort(np.argsort(v.ravel()))].reshape(got.shape)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -239,8 +231,8 @@ def test_one_generator_call_per_round():
     generator call: r rounds make r calls, the i-th holding exactly the
     steps of length h0 / 2^i of every system."""
     h0 = np.array([0.25, 0.125, 0.5])
-    gen = _matrix_generator([(1.0, 0.5, 1.0), (0.5, -0.3, 0.4),
-                             (0.2, 0.8, 1.7)], False)
+    gen = _bump_generator([(1.0, 0.5, 1.0), (0.5, -0.3, 0.4),
+                           (0.2, 0.8, 1.7)])
     lengths = []
 
     def counted(v, s):
@@ -249,8 +241,7 @@ def test_one_generator_call_per_round():
         return gen(v, s)
 
     solved = frame._magnus_solve(
-        counted, frame.Matrices2,
-        [(np.arange(0.0, 2.0 + h / 2, h), h) for h in h0], 1e-11)
+        counted, [(np.arange(0.0, 2.0 + h / 2, h), h) for h in h0], 1e-11)
     assert len(lengths) >= 3
     for i, rel in enumerate(lengths):
         assert np.allclose(rel, 0.5 ** i, rtol=1e-9, atol=0)
@@ -263,44 +254,37 @@ def test_points_per_generator_call_are_bounded():
     """A solve of 10^5 steps passes at most _MAX_POINTS points to any
     generator call."""
     sizes = []
-    gen = _matrix_generator([(0.3, 0.2, 5.0)], False)
+    gen = _bump_generator([(0.3, 0.2, 5.0)])
 
     def counted(v, s):
         sizes.append(v.size)
         return gen(v, s)
 
     nodes = np.linspace(0.0, 1.0, 10 ** 5 + 1)
-    (y, stats, _), = frame._magnus_solve(counted, frame.Matrices2,
-                                         [(nodes, 1e-5)], 1e-10)
-    assert y.shape == (len(nodes), 2, 2)
+    (y, stats, _), = frame._magnus_solve(counted, [(nodes, 1e-5)], 1e-10)
+    assert y.shape == (len(nodes), 4)
     assert stats["n_steps"] == 10 ** 5
     assert len(sizes) > 1 and max(sizes) <= frame._MAX_POINTS
     assert sum(sizes) == 9 * 10 ** 5
 
 
-@pytest.mark.parametrize("alg, dim", [
-    (frame.UnitQuaternions, (3,)), (frame.Matrices2, (2, 2)),
-    (frame.Matrices2, "complex")])
-def test_stacked_propagators_match_three_calls(alg, dim):
+def test_stacked_propagators_match_three_calls():
     """The full step and both halves stacked into one `_magnus6` call give
     the propagators and error estimates of three separate calls."""
     rng = np.random.default_rng(5)
-    if dim == "complex":
-        g = rng.normal(size=(40, 9, 2, 2)) + 1j * rng.normal(size=(40, 9, 2, 2))
-    else:
-        g = rng.normal(size=(40, 9) + dim)
+    g = rng.normal(size=(40, 9, 3))
     h = rng.uniform(0.01, 0.3, 40)
-    full = frame._magnus6(alg, g[:, 0:3], h)
-    two = alg.mul(frame._magnus6(alg, g[:, 6:9], h / 2),
-                  frame._magnus6(alg, g[:, 3:6], h / 2))
-    e, err = frame._propagators(alg, g, h)
+    full = frame._magnus6(g[:, 0:3], h)
+    two = quat.qmul(frame._magnus6(g[:, 6:9], h / 2),
+                    frame._magnus6(g[:, 3:6], h / 2))
+    e, err = frame._propagators(g, h)
     assert np.array_equal(e, two)
-    assert np.array_equal(err, np.max(np.abs(full - two).reshape(40, -1), axis=1))
+    assert np.array_equal(err, np.max(np.abs(full - two), axis=1))
 
 
 def _failure(gen, systems, step_tol):
     with pytest.raises(StepFailure) as info:
-        frame._magnus_solve(gen, frame.Matrices2, systems, step_tol)
+        frame._magnus_solve(gen, systems, step_tol)
     return str(info.value)
 
 
@@ -309,7 +293,7 @@ def test_failing_system_names_its_step(monkeypatch):
     that system; an unreachable step_tol fails it too.  Whichever generator
     call holds its step and whichever way it fails, the lowest failing
     system of a round raises what it raises alone."""
-    gen = _matrix_generator([(0.3, 0.2, 1.0)] * 3, False)
+    gen = _bump_generator([(0.3, 0.2, 1.0)] * 3)
 
     def nan_in_two(v, s):
         a = gen(v, s)
@@ -318,9 +302,9 @@ def test_failing_system_names_its_step(monkeypatch):
 
     systems = [(np.linspace(0.0, 2.0, 5), 0.5)] * 3
     with pytest.raises(StepFailure, match=r"non-finite generator on \[1\.0"):
-        frame._magnus_solve(nan_in_two, frame.Matrices2, systems, 1e-11)
+        frame._magnus_solve(nan_in_two, systems, 1e-11)
     with pytest.raises(StepFailure, match="not met"):
-        frame._magnus_solve(gen, frame.Matrices2, systems, 1e-30)
+        frame._magnus_solve(gen, systems, 1e-30)
 
     def nan_on_halves(v, s):
         # split steps of 0.5 have midpoints at 0.125 (left) and 0.375
@@ -364,23 +348,6 @@ def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):
                         method="DOP853", t_eval=nodes, rtol=1e-13, atol=1e-14)
         traj = frame.integrate(spec, crit032, v_nodes=nodes)
         assert np.max(np.abs(traj.phi - ref.y.T)) < tol
-
-
-def test_matrix_exp_closed_form():
-    """exp(Omega) = e^t (cosh mu + sinh(mu)/mu (Omega - t)) equals the Pade
-    expm on real and complex 2x2 matrices, small ones and nilpotent ones
-    (mu = 0) included."""
-    expm = pytest.importorskip("scipy.linalg").expm
-    rng = np.random.default_rng(7)
-    real = rng.normal(size=(40, 2, 2))
-    cplx = real + 1j * rng.normal(size=(40, 2, 2))
-    tiny = 1e-5 * rng.normal(size=(10, 2, 2))
-    nilpotent = np.array([[[0.0, 0.7], [0.0, 0.0]], [[1.0, -1.0], [1.0, -1.0]]])
-    for om in (real, cplx, tiny, nilpotent, 3j * nilpotent):
-        got = frame.Matrices2.exp(om)
-        assert np.iscomplexobj(got) == np.iscomplexobj(om)
-        want = np.array([expm(m) for m in om])
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_refinement_is_local(crit032):

@@ -300,40 +300,15 @@ def test_phis_match_oracle_both_directions(sph, crit032):
         assert np.max(err) <= 1e-10
 
 
-def _phi_magnus(sph, crit, us):
-    """The phi rows sym2(M) phi(omega), with M' = X M solved outward from
-    omega on each side by the frame module's Magnus solver at step_tol
-    1e-15 from steps of pi/4096."""
-    y0 = np.array([1.0, -(sph.s1 + sph.s2).real, (sph.s1 * sph.s2).real])
-    y0 /= sph.delta
-    om, signs = crit.omega, np.array([1.0, -1.0])
-
-    def x_of_t(t, s):
-        U, U1 = elliptic.riccati_u_u1(om + signs[s] * t, crit)
-        x = np.zeros(np.shape(t) + (2, 2))
-        x[..., 0, 1], x[..., 1, 0] = -U1, U
-        return signs[s][..., None, None] * x
-
-    sides = [sign * (us - om) > 0 for sign in signs]
-    solved = frame._magnus_solve(
-        x_of_t, frame.Matrices2,
-        [(np.append(sign * (us[side] - om), 0.0), np.pi / 4096)
-         for sign, side in zip(signs, sides)], 1e-15)
-    m = np.broadcast_to(np.eye(2), us.shape + (2, 2)).copy()
-    for side, (y, _, _) in zip(sides, solved):
-        m[side] = y[:-1]
-    return spherical.sym2(m) @ y0
-
-
 def test_phis_match_a_fine_magnus_solve(sph, crit032):
-    """The closed form agrees with the phi-system solved by the Magnus
-    method on fine steps to 1e-12 relative, on both sides of omega up to
-    |u| = 1.5, for a conjugate-pair and a real-pair spec."""
+    """The closed form agrees with the phi-system solved by SciPy's DOP853
+    at rtol 1e-13 (`_phi_oracle`) to 1e-12 relative, on both sides of
+    omega up to |u| = 1.5, for a conjugate-pair and a real-pair spec."""
     real_pair = reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9)
     us = np.array([-1.5, -0.8, -0.2, 0.03, crit032.omega, 0.6, 1.1, 1.5])
     for spec in (sph, real_pair):
         got = spherical.integrate_phis(spec, crit032, us)
-        want = _phi_magnus(spec, crit032, us)
+        want = _phi_oracle(spec, crit032, us)
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.max(err) <= 1e-12
 

@@ -250,6 +250,19 @@ def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
+def test_battery_solves_no_quadrature_rule_again(torus_surf, crit032,
+                                                 monkeypatch):
+    """Gauss-Legendre rules are solved once per process: after a first
+    battery, another calls eigh only on planarity's (nv, 3, 3) stacks,
+    where it solved the dual loop's 16 x 16 Jacobi matrix on every call."""
+    verify.battery(torus_surf, crit032)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        shapes.append(np.shape(a)), eigh(a))[1])
+    verify.battery(torus_surf, crit032)
+    assert shapes == [(len(torus_surf.v), 3, 3)]
+
+
 def test_dual_symmetry_on_even_nu_evaluates_no_grid(torus_surf, crit032,
                                                     theta_arrays):
     """On an even nu the dual checks read fu and fv at pi - u from the
@@ -507,7 +520,7 @@ def test_limit_u_closure(limit_surf, lam0):
     spec = limit_surf.recipe.spec
     for v in np.linspace(0.0, spec.period, 5):
         w = float(spec.w(v))
-        g = curvefamily.gamma_hat(np.array([0.0, 2 * np.pi]), w, fam)
+        g = curve_form("gamma_hat", np.array([0.0, 2 * np.pi]), w, fam)
         assert abs(g[1] - g[0]) < 1e-8
 
 
@@ -567,6 +580,18 @@ def test_limit_frame_matches_oracle(lam0, limit_spec):
     E, T = surface._limit_frame_arrays(fam, spec, v)
     assert np.max(np.abs(E - np.exp(-2j * ref[0]))) <= 1e-10
     assert np.max(np.abs(T - (ref[1] + 1j * ref[2]))) <= 1e-10
+
+
+def test_panel_rule_integrates_polynomials_to_each_node():
+    """The limit frame's integration matrix S gives the integral from -1
+    to each node of x^d, d = 0..9, to round-off, and its rule's weights
+    integrate x^d over [-1, 1]: a inside a panel is exact on the
+    polynomials of the rule's degree."""
+    x, weights, s = surface._panel_rule(10)
+    for d in range(10):
+        want = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+        assert np.max(np.abs(s @ x ** d - want)) <= 2e-15
+        assert abs(weights @ x ** d - (1 - (-1.0) ** (d + 1)) / (d + 1)) <= 2e-15
 
 
 def test_limit_coefficients_accept_arrays(lam0):
