@@ -25,7 +25,7 @@ from . import __version__, curvefamily, elliptic, frame, reparam
 from . import surface as surface_mod
 from . import textfmt, theta
 from . import verify as verify_mod
-from .errors import IsoforgeError, NoBracket, NoCriticalOmega
+from .errors import IsoforgeError, NoBracket
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +393,7 @@ def solve(want_lambda0, lam):
         return
     if lam is None:
         raise click.UsageError("pass --lambda or --lambda0")
-    try:
-        crit = elliptic.solve_critical_omega(theta.rhombic(lam))
-    except NoCriticalOmega:
-        raise IsoforgeError(
-            f"no critical omega: lambda = {lam} >= lambda0 "
-            f"= {elliptic.solve_lambda0():.12f}")
+    crit = elliptic.solve_critical_omega(theta.rhombic(lam))
     click.echo(f"omega = {crit.omega:.15f}")
     click.echo(f"residual = {crit.residual:.3e}")
 

@@ -59,7 +59,12 @@ rhombic lattice at lambda0, making the curves 2*pi-periodic):
     gamma_hat       = s z + 2i td(0)^2/th1'(0)^2 * A'/A,
     gamma_hat_u     = s + i td(0)^2/th1'(0)^2 * (A'' A - A'^2)/A^2.
 
-Its rotation data W_hat, limit_d and limit_r are functions of w.
+Its frame turns by the real functions of w of `limit_rotation`:
+
+    W_hat = i th1'(0) td(iw) / (2 td(0) th1(iw)),
+    r     = td(0) (td'(iw) - i w td''(0)/td(0) td(iw)) / (th1'(0) th1(iw)),
+
+read from the three lines th1(iw), td(iw) and td'(iw).
 """
 
 from __future__ import annotations
@@ -292,29 +297,13 @@ def elastica_constants(w: float, fam) -> ElasticaConstants:
 # the omega -> 0 limit family (cylinder-tangent case)
 
 
-def w_hat(w, fam: Family):
-    """W^(w) = i th1'(0) td(iw) / (2 td(0) th1(iw)), real; w a number or array."""
-    lat, i = fam.lattice, fam.den
+def limit_rotation(w, fam: Family):
+    """(W_hat(w), r(w)) of the module docstring, real; w a number or an
+    array.  Reads th1(iw), td(iw) and td'(iw) once each."""
+    lat, i, iw = fam.lattice, fam.den, 1j * w
     _check_w(w, lat)
-    val = (1j * fam.t1p0 * theta_grid(i, 1j * w, lat)
-           / (2 * fam.td * theta_grid(1, 1j * w, lat)))
-    return _real(val, "W^(w)")
-
-
-def limit_d(w, fam: Family):
-    """d(w) = td'(iw)/td(iw) - i w td''(0)/td(0); purely imaginary on rhombic."""
-    lat, i = fam.lattice, fam.den
-    _check_w(w, lat)
-    val = (theta_grid(i, 1j * w, lat, 1) / theta_grid(i, 1j * w, lat)
-           - 1j * w * theta_grid(i, 0.0, lat, 2) / fam.td)
-    return complex(val) if np.ndim(val) == 0 else val
-
-
-def limit_r(w, fam: Family):
-    """r(w) = td(0) td(iw) / (th1'(0) th1(iw)) * d(w), real; w a number or array."""
-    lat, i = fam.lattice, fam.den
-    _check_w(w, lat)
-    val = (fam.td * theta_grid(i, 1j * w, lat)
-           / (fam.t1p0 * theta_grid(1, 1j * w, lat))
-           * limit_d(w, fam))
-    return _real(val, "r(w)")
+    t1, td = theta_grid(1, iw, lat), theta_grid(i, iw, lat)
+    what = 1j * fam.t1p0 * td / (2 * fam.td * t1)
+    r = fam.td * (theta_grid(i, iw, lat, 1) - iw * theta_grid(i, 0.0, lat, 2)
+                  / fam.td * td) / (fam.t1p0 * t1)
+    return _real(what, "W^(w)"), _real(r, "r(w)")

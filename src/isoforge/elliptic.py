@@ -303,35 +303,33 @@ def solve_lambda0() -> float:
 
 
 def solve_critical_omega(lat: Lattice) -> Family:
-    """The unique omega in (0, pi/4) with theta2'(omega | tau) = 0.
+    """The unique omega in (0, pi/4) with theta2'(omega | tau) = 0, by
+    Brent's method on g = theta2'/theta2 over [1e-3, pi/4].
 
-    A scan in steps of 1e-3 brackets it for Brent's method.  Exists iff
-    lambda < lambda0; otherwise NoCriticalOmega is raised.
+    It exists iff lambda < lambda0.  NoCriticalOmega is raised when g has
+    one sign at both ends: for every lambda >= lambda0 (the one case whose
+    message names lambda0), and below it where the zero lies within
+    round-off of pi/4 (lambda <= 0.02) or below 1e-3 (within about 2e-7
+    of lambda0).  It is raised too where g loses its realness to round-off
+    (lambda below about 0.0135).
     """
     if lat.kind != "rhombic":
         raise InvalidLattice("critical omega is defined for rhombic lattices")
 
     def g(w):
         return _real(theta_grid(2, w, lat, 1) / theta_grid(2, w, lat, 0),
-                     "theta2'/theta2 at real omega")
+                     "no critical omega: theta2'/theta2 at real omega",
+                     NoCriticalOmega)
 
-    grid = np.arange(1e-3, np.pi / 4, 1e-3)
-    vals = np.real(theta_grid(2, grid, lat, 1) / theta_grid(2, grid, lat, 0))
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) == 0:
-        raise NoCriticalOmega(
-            f"theta2' has no zero in (0, pi/4) at lambda={lat.lam} (lambda >= lambda0)"
-        )
-    i = idx[0]
-    omega = brentq(g, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-    # Newton polish on theta2' itself
-    for _ in range(3):
-        d1 = theta_grid(2, omega, lat, 1)
-        if abs(d1) < 1e-13:
-            break
-        omega -= (d1 / theta_grid(2, omega, lat, 2)).real
-    return Family(lat, float(omega), "critical")
+    lo, hi = 1e-3, np.pi / 4
+    if g(lo) * g(hi) > 0:
+        lam0 = solve_lambda0()
+        cause = (f"lambda >= lambda0 = {lam0:.12f}" if lat.lam >= lam0 else
+                 "its zero lies below 1e-3 or within round-off of pi/4")
+        raise NoCriticalOmega(f"no critical omega: theta2' has one sign on "
+                              f"[1e-3, pi/4] at lambda = {lat.lam} ({cause})")
+    return Family(lat, brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16),
+                  "critical")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ class NoBracket(IsoforgeError):
 
 
 class NoCriticalOmega(NoBracket):
-    """theta2'(omega) has no zero in (0, pi/4); happens iff lambda >= lambda0."""
+    """`solve_critical_omega` finds no zero of theta2'(omega) in (0, pi/4):
+    none exists when lambda >= lambda0, and below lambda0 it can lie out of
+    the solver's reach."""
 
 
 class NoOscillation(IsoforgeError):

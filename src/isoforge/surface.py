@@ -30,9 +30,11 @@ np.linalg.norm's own (..., 3) temporaries cost most.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
 (planes tangent to a cylinder) instead, assembled from the limit forms
-gamma_hat and gamma_hat_u (one `forms_at` call) and the limit data W_hat,
-r; its rotation e^{-2ia(v)} and translation T(v) are two quadratures on
-Gauss-Legendre panels, not an ODE solve: a' reads w(v) alone, and T' a.
+gamma_hat and gamma_hat_u (one `forms_at` call) and the rotation data
+W_hat and r of w (`curvefamily.limit_rotation`, three theta lines per
+call: one call at the grid's v, one at the frame's quadrature nodes).
+The frame's rotation e^{-2ia(v)} and translation T(v) are two quadratures
+on Gauss-Legendre panels, not an ODE solve: a' reads w(v) alone, and T' a.
 
 The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
@@ -247,10 +249,11 @@ def _limit_frame_arrays(fam: Family, spec: ReparamSpec, v):
     j = np.arange(at[-1]) - np.repeat(at[:-1], per)  # place in its interval
     mid = np.repeat(v[:-1], per) + (2 * j + 1) * half
     w, _, root = spec.planes(mid[:, None] + half[:, None] * x)
-    f = root * curvefamily.w_hat(w, fam)
+    what, r = curvefamily.limit_rotation(w, fam)
+    f = root * what
     a = np.cumsum(np.concatenate([[0.0], half * (f @ weights)]))
     e = np.exp(-2j * (a[:-1, None] + half[:, None] * (f @ s.T)))
-    g = root * curvefamily.limit_r(w, fam) * e
+    g = root * r * e
     t = np.cumsum(np.concatenate([[0.0], half * (g @ weights)]))
     return np.exp(-2j * a[at]), t[at]
 
@@ -273,8 +276,8 @@ def build_limit(recipe: SurfaceRecipe) -> SampledSurface:
                              mirrored=True)
     gh, ghu = f["gamma_hat"], f["gamma_hat_u"]
     gv = 1j * wp * ghu
-    turn = root * (2 * curvefamily.w_hat(w_arr, fam) * gh.real
-                   + curvefamily.limit_r(w_arr, fam))
+    what, r = curvefamily.limit_rotation(w_arr, fam)
+    turn = root * (2 * what * gh.real + r)
 
     def vec(g, plane):
         """The xyz planes (3, nu, nv) of Im(g) k plus the (i, j)-plane

@@ -145,7 +145,25 @@ def curve_form(name, u, w, fam):
 
 
 @pytest.fixture
-def theta_arrays(monkeypatch):
+def grid_arrays(monkeypatch):
+    """Records the shape of every array argument z of theta_grid in
+    elliptic and curvefamily, as {"elliptic": [...], "curvefamily": [...]}
+    in call order; scalar calls are not recorded."""
+    rec, grid = {}, theta.theta_grid
+    for module in (elliptic, curvefamily):
+        shapes = rec[module.__name__.rpartition(".")[2]] = []
+
+        def counted(i, z, *args, shapes=shapes):
+            if np.ndim(z):
+                shapes.append(np.shape(z))
+            return grid(i, z, *args)
+
+        monkeypatch.setattr(module, "theta_grid", counted)
+    return rec
+
+
+@pytest.fixture
+def theta_arrays(monkeypatch, grid_arrays):
     """Records the theta arrays curvefamily evaluates.
 
     `calls` holds (theta indices of the rows, len(a), shape of b) for each
@@ -153,11 +171,11 @@ def theta_arrays(monkeypatch):
     m0 of its rows: 1 for theta1 and theta2, 0 for theta3 and theta4),
     `arrays` one (index, order, a, b row) key for each array it returns,
     `columns` one (index, order, a, b) key for each of their columns, and
-    `grid` the shape of every array argument of theta_grid.
+    `grid` the shape of every array argument of curvefamily's theta_grid.
     """
     rec = SimpleNamespace(calls=[], products=[], arrays=[], columns=[],
-                          grid=[])
-    tensor, grid = curvefamily.theta_tensor, curvefamily.theta_grid
+                          grid=grid_arrays["curvefamily"])
+    tensor = curvefamily.theta_tensor
 
     def counted_tensor(rows, a, b, lat):
         rec.calls.append((tuple(i for i, _ in rows), len(a), np.shape(b)))
@@ -168,13 +186,7 @@ def theta_arrays(monkeypatch):
                            for (i, k), row in zip(rows, b) for x in np.ravel(row))
         return tensor(rows, a, b, lat)
 
-    def counted_grid(i, z, *args):
-        if np.ndim(z):
-            rec.grid.append(np.shape(z))
-        return grid(i, z, *args)
-
     monkeypatch.setattr(curvefamily, "theta_tensor", counted_tensor)
-    monkeypatch.setattr(curvefamily, "theta_grid", counted_grid)
     return rec
 
 

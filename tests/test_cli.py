@@ -395,6 +395,18 @@ def test_solve_exit_codes_via_console_script():
     _assert_solve_exit_codes(["isoforge"])
 
 
+def test_solve_below_lambda0_without_a_bracket_exits_2(monkeypatch, capsys):
+    """At lambda 0.015 < lambda0 the zero of theta2' lies within round-off
+    of pi/4, so the solve fails with exit 2, and its message does not
+    claim lambda >= lambda0."""
+    monkeypatch.setattr(sys, "argv", ["isoforge", "solve", "--lambda", "0.015"])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no critical omega" in err and ">= lambda0" not in err
+
+
 def test_solve_nonconvergence_exits_2(monkeypatch, capsys):
     """A root find that does not converge is a typed error: exit 2, no
     traceback.  (theta2''(0) replaced by a triple root Brent's method does

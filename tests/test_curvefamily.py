@@ -451,11 +451,39 @@ def test_limit_data_real_valued(lam0):
     lat = theta.rhombic(lam0)
     fam = elliptic.Family(lat, 0.0, "limit")
     for w in _random_w(lat, 5):
-        # W_hat and r are validated real inside; d is purely imaginary
-        d = curvefamily.limit_d(float(w), fam)
+        # W_hat and r are validated real inside; the factor d = td'(iw)/
+        # td(iw) - i w td''(0)/td(0) of r is purely imaginary
+        d = (theta.theta_grid(2, 1j * w, lat, 1) / theta.theta_grid(2, 1j * w, lat)
+             - 1j * w * theta.theta_grid(2, 0.0, lat, 2) / fam.td)
         assert abs(d.real) < 1e-9 * max(1.0, abs(d))
-        assert np.isfinite(curvefamily.w_hat(float(w), fam))
-        assert np.isfinite(curvefamily.limit_r(float(w), fam))
+        what, r = curvefamily.limit_rotation(float(w), fam)
+        assert type(what) is float and np.isfinite(what)
+        assert type(r) is float and np.isfinite(r)
+
+
+def test_limit_rotation_matches_mpmath(lam0):
+    """W_hat and r of limit_rotation equal the module docstring's formulas
+    in mpmath's jtheta at 40 digits, to 1e-13 of each one's largest value
+    on the band's interior (W_hat changes sign near w = 1.12)."""
+    mpmath = pytest.importorskip("mpmath")
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
+    ws = np.array([0.3, 0.9, 1.5, 2.0])
+    got = curvefamily.limit_rotation(ws, fam)
+    with mpmath.workdps(40):
+        q = mpmath.e ** (1j * mpmath.pi * mpmath.mpmathify(fam.lattice.tau))
+
+        def th(i, z, order=0):
+            return mpmath.jtheta(i, z, q, derivative=order)
+
+        want = []
+        for w in ws:
+            iw = mpmath.mpc(0, w)
+            t1, td, tdp = th(1, iw), th(2, iw), th(2, iw, 1)
+            want.append((1j * th(1, 0, 1) * td / (2 * th(2, 0) * t1),
+                         th(2, 0) * (tdp - iw * th(2, 0, 2) / th(2, 0) * td)
+                         / (th(1, 0, 1) * t1)))
+    for x, ref in zip(got, np.array(want, dtype=complex).T):
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_limit_forms_match_mpmath(lam0):

@@ -26,7 +26,7 @@ def test_lambda0_bracket_signs():
     assert elliptic.theta2_logdd0(0.2) * elliptic.theta2_logdd0(0.5) < 0
 
 
-@pytest.mark.parametrize("lam", [0.15, 0.25, 0.32])
+@pytest.mark.parametrize("lam", [0.05, 0.08, 0.15, 0.25, 0.32])
 def test_critical_omega_exists(lam):
     crit = elliptic.solve_critical_omega(theta.rhombic(lam))
     assert 0 < crit.omega < np.pi / 4
@@ -37,6 +37,25 @@ def test_critical_omega_exists(lam):
 def test_critical_omega_absent(lam):
     with pytest.raises(NoCriticalOmega):
         elliptic.solve_critical_omega(theta.rhombic(lam))
+
+
+@pytest.mark.parametrize("lam", [0.005, 0.015, 0.3547298])
+def test_critical_omega_out_of_reach_below_lambda0(lam, lam0):
+    """Below lambda0 the zero can lie out of the solver's reach: theta2'/
+    theta2 loses its realness to round-off (0.005), the zero lies within
+    round-off of pi/4 (0.015) or below 1e-3 (0.3547298).  The typed error
+    does not name lambda >= lambda0 as its cause."""
+    assert lam < lam0
+    with pytest.raises(NoCriticalOmega, match="no critical omega") as exc:
+        elliptic.solve_critical_omega(theta.rhombic(lam))
+    assert ">= lambda0" not in str(exc.value)
+
+
+def test_solve_critical_omega_evaluates_no_theta_array(grid_arrays):
+    """The critical omega is one Brent solve in scalar theta values: no
+    scan of theta2'/theta2 on an array."""
+    elliptic.solve_critical_omega(theta.rhombic(0.32))
+    assert grid_arrays["elliptic"] == []
 
 
 def test_critical_omega_shrinks_toward_lambda0():

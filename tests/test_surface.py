@@ -571,9 +571,9 @@ def test_limit_frame_matches_oracle(lam0, limit_spec):
 
     def rhs(vv, y):
         w, _, root = map(float, spec.planes(vv))
-        rr = root * curvefamily.limit_r(w, fam)
-        return [root * curvefamily.w_hat(w, fam),
-                rr * np.cos(2 * y[0]), -rr * np.sin(2 * y[0])]
+        what, r = curvefamily.limit_rotation(w, fam)
+        return [root * what, root * r * np.cos(2 * y[0]),
+                -root * r * np.sin(2 * y[0])]
 
     ref = solve_ivp(rhs, (0.0, v[-1]), [0.0, 0.0, 0.0], method="DOP853",
                     t_eval=v, rtol=1e-13, atol=1e-14).y
@@ -595,11 +595,23 @@ def test_panel_rule_integrates_polynomials_to_each_node():
 
 
 def test_limit_coefficients_accept_arrays(lam0):
-    """w_hat and limit_r on an array equal the scalar values."""
+    """W_hat and r of limit_rotation on an array equal the scalar values."""
     fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
     ws = np.linspace(0.1, 2 * np.pi * lam0 - 0.1, 7).reshape(7, 1)
-    for fn in (curvefamily.w_hat, curvefamily.limit_r):
-        got = fn(ws, fam)
+    scalars = [curvefamily.limit_rotation(float(w), fam) for w in ws.ravel()]
+    for got, want in zip(curvefamily.limit_rotation(ws, fam), zip(*scalars)):
         assert got.shape == ws.shape and got.dtype == float
-        want = np.array([fn(float(w), fam) for w in ws.ravel()])
+        want = np.array(want)
         assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_limit_build_reads_three_theta_lines_per_call_site(lam0, limit_spec,
+                                                           grid_arrays):
+    """A limit build reads th1(iw), td(iw) and td'(iw) once each at the
+    frame's quadrature nodes (48 intervals of V/48, each 3 panels of at
+    most V/128, 10 nodes per panel) and once each at the display grid's
+    49 v."""
+    fam = elliptic.Family(theta.rhombic(lam0), 0.0, "limit")
+    surface.build(surface.SurfaceRecipe(fam=fam, spec=limit_spec, nu=48,
+                                        nv=48))
+    assert grid_arrays["curvefamily"] == [(144, 10)] * 3 + [(49,)] * 3
