@@ -359,6 +359,7 @@ def extend_by_rotation(piece, mono: Monodromy, k: int):
         piece,
         v=np.concatenate(vs),
         expH=np.concatenate(eh, axis=1),
+        omega_row=None,  # the piece's row spans one period
         **{name: np.concatenate(parts, axis=1) for name, parts in fields.items()},
     )
 

@@ -35,6 +35,7 @@ spherical (delta, s1, s2)) stays with the caller that chose it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -112,15 +113,22 @@ def validate(spec: ReparamSpec, lat, n: int = 4001, coarse: bool = False):
     With coarse=True, returns (the report on every other sample, the report
     on all n) from one evaluation of the spec: for odd n the coarse samples
     are those of n // 2 + 1 samples, bit for bit, so both reports equal
-    the two separate calls.
+    the two separate calls.  Both reports of the last (spec, lambda, n)
+    are kept (a spec is immutable), so a surface's frame solve
+    (`require_admissible`) and its battery (coarse=True) sample it once.
     """
+    reports = _reports(spec, lat.lam, n)
+    return reports if coarse else reports[1]
+
+
+@lru_cache(maxsize=1)
+def _reports(spec: ReparamSpec, lam: float, n: int):
+    """`validate`'s (coarse, fine) reports on n samples."""
     v = np.linspace(0.0, spec.period, n)
     w, wp, root = (np.asarray(x, dtype=float) for x in spec.planes(v))
-    top = 2 * np.pi * lat.lam
-    fine = _report(v, w, wp, root, top)
-    if not coarse:
-        return fine
-    return _report(v[::2], w[::2], wp[::2], root[::2], top), fine
+    top = 2 * np.pi * lam
+    return (_report(v[::2], w[::2], wp[::2], root[::2], top),
+            _report(v, w, wp, root, top))
 
 
 def _report(v, w, wp, root, top) -> ValidationReport:

@@ -20,13 +20,16 @@ temporaries bounded, and the frame acts through one 3x3 rotation matrix
 per column (quat.qrotation(Phi), whose columns are Phi^{-1} i Phi,
 Phi^{-1} j Phi and Phi^{-1} k Phi).  Each vector field is stored as
 component planes: one C-contiguous (3, nu, nv) array of its x, y and z
-grids, assembled plane by plane and exposed as the (nu, nv, 3) view
-np.moveaxis(planes, 0, -1); elementwise results keep the layout, and
-reshape(-1, 3) of such a view copies.  Every norm and dot product over
-xyz (`_norm`, `_dot`) adds the three planes: bit for bit the values of
-numpy's 3-wide reduce, at a fraction of its time on C-ordered grids (0.1
-against 0.4 ms at 128 x 129) and on the battery's fresh temporaries, where
-np.linalg.norm's own (..., 3) temporaries cost most.
+grids, assembled plane by plane (`_assemble`, which the PDE stencil
+shares) and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1);
+elementwise results keep the layout, and reshape(-1, 3) of such a view
+copies.  Every norm and dot product over xyz (`_norm`, `_dot`) is one
+einsum contraction: on such views bit for bit the values of numpy's
+3-wide reduce, at a fraction of its time (25 against 68 us for a dot on
+128 x 129).  On a critical family `build` evaluates u and the row
+u = omega in one call; its display grids are views of the first nu rows
+of those planes (each x, y and z plane still contiguous), and it keeps
+points and fu on the row as `omega_row`.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
 (planes tangent to a cylinder) instead, assembled from the limit forms
@@ -40,10 +43,13 @@ The residual battery (Gauss, Codazzi, harmonicity, Cauchy-Riemann, Riccati)
 evaluates the closed-form fields on one small finite-difference stencil grid
 around all probes and all probe steps at once, whose steps are independent
 of the display grid, so truncation error is controlled by the probe step
-alone.  `build` solves the frame once and keeps the solve as `traj`;
-`verify.small_grids` reads the frame at every v off the display grid that
-the battery needs with one `traj.at`, and fv_vs_fd's probes, the dual
-loop's edges and the u = omega row as blocks of one `fields_at` tensor.
+alone; its fields are assembled from the w(v) columns of the stencil's
+own `forms_at` call.  `build` solves the frame once and keeps the solve as
+`traj`; `verify.small_grids` reads the frame at every v off the display
+grid that the battery needs with one `traj.at`, and fv_vs_fd's probes and
+the dual loop's edges as blocks of one `fields_at` tensor.  The double
+dual's residuals are the dual's norms weighted by e^{2h}
+(`dual_symmetry`).
 
 Every certificate here (`build`'s diagnostics, each level of `pde_battery`,
 `inversion_symmetry`, `dual_symmetry` and `planarity_certificate`) returns
@@ -85,6 +91,8 @@ class SampledSurface:
     phi: np.ndarray          # (nv_total, 4) frame samples (None for limit)
     traj: frame.FrameTrajectory | None   # the frame's solve (None for limit)
     recipe: SurfaceRecipe
+    # points and fu at u = omega x v, (nv_total, 3) each (None off critical)
+    omega_row: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -103,18 +111,20 @@ _BLOCK_POINTS = 32768
 
 def _norm(x, axis=-1):
     """|x| over the xyz axis of a (..., 3) grid (or of its (3, ...) planes,
-    axis 0), from its x, y and z planes: bit for bit np.linalg.norm, whose
-    3-wide reduce also adds the squares left to right."""
-    x0, x1, x2 = np.moveaxis(x, axis, 0)
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    axis 0): the square root of `_dot(x, x)`."""
+    x = np.moveaxis(x, axis, -1)
+    return np.sqrt(_dot(x, x))
 
 
 def _dot(x, y):
-    """x . y over the last axis of (..., 3) grids, broadcasting, from
-    their planes: bit for bit np.sum(x * y, axis=-1), whose reduce starts
-    from +0.0 (so three products of -0.0 sum to +0.0 here too)."""
-    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
-    return x0 * y0 + x1 * y1 + x2 * y2 + 0.0
+    """x . y over the last axis of (..., 3) grids, broadcasting, as one
+    einsum contraction over xyz.  On views of xyz planes (the layout of
+    fields_at) einsum adds the three products left to right from +0.0, as
+    numpy's add reduce does, so the values are bit for bit np.sum(x * y,
+    axis=-1) and np.linalg.norm (three products of -0.0 sum to +0.0); on
+    two C-ordered (..., 3) arrays its contiguous loop may round the last
+    bit differently, and is slower than the reduce."""
+    return np.einsum("...i,...i->...", x, y)
 
 
 # the fields of fields_at and the curvefamily forms each one reads
@@ -148,20 +158,30 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
     nu, nv = len(u), len(v)
     forms = tuple(dict.fromkeys(f for name in names for f in _FIELD_FORMS[name]))
     w_arr, wp, root = spec.planes(v)
-    # rot[c, b, j]: component c of the image of basis vector b (i, j, k) at
-    # v_j, contiguous in j like the planes
-    rot = np.ascontiguousarray(np.moveaxis(qrotation(phi), 0, -1))
-    planes = {name: np.empty((3, nu, nv)) for name in names
-              if name != "expH"}
-    eh = np.empty((nu, nv)) if "expH" in names else None
     # the fewest blocks of at most _BLOCK_POINTS points, the first
     # nv % nblocks of them one column wider (np.array_split's widths)
     nblocks = -(-nv // max(1, _BLOCK_POINTS // max(nu, 1)))
     width, wider = divmod(nv, max(nblocks, 1))
     edges = np.cumsum([0] + [width + 1] * wider + [width] * (nblocks - wider))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cols = slice(lo, hi)
-        f = curvefamily.forms_at(u, w_arr[cols], fam, forms)
+    blocks = (slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    return _assemble(names, nu, phi, wp, root, (
+        (cols, curvefamily.forms_at(u, w_arr[cols], fam, forms))
+        for cols in blocks))
+
+
+def _assemble(names, nu, phi, wp, root, blocks):
+    """The fields `names` of fields_at on nu u x the nodes of v, from the
+    frame phi, w' and the signed root at v and `blocks`, an iterable of
+    (cols, forms): a slice of v and forms_at's gamma, exp_h and
+    exp_isigma (those the fields read) on u x w(v[cols])."""
+    # rot[c, b, j]: component c of the image of basis vector b (i, j, k) at
+    # v_j, contiguous in j like the planes
+    rot = np.ascontiguousarray(np.moveaxis(qrotation(phi), 0, -1))
+    nv = len(phi)
+    planes = {name: np.empty((3, nu, nv)) for name in names
+              if name != "expH"}
+    eh = np.empty((nu, nv)) if "expH" in names else None
+    for cols, f in blocks:
         gam, eis, eh_c = (f.get(x) for x in ("gamma", "exp_isigma", "exp_h"))
         if "expH" in names:
             eh[:, cols] = eh_c
@@ -184,7 +204,12 @@ def fields_at(fam: Family, spec: ReparamSpec, u, v, phi, names=FIELDS):
 
 
 def build(recipe: SurfaceRecipe) -> SampledSurface:
-    """Sample the immersion on a (u, v) grid with its frame fields."""
+    """Sample the immersion on a (u, v) grid with its frame fields.
+
+    On a critical family the one `fields_at` call also covers the row
+    u = omega, whose points and fu the surface keeps as omega_row for
+    `inversion_symmetry`; the display grids are views of its first nu
+    rows."""
     if recipe.fam.mode == "limit":
         return build_limit(recipe)
     spec, fam = recipe.spec, recipe.fam
@@ -192,7 +217,12 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
     v = np.linspace(0.0, recipe.periods * spec.period,
                     recipe.periods * recipe.nv + 1)
     traj = frame.integrate(spec, fam, v_nodes=v)
-    f = fields_at(fam, spec, u, v, traj.phi)
+    critical = fam.mode == "critical"
+    f = fields_at(fam, spec, np.append(u, fam.omega) if critical else u, v,
+                  traj.phi)
+    omega_row = ({k: f[k][-1] for k in ("points", "fu")} if critical
+                 else None)
+    f = {k: x[:len(u)] for k, x in f.items()}
 
     eh = f["expH"]
     fu, fv, nrm = f["fu"], f["fv"], f["n"]
@@ -207,7 +237,7 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
     }
     return SampledSurface(u=u, v=v, points=f["points"], fu=fu, fv=fv, n=nrm,
                           expH=eh, phi=traj.phi, traj=traj, recipe=recipe,
-                          diagnostics=diagnostics)
+                          omega_row=omega_row, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +362,9 @@ def pde_battery(fam, spec, u_probes, v_probes, phi, steps):
     closed-form fields, so the battery converges at second order in the
     probe step independently of any display grid.  The shifts 0, -h, +h of
     every step form one stencil: one `forms_at` call on its u-nodes x (its w(v)
-    and its w-shifts), one `coeffs` sample and one `fields_at` on its
-    u-nodes x v-nodes serve every step.  Grids below have the shifts along
+    and its w-shifts) and one `coeffs` sample serve every step, and the
+    fields on its u-nodes x v-nodes are assembled as fields_at assembles
+    them from that call's columns at w(v).  Grids below have the shifts along
     their leading axes.  phi is the frame at the stencil's v-nodes,
     _stencil(v_probes, steps).ravel().
     """
@@ -341,7 +372,7 @@ def pde_battery(fam, spec, u_probes, v_probes, phi, steps):
     (ns, nu), nv = us.shape, len(v_probes)
 
     # grid columns: w(vs), then the nonzero shifts of w(v_probes) (w-shifts)
-    wv, wpv, _ = spec.planes(vs.ravel())
+    wv, wpv, rootv = spec.planes(vs.ravel())
     grid = curvefamily.forms_at(
         us.ravel(), np.concatenate([wv, _stencil(wv[:nv], steps)[1:].ravel()]),
         fam, ("exp_h", "dlog_gamma_u", "exp_isigma"))
@@ -368,8 +399,9 @@ def pde_battery(fam, spec, u_probes, v_probes, phi, steps):
 
     # second fundamental form: k1 = <f_uu, n> e^{-2h}, k2 = <f_vv, n> e^{-2h},
     # on the stencil grid us x vs: (u-shift, u-probe, v-shift, v-probe)
-    f = fields_at(fam, spec, us.ravel(), vs.ravel(), phi,
-                  ("fu", "fv", "n", "expH"))
+    at_wv = {k: grid[k][:, :ns * nv] for k in ("exp_h", "exp_isigma")}
+    f = _assemble(("fu", "fv", "n", "expH"), ns * nu, phi, wpv, rootv,
+                  [(slice(None), at_wv)])
     fu, fv, nrm = (f[k].reshape(ns, nu, ns, nv, 3) for k in ("fu", "fv", "n"))
     e2h = f["expH"].reshape(ns, nu, ns, nv) ** 2
 
@@ -449,12 +481,12 @@ def is_flat(s: SampledSurface) -> bool:
     return not np.any(s.recipe.spec.planes(s.v)[1])
 
 
-def inversion_symmetry(s: SampledSurface, crit: Family, row: dict) -> dict:
+def inversion_symmetry(s: SampledSurface, crit: Family) -> dict:
     """Thm-5.7 involution: -R(omega)^2 f^{-1}(u,v) = f(2 omega - u, v).
 
     For imaginary quaternions f^{-1} = -f/|f|^2, so the left side is
     R^2 f / |f|^2.  Also checks the u = omega sphere and tangency there on
-    row, points and fu at u = omega x s.v from `verify.small_grids`.
+    s.omega_row, points and fu at u = omega x s.v from `build`.
     Returns the residuals `inversion_involution` (absolute and, as
     `inversion_involution_rel`, relative to |R|), `inversion_omega_sphere`
     and `inversion_omega_parallel`.
@@ -466,7 +498,7 @@ def inversion_symmetry(s: SampledSurface, crit: Family, row: dict) -> dict:
     inv = R ** 2 * f / (f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
     res_inv = float(np.max(_norm(inv - f2, 0)))
 
-    fom, fuom = row["points"][0], row["fu"][0]
+    fom, fuom = s.omega_row["points"], s.omega_row["fu"]
     sphere = float(np.max(np.abs(_norm(fom) - abs(R))))
     par = float(np.max(_norm(fom / R + fuom / _norm(fuom)[..., None])))
     return {"inversion_involution": res_inv,
@@ -512,13 +544,14 @@ def dual_symmetry(s: SampledSurface, loop) -> dict:
         fu_pi, fv_pi = (np.moveaxis(shifted[k], -1, 0) for k in ("fu", "fv"))
     e2h = s.expH ** 2
     top = np.max(s.expH)
-    res_u = float(np.max(_norm(fu_pi - fu / e2h, 0)) / top)
-    res_v = float(np.max(_norm(fv_pi - fv / e2h, 0)) / top)
-    # double dual: the dual surface's dual one-form, with e^{h*} = e^{-h},
-    # f*_u = fu_pi and f*_v = -fv_pi, must equal df
-    e2h_star = (1.0 / s.expH) ** 2
-    res_dd = float(max(np.max(_norm(fu_pi / e2h_star - fu, 0)),
-                       np.max(_norm(fv_pi / e2h_star - fv, 0))) / top)
+    dual_u = _norm(fu_pi - fu / e2h, 0)
+    dual_v = _norm(fv_pi - fv / e2h, 0)
+    res_u = float(np.max(dual_u) / top)
+    res_v = float(np.max(dual_v) / top)
+    # double dual: the dual surface's dual one-form (e^{h*} = e^{-h},
+    # f*_u = fu_pi, f*_v = -fv_pi) must equal df, and |e^{2h} fu_pi - fu| =
+    # e^{2h} |fu_pi - e^{-2h} fu|: the dual's norms weighted by e^{2h}
+    res_dd = float(max(np.max(e2h * dual_u), np.max(e2h * dual_v)) / top)
 
     # closedness of the dual one-form around one grid cell (quadrature loop)
     wu, wv, ue, ve = loop

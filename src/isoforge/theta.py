@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,9 @@ _BLOCK_ENTRIES = 8192
 # from this |Im z| on, w = e^{2iz} or 1/w is below the smallest normal
 # float (0 on a tall enough strip) or its reciprocal overflows
 _FLOAT_IM = -np.log(np.finfo(float).tiny) / 2
+# lattices kept per process by `rhombic` and `rectangular`, so that the
+# ops of one process on a lattice share its series coefficients
+_LATTICES = 16
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,12 @@ class Lattice:
         return {}
 
 
+@lru_cache(maxsize=_LATTICES)
 def rhombic(lam: float) -> Lattice:
     return Lattice("rhombic", lam)
 
 
+@lru_cache(maxsize=_LATTICES)
 def rectangular(lam: float) -> Lattice:
     return Lattice("rectangular", lam)
 

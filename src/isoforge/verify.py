@@ -134,7 +134,7 @@ def battery(surf, fam) -> dict:
         # PDE identities: require second-order convergence of the FD
         # residuals plus a residual cap; with w' = 0 at every v-sample
         # pde_codazzi_v vanishes identically, its roundoff of no order
-        stencil, fv_fd, row, loop = small_grids(surf, fam)
+        stencil, fv_fd, loop = small_grids(surf, fam)
         res, coarse = surface.pde_battery(fam, spec, *stencil)
         values.update(res)
         flat = surface.is_flat(surf)
@@ -158,7 +158,7 @@ def battery(surf, fam) -> dict:
                                             / max(rep_c.root_dd2, 1.0))
 
         if fam.mode == "critical":  # symmetry involutions
-            values.update(surface.inversion_symmetry(surf, fam, row))
+            values.update(surface.inversion_symmetry(surf, fam))
             values.update(surface.dual_symmetry(surf, loop))
 
     values.update(surface.planarity_certificate(surf))
@@ -181,12 +181,14 @@ def _fv_fd_residual(f):
 
 
 def small_grids(surf, fam):
-    """The battery's small grids on surf, (stencil, fv_fd, row, loop):
+    """The battery's small grids on surf, (stencil, fv_fd, loop):
     pde_battery's arguments after fam and spec, then the blocks of
-    fv_vs_fd, inversion_symmetry's u = omega row and dual_symmetry's loop
-    (the last two None off a critical family).  One `traj.at` reads the
-    frame at every v off the display grid, and the blocks are the diagonal
-    blocks of one `fields_at` tensor (their u and v concatenated)."""
+    fv_vs_fd and of dual_symmetry's loop (None off a critical family).
+    One `traj.at` reads the frame at every v off the display grid, and the
+    blocks are the diagonal blocks of one `fields_at` tensor (their u and
+    v concatenated): 26 x 27 points on a 128 x 128 critical grid.  The
+    u = omega row of inversion_symmetry comes with the display grid
+    (`surface.build`)."""
     critical, steps = fam.mode == "critical", (4e-4, 8e-4)
     u_probes, v_probes = surface._gauss_codazzi_probes(surf)
     v0 = np.linspace(0.31, 0.77, 3) * surf.recipe.spec.period
@@ -196,18 +198,18 @@ def small_grids(surf, fam):
     phi = np.split(surf.traj.at(np.concatenate(off_grid)),
                    np.cumsum([len(v) for v in off_grid[:-1]]))
     # (u, v, frame at v): fv_vs_fd's every (nu // 8)-th u x probes, then
-    # on a critical family the loop's edges and the u = omega row
+    # on a critical family the loop's edges
     blocks = [(surf.u[:: max(1, len(surf.u) // 8)], fv_v, phi[1]),
-              (um, surf.v[1:3], surf.phi[1:3]), (surf.u[1:3], vm, phi[2]),
-              ([fam.omega], surf.v, surf.phi)][:4 if critical else 1]
+              (um, surf.v[1:3], surf.phi[1:3]),
+              (surf.u[1:3], vm, phi[2])][:3 if critical else 1]
     f = surface.fields_at(fam, surf.recipe.spec,
                           *(np.concatenate(x) for x in zip(*blocks)),
                           ("points", "fu", "fv", "expH"))
     iu, iv = (np.cumsum([0] + [len(b[k]) for b in blocks]) for k in (0, 1))
     fv_fd, *rest = ({k: x[iu[i]:iu[i + 1], iv[i]:iv[i + 1]]
                      for k, x in f.items()} for i in range(len(blocks)))
-    row, loop = (rest[2], (*weights, *rest[:2])) if critical else (None, None)
-    return (u_probes, v_probes, phi[0], steps), fv_fd, row, loop
+    loop = (*weights, *rest) if critical else None
+    return (u_probes, v_probes, phi[0], steps), fv_fd, loop
 
 
 def spherical_battery(surf, mono, sph) -> dict:

@@ -113,8 +113,8 @@ def test_criterion_04_pde_battery(acc_surf):
 
 def test_criterion_05_symmetry_involutions(acc_surf, crit032):
     R = abs(crit032.R)
-    _, _, row, loop = verify.small_grids(acc_surf, crit032)
-    inv = surface.inversion_symmetry(acc_surf, crit032, row)
+    loop = verify.small_grids(acc_surf, crit032)[2]
+    inv = surface.inversion_symmetry(acc_surf, crit032)
     dual = surface.dual_symmetry(acc_surf, loop)
     ok = (inv["inversion_involution"] < 1e-8 * R
           and inv["inversion_omega_sphere"] < 1e-9

@@ -1233,15 +1233,16 @@ def test_verify_integrates_the_frame_once(tmp_path, frame_calls, crit032,
 def test_verify_runs_each_display_size_grid_as_one_block(tmp_path,
                                                          theta_arrays):
     """A README verify at 128 x 128 makes one theta_tensor call per block
-    of fields_at, and each 128 x 129 grid is one block: the display grid
-    fetches A, G and D (rows theta1, theta1, theta2) for all five fields,
-    and the involution's 2 omega - u grid A and G for its points."""
+    of fields_at, and each display-size grid is one block: the display
+    grid with its u = omega row (129 x 129) fetches A, G and D (rows
+    theta1, theta1, theta2) for all five fields, and the involution's
+    2 omega - u grid A and G for its points."""
     result = CliRunner().invoke(cli, [
         "verify", _write(tmp_path, _README_CFG), "--out",
         str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    wide = [call for call in theta_arrays.calls if call[1] == 128]
-    assert wide == [((1, 1, 2), 128, (3, 129)), ((1, 1), 128, (2, 129))]
+    wide = [call for call in theta_arrays.calls if call[1] >= 128]
+    assert wide == [((1, 1, 2), 129, (3, 129)), ((1, 1), 128, (2, 129))]
 
 
 def test_limit_verify_solves_no_ode_and_reads_one_tensor(tmp_path,
@@ -1472,15 +1473,59 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["critical", "explicit"])
+def test_verify_samples_the_spec_for_admissibility_once(tmp_path,
+                                                        monkeypatch, mode):
+    """The frame solve's admissibility check and the battery's
+    reparam.validate(..., n=4001, coarse=True) read one sampling of the
+    spec: a README verify makes one 4,001-point spec.planes call."""
+    from isoforge import reparam
+    sizes, analytic = [], reparam.analytic
+
+    def spied(*args):
+        spec = analytic(*args)
+
+        def planes(v, _planes=spec.planes):
+            sizes.append(np.size(v))
+            return _planes(v)
+        return dataclasses.replace(spec, planes=planes)
+    monkeypatch.setattr(reparam, "analytic", spied)
+    omega = {"mode": "critical"} if mode == "critical" else {
+        "mode": "explicit", "value": 0.3917291215675814}
+    result = CliRunner().invoke(cli, [
+        "verify", _write(tmp_path, {**_README_CFG, "omega": omega}),
+        "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert sizes.count(4001) == 1
+
+
+def test_rhombic_lambda_lost_in_round_off_exits_2(tmp_path, monkeypatch,
+                                                  capsys):
+    """verify on rhombic lambda 0.005 (explicit omega 0.3) exits 2 with an
+    error that names lambda, where it claimed a W1 pole."""
+    cfg = {**_README_CFG, "omega": {"mode": "explicit", "value": 0.3},
+           "lattice": {"kind": "rhombic", "lambda": 0.005},
+           "reparam": {"kind": "analytic", "mean": 0.0157,
+                       "amplitude": 0.005, "period": 6.0}}
+    monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
+                                      _write(tmp_path, cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "rhombic lambda = 0.005 " in err and "pole" not in err
+
+
+@pytest.mark.parametrize("mode", ["critical", "explicit"])
 def test_battery_reads_the_frame_once_and_small_grids_in_one_block(
         tmp_path, monkeypatch, crit032, mode):
     """A README battery reads the frame off the surface's solve in one
-    FrameTrajectory.at call, and evaluates fields in three fields_at calls
-    on a critical family (the PDE stencil, the 2 omega - u grid and the
-    union of the small grids) and two on an explicit one (the stencil and
-    fv_vs_fd's grid).  The critical union is 27 x 156 points: fv_vs_fd's
-    8 u (every 16th of 128), the loop's 16 u, u_1, u_2 and omega by
-    fv_vs_fd's 9 v, v_1, v_2, the loop's 16 v and the 129 grid v."""
+    FrameTrajectory.at call, and evaluates fields in two fields_at calls
+    on a critical family (the 2 omega - u grid and the union of the small
+    grids) and one on an explicit one (fv_vs_fd's grid); the PDE stencil
+    assembles its fields from its own forms_at call.  The critical union
+    is 26 x 27 points: fv_vs_fd's 8 u (every 16th of 128), the loop's
+    16 u, u_1 and u_2 by fv_vs_fd's 9 v, v_1, v_2 and the loop's 16 v.
+    The u = omega row comes with the display grid."""
     from isoforge import surface, verify
     omega = ({"mode": "critical"} if mode == "critical" else
              {"mode": "explicit", "value": crit032.omega})
@@ -1496,9 +1541,8 @@ def test_battery_reads_the_frame_once_and_small_grids_in_one_block(
     values = verify.battery(surf, fam)
     assert len(calls["at"]) == 1
     shapes = [(len(a[2]), len(a[3])) for a in calls["fields_at"]]
-    stencil = (5 * 6, 5 * 6)
     if mode == "critical":
-        assert sorted(shapes) == sorted([stencil, (128, 129), (27, 156)])
+        assert sorted(shapes) == sorted([(128, 129), (26, 27)])
     else:
-        assert sorted(shapes) == sorted([stencil, (8, 9)])
+        assert shapes == [(8, 9)]
     assert values["fv_vs_fd"] < verify.CHECKS["fv_vs_fd"].tol

@@ -109,21 +109,33 @@ def test_grid_fields_match_column_loop(torus_surf, crit032, theta_arrays,
 
 def test_fields_at_grids_are_views_of_component_planes(torus_surf, limit_surf,
                                                        crit032):
-    """Each (nu, nv, 3) field grid of fields_at, and so of build, and of
-    the limit surface is the moveaxis view of one C-contiguous (3, nu, nv)
-    array of xyz planes."""
+    """Each (nu, nv, 3) field grid of fields_at, and of the limit surface,
+    is the moveaxis view of one C-contiguous (3, nu, nv) array of xyz
+    planes.  A critical build's grids are its first nu rows of such an
+    array of nu + 1 rows, whose last row u = omega omega_row reads: each
+    x, y and z plane stays C-contiguous."""
     spec = torus_surf.recipe.spec
     u = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)  # four blocks
     got = surface.fields_at(crit032, spec, u, torus_surf.v, torus_surf.phi)
     nv = len(torus_surf.v)
-    for fields, nu in ((got, 512), (vars(torus_surf), len(torus_surf.u)),
-                       (vars(limit_surf), len(limit_surf.u))):
+    for fields, nu in ((got, 512), (vars(limit_surf), len(limit_surf.u))):
         for name in ("points", "fu", "fv", "n"):
             grid = fields[name]
             planes = np.moveaxis(grid, -1, 0)
             assert grid.shape == (nu, nv, 3), name
             assert planes.flags.c_contiguous and not grid.flags.owndata, name
             assert planes.base is grid.base and grid.base.shape == (3, nu, nv)
+    nu = len(torus_surf.u)
+    for name in ("points", "fu", "fv", "n"):
+        grid = getattr(torus_surf, name)
+        planes = np.moveaxis(grid, -1, 0)
+        assert grid.shape == (nu, nv, 3), name
+        assert all(p.flags.c_contiguous for p in planes), name
+        assert grid.base.shape == (3, nu + 1, nv), name
+        assert np.shares_memory(grid, grid.base)
+    for name in ("points", "fu"):
+        row = torus_surf.omega_row[name]
+        assert row.base is getattr(torus_surf, name).base, name
 
 
 # scales of the components: zeros of both signs, subnormals, values whose
@@ -133,26 +145,37 @@ _scale = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-150, 1.0, 1e150,
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 40)),
+@given(shape=st.tuples(st.integers(1, 3), st.integers(2, 40)),
        seed=st.integers(0, 2**32 - 1),
        scales=st.lists(_scale, min_size=1, max_size=4, unique=True))
 def test_plane_norm_and_dot_match_numpy_bitwise(shape, seed, scales):
     """surface._norm and _dot give np.linalg.norm(x, axis=-1) and
-    np.sum(x * y, axis=-1) bit for bit (the sign of a zero included), on
-    (..., 3) views of xyz planes, on C-ordered arrays, on a mix of both
-    and broadcast against one row."""
+    np.sum(x * y, axis=-1) bit for bit (the sign of a zero included) on
+    (..., 3) views of xyz planes of two points or more, alone, with a
+    C-ordered array and broadcast against one row; on two C-ordered
+    arrays einsum's contiguous loop may round differently, within two
+    roundings of the products' absolute sum where that is finite."""
     rng = np.random.default_rng(seed)
     px, py = (rng.normal(size=(3,) + shape) * rng.choice(scales, (3,) + shape)
               for _ in range(2))
     views = np.moveaxis(px, 0, -1), np.moveaxis(py, 0, -1)
     c_ordered = tuple(np.ascontiguousarray(a) for a in views)
-    for x, y in (views, c_ordered, (views[0], c_ordered[1]),
-                 (views[0], c_ordered[1][:1])):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in (views, (views[0], c_ordered[1]),
+                     (views[0], c_ordered[1][:1])):
             assert (surface._norm(x).tobytes()
                     == np.linalg.norm(x, axis=-1).tobytes())
             assert (surface._dot(x, y).tobytes()
                     == np.sum(x * y, axis=-1).tobytes())
+        x, y = c_ordered
+        norm = np.linalg.norm(x, axis=-1)
+        for got, want, size in (
+                (surface._norm(x), norm, norm),
+                (surface._dot(x, y), np.sum(x * y, axis=-1),
+                 np.sum(np.abs(x * y), axis=-1))):
+            fin = np.isfinite(size)
+            assert np.all(np.abs(got - want)[fin]
+                          <= 2 * np.finfo(float).eps * size[fin])
 
 
 def test_fields_at_memory_peak(crit032, torus_spec):
@@ -212,10 +235,10 @@ def test_build_block_makes_one_theta_call_for_five_arrays(crit032,
                                                           theta_arrays):
     """A 48 x 49 build is one block of columns: its fields read gamma,
     e^h and e^{i sigma}, so one theta_tensor call fetches A, G and D
-    without the derivative arrays A' and D'."""
+    without the derivative arrays A' and D', on the 48 u and omega."""
     surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
                                         nu=48, nv=48))
-    assert theta_arrays.calls == [((1, 1, 2), 48, (3, 49))]
+    assert theta_arrays.calls == [((1, 1, 2), 49, (3, 49))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
 
 
@@ -240,11 +263,10 @@ def test_inversion_grid_fetches_a_and_g_only(torus_surf, crit032,
                                              theta_arrays):
     """The involution reads only the points of the 2 omega - u grid, so
     that grid fetches A and G and no td row; points and fu on the
-    u = omega row are a block of the battery's union grid."""
-    row = verify.small_grids(torus_surf, crit032)[2]
+    u = omega row come with the display grid (the surface's omega_row)."""
     theta_arrays.calls.clear()
     theta_arrays.arrays.clear()
-    rep = surface.inversion_symmetry(torus_surf, crit032, row)
+    rep = surface.inversion_symmetry(torus_surf, crit032)
     _assert_inversion_symmetric(rep, crit032)
     assert theta_arrays.calls == [((1, 1), 48, (2, 49))]
     assert {k for _, k, _, _ in theta_arrays.arrays} == {0}
@@ -268,7 +290,7 @@ def test_dual_symmetry_on_even_nu_evaluates_no_grid(torus_surf, crit032,
     """On an even nu the dual checks read fu and fv at pi - u from the
     surface's grid, and the loop's u- and v-edges are blocks of the
     battery's union grid: dual_symmetry fetches no theta array."""
-    loop = verify.small_grids(torus_surf, crit032)[3]
+    loop = verify.small_grids(torus_surf, crit032)[2]
     theta_arrays.calls.clear()
     _assert_dual_symmetric(surface.dual_symmetry(torus_surf, loop))
     assert theta_arrays.calls == []
@@ -292,16 +314,16 @@ def test_dual_rows_match_the_fresh_shifted_grid(torus_surf, crit032):
             "dual_double_dual": np.maximum(
                 np.linalg.norm(fresh["fu"] * e2h - s.fu, axis=-1),
                 np.linalg.norm(fresh["fv"] * e2h - s.fv, axis=-1))}
-    got = surface.dual_symmetry(s, verify.small_grids(s, crit032)[3])
+    got = surface.dual_symmetry(s, verify.small_grids(s, crit032)[2])
     for name, res in want.items():
         assert abs(got[name] - np.max(res) / top) < 1e-13, name
 
 
 def _separate_small_grids(s, fam):
     """Each check's small grid evaluated on its own points, one traj.at and
-    one fields_at per grid: the PDE stencil's frame, fv_vs_fd's probes,
-    the u = omega row and the dual loop's weights and edges, in the layout
-    of verify.small_grids."""
+    one fields_at per grid: the PDE stencil's frame, fv_vs_fd's probes and
+    the dual loop's weights and edges, in the layout of
+    verify.small_grids."""
     spec, dv = s.recipe.spec, 1e-4
     _, v_probes = surface._gauss_codazzi_probes(s)
     stencil_phi = stencil_frame(s.traj, v_probes, (4e-4, 8e-4))
@@ -309,8 +331,6 @@ def _separate_small_grids(s, fam):
     nodes = (v0[:, None] + [-dv, 0.0, dv]).ravel()
     fv = surface.fields_at(fam, spec, s.u[:: max(1, len(s.u) // 8)], nodes,
                            s.traj.at(nodes), ("points", "fv", "expH"))
-    row = surface.fields_at(fam, spec, [fam.omega], s.v, s.phi,
-                            ("points", "fu"))
     x, weights = elliptic.gauss_legendre(16)
     (ua, ub), (va, vb) = s.u[1:3], s.v[1:3]
     um = 0.5 * (ua + ub) + 0.5 * (ub - ua) * x
@@ -320,17 +340,16 @@ def _separate_small_grids(s, fam):
                               ("fu", "expH")),
             surface.fields_at(fam, spec, [ua, ub], vm, s.traj.at(vm),
                               ("fv", "expH")))
-    return stencil_phi, fv, row, loop
+    return stencil_phi, fv, loop
 
 
 @pytest.mark.parametrize("grid", [(48, 48, 1), (47, 24, 1), (32, 24, 2)])
 def test_small_grids_match_separate_evaluations(crit032, torus_spec, grid):
     """The blocks of verify.small_grids' one union fields_at (fv_vs_fd's
-    probes, the u = omega row, the dual loop's edges) equal each grid
-    evaluated on its own to round-off, its one traj.at reads the frame of
-    the separate reads, and the battery leaves the solve's err_est where
-    the separate reads leave it; on an even, an odd and a two-period
-    grid."""
+    probes, the dual loop's edges) equal each grid evaluated on its own to
+    round-off, its one traj.at reads the frame of the separate reads, and
+    the battery leaves the solve's err_est where the separate reads leave
+    it; on an even, an odd and a two-period grid."""
     nu, nv, periods = grid
     surf = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=torus_spec, nu=nu, nv=nv, periods=periods))
@@ -340,16 +359,37 @@ def test_small_grids_match_separate_evaluations(crit032, torus_spec, grid):
     surf.traj.stats["err_est"] = err0
     verify.battery(surf, crit032)
     assert surf.traj.stats["err_est"] == err_separate
-    stencil, fv, row, loop = verify.small_grids(surf, crit032)
+    stencil, fv, loop = verify.small_grids(surf, crit032)
     assert np.max(np.abs(stencil[2] - want[0])) <= 1e-15
-    pairs = [(fv, want[1]), (row, want[2]), (loop[2], want[3][2]),
-             (loop[3], want[3][3])]
+    pairs = [(fv, want[1]), (loop[2], want[2][2]), (loop[3], want[2][3])]
     for got, ref in pairs:
         for name in ref:
             assert got[name].shape == ref[name].shape, name
             scale = max(1.0, float(np.max(np.abs(ref[name]))))
             assert np.max(np.abs(got[name] - ref[name])) <= 1e-14 * scale
-    assert all(np.array_equal(g, w) for g, w in zip(loop[:2], want[3][:2]))
+    assert all(np.array_equal(g, w) for g, w in zip(loop[:2], want[2][:2]))
+
+
+@pytest.mark.parametrize("grid", [(48, 48, 1), (47, 24, 1), (32, 24, 2)])
+def test_omega_row_comes_with_the_display_grid(crit032, torus_spec, grid):
+    """On a critical family build's one fields_at covers u x v and the row
+    u = omega: the display grids equal a call on u alone bit for bit, and
+    omega_row's points and fu equal a call on u = omega alone to
+    round-off (a one-row product may take another BLAS path)."""
+    nu, nv, periods = grid
+    surf = surface.build(surface.SurfaceRecipe(
+        fam=crit032, spec=torus_spec, nu=nu, nv=nv, periods=periods))
+    spec = surf.recipe.spec
+    display = surface.fields_at(crit032, spec, surf.u, surf.v, surf.phi)
+    for name, x in display.items():
+        assert np.array_equal(getattr(surf, name), x), name
+    row = surface.fields_at(crit032, spec, [crit032.omega], surf.v, surf.phi,
+                            ("points", "fu"))
+    for name in ("points", "fu"):
+        assert surf.omega_row[name].shape == (len(surf.v), 3)
+        scale = max(1.0, float(np.max(np.abs(row[name]))))
+        assert np.max(np.abs(surf.omega_row[name] - row[name][0])) <= (
+            1e-14 * scale), name
 
 
 def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
@@ -359,7 +399,7 @@ def test_dual_symmetry_on_odd_nu_evaluates_the_shifted_grid(crit032,
     and fv on the shifted grid, and pass."""
     surf = surface.build(surface.SurfaceRecipe(fam=crit032, spec=torus_spec,
                                                nu=47, nv=24))
-    loop = verify.small_grids(surf, crit032)[3]
+    loop = verify.small_grids(surf, crit032)[2]
     theta_arrays.calls.clear()
     _assert_dual_symmetric(surface.dual_symmetry(surf, loop))
     assert theta_arrays.calls == [((1, 2), 47, (2, 25))]
@@ -398,10 +438,10 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
     """Both probe steps share one stencil: the frame read from the
     surface's solve (no integration), one forms_at call (one theta_tensor
     call for the four arrays its forms read, A, A', D and D', on the 5
-    u-shifts x (5 w(v) shifts + 4 w-shifts) of the probes), one coeffs
-    sample and one fields_at call for fu, fv, n and expH (one
-    theta_tensor call for A and D in one block); no array is evaluated
-    twice.  (theta_grid still serves W1 along the frame.)"""
+    u-shifts x (5 w(v) shifts + 4 w-shifts) of the probes) and one coeffs
+    sample; fu, fv, n and expH are assembled from that call's w(v)
+    columns, with no fields_at call; no array is evaluated twice.
+    (theta_grid still serves W1 along the frame.)"""
     counts = {"integrate": 0, "fields_at": 0, "coeffs": 0}
     for mod, name in ((frame, "integrate"), (surface, "fields_at"),
                       (surface, "coeffs")):
@@ -417,9 +457,8 @@ def test_pde_battery_shares_theta_arrays_per_shift(torus_surf, crit032,
     levels = surface.pde_battery(crit032, spec, u_probes, v_probes, phi,
                                  steps)
     assert len(levels) == 2
-    assert counts == {"integrate": 0, "fields_at": 1, "coeffs": 1}
-    assert sorted(theta_arrays.calls) == [((1, 1, 2, 2), 20, (4, 45)),
-                                          ((1, 2), 20, (2, 25))]
+    assert counts == {"integrate": 0, "fields_at": 0, "coeffs": 1}
+    assert theta_arrays.calls == [((1, 1, 2, 2), 20, (4, 45))]
     assert len(set(theta_arrays.arrays)) == len(theta_arrays.arrays)
 
 
@@ -445,13 +484,13 @@ def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
 
 def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
                                                  monkeypatch):
-    """On a freshly solved family the battery computes C1 once; a second
-    battery reads the family's cached value."""
+    """On a fresh family the battery computes C1 once; a second battery
+    reads the family's cached value."""
     calls = []
     c1 = elliptic.c1_at_critical
     monkeypatch.setattr(elliptic, "c1_at_critical",
                         lambda crit: calls.append(crit) or c1(crit))
-    fresh = elliptic.solve_critical_omega(crit032.lattice)
+    fresh = elliptic.Family(crit032.lattice, crit032.omega, "critical")
     surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
         torus_surf.recipe, fam=fresh))
     pde_levels(surf, (4e-4, 8e-4))
@@ -468,13 +507,12 @@ def test_planarity_certificate(torus_surf):
 
 
 def test_inversion_symmetry(torus_surf, crit032):
-    row = verify.small_grids(torus_surf, crit032)[2]
     _assert_inversion_symmetric(
-        surface.inversion_symmetry(torus_surf, crit032, row), crit032)
+        surface.inversion_symmetry(torus_surf, crit032), crit032)
 
 
 def test_dual_symmetry(torus_surf, crit032):
-    loop = verify.small_grids(torus_surf, crit032)[3]
+    loop = verify.small_grids(torus_surf, crit032)[2]
     _assert_dual_symmetric(surface.dual_symmetry(torus_surf, loop))
 
 
