@@ -73,8 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Family, _real
-from .errors import DomainW, PoleProximity
+from .elliptic import _REAL_TOL, Family, _real
+from .errors import DomainW, InvalidLattice, PoleProximity
 from .theta import Lattice, theta_grid, theta_tensor
 
 _POLE_TOL = 1e-10
@@ -102,9 +102,23 @@ def _check_w(w, lat: Lattice, mirrored: bool = False):
         raise DomainW(f"w = {bad[0]} outside the admissible band {band}")
 
 
-def _pole_checked(den, what):
+def _pole(what: str, lat: Lattice) -> Exception:
+    """The error for a theta1 value below _POLE_TOL: PoleProximity(what),
+    or InvalidLattice naming lambda where the lattice's theta values carry
+    a relative round-off (`Lattice.roundoff`) above _REAL_TOL, so that a
+    small value shows no zero (a rhombic lattice below lambda about
+    0.0135)."""
+    if lat.roundoff > _REAL_TOL:
+        return InvalidLattice(
+            f"{lat.kind} lambda = {lat.lam}: its theta values carry a "
+            f"relative round-off of {lat.roundoff:.2g} (at theta2(0)), "
+            f"above {_REAL_TOL:g}")
+    return PoleProximity(what)
+
+
+def _pole_checked(den, what, lat: Lattice):
     if np.min(np.abs(den)) < _POLE_TOL:
-        raise PoleProximity(f"{what} too close to zero")
+        raise _pole(f"{what} too close to zero", lat)
     return den
 
 
@@ -164,7 +178,7 @@ def forms_at(u, w, fam: Family, names, mirrored: bool = False) -> dict:
     b = np.stack([arrays[x][2] for x in fetch]) / 2
     t = dict(zip(fetch, theta_tensor([arrays[x][:2] for x in fetch], u / 2,
                                      b, fam.lattice)))
-    _pole_checked(t["A"], "theta1((z + omega)/2)")
+    _pole_checked(t["A"], "theta1((z + omega)/2)", fam.lattice)
 
     out = {}
     if "gamma" in names or "gamma_u" in names:
@@ -213,7 +227,8 @@ def w1(w, fam: Family):
     # theta1(i w) vanishes mid-band at w = pi*lam on rectangular lattices
     near = np.abs(den) < _POLE_TOL
     if np.any(near):
-        raise PoleProximity(f"W1 pole: theta1(i w) ~ 0 at w = {warr[near].flat[0]}")
+        raise _pole(f"W1 pole: theta1(i w) ~ 0 at w = {warr[near].flat[0]}",
+                    lat)
     val = (1j * fam.t1p0 * theta_grid(i, om - 1j * warr, lat)
            / (2 * fam.td * den))
     val = val * np.exp(1j * warr * fam.c)

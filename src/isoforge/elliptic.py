@@ -37,21 +37,16 @@ amplitude -- all go through `brentq` below, Brent's bracketed method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import (InvalidLattice, NoBracket, NoCriticalOmega, PoleProximity,
                      SpecInvalid)
-from .theta import _LATTICES, Lattice, rhombic, theta_grid
+from .theta import Lattice, rhombic, theta_grid
 
 _REAL_TOL = 1e-9
 _BRENT_MAXITER = 100
-# the smallest rhombic lambda of a Family: as lambda falls, theta2(0) sinks
-# into the round-off of its series (relative error 6e-12 at lambda 0.02,
-# 5e-10 at 0.014), and below 0.0142 C1 is no longer real to _REAL_TOL at
-# most omega (at 363 of 400 omega in (0, pi/2) at lambda 0.014)
-_RHOMBIC_LAMBDA_MIN = 0.0142
 
 
 def _real(z, what: str, error=ArithmeticError):
@@ -88,8 +83,7 @@ class Family:
     surface, on the rhombic lattice at lambda0 only, where theta2''(0) = 0
     to 1e-10).  A mode, omega or lattice outside these raises SpecInvalid.
     td is the companion theta: theta2 on rhombic, theta4 on rectangular
-    lattices.  A rhombic lattice below lambda = _RHOMBIC_LAMBDA_MIN raises
-    InvalidLattice.
+    lattices.
     """
 
     lattice: Lattice
@@ -104,11 +98,6 @@ class Family:
                               f"got {self.omega}")
         if self.mode == "limit" and self.omega != 0:
             raise SpecInvalid(f"the limit family has omega = 0, got {self.omega}")
-        if (self.lattice.kind == "rhombic"
-                and self.lattice.lam < _RHOMBIC_LAMBDA_MIN):
-            raise InvalidLattice(
-                f"rhombic lambda = {self.lattice.lam} is below "
-                f"{_RHOMBIC_LAMBDA_MIN}: theta2(0) is lost in round-off there")
         # the limit curves miss closure by about 21.5 |lambda - lambda0|;
         # the bound admits |lambda - lambda0| <= 1.3e-11, well within 1e-9
         lat = self.lattice
@@ -156,10 +145,15 @@ class Family:
 
     @cached_property
     def R(self) -> float:
-        """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega)."""
-        r = 2 * self.td ** 2 / (self.t1p0 * theta_grid(1, 2 * self.omega,
-                                                          self.lattice))
-        return _real(r, "R(omega)")
+        """R(omega) = 2 td(omega)^2 / (theta1'(0) theta1(2 omega)) = -1/U(omega).
+
+        R is real; a value that is not (theta values lost in round-off, as
+        on a rhombic lattice below lambda about 0.0135) raises
+        InvalidLattice naming lambda."""
+        lat = self.lattice
+        r = 2 * self.td ** 2 / (self.t1p0 * theta_grid(1, 2 * self.omega, lat))
+        return _real(r, f"R(omega) on {lat.kind} lambda = {lat.lam}",
+                     InvalidLattice)
 
     @cached_property
     def q3(self) -> "CubicQ3":
@@ -322,17 +316,8 @@ def solve_critical_omega(lat: Lattice) -> Family:
     message names lambda0), and below it where the zero lies within
     round-off of pi/4 (lambda <= 0.02) or below 1e-3 (within about 2e-7
     of lambda0).  It is raised too where g loses its realness to round-off
-    (lambda below about 0.0135).  The family of each of the last _LATTICES
-    lattices is kept (lattice and family are frozen), so a process solves
-    once per lattice; this function stays a plain one that calls the
-    cached solve, as perfbench's tracer times functions by name.
+    (lambda below about 0.0135).
     """
-    return _critical_family(lat)
-
-
-@lru_cache(maxsize=_LATTICES)
-def _critical_family(lat: Lattice) -> Family:
-    """The solve of `solve_critical_omega`, kept per lattice."""
     if lat.kind != "rhombic":
         raise InvalidLattice("critical omega is defined for rhombic lattices")
 

@@ -23,13 +23,14 @@ component planes: one C-contiguous (3, nu, nv) array of its x, y and z
 grids, assembled plane by plane (`_assemble`, which the PDE stencil
 shares) and exposed as the (nu, nv, 3) view np.moveaxis(planes, 0, -1);
 elementwise results keep the layout, and reshape(-1, 3) of such a view
-copies.  Every norm and dot product over xyz (`_norm`, `_dot`) is one
-einsum contraction: on such views bit for bit the values of numpy's
-3-wide reduce, at a fraction of its time (25 against 68 us for a dot on
-128 x 129).  On a critical family `build` evaluates u and the row
-u = omega in one call; its display grids are views of the first nu rows
-of those planes (each x, y and z plane still contiguous), and it keeps
-points and fu on the row as `omega_row`.
+copies.  Every norm and dot product over xyz (`_norm`, `_dot`) adds the
+three planes: bit for bit the values of numpy's 3-wide reduce, at a
+fraction of its time on C-ordered grids (0.1 against 0.4 ms at 128 x 129)
+and on the battery's fresh temporaries, where np.linalg.norm's own
+(..., 3) temporaries cost most.  On a critical family `build` evaluates
+u and the row u = omega in one call; its display grids are views of the
+first nu rows of those planes (each x, y and z plane still contiguous),
+and it keeps points and fu on the row as `omega_row`.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
 (planes tangent to a cylinder) instead, assembled from the limit forms
@@ -111,20 +112,26 @@ _BLOCK_POINTS = 32768
 
 def _norm(x, axis=-1):
     """|x| over the xyz axis of a (..., 3) grid (or of its (3, ...) planes,
-    axis 0): the square root of `_dot(x, x)`."""
-    x = np.moveaxis(x, axis, -1)
-    return np.sqrt(_dot(x, x))
+    axis 0), from its x, y and z planes: bit for bit np.linalg.norm, whose
+    3-wide reduce also adds the squares left to right.  The sums go in
+    place, through one temporary."""
+    x0, x1, x2 = x if axis == 0 else (x[..., 0], x[..., 1], x[..., 2])
+    acc, tmp = x0 * x0, x1 * x1
+    acc += tmp
+    acc += np.multiply(x2, x2, out=tmp)
+    return np.sqrt(acc, out=acc)
 
 
 def _dot(x, y):
-    """x . y over the last axis of (..., 3) grids, broadcasting, as one
-    einsum contraction over xyz.  On views of xyz planes (the layout of
-    fields_at) einsum adds the three products left to right from +0.0, as
-    numpy's add reduce does, so the values are bit for bit np.sum(x * y,
-    axis=-1) and np.linalg.norm (three products of -0.0 sum to +0.0); on
-    two C-ordered (..., 3) arrays its contiguous loop may round the last
-    bit differently, and is slower than the reduce."""
-    return np.einsum("...i,...i->...", x, y)
+    """x . y over the last axis of (..., 3) grids, broadcasting, from
+    their planes: bit for bit np.sum(x * y, axis=-1), whose reduce starts
+    from +0.0 (so three products of -0.0 sum to +0.0 here too).  The sums
+    go in place, through one temporary."""
+    acc, tmp = x[..., 0] * y[..., 0], x[..., 1] * y[..., 1]
+    acc += tmp
+    acc += np.multiply(x[..., 2], y[..., 2], out=tmp)
+    acc += 0.0
+    return acc
 
 
 # the fields of fields_at and the curvefamily forms each one reads

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +54,6 @@ _BLOCK_ENTRIES = 8192
 # from this |Im z| on, w = e^{2iz} or 1/w is below the smallest normal
 # float (0 on a tall enough strip) or its reciprocal overflows
 _FLOAT_IM = -np.log(np.finfo(float).tiny) / 2
-# lattices kept per process by `rhombic` and `rectangular`, so that the
-# ops of one process on a lattice share its series coefficients
-_LATTICES = 16
 
 
 @dataclass(frozen=True)
@@ -110,17 +107,26 @@ class Lattice:
         )
 
     @cached_property
+    def roundoff(self) -> float:
+        """The relative round-off of the series at theta2(0): eps times the
+        sum of its terms' absolute values over |theta2(0)|.  The terms of a
+        rhombic lattice cancel more as lambda falls (3e-16 at lambda 0.32,
+        3e-10 at 0.0135, 1 at 0.005), and its other theta values near the
+        real axis lose as much."""
+        coef = _series(2, 0, self)[0]
+        return (np.finfo(float).eps * 2 * float(np.sum(np.abs(coef)))
+                / abs(theta_grid(2, 0.0, self)))
+
+    @cached_property
     def laurent(self) -> dict:
         """(i, order) -> theta_i^(order) as a Laurent series, filled on use."""
         return {}
 
 
-@lru_cache(maxsize=_LATTICES)
 def rhombic(lam: float) -> Lattice:
     return Lattice("rhombic", lam)
 
 
-@lru_cache(maxsize=_LATTICES)
 def rectangular(lam: float) -> Lattice:
     return Lattice("rectangular", lam)
 

@@ -1498,21 +1498,22 @@ def test_verify_samples_the_spec_for_admissibility_once(tmp_path,
     assert sizes.count(4001) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "curves"])
 def test_rhombic_lambda_lost_in_round_off_exits_2(tmp_path, monkeypatch,
-                                                  capsys):
-    """verify on rhombic lambda 0.005 (explicit omega 0.3) exits 2 with an
-    error that names lambda, where it claimed a W1 pole."""
+                                                  capsys, command):
+    """verify and curves on rhombic lambda 0.005 (explicit omega 0.3) exit
+    2 with an error that names lambda, where they claimed a W1 pole and a
+    zero of theta1((z + omega)/2)."""
     cfg = {**_README_CFG, "omega": {"mode": "explicit", "value": 0.3},
            "lattice": {"kind": "rhombic", "lambda": 0.005},
            "reparam": {"kind": "analytic", "mean": 0.0157,
                        "amplitude": 0.005, "period": 6.0}}
-    monkeypatch.setattr(sys, "argv", ["isoforge", "verify",
-                                      _write(tmp_path, cfg)])
-    with pytest.raises(SystemExit) as exc:
-        cli_mod.main()
-    assert exc.value.code == 2
+    out = ["--out", str(tmp_path / "r.json")] if command == "verify" else [
+        "--out-dir", str(tmp_path)]
+    assert _exit_code(monkeypatch, command, _write(tmp_path, cfg), *out) == 2
     err = capsys.readouterr().err
-    assert "rhombic lambda = 0.005 " in err and "pole" not in err
+    assert "rhombic lambda = 0.005:" in err and "pole" not in err
+    assert "zero" not in err
 
 
 @pytest.mark.parametrize("mode", ["critical", "explicit"])

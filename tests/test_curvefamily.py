@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isoforge import curvefamily, elliptic, theta
-from isoforge.errors import DomainW, PoleProximity
+from isoforge.errors import DomainW, InvalidLattice, PoleProximity
 
 from conftest import MIRRORED_FORMS, curve_form
 
@@ -350,6 +350,19 @@ def test_curve_grid_memory_peak(crit032):
     finally:
         tracemalloc.stop()
     assert peak <= 1_117_124
+
+
+def test_theta1_lost_in_round_off_is_no_pole():
+    """On rhombic lambda 0.005 theta1 falls below the pole tolerance away
+    from its zeros because its series' terms cancel to round-off
+    (relative round-off about 1 at theta2(0)): W1 and forms_at on one
+    curve raise InvalidLattice naming lambda, not PoleProximity."""
+    fam = elliptic.Family(theta.rhombic(0.005), 0.3, "explicit")
+    with pytest.raises(InvalidLattice, match="rhombic lambda = 0.005:"):
+        curvefamily.w1(0.0157, fam)
+    with pytest.raises(InvalidLattice, match="rhombic lambda = 0.005:"):
+        curvefamily.forms_at(np.linspace(0.0, 2 * np.pi, 65), 0.0157, fam,
+                             ("exp_h",))
 
 
 def test_w1_pole_guard_rectangular(rect_fam):

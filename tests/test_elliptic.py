@@ -53,44 +53,26 @@ def test_critical_omega_out_of_reach_below_lambda0(lam, lam0):
 
 def test_solve_critical_omega_evaluates_no_theta_array(grid_arrays):
     """The critical omega is one Brent solve in scalar theta values: no
-    scan of theta2'/theta2 on an array.  (The kept families are cleared
-    first, so that the solve runs.)"""
-    elliptic._critical_family.cache_clear()
+    scan of theta2'/theta2 on an array."""
     elliptic.solve_critical_omega(theta.rhombic(0.32))
     assert grid_arrays["elliptic"] == []
 
 
-def test_lattices_and_critical_families_are_kept_per_process():
-    """rhombic and rectangular return one Lattice per lambda, and
-    solve_critical_omega one Family per lattice, equal to a fresh solve;
-    each keeps the last theta._LATTICES."""
-    lat = theta.rhombic(0.32)
-    assert theta.rhombic(0.32) is lat
-    assert theta.rectangular(0.32) is theta.rectangular(0.32)
-    assert theta.rectangular(0.32) != lat
-    crit = elliptic.solve_critical_omega(lat)
-    assert elliptic.solve_critical_omega(theta.rhombic(0.32)) is crit
-    assert crit == elliptic._critical_family.__wrapped__(lat)
-    for cached in (theta.rhombic, theta.rectangular,
-                   elliptic._critical_family):
-        assert cached.cache_info().maxsize == theta._LATTICES
-    for k in range(theta._LATTICES):  # lambdas no other test uses
-        theta.rhombic(1.0 + k / 7)
-    assert theta.rhombic(0.32) is not lat
+@pytest.mark.parametrize("lam", [0.005, 0.01])
+def test_r_lost_in_round_off_raises_invalid_lattice(lam):
+    """Below rhombic lambda about 0.0135 the theta values are lost in
+    round-off and R(omega) is no longer real: it raises InvalidLattice
+    naming lambda, where it raised an untyped ArithmeticError."""
+    fam = elliptic.Family(theta.rhombic(lam), 0.3, "explicit")
+    with pytest.raises(InvalidLattice, match=f"on rhombic lambda = {lam} "):
+        fam.R
 
 
-@pytest.mark.parametrize("lam", [0.005, 0.0135, 0.014])
-def test_family_refuses_rhombic_lambda_lost_in_round_off(lam):
-    """Below rhombic lambda 0.0142 theta2(0) is lost in round-off and the
-    Lame constant is no longer real: the family refuses such a lattice
-    with InvalidLattice naming lambda, in place of an untyped
-    ArithmeticError from a constant (or a W1 pole that is not there)
-    later."""
-    with pytest.raises(InvalidLattice, match=f"rhombic lambda = {lam} "):
-        elliptic.Family(theta.rhombic(lam), 0.3, "explicit")
-    fam = elliptic.Family(theta.rhombic(elliptic._RHOMBIC_LAMBDA_MIN), 0.3,
-                          "explicit")
-    assert np.isfinite(fam.C1) and np.isfinite(fam.R)
+@pytest.mark.parametrize("lam", [0.0135, 0.014])
+def test_small_rhombic_lambda_keeps_a_real_r(lam):
+    """Just above that band a family is built and R(omega) is real: no
+    lambda is refused for its size alone."""
+    assert np.isfinite(elliptic.Family(theta.rhombic(lam), 0.3, "explicit").R)
 
 
 def test_critical_omega_shrinks_toward_lambda0():

@@ -247,10 +247,10 @@ def test_phis_are_one_theta_tensor_call(sph, crit032, monkeypatch):
 def test_family_computes_lame_constant_once(sph, sph_surf, crit032,
                                             monkeypatch):
     """The PDE battery, the phi-system and the sphere centers of one
-    fresh family compute C1 once together, and a second pass not at
-    all."""
+    freshly solved family compute C1 once together, and a second pass
+    not at all."""
     calls = _count_c1(monkeypatch)
-    fresh = elliptic.Family(crit032.lattice, crit032.omega, "critical")
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(sph_surf, recipe=dataclasses.replace(
         sph_surf.recipe, fam=fresh))
     for _ in range(2):

@@ -145,37 +145,26 @@ _scale = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-150, 1.0, 1e150,
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(shape=st.tuples(st.integers(1, 3), st.integers(2, 40)),
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 40)),
        seed=st.integers(0, 2**32 - 1),
        scales=st.lists(_scale, min_size=1, max_size=4, unique=True))
 def test_plane_norm_and_dot_match_numpy_bitwise(shape, seed, scales):
     """surface._norm and _dot give np.linalg.norm(x, axis=-1) and
-    np.sum(x * y, axis=-1) bit for bit (the sign of a zero included) on
-    (..., 3) views of xyz planes of two points or more, alone, with a
-    C-ordered array and broadcast against one row; on two C-ordered
-    arrays einsum's contiguous loop may round differently, within two
-    roundings of the products' absolute sum where that is finite."""
+    np.sum(x * y, axis=-1) bit for bit (the sign of a zero included), on
+    (..., 3) views of xyz planes, on C-ordered arrays, on a mix of both
+    and broadcast against one row."""
     rng = np.random.default_rng(seed)
     px, py = (rng.normal(size=(3,) + shape) * rng.choice(scales, (3,) + shape)
               for _ in range(2))
     views = np.moveaxis(px, 0, -1), np.moveaxis(py, 0, -1)
     c_ordered = tuple(np.ascontiguousarray(a) for a in views)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, y in (views, (views[0], c_ordered[1]),
-                     (views[0], c_ordered[1][:1])):
+    for x, y in (views, c_ordered, (views[0], c_ordered[1]),
+                 (views[0], c_ordered[1][:1])):
+        with np.errstate(over="ignore", invalid="ignore"):
             assert (surface._norm(x).tobytes()
                     == np.linalg.norm(x, axis=-1).tobytes())
             assert (surface._dot(x, y).tobytes()
                     == np.sum(x * y, axis=-1).tobytes())
-        x, y = c_ordered
-        norm = np.linalg.norm(x, axis=-1)
-        for got, want, size in (
-                (surface._norm(x), norm, norm),
-                (surface._dot(x, y), np.sum(x * y, axis=-1),
-                 np.sum(np.abs(x * y), axis=-1))):
-            fin = np.isfinite(size)
-            assert np.all(np.abs(got - want)[fin]
-                          <= 2 * np.finfo(float).eps * size[fin])
 
 
 def test_fields_at_memory_peak(crit032, torus_spec):
@@ -373,9 +362,11 @@ def test_small_grids_match_separate_evaluations(crit032, torus_spec, grid):
 @pytest.mark.parametrize("grid", [(48, 48, 1), (47, 24, 1), (32, 24, 2)])
 def test_omega_row_comes_with_the_display_grid(crit032, torus_spec, grid):
     """On a critical family build's one fields_at covers u x v and the row
-    u = omega: the display grids equal a call on u alone bit for bit, and
-    omega_row's points and fu equal a call on u = omega alone to
-    round-off (a one-row product may take another BLAS path)."""
+    u = omega: the display grids equal a call on u alone, and omega_row's
+    points and fu a call at (omega, v), bit for bit.  The reference call
+    holds the row twice: a one-row theta product takes numpy's
+    matrix-vector path, which rounds differently (within 1e-14 of
+    scale)."""
     nu, nv, periods = grid
     surf = surface.build(surface.SurfaceRecipe(
         fam=crit032, spec=torus_spec, nu=nu, nv=nv, periods=periods))
@@ -383,12 +374,16 @@ def test_omega_row_comes_with_the_display_grid(crit032, torus_spec, grid):
     display = surface.fields_at(crit032, spec, surf.u, surf.v, surf.phi)
     for name, x in display.items():
         assert np.array_equal(getattr(surf, name), x), name
-    row = surface.fields_at(crit032, spec, [crit032.omega], surf.v, surf.phi,
-                            ("points", "fu"))
-    for name in ("points", "fu"):
+    names = ("points", "fu")
+    row = surface.fields_at(crit032, spec, [crit032.omega] * 2, surf.v,
+                            surf.phi, names)
+    one = surface.fields_at(crit032, spec, [crit032.omega], surf.v, surf.phi,
+                            names)
+    for name in names:
         assert surf.omega_row[name].shape == (len(surf.v), 3)
-        scale = max(1.0, float(np.max(np.abs(row[name]))))
-        assert np.max(np.abs(surf.omega_row[name] - row[name][0])) <= (
+        assert np.array_equal(surf.omega_row[name], row[name][1]), name
+        scale = max(1.0, float(np.max(np.abs(one[name]))))
+        assert np.max(np.abs(surf.omega_row[name] - one[name][0])) <= (
             1e-14 * scale), name
 
 
@@ -484,13 +479,13 @@ def test_pde_battery_levels_match_single_step_runs(torus_surf, crit032):
 
 def test_pde_battery_computes_lame_constant_once(torus_surf, crit032,
                                                  monkeypatch):
-    """On a fresh family the battery computes C1 once; a second battery
-    reads the family's cached value."""
+    """On a freshly solved family the battery computes C1 once; a second
+    battery reads the family's cached value."""
     calls = []
     c1 = elliptic.c1_at_critical
     monkeypatch.setattr(elliptic, "c1_at_critical",
                         lambda crit: calls.append(crit) or c1(crit))
-    fresh = elliptic.Family(crit032.lattice, crit032.omega, "critical")
+    fresh = elliptic.solve_critical_omega(crit032.lattice)
     surf = dataclasses.replace(torus_surf, recipe=dataclasses.replace(
         torus_surf.recipe, fam=fresh))
     pde_levels(surf, (4e-4, 8e-4))

@@ -22,6 +22,19 @@ def _mp_theta(i, z, lat, order=0):
     return complex(val)
 
 
+@pytest.mark.parametrize("lam", [0.01, 0.0135, 0.02])
+def test_roundoff_tracks_the_error_of_theta2_at_zero(lam):
+    """Lattice.roundoff, the relative round-off the cancelling terms of a
+    small rhombic lambda leave at theta2(0), is within a factor 10 of
+    theta2(0)'s error against mpmath; without cancellation it is eps."""
+    lat = theta.rhombic(lam)
+    want = _mp_theta(2, 0.0, lat)
+    err = abs(complex(theta.theta_grid(2, 0.0, lat)) - want) / abs(want)
+    assert err / 10 <= lat.roundoff <= 10 * err
+    for flat in (theta.rhombic(0.32), theta.rectangular(0.01)):
+        assert flat.roundoff < 2 * np.finfo(float).eps
+
+
 def _random_strip_points(lat, n=8):
     re = RNG.uniform(-np.pi, np.pi, n)
     im = RNG.uniform(-lat.strip_height, lat.strip_height, n)
