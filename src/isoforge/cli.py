@@ -14,6 +14,7 @@ import json
 import math
 import os
 import platform  # click loads it too (click.types -> uuid)
+import re
 import sys
 
 import click
@@ -298,6 +299,20 @@ def write_svg(path, curves, size=640):
         fh.write(b"</svg>\n")
 
 
+def _platform_name() -> str:
+    """platform.platform() without the processor, which it learns by
+    running `uname -p` in a subprocess and leaves out wherever that is
+    empty or the machine name.  So the two strings are one on Linux hosts
+    whose `uname -p` prints nothing or the machine name, and only there."""
+    u = platform.uname()
+    name = "-".join(x.strip() for x in (u.system, u.release, u.machine, "with",
+                                        "".join(platform.libc_ver())) if x)
+    # platform.platform()'s own replacements
+    name = name.translate(str.maketrans(' /\\:;"()', "_-------"))
+    name = name.replace("unknown", "")
+    return re.sub("-+", "-", name).rstrip("-")
+
+
 def emit_report(cfg, values, path, tol=None, extra=None, announce=False):
     """Write the report of a battery's check values to path (stdout if
     None), echo `report -> path (pass|FAIL)` if announce, and exit 3 if a
@@ -310,7 +325,7 @@ def emit_report(cfg, values, path, tol=None, extra=None, announce=False):
             "isoforge": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            "platform": _platform_name(),
         },
         "checks": checks,
         "passed": all(c["pass"] for c in checks),

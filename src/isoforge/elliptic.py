@@ -211,6 +211,14 @@ class CubicQ3:
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
 
 
+def _even_indices(lo: int, hi: int, n: int) -> np.ndarray:
+    """The distinct ints of np.linspace(lo, hi, n).astype(int), lo <= hi,
+    ascending: np.unique's result, without the import of numpy.ma that
+    np.unique costs a process on first use."""
+    i = np.linspace(lo, hi, n).astype(int)
+    return i[np.concatenate([[True], i[1:] != i[:-1]])]
+
+
 @cache
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch:
@@ -390,9 +398,19 @@ def c1_at_critical(fam: Family) -> float:
     + e3) at every omega: th1(w)^2/th2(0)^2 + th4(w)^2/th3(0)^2 +
     th3(w)^2/th4(0)^2 on rhombic, th1(w)^2/th4(0)^2 - th3(w)^2/th2(0)^2 -
     th2(w)^2/th3(0)^2 on rectangular lattices.  It keeps the name of the
-    critical-omega form it generalizes: benchmarks count its calls by it."""
-    e1, e2, e3 = fam.e
-    return _real(fam.t1p0 ** 2 / fam.td ** 2 * (e1 + e2 + e3), "U2(omega)")
+    critical-omega form it generalizes: benchmarks count its calls by it.
+
+    C1 passes through zero (near omega = 2.3 lambda on small rhombic
+    lambda), so its imaginary part is held to _REAL_TOL of its terms'
+    size, not of |C1|, or raises InvalidLattice naming lambda."""
+    lat, (e1, e2, e3) = fam.lattice, fam.e
+    scale = fam.t1p0 ** 2 / fam.td ** 2
+    c1 = complex(scale * (e1 + e2 + e3))
+    size = abs(scale) * (abs(e1) + abs(e2) + abs(e3))
+    if abs(c1.imag) > _REAL_TOL * max(1.0, size):
+        raise InvalidLattice(f"U2(omega) on {lat.kind} lambda = {lat.lam} "
+                             f"should be real, got {np.complex128(c1)}")
+    return c1.real
 
 
 def coeffs(u, fam: Family) -> CoeffSample:

@@ -19,13 +19,14 @@ so the steps are not taken one after another: all steps of a round, laid
 out from h0 alone, are formed from one evaluation of A (one generator call
 up to `_MAX_POINTS` points), each is checked against the product of its
 two half steps (the full step and both halves are one `_magnus6` call),
-the rejected ones are halved for the next round, and an ordered product of
+the rejected ones are halved for the next round, and a doubling scan of
 the accepted propagators gives Phi at the step ends; `_evaluate` reads Phi
-at any other v by one partial step.  One solve may hold several
-independent systems, such as the amplitudes of the close-torus scan: they
-share each round's calls, and a doubling scan segmented by system
-multiplies each one's propagators, so every system's steps and Phi are bit
-for bit those of solving it alone.
+at any other v by one partial step.
+
+`close_torus` solves the frame of each amplitude it tries once: the
+angles of its scan are kept by amplitude, Brent's method starts from two
+scanned amplitudes and returns one it has evaluated, so neither the
+bracket's ends nor the returned amplitude are solved again.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from . import curvefamily, reparam
 from .elliptic import brentq
-from .errors import DegenerateRotation, NoBracket, SpecInvalid, StepFailure
+from .errors import (DegenerateRotation, InvalidLattice, NoBracket,
+                     SpecInvalid, StepFailure)
 from .quat import cross, qmul, qsandwich
 from .reparam import ReparamSpec
 
@@ -74,18 +76,13 @@ def generator(spec: ReparamSpec, fam):
 
     def a_of_v(v):
         w, _, root = spec.planes(np.asarray(v, dtype=float))
-        return _coefficient(w, root, fam)
+        W1 = curvefamily.w1(w, fam)
+        root = np.asarray(root, dtype=float)
+        zero = np.zeros(np.shape(root))
+        return np.stack([zero, zero, -root * np.imag(W1),
+                         root * np.real(W1)], axis=-1)
 
     return a_of_v
-
-
-def _coefficient(w, root, fam):
-    """root W1(w) k as quaternions (..., 4), for arrays of w and root."""
-    W1 = curvefamily.w1(w, fam)
-    root = np.asarray(root, dtype=float)
-    zero = np.zeros(np.shape(root))
-    return np.stack([zero, zero, -root * np.imag(W1), root * np.real(W1)],
-                    axis=-1)
 
 
 # Gauss-Legendre nodes on [0, 1] of the full step, then of its two halves
@@ -99,6 +96,9 @@ _MAX_POINTS = 4096
 # battery reads off its steps too) and close_torus's scan
 STEP_TOL = 1e-12
 _MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
+# the round-off of a step's error estimate, a difference of unit
+# quaternions, on any lattice (a few eps)
+_EST_ROUNDOFF = 10 * np.finfo(float).eps
 
 
 def _magnus6(a, h):
@@ -131,137 +131,95 @@ def _propagators(g, h):
     return two, np.max(np.abs(e[:n] - two), axis=1)
 
 
-def _round(gen, a, b, system):
-    """(E, err, finite) of the steps [a, b] of the given systems, from one
-    generator call per `_MAX_POINTS` points: E and err as `_propagators`
-    gives them, and finite flags the steps whose A is finite at every node
-    (the others are evaluated as if A were 0 there)."""
+def _round(gen, a, b):
+    """(E, err) of the steps [a, b] as `_propagators` gives them, from one
+    generator call per `_MAX_POINTS` points.  Raises the StepFailure of the
+    first step whose A is not finite at every node."""
     per_call = _MAX_POINTS // len(_NODES)
-    parts, finite = [], []
+    parts = []
     for lo in range(0, len(a), per_call):
         s = slice(lo, lo + per_call)
         h = b[s] - a[s]
-        g = gen(a[s, None] + h[:, None] * _NODES,
-                np.repeat(system[s, None], len(_NODES), axis=1))
-        finite.append(np.all(np.isfinite(g), axis=(1, 2)))
-        if not np.all(finite[-1]):
-            g = np.where(finite[-1][:, None, None], g, 0.0)
+        g = gen(a[s, None] + h[:, None] * _NODES)
+        bad = np.nonzero(~np.all(np.isfinite(g), axis=(1, 2)))[0]
+        if len(bad):
+            j = lo + bad[0]
+            raise StepFailure(f"non-finite generator on [{a[j]}, {b[j]}]")
         parts.append(_propagators(g, h))
-    e, err = map(np.concatenate, zip(*parts))
-    return e, err, np.concatenate(finite)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _step_failure(k, a, b, system, finite, short, pending, step_tol):
-    """The StepFailure that a solve of system k alone raises in a round in
-    which k fails: a step with non-finite A, else the shortest rejected
-    step under twice the floor, else too many pending half steps."""
-    mine = system == k
-    _require_finite(finite | ~mine, a, b)
-    if np.any(mine & short):
-        i = np.nonzero(mine & short)[0]
-        return StepFailure("step size underflow at "
-                           f"v = {a[i[np.argmin(b[i] - a[i])]]}")
-    return StepFailure(f"step_tol = {step_tol:g} not met: "
-                       f"{pending} half steps pending")
-
-
-def _ordered_product(e, pos):
-    """Running left products e[k] ... e[j+1] e[j], in place, by a doubling
-    scan over each run of e, where pos[k] = k - j is e[k]'s place in its
-    run."""
+def _ordered_product(e):
+    """Running left products e[k] ... e[1] e[0], in place, by a doubling
+    scan."""
     shift = 1
-    while shift <= np.max(pos, initial=0):
-        i = np.nonzero(pos >= shift)[0]
-        e[i] = qmul(e[i], e[i - shift])
+    while shift < len(e):
+        e[shift:] = qmul(e[shift:], e[:-shift])
         shift *= 2
     return e
 
 
-def _magnus_solve(gen, systems, step_tol):
-    """Solve Y' = A(v) Y, Y(0) = 1, on [0, max v] for each independent
-    system of the list `systems` of (v, h0), with Y at its points v.
+def _magnus_solve(gen, v, h0, step_tol):
+    """Solve Y' = A(v) Y, Y(0) = 1, on [0, max v], with Y at the points v.
 
-    gen maps arrays v and s of one shape to A(v) of system s, imaginary
-    quaternions of shape v.shape + (3,).  The first steps are np.linspace's
-    ceil(max v / h0) equal steps; a step is accepted when its local error
-    estimate is at most step_tol, otherwise it is halved.  The pending
-    steps of all systems make one generator call per round (per
-    `_MAX_POINTS` points), and each system's steps, decisions and Y are
-    those of solving it alone.  Y at a v that no step ends at is
-    `_evaluate`'s, its partial step formed after the solve.  Returns per
-    system Y at v (unit quaternions), the stats n_steps (accepted),
-    n_rejected (split) and err_est (the partial steps' included), and its
-    steps (gen, system, its accepted steps' ends from 0, Y there).  The
-    first round in which a system fails raises the StepFailure of the
-    lowest such system.
+    gen maps an array v to A(v), imaginary quaternions of shape v.shape +
+    (3,).  The first steps are np.linspace's ceil(max v / h0) equal steps;
+    a step is accepted when its local error estimate is at most step_tol,
+    otherwise it is halved.  The pending steps make one generator call per
+    round (per `_MAX_POINTS` points).  Y at a v that no step ends at is
+    `_evaluate`'s, its partial step formed after the solve.  Returns Y at v
+    (unit quaternions), the stats n_steps (accepted), n_rejected (split)
+    and err_est (the partial steps' included), and the steps (gen, the
+    accepted steps' ends from 0, Y there).  A round raises StepFailure on a
+    step with non-finite A, else on the shortest rejected step under twice
+    the floor, else when its pending half steps exceed `_MAX_GROWTH` per
+    initial step.
     """
-    span = np.array([np.max(v) for v, _ in systems])
-    n_initial = np.array([max(int(np.ceil(s / h0 - 1e-9)), 1)
-                          for s, (_, h0) in zip(span, systems)])
-    ends = [np.linspace(0.0, s, n + 1) for s, n in zip(span, n_initial)]
-    a = np.concatenate([e[:-1] for e in ends])
-    b = np.concatenate([e[1:] for e in ends])
-    n_sys = len(systems)
-    system = np.repeat(np.arange(n_sys), n_initial)
+    span = np.max(v)
+    n_initial = max(int(np.ceil(span / h0 - 1e-9)), 1)
+    ends = np.linspace(0.0, span, n_initial + 1)
+    a, b = ends[:-1], ends[1:]
     floor = 1e-13 * span
 
-    done = []
-    n_rejected = np.zeros(n_sys, dtype=int)
+    done, n_rejected = [], 0
     while len(a):
-        e, err, finite = _round(gen, a, b, system)
-        ok = finite & (err <= step_tol)
-        bad = ~ok
-        done.append((a[ok], b[ok], system[ok], e[ok], err[ok]))
-        rejected = np.bincount(system[bad], minlength=n_sys)
-        short = bad & (b - a < 2 * floor[system])
-        over = 2 * rejected > _MAX_GROWTH * n_initial
-        failing = np.concatenate([system[~finite | short],
-                                  np.nonzero(over)[0]])
-        if len(failing):
-            k = np.min(failing)
-            raise _step_failure(k, a, b, system, finite, short,
-                                2 * rejected[k], step_tol)
-        a, b, system = a[bad], b[bad], system[bad]
-        n_rejected += rejected
+        e, err = _round(gen, a, b)
+        ok = err <= step_tol
+        done.append((a[ok], b[ok], e[ok], err[ok]))
+        a, b = a[~ok], b[~ok]
+        short = np.nonzero(b - a < 2 * floor)[0]
+        if len(short):
+            raise StepFailure("step size underflow at "
+                              f"v = {a[short[np.argmin(b[short] - a[short])]]}")
+        if 2 * len(a) > _MAX_GROWTH * n_initial:
+            raise StepFailure(f"step_tol = {step_tol:g} not met: "
+                              f"{2 * len(a)} half steps pending")
+        n_rejected += len(a)
         m = 0.5 * (a + b)
-        a, b, system = (np.concatenate([a, m]), np.concatenate([m, b]),
-                        np.concatenate([system, system]))
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
 
-    a, b, system, e, err = map(np.concatenate, zip(*done))
-    runs = [np.nonzero(system == k)[0] for k in range(n_sys)]
-    # each system's accepted steps in order of v, one system after another
-    order = np.concatenate([i[np.argsort(a[i])] for i in runs])
-    pos = np.concatenate([np.arange(len(i)) for i in runs])
-    prod = _ordered_product(e[order], pos)
-    cut = np.cumsum([0] + [len(i) for i in runs])
-    steps = [(gen, k, np.concatenate([[0.0], b[order[lo:hi]]]),
-              np.concatenate([[[1.0, 0.0, 0.0, 0.0]], prod[lo:hi]]))
-             for k, (lo, hi) in enumerate(zip(cut[:-1], cut[1:]))]
-    ys, errs = zip(*[_evaluate(st, v) for st, (v, _) in zip(steps, systems)])
-    stats = [{"n_steps": len(i), "n_rejected": int(n_rejected[k]),
-              "err_est": float(max(np.max(err[i], initial=0.0),
-                                   np.max(part, initial=0.0)))}
-             for k, (i, part) in enumerate(zip(runs, errs))]
-    return list(zip(ys, stats, steps))
-
-
-def _require_finite(finite, a, b):
-    """Raise the StepFailure of the first step [a, b] with non-finite A."""
-    if not np.all(finite):
-        j = np.nonzero(~finite)[0][0]
-        raise StepFailure(f"non-finite generator on [{a[j]}, {b[j]}]")
+    a, b, e, err = map(np.concatenate, zip(*done))
+    order = np.argsort(a)
+    steps = (gen, np.concatenate([[0.0], b[order]]),
+             np.concatenate([[[1.0, 0.0, 0.0, 0.0]],
+                             _ordered_product(e[order])]))
+    y, part = _evaluate(steps, v)
+    stats = {"n_steps": len(a), "n_rejected": n_rejected,
+             "err_est": float(max(np.max(err, initial=0.0),
+                                  np.max(part, initial=0.0)))}
+    return y, stats, steps
 
 
 def _evaluate(st, v):
-    """Y at v (any shape) of one system's steps st, and the estimates of
-    its partial steps: the solve's product at an accepted step's end, else
-    one partial step from the end below v, formed as the solve forms a step
+    """Y at v (any shape) of a solve's steps st, and the estimates of its
+    partial steps: the solve's product at an accepted step's end, else one
+    partial step from the end below v, formed as the solve forms a step
     (two half steps checked against the full one) in one generator call per
     `_MAX_POINTS` points.  Where A is smooth such a step of length h' inside
     one of length h errs by about (h'/h)^7 of that step's estimate; on a
     spline-built w, more.
     """
-    gen, system, ends, y_ends = st
+    gen, ends, y_ends = st
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     if not np.all((flat >= 0.0) & (flat <= ends[-1])):
@@ -270,9 +228,7 @@ def _evaluate(st, v):
     p = np.nonzero(ends[i] != flat)[0]
     y, err = y_ends[i], flat[:0]
     if len(p):
-        e, err, finite = _round(gen, ends[i[p]], flat[p],
-                                np.full(len(p), system))
-        _require_finite(finite, ends[i[p]], flat[p])
+        e, err = _round(gen, ends[i[p]], flat[p])
         y[p] = qmul(e, y[p])
     return y.reshape(v.shape + y.shape[1:]), err
 
@@ -291,7 +247,7 @@ def integrate(spec: ReparamSpec, fam, v_nodes,
     nodes = np.asarray(v_nodes, dtype=float)
     if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
         raise SpecInvalid("v_nodes must be strictly increasing from 0")
-    return _frames([spec], fam, [nodes], step_tol)[0]
+    return _frame(spec, fam, nodes, step_tol)
 
 
 def _require_valid(spec: ReparamSpec, fam):
@@ -300,24 +256,25 @@ def _require_valid(spec: ReparamSpec, fam):
     reparam.require_admissible(spec, fam.lattice)
 
 
-def _frames(specs, fam, nodes, step_tol):
-    """The FrameTrajectory of each valid spec at its nodes, from one solve
-    with one system per spec (see `integrate`)."""
-
-    def a_of_v(v, s):
-        w, root = np.empty(v.shape), np.empty(v.shape)
-        for k, spec in enumerate(specs):
-            on = s == k
-            w[on], _, root[on] = spec.planes(v[on])
-        return _coefficient(w, root, fam)[..., 1:]
-
-    solved = _magnus_solve(a_of_v, [(v, spec.period / 128)
-                                    for spec, v in zip(specs, nodes)],
-                           step_tol)
-    for phi, stats, _ in solved:
-        drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
-        stats["prenorm_drift"] = float(drift)
-    return [FrameTrajectory(v, *out) for v, out in zip(nodes, solved)]
+def _frame(spec, fam, nodes, step_tol):
+    """The FrameTrajectory of a valid spec at its nodes (see `integrate`);
+    a failed solve raises InvalidLattice naming lambda where step_tol lies
+    between `_EST_ROUNDOFF` and the lattice's round-off."""
+    a_of_v = generator(spec, fam)
+    try:
+        phi, stats, steps = _magnus_solve(lambda v: a_of_v(v)[..., 1:], nodes,
+                                          spec.period / 128, step_tol)
+    except StepFailure as exc:
+        lat = fam.lattice
+        if lat.roundoff > step_tol >= _EST_ROUNDOFF:
+            raise InvalidLattice(
+                f"{lat.kind} lambda = {lat.lam}: its theta values carry a "
+                f"relative round-off of {lat.roundoff:.2g} (at theta2(0)), "
+                f"above step_tol = {step_tol:g}") from exc
+        raise
+    drift = np.max(np.abs(np.linalg.norm(phi, axis=1) - 1.0))
+    stats["prenorm_drift"] = float(drift)
+    return FrameTrajectory(nodes, phi, stats, steps)
 
 
 def monodromy(phi_end) -> Monodromy:
@@ -376,12 +333,16 @@ def close_torus(mean: float, period: float, fam, target_angle: float):
     band = 2 * np.pi * fam.lattice.lam
     hi = min(0.9 * min(mean, band - mean), period / (2 * np.pi))
 
-    def thetas(amps):
-        # the monodromy angle of each amplitude after one period, from one
-        # solve with a system per amplitude, read at v = V alone
-        specs = [reparam.analytic(mean, a, period) for a in amps]
-        trajs = _frames(specs, fam, [[s.period] for s in specs], STEP_TOL)
-        return np.array([monodromy(t.phi[-1]).theta for t in trajs])
+    angles = {}
+
+    def angle(a):
+        # the monodromy angle of amplitude a after one period, read at
+        # v = V alone, solved once per amplitude
+        if a not in angles:
+            spec = reparam.analytic(mean, a, period)
+            traj = _frame(spec, fam, [spec.period], STEP_TOL)
+            angles[a] = monodromy(traj.phi[-1]).theta
+        return angles[a]
 
     amps = np.linspace(0.02, hi, 17)
     # analytic(mean, A, period) only loses admissibility as |A| grows (its
@@ -389,7 +350,7 @@ def close_torus(mean: float, period: float, fam, target_angle: float):
     # |A| of the scan and of the Brent iterates between its amplitudes
     for a in (amps[0], amps[-1]):
         _require_valid(reparam.analytic(mean, a, period), fam)
-    vals = thetas(amps) - target_angle
+    vals = np.array([angle(a) for a in amps]) - target_angle
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) == 0:
@@ -400,6 +361,6 @@ def close_torus(mean: float, period: float, fam, target_angle: float):
             f"{np.max(vals) + target_angle:.6g}]"
         )
     i = idx[0]
-    amp = brentq(lambda a: thetas([a])[0] - target_angle, amps[i], amps[i + 1],
+    amp = brentq(lambda a: angle(a) - target_angle, amps[i], amps[i + 1],
                  xtol=1e-13, rtol=8.9e-16)
-    return amp, float(thetas([amp])[0])
+    return amp, float(angle(amp))

@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _REAL_TOL, Family, _real, brentq, gauss_legendre
+from .elliptic import (_REAL_TOL, Family, _even_indices, _real, brentq,
+                       gauss_legendre)
 from .errors import DegenerateFit, DomainW, NoOscillation, SingularRoot, SpecInvalid
 from .theta import theta_grid
 
@@ -388,7 +389,7 @@ def sphericality_certificate(surface) -> dict:
     pts_grid = np.asarray(surface.points, dtype=float)
     n_grid = np.asarray(surface.n, dtype=float)
     nu = pts_grid.shape[0]
-    idx = np.unique(np.linspace(0, nu - 1, 5).astype(int))
+    idx = _even_indices(0, nu - 1, 5)
 
     res, ang = [], []
     for i in idx:

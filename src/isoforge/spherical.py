@@ -98,7 +98,7 @@ def sphere_centers(surf, sph):
     crit = surf.recipe.fam
     # a pole-free window around omega, clear of u = pi/2
     sel = np.nonzero((surf.u > 0.03) & (surf.u < np.pi / 2 - 0.08))[0]
-    rows = sel[np.unique(np.linspace(0, len(sel) - 1, 9).astype(int))]
+    rows = sel[elliptic._even_indices(0, len(sel) - 1, 9)]
     us = surf.u[rows]
     phis = integrate_phis(sph, crit, us)
     U, U1 = elliptic.riccati_u_u1(us, crit)
@@ -170,8 +170,8 @@ def _axis_terms(sph, surf):
 
     # interior v-samples of the first period (endpoints have w'(v) = 0,
     # which is fine, but generic points probe the v-independence better)
-    j_sel = np.unique(np.linspace(1, np.searchsorted(surf.v, rspec.period) - 1,
-                                  9).astype(int))
+    j_sel = elliptic._even_indices(
+        1, np.searchsorted(surf.v, rspec.period) - 1, 9)
     v_sel = surf.v[j_sel]
     w_sel, wp_sel, _ = rspec.planes(v_sel)
 

@@ -66,7 +66,7 @@ from functools import cache
 import numpy as np
 
 from . import curvefamily, frame, reparam
-from .elliptic import Family, coeffs, gauss_legendre
+from .elliptic import Family, _even_indices, coeffs, gauss_legendre
 from .quat import qrotation
 from .reparam import ReparamSpec
 
@@ -579,6 +579,6 @@ def _gauss_codazzi_probes(s: SampledSurface):
     """
     dist = np.abs(np.mod(s.u + np.pi / 4, np.pi / 2) - np.pi / 4)
     ok = np.nonzero(dist > 0.08)[0][1:-1]
-    iu = ok[np.unique(np.linspace(0, len(ok) - 1, _N_PROBE).astype(int))]
+    iu = ok[_even_indices(0, len(ok) - 1, _N_PROBE)]
     jv = np.linspace(2, len(s.v) - 3, _N_PROBE).astype(int)
     return s.u[iu], s.v[jv]

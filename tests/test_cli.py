@@ -1,5 +1,6 @@
 """Config validation, the command-line pipelines and their exit codes."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -434,10 +435,13 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_runtime_imports_stay_lean(tmp_path):
+def test_runtime_imports_stay_lean(tmp_path, sph_cfg_grid32):
     """A spherical spec and its frame load neither numpy.polynomial nor
     concurrent.futures (which loads logging) and leave the writers' textfmt
-    unexecuted, and a curves run loads no concurrent module either."""
+    unexecuted, a curves run loads no concurrent module either, and a
+    verify and a spherical run load neither numpy.ma (which np.unique
+    imports) nor subprocess (which platform.platform() imports to run
+    `uname -p`)."""
     code = ("import sys, types\n"
             "from isoforge import cli, elliptic, frame, reparam, theta\n"
             "crit = elliptic.solve_critical_omega(theta.rhombic(0.32))\n"
@@ -449,14 +453,44 @@ def test_runtime_imports_stay_lean(tmp_path):
             "    and type(mod) is types.ModuleType))\n"
             "cli.cli.main(['curves', sys.argv[1], '--n', '8', '--out-dir',\n"
             "              sys.argv[2]], standalone_mode=False)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+            "for command, cfg in (('verify', 1), ('spherical', 3)):\n"
+            "    cli.cli.main([command, sys.argv[cfg], '--out',\n"
+            "                  sys.argv[2] + '/report.json'],\n"
+            "                 standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('numpy.ma', 'subprocess')))\n")
     proc = subprocess.run([sys.executable, "-c", code,
-                           _write(tmp_path, _base_cfg()), str(tmp_path)],
+                           _write(tmp_path, _base_cfg()), str(tmp_path),
+                           _write(tmp_path, sph_cfg_grid32, "sph.json")],
                           env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 7  # and five curves in between
-    assert lines[0] == lines[-1] == "[]"
+    assert len(lines) == 8  # and five curves in between
+    assert lines[0] == lines[-2] == lines[-1] == "[]"
+
+
+@pytest.mark.parametrize("release, processor", [
+    (None, None), ("6.1.0-13-amd64", ""), ("6.1.0-13-amd64", "x86_64"),
+    ("5.15.0 (custom) #1/a:b;c", ""), ("unknown", ""),
+    ("6.1.0-13-amd64", "Xeon")],
+    ids=["host", "no-processor", "machine", "replaced-chars", "unknown",
+         "other-processor"])
+def test_report_platform_is_platform_platform(monkeypatch, release,
+                                              processor):
+    """The report's platform string is platform.platform() wherever
+    platform.uname().processor is '' or the machine name, on this host
+    (when it is one of those) and on Linux unames given to both; with
+    another processor name the two differ."""
+    if release is not None:
+        uname = collections.namedtuple(
+            "uname", "system node release version machine processor")
+        monkeypatch.setattr(platform, "uname", lambda: uname(
+            "Linux", "node", release, "#1 SMP", "x86_64", processor))
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    host = platform.uname()
+    same = host.system == "Linux" and host.processor in ("", host.machine)
+    assert (cli_mod._platform_name() == platform.platform()) == same
 
 
 # what `import isoforge.cli` executes; every other submodule is registered
@@ -1514,6 +1548,28 @@ def test_rhombic_lambda_lost_in_round_off_exits_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "rhombic lambda = 0.005:" in err and "pole" not in err
     assert "zero" not in err
+
+
+def test_frame_lost_in_round_off_exits_2(tmp_path, monkeypatch, capsys):
+    """On rhombic lambda 0.01 (explicit omega 0.3) the theta values carry a
+    relative round-off of 5.3e-8, far above the frame's step_tol: verify
+    exits 2 naming lambda, the round-off and step_tol, where it reported
+    16366 half steps pending, and curves, which solves no frame, still
+    exits 0."""
+    path = _write(tmp_path, {
+        "lattice": {"kind": "rhombic", "lambda": 0.01},
+        "omega": {"mode": "explicit", "value": 0.3},
+        "reparam": {"kind": "analytic", "mean": 0.0314, "amplitude": 0.01,
+                    "period": 5.0},
+        "grid": {"nu": 32, "nv": 32}})
+    assert _exit_code(monkeypatch, "verify", path,
+                      "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == (
+        "error: rhombic lambda = 0.01: its theta values carry a relative "
+        "round-off of 5.3e-08 (at theta2(0)), above step_tol = 1e-12\n")
+    result = CliRunner().invoke(cli, ["curves", path, "--out-dir",
+                                      str(tmp_path)])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("mode", ["critical", "explicit"])

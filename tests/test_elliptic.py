@@ -62,10 +62,13 @@ def test_solve_critical_omega_evaluates_no_theta_array(grid_arrays):
 def test_r_lost_in_round_off_raises_invalid_lattice(lam):
     """Below rhombic lambda about 0.0135 the theta values are lost in
     round-off and R(omega) is no longer real: it raises InvalidLattice
-    naming lambda, where it raised an untyped ArithmeticError."""
+    naming lambda, where it raised an untyped ArithmeticError; so does
+    C1."""
     fam = elliptic.Family(theta.rhombic(lam), 0.3, "explicit")
     with pytest.raises(InvalidLattice, match=f"on rhombic lambda = {lam} "):
         fam.R
+    with pytest.raises(InvalidLattice, match=f"on rhombic lambda = {lam} "):
+        fam.C1
 
 
 @pytest.mark.parametrize("lam", [0.0135, 0.014])
@@ -73,6 +76,24 @@ def test_small_rhombic_lambda_keeps_a_real_r(lam):
     """Just above that band a family is built and R(omega) is real: no
     lambda is refused for its size alone."""
     assert np.isfinite(elliptic.Family(theta.rhombic(lam), 0.3, "explicit").R)
+
+
+@pytest.mark.parametrize("lam, omega", [(0.02, 0.0458),
+                                        (0.015, 0.03529879386055947)])
+def test_c1_near_its_zero_is_real(lam, omega):
+    """Near omega = 2.3 lambda C1 is a small sum of terms of size 800 to
+    1,500, whose theta values are accurate: it is real to their round-off
+    (it raised an untyped ArithmeticError, measured against |C1|), and it
+    satisfies the Lame equation to 1e-7 of their size."""
+    fam = elliptic.Family(theta.rhombic(lam), omega, "explicit")
+    e1, e2, e3 = fam.e
+    size = abs(fam.t1p0 ** 2 / fam.td ** 2) * (abs(e1) + abs(e2) + abs(e3))
+    h, u = 1e-5, omega + 0.31
+    U, _, U1, _ = elliptic._uu1_complex(u, fam)
+    upp = (elliptic._uu1_complex(u + h, fam)[1]
+           - elliptic._uu1_complex(u - h, fam)[1]) / (2 * h)
+    assert isinstance(fam.C1, float)
+    assert abs(fam.C1 - (upp / U + 8 * U * U1)) < 1e-7 * size
 
 
 def test_critical_omega_shrinks_toward_lambda0():

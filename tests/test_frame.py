@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoforge import curvefamily, frame, quat, reparam
-from isoforge.errors import (DegenerateRotation, DomainW, NoBracket,
-                             SpecInvalid, StepFailure)
+from isoforge.errors import (DegenerateRotation, DomainW, InvalidLattice,
+                             NoBracket, SpecInvalid, StepFailure)
 
 from conftest import period_nodes
 
@@ -107,13 +107,11 @@ def test_magnus_local_error_is_seventh_order(crit032, torus_spec):
     assert np.all(errs[0] / errs[1] >= 2 ** 6.5)
 
 
-def _bump_generator(coef):
-    """A(v) of system s: an imaginary quaternion (..., 3) with a steep bump
-    at v = coef[s, 2]; elementwise in v, so any batching gives the same A."""
-    coef = np.asarray(coef)
+def _bump_generator(p, q, c):
+    """A(v): an imaginary quaternion (..., 3) with a steep bump at v = c;
+    elementwise in v, so any batching gives the same A."""
 
-    def gen(v, s):
-        p, q, c = coef[s, 0], coef[s, 1], coef[s, 2]
+    def gen(v):
         bump = np.exp(-((v - c) / 0.05) ** 2)
         return np.stack([p * np.sin(v), q + 8 * bump, -q * np.cos(2 * v)],
                         axis=-1)
@@ -121,46 +119,12 @@ def _bump_generator(coef):
     return gen
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.integers(2, 40), st.floats(0.1, 2.0),
-                          st.floats(-1.0, 1.0), st.floats(0.1, 1.9),
-                          st.floats(0.01, 0.3)), min_size=1, max_size=4))
-def test_systems_solved_together_match_alone(draws):
-    """Systems solved together give each one's Y and stats of solving it
-    alone, bit for bit."""
-    systems = [(np.linspace(0.0, 2.0, n) ** 1.5, h0) for n, _, _, _, h0 in draws]
-    coef = [(p, q, c) for _, p, q, c, _ in draws]
-    together = frame._magnus_solve(_bump_generator(coef), systems, 1e-11)
-    for k, (system, (y, stats, _)) in enumerate(zip(systems, together)):
-        (y1, stats1, _), = frame._magnus_solve(_bump_generator([coef[k]]),
-                                               [system], 1e-11)
-        assert np.array_equal(y, y1)
-        assert stats == stats1
-
-
 def test_bump_systems_have_rejections():
     """The bump of `_bump_generator` makes the step control split steps,
-    so the test above compares refined solves."""
-    (_, stats, _), = frame._magnus_solve(
-        _bump_generator([(1.0, 0.5, 1.0)]),
-        [(np.linspace(0.0, 2.0, 9), 0.25)], 1e-11)
+    so the tests below exercise refined solves."""
+    _, stats, _ = frame._magnus_solve(_bump_generator(1.0, 0.5, 1.0),
+                                      np.linspace(0.0, 2.0, 9), 0.25, 1e-11)
     assert stats["n_rejected"] > 0
-
-
-def test_frames_solved_together_match_alone(crit032, torus_spec, sph_spec):
-    """Frames of several specs from one solve (the close-torus scan) are
-    `integrate` of each spec alone, bit for bit; sph_spec has rejected
-    steps."""
-    specs = [sph_spec, torus_spec, sph_spec]
-    nodes = [np.linspace(0.0, sph_spec.period, 49),
-             np.linspace(0.0, torus_spec.period, 9),
-             np.linspace(0.0, 2 * sph_spec.period, 7)]
-    together = frame._frames(specs, crit032, nodes, 1e-12)
-    for spec, v, traj in zip(specs, nodes, together):
-        alone = frame.integrate(spec, crit032, v_nodes=v)
-        assert np.array_equal(traj.phi, alone.phi)
-        assert traj.stats == alone.stats
-    assert together[0].stats["n_rejected"] > 0
 
 
 def test_extra_nodes_leave_the_grid_frame_unchanged(crit032, torus_spec):
@@ -191,8 +155,8 @@ def test_frame_at_off_step_v_matches_a_finer_solve(crit032, torus_spec,
         assert got.shape == (5, 8, 4)
         a_of_v = frame.generator(spec, crit032)
         nodes = np.concatenate([[0.0], np.sort(v.ravel()), [V]])
-        (ref, _, _), = frame._magnus_solve(
-            lambda vv, _: a_of_v(vv)[..., 1:], [(nodes, V / 4096)], 1e-13)
+        ref, _, _ = frame._magnus_solve(lambda vv: a_of_v(vv)[..., 1:],
+                                        nodes, V / 4096, 1e-13)
         want = ref[1:-1][np.argsort(np.argsort(v.ravel()))].reshape(got.shape)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -229,39 +193,36 @@ def test_frame_at_refuses_v_outside_its_solve(crit032, torus_spec):
 def test_one_generator_call_per_round():
     """Round r evaluates the steps halved r times, all of them in one
     generator call: r rounds make r calls, the i-th holding exactly the
-    steps of length h0 / 2^i of every system."""
-    h0 = np.array([0.25, 0.125, 0.5])
-    gen = _bump_generator([(1.0, 0.5, 1.0), (0.5, -0.3, 0.4),
-                           (0.2, 0.8, 1.7)])
+    steps of length h0 / 2^i."""
+    h0 = 0.25
+    gen = _bump_generator(1.0, 0.5, 1.0)
     lengths = []
 
-    def counted(v, s):
-        width = (frame._NODES[2] - frame._NODES[0]) * h0[s[:, 0]]
+    def counted(v):
+        width = (frame._NODES[2] - frame._NODES[0]) * h0
         lengths.append((v[:, 2] - v[:, 0]) / width)
-        return gen(v, s)
+        return gen(v)
 
-    solved = frame._magnus_solve(
-        counted, [(np.arange(0.0, 2.0 + h / 2, h), h) for h in h0], 1e-11)
+    _, stats, _ = frame._magnus_solve(counted, np.arange(0.0, 2.0 + h0 / 2, h0),
+                                      h0, 1e-11)
     assert len(lengths) >= 3
     for i, rel in enumerate(lengths):
         assert np.allclose(rel, 0.5 ** i, rtol=1e-9, atol=0)
-    assert sum(map(len, lengths)) == sum(
-        stats["n_steps"] + stats["n_rejected"] for _, stats, _ in solved)
-
+    assert sum(map(len, lengths)) == stats["n_steps"] + stats["n_rejected"]
 
 
 def test_points_per_generator_call_are_bounded():
     """A solve of 10^5 steps passes at most _MAX_POINTS points to any
     generator call."""
     sizes = []
-    gen = _bump_generator([(0.3, 0.2, 5.0)])
+    gen = _bump_generator(0.3, 0.2, 5.0)
 
-    def counted(v, s):
+    def counted(v):
         sizes.append(v.size)
-        return gen(v, s)
+        return gen(v)
 
     nodes = np.linspace(0.0, 1.0, 10 ** 5 + 1)
-    (y, stats, _), = frame._magnus_solve(counted, [(nodes, 1e-5)], 1e-10)
+    y, stats, _ = frame._magnus_solve(counted, nodes, 1e-5, 1e-10)
     assert y.shape == (len(nodes), 4)
     assert stats["n_steps"] == 10 ** 5
     assert len(sizes) > 1 and max(sizes) <= frame._MAX_POINTS
@@ -282,58 +243,51 @@ def test_stacked_propagators_match_three_calls():
     assert np.array_equal(err, np.max(np.abs(full - two), axis=1))
 
 
-def _failure(gen, systems, step_tol):
+def _failure(gen, step_tol):
     with pytest.raises(StepFailure) as info:
-        frame._magnus_solve(gen, systems, step_tol)
+        frame._magnus_solve(gen, np.linspace(0.0, 2.0, 5), 0.5, step_tol)
     return str(info.value)
 
 
 def test_failing_system_names_its_step(monkeypatch):
-    """A system whose generator turns NaN fails the solve, naming a step of
-    that system; an unreachable step_tol fails it too.  Whichever generator
-    call holds its step and whichever way it fails, the lowest failing
-    system of a round raises what it raises alone."""
-    gen = _bump_generator([(0.3, 0.2, 1.0)] * 3)
+    """A solve fails on the first step whose A is not finite, whichever
+    generator call holds it; on a rejected step under twice the floor
+    (1e-13 of the span), naming the shortest; and on more pending half
+    steps than _MAX_GROWTH per initial step."""
+    gen = _bump_generator(0.3, 0.2, 1.0)
 
-    def nan_in_two(v, s):
-        a = gen(v, s)
-        a[(s == 2) & (v > 1.0)] = np.nan
+    def nan_late(v):
+        a = gen(v)
+        a[v > 1.0] = np.nan
         return a
 
-    systems = [(np.linspace(0.0, 2.0, 5), 0.5)] * 3
-    with pytest.raises(StepFailure, match=r"non-finite generator on \[1\.0"):
-        frame._magnus_solve(nan_in_two, systems, 1e-11)
-    with pytest.raises(StepFailure, match="not met"):
-        frame._magnus_solve(gen, systems, 1e-30)
+    assert _failure(nan_late, 1e-11).startswith("non-finite generator on [1.0")
 
-    def nan_on_halves(v, s):
-        # split steps of 0.5 have midpoints at 0.125 (left) and 0.375
-        # (right) mod 0.5: NaN on system 0's right and system 1's left halves
-        a = gen(v, s)
+    def singular(v):
+        # |A| grows as |v - c|^(-1/2) towards a non-dyadic c = 29/15
+        a = gen(v)
+        a[..., 0] += 1 / np.sqrt(np.abs(v - 29 / 15))
+        return a
+
+    assert _failure(singular, 1e-11).startswith(
+        "step size underflow at v = 1.9333")
+
+    def nan_on_right_halves(v):
+        # split steps of 0.5 have midpoints at 0.375 mod 0.5 on their right
+        # halves
+        a = gen(v)
         mid = 0.5 * (v.min(axis=1) + v.max(axis=1)) % 0.5
-        bad = np.where(s[:, 0] == 0, np.isclose(mid, 0.375),
-                       np.isclose(mid, 0.125))
-        a[bad] = np.nan
+        a[np.isclose(mid, 0.375)] = np.nan
         return a
 
-    # 4 steps a call: the second round (16 steps, every first one rejected)
-    # holds system 1's left halves in its second call and system 0's right
-    # halves in its third
+    # 4 steps a call: the second round (8 steps) holds the right halves in
+    # its second call
     monkeypatch.setattr(frame, "_MAX_POINTS", 4 * 9)
-    alone = _failure(nan_on_halves, systems[:1], 1e-30)
-    assert alone == "non-finite generator on [0.25, 0.5]"
-    assert _failure(nan_on_halves, systems[:2], 1e-30) == alone
-
-    def nan_in_one(v, s):
-        a = gen(v, s)
-        a[s == 1] = np.nan
-        return a
-
-    # system 0 fails by growth in the round in which system 1 turns NaN
+    assert (_failure(nan_on_right_halves, 1e-30)
+            == "non-finite generator on [0.25, 0.5]")
     monkeypatch.setattr(frame, "_MAX_GROWTH", 1)
-    alone = _failure(nan_in_one, systems[:1], 1e-30)
-    assert alone == "step_tol = 1e-30 not met: 8 half steps pending"
-    assert _failure(nan_in_one, systems[:2], 1e-30) == alone
+    assert (_failure(gen, 1e-30)
+            == "step_tol = 1e-30 not met: 8 half steps pending")
 
 
 def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):
@@ -393,6 +347,18 @@ def test_unreachable_step_tol_raises(crit032, torus_spec):
     with pytest.raises(StepFailure):
         frame.integrate(torus_spec, crit032, period_nodes(torus_spec),
                         step_tol=1e-20)
+
+
+def test_step_failure_on_a_lossy_lattice_names_lambda():
+    """On rhombic lambda 0.01 the theta values carry a relative round-off
+    of 5.3e-8, above step_tol: the solve's StepFailure becomes an
+    InvalidLattice naming lambda, chained from it.  A step_tol below
+    _EST_ROUNDOFF keeps its StepFailure on any lattice (the test above)."""
+    from isoforge import elliptic, theta
+    fam = elliptic.Family(theta.rhombic(0.01), 0.3, "explicit")
+    with pytest.raises(InvalidLattice, match="rhombic lambda = 0.01: ") as info:
+        frame.integrate(reparam.analytic(0.0314, 0.01, 5.0), fam, [0.0, 5.0])
+    assert isinstance(info.value.__cause__, StepFailure)
 
 
 def test_integrate_rejects_inadmissible_spec(crit032, lat032):
@@ -521,11 +487,11 @@ def test_close_torus_validates_the_scan_ends_only(crit032, lat032,
     amplitude, and every amplitude it then integrates, Brent's included,
     lies between them."""
     validated, scanned = [], []
-    require, frames = frame._require_valid, frame._frames
+    require, solve = frame._require_valid, frame._frame
     monkeypatch.setattr(frame, "_require_valid", lambda spec, fam: (
         validated.append(spec), require(spec, fam))[1])
-    monkeypatch.setattr(frame, "_frames", lambda specs, *a: (
-        scanned.extend(specs), frames(specs, *a))[1])
+    monkeypatch.setattr(frame, "_frame", lambda spec, *a: (
+        scanned.append(spec), solve(spec, *a))[1])
     band = 2 * np.pi * lat032.lam
     frame.close_torus(band / 2, 6.0, crit032, 2 * np.pi / 3)
     amps = np.linspace(0.02, min(0.9 * band / 2, 6.0 / (2 * np.pi)), 17)
@@ -538,6 +504,9 @@ def test_close_torus_validates_the_scan_ends_only(crit032, lat032,
     assert np.allclose(ends, amps[[0, -1]], rtol=1e-12)
     assert len(scanned) > 17
     assert all(ends[0] - 1e-12 <= amp(s) <= ends[1] + 1e-12 for s in scanned)
+    # each amplitude is solved once: Brent's bracket ends are scanned
+    # amplitudes, and the amplitude it returns is one of its iterates
+    assert len({amp(s) for s in scanned}) == len(scanned)
 
 
 def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
@@ -546,18 +515,18 @@ def test_spherical_frame_searches_the_knots_once_per_round(crit032, sph_spec,
     searches the spline knots once, for w and the signed root together;
     the one search more is the admissibility check's."""
     searches, calls = [], []
-    searchsorted, coefficient = np.searchsorted, frame._coefficient
+    searchsorted, w1 = np.searchsorted, curvefamily.w1
 
     def counted_search(*args, **kwargs):
         searches.append(1)
         return searchsorted(*args, **kwargs)
 
-    def counted_coefficient(*args):
+    def counted_w1(*args):
         calls.append(1)
-        return coefficient(*args)
+        return w1(*args)
 
     monkeypatch.setattr(np, "searchsorted", counted_search)
-    monkeypatch.setattr(frame, "_coefficient", counted_coefficient)
+    monkeypatch.setattr(curvefamily, "w1", counted_w1)
     frame.integrate(sph_spec, crit032, period_nodes(sph_spec))
     assert len(calls) > 1
     assert len(searches) == len(calls) + 1

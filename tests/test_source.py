@@ -17,7 +17,6 @@ TEST_ONLY = {
     "theta.rhombic_conjugation_residual": "theta identity",
     "theta.addition_formula_residual": "theta identity",
     # reference implementations that tests compare the fast paths against
-    "frame.generator": "reference for the frame's generator",
     "reparam.s_of_w": "reference for the spherical construction's s(w)",
 }
 
