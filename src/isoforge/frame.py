@@ -19,9 +19,10 @@ so the steps are not taken one after another: all steps of a round, laid
 out from h0 alone, are formed from one evaluation of A (one generator call
 up to `_MAX_POINTS` points), each is checked against the product of its
 two half steps (the full step and both halves are one `_magnus6` call),
-the rejected ones are halved for the next round, and a doubling scan of
-the accepted propagators gives Phi at the step ends; `_evaluate` reads Phi
-at any other v by one partial step.
+each rejected one is split for the next round into 2^k equal steps, k
+sized from its estimate (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+and a doubling scan of the accepted propagators gives Phi at the step
+ends; `_evaluate` reads Phi at any other v by one partial step.
 
 `close_torus` solves the frame of each amplitude it tries once: the
 angles of its scan are kept by amplitude, Brent's method starts from two
@@ -95,7 +96,19 @@ _MAX_POINTS = 4096
 # local error per step of every frame solve: a surface's frame (which the
 # battery reads off its steps too) and close_torus's scan
 STEP_TOL = 1e-12
-_MAX_GROWTH = 64       # pending steps per initial step: tol is unreachable
+_MAX_GROWTH = 64  # pending steps per initial step: tol is unreachable
+# the order in the step length that `_magnus_solve` takes a rejected step's
+# error estimate to have when it sizes the split.  Halving a rejected step
+# of a spherical spec (estimate above 10 step_tol) cut its estimate by
+# 2^6.5 in the median and by 2^4.1 or less in a tenth (864 steps, 40 specs
+# of the spherical benchmark's box, step_tol 1e-12); at 5 a 48 x 48 frame
+# of those specs takes 2.6 rounds and 200 accepted steps on average, at 6
+# 2.7 and 188, at 4 2.6 and 214, where halving took 3.9 and 181
+_SPLIT_ORDER = 5
+# at most 2^3 parts: a split sized from an estimate many orders above
+# step_tol (on a step across a narrow bump of A) overshoots, past the
+# growth guard at step_tol 1e-13 on the bump of the frame tests
+_MAX_SPLIT = 3
 # the round-off of a step's error estimate, a difference of unit
 # quaternions, on any lattice (a few eps)
 _EST_ROUNDOFF = 10 * np.finfo(float).eps
@@ -164,16 +177,19 @@ def _magnus_solve(gen, v, h0, step_tol):
 
     gen maps an array v to A(v), imaginary quaternions of shape v.shape +
     (3,).  The first steps are np.linspace's ceil(max v / h0) equal steps;
-    a step is accepted when its local error estimate is at most step_tol,
-    otherwise it is halved.  The pending steps make one generator call per
-    round (per `_MAX_POINTS` points).  Y at a v that no step ends at is
-    `_evaluate`'s, its partial step formed after the solve.  Returns Y at v
-    (unit quaternions), the stats n_steps (accepted), n_rejected (split)
-    and err_est (the partial steps' included), and the steps (gen, the
-    accepted steps' ends from 0, Y there).  A round raises StepFailure on a
-    step with non-finite A, else on the shortest rejected step under twice
-    the floor, else when its pending half steps exceed `_MAX_GROWTH` per
-    initial step.
+    a step is accepted when its local error estimate err is at most
+    step_tol, otherwise it is split into 2^k equal steps, k = max(1,
+    ceil(log2(err / step_tol) / `_SPLIT_ORDER`)) up to `_MAX_SPLIT`, so
+    every step is a dyadic part of a first step.  The pending steps make
+    one generator call per round (per `_MAX_POINTS` points).  Y at a v
+    that no step ends at is `_evaluate`'s, its partial step formed after
+    the solve.  Returns Y at v (unit quaternions), the stats n_steps
+    (accepted), n_rejected (split) and err_est (the partial steps'
+    included), and the steps (gen, the accepted steps' ends from 0, Y
+    there).  A round raises StepFailure on a step with non-finite A, else
+    on the rejected step with the shortest parts if those fall under the
+    floor, else when its pending steps exceed `_MAX_GROWTH` per initial
+    step.
     """
     span = np.max(v)
     n_initial = max(int(np.ceil(span / h0 - 1e-9)), 1)
@@ -186,17 +202,21 @@ def _magnus_solve(gen, v, h0, step_tol):
         e, err = _round(gen, a, b)
         ok = err <= step_tol
         done.append((a[ok], b[ok], e[ok], err[ok]))
-        a, b = a[~ok], b[~ok]
-        short = np.nonzero(b - a < 2 * floor)[0]
+        a, b, err = a[~ok], b[~ok], err[~ok]
+        k = np.clip(np.ceil(np.log2(err / step_tol) / _SPLIT_ORDER),
+                    1, _MAX_SPLIT)
+        parts = 2 ** k.astype(np.intp)
+        piece = (b - a) / parts
+        short = np.nonzero(piece < floor)[0]
         if len(short):
             raise StepFailure("step size underflow at "
-                              f"v = {a[short[np.argmin(b[short] - a[short])]]}")
-        if 2 * len(a) > _MAX_GROWTH * n_initial:
+                              f"v = {a[short[np.argmin(piece[short])]]}")
+        pending = int(np.sum(parts))
+        if pending > _MAX_GROWTH * n_initial:
             raise StepFailure(f"step_tol = {step_tol:g} not met: "
-                              f"{2 * len(a)} half steps pending")
+                              f"{pending} steps pending")
         n_rejected += len(a)
-        m = 0.5 * (a + b)
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        a, b = _split(a, b, parts)
 
     a, b, e, err = map(np.concatenate, zip(*done))
     order = np.argsort(a)
@@ -208,6 +228,19 @@ def _magnus_solve(gen, v, h0, step_tol):
              "err_est": float(max(np.max(err, initial=0.0),
                                   np.max(part, initial=0.0)))}
     return y, stats, steps
+
+
+def _split(a, b, parts):
+    """The steps [a, b], in order, each split into its `parts` equal
+    steps; the parts of a step tile it exactly."""
+    step = np.repeat(np.arange(len(a)), parts)
+    last = np.cumsum(parts) - 1
+    j = np.arange(len(step)) - np.repeat(last + 1 - parts, parts)
+    lo = a[step] + (b - a)[step] * (j / parts[step])
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[last] = b
+    return lo, hi
 
 
 def _evaluate(st, v):
@@ -238,10 +271,12 @@ def integrate(spec: ReparamSpec, fam, v_nodes,
     """Integrate Phi' = A(v) Phi from Phi(0) = 1 on [0, v_nodes[-1]], with
     output at v_nodes (strictly increasing, starting at 0).
 
-    `_magnus_solve` lays the steps from h0 = V/128 alone, so Phi at a node
-    depends on the spec, the family, v_nodes[-1], step_tol and the node
-    alone, as at any v the trajectory's `at` reads.  stats holds n_steps,
-    n_rejected, err_est and prenorm_drift (max | |Phi| - 1 | at the nodes).
+    `_magnus_solve` lays the steps from h0 = V/128 alone, and splits a
+    rejected one into dyadic parts sized by its own estimate, so Phi at a
+    node depends on the spec, the family, v_nodes[-1], step_tol and the
+    node alone, as at any v the trajectory's `at` reads.  stats holds
+    n_steps, n_rejected, err_est and prenorm_drift (max | |Phi| - 1 | at
+    the nodes).
     """
     _require_valid(spec, fam)
     nodes = np.asarray(v_nodes, dtype=float)

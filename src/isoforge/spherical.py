@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import curvefamily, elliptic, surface as surface_mod
+from . import curvefamily, elliptic
 from .errors import PoleProximity, SpecInvalid
 
 
@@ -185,15 +185,15 @@ def _axis_terms(sph, surf):
     zeta3 = (R / (delta * s)) * (-delta ** 2 * U1p * s
                                  + (s - e1 / 2) ** 2 + e2 - e1 ** 2 / 4)
 
-    f = surface_mod.fields_at(fam, rspec, np.array([om]), v_sel,
-                              surf.phi[j_sel], names=("fu", "fv", "n", "expH"))
-    eh_row = f["expH"][0][:, None]
+    # the fields at u = omega that build evaluated with the display grid
+    fu, fv, nrm, eh = (surf.omega_row[k][j_sel]
+                       for k in ("fu", "fv", "n", "expH"))
     # minus on the normal term: the surface module's Gauss map fu x fv is
     # opposite to the normal the sphere data is written in (same flip as in
     # sphere_centers)
-    assembled = (zeta1[:, None] * f["fu"][0] / eh_row
-                 + zeta2[:, None] * f["fv"][0] / eh_row
-                 - zeta3[:, None] * f["n"][0])
+    assembled = (zeta1[:, None] * fu / eh[:, None]
+                 + zeta2[:, None] * fv / eh[:, None]
+                 - zeta3[:, None] * nrm)
     return v_sel, (zeta1, zeta2, zeta3), float(norm_sq), assembled
 
 

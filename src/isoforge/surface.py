@@ -30,7 +30,8 @@ and on the battery's fresh temporaries, where np.linalg.norm's own
 (..., 3) temporaries cost most.  On a critical family `build` evaluates
 u and the row u = omega in one call; its display grids are views of the
 first nu rows of those planes (each x, y and z plane still contiguous),
-and it keeps points and fu on the row as `omega_row`.
+and it keeps all five fields on the row, views of the same arrays, as
+`omega_row`.
 
 A recipe whose family has mode "limit" builds the omega -> 0 limit surface
 (planes tangent to a cylinder) instead, assembled from the limit forms
@@ -92,7 +93,8 @@ class SampledSurface:
     phi: np.ndarray          # (nv_total, 4) frame samples (None for limit)
     traj: frame.FrameTrajectory | None   # the frame's solve (None for limit)
     recipe: SurfaceRecipe
-    # points and fu at u = omega x v, (nv_total, 3) each (None off critical)
+    # the FIELDS at u = omega x v: (nv_total, 3) each, expH (nv_total,)
+    # (None off critical)
     omega_row: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -214,9 +216,9 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
     """Sample the immersion on a (u, v) grid with its frame fields.
 
     On a critical family the one `fields_at` call also covers the row
-    u = omega, whose points and fu the surface keeps as omega_row for
-    `inversion_symmetry`; the display grids are views of its first nu
-    rows."""
+    u = omega, whose fields the surface keeps as omega_row for
+    `inversion_symmetry` and `spherical.axis`; the display grids are views
+    of its first nu rows."""
     if recipe.fam.mode == "limit":
         return build_limit(recipe)
     spec, fam = recipe.spec, recipe.fam
@@ -227,8 +229,7 @@ def build(recipe: SurfaceRecipe) -> SampledSurface:
     critical = fam.mode == "critical"
     f = fields_at(fam, spec, np.append(u, fam.omega) if critical else u, v,
                   traj.phi)
-    omega_row = ({k: f[k][-1] for k in ("points", "fu")} if critical
-                 else None)
+    omega_row = {k: x[-1] for k, x in f.items()} if critical else None
     f = {k: x[:len(u)] for k, x in f.items()}
 
     eh = f["expH"]

@@ -65,8 +65,9 @@ _GROUPS = _lookup(_GROUPS, np.uint32)[0]
 _SHOWN = np.array([[_BLANK, _BLANK, _LEADING, _LEADING],
                    [_BLANK, _LEADING, 0, 0],
                    [_LEADING, 0, 0, 0]], dtype=float)
-# each digit of a group followed by a NUL slot, which may become the point
-_SLOTTED = np.zeros((8, 10001), np.uint8)
+# each digit of a group followed by a slot holding the point, which the
+# mask of a cell keeps where the point goes
+_SLOTTED = np.full((8, 10001), ord("."), np.uint8)
 _SLOTTED[::2] = _ASCII
 _SLOTTED = _lookup(_SLOTTED, np.uint64)[0]
 _Z = _Z.view(np.int8).astype(np.intp)
@@ -78,8 +79,9 @@ del _k, _ASCII, _Z
 # '%.12g' cells by code (xp + 4) * 26 + sig * 2 + negative, for the decimal
 # exponent xp in [-4, 11] of the rounded value and its number sig of
 # significant digits, 0 to 12: word 0 holds the sign and the "0." and zeros
-# before the digits, if any; words 1 to 3 keep the first max(sig, xp + 1)
-# slotted digits and set the point after digit xp if digits follow it
+# before the digits, if any; the mask of words 1 to 3 keeps the first
+# max(sig, xp + 1) slotted digits and the slot after digit xp, the point,
+# if digits follow it
 _CODE = np.arange(16 * 13 * 2)
 _XP, _SIG, _NEG = _CODE // 26 - 4, _CODE % 26 // 2, _CODE % 2
 _LEAD = np.where(_XP < 0, 1 - _XP, 0)
@@ -87,10 +89,10 @@ _BYTE = np.arange(24)[:, None]
 _WORD0 = _lookup([np.zeros(_CODE.size), _NEG * ord("-"),
                   *[(_LEAD > k) * c for k, c in enumerate(b"0.000")],
                   np.zeros(_CODE.size)], np.uint64)[0]
-_KEEP = _lookup(255 * ((_BYTE % 2 == 0)
-                       & (_BYTE // 2 < np.maximum(_SIG, _XP + 1))), np.uint64)
-_POINT = _lookup(ord(".") * ((_BYTE == 2 * _XP + 1) & (_SIG > _XP + 1)),
-                 np.uint64)
+_MASK = _lookup(255 * (((_BYTE % 2 == 0)
+                        & (_BYTE // 2 < np.maximum(_SIG, _XP + 1)))
+                       | ((_BYTE == 2 * _XP + 1) & (_SIG > _XP + 1))),
+                np.uint64)
 del _CODE, _XP, _SIG, _NEG, _LEAD, _BYTE
 _MINUS32 = np.frombuffer(b"\0-\0\0", np.uint32)[0]
 _NUL = b"\0"
@@ -168,9 +170,8 @@ def g12(x, sep=b""):
     code += 2 * (12 - trailing) + np.signbit(flat)
     words = np.empty((4, flat.size), np.uint64)
     words[0] = _WORD0.take(code, mode="clip")
-    words[1:] = ((_SLOTTED.take(g, mode="clip")
-                  & _KEEP.take(code, axis=1, mode="clip"))
-                 | _POINT.take(code, axis=1, mode="clip"))
+    words[1:] = _SLOTTED.take(g, mode="clip")
+    words[1:] &= _MASK.take(code, axis=1, mode="clip")
     return _cells(words, x, "%.12g", ok, sep)
 
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import isoforge
 from isoforge import cli as cli_mod
-from isoforge import elliptic, frame
+from isoforge import elliptic, frame, surface
 from isoforge.cli import ConfigError, cli, load_config, validate_config
 
 from conftest import period_nodes
@@ -1384,6 +1384,22 @@ def test_spherical_command_integrates_the_frame_once(tmp_path, frame_calls,
     assert result.exit_code == 0, result.output
     assert [c["step_tol"] for c in frame_calls] == [1e-12]
     assert len(solves) == 1
+
+
+def test_spherical_command_evaluates_the_fields_once(tmp_path, sph_cfg_grid32,
+                                                    monkeypatch):
+    """The axis reads the u = omega row that the surface's one fields_at
+    call evaluates with the display grid: a spherical command makes
+    exactly one fields_at call."""
+    calls = []
+    fields_at = surface.fields_at
+    monkeypatch.setattr(surface, "fields_at",
+                        lambda *a, **k: calls.append(1) or fields_at(*a, **k))
+    result = CliRunner().invoke(cli, [
+        "spherical", _write(tmp_path, sph_cfg_grid32),
+        "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="session")

@@ -164,23 +164,27 @@ def test_frame_at_off_step_v_matches_a_finer_solve(crit032, torus_spec,
 def test_err_est_covers_the_partial_steps(crit032, torus_spec, sph_spec):
     """The estimates of the partial steps (each full step against its two
     halves) to a solve's nodes, and to the v that `at` reads, are folded
-    into its err_est.  On the spline-built sph_spec a partial step's
-    estimate exceeds every accepted step's."""
+    into its err_est.  On the spline-built real-pair spec at step_tol 1e-13
+    a partial step's estimate exceeds every accepted step's."""
+    real_pair = reparam.build_spherical(
+        reparam.SphericalSpec(delta=0.4, s1=0.5, s2=0.9), crit032)
     rng = np.random.default_rng(3)
     over = []
-    for spec in (torus_spec, sph_spec):
-        on_steps = frame.integrate(spec, crit032, period_nodes(spec, n=128))
+    for spec, tol in ((torus_spec, 1e-12), (sph_spec, 1e-12),
+                      (real_pair, 1e-13)):
+        on_steps = frame.integrate(spec, crit032, period_nodes(spec, n=128),
+                                   step_tol=tol)
         accepted = on_steps.stats["err_est"]
         v = rng.uniform(0.0, spec.period, 200)
         _, err = frame._evaluate(on_steps.steps, v)
         assert len(err) == 200 and np.all(err > 0)
         over.append(np.max(err) > accepted)
         nodes = np.concatenate([[0.0], np.sort(v), [spec.period]])
-        off = frame.integrate(spec, crit032, nodes)
+        off = frame.integrate(spec, crit032, nodes, step_tol=tol)
         assert off.stats["err_est"] == max(accepted, np.max(err))
         on_steps.at(v)
         assert on_steps.stats["err_est"] == off.stats["err_est"]
-    assert over == [False, True]
+    assert over[-1]
 
 
 def test_frame_at_refuses_v_outside_its_solve(crit032, torus_spec):
@@ -190,25 +194,62 @@ def test_frame_at_refuses_v_outside_its_solve(crit032, torus_spec):
             traj.at(np.array([1.0, v]))
 
 
-def test_one_generator_call_per_round():
-    """Round r evaluates the steps halved r times, all of them in one
-    generator call: r rounds make r calls, the i-th holding exactly the
-    steps of length h0 / 2^i."""
+def test_one_generator_call_per_round(monkeypatch):
+    """Each round evaluates its steps in one generator call.  The steps of
+    a round after the first are dyadic parts of h0: each step rejected in
+    the round before is split, in order, into 2^k equal parts that tile
+    it."""
     h0 = 0.25
     gen = _bump_generator(1.0, 0.5, 1.0)
-    lengths = []
+    calls, rounds = [], []
+    round_ = frame._round
 
     def counted(v):
-        width = (frame._NODES[2] - frame._NODES[0]) * h0
-        lengths.append((v[:, 2] - v[:, 0]) / width)
+        calls.append(len(v))
         return gen(v)
 
-    _, stats, _ = frame._magnus_solve(counted, np.arange(0.0, 2.0 + h0 / 2, h0),
-                                      h0, 1e-11)
-    assert len(lengths) >= 3
-    for i, rel in enumerate(lengths):
-        assert np.allclose(rel, 0.5 ** i, rtol=1e-9, atol=0)
-    assert sum(map(len, lengths)) == stats["n_steps"] + stats["n_rejected"]
+    def recorded(g, a, b):
+        rounds.append((a, b))
+        return round_(g, a, b)
+
+    monkeypatch.setattr(frame, "_round", recorded)
+    _, stats, steps = frame._magnus_solve(
+        counted, np.arange(0.0, 2.0 + h0 / 2, h0), h0, 1e-11)
+    assert len(rounds) >= 3 and len(calls) == len(rounds)
+    ends = steps[1]
+    accepted = set(zip(ends[:-1], ends[1:]))
+    for (a0, b0), (a1, b1) in zip(rounds, rounds[1:]):
+        rel = (b1 - a1) / h0
+        assert np.allclose(rel, 2.0 ** np.round(np.log2(rel)), rtol=1e-9)
+        at = 0
+        for lo, hi in zip(a0, b0):
+            if (lo, hi) in accepted:
+                continue
+            n = np.searchsorted(b1, hi, "right") - at
+            assert n >= 2 and n & (n - 1) == 0
+            part = slice(at, at + n)
+            assert a1[at] == lo and b1[at + n - 1] == hi
+            assert np.array_equal(a1[part][1:], b1[part][:-1])
+            assert np.allclose(b1[part] - a1[part], (hi - lo) / n,
+                               rtol=1e-12, atol=0)
+            at += n
+        assert at == len(a1)
+    assert sum(calls) == stats["n_steps"] + stats["n_rejected"]
+
+
+def test_spherical_frame_takes_two_rounds(crit032, sph_spec, monkeypatch):
+    """A rejected step is split by its estimate, not halved: the frame of
+    sph_spec, from its 128 first steps per period, takes at most two
+    generator calls before the partial-step round to the nodes of a 48 x 48
+    surface, which is one call more."""
+    calls, before = [], []
+    w1, evaluate = curvefamily.w1, frame._evaluate
+    monkeypatch.setattr(curvefamily, "w1",
+                        lambda *a: calls.append(1) or w1(*a))
+    monkeypatch.setattr(frame, "_evaluate",
+                        lambda *a: before.append(len(calls)) or evaluate(*a))
+    frame.integrate(sph_spec, crit032, period_nodes(sph_spec, n=48))
+    assert before[0] <= 2 and len(calls) == before[0] + 1
 
 
 def test_points_per_generator_call_are_bounded():
@@ -251,9 +292,9 @@ def _failure(gen, step_tol):
 
 def test_failing_system_names_its_step(monkeypatch):
     """A solve fails on the first step whose A is not finite, whichever
-    generator call holds it; on a rejected step under twice the floor
-    (1e-13 of the span), naming the shortest; and on more pending half
-    steps than _MAX_GROWTH per initial step."""
+    generator call holds it; on a rejected step whose parts fall under the
+    floor (1e-13 of the span), naming the one with the shortest; and on
+    more pending steps than _MAX_GROWTH per initial step."""
     gen = _bump_generator(0.3, 0.2, 1.0)
 
     def nan_late(v):
@@ -272,22 +313,22 @@ def test_failing_system_names_its_step(monkeypatch):
     assert _failure(singular, 1e-11).startswith(
         "step size underflow at v = 1.9333")
 
-    def nan_on_right_halves(v):
-        # split steps of 0.5 have midpoints at 0.375 mod 0.5 on their right
-        # halves
+    def nan_on_late_parts(v):
+        # the parts of the split steps of 0.5 (at step_tol 1e-30, eight
+        # each) from v = 1.25 on
         a = gen(v)
-        mid = 0.5 * (v.min(axis=1) + v.max(axis=1)) % 0.5
-        a[np.isclose(mid, 0.375)] = np.nan
+        lo, hi = v.min(axis=1), v.max(axis=1)
+        a[(hi - lo < 0.25) & (lo > 1.25)] = np.nan
         return a
 
-    # 4 steps a call: the second round (8 steps) holds the right halves in
-    # its second call
+    # 4 steps a call: the second round (32 steps) holds the first part
+    # from 1.25 in its sixth call
     monkeypatch.setattr(frame, "_MAX_POINTS", 4 * 9)
-    assert (_failure(nan_on_right_halves, 1e-30)
-            == "non-finite generator on [0.25, 0.5]")
+    assert (_failure(nan_on_late_parts, 1e-30)
+            == "non-finite generator on [1.25, 1.3125]")
     monkeypatch.setattr(frame, "_MAX_GROWTH", 1)
     assert (_failure(gen, 1e-30)
-            == "step_tol = 1e-30 not met: 8 half steps pending")
+            == "step_tol = 1e-30 not met: 32 steps pending")
 
 
 def test_magnus_matches_dormand_prince(crit032, torus_spec, sph_spec):

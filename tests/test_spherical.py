@@ -195,6 +195,29 @@ def test_axis_closed_form(sph, sph_spec, sph_surf, crit032):
     assert np.max(spherical.angle(assembled, assembled[0])) < 1e-7
 
 
+def test_axis_terms_read_the_build_omega_row(sph, sph_surf, crit032):
+    """The axis reads its fields at u = omega off the surface's omega_row
+    (all five fields of build's one fields_at call), which match a fresh
+    one-row fields_at at the axis' v to 1e-14 of their scale, as does the
+    assembled vector."""
+    v, (zeta1, zeta2, zeta3), _, assembled = spherical._axis_terms(
+        sph, sph_surf)
+    j_sel = np.searchsorted(sph_surf.v, v)
+    assert np.array_equal(sph_surf.v[j_sel], v)
+    fresh = surface.fields_at(crit032, sph_surf.recipe.spec, [crit032.omega],
+                              v, sph_surf.phi[j_sel])
+    assert set(sph_surf.omega_row) == set(fresh)
+    for name, x in fresh.items():
+        row = sph_surf.omega_row[name][j_sel]
+        scale = float(np.max(np.abs(x[0])))
+        assert np.max(np.abs(row - x[0])) <= 1e-14 * scale, name
+    eh = fresh["expH"][0][:, None]
+    want = (zeta1[:, None] * fresh["fu"][0] / eh
+            + zeta2[:, None] * fresh["fv"][0] / eh
+            - zeta3[:, None] * fresh["n"][0])
+    assert np.max(np.abs(assembled - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_axis_z2_encodes_sqrt_q(sph, sph_spec, sph_surf, crit032):
     """|zeta2| carries the signed root: zeta2 delta s / R = sqrt(Q(s)) up
     to the sign of the branch."""
