@@ -52,6 +52,7 @@ class FrameTrajectory:
     phi: np.ndarray  # (n, 4) unit quaternions
     stats: dict
     steps: tuple | None = None  # the solve's steps, which `at` reads
+    admissibility: reparam.ValidationReport | None = None  # integrate's report
 
     def at(self, v):
         """Phi at v (any shape, in [0, self.v[-1]]), read as `_evaluate`
@@ -78,10 +79,9 @@ def generator(spec: ReparamSpec, fam):
     def a_of_v(v):
         w, _, root = spec.planes(np.asarray(v, dtype=float))
         W1 = curvefamily.w1(w, fam)
-        root = np.asarray(root, dtype=float)
-        zero = np.zeros(np.shape(root))
-        return np.stack([zero, zero, -root * np.imag(W1),
-                         root * np.real(W1)], axis=-1)
+        a = np.zeros(np.shape(root) + (4,))
+        a[..., 2], a[..., 3] = -root * np.imag(W1), root * np.real(W1)
+        return a
 
     return a_of_v
 
@@ -124,7 +124,8 @@ def _magnus6(a, h):
     c1 = 2 * cross(b1, b2)
     c2 = -2 * cross(b1, 2 * b3 + c1) / 60
     om = b1 + b3 / 12 + 2 * cross(-20 * b1 - b3 + c1, b2 + c2) / 240
-    ang = np.linalg.norm(om, axis=-1)
+    x, y, z = om[:, 0], om[:, 1], om[:, 2]
+    ang = np.sqrt(x * x + y * y + z * z)  # bit for bit np.linalg.norm
     return np.concatenate([np.cos(ang)[:, None],
                            np.sinc(ang / np.pi)[:, None] * om], axis=-1)
 
@@ -276,19 +277,19 @@ def integrate(spec: ReparamSpec, fam, v_nodes,
     node depends on the spec, the family, v_nodes[-1], step_tol and the
     node alone, as at any v the trajectory's `at` reads.  stats holds
     n_steps, n_rejected, err_est and prenorm_drift (max | |Phi| - 1 | at
-    the nodes).
+    the nodes); admissibility the spec's `reparam.validate` report.
     """
-    _require_valid(spec, fam)
+    report = _require_valid(spec, fam)
     nodes = np.asarray(v_nodes, dtype=float)
     if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
         raise SpecInvalid("v_nodes must be strictly increasing from 0")
-    return _frame(spec, fam, nodes, step_tol)
+    return dc_replace(_frame(spec, fam, nodes, step_tol), admissibility=report)
 
 
-def _require_valid(spec: ReparamSpec, fam):
+def _require_valid(spec: ReparamSpec, fam) -> reparam.ValidationReport:
     if not (spec.period > 0):
         raise SpecInvalid("spec period must be positive")
-    reparam.require_admissible(spec, fam.lattice)
+    return reparam.require_admissible(spec, fam.lattice)
 
 
 def _frame(spec, fam, nodes, step_tol):

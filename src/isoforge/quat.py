@@ -7,7 +7,8 @@ and z*j = j*conj(z).
 Every function operates on trailing axes: quaternions are (..., 4) arrays
 in (w, x, y, z) order, vectors (..., 3) in (i, j, k) components.  They
 broadcast, which is what the surface assembly uses; a single quaternion is
-a (4,) array.
+a (4,) array.  Results are written component by component into one new
+array, with the operations of the stacked expressions, in their order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroQuaternion
+
+
+def _components(*parts):
+    """np.stack(parts, axis=-1) of arrays of one shape, into one array."""
+    out = np.empty(np.shape(parts[0]) + (len(parts),))
+    for k, part in enumerate(parts):
+        out[..., k] = part
+    return out
 
 
 def cross(a, b):
@@ -25,20 +34,19 @@ def cross(a, b):
     """
     a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
     b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1],
-                    axis=-1)
+    return _components(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
 
 
 def qmul(a, b):
     """Hamilton product of quaternion arrays (..., 4), broadcasting."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, av = a[..., 0], a[..., 1:]
-    bw, bv = b[..., 0], b[..., 1:]
-    w = aw * bw - (av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
-                   + av[..., 2] * bv[..., 2])
-    v = (aw[..., None] * bv + bw[..., None] * av + cross(av, bv))
-    return np.concatenate([w[..., None], v], axis=-1)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return _components(aw * bw - (ax * bx + ay * by + az * bz),
+                       aw * bx + bw * ax + (ay * bz - az * by),
+                       aw * by + bw * ay + (az * bx - ax * bz),
+                       aw * bz + bw * az + (ax * by - ay * bx))
 
 
 def qconj(a):
@@ -79,9 +87,9 @@ def qrotation(q):
     n2 = qnorm2(q)
     if np.any(n2 == 0):
         raise ZeroQuaternion("cannot invert the zero quaternion")
-    w, x, y, z = np.moveaxis(q, -1, 0)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     rows = ((w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
             (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
             (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z))
-    m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    return m / n2[..., None, None]
+    m = _components(*rows[0], *rows[1], *rows[2])
+    return m.reshape(q.shape[:-1] + (3, 3)) / n2[..., None, None]

@@ -6,6 +6,8 @@ has |w'(v)| <= 1, and carries sqrt(1 - w'(v)^2) as a *signed* smooth function
 spec; downstream frame integration never re-derives it from w'.  A spec
 evaluates w, w' and the signed root together (`ReparamSpec.planes`), since
 the frame, the field assembly and admissibility all read them at the same v.
+A spec is validated once (`validate`, one sampling): the frame solve keeps
+the report, whose coarse root_dd2 the battery's branch check reads too.
 
 Two families are provided:
 
@@ -18,14 +20,16 @@ Two families are provided:
       Q(s)  = -(s - s1)^2 (s - s2)^2 + delta^2 Q3(s),
 
   for a nonzero real delta and s1, s2 either both real or complex conjugate.
-  s oscillates between two adjacent simple roots of Q; the square-root
-  endpoint singularities are removed by the substitution
-  s = s_a + (s_b - s_a) sin^2(theta) and the integrals are evaluated by
-  per-panel Gauss-Legendre quadrature.  w(v) and s(v) between the panel
-  edges are cubic Hermite interpolants (`cubic_hermite`, both on one knot
-  search) of the exact edge values and slopes, and the edge values of w
-  come from inverting s(w) with the package's Brent root finder,
-  `elliptic.brentq`.  w' and the signed root are closed forms in s(v).
+  s oscillates between two adjacent simple roots of Q (polished, and Q
+  divided by (s - s_a)(s_b - s), on Python floats in numpy's operation
+  order); the square-root endpoint singularities are removed by the
+  substitution s = s_a + (s_b - s_a) sin^2(theta), and both integrals are
+  evaluated from one s(theta) by per-panel Gauss-Legendre quadrature.
+  w(v) and s(v) between the panel edges are cubic Hermite interpolants
+  (`cubic_hermite`, both on one knot search) of the exact edge values and
+  slopes, and the edge values of w come from inverting s(w) with the
+  package's Brent root finder, `elliptic.brentq`.  w' and the signed root
+  are closed forms in s(v).
 
 A spec is its kind, its period and its `planes` evaluator, nothing more:
 the data a family was built from (an analytic mean and amplitude, a
@@ -35,7 +39,6 @@ spherical (delta, s1, s2)) stays with the caller that chose it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,6 +83,7 @@ class SphericalSpec:
 class ValidationReport:
     root_residual: float
     root_dd2: float
+    root_dd2_coarse: float  # root_dd2 of every other sample
     flags: tuple
     ok: bool
 
@@ -108,34 +112,17 @@ def constant(level: float, period: float = 2 * np.pi) -> ReparamSpec:
     return analytic(level, 0.0, period)
 
 
-def validate(spec: ReparamSpec, lat, n: int = 4001, coarse: bool = False):
+def validate(spec: ReparamSpec, lat, n: int = 4001) -> ValidationReport:
     """Dense-sampling admissibility report over one period, on n samples.
 
-    With coarse=True, returns (the report on every other sample, the report
-    on all n) from one evaluation of the spec: for odd n the coarse samples
-    are those of n // 2 + 1 samples, bit for bit, so both reports equal
-    the two separate calls.  Both reports of the last (spec, lambda, n)
-    are kept (a spec is immutable), so a surface's frame solve
-    (`require_admissible`) and its battery (coarse=True) sample it once.
+    root_dd2_coarse is root_dd2 on every other sample, from the same
+    evaluation of the spec: for odd n bit for bit validate(spec, lat,
+    n // 2 + 1).root_dd2.  A surface's frame solve validates once, and its
+    battery reads that report (`frame.FrameTrajectory.admissibility`).
     """
-    reports = _reports(spec, lat.lam, n)
-    return reports if coarse else reports[1]
-
-
-@lru_cache(maxsize=1)
-def _reports(spec: ReparamSpec, lam: float, n: int):
-    """`validate`'s (coarse, fine) reports on n samples."""
     v = np.linspace(0.0, spec.period, n)
     w, wp, root = (np.asarray(x, dtype=float) for x in spec.planes(v))
-    top = 2 * np.pi * lam
-    return (_report(v[::2], w[::2], wp[::2], root[::2], top),
-            _report(v, w, wp, root, top))
-
-
-def _report(v, w, wp, root, top) -> ValidationReport:
-    """The admissibility report of the samples w, wp, root at the uniform v."""
-    n = len(v)
-    dv = v[1] - v[0]
+    top = 2 * np.pi * lat.lam
     flags = []
     w_min, w_max = float(np.min(w)), float(np.max(w))
     if not (0.0 < w_min and w_max < top):
@@ -148,19 +135,20 @@ def _report(v, w, wp, root, top) -> ValidationReport:
         if np.any(inside) else np.inf
     if not root_residual <= 1e-8:
         flags.append("signed root inconsistent with 1 - w'^2")
-    # smoothness proxy for the signed branch: bounded second divided differences
-    root_dd2 = float(np.max(np.abs(np.diff(root, 2)))) / dv ** 2 if n >= 3 else 0.0
+    # smoothness proxy for the signed branch: bounded second divided
+    # differences, on all samples and on every other one
+    dd2 = [float(np.max(np.abs(np.diff(r, 2)))) / (x[1] - x[0]) ** 2
+           if len(x) >= 3 else 0.0 for x, r in ((v, root), (v[::2], root[::2]))]
+    return ValidationReport(root_residual, *dd2, tuple(flags), not flags)
 
-    return ValidationReport(root_residual=root_residual, root_dd2=root_dd2,
-                            flags=tuple(flags), ok=not flags)
 
-
-def require_admissible(spec: ReparamSpec, lat) -> None:
-    """Raise SpecInvalid with the flags of validate(spec, lat) unless ok."""
+def require_admissible(spec: ReparamSpec, lat) -> ValidationReport:
+    """validate(spec, lat); raise SpecInvalid with its flags unless ok."""
     report = validate(spec, lat)
     if not report.ok:
         raise SpecInvalid("inadmissible reparametrization: "
                           + "; ".join(report.flags))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +233,29 @@ def cubic_hermite(x, y, dydx):
     return evaluate
 
 
+def _polyval(p, x):
+    """np.polyval(p, x), its operations in its order from y = 0.0, on a
+    Python float as on an array, without its wrapper's calls."""
+    y = 0.0
+    for c in p:
+        y = y * x + c
+    return y
+
+
+def _quotient(q, s_a, s_b):
+    """np.polydiv(q, np.polymul([1, -s_a], [-1, s_b])) on Python floats,
+    its operations in its order (to the sign of a zero coefficient): the
+    quotient and the remainder's two coefficients, of which polydiv drops
+    a leading one up to 1e-8 in magnitude."""
+    div = (-1.0, s_b + s_a, -s_a * s_b)
+    quot, r = [], list(q)
+    for k in range(len(q) - 2):
+        quot.append(-r[k])  # polydiv's d = (1 / -1) r[k]
+        for j, c in enumerate(div):
+            r[k + j] -= quot[k] * c
+    return quot, r[-2:]
+
+
 def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
     """Construct the periodic w(v) with spherical v-curvature lines.
 
@@ -265,7 +276,7 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
 
     cub = crit.q3
     q3_coeffs = np.array([cub.c3, cub.c2, cub.c1, cub.c0])
-    pair = np.array([1.0, -e1, e2])  # (s - s1)(s - s2)
+    pair = [1.0, -e1, e2]  # (s - s1)(s - s2)
     qcoef = delta ** 2 * np.concatenate([[0.0], q3_coeffs]) - np.polymul(pair, pair)
 
     # the single real root of Q3 bounds the attainable s-range from below
@@ -274,62 +285,52 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
         raise NoOscillation("could not isolate the real root of Q3")
     s_floor = s3_real[0]
 
-    roots = np.roots(qcoef)
-    rr = np.sort(np.array(
-        [r.real for r in roots if abs(r.imag) < 1e-7 * max(1.0, abs(r))]))
+    q = qcoef.tolist()
+    dq = [c * k for c, k in zip(q, range(len(q) - 1, 0, -1))]  # np.polyder
     # polish the real roots on Q itself
-    dq = np.polyder(qcoef)
+    rr = sorted(float(r.real) for r in np.roots(qcoef)
+                if abs(r.imag) < 1e-7 * max(1.0, abs(r)))
     for _ in range(3):
-        rr = rr - np.polyval(qcoef, rr) / np.polyval(dq, rr)
+        rr = [r - _polyval(q, r) / _polyval(dq, r) for r in rr]
 
-    candidates = []
-    for a, b in zip(rr[:-1], rr[1:]):
-        if b - a < 1e-10:
-            continue
-        mid = 0.5 * (a + b)
-        if np.polyval(qcoef, mid) > 0 and a > s_floor + 1e-8:
-            candidates.append((float(a), float(b)))
+    candidates = [(a, b) for a, b in zip(rr[:-1], rr[1:]) if not b - a < 1e-10
+                  and _polyval(q, 0.5 * (a + b)) > 0 and a > s_floor + 1e-8]
     if not candidates:
         raise NoOscillation(
             f"Q has no oscillation interval above the real root {s_floor:.6g} of Q3"
         )
     s_a, s_b = candidates[0]
-    scale = np.max(np.abs(qcoef)) * max(1.0, abs(s_b)) ** 3
+    scale = max(map(abs, q)) * max(1.0, abs(s_b)) ** 3
     for endpoint in (s_a, s_b):
-        if abs(np.polyval(dq, endpoint)) < 1e-8 * scale:
+        if abs(_polyval(dq, endpoint)) < 1e-8 * scale:
             raise SingularRoot(f"root of Q at s = {endpoint:.6g} is not simple")
 
     # Q(s) = (s - s_a)(s_b - s) * Ptil(s) with Ptil > 0 on [s_a, s_b]
-    quot, rem = np.polydiv(qcoef, np.polymul([1.0, -s_a], [-1.0, s_b]))
-    if np.max(np.abs(rem)) > 1e-7 * scale:
+    quot, rem = _quotient(q, s_a, s_b)
+    if max(map(abs, rem)) > 1e-7 * scale:  # scale >= 1: past polydiv's trim
         raise SingularRoot("oscillation endpoints are not roots of Q to tolerance")
 
     def q_of(s):
         """Q(s) in factored form: exactly 0 at the turning points s_a, s_b."""
-        return (np.clip(s - s_a, 0.0, None) * np.clip(s_b - s, 0.0, None)
-                * np.polyval(quot, s))
+        return (np.maximum(s - s_a, 0.0) * np.maximum(s_b - s, 0.0)
+                * _polyval(quot, s))
 
+    # v and w by panel-wise Gauss-Legendre quadrature in theta, from one
+    # s(theta) = s_a + (s_b - s_a) sin^2(theta) at the nodes
     span = s_b - s_a
     edges = np.linspace(0.0, np.pi / 2, 1601)
     nodes, weights = gauss_legendre(5)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    s_pts = s_a + span * np.sin(pts) ** 2
 
     def cumulative(g):
-        """Panel-wise Gauss-Legendre antiderivative of g at the panel edges."""
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        panel = half * (np.asarray(g(pts)) @ weights)
-        return np.concatenate([[0.0], np.cumsum(panel)])
+        """The antiderivative at the panel edges of g at the nodes."""
+        return np.concatenate([[0.0], np.cumsum(half * (g @ weights))])
 
-    def s_of_theta(theta):
-        return s_a + span * np.sin(theta) ** 2
-
-    v_edges = cumulative(
-        lambda th: 2 * abs(delta) / np.sqrt(np.polyval(quot, s_of_theta(th))))
-    w_edges = cumulative(
-        lambda th: span * np.sin(2 * th) / np.sqrt(cub(s_of_theta(th))))
+    v_edges = cumulative(2 * abs(delta) / np.sqrt(_polyval(quot, s_pts)))
     w_a = _w_of_s(s_a, crit)
-    w_edges = w_a + w_edges
+    w_edges = w_a + cumulative(span * np.sin(2 * pts) / np.sqrt(cub(s_pts)))
 
     top = 2 * np.pi * crit.lattice.lam
     if not (0.0 < w_a and w_edges[-1] < top):
@@ -340,7 +341,7 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
     # exact first derivatives at the edges: s'(v) = sqrt(Q)/|delta| and
     # w'(v) = sqrt(Q)/(|delta| sqrt(Q3)) -- Hermite data keeps the
     # interpolants consistent with the closed-form derivatives
-    s_edges = s_of_theta(edges)
+    s_edges = s_a + span * np.sin(edges) ** 2
     ds_edges = np.sqrt(q_of(s_edges)) / abs(delta)
     spline = cubic_hermite(v_edges, [s_edges, w_edges],
                            [ds_edges, ds_edges / np.sqrt(cub(s_edges))])
@@ -350,11 +351,11 @@ def build_spherical(spec: SphericalSpec, crit: Family) -> ReparamSpec:
         vv = np.mod(np.asarray(v, dtype=float), period)
         mirrored = vv > half_period
         both = spline(np.where(mirrored, period - vv, vv))
-        s, w = np.clip(both[0, ...], s_a, s_b), both[1, ...]
+        s, w = np.minimum(np.maximum(both[0, ...], s_a), s_b), both[1, ...]
         sqrt_q3 = np.sqrt(cub(s))
         mag = np.sqrt(q_of(s)) / (abs(delta) * sqrt_q3)
         out = (w, np.where(mirrored, -mag, mag),
-               np.polyval(pair, s) / (delta * sqrt_q3))
+               _polyval(pair, s) / (delta * sqrt_q3))
         return tuple(map(float, out)) if np.isscalar(v) else out
 
     return ReparamSpec(kind="spherical", period=period, planes=planes)
@@ -377,6 +378,22 @@ def fit_sphere(points):
     return center, radius
 
 
+def _sphere_fits(surface):
+    """Per v-curve at 5 u0 evenly spread over the grid: its row, the centre
+    of its least-squares sphere, its points' distances from the centre and
+    the largest distance residual relative to the radius."""
+    pts = np.asarray(surface.points, dtype=float)
+    for i in _even_indices(0, pts.shape[0] - 1, 5):
+        center, radius = fit_sphere(pts[i])
+        dist = np.linalg.norm(pts[i] - center, axis=1)
+        yield i, center, dist, np.max(np.abs(dist - radius)) / radius
+
+
+def sphere_fit(surface) -> float:
+    """`sphericality_certificate`'s sphere_fit, without the angles."""
+    return float(np.max([fit[-1] for fit in _sphere_fits(surface)]))
+
+
 def sphericality_certificate(surface) -> dict:
     """Fit spheres to sampled v-curves and measure the Joachimsthal angle.
 
@@ -386,19 +403,9 @@ def sphericality_certificate(surface) -> dict:
     largest distance residual relative to the fitted radius, and
     `sphere_angle`: the largest spread (std over v) of that angle's cosine.
     """
-    pts_grid = np.asarray(surface.points, dtype=float)
-    n_grid = np.asarray(surface.n, dtype=float)
-    nu = pts_grid.shape[0]
-    idx = _even_indices(0, nu - 1, 5)
-
-    res, ang = [], []
-    for i in idx:
-        pts = pts_grid[i]
-        center, radius = fit_sphere(pts)
-        dist = np.linalg.norm(pts - center, axis=1)
-        res.append(np.max(np.abs(dist - radius)) / radius)
-        radial = (pts - center) / dist[:, None]
-        cosang = np.sum(n_grid[i] * radial, axis=1)
-        ang.append(np.std(cosang))
-    return {"sphere_fit": float(np.max(res)),
+    pts, n = (np.asarray(x, dtype=float) for x in (surface.points, surface.n))
+    fits = list(_sphere_fits(surface))
+    ang = [np.std(np.sum(n[i] * ((pts[i] - center) / dist[:, None]), axis=1))
+           for i, center, dist, _ in fits]
+    return {"sphere_fit": float(np.max([fit[-1] for fit in fits])),
             "sphere_angle": float(np.max(ang))}

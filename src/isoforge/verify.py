@@ -149,13 +149,12 @@ def battery(surf, fam) -> dict:
         # admissibility + branch smoothness of the signed root: a wrong
         # branch (e.g. |.| of a sign-changing root) kinks, so its second
         # divided differences keep growing under mesh refinement
-        rep_c, rep_f = reparam.validate(spec, fam.lattice, n=4001,
-                                        coarse=True)
-        values["reparam_admissible"] = 0.0 if rep_f.ok else 1.0
-        values["root_consistency"] = rep_f.root_residual
+        rep = surf.traj.admissibility  # the frame solve validated with it
+        values["reparam_admissible"] = 0.0 if rep.ok else 1.0
+        values["root_consistency"] = rep.root_residual
         # floor the denominator so roundoff-level dd2 (constant w) passes
-        values["root_branch_smoothness"] = (rep_f.root_dd2
-                                            / max(rep_c.root_dd2, 1.0))
+        values["root_branch_smoothness"] = (rep.root_dd2
+                                            / max(rep.root_dd2_coarse, 1.0))
 
         if fam.mode == "critical":  # symmetry involutions
             values.update(surface.inversion_symmetry(surf, fam))
@@ -219,7 +218,7 @@ def spherical_battery(surf, mono, sph) -> dict:
     ratio, _, b_point = spherical.collinearity(
         *spherical.sphere_centers(surf, sph))
     return {
-        "sphere_fit": reparam.sphericality_certificate(surf)["sphere_fit"],
+        "sphere_fit": reparam.sphere_fit(surf),
         "collinearity": ratio,
         "cone_point_planes": spherical.cone_point(surf, b_point),
         **spherical.axis(sph, surf, mono.axis),

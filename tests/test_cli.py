@@ -1402,6 +1402,62 @@ def test_spherical_command_evaluates_the_fields_once(tmp_path, sph_cfg_grid32,
     assert len(calls) == 1
 
 
+def _old_sphericality(surf):
+    """The sphericality certificate as one pass of five sphere fits and
+    their Joachimsthal angles, as it was written before the spherical
+    command fitted the spheres alone: the oracle of both values."""
+    from isoforge import reparam
+    res, ang = [], []
+    for i in elliptic._even_indices(0, surf.points.shape[0] - 1, 5):
+        pts = np.asarray(surf.points, dtype=float)[i]
+        center, radius = reparam.fit_sphere(pts)
+        dist = np.linalg.norm(pts - center, axis=1)
+        res.append(np.max(np.abs(dist - radius)) / radius)
+        radial = (pts - center) / dist[:, None]
+        ang.append(np.std(np.sum(np.asarray(surf.n, dtype=float)[i] * radial,
+                                 axis=1)))
+    return {"sphere_fit": float(np.max(res)),
+            "sphere_angle": float(np.max(ang))}
+
+
+def test_spherical_command_samples_once_and_fits_the_spheres_alone(
+        tmp_path, sph_cfg_grid32, monkeypatch):
+    """A spherical command samples its spec for admissibility in one
+    4,001-point planes call, and fits its five spheres for sphere_fit
+    without the Joachimsthal angles (sphericality_certificate is not
+    called); verify on the same config still reports sphere_angle.  Both
+    values equal the one-pass oracle's bit for bit."""
+    from isoforge import reparam
+    sizes, angles, build = [], [], reparam.build_spherical
+
+    def spied(*args):
+        spec = build(*args)
+
+        def planes(v, _planes=spec.planes):
+            sizes.append(np.size(v))
+            return _planes(v)
+        return dataclasses.replace(spec, planes=planes)
+    monkeypatch.setattr(reparam, "build_spherical", spied)
+    certificate = reparam.sphericality_certificate
+    monkeypatch.setattr(reparam, "sphericality_certificate",
+                        lambda surf: angles.append(1) or certificate(surf))
+    path = _write(tmp_path, sph_cfg_grid32)
+    reports = {}
+    for command in ("spherical", "verify"):
+        out = tmp_path / f"{command}.json"
+        result = CliRunner().invoke(cli, [command, path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[command] = {c["name"]: c["value"] for c in
+                            json.loads(out.read_text())["checks"]}
+        if command == "spherical":
+            assert sizes.count(4001) == 1 and not angles
+    assert angles == [1]
+    want = _old_sphericality(cli_mod._build(path)[2])
+    assert reports["spherical"]["sphere_fit"] == want["sphere_fit"]
+    assert reports["verify"]["sphere_fit"] == want["sphere_fit"]
+    assert reports["verify"]["sphere_angle"] == want["sphere_angle"]
+
+
 @pytest.fixture(scope="session")
 def sph_cfg_grid32():
     return {
@@ -1525,11 +1581,16 @@ def test_battery_is_the_union_of_the_certificates(tmp_path, monkeypatch,
 @pytest.mark.parametrize("mode", ["critical", "explicit"])
 def test_verify_samples_the_spec_for_admissibility_once(tmp_path,
                                                         monkeypatch, mode):
-    """The frame solve's admissibility check and the battery's
-    reparam.validate(..., n=4001, coarse=True) read one sampling of the
-    spec: a README verify makes one 4,001-point spec.planes call."""
+    """The battery reads the report that the frame solve validated the spec
+    with (`FrameTrajectory.admissibility`), whose root_dd2_coarse is the
+    coarse level of root_branch_smoothness: a README verify makes one
+    reparam.validate call and one 4,001-point spec.planes call, without
+    a cache."""
     from isoforge import reparam
-    sizes, analytic = [], reparam.analytic
+    sizes, analytic, validate = [], reparam.analytic, reparam.validate
+    calls = []
+    monkeypatch.setattr(reparam, "validate",
+                        lambda *a, **k: calls.append(1) or validate(*a, **k))
 
     def spied(*args):
         spec = analytic(*args)
@@ -1545,7 +1606,7 @@ def test_verify_samples_the_spec_for_admissibility_once(tmp_path,
         "verify", _write(tmp_path, {**_README_CFG, "omega": omega}),
         "--out", str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
-    assert sizes.count(4001) == 1
+    assert sizes.count(4001) == 1 and calls == [1]
 
 
 @pytest.mark.parametrize("command", ["verify", "curves"])

@@ -12,6 +12,7 @@ from isoforge.errors import (DegenerateRotation, DomainW, InvalidLattice,
                              NoBracket, SpecInvalid, StepFailure)
 
 from conftest import period_nodes
+from test_quat import stacked_cross
 
 
 def test_constant_coefficient_closed_form(crit032):
@@ -282,6 +283,58 @@ def test_stacked_propagators_match_three_calls():
     e, err = frame._propagators(g, h)
     assert np.array_equal(e, two)
     assert np.array_equal(err, np.max(np.abs(full - two), axis=1))
+
+
+def _stacked_magnus6(a, h):
+    """`frame._magnus6` as it was written: |Omega| by np.linalg.norm, the
+    commutators by the stacked cross product."""
+    a1, a2, a3 = a[:, 0], a[:, 1], a[:, 2]
+    h = h[:, None]
+    b1 = h * a2
+    b2 = np.sqrt(15.0) / 3 * h * (a3 - a1)
+    b3 = 10.0 / 3 * h * (a3 - 2 * a2 + a1)
+    c1 = 2 * stacked_cross(b1, b2)
+    c2 = -2 * stacked_cross(b1, 2 * b3 + c1) / 60
+    om = b1 + b3 / 12 + 2 * stacked_cross(-20 * b1 - b3 + c1, b2 + c2) / 240
+    ang = np.linalg.norm(om, axis=-1)
+    return np.concatenate([np.cos(ang)[:, None],
+                           np.sinc(ang / np.pi)[:, None] * om], axis=-1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_magnus6_equals_its_stacked_form(n, scale, seed):
+    """`_magnus6`, with |Omega| as the plane sum of surface._norm, equals
+    its np.linalg.norm and np.stack form bit for bit, exact zeros
+    included."""
+    rng = np.random.default_rng(seed)
+    a = scale * rng.normal(size=(n, 3, 3))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    h = rng.uniform(0.0, 0.3, n)
+    assert np.array_equal(frame._magnus6(a, h), _stacked_magnus6(a, h))
+
+
+@pytest.mark.parametrize("which", ["torus", "spherical"])
+def test_generator_equals_its_stacked_form(torus_spec, sph_spec, crit032,
+                                           which):
+    """frame.generator fills its (..., 4) array directly: the values of
+    the np.stack of (0, 0, -root Im W1, root Re W1), on arrays and
+    scalars."""
+    spec = torus_spec if which == "torus" else sph_spec
+    gen = frame.generator(spec, crit032)
+    rng = np.random.default_rng(7)
+    for v in (rng.uniform(0.0, spec.period, (5, 9)),
+              np.linspace(0.0, spec.period, 33), 0.37 * spec.period):
+        w, _, root = spec.planes(np.asarray(v, dtype=float))
+        W1 = curvefamily.w1(w, crit032)
+        root = np.asarray(root, dtype=float)
+        zero = np.zeros(np.shape(root))
+        want = np.stack([zero, zero, -root * np.imag(W1),
+                         root * np.real(W1)], axis=-1)
+        got = gen(v)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _failure(gen, step_tol):

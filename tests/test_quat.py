@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from isoforge import quat
 from isoforge.errors import ZeroQuaternion
@@ -213,3 +214,76 @@ def test_qmul_associative_and_norm_multiplicative(p, q, r):
 def test_qmul_by_inverse_is_one(q):
     for prod in (quat.qmul(q, quat.qinv(q)), quat.qmul(quat.qinv(q), q)):
         assert np.max(np.abs(prod - [1.0, 0.0, 0.0, 0.0])) <= 1e-13
+
+
+# oracles: cross, qmul and qrotation as they were written with np.stack,
+# np.concatenate and np.moveaxis, before each wrote its components into
+# one output array
+
+
+def stacked_cross(a, b):
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1],
+                    axis=-1)
+
+
+def stacked_qmul(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, av = a[..., 0], a[..., 1:]
+    bw, bv = b[..., 0], b[..., 1:]
+    w = aw * bw - (av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
+                   + av[..., 2] * bv[..., 2])
+    v = (aw[..., None] * bv + bw[..., None] * av + stacked_cross(av, bv))
+    return np.concatenate([w[..., None], v], axis=-1)
+
+
+def stacked_qrotation(q):
+    q = np.asarray(q, dtype=float)
+    n2 = quat.qnorm2(q)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    rows = ((w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+            (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+            (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z))
+    m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return m / n2[..., None, None]
+
+
+def _same_bits(got, want):
+    """Equal shapes and values, and equal signs of every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def _broadcasting_pair(draw, width):
+    """Two float arrays of trailing axis `width` whose leading shapes
+    broadcast against each other (either may be a single vector): normal
+    deviates at a drawn scale, whose products round, with exact zeros of
+    both signs in place of some."""
+    shapes = draw(mutually_broadcastable_shapes(
+        signature=f"({width}),({width})->({width})", max_dims=3, max_side=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    out = []
+    for shape in shapes.input_shapes:
+        x = scale * rng.normal(size=shape)
+        zero = rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))
+        x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+        out.append(x)
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ab=_broadcasting_pair(3), pq=_broadcasting_pair(4))
+def test_one_output_kernels_equal_the_stacked_expressions(ab, pq):
+    """cross and qmul, each written into one output array, equal the
+    stacked expressions bit for bit, zeros' signs included, on
+    broadcasting shapes, and qrotation does on every nonzero quaternion."""
+    _same_bits(quat.cross(*ab), stacked_cross(*ab))
+    _same_bits(quat.qmul(*pq), stacked_qmul(*pq))
+    for q in pq:
+        if np.all(quat.qnorm2(q) != 0):
+            _same_bits(quat.qrotation(q), stacked_qrotation(q))

@@ -1,7 +1,10 @@
 """Reparametrization specs: admissibility, s(w), spherical construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoforge import reparam
 from isoforge.errors import (DegenerateFit, DomainW, NoOscillation,
@@ -434,10 +437,10 @@ def test_coarse_samples_are_every_other_fine_sample():
 
 @pytest.mark.parametrize("which", ["analytic", "constant", "conjugate",
                                    "real", "steep"])
-def test_validate_pair_equals_two_calls(crit032, lat032, which):
-    """validate(..., coarse=True) returns, from one evaluation on 4001
-    samples, the reports of the separate calls at n = 2001 and n = 4001,
-    field for field."""
+def test_validate_pair_equals_two_calls(crit032, lat032, which, monkeypatch):
+    """validate(..., n=4001) evaluates the spec once, and its report
+    carries root_dd2 on every other sample, bit for bit the root_dd2 of
+    the separate call at n = 2001 (the battery's coarse level)."""
     band = 2 * np.pi * lat032.lam
     spec = {
         "analytic": lambda: reparam.analytic(band / 2, 0.3, 5.0),
@@ -448,6 +451,90 @@ def test_validate_pair_equals_two_calls(crit032, lat032, which):
             delta=0.4, s1=0.5, s2=0.9), crit032),
         "steep": lambda: reparam.analytic(band / 2, 2.0, 2 * np.pi),
     }[which]()
-    coarse, fine = reparam.validate(spec, lat032, n=4001, coarse=True)
-    assert coarse == reparam.validate(spec, lat032, n=2001)
+    sizes = []
+
+    def planes(v, _planes=spec.planes):
+        sizes.append(np.size(v))
+        return _planes(v)
+    fine = reparam.validate(dataclasses.replace(spec, planes=planes), lat032,
+                            n=4001)
+    assert sizes == [4001]
+    coarse = reparam.validate(spec, lat032, n=2001)
+    assert fine.root_dd2_coarse == coarse.root_dd2
     assert fine == reparam.validate(spec, lat032, n=4001)
+
+
+def _numpy_turning_points(qcoef, s_floor):
+    """The oscillation interval of build_spherical as it found it with
+    numpy: the real roots of Q polished by three array Newton steps with
+    np.polyval and np.polyder, and the first interval with Q > 0 at its
+    midpoint above the real root of Q3."""
+    roots = np.roots(qcoef)
+    rr = np.sort(np.array(
+        [r.real for r in roots if abs(r.imag) < 1e-7 * max(1.0, abs(r))]))
+    dq = np.polyder(qcoef)
+    for _ in range(3):
+        rr = rr - np.polyval(qcoef, rr) / np.polyval(dq, rr)
+    for a, b in zip(rr[:-1], rr[1:]):
+        if b - a >= 1e-10 and np.polyval(qcoef, 0.5 * (a + b)) > 0 \
+                and a > s_floor + 1e-8:
+            return float(a), float(b)
+    raise AssertionError("no oscillation interval")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(0.4, 0.6), a=st.floats(0.35, 0.55),
+       b=st.floats(0.15, 0.35))
+def test_spherical_python_float_steps_equal_numpys(crit032, delta, a, b):
+    """Over the spherical benchmark's (delta, a, b) box, s1 = conj(s2) =
+    a + bi on lambda 0.32: build_spherical's Python-float root polishing
+    gives numpy's turning points, its quotient and remainder are
+    np.polydiv's (which drops a leading remainder coefficient up to 1e-8),
+    and _polyval on arrays is np.polyval, all bit for bit; the knots are
+    those of the two-pass quadrature."""
+    sph = reparam.SphericalSpec(delta=delta, s1=complex(a, b),
+                                s2=complex(a, -b))
+    seen, knots = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        quotient, hermite = reparam._quotient, reparam.cubic_hermite
+        mp.setattr(reparam, "_quotient",
+                   lambda *args: seen.append(args) or quotient(*args))
+        mp.setattr(reparam, "cubic_hermite",
+                   lambda *args: knots.append(args) or hermite(*args))
+        reparam.build_spherical(sph, crit032)
+    ((q, s_a, s_b),), ((v_edges, (s_edges, w_edges), _),) = seen, knots
+    qcoef = q_coeffs(sph, crit032)
+    assert q == qcoef.tolist()
+    s_floor = [r.real for r in crit032.q3.roots if abs(r.imag) < 1e-9][0]
+    assert (s_a, s_b) == _numpy_turning_points(qcoef, s_floor)
+
+    quot, rem = reparam._quotient(q, s_a, s_b)
+    want_quot, want_rem = np.polydiv(qcoef, np.polymul([1.0, -s_a],
+                                                       [-1.0, s_b]))
+    assert quot == want_quot.tolist()
+    assert rem[len(rem) - len(want_rem):] == want_rem.tolist()
+    assert all(abs(r) <= 1e-8 for r in rem[:len(rem) - len(want_rem)])
+    s = np.concatenate([np.linspace(s_a, s_b, 257),
+                        np.random.default_rng(3).uniform(s_a, s_b, 256)])
+    assert np.array_equal(reparam._polyval(quot, s), np.polyval(want_quot, s))
+    assert np.array_equal(reparam._polyval(q, s), np.polyval(qcoef, s))
+
+    # the quadrature as two passes, each forming s(theta) at the nodes
+    edges = np.linspace(0.0, np.pi / 2, 1601)
+    nodes, weights = reparam.gauss_legendre(5)
+
+    def cumulative(g):
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        return np.concatenate([[0.0], np.cumsum(half * (g(pts) @ weights))])
+
+    def s_of(th):
+        return s_a + (s_b - s_a) * np.sin(th) ** 2
+
+    assert np.array_equal(v_edges, cumulative(
+        lambda th: 2 * abs(delta) / np.sqrt(np.polyval(want_quot, s_of(th)))))
+    assert np.array_equal(w_edges, w_edges[0] + cumulative(
+        lambda th: (s_b - s_a) * np.sin(2 * th)
+        / np.sqrt(crit032.q3(s_of(th)))))
+    assert np.array_equal(s_edges, s_of(edges))
