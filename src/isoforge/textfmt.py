@@ -6,17 +6,20 @@ are exactly `'%.12g' % x`, `'%.2f' % x` or `'%d' % n`.  `join` lays cells
 and constant text out as rows and drops the padding; `table` does that for
 a long array, a chunk of rows at a time.
 
-The fast path is digit arithmetic in float64.  A value is scaled by an
-exact power of ten so that rounding it to an integer gives its leading
-digits, as Python rounds them: to nearest, ties to even, on the exact
-product.  The scaled value s is that product rounded to a float, and below
-1e12, where every tie k + 1/2 is a float too.  Rounding to a float keeps
-order, so s lies on the same side of each tie as the exact product, or on
-the tie itself; `rint(s)` is therefore the correct rounding unless s is a
-tie.  Such a cell goes to Python's %, as does every cell that is
-non-finite, zero, or outside the range the fast path spells: 12-digit
-fixed notation for '%.12g', magnitudes below 1e10 for '%.2f' and 1e12 for
-'%d'.
+The fast path rounds in float64 and spells in int64.  A value is scaled
+by an exact power of ten so that rounding it to an integer gives its
+leading digits, as Python rounds them: to nearest, ties to even, on the
+exact product.  The scaled value s is that product rounded to a float,
+and below 1e12, where every tie k + 1/2 is a float too.  Rounding to a
+float keeps order, so s lies on the same side of each tie as the exact
+product, or on the tie itself; `rint(s)` is therefore the correct
+rounding unless s is a tie.  Such a cell goes to Python's %, as does
+every cell that is non-finite, zero, or outside the range the fast path
+spells: 12-digit fixed notation for '%.12g', magnitudes below 1e10 for
+'%.2f' and 1e12 for '%d'.  '%.12g' scales by the floored logarithm's
+power of ten, and again, as a fresh product, where s misses [1e11, 1e12).
+Integers split into 4-digit groups by int64 floor division; '%.12g' reads
+its trailing zeros off the last group (all three where that one is 0000).
 
 The digits are spelt four at a time from tables, and each word of a cell
 is one table lookup (and mask) over all the cells at once, so that no
@@ -64,7 +67,7 @@ _GROUPS = _lookup(_GROUPS, np.uint32)[0]
 # and its second group are nonzero (column 2 * first + second)
 _SHOWN = np.array([[_BLANK, _BLANK, _LEADING, _LEADING],
                    [_BLANK, _LEADING, 0, 0],
-                   [_LEADING, 0, 0, 0]], dtype=float)
+                   [_LEADING, 0, 0, 0]])
 # each digit of a group followed by a slot holding the point, which the
 # mask of a cell keeps where the point goes
 _SLOTTED = np.full((8, 10001), ord("."), np.uint8)
@@ -100,32 +103,34 @@ _NUL = b"\0"
 
 def _split(m, groups=3):
     """The last `groups` 4-digit groups of the integers m in
-    [0, 1e4 ** groups], most significant first, as a (groups, n) float
-    array (1e12 in three groups: 10000, 0, 0)."""
-    g = np.empty((groups, m.size))
-    for k in range(groups - 1, 0, -1):
-        np.floor(m / 1e4 ** k, out=g[-1 - k])
-        m = m - g[-1 - k] * 1e4 ** k
+    [0, 1e4 ** groups] (a non-finite float m warns in its cast to int64),
+    most significant first, as a (groups, n) int64 array (1e12 in three
+    groups: 10000, 0, 0)."""
+    g = np.empty((groups, m.size), np.int64)
     g[-1] = m
+    for k in range(groups - 1):
+        np.floor_divide(g[-1], 10 ** (4 * (groups - 1 - k)), out=g[k])
+        g[-1] -= g[k] * 10 ** (4 * (groups - 1 - k))
     return g
 
 
-def _integer(m, groups=3):
-    """The (groups, n) words of the integers m in [0, 1e4 ** groups),
-    groups <= 3, without leading zeros."""
-    with np.errstate(invalid="ignore"):
-        g = _split(m, groups)
-        # the column of _SHOWN, as if the groups left out were zeros
-        state = sum(np.sign(g[k]).astype(np.intp) << (groups - 2 - k)
-                    for k in range(groups - 1))
-        g += _SHOWN[3 - groups:].take(state, axis=1, mode="clip")
-        return _GROUPS.take(g.astype(np.intp), mode="clip")
+def _integer(m, out):
+    """Fill out, of shape (groups, n) with groups <= 3, with the words of
+    the integers m in [0, 1e4 ** groups), without leading zeros."""
+    groups = len(out)
+    g = _split(m, groups)
+    # the column of _SHOWN, as if the groups left out were zeros
+    state = sum(np.sign(g[k]) << (groups - 2 - k) for k in range(groups - 1))
+    g += _SHOWN[3 - groups:].take(state, axis=1, mode="clip")
+    _GROUPS.take(g, mode="clip", out=out)
 
 
 def _cells(words, x, fmt, ok, sep):
     """The cells words of the array x, shaped (words,) + x.shape, with sep
     in their first byte and the cells where ok fails spelt by Python's
     fmt."""
+    if len(sep) > 1:
+        raise ValueError(f"a separator is at most one byte, not {sep!r}")
     size = words.dtype.itemsize
     if sep:
         words[0] |= np.frombuffer(sep.ljust(size, _NUL), words.dtype)[0]
@@ -149,28 +154,32 @@ def g12(x, sep=b""):
     flat = x.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = np.abs(flat)
-        e = np.fmin(np.fmax(np.floor(np.log10(a)), -5.0), 11.0)
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), -5.0), 11.0).astype(int)
         # a * 10**(11 - e) lies in [1e11, 1e12) for the decimal exponent e
-        # of a, which the logarithm may miss by one next to a power of ten
-        s = a * _P10.take((12.0 - e).astype(np.intp))
-        e += s >= 1e12
-        e -= s < 1e11
-        s = a * _P10.take((12.0 - e).astype(np.intp))
+        # of a, which the logarithm may miss by one next to a power of ten:
+        # those cells (and zeros, non-finite values) take a fresh product
+        s = a * _P10.take(12 - e)
+        redo = np.flatnonzero((s < 1e11) | (s >= 1e12))
+        if redo.size:
+            e[redo] += (s[redo] >= 1e12).astype(int) - (s[redo] < 1e11)
+            s[redo] = a[redo] * _P10.take(12 - e[redo])
         m = np.rint(s)
-        ok = (s >= 1e11) & (s < 1e12) & (np.abs(s - m) < 0.5)
-        # m = 1e12 rounds up into the next decade, where its groups 10000,
-        # 0, 0 spell the 12 digits 1000 0000 0000
-        e += m == 1e12
-        ok &= (e >= -4) & (e <= 11)
-        g = _split(m).astype(np.intp)
-        code = ((e + 4) * 26).astype(np.intp)
-    # the trailing zeros of m: tz >> 2 is 1 for a group 0000 (tz = 4) only
-    tz = _TRAILING.take(g, mode="clip")
-    trailing = tz[2] + (tz[2] >> 2) * (tz[1] + (tz[1] >> 2) * tz[0])
-    code += 2 * (12 - trailing) + np.signbit(flat)
+        ok = np.abs(s - m) < 0.5
+        if redo.size:
+            ok[redo] &= (s[redo] >= 1e11) & (s[redo] < 1e12)
+        g = _split(m)
+    # the trailing zeros of m, from its last group unless that is 0000; a
+    # carry to m = 1e12 raises e by one and spells 1000 0000 0000
+    tz = _TRAILING.take(g[2], mode="clip")
+    zeros = np.flatnonzero(g[2] == 0)
+    e[zeros] += m[zeros] == 1e12
+    t = _TRAILING.take(g[:2, zeros], mode="clip")
+    tz[zeros] = 4 + t[1] + (t[1] >> 2) * t[0]
+    ok &= (e >= -4) & (e <= 11)
+    code = (e + 4) * 26 + 2 * (12 - tz) + np.signbit(flat)
     words = np.empty((4, flat.size), np.uint64)
-    words[0] = _WORD0.take(code, mode="clip")
-    words[1:] = _SLOTTED.take(g, mode="clip")
+    _WORD0.take(code, mode="clip", out=words[0])
+    _SLOTTED.take(g, mode="clip", out=words[1:])
     words[1:] &= _MASK.take(code, axis=1, mode="clip")
     return _cells(words, x, "%.12g", ok, sep)
 
@@ -185,14 +194,15 @@ def f2(x, sep=b""):
         s = np.abs(flat) * 100.0
         m = np.rint(s)
         ok = (m < 1e12) & (np.abs(s - m) < 0.5)  # false for nan, inf
-        whole = np.floor(m / 100)
-        cents = (m - 100 * whole).astype(np.intp)
-    top = np.max(whole, where=ok, initial=0.0)
-    groups = 1 + int(top >= 1e4) + int(top >= 1e8)
+        cents = m.astype(np.int64)
+    whole = cents // 100
+    cents -= whole * 100
+    top = np.max(whole, where=ok, initial=0)
+    groups = 1 + int(top >= 10 ** 4) + int(top >= 10 ** 8)
     words = np.empty((groups + 2, flat.size), np.uint32)
     np.multiply(np.signbit(flat), _MINUS32, out=words[0])
-    words[1:-1] = _integer(whole, groups)
-    words[-1] = _CENTS.take(cents, mode="clip")
+    _integer(whole, words[1:-1])
+    _CENTS.take(cents, mode="clip", out=words[-1])
     return _cells(words, x, "%.2f", ok, sep)
 
 
@@ -203,7 +213,7 @@ def d(n, sep=b""):
     ok = (flat > -10 ** 12) & (flat < 10 ** 12)
     words = np.empty((4, flat.size), np.uint32)
     np.multiply(flat < 0, _MINUS32, out=words[0])
-    words[1:] = _integer(np.abs(flat).astype(float))
+    _integer(np.abs(flat), words[1:])
     return _cells(words, n, "%d", ok, sep)
 
 

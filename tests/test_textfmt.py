@@ -81,16 +81,59 @@ def test_values_whose_scaled_product_lands_on_a_tie():
     _assert_matches(np.concatenate([values, -values]))
 
 
-def test_values_next_to_powers_of_ten_take_the_fast_path(monkeypatch):
-    """The logarithm that finds the decimal exponent may miss it by one
-    next to a power of ten: the fast path still spells those values."""
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of cells that Python's % spells, per kernel call."""
     slow = []
     fill = textfmt._cells
     monkeypatch.setattr(textfmt, "_cells", lambda words, x, fmt, ok, sep: (
         slow.append(np.sum(~ok)), fill(words, x, fmt, ok, sep))[1])
+    return slow
+
+
+def test_values_next_to_powers_of_ten_take_the_fast_path(fallbacks):
+    """The logarithm that finds the decimal exponent may miss it by one
+    next to a power of ten: the fast path still spells those values."""
     x = _ulps(10.0 ** np.arange(-4, 12), 3)
     assert _texts(textfmt.g12(x)) == ["%.12g" % v for v in x.tolist()]
-    assert slow == [0]
+    assert fallbacks == [0]
+
+
+def test_mantissas_ending_in_zero_groups_take_the_fast_path(fallbacks):
+    """'%.12g' reads the trailing zeros of the 12-digit mantissa off its
+    last 4-digit group; a mantissa whose last one or two groups are 0000,
+    or that rounds up to 1e12 (groups 10000, 0000, 0000), counts them over
+    all three groups, and still takes the fast path."""
+    mantissas = np.array([1234.5678, 1.5, 12345678.0, 0.25, 1.0])
+    carries = [9.9999999999996, 99999999999.9996, 0.00099999999999996]
+    x = np.concatenate([np.outer(10.0 ** np.arange(-3, 4), mantissas).ravel(),
+                        carries])
+    x = np.concatenate([x, -x])
+    assert _texts(textfmt.g12(x)) == ["%.12g" % v for v in x.tolist()]
+    assert fallbacks == [0]
+
+
+def test_integer_splits_take_the_fast_path_at_group_boundaries(fallbacks):
+    """'%d' and '%.2f' split their integer parts into 4-digit groups: at
+    every boundary of the split they stay byte for byte Python's %, both
+    signs, without a fallback ('%.2f' up to the end of its fast path,
+    below 1e10)."""
+    edges = [0, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8]
+    n = np.array(edges + [10 ** 12 - 1])
+    n = np.concatenate([n, -n])
+    assert _texts(textfmt.d(n)) == ["%d" % k for k in n.tolist()]
+    x = np.array(edges + [10 ** 10 - 1], dtype=float)
+    x = np.concatenate([x, x + 0.75, -x, -x - 0.75])
+    assert _texts(textfmt.f2(x)) == ["%.2f" % v for v in x.tolist()]
+    assert fallbacks == [0, 0]
+
+
+@pytest.mark.parametrize("spell", [textfmt.g12, textfmt.f2, textfmt.d])
+def test_a_separator_longer_than_one_byte_is_refused(spell):
+    """A cell has one byte for its separator: a longer one would lose its
+    last byte in front of a negative cell."""
+    with pytest.raises(ValueError, match="at most one byte"):
+        spell(np.array([-1, 2]), b", ")
 
 
 @pytest.mark.parametrize("value", [
